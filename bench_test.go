@@ -459,14 +459,31 @@ func BenchmarkNGSIUpdate(b *testing.B) {
 	}
 }
 
+// BenchmarkAnomalyOnReading feeds the engine one quantity from a fleet of
+// distinct devices, round-robin: the consistency detector judges each value
+// against every other device, so the cost to watch is how it grows with
+// fleet size.
 func BenchmarkAnomalyOnReading(b *testing.B) {
-	eng := anomaly.NewEngine(anomaly.EngineConfig{Sink: func(anomaly.Alert) {}})
-	at := time.Now()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.OnReading(model.Reading{
-			Device: "p1", Quantity: model.QSoilMoisture,
-			Value: 0.25 + float64(i%10)*0.001, At: at,
+	for _, fleet := range []int{100, 1000, 10000} {
+		b.Run(fmt.Sprintf("fleet=%d", fleet), func(b *testing.B) {
+			eng := anomaly.NewEngine(anomaly.EngineConfig{Sink: func(anomaly.Alert) {}})
+			at := time.Now()
+			devices := make([]model.DeviceID, fleet)
+			for i := range devices {
+				devices[i] = model.DeviceID(fmt.Sprintf("probe-%05d", i))
+				eng.OnReading(model.Reading{
+					Device: devices[i], Quantity: model.QSoilMoisture,
+					Value: 0.25 + float64(i%10)*0.001, At: at,
+				})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eng.OnReading(model.Reading{
+					Device: devices[i%fleet], Quantity: model.QSoilMoisture,
+					Value: 0.25 + float64(i%7)*0.001, At: at,
+				})
+			}
 		})
 	}
 }

@@ -7,6 +7,7 @@ package agent
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -32,7 +33,9 @@ func EncodeUL(values map[string]float64) string {
 	return b.String()
 }
 
-// DecodeUL parses an UltraLight 2.0 payload into a measurement map.
+// DecodeUL parses an UltraLight 2.0 payload into a measurement map. Values
+// must be finite: strconv accepts "NaN" and "Inf", but no sensor measures
+// them and one NaN poisons every running baseline downstream.
 func DecodeUL(s string) (map[string]float64, error) {
 	if s == "" {
 		return nil, fmt.Errorf("agent: empty UL payload")
@@ -50,6 +53,9 @@ func DecodeUL(s string) (map[string]float64, error) {
 		v, err := strconv.ParseFloat(parts[i+1], 64)
 		if err != nil {
 			return nil, fmt.Errorf("agent: UL value for %q: %w", key, err)
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("agent: UL value for %q is not finite: %q", key, parts[i+1])
 		}
 		if _, dup := out[key]; dup {
 			return nil, fmt.Errorf("agent: UL payload repeats key %q", key)

@@ -23,7 +23,7 @@ func TestEncodeDecodeUL(t *testing.T) {
 }
 
 func TestDecodeULRejectsMalformed(t *testing.T) {
-	for _, s := range []string{"", "m", "m|1|t", "m|abc", "|1", "m|1|m|2"} {
+	for _, s := range []string{"", "m", "m|1|t", "m|abc", "|1", "m|1|m|2", "m|NaN", "m|1|t|-Inf", "m|+inf"} {
 		if _, err := DecodeUL(s); err == nil {
 			t.Errorf("DecodeUL(%q) succeeded", s)
 		}

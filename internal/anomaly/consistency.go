@@ -3,6 +3,7 @@ package anomaly
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -42,12 +43,24 @@ func (c *ConsistencyConfig) defaults() {
 // from the robust consensus (median ± K·MAD) is flagged. This catches the
 // §III value-tampering attack even when the attacker keeps the series
 // internally smooth (defeating the per-series EWMA baseline).
+//
+// Each quantity's population is kept in ascending order, so a value costs
+// O(log N) comparisons and one copy per slice edit instead of sorting the
+// fleet, and the statistics stay exact: the median is read by index and the
+// MAD by rank selection over the ordered values either side of it.
 type ConsistencyDetector struct {
 	cfg ConsistencyConfig
 
 	mu        sync.Mutex
-	latest    map[string]map[string]float64 // quantity -> device -> last value
+	latest    map[string]*population // by quantity
 	lastAlert map[string]time.Time
+}
+
+// population is the last value of every device reporting one quantity;
+// sorted holds exactly the values of byDev, ascending under less.
+type population struct {
+	byDev  map[string]float64
+	sorted []float64
 }
 
 // NewConsistencyDetector builds a detector.
@@ -55,34 +68,41 @@ func NewConsistencyDetector(cfg ConsistencyConfig) *ConsistencyDetector {
 	cfg.defaults()
 	return &ConsistencyDetector{
 		cfg:       cfg,
-		latest:    make(map[string]map[string]float64),
+		latest:    make(map[string]*population),
 		lastAlert: make(map[string]time.Time),
 	}
 }
 
-// Observe feeds one (device, quantity, value) sample.
+// Observe feeds one (device, quantity, value) sample. A non-finite value is
+// ignored: NaN has no place in an ordered population.
 func (d *ConsistencyDetector) Observe(device, quantity string, v float64, at time.Time) *Alert {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	byDev := d.latest[quantity]
-	if byDev == nil {
-		byDev = make(map[string]float64)
-		d.latest[quantity] = byDev
-	}
-	// Collect peer values (excluding this device) before updating.
-	peers := make([]float64, 0, len(byDev))
-	for dev, pv := range byDev {
-		if dev != device {
-			peers = append(peers, pv)
-		}
-	}
-	byDev[device] = v
-	if len(peers) < d.cfg.MinPeers {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return nil
 	}
-	med := median(peers)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	pop := d.latest[quantity]
+	if pop == nil {
+		pop = &population{byDev: make(map[string]float64)}
+		d.latest[quantity] = pop
+	}
+	// The peers are every other device: take this one's previous value out,
+	// read the consensus of what remains, then put the new value in.
+	if old, ok := pop.byDev[device]; ok {
+		pop.remove(old)
+	}
+	peers := len(pop.sorted)
+	var med, mad float64
+	if peers >= d.cfg.MinPeers {
+		med, mad = medianAndMAD(pop.sorted)
+	}
+	pop.byDev[device] = v
+	pop.insert(v)
+	if peers < d.cfg.MinPeers {
+		return nil
+	}
 	// 1.4826·MAD ≈ σ for normal data; floor it per config.
-	spread := 1.4826 * medianAbsDev(peers, med)
+	spread := 1.4826 * mad
 	if spread < d.cfg.MinSpread {
 		spread = d.cfg.MinSpread
 	}
@@ -100,7 +120,7 @@ func (d *ConsistencyDetector) Observe(device, quantity string, v float64, at tim
 	return &Alert{
 		At: at, Kind: "consistency", Device: device, Score: z,
 		Detail: fmt.Sprintf("%s=%.4g vs consensus %.4g (spread %.4g, %d peers)",
-			quantity, v, med, spread, len(peers)),
+			quantity, v, med, spread, peers),
 	}
 }
 
@@ -108,26 +128,84 @@ func (d *ConsistencyDetector) Observe(device, quantity string, v float64, at tim
 func (d *ConsistencyDetector) PeerCount(quantity string) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.latest[quantity])
+	if pop := d.latest[quantity]; pop != nil {
+		return len(pop.byDev)
+	}
+	return 0
 }
 
-func median(xs []float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
+// less orders finite values ascending with -0 before +0, so that equal
+// values are bit-identical and the consensus does not depend on the order
+// in which a +0 and a -0 arrived.
+func less(a, b float64) bool {
+	return a < b || (a == b && math.Signbit(a) && !math.Signbit(b))
+}
+
+// search returns the first index whose value is not less than v.
+func (p *population) search(v float64) int {
+	return sort.Search(len(p.sorted), func(i int) bool { return !less(p.sorted[i], v) })
+}
+
+func (p *population) insert(v float64) {
+	p.sorted = slices.Insert(p.sorted, p.search(v), v)
+}
+
+// remove deletes one occurrence of v, which must be present.
+func (p *population) remove(v float64) {
+	i := p.search(v)
+	p.sorted = slices.Delete(p.sorted, i, i+1)
+}
+
+// medianAndMAD returns the median of s (ascending, not empty) and the median
+// of the absolute deviations from it, each the middle value or the mean of
+// the two middle values.
+//
+// Deviations need no sort of their own. With h = len(s)/2, every value below
+// index h is at most the median and every value from h on is at least the
+// median, so |s[i]-med| ascends walking left from h-1 and walking right from
+// h. The h smallest deviations are therefore a window s[h-i : h-i+h] that
+// takes i values from the left run and h-i from the right, and the binary
+// search below finds the i at which the two runs interleave.
+func medianAndMAD(s []float64) (med, mad float64) {
 	n := len(s)
-	if n == 0 {
-		return 0
+	h := n / 2
+	if n%2 == 1 {
+		med = s[h]
+	} else {
+		med = (s[h-1] + s[h]) / 2
+	}
+	left := func(i int) float64 { return math.Abs(s[h-1-i] - med) } // i in [0, h)
+	right := func(j int) float64 { return math.Abs(s[h+j] - med) }  // j in [0, n-h)
+	// The smallest i whose left deviation is not below the last right
+	// deviation the window takes: the h smallest are left[:i] and right[:h-i].
+	lo, hi := 0, h
+	for lo < hi {
+		i := int(uint(lo+hi) >> 1)
+		if right(h-i-1) <= left(i) {
+			hi = i
+		} else {
+			lo = i + 1
+		}
+	}
+	i, j := lo, h-lo
+	// The next deviation up is rank h (0-based) of all n: the middle one when
+	// n is odd, the upper middle when n is even.
+	upper := math.Inf(1)
+	if i < h {
+		upper = left(i)
+	}
+	if j < n-h && right(j) < upper {
+		upper = right(j)
 	}
 	if n%2 == 1 {
-		return s[n/2]
+		return med, upper
 	}
-	return (s[n/2-1] + s[n/2]) / 2
-}
-
-func medianAbsDev(xs []float64, med float64) float64 {
-	devs := make([]float64, len(xs))
-	for i, x := range xs {
-		devs[i] = math.Abs(x - med)
+	lower := 0.0
+	if i > 0 {
+		lower = left(i - 1)
 	}
-	return median(devs)
+	if j > 0 && right(j-1) > lower {
+		lower = right(j - 1)
+	}
+	return med, (lower + upper) / 2
 }

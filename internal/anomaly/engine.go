@@ -1,6 +1,7 @@
 package anomaly
 
 import (
+	"math"
 	"sync"
 	"time"
 
@@ -36,7 +37,8 @@ type Engine struct {
 	reg  *metrics.Registry
 
 	mu     sync.Mutex
-	recent []Alert
+	recent []Alert // the last maxLog alerts; a ring once full
+	head   int     // index of the oldest alert in recent
 	maxLog int
 }
 
@@ -86,8 +88,14 @@ func (e *Engine) OnMessage(clientID, topic string, payload []byte, at time.Time)
 	}
 }
 
-// OnReading is fed every decoded northbound reading.
+// OnReading is fed every decoded northbound reading. A non-finite value
+// is dropped before any detector sees it: one NaN would turn a series' EWMA
+// baseline into NaN for good, and no later sample could alarm against it.
 func (e *Engine) OnReading(r model.Reading) {
+	if math.IsNaN(r.Value) || math.IsInf(r.Value, 0) {
+		e.reg.Counter("anomaly.reading.invalid").Inc()
+		return
+	}
 	series := string(r.Device) + "/" + string(r.Quantity)
 	if a := e.ewma.Observe(series, r.Value, r.At); a != nil {
 		e.emit(*a)
@@ -118,9 +126,11 @@ func (e *Engine) ScanSybil(now time.Time) {
 func (e *Engine) emit(a Alert) {
 	e.reg.Counter("anomaly.alerts." + a.Kind).Inc()
 	e.mu.Lock()
-	e.recent = append(e.recent, a)
-	if len(e.recent) > e.maxLog {
-		e.recent = append(e.recent[:0], e.recent[len(e.recent)-e.maxLog:]...)
+	if len(e.recent) < e.maxLog {
+		e.recent = append(e.recent, a)
+	} else {
+		e.recent[e.head] = a
+		e.head = (e.head + 1) % e.maxLog
 	}
 	e.mu.Unlock()
 	e.sink(a)
@@ -130,7 +140,9 @@ func (e *Engine) emit(a Alert) {
 func (e *Engine) Recent() []Alert {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return append([]Alert(nil), e.recent...)
+	out := make([]Alert, 0, len(e.recent))
+	out = append(out, e.recent[e.head:]...)
+	return append(out, e.recent[:e.head]...)
 }
 
 // CountByKind summarises alert counts per kind.

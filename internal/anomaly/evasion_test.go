@@ -2,9 +2,12 @@ package anomaly
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
+
+	"github.com/swamp-project/swamp/internal/model"
 )
 
 // TestSlowPoisonEvadesEWMAButNotConsistency documents the layered-defense
@@ -59,6 +62,48 @@ func TestSlowPoisonEvadesEWMAButNotConsistency(t *testing.T) {
 	if ewmaAlert != nil && consistAlert != nil && ewmaAlert.At.Before(consistAlert.At) {
 		t.Errorf("EWMA (%v) beat consistency (%v) on a slow drift — unexpected ordering",
 			ewmaAlert.At, consistAlert.At)
+	}
+}
+
+// TestNaNDoesNotBlindEWMA: a NaN folded into a series' EWMA baseline turns
+// its mean into NaN for good, after which no z-score compares above K and
+// the tamper detector is silent on that series — one forged "m|NaN" payload
+// would buy an attacker that. The engine drops non-finite values before any
+// detector sees them.
+func TestNaNDoesNotBlindEWMA(t *testing.T) {
+	deviations := 0
+	eng := NewEngine(EngineConfig{Sink: func(a Alert) {
+		if a.Kind == "deviation" {
+			deviations++
+		}
+	}})
+	rng := rand.New(rand.NewSource(5))
+	at := time.Date(2026, 6, 1, 0, 0, 0, 0, time.UTC)
+	feed := func(v float64) {
+		at = at.Add(time.Minute)
+		eng.OnReading(model.Reading{Device: "victim", Quantity: model.QSoilMoisture, Value: v, At: at})
+	}
+	for i := 0; i < 40; i++ {
+		feed(0.25 + rng.NormFloat64()*0.01)
+	}
+	feed(5.0)
+	if deviations != 1 {
+		t.Fatalf("spike before the NaN raised %d deviation alerts, want 1", deviations)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		feed(v)
+	}
+	if got := eng.Metrics().Counter("anomaly.reading.invalid").Value(); got != 3 {
+		t.Errorf("anomaly.reading.invalid = %d, want 3", got)
+	}
+	if mean, _, _ := eng.EWMA().Baseline("victim/" + string(model.QSoilMoisture)); math.IsNaN(mean) || math.IsInf(mean, 0) {
+		t.Errorf("baseline mean is %v after non-finite readings", mean)
+	}
+	for v := 50.0; v < 100; v++ {
+		feed(v)
+	}
+	if deviations < 2 {
+		t.Error("no deviation alert on 50–99 after a NaN: the series' tamper detector is blind")
 	}
 }
 

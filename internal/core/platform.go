@@ -734,6 +734,7 @@ func (p *Platform) probeCells() map[model.DeviceID]int {
 // onContextNotification feeds anomaly detection (always) and, in cloud-only
 // mode, persists through the backhaul (fog forwards otherwise).
 func (p *Platform) onContextNotification(n ngsi.Notification) {
+	readings := make([]model.Reading, 0, len(n.Entity.Attrs))
 	for name, attr := range n.Entity.Attrs {
 		v, ok := attr.Float()
 		if !ok {
@@ -747,9 +748,11 @@ func (p *Platform) onContextNotification(n ngsi.Notification) {
 		if at.IsZero() {
 			at = n.At
 		}
-		p.Anomaly.OnReading(model.Reading{
+		r := model.Reading{
 			Device: model.DeviceID(dev), Quantity: model.Quantity(name), Value: v, At: at,
-		})
+		}
+		p.Anomaly.OnReading(r)
+		readings = append(readings, r)
 	}
 	defer p.reg.Counter("platform.notify.processed").Inc()
 	if p.Opts.Mode == ModeCloudOnly {
@@ -759,25 +762,7 @@ func (p *Platform) onContextNotification(n ngsi.Notification) {
 		})
 	} else if p.Fog != nil {
 		// Fog ingests the decoded readings for local decisions + sync.
-		var batch []model.Reading
-		for name, attr := range n.Entity.Attrs {
-			v, ok := attr.Float()
-			if !ok {
-				continue
-			}
-			dev := attr.Metadata["device"]
-			if dev == "" {
-				dev = n.Entity.ID
-			}
-			at := attr.At
-			if at.IsZero() {
-				at = n.At
-			}
-			batch = append(batch, model.Reading{
-				Device: model.DeviceID(dev), Quantity: model.Quantity(name), Value: v, At: at,
-			})
-		}
-		_ = p.Fog.Ingest(batch)
+		_ = p.Fog.Ingest(readings)
 	}
 }
 
