@@ -10,11 +10,18 @@ package swamp_test
 
 import (
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/swamp-project/swamp/internal/httpapi"
 	"github.com/swamp-project/swamp/internal/ngsi"
+	"github.com/swamp-project/swamp/internal/security/identity"
+	"github.com/swamp-project/swamp/internal/security/oauth"
+	"github.com/swamp-project/swamp/internal/security/pep"
+	"github.com/swamp-project/swamp/internal/tenant"
 )
 
 const (
@@ -153,10 +160,9 @@ func BenchmarkBrokerBatchUpdate(b *testing.B) {
 
 // BenchmarkBrokerFilteredQuery measures a selective northbound query
 // (~1% of a 8k-entity farm matches, page of 10) three ways: the
-// pre-redesign shape — clone the whole matching id/type space via
-// QueryEntities, then filter and page in the caller — against the query
-// engine's pushdown (filter + projection + limit evaluated inside the
-// shard scans), ordered and unordered.
+// pre-redesign shape — list the whole id/type space via QueryEntities,
+// then filter and page in the caller — against the query engine doing the
+// filter, order, page cut and projection itself, ordered and unordered.
 func BenchmarkBrokerFilteredQuery(b *testing.B) {
 	const queryEntities = 8192
 	seed := func(b *testing.B) *ngsi.Broker {
@@ -185,11 +191,11 @@ func BenchmarkBrokerFilteredQuery(b *testing.B) {
 	}
 	const page = 10
 
-	b.Run("filter-after-clone", func(b *testing.B) {
+	b.Run("filter-in-caller", func(b *testing.B) {
 		ctx := seed(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			all := ctx.QueryEntities("*", "SoilProbe") // clones everything
+			all := ctx.QueryEntities("*", "SoilProbe") // lists and sorts everything
 			got := 0
 			for _, e := range all {
 				if v, ok := e.Attrs["soilMoisture_d20"].Float(); ok && v < 0.01 {
@@ -241,6 +247,90 @@ func BenchmarkBrokerFilteredQuery(b *testing.B) {
 			}
 		}
 	})
+}
+
+// seedFleet stores a dashboard-shaped fleet: n soil probes, two depth
+// attributes each, carrying the metadata the IoT agent attaches. About
+// half the fleet reads above 0.25 at d20.
+func seedFleet(b *testing.B, ctx *ngsi.Broker, n int) {
+	b.Helper()
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("urn:farm1:probe:%04d", i)
+		meta := map[string]string{"device": fmt.Sprintf("farm1-p%04d", i), "owner": "farm1"}
+		err := ctx.UpsertEntity(&ngsi.Entity{ID: id, Type: "SoilProbe", Attrs: map[string]ngsi.Attribute{
+			"soilMoisture_d20": {Type: "Number", Value: 0.15 + float64(i*7919%1000)/5000, Metadata: meta},
+			"soilMoisture_d50": {Type: "Number", Value: 0.20 + float64(i*104729%1000)/5000, Metadata: meta},
+		}})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBrokerFleetListing is the dashboard's filtered fleet listing at
+// the broker: 1 000 probes, a q= filter about half of them pass, the exact
+// count, and the second 100-entity page in id order.
+func BenchmarkBrokerFleetListing(b *testing.B) {
+	ctx := ngsi.NewBroker(ngsi.BrokerConfig{})
+	b.Cleanup(ctx.Close)
+	seedFleet(b, ctx, 1000)
+	conds, err := ngsi.ParseQ("soilMoisture_d20>0.25")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := ctx.Query(ngsi.Query{
+			Type: "SoilProbe", Conditions: conds, OrderBy: ngsi.OrderByID,
+			Offset: 100, Limit: 100, Count: true,
+		})
+		if err != nil || len(res.Entities) != 100 || res.Total < 400 || res.Total > 600 {
+			b.Fatalf("%d entities of %d, %v", len(res.Entities), res.Total, err)
+		}
+	}
+}
+
+// BenchmarkHTTPFleetListing is the same listing through the northbound
+// handler — bearer token, PEP, query engine, JSON body — on a recorder.
+// Every request carries a distinct threshold spelling (same selectivity),
+// so each one misses the listing cache the way a fleet under writes does.
+func BenchmarkHTTPFleetListing(b *testing.B) {
+	idm := identity.NewStore()
+	if err := idm.Register(identity.Principal{
+		ID: "farmer", Roles: []identity.Role{identity.RoleFarmer}, Owner: "farm1",
+	}, "pw"); err != nil {
+		b.Fatal(err)
+	}
+	tokens := oauth.NewServer(idm, oauth.Config{})
+	pdp := pep.NewPDP(pep.Policy{
+		ID: "own-data", Roles: []identity.Role{identity.RoleFarmer},
+		Owners: []tenant.ID{"farm1"}, ResourcePattern: "ngsi:*", Effect: pep.Permit,
+	})
+	ctx := ngsi.NewBroker(ngsi.BrokerConfig{})
+	b.Cleanup(ctx.Close)
+	seedFleet(b, ctx, 1000)
+	api, err := httpapi.NewServer(httpapi.Config{Context: ctx, Tokens: tokens, PEP: pep.NewPEP(tokens, pdp, nil)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(api.Close)
+	tok, err := tokens.GrantPassword("farmer", "pw")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req := httptest.NewRequest(http.MethodGet, fmt.Sprintf(
+			"/v2/entities?type=SoilProbe&q=soilMoisture_d20%%3E0.25%06d&limit=100&offset=100&options=count", i), nil)
+		req.Header.Set("Authorization", "Bearer "+tok.Value)
+		rec := httptest.NewRecorder()
+		api.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK || rec.Body.Len() < 10_000 {
+			b.Fatalf("status %d, %d-byte body", rec.Code, rec.Body.Len())
+		}
+	}
 }
 
 // BenchmarkBatcherIngest measures the full coalescing path: Add →

@@ -126,10 +126,10 @@ func runTenantBench(cfg tenantBenchConfig) error {
 		"polite_solo_p99_us_info":      float64(solo.politeP99) / float64(time.Microsecond),
 		"polite_contended_p99_us_info": float64(cont.politeP99) / float64(time.Microsecond),
 		"isolation_headroom_x":         headroom,
-		"abusive_throttled":    float64(cont.abusiveThrottled),
-		"quota_disconnects":    float64(cont.quotaDisconnects),
-		"http_429":             float64(cont.http429),
-		"acked_loss":           float64((solo.politeAcked - solo.politeDelivered) + (cont.politeAcked - cont.politeDelivered)),
+		"abusive_throttled":            float64(cont.abusiveThrottled),
+		"quota_disconnects":            float64(cont.quotaDisconnects),
+		"http_429":                     float64(cont.http429),
+		"acked_loss":                   float64((solo.politeAcked - solo.politeDelivered) + (cont.politeAcked - cont.politeDelivered)),
 	})
 }
 

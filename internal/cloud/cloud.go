@@ -147,7 +147,8 @@ func (i *Ingestor) Notifier() ngsi.Notifier {
 // NotificationHandler adapts the ingestor to NGSI subscriptions: every
 // numeric attribute in a notification becomes a point in the entity's
 // series, landed through one batched append. Wire it (via Notifier) as
-// the handler of a catch-all subscription.
+// the handler of a catch-all subscription. It only reads the notified
+// entity, which is a stored version shared with every other reader.
 func (i *Ingestor) NotificationHandler() ngsi.Handler {
 	return func(n ngsi.Notification) {
 		pts := make([]timeseries.BatchPoint, 0, len(n.Entity.Attrs))

@@ -557,7 +557,8 @@ func (l *followLink) flush(conn Conn, st *tailState, pend *pending, buf *[]byte)
 }
 
 // apply replays the batch into the local stores. Consecutive merges
-// coalesce into one BatchUpdate; telemetry coalesces into one
+// coalesce into one BatchUpdate (into maps built here — nothing the broker
+// stores or hands out is written); telemetry coalesces into one
 // AppendBatch with an At-filter so re-delivered points (crash-window
 // duplicates) drop instead of double-counting.
 func (l *followLink) apply(pend *pending) error {

@@ -470,10 +470,10 @@ func (n *Node) ServeConn(c Conn) {
 
 // SessionStatus is one outbound replication session's health.
 type SessionStatus struct {
-	Follower string   `json:"follower"`
-	Parts    int      `json:"partitions"`
-	Acked    wal.Pos  `json:"acked"`
-	Lag      uint64   `json:"lag"` // records shipped but not yet acked
+	Follower string  `json:"follower"`
+	Parts    int     `json:"partitions"`
+	Acked    wal.Pos `json:"acked"`
+	Lag      uint64  `json:"lag"` // records shipped but not yet acked
 }
 
 // Status is the node's cluster-plane health snapshot.

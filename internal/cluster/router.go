@@ -508,6 +508,8 @@ func (rt *Router) Query(tid tenant.ID, q ngsi.Query) (ngsi.QueryResult, error) {
 		}(leader, parts)
 	}
 
+	// The local leg's entities are the broker's stored versions: merged,
+	// ordered and cut below by pointer, never written.
 	var all []*ngsi.Entity
 	total := 0
 	for range byLeader {

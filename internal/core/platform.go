@@ -732,7 +732,8 @@ func (p *Platform) probeCells() map[model.DeviceID]int {
 }
 
 // onContextNotification feeds anomaly detection (always) and, in cloud-only
-// mode, persists through the backhaul (fog forwards otherwise).
+// mode, persists through the backhaul (fog forwards otherwise). It only
+// reads n.Entity — a stored version shared with every other reader.
 func (p *Platform) onContextNotification(n ngsi.Notification) {
 	readings := make([]model.Reading, 0, len(n.Entity.Attrs))
 	for name, attr := range n.Entity.Attrs {

@@ -28,7 +28,7 @@ func TestListCacheServesAndInvalidates(t *testing.T) {
 	}
 
 	const path = "/v2/entities?idPattern=urn:farm1:*&options=count&orderBy=id"
-	list := func() (out []entityJSON, total string) {
+	list := func() (out []ngsi.Entity, total string) {
 		t.Helper()
 		resp := f.do(t, http.MethodGet, path, tok, nil)
 		if resp.StatusCode != http.StatusOK {
@@ -99,13 +99,13 @@ func TestListCachePerQueryKey(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	get := func(path string) []entityJSON {
+	get := func(path string) []ngsi.Entity {
 		t.Helper()
 		resp := f.do(t, http.MethodGet, path, tok, nil)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("status %d for %s", resp.StatusCode, path)
 		}
-		var out []entityJSON
+		var out []ngsi.Entity
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 			t.Fatal(err)
 		}

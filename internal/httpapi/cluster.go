@@ -23,6 +23,9 @@ import (
 // peer transport loss) are prefixed "cluster: " and map to 503 — the
 // write may be retried against the (possibly re-elected) owner.
 //
+// Entities returned by Query are read-only (ngsi.QueryResult): the local
+// leg of a scatter-gather hands back the broker's stored versions.
+//
 // Every call carries the originating tenant as typed request metadata.
 // Admission is charged exactly once, at the ingress node that resolved
 // the principal — the serving leader uses the ID for attribution

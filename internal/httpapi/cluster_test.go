@@ -88,7 +88,7 @@ func TestClusterRoutesDataPlane(t *testing.T) {
 	if got := resp.Header.Get("Fiware-Total-Count"); got != "41" {
 		t.Fatalf("total count header %q", got)
 	}
-	var list []entityJSON
+	var list []ngsi.Entity
 	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
 		t.Fatal(err)
 	}

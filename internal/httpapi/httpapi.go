@@ -247,33 +247,53 @@ type apiError struct {
 // hot northbound path allocates no per-response scratch. Buffers that
 // grew past maxPooledBufBytes (an unusually wide listing) are dropped
 // instead of pinned in the pool.
-var jsonBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+var jsonBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 const maxPooledBufBytes = 1 << 16
 
-func getJSONBuf() *bytes.Buffer {
-	buf := jsonBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
+// getJSONBuf returns an empty buffer with warm capacity; the caller
+// stores the slice it grew back through the pointer before putJSONBuf.
+func getJSONBuf() *[]byte {
+	buf := jsonBufPool.Get().(*[]byte)
+	*buf = (*buf)[:0]
 	return buf
 }
 
-func putJSONBuf(buf *bytes.Buffer) {
-	if buf.Cap() <= maxPooledBufBytes {
+func putJSONBuf(buf *[]byte) {
+	if cap(*buf) <= maxPooledBufBytes {
 		jsonBufPool.Put(buf)
 	}
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	buf := getJSONBuf()
-	_ = json.NewEncoder(buf).Encode(v)
+func writeBody(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_, _ = w.Write(buf.Bytes())
-	putJSONBuf(buf)
+	_, _ = w.Write(body) // a failed write is the client gone; nothing to report to
+}
+
+// writeJSON renders v through encoding/json. A value that cannot be
+// encoded answers 500 encode_failure instead of a 200 with no body.
+func writeJSON(w http.ResponseWriter, code int, v any) {
+	buf := getJSONBuf()
+	defer putJSONBuf(buf)
+	bb := bytes.NewBuffer(*buf)
+	err := json.NewEncoder(bb).Encode(v)
+	*buf = bb.Bytes()
+	if err != nil {
+		writeEncodeFailure(w, err)
+		return
+	}
+	writeBody(w, code, *buf)
 }
 
 func writeErr(w http.ResponseWriter, code int, kind, desc string) {
 	writeJSON(w, code, apiError{Error: kind, Description: desc})
+}
+
+// writeEncodeFailure answers a response body JSON cannot carry (an entity
+// holding NaN or ±Inf, reachable through Broker.UpsertEntity).
+func writeEncodeFailure(w http.ResponseWriter, err error) {
+	writeErr(w, http.StatusInternalServerError, "encode_failure", err.Error())
 }
 
 // writeMutationErr maps a broker mutation failure. A durability error
@@ -412,27 +432,17 @@ func writeThrottled(w http.ResponseWriter, d tenant.Decision) {
 		fmt.Sprintf("tenant quota exceeded; retry after %ds", retry))
 }
 
-// entityJSON is the wire form of an entity.
-type entityJSON struct {
-	ID    string                    `json:"id"`
-	Type  string                    `json:"type"`
-	Attrs map[string]ngsi.Attribute `json:"attrs"`
-}
-
-func toJSON(e *ngsi.Entity) entityJSON {
-	return entityJSON{ID: e.ID, Type: e.Type, Attrs: e.Attrs}
-}
-
 // handleListEntities serves the NGSI-v2 query surface:
 //
 //	GET /v2/entities?idPattern=urn:farm1:*&type=SoilProbe&q=soilMoisture<0.2
 //	    &attrs=soilMoisture,zone&orderBy=id&limit=50&offset=100&options=count
 //
-// Every knob is pushed down into the broker's shard scans (filter,
-// projection, limit). The page size always applies — even a bare request
-// gets QueryDefaultLimit — so the legacy unpaginated listing can no
-// longer return an unbounded body. options=count adds the exact match
-// total as the Fiware-Total-Count header.
+// Every knob is handed to the broker's query engine (filter, order, page,
+// projection), and the page it returns — read-only stored versions — is
+// encoded straight into the response. The page size always applies — even
+// a bare request gets QueryDefaultLimit — so the legacy unpaginated
+// listing can no longer return an unbounded body. options=count adds the
+// exact match total as the Fiware-Total-Count header.
 func (s *Server) handleListEntities(w http.ResponseWriter, r *http.Request) {
 	// Parse the query string strictly: Go's lenient Query() silently
 	// drops pairs containing raw ';' — which would silently strip a
@@ -486,9 +496,8 @@ func (s *Server) handleListEntities(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// The offset shares the hard cap: per-request clone work scales
-	// with offset+limit, so an uncapped offset would let deep pagination
-	// reinstate the unbounded full-store clone this surface removed.
+	// The offset shares the hard cap, so deep pagination cannot be used
+	// to walk an unbounded store page by page through one query shape.
 	offset := 0
 	if os := qs.Get("offset"); os != "" {
 		offset, err = strconv.Atoi(os)
@@ -537,12 +546,20 @@ func (s *Server) handleListEntities(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "invalid_query", err.Error())
 		return
 	}
-	out := make([]entityJSON, 0, len(res.Entities))
-	for _, e := range res.Entities {
-		out = append(out, toJSON(e))
-	}
 	buf := getJSONBuf()
-	_ = json.NewEncoder(buf).Encode(out)
+	defer putJSONBuf(buf)
+	body := append(*buf, '[')
+	for i, e := range res.Entities {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		if body, err = e.AppendJSON(body); err != nil {
+			writeEncodeFailure(w, err) // and the failed render is not cached
+			return
+		}
+	}
+	body = append(body, ']', '\n')
+	*buf = body
 	total := -1
 	if count {
 		total = res.Total
@@ -550,15 +567,12 @@ func (s *Server) handleListEntities(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.cfg.Cluster == nil {
 		s.lists.put(r.URL.RawQuery, epoch, &listCacheEntry{
-			body:  append([]byte(nil), buf.Bytes()...),
+			body:  bytes.Clone(body),
 			total: total,
 		})
 	}
 	s.cList.Inc()
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(buf.Bytes())
-	putJSONBuf(buf)
+	writeBody(w, http.StatusOK, body)
 }
 
 func (s *Server) handleGetEntity(w http.ResponseWriter, r *http.Request) {
@@ -575,7 +589,16 @@ func (s *Server) handleGetEntity(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "not_found", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, toJSON(e))
+	buf := getJSONBuf()
+	defer putJSONBuf(buf)
+	body, err := e.AppendJSON(*buf)
+	if err != nil {
+		writeEncodeFailure(w, err)
+		return
+	}
+	body = append(body, '\n')
+	*buf = body
+	writeBody(w, http.StatusOK, body)
 }
 
 // updateBody is the accepted payload of POST .../attrs: attribute name →
@@ -643,6 +666,8 @@ func (s *Server) handleBatchUpdate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "invalid_action", body.ActionType)
 		return
 	}
+	// Every map written below is built here from the decoded body; the
+	// broker copies what it stores, and nothing it stores is ever edited.
 	updates := make(map[string]ngsi.BatchEntry, len(body.Entities))
 	for _, e := range body.Entities {
 		if _, ok := s.authorize(w, r, "write", "ngsi:"+e.ID); !ok {

@@ -182,7 +182,7 @@ func TestEntityCRUDOverHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("get status %d", resp.StatusCode)
 	}
-	var e entityJSON
+	var e ngsi.Entity
 	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestEntityCRUDOverHTTP(t *testing.T) {
 	}
 	// List with pattern.
 	resp = f.do(t, "GET", "/v2/entities?idPattern=urn:farm1:*", tok, nil)
-	var list []entityJSON
+	var list []ngsi.Entity
 	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
 		t.Fatal(err)
 	}

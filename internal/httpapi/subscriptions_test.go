@@ -30,12 +30,12 @@ func seedEntities(t *testing.T, f *fixture, n int) {
 	}
 }
 
-func decodeEntities(t *testing.T, resp *http.Response) []entityJSON {
+func decodeEntities(t *testing.T, resp *http.Response) []ngsi.Entity {
 	t.Helper()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	var out []entityJSON
+	var out []ngsi.Entity
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
@@ -167,16 +167,16 @@ func TestErrorEnvelopeEverywhere(t *testing.T) {
 type subRecorder struct {
 	mu    sync.Mutex
 	notes []struct {
-		SubscriptionID string       `json:"subscriptionId"`
-		Data           []entityJSON `json:"data"`
+		SubscriptionID string        `json:"subscriptionId"`
+		Data           []ngsi.Entity `json:"data"`
 	}
 }
 
 func (s *subRecorder) handler() http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var body struct {
-			SubscriptionID string       `json:"subscriptionId"`
-			Data           []entityJSON `json:"data"`
+			SubscriptionID string        `json:"subscriptionId"`
+			Data           []ngsi.Entity `json:"data"`
 		}
 		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
 			w.WriteHeader(http.StatusBadRequest)

@@ -3,6 +3,7 @@ package ngsi
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -21,7 +22,10 @@ var ErrNotFound = errors.New("ngsi: not found")
 var ErrClosed = errors.New("ngsi: broker closed")
 
 // Notification is what a subscriber receives: the subscription that fired
-// and the entity snapshot restricted to the requested attributes.
+// and the entity as of the update, restricted to the requested attributes.
+// Entity is a stored version (or a projection sharing its attribute values)
+// and is read-only: a handler may retain it for as long as it likes, and
+// must never write to it, its Attrs map or any Metadata map.
 type Notification struct {
 	SubscriptionID string
 	Entity         *Entity
@@ -124,6 +128,11 @@ type Broker struct {
 // shard is one slice of the entity map with its own lock, notification
 // queue and dispatch worker. An entity id always hashes to the same shard,
 // which serializes updates (and thus notification order) per entity.
+//
+// Every *Entity in entities is an immutable version: built in full by the
+// write path, published under mu, never written again. An update replaces
+// the pointer with a new version; readers (Query, notifications, the
+// snapshot dump) therefore share the stored pointer instead of copying it.
 type shard struct {
 	mu       sync.RWMutex
 	entities map[string]*Entity
@@ -259,7 +268,8 @@ func (b *Broker) QueueDepth() int {
 }
 
 // UpsertEntity creates or replaces an entity wholesale and notifies
-// subscribers of every attribute as changed.
+// subscribers of every attribute as changed. The stored version is a deep
+// copy, so the caller keeps ownership of e.
 func (b *Broker) UpsertEntity(e *Entity) error {
 	if err := validateEntityKey(e.ID, e.Type); err != nil {
 		return err
@@ -292,9 +302,8 @@ func (b *Broker) UpsertEntity(e *Entity) error {
 	b.notifyShardLocked(sh, cp, changed)
 	var ack JournalAck
 	if b.journal != nil {
-		// Encode under the shard lock (cp is the live stored entity) and
-		// enqueue here so log order matches apply order; the fsync wait
-		// happens after unlock.
+		// Enqueue under the shard lock so log order matches apply order;
+		// the fsync wait happens after unlock.
 		ack = b.journal.EntityUpserted(cp)
 	}
 	sh.mu.Unlock()
@@ -336,15 +345,20 @@ func (b *Broker) UpdateAttrs(id, typ string, attrs map[string]Attribute) error {
 	return nil
 }
 
-// applyUpdateLocked merges attrs into the entity and fires subscriptions.
-// sh.mu must be held for writing. When a journal is attached, the
-// returned MergeEntry carries the attributes exactly as applied
-// (timestamps resolved) for the caller to log; otherwise it is zero.
+// applyUpdateLocked publishes the entity's next version — the previous
+// attribute map copied shallowly (values and Metadata stay shared with the
+// old version, which readers may still hold) with attrs merged in — and
+// fires subscriptions. sh.mu must be held for writing. When a journal is
+// attached, the returned MergeEntry carries the attributes exactly as
+// applied (timestamps resolved) for the caller to log; otherwise it is
+// zero.
 func (b *Broker) applyUpdateLocked(sh *shard, id, typ string, attrs map[string]Attribute, now time.Time) MergeEntry {
-	e := sh.entities[id]
-	if e == nil {
-		e = &Entity{ID: id, Type: typ, Attrs: make(map[string]Attribute, len(attrs))}
-		sh.entities[id] = e
+	e := &Entity{ID: id, Type: typ}
+	if prev := sh.entities[id]; prev != nil {
+		e.Type = prev.Type
+		e.Attrs = maps.Clone(prev.Attrs)
+	} else {
+		e.Attrs = make(map[string]Attribute, len(attrs))
 	}
 	changed := make([]string, 0, len(attrs))
 	var resolved map[string]Attribute
@@ -362,6 +376,7 @@ func (b *Broker) applyUpdateLocked(sh *shard, id, typ string, attrs map[string]A
 			resolved[k] = ca
 		}
 	}
+	sh.entities[id] = e
 	b.epoch.Add(1)
 	b.cUpdate.Inc()
 	b.notifyShardLocked(sh, e, changed)
@@ -441,22 +456,22 @@ func (b *Broker) BatchUpdate(updates map[string]BatchEntry) error {
 	return notDurable(waitAcks(acks))
 }
 
-// GetEntity returns a deep copy of the entity.
+// GetEntity returns a deep copy of the entity, which the caller owns.
 func (b *Broker) GetEntity(id string) (*Entity, error) {
 	sh := b.shardFor(id)
 	sh.mu.RLock()
-	defer sh.mu.RUnlock()
 	e := sh.entities[id]
+	sh.mu.RUnlock()
 	if e == nil {
 		return nil, fmt.Errorf("ngsi: entity %q: %w", id, ErrNotFound)
 	}
-	return e.Clone(), nil
+	return e.Clone(), nil // the version is immutable: copied outside the lock
 }
 
-// QueryEntities returns copies of entities matching the id pattern and
-// (optional) type, sorted by id. It is a thin compatibility wrapper over
-// Query; new callers should use Query directly for filtering, projection
-// and pagination pushdown.
+// QueryEntities returns the entities matching the id pattern and
+// (optional) type, sorted by id, read-only like every Query result. It is
+// a thin compatibility wrapper over Query; new callers should use Query
+// directly for filtering, projection and pagination.
 func (b *Broker) QueryEntities(idPattern, entityType string) []*Entity {
 	res, err := b.Query(Query{IDPattern: idPattern, Type: entityType, OrderBy: OrderByID})
 	if err != nil {
@@ -504,9 +519,9 @@ func (b *Broker) DeleteEntity(id string) error {
 }
 
 // DumpEntities streams every stored entity to fn, shard by shard under
-// the shard read lock — the snapshot path. fn must neither retain nor
-// mutate the entity (serialize it before returning) and must not call
-// back into the broker.
+// the shard read lock — the snapshot path. The entity is the stored
+// version and read-only: fn must never write to it (retaining it is safe,
+// versions are immutable), and must not call back into the broker.
 func (b *Broker) DumpEntities(fn func(*Entity) error) error {
 	for _, sh := range b.shards {
 		sh.mu.RLock()
@@ -683,17 +698,9 @@ func (b *Broker) notifyShardLocked(sh *shard, e *Entity, changed []string) {
 			st.mu.Unlock()
 		}
 
-		snapshot := e.Clone()
-		if len(s.NotifyAttrs) > 0 {
-			filtered := make(map[string]Attribute, len(s.NotifyAttrs))
-			for _, k := range s.NotifyAttrs {
-				if a, ok := snapshot.Attrs[k]; ok {
-					filtered[k] = a
-				}
-			}
-			snapshot.Attrs = filtered
-		}
-		note := Notification{SubscriptionID: s.ID, Entity: snapshot, At: now}
+		// e is the version just published; it is delivered as is, or as a
+		// new entity around the filtered map — never edited.
+		note := Notification{SubscriptionID: s.ID, Entity: e.project(s.NotifyAttrs), At: now}
 		select {
 		case sh.queue <- queuedNotification{notifier: s.Notifier, note: note}:
 			b.cQueued.Inc()

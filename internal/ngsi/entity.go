@@ -57,6 +57,23 @@ func validateEntityKey(id, typ string) error {
 	return nil
 }
 
+// project returns the entity restricted to attrs — e itself when attrs is
+// empty, otherwise a new entity around a new map whose attribute values
+// (and their Metadata) stay shared with e. The result is as read-only as
+// e is.
+func (e *Entity) project(attrs []string) *Entity {
+	if len(attrs) == 0 {
+		return e
+	}
+	cp := &Entity{ID: e.ID, Type: e.Type, Attrs: make(map[string]Attribute, len(attrs))}
+	for _, k := range attrs {
+		if a, ok := e.Attrs[k]; ok {
+			cp.Attrs[k] = a
+		}
+	}
+	return cp
+}
+
 // Clone deep-copies the entity so broker internals never alias caller data.
 func (e *Entity) Clone() *Entity {
 	cp := &Entity{ID: e.ID, Type: e.Type, Attrs: make(map[string]Attribute, len(e.Attrs))}

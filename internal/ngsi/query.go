@@ -3,7 +3,6 @@ package ngsi
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -244,9 +243,9 @@ const OrderByID = "id"
 // Query is a typed northbound context query: subject selection
 // (IDPattern/Type), attribute filter conditions (parsed from the `q=`
 // grammar by ParseQ), attribute projection, ordering and pagination. The
-// broker pushes every part down into the shard scans: non-matching
-// entities are never cloned, projection clones only the requested
-// attributes, and each shard materializes at most Offset+Limit entities.
+// broker runs it as match → order → cut → project: stored versions are
+// matched in place and shared by pointer, so only a projected page
+// allocates per entity.
 type Query struct {
 	// IDPattern selects entities by id: exact, prefix with '*', or
 	// ""/"*" for all.
@@ -282,23 +281,27 @@ type Query struct {
 
 // QueryResult is the answer to a Query.
 type QueryResult struct {
-	// Entities holds the (projected, ordered, paginated) matches.
+	// Entities holds the (projected, ordered, paginated) matches. They are
+	// stored versions, or projections sharing a version's attribute values,
+	// and are read-only: the caller owns the slice and may retain the
+	// entities, but must never write to one, its Attrs map or a Metadata
+	// map. Use GetEntity (or Clone) for a copy to edit.
 	Entities []*Entity
 	// Total is the exact number of matches when Query.Count was set,
 	// and -1 otherwise.
 	Total int
 }
 
-// Query runs a typed context query with filter, projection and limit
-// pushdown: each shard is scanned under its read lock, non-matching
-// entities are rejected in place without cloning, per-shard candidates
-// are bounded to Offset+Limit before cloning, and an unordered query
-// without Count stops scanning entirely once enough matches are found.
+// Query runs a typed context query: each shard is scanned under its read
+// lock and the matching versions are collected by pointer — nothing is
+// copied — then ordered, cut to the Offset/Limit page, and only the page
+// is projected onto Query.Attrs. An unordered query without Count stops
+// scanning once Offset+Limit matches are found.
 func (b *Broker) Query(q Query) (QueryResult, error) {
 	if q.Limit < 0 || q.Offset < 0 {
 		return QueryResult{}, fmt.Errorf("ngsi: query: negative limit or offset")
 	}
-	need := 0 // per-shard materialization bound; 0 = unbounded
+	need := 0 // matches an unordered scan may stop at; 0 = all
 	if q.Limit > 0 {
 		need = q.Offset + q.Limit
 		if need < 0 { // overflow would silently disable the bound
@@ -306,32 +309,9 @@ func (b *Broker) Query(q Query) (QueryResult, error) {
 		}
 	}
 	earlyStop := q.OrderBy == "" && !q.Count && need > 0
-	// The cross-shard sort below runs on the projected clones, so a
-	// projection that excludes the OrderBy attribute must carry it
-	// through the clone (and strip it again before returning).
-	projAttrs := q.Attrs
-	carriedKey := ""
-	if len(q.Attrs) > 0 {
-		if key := strings.TrimPrefix(q.OrderBy, "!"); key != "" && key != OrderByID {
-			found := false
-			for _, a := range q.Attrs {
-				if a == key {
-					found = true
-					break
-				}
-			}
-			if !found {
-				projAttrs = append(append([]string(nil), q.Attrs...), key)
-				carriedKey = key
-			}
-		}
-	}
-	res := QueryResult{Total: -1}
-	total := 0
-	var out []*Entity
+	var matched []*Entity
 	for _, sh := range b.shards {
 		sh.mu.RLock()
-		var cand []*Entity // raw pointers, only valid under sh.mu
 		for id, e := range sh.entities {
 			if !MatchIDPattern(q.IDPattern, id) {
 				continue
@@ -345,44 +325,35 @@ func (b *Broker) Query(q Query) (QueryResult, error) {
 			if !matchConditions(e, q.Conditions) {
 				continue
 			}
-			total++
-			cand = append(cand, e)
-			if earlyStop && len(out)+len(cand) >= need {
+			matched = append(matched, e)
+			if earlyStop && len(matched) >= need {
 				break
 			}
 		}
-		if need > 0 && len(cand) > need {
-			sortEntities(cand, q.OrderBy)
-			cand = cand[:need]
-		}
-		for _, e := range cand {
-			out = append(out, cloneProjected(e, projAttrs))
-		}
 		sh.mu.RUnlock()
-		if earlyStop && len(out) >= need {
+		if earlyStop && len(matched) >= need {
 			break
 		}
 	}
-	sortEntities(out, q.OrderBy)
+	res := QueryResult{Total: -1}
 	if q.Count {
-		res.Total = total
+		res.Total = len(matched)
 	}
-	if q.Offset > 0 {
-		if q.Offset >= len(out) {
-			out = out[:0]
-		} else {
-			out = out[q.Offset:]
+	sortEntities(matched, q.OrderBy)
+	page := matched[min(q.Offset, len(matched)):]
+	if q.Limit > 0 && len(page) > q.Limit {
+		page = page[:q.Limit]
+	}
+	if len(page) < len(matched) {
+		// A caller holding the page must not pin the whole match set.
+		page = slices.Clone(page)
+	}
+	if len(q.Attrs) > 0 {
+		for i, e := range page {
+			page[i] = e.project(q.Attrs)
 		}
 	}
-	if q.Limit > 0 && len(out) > q.Limit {
-		out = out[:q.Limit]
-	}
-	if carriedKey != "" {
-		for _, e := range out {
-			delete(e.Attrs, carriedKey)
-		}
-	}
-	res.Entities = out
+	res.Entities = page
 	return res, nil
 }
 
@@ -393,22 +364,6 @@ func matchConditions(e *Entity, conds []Condition) bool {
 		}
 	}
 	return true
-}
-
-// cloneProjected deep-copies an entity restricted to the requested
-// attributes (all when attrs is empty) — the projection pushdown, so a
-// narrow query never copies wide entities.
-func cloneProjected(e *Entity, attrs []string) *Entity {
-	if len(attrs) == 0 {
-		return e.Clone()
-	}
-	cp := &Entity{ID: e.ID, Type: e.Type, Attrs: make(map[string]Attribute, len(attrs))}
-	for _, k := range attrs {
-		if a, ok := e.Attrs[k]; ok {
-			cp.Attrs[k] = cloneAttr(a)
-		}
-	}
-	return cp
 }
 
 // sortEntities orders entities per the OrderBy spec: ""/"id" by entity
@@ -428,11 +383,11 @@ func sortEntities(list []*Entity, orderBy string) {
 	desc := strings.HasPrefix(key, "!")
 	key = strings.TrimPrefix(key, "!")
 	if key == "" || key == OrderByID {
-		sort.Slice(list, func(i, j int) bool {
+		slices.SortFunc(list, func(a, b *Entity) int {
 			if desc {
-				return list[j].ID < list[i].ID
+				return strings.Compare(b.ID, a.ID)
 			}
-			return list[i].ID < list[j].ID
+			return strings.Compare(a.ID, b.ID)
 		})
 		return
 	}

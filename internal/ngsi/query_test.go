@@ -293,7 +293,7 @@ func TestQueryOrderByAttributeWithProjection(t *testing.T) {
 			t.Errorf("position %d = %s, want %s", i, e.ID, want[i])
 		}
 		if _, leaked := e.Attrs["soilMoisture"]; leaked {
-			t.Error("carried sort key leaked into the projected result")
+			t.Error("sort key leaked into the projected result")
 		}
 		if _, ok := e.Attrs["zone"]; !ok {
 			t.Error("projected attribute missing")
@@ -312,6 +312,27 @@ func TestQueryValidation(t *testing.T) {
 	const maxInt = int(^uint(0) >> 1)
 	if _, err := b.Query(Query{Limit: 10, Offset: maxInt - 5}); err == nil {
 		t.Error("offset+limit overflow accepted (materialization bound silently disabled)")
+	}
+}
+
+// TestQueryPageAllocs: a listing page is cut from shared versions, so an
+// unprojected query allocates the growth steps of one pointer slice and
+// the page it returns — nothing per matched or returned entity.
+func TestQueryPageAllocs(t *testing.T) {
+	b := seedQueryBroker(t, 1000)
+	conds, err := ParseQ("soilMoisture>=0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := Query{Type: "AgriParcel", Conditions: conds, OrderBy: OrderByID, Offset: 100, Limit: 100, Count: true}
+	allocs := testing.AllocsPerRun(50, func() {
+		res, err := b.Query(q)
+		if err != nil || len(res.Entities) != 100 || res.Total != 500 {
+			t.Fatalf("%d entities of %d, %v", len(res.Entities), res.Total, err)
+		}
+	})
+	if allocs > 16 {
+		t.Fatalf("100-entity page out of 1000: %v allocs/op, want a handful independent of the page", allocs)
 	}
 }
 

@@ -2,7 +2,6 @@ package ngsi
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -380,10 +379,14 @@ func (n *HTTPNotifier) run() {
 	}
 }
 
-// notificationBody is the NGSI-v2 notification wire format.
-type notificationBody struct {
-	SubscriptionID string    `json:"subscriptionId"`
-	Data           []*Entity `json:"data"`
+// appendNotificationJSON appends the NGSI-v2 notification wire format:
+// {"subscriptionId": id, "data": [entity]}.
+func appendNotificationJSON(dst []byte, subscriptionID string, e *Entity) ([]byte, error) {
+	dst = append(dst, `{"subscriptionId":`...)
+	dst = appendJSONString(dst, subscriptionID)
+	dst = append(dst, `,"data":[`...)
+	dst, err := e.AppendJSON(dst)
+	return append(dst, "]}"...), err
 }
 
 // deliver POSTs one notification with per-subscription retry/backoff and
@@ -401,7 +404,7 @@ func (n *HTTPNotifier) deliver(note Notification) {
 		case <-cfg.Clock.After(d):
 		}
 	}
-	body, err := json.Marshal(notificationBody{SubscriptionID: n.subID, Data: []*Entity{note.Entity}})
+	body, err := appendNotificationJSON(nil, n.subID, note.Entity)
 	if err != nil {
 		n.pool.cFailed.Inc()
 		return

@@ -3,6 +3,7 @@ package ngsi
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -10,6 +11,14 @@ import (
 	"testing"
 	"time"
 )
+
+// notificationBody is the NGSI-v2 notification wire format as a receiver
+// decodes it — and, marshalled, the reference appendNotificationJSON is
+// compared against.
+type notificationBody struct {
+	SubscriptionID string    `json:"subscriptionId"`
+	Data           []*Entity `json:"data"`
+}
 
 // webhookReceiver is a test endpoint that records the notifications it
 // receives.
@@ -347,5 +356,37 @@ func TestConcurrentSubscribeQueryWebhook(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool { return recv.count() > 0 })
 	if b.EntityCount() == 0 {
 		t.Error("no entities written")
+	}
+}
+
+// TestWebhookUnencodableNotificationCountsFailed: a notification whose
+// entity holds NaN has no JSON body. The worker counts it failed and
+// POSTs nothing, and the next (encodable) notification still goes out.
+func TestWebhookUnencodableNotificationCountsFailed(t *testing.T) {
+	b := NewBroker(BrokerConfig{})
+	defer b.Close()
+	recv := newWebhookReceiver(t)
+	pool := fastWebhookPool(t, b, WebhookConfig{})
+	hn, err := pool.Notifier("sub-nan", recv.srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Subscribe(Subscription{ID: "sub-nan", EntityIDPattern: "urn:wh:*", Notifier: hn}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.UpsertEntity(&Entity{ID: "urn:wh:nan", Type: "SoilProbe", Attrs: map[string]Attribute{"soilMoisture": num(math.NaN())}}); err != nil {
+		t.Fatal(err)
+	}
+	failed := pool.cfg.Metrics.Counter("ngsi.webhook.failed")
+	waitFor(t, 2*time.Second, func() bool { return failed.Value() == 1 })
+	if err := b.UpdateAttrs("urn:wh:ok", "SoilProbe", map[string]Attribute{"soilMoisture": num(0.21)}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 2*time.Second, func() bool { return recv.count() == 1 })
+	if note := recv.last(); len(note.Data) != 1 || note.Data[0].ID != "urn:wh:ok" {
+		t.Errorf("payload = %+v", note)
+	}
+	if got := failed.Value(); got != 1 {
+		t.Errorf("ngsi.webhook.failed = %d, want 1", got)
 	}
 }

@@ -28,8 +28,8 @@ import (
 
 	"github.com/swamp-project/swamp/internal/metrics"
 	"github.com/swamp-project/swamp/internal/security/identity"
-	"github.com/swamp-project/swamp/internal/tenant"
 	"github.com/swamp-project/swamp/internal/security/oauth"
+	"github.com/swamp-project/swamp/internal/tenant"
 )
 
 // Effect is a policy outcome.
