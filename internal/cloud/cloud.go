@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"log"
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -131,9 +132,15 @@ func (i *Ingestor) IngestReadings(batch []model.Reading) error {
 	return nil
 }
 
+// quantityKey is the store's quantity name for a reading: the quantity,
+// suffixed "_d<depth in cm>" for readings taken at a depth.
 func quantityKey(r model.Reading) string {
 	if r.Depth > 0 {
-		return fmt.Sprintf("%s_d%d", r.Quantity, int(r.Depth*100+0.5))
+		var buf [48]byte
+		b := append(buf[:0], r.Quantity...)
+		b = append(b, "_d"...)
+		b = strconv.AppendInt(b, int64(r.Depth*100+0.5), 10)
+		return string(b)
 	}
 	return string(r.Quantity)
 }

@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -40,6 +41,21 @@ func TestIngestReadings(t *testing.T) {
 	}
 	if ing.Metrics().Counter("cloud.ingest.readings").Value() != 3 {
 		t.Error("ingest counter wrong")
+	}
+}
+
+// TestQuantityKeyMatchesSprintf: the hand-built key is byte-identical to the
+// formatted one it replaced, so series recovered from older WALs still match.
+func TestQuantityKeyMatchesSprintf(t *testing.T) {
+	for _, depth := range []float64{0, 0.05, 0.2, 0.5, 1.234} {
+		r := model.Reading{Device: "p1", Quantity: model.QSoilMoisture, Depth: depth}
+		want := string(r.Quantity)
+		if depth > 0 {
+			want = fmt.Sprintf("%s_d%d", r.Quantity, int(depth*100+0.5))
+		}
+		if got := quantityKey(r); got != want {
+			t.Errorf("depth %g: quantityKey = %q, want %q", depth, got, want)
+		}
 	}
 }
 

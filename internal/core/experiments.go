@@ -122,6 +122,9 @@ func ExpFogOfflineAvailability(pilot Pilot, cycles int) ([]AvailabilityRow, erro
 			at = at.Add(time.Hour)
 		}
 		if mode != ModeCloudOnly {
+			// Every pumped reading has reached the fog node before its
+			// backlog is judged.
+			p.WaitPipeline(uint64(cycles*len(p.Probes)), 10*time.Second)
 			p.Fog.Flush()
 			row.BacklogSynced = p.Fog.Stats().Buffered == 0
 		} else {

@@ -283,6 +283,10 @@ type Platform struct {
 	closed    bool
 	mu        sync.Mutex
 	droneUnit *drone.Drone
+
+	// notifyProcessed is platform.notify.processed, resolved once: every
+	// context notification bumps it and WaitPipeline polls it.
+	notifyProcessed *metrics.Counter
 }
 
 // ProbeUnit bundles one provisioned soil probe with its transport.
@@ -308,7 +312,10 @@ func New(opts Options) (*Platform, error) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	p := &Platform{Opts: opts, reg: opts.Metrics}
+	p := &Platform{
+		Opts: opts, reg: opts.Metrics,
+		notifyProcessed: opts.Metrics.Counter("platform.notify.processed"),
+	}
 
 	// --- security plane ---
 	p.IDM = identity.NewStore()
@@ -755,14 +762,16 @@ func (p *Platform) onContextNotification(n ngsi.Notification) {
 		p.Anomaly.OnReading(r)
 		readings = append(readings, r)
 	}
-	defer p.reg.Counter("platform.notify.processed").Inc()
+	defer p.notifyProcessed.Inc()
 	if p.Opts.Mode == ModeCloudOnly {
 		_ = p.Backhaul.Do(func() error {
 			p.Ingestor.NotificationHandler()(n)
 			return nil
 		})
 	} else if p.Fog != nil {
-		// Fog ingests the decoded readings for local decisions + sync.
+		// Fog ingests the decoded readings for local decisions and queues
+		// them for its own uplink loop; the dispatcher never waits on the
+		// backhaul.
 		_ = p.Fog.Ingest(readings)
 	}
 }
@@ -825,7 +834,7 @@ func (p *Platform) PumpOnce(at time.Time, timeout time.Duration) error {
 func (p *Platform) WaitPipeline(n uint64, timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
-		if p.reg.Counter("platform.notify.processed").Value() >= n {
+		if p.notifyProcessed.Value() >= n {
 			return true
 		}
 		time.Sleep(time.Millisecond)
@@ -896,8 +905,8 @@ func (p *Platform) Metrics() *metrics.Registry { return p.reg }
 //     their notifiers (webhook queues, fog ingest, cloud persistence);
 //  5. drain and close the webhook pool (bounded wait — a stalled
 //     endpoint cannot wedge shutdown);
-//  6. flush the fog node's store-and-forward backlog while the backhaul
-//     is still reachable;
+//  6. close the fog node: its uplink loop stops and a final flush syncs
+//     the store-and-forward backlog while the cloud store is still open;
 //  7. close the telemetry store (stops background eviction);
 //  8. close the durability plane last: every write the steps above
 //     produced group-commits and fsyncs before Close returns.
@@ -928,7 +937,7 @@ func (p *Platform) Close() {
 		p.Webhooks.Close()
 	}
 	if p.Fog != nil {
-		p.Fog.Flush()
+		p.Fog.Close()
 	}
 	if p.Store != nil {
 		p.Store.Close()

@@ -1,13 +1,17 @@
 package core
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/swamp-project/swamp/internal/clock"
 	"github.com/swamp-project/swamp/internal/model"
 	"github.com/swamp-project/swamp/internal/mqtt"
+	"github.com/swamp-project/swamp/internal/ngsi"
 	"github.com/swamp-project/swamp/internal/simnet"
 	"github.com/swamp-project/swamp/internal/timeseries"
 )
@@ -107,14 +111,15 @@ func TestPumpOnceReachesContextAndCloud(t *testing.T) {
 	if _, ok := entities[0].Attrs["soilMoisture_d20"]; !ok {
 		t.Errorf("entity attrs: %v", entities[0].AttrNames())
 	}
-	// Fog has a local view and forwarded to the cloud store.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) && len(p.Store.Keys()) == 0 {
-		time.Sleep(5 * time.Millisecond)
+	// Fog has a local view once the notifications are processed, and has
+	// forwarded to the cloud store once its uplink is flushed.
+	if !p.WaitPipeline(uint64(PilotMATOPIBA.Probes), 2*time.Second) {
+		t.Fatal("context notifications never reached the fog node")
 	}
 	if len(p.Fog.Latest()) == 0 {
 		t.Error("fog latest view empty")
 	}
+	p.Fog.Flush()
 	if len(p.Store.Keys()) == 0 {
 		t.Error("cloud store empty after pump")
 	}
@@ -223,9 +228,114 @@ func TestPartitionAvailabilityContrast(t *testing.T) {
 	if err := fogP.PumpOnce(t0.Add(2*time.Hour), 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
+	if !fogP.WaitPipeline(2*uint64(PilotMATOPIBA.Probes), 2*time.Second) {
+		t.Fatal("second pump never reached the fog node")
+	}
 	fogP.Fog.Flush()
 	if st := fogP.Fog.Stats(); st.Buffered != 0 {
 		t.Errorf("fog backlog not drained: %+v", st)
+	}
+}
+
+// TestHeadOfLineFogUplinkOffDispatcher: the fog uplink runs on the fog
+// node's own goroutine, so a slow backhaul cannot hold up another subscriber
+// of the same context shard. With the uplink inline on the dispatcher every
+// notification costs a 100 ms round trip and the witness below starves.
+func TestHeadOfLineFogUplinkOffDispatcher(t *testing.T) {
+	p, err := New(Options{
+		Pilot: PilotIntercrop, Mode: ModeFarmFog, Seed: 7,
+		ContextShards:   1, // every subscriber shares the one dispatcher
+		BackhaulLatency: 50 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+	var seen atomic.Int32
+	if _, err := p.Context.Subscribe(ngsi.Subscription{
+		ID:              "witness",
+		EntityIDPattern: "*",
+		Notifier:        ngsi.Callback(func(ngsi.Notification) { seen.Add(1) }),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const updates = 20
+	start := time.Now()
+	for i := 0; i < updates; i++ {
+		err := p.Context.UpdateAttrs(fmt.Sprintf("urn:test:hol:%02d", i), "Probe", map[string]ngsi.Attribute{
+			"soilMoisture": {Type: "Number", Value: 0.2, At: t0},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for seen.Load() < updates && time.Since(start) < 100*time.Millisecond {
+		time.Sleep(time.Millisecond)
+	}
+	if got := seen.Load(); got < updates {
+		t.Fatalf("witness subscriber saw %d of %d notifications in 100 ms: it waits behind the fog uplink", got, updates)
+	}
+	// The fog node saw every reading locally without waiting for the cloud.
+	if !p.WaitPipeline(updates, time.Second) {
+		t.Fatal("platform subscriber never processed the notifications")
+	}
+	if got := len(p.Fog.Latest()); got != updates {
+		t.Errorf("fog latest view has %d series, want %d", got, updates)
+	}
+	p.Fog.Flush()
+	if st := p.Fog.Stats(); st.Buffered != 0 || st.Forwarded != updates {
+		t.Errorf("fog stats after flush = %+v", st)
+	}
+}
+
+// fogDrainers counts live fog drain goroutines in this process.
+func fogDrainers() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "fog.(*Node).drain")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// waitFogDrainers polls until the process runs want drain goroutines (one
+// that was just started, or just told to stop, takes a moment to show).
+func waitFogDrainers(want int) int {
+	deadline := time.Now().Add(2 * time.Second)
+	got := fogDrainers()
+	for got != want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		got = fogDrainers()
+	}
+	return got
+}
+
+// TestFogCloseLeavesNoDrainGoroutine: Platform.Close stops the fog node's
+// uplink loop after syncing what it had buffered.
+func TestFogCloseLeavesNoDrainGoroutine(t *testing.T) {
+	before := fogDrainers()
+	p, err := New(Options{Pilot: PilotIntercrop, Mode: ModeFarmFog, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := waitFogDrainers(before + 1); got != before+1 {
+		t.Errorf("%d fog drain goroutines after New, want %d", got, before+1)
+	}
+	if err := p.PumpOnce(t0, 5*time.Second); err != nil {
+		p.Close()
+		t.Fatal(err)
+	}
+	p.Close()
+	p.Close()
+	if got := waitFogDrainers(before); got != before {
+		t.Errorf("%d fog drain goroutines after Close, want %d", got, before)
+	}
+	// Close drained the context broker into the fog node before closing it,
+	// so every pumped reading reached the cloud store.
+	if st := p.Fog.Stats(); st.Buffered != 0 || st.Forwarded != st.Ingested || st.Ingested == 0 {
+		t.Errorf("fog stats after Close = %+v", st)
 	}
 }
 

@@ -9,6 +9,12 @@
 //     the backhaul is down (RunDecision), and
 //  3. buffer northbound telemetry in a bounded store-and-forward queue and
 //     sync it to the cloud when connectivity returns (Flush).
+//
+// The node owns the uplink: Ingest only refreshes the local view and
+// enqueues — it never waits for the backhaul — while one drain goroutine
+// loops Flush, so each trip carries whatever accumulated during the previous
+// one (up to MaxBatchesPerTrip). Flush is also the exported synchronous
+// barrier; Close does the final flush and stops the goroutine.
 package fog
 
 import (
@@ -47,10 +53,10 @@ type Config struct {
 	// more for irrigation than stale history.
 	QueueCap int
 	// MaxBatchesPerTrip coalesces up to this many queued batches into one
-	// uplink call (default 1: one trip per batch). After a partition the
-	// backlog can be thousands of batches and every trip costs a full
-	// backhaul round trip, so syncing them in bulk shortens recovery by
-	// the same factor.
+	// uplink call (default 1: one trip per batch). Every trip costs a full
+	// backhaul round trip, so shipping in bulk whatever queued up behind
+	// the previous trip — a few batches under load, thousands after a
+	// partition — cuts the trips by the same factor.
 	MaxBatchesPerTrip int
 	// Metrics receives counters; nil allocates a private registry.
 	Metrics *metrics.Registry
@@ -66,20 +72,28 @@ type Stats struct {
 	CmdErrors uint64
 }
 
-// Node is a fog node. Construct with NewNode. Safe for concurrent use.
+// Node is a fog node. Construct with NewNode, release with Close. Safe for
+// concurrent use.
 type Node struct {
 	cfg Config
 	reg *metrics.Registry
 
-	// flushMu serializes flushers so the queue has exactly one consumer;
-	// the uplink call runs outside the state lock.
+	// flushMu serializes flushers (the drain goroutine and Flush callers)
+	// so the queue has exactly one consumer at a time; the uplink call runs
+	// outside the state lock.
 	flushMu sync.Mutex
 
-	mu     sync.Mutex
-	latest map[string]model.Reading // key: device/quantity(/depth)
-	queue  [][]model.Reading
-	stats  Stats
-	online bool
+	mu       sync.Mutex
+	latest   map[seriesKey]model.Reading
+	queue    [][]model.Reading
+	inflight int // batches popped for the trip in progress
+	stats    Stats
+	online   bool
+
+	wake      chan struct{} // Ingest → drainer: the queue is non-empty
+	stop      chan struct{}
+	done      chan struct{} // closed when the drainer has exited
+	closeOnce sync.Once
 }
 
 // NewNode validates the config and builds a node. Nodes start optimistic
@@ -100,30 +114,80 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
 	}
-	return &Node{
+	n := &Node{
 		cfg:    cfg,
 		reg:    cfg.Metrics,
-		latest: make(map[string]model.Reading),
+		latest: make(map[seriesKey]model.Reading),
 		online: true,
-	}, nil
+		wake:   make(chan struct{}, 1),
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
+	}
+	go n.drain()
+	return n, nil
+}
+
+// drain is the node's uplink loop: one Flush per wake-up, so a trip ships
+// everything Ingest queued during the previous trip. A failed trip is not
+// retried until the next wake-up (or an explicit Flush) — a partition costs
+// at most one refused attempt per ingest, never a spin.
+func (n *Node) drain() {
+	defer close(n.done)
+	for {
+		select {
+		case <-n.stop:
+			return
+		case <-n.wake:
+			n.Flush()
+		}
+	}
+}
+
+// Close stops the drain goroutine and does a final synchronous Flush. When
+// the backhaul is down the backlog stays queued (nothing is dropped) and a
+// later Flush can still sync it. Idempotent.
+func (n *Node) Close() {
+	n.closeOnce.Do(func() {
+		close(n.stop)
+		<-n.done
+		n.Flush()
+	})
 }
 
 // Metrics returns the node's registry.
 func (n *Node) Metrics() *metrics.Registry { return n.reg }
 
-// seriesKey builds the latest-store key for a reading.
-func seriesKey(r model.Reading) string {
+// seriesKey is the latest-store key of a reading's series.
+type seriesKey struct {
+	device   model.DeviceID
+	quantity model.Quantity
+	depthCM  int // -1 when the reading carries no depth
+}
+
+func keyOf(r model.Reading) seriesKey {
+	k := seriesKey{device: r.Device, quantity: r.Quantity, depthCM: -1}
 	if r.Depth > 0 {
-		return fmt.Sprintf("%s/%s/d%d", r.Device, r.Quantity, int(r.Depth*100+0.5))
+		k.depthCM = int(r.Depth*100 + 0.5)
 	}
-	return fmt.Sprintf("%s/%s", r.Device, r.Quantity)
+	return k
+}
+
+// String renders the key as Latest exposes it: device/quantity(/dNN).
+func (k seriesKey) String() string {
+	if k.depthCM >= 0 {
+		return fmt.Sprintf("%s/%s/d%d", k.device, k.quantity, k.depthCM)
+	}
+	return string(k.device) + "/" + string(k.quantity)
 }
 
 // Ingest accepts a batch from the local sensor plane: it refreshes the
-// local view, enqueues the batch for the cloud and opportunistically
-// flushes. Invalid readings are skipped-and-counted (`fog.ingest.invalid`)
-// rather than failing the batch — one poisoned reading must not discard its
-// valid batchmates, mirroring the cloud ingestor's behaviour.
+// local view, enqueues the batch for the cloud and wakes the drain
+// goroutine. It never waits for the backhaul, so a caller on a context
+// dispatcher is held for the enqueue only; the local view is current when
+// Ingest returns, the cloud's once a Flush has. Invalid readings are
+// skipped-and-counted (`fog.ingest.invalid`) rather than failing the batch —
+// one poisoned reading must not discard its valid batchmates, mirroring the
+// cloud ingestor's behaviour.
 func (n *Node) Ingest(batch []model.Reading) error {
 	if len(batch) == 0 {
 		return nil
@@ -146,29 +210,47 @@ func (n *Node) Ingest(batch []model.Reading) error {
 
 	n.mu.Lock()
 	for _, r := range cp {
-		key := seriesKey(r)
+		key := keyOf(r)
 		if cur, ok := n.latest[key]; !ok || r.At.After(cur.At) {
 			n.latest[key] = r
 		}
 	}
 	n.stats.Ingested += uint64(len(cp))
 	n.queue = append(n.queue, cp)
-	if len(n.queue) > n.cfg.QueueCap {
-		drop := len(n.queue) - n.cfg.QueueCap
-		n.stats.Dropped += uint64(drop)
-		n.queue = append(n.queue[:0], n.queue[drop:]...)
-		n.reg.Counter("fog.queue.dropped").Add(uint64(drop))
+	if over := len(n.queue) - n.cfg.QueueCap; over > 0 {
+		n.dropOldestLocked(over)
 	}
 	n.reg.Counter("fog.ingested").Add(uint64(len(cp)))
 	n.mu.Unlock()
 
-	n.Flush()
+	select {
+	case n.wake <- struct{}{}:
+	default: // a wake-up is already pending; its Flush will see this batch
+	}
 	return nil
+}
+
+// advanceLocked moves the queue past its k oldest batches. The vacated slots
+// are cleared so the backing array does not pin batches that have left the
+// queue.
+func (n *Node) advanceLocked(k int) {
+	clear(n.queue[:k])
+	n.queue = n.queue[k:]
+}
+
+// dropOldestLocked sheds the k oldest queued batches (queue over capacity).
+func (n *Node) dropOldestLocked(k int) {
+	n.advanceLocked(k)
+	n.stats.Dropped += uint64(k)
+	n.reg.Counter("fog.queue.dropped").Add(uint64(k))
 }
 
 // Flush drains the queue through the uplink until it empties or the uplink
 // fails (partition), coalescing up to MaxBatchesPerTrip queued batches per
-// uplink call. It returns how many ingested batches were forwarded.
+// uplink call. It is the synchronous barrier: it waits for the drain
+// goroutine's trip in progress, and when it returns while online every
+// batch ingested before the call has reached the uplink. It returns how
+// many ingested batches this call forwarded.
 func (n *Node) Flush() int {
 	n.flushMu.Lock()
 	defer n.flushMu.Unlock()
@@ -187,7 +269,8 @@ func (n *Node) Flush() int {
 		// failure the head is pushed back, subject to the queue cap.
 		head := make([][]model.Reading, k)
 		copy(head, n.queue[:k])
-		n.queue = n.queue[k:]
+		n.advanceLocked(k)
+		n.inflight = k
 		n.mu.Unlock()
 
 		payload := head[0]
@@ -206,11 +289,10 @@ func (n *Node) Flush() int {
 		if err := n.cfg.Uplink(payload); err != nil {
 			n.mu.Lock()
 			n.online = false
+			n.inflight = 0
 			n.queue = append(head, n.queue...)
 			if over := len(n.queue) - n.cfg.QueueCap; over > 0 {
-				n.stats.Dropped += uint64(over)
-				n.queue = append(n.queue[:0:0], n.queue[over:]...)
-				n.reg.Counter("fog.queue.dropped").Add(uint64(over))
+				n.dropOldestLocked(over)
 			}
 			n.mu.Unlock()
 			n.reg.Counter("fog.uplink.fail").Inc()
@@ -218,6 +300,7 @@ func (n *Node) Flush() int {
 		}
 		n.mu.Lock()
 		n.online = true
+		n.inflight = 0
 		n.stats.Forwarded += uint64(len(payload))
 		n.mu.Unlock()
 		n.reg.Counter("fog.uplink.ok").Inc()
@@ -239,7 +322,7 @@ func (n *Node) Latest() map[string]model.Reading {
 	defer n.mu.Unlock()
 	out := make(map[string]model.Reading, len(n.latest))
 	for k, v := range n.latest {
-		out[k] = v
+		out[k.String()] = v
 	}
 	return out
 }
@@ -268,11 +351,12 @@ func (n *Node) RunDecision(at time.Time) ([]model.Command, error) {
 	return cmds, nil
 }
 
-// Stats returns a snapshot of the node's counters.
+// Stats returns a snapshot of the node's counters. Buffered counts every
+// batch not yet forwarded or dropped, including those on a trip in progress.
 func (n *Node) Stats() Stats {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	st := n.stats
-	st.Buffered = len(n.queue)
+	st.Buffered = len(n.queue) + n.inflight
 	return st
 }
