@@ -10,8 +10,10 @@ package swamp_test
 
 import (
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -30,6 +32,22 @@ const (
 )
 
 func benchEntityID(i int) string { return fmt.Sprintf("urn:bench:probe:%04d", i) }
+
+// benchProbeAttrs is one probe reading: two numeric depth attributes. The
+// broker copies what it stores, so the benchmarks share the map.
+var benchProbeAttrs = map[string]ngsi.Attribute{
+	"soilMoisture_d20": {Type: "Number", Value: 0.23},
+	"soilMoisture_d50": {Type: "Number", Value: 0.29},
+}
+
+// benchFleetIDs returns n probe ids in ascending order.
+func benchFleetIDs(n int) []string {
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("urn:bench:probe:%06d", i)
+	}
+	return ids
+}
 
 // newBenchBroker builds a broker carrying benchSubs subscriptions: mostly
 // exact-id subscriptions spread over the entity space, plus a small mix of
@@ -64,10 +82,7 @@ func newBenchBroker(b *testing.B, cfg ngsi.BrokerConfig) *ngsi.Broker {
 
 func benchConcurrentUpsert(b *testing.B, cfg ngsi.BrokerConfig) {
 	ctx := newBenchBroker(b, cfg)
-	attrs := map[string]ngsi.Attribute{
-		"soilMoisture_d20": {Type: "Number", Value: 0.23},
-		"soilMoisture_d50": {Type: "Number", Value: 0.29},
-	}
+	attrs := benchProbeAttrs
 	var next atomic.Uint64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -156,6 +171,66 @@ func BenchmarkBrokerBatchUpdate(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkBrokerUpdateAttrs is the bare write path — no subscriptions, no
+// journal — merging a probe's two numeric attributes into an existing
+// entity, at a farm-sized and a fleet-sized store (8 shards). It prices
+// what each update pays to keep the shard's entity table in step: finding
+// the row and storing two column cells.
+func BenchmarkBrokerUpdateAttrs(b *testing.B) {
+	for _, n := range []int{1_000, 100_000} {
+		// The store is built once per size, not once per b.N escalation.
+		ctx := ngsi.NewBroker(ngsi.BrokerConfig{})
+		b.Cleanup(ctx.Close)
+		ids := benchFleetIDs(n)
+		for _, id := range ids {
+			if err := ctx.UpdateAttrs(id, "SoilProbe", benchProbeAttrs); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.Run(fmt.Sprintf("entities-%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				// A stride coprime with n: successive updates land far apart.
+				if err := ctx.UpdateAttrs(ids[i*7919%n], "SoilProbe", benchProbeAttrs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkBrokerProvision creates 100 000 two-attribute entities in an
+// empty broker per iteration: ids arriving in ascending order (each row
+// appends to its shard's table), shuffled over 8 shards (each row is
+// inserted mid-slice among ~12 500), and shuffled into a single shard — the
+// 100 000-row O(rows) shift DESIGN.md §2.1 names as the table's known cost.
+func BenchmarkBrokerProvision(b *testing.B) {
+	const n = 100_000
+	ascending := benchFleetIDs(n)
+	shuffled := slices.Clone(ascending)
+	rand.New(rand.NewSource(1)).Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	for _, tc := range []struct {
+		name   string
+		ids    []string
+		shards int
+	}{{"ascending-shards-8", ascending, 8}, {"shuffled-shards-8", shuffled, 8}, {"shuffled-shards-1", shuffled, 1}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ctx := ngsi.NewBroker(ngsi.BrokerConfig{Shards: tc.shards})
+				for _, id := range tc.ids {
+					if err := ctx.UpdateAttrs(id, "SoilProbe", benchProbeAttrs); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				ctx.Close()
+				b.StartTimer()
+			}
+		})
+	}
 }
 
 // BenchmarkBrokerFilteredQuery measures a selective northbound query

@@ -176,8 +176,9 @@ func (tc *testCluster) addNode(id, dir string, o clusterOpts) *testMember {
 func (tc *testCluster) dial(peer string) (Conn, error) {
 	tc.mu.Lock()
 	member, ok := tc.nodes[peer]
+	alive := ok && member.alive // written under mu by kill and stop
 	tc.mu.Unlock()
-	if !ok || !member.alive {
+	if !alive {
 		return nil, fmt.Errorf("peer %s down", peer)
 	}
 	a, b := Pipe(8192)

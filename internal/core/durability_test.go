@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -455,5 +456,58 @@ func TestDurabilityRestoresSubscriptionSlots(t *testing.T) {
 	}
 	if err := adm2.ReserveSubscription("tenant-1"); err == nil {
 		t.Fatal("slot accounting drifted: quota 2 admitted a third subscription")
+	}
+}
+
+// dumpIDs returns the id sequence DumpEntities emits.
+func dumpIDs(t *testing.T, b *ngsi.Broker) []string {
+	t.Helper()
+	var ids []string
+	if err := b.DumpEntities(func(e *ngsi.Entity) error {
+		ids = append(ids, e.ID)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return ids
+}
+
+// TestSnapshotDumpOrderIsDeterministic: the snapshot dump walks each
+// shard in id order, so two dumps of one state emit one sequence, and a
+// broker recovered from the snapshot — which saw the entities arrive in a
+// different order than the original did — dumps that same sequence again.
+func TestSnapshotDumpOrderIsDeterministic(t *testing.T) {
+	dir := t.TempDir()
+	broker, store, _, d := durablePair(t, dir, -1)
+	for i := 0; i < 200; i++ {
+		id := fmt.Sprintf("urn:test:probe:%03d", i*37%200) // not in id order
+		if err := broker.UpdateAttrs(id, "SoilProbe", map[string]ngsi.Attribute{
+			"m": {Type: "Number", Value: float64(i) / 200},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := broker.DeleteEntity("urn:test:probe:100"); err != nil {
+		t.Fatal(err)
+	}
+	want := dumpIDs(t, broker)
+	if got := dumpIDs(t, broker); len(want) != 199 || !slices.Equal(got, want) {
+		t.Fatalf("two dumps of one state differ: %d and %d ids", len(want), len(got))
+	}
+	if err := d.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	broker.Close()
+	store.Close()
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	broker2, _, _, d2 := durablePair(t, dir, -1)
+	if d2.Recovered.SnapshotRecords == 0 {
+		t.Fatalf("expected a snapshot replay: %+v", d2.Recovered)
+	}
+	if got := dumpIDs(t, broker2); !slices.Equal(got, want) {
+		t.Fatalf("dump after recovery differs from the dump before the snapshot:\n got %v\nwant %v", got, want)
 	}
 }

@@ -116,6 +116,7 @@ func TestEntityQueryValidation(t *testing.T) {
 		"/v2/entities?idPattern=urn:farm1:*&q=soilMoisture%3E%3D",                // missing value
 		"/v2/entities?idPattern=urn:farm1:*&q=a%3D%3D'x",                         // unterminated quote
 		"/v2/entities?idPattern=urn:farm1:*&q=;",                                 // empty statements
+		"/v2/entities?idPattern=urn:farm1:*&q=soilMoisture%3D%3Dnan",             // NaN orders against nothing
 		"/v2/entities?idPattern=urn:farm1:*&limit=0",                             // non-positive limit
 		"/v2/entities?idPattern=urn:farm1:*&limit=nope",                          // non-numeric limit
 		"/v2/entities?idPattern=urn:farm1:*&limit=100000",                        // above the hard cap

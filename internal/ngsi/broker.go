@@ -125,19 +125,22 @@ type Broker struct {
 	cBatchCalls, cBatchEntities   *metrics.Counter
 }
 
-// shard is one slice of the entity map with its own lock, notification
-// queue and dispatch worker. An entity id always hashes to the same shard,
-// which serializes updates (and thus notification order) per entity.
+// shard is one slice of the entity store — an entity table (id-ordered
+// rows beside numeric attribute columns; see table) — with its own lock,
+// notification queue and dispatch worker. An entity id always hashes to
+// the same shard, which serializes updates (and thus notification order)
+// per entity.
 //
-// Every *Entity in entities is an immutable version: built in full by the
-// write path, published under mu, never written again. An update replaces
-// the pointer with a new version; readers (Query, notifications, the
-// snapshot dump) therefore share the stored pointer instead of copying it.
+// Every *Entity in the table is an immutable version: built in full by the
+// write path, published under mu through table.put, never written again.
+// An update replaces the row's pointer with a new version; readers (Query,
+// notifications, the snapshot dump) therefore share the stored pointer
+// instead of copying it.
 type shard struct {
-	mu       sync.RWMutex
-	entities map[string]*Entity
-	queue    chan queuedNotification
-	depth    *metrics.Gauge
+	mu sync.RWMutex
+	table
+	queue chan queuedNotification
+	depth *metrics.Gauge
 }
 
 type queuedNotification struct {
@@ -181,9 +184,9 @@ func NewBroker(cfg BrokerConfig) *Broker {
 	b.shards = make([]*shard, cfg.Shards)
 	for i := range b.shards {
 		sh := &shard{
-			entities: make(map[string]*Entity),
-			queue:    make(chan queuedNotification, cfg.QueueLen),
-			depth:    cfg.Metrics.Gauge(fmt.Sprintf("ngsi.queue.depth.%d", i)),
+			table: newTable(),
+			queue: make(chan queuedNotification, cfg.QueueLen),
+			depth: cfg.Metrics.Gauge(fmt.Sprintf("ngsi.queue.depth.%d", i)),
 		}
 		b.shards[i] = sh
 		b.wg.Add(1)
@@ -296,7 +299,7 @@ func (b *Broker) UpsertEntity(e *Entity) error {
 		sh.mu.Unlock()
 		return ErrClosed
 	}
-	sh.entities[cp.ID] = cp
+	sh.put(cp, nil)
 	b.epoch.Add(1)
 	b.cUpsert.Inc()
 	b.notifyShardLocked(sh, cp, changed)
@@ -354,7 +357,7 @@ func (b *Broker) UpdateAttrs(id, typ string, attrs map[string]Attribute) error {
 // zero.
 func (b *Broker) applyUpdateLocked(sh *shard, id, typ string, attrs map[string]Attribute, now time.Time) MergeEntry {
 	e := &Entity{ID: id, Type: typ}
-	if prev := sh.entities[id]; prev != nil {
+	if prev := sh.get(id); prev != nil {
 		e.Type = prev.Type
 		e.Attrs = maps.Clone(prev.Attrs)
 	} else {
@@ -376,7 +379,7 @@ func (b *Broker) applyUpdateLocked(sh *shard, id, typ string, attrs map[string]A
 			resolved[k] = ca
 		}
 	}
-	sh.entities[id] = e
+	sh.put(e, changed)
 	b.epoch.Add(1)
 	b.cUpdate.Inc()
 	b.notifyShardLocked(sh, e, changed)
@@ -460,7 +463,7 @@ func (b *Broker) BatchUpdate(updates map[string]BatchEntry) error {
 func (b *Broker) GetEntity(id string) (*Entity, error) {
 	sh := b.shardFor(id)
 	sh.mu.RLock()
-	e := sh.entities[id]
+	e := sh.get(id)
 	sh.mu.RUnlock()
 	if e == nil {
 		return nil, fmt.Errorf("ngsi: entity %q: %w", id, ErrNotFound)
@@ -487,12 +490,11 @@ func (b *Broker) QueryEntities(idPattern, entityType string) []*Entity {
 func (b *Broker) DeleteEntity(id string) error {
 	sh := b.shardFor(id)
 	sh.mu.Lock()
-	e, ok := sh.entities[id]
-	if !ok {
+	e := sh.remove(id)
+	if e == nil {
 		sh.mu.Unlock()
 		return fmt.Errorf("ngsi: entity %q: %w", id, ErrNotFound)
 	}
-	delete(sh.entities, id)
 	b.epoch.Add(1)
 	var ack JournalAck
 	if b.journal != nil {
@@ -506,8 +508,8 @@ func (b *Broker) DeleteEntity(id string) error {
 			// without this the entity would read as gone until restart
 			// and then likely resurrect from the replayed upserts.
 			sh.mu.Lock()
-			if _, taken := sh.entities[id]; !taken {
-				sh.entities[id] = e
+			if sh.get(id) == nil {
+				sh.put(e, nil)
 				b.epoch.Add(1)
 			}
 			sh.mu.Unlock()
@@ -519,13 +521,14 @@ func (b *Broker) DeleteEntity(id string) error {
 }
 
 // DumpEntities streams every stored entity to fn, shard by shard under
-// the shard read lock — the snapshot path. The entity is the stored
-// version and read-only: fn must never write to it (retaining it is safe,
-// versions are immutable), and must not call back into the broker.
+// the shard read lock and in id order within a shard, so two dumps of the
+// same state emit the same sequence — the snapshot path. The entity is the
+// stored version and read-only: fn must never write to it (retaining it is
+// safe, versions are immutable), and must not call back into the broker.
 func (b *Broker) DumpEntities(fn func(*Entity) error) error {
 	for _, sh := range b.shards {
 		sh.mu.RLock()
-		for _, e := range sh.entities {
+		for _, e := range sh.rows {
 			if err := fn(e); err != nil {
 				sh.mu.RUnlock()
 				return err
@@ -541,7 +544,7 @@ func (b *Broker) EntityCount() int {
 	n := 0
 	for _, sh := range b.shards {
 		sh.mu.RLock()
-		n += len(sh.entities)
+		n += len(sh.rows)
 		sh.mu.RUnlock()
 	}
 	return n

@@ -2,6 +2,7 @@ package ngsi
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -170,11 +171,20 @@ func parseQValue(raw, stmt string) (value string, isNum bool, err error) {
 		}
 		return raw[1 : len(raw)-1], false, nil
 	}
-	if _, ferr := strconv.ParseFloat(raw, 64); ferr == nil {
+	if f, ferr := strconv.ParseFloat(raw, 64); ferr == nil {
+		if math.IsNaN(f) {
+			// NaN is unordered, so no comparison against it means anything;
+			// ±Inf do order and stay legal.
+			return "", false, fmt.Errorf("ngsi: q: NaN is not a comparable number in %q (quote it to compare as text)", stmt)
+		}
 		return raw, true, nil
 	}
 	return raw, false, nil
 }
+
+// numeric reports whether the condition compares numbers — the kind a
+// shard answers from an attribute column (table.columnsFor).
+func (c Condition) numeric() bool { return c.IsNum && c.Op >= OpEq }
 
 // match evaluates the condition against an entity in place — no cloning,
 // so the shard scan can reject non-matching entities for free.
@@ -191,7 +201,7 @@ func (c Condition) match(e *Entity) bool {
 	}
 	if c.IsNum {
 		v, isNum := a.Float()
-		return isNum && cmpOp(compareFloat(v, c.Num), c.Op)
+		return isNum && numCmp(v, c.Op, c.Num)
 	}
 	s, ok := attrString(a)
 	return ok && cmpOp(strings.Compare(s, c.Value), c.Op)
@@ -207,6 +217,27 @@ func attrString(a Attribute) (string, bool) {
 		return strconv.FormatBool(v), true
 	}
 	return "", false
+}
+
+// numCmp reports whether `a op b` holds between two numbers — the one
+// numeric comparison behind both Condition.match and the column scan. A
+// NaN on either side is unordered: only != holds.
+func numCmp(a float64, op Op, b float64) bool {
+	switch op {
+	case OpEq:
+		return a == b
+	case OpNe:
+		return a != b
+	case OpLt:
+		return a < b
+	case OpLe:
+		return a <= b
+	case OpGt:
+		return a > b
+	case OpGe:
+		return a >= b
+	}
+	return false
 }
 
 func compareFloat(a, b float64) int {
@@ -243,9 +274,10 @@ const OrderByID = "id"
 // Query is a typed northbound context query: subject selection
 // (IDPattern/Type), attribute filter conditions (parsed from the `q=`
 // grammar by ParseQ), attribute projection, ordering and pagination. The
-// broker runs it as match → order → cut → project: stored versions are
-// matched in place and shared by pointer, so only a projected page
-// allocates per entity.
+// broker answers it from its shards' entity tables: numeric comparisons are
+// read off the attribute columns, the survivors are matched in place and
+// collected by pointer in id order, an id ordering merges the shards' runs
+// only page-deep, and only a projected page allocates per entity.
 type Query struct {
 	// IDPattern selects entities by id: exact, prefix with '*', or
 	// ""/"*" for all.
@@ -292,11 +324,16 @@ type QueryResult struct {
 	Total int
 }
 
-// Query runs a typed context query: each shard is scanned under its read
-// lock and the matching versions are collected by pointer — nothing is
-// copied — then ordered, cut to the Offset/Limit page, and only the page
-// is projected onto Query.Attrs. An unordered query without Count stops
-// scanning once Offset+Limit matches are found.
+// Query runs a typed context query. Each shard's table is scanned under
+// its read lock: every numeric comparison is resolved to its column once
+// per shard — a shard without the column cannot match — and tested on the
+// dense slice before the entity is touched; id pattern, IDFilter, type and
+// the remaining conditions run on the survivors, which are collected by
+// pointer, nothing copied, as one id-ordered run per shard. An id ordering
+// then merges the runs only as deep as the Offset/Limit page reaches; an
+// attribute ordering sorts every match. Only the page is projected onto
+// Query.Attrs. An unordered query without Count stops scanning once
+// Offset+Limit matches are found.
 func (b *Broker) Query(q Query) (QueryResult, error) {
 	if q.Limit < 0 || q.Offset < 0 {
 		return QueryResult{}, fmt.Errorf("ngsi: query: negative limit or offset")
@@ -309,28 +346,53 @@ func (b *Broker) Query(q Query) (QueryResult, error) {
 		}
 	}
 	earlyStop := q.OrderBy == "" && !q.Count && need > 0
+
+	// Per-query scratch, on the stack at the usual sizes: the column behind
+	// each condition (re-resolved per shard) and each shard's run of matches.
+	var colBuf [8]*column
+	cols := colBuf[:]
+	if len(q.Conditions) > len(cols) {
+		cols = make([]*column, len(q.Conditions))
+	}
+	cols = cols[:len(q.Conditions)]
+	var runBuf [16]run
+	runs := runBuf[:0]
 	var matched []*Entity
 	for _, sh := range b.shards {
+		lo := len(matched)
 		sh.mu.RLock()
-		for id, e := range sh.entities {
-			if !MatchIDPattern(q.IDPattern, id) {
-				continue
-			}
-			if q.IDFilter != nil && !q.IDFilter(id) {
-				continue
-			}
-			if q.Type != "" && e.Type != q.Type {
-				continue
-			}
-			if !matchConditions(e, q.Conditions) {
-				continue
-			}
-			matched = append(matched, e)
-			if earlyStop && len(matched) >= need {
-				break
+		if sh.columnsFor(q.Conditions, cols) {
+		rows:
+			for i, e := range sh.rows {
+				for j, col := range cols {
+					if col != nil && !(col.has[i] && numCmp(col.vals[i], q.Conditions[j].Op, q.Conditions[j].Num)) {
+						continue rows
+					}
+				}
+				if !MatchIDPattern(q.IDPattern, e.ID) {
+					continue
+				}
+				if q.IDFilter != nil && !q.IDFilter(e.ID) {
+					continue
+				}
+				if q.Type != "" && e.Type != q.Type {
+					continue
+				}
+				for j, col := range cols {
+					if col == nil && !q.Conditions[j].match(e) {
+						continue rows
+					}
+				}
+				matched = append(matched, e)
+				if earlyStop && len(matched) >= need {
+					break
+				}
 			}
 		}
 		sh.mu.RUnlock()
+		if len(matched) > lo {
+			runs = append(runs, run{lo, len(matched)})
+		}
 		if earlyStop && len(matched) >= need {
 			break
 		}
@@ -339,14 +401,19 @@ func (b *Broker) Query(q Query) (QueryResult, error) {
 	if q.Count {
 		res.Total = len(matched)
 	}
-	sortEntities(matched, q.OrderBy)
-	page := matched[min(q.Offset, len(matched)):]
-	if q.Limit > 0 && len(page) > q.Limit {
-		page = page[:q.Limit]
-	}
-	if len(page) < len(matched) {
-		// A caller holding the page must not pin the whole match set.
-		page = slices.Clone(page)
+	var page []*Entity
+	if key, desc := strings.CutPrefix(q.OrderBy, "!"); key == "" || key == OrderByID {
+		page = mergePage(matched, runs, desc, q.Offset, q.Limit)
+	} else {
+		sortEntities(matched, q.OrderBy)
+		page = matched[min(q.Offset, len(matched)):]
+		if q.Limit > 0 && len(page) > q.Limit {
+			page = page[:q.Limit]
+		}
+		if len(page) < len(matched) {
+			// A caller holding the page must not pin the whole match set.
+			page = slices.Clone(page)
+		}
 	}
 	if len(q.Attrs) > 0 {
 		for i, e := range page {
@@ -366,11 +433,50 @@ func matchConditions(e *Entity, conds []Condition) bool {
 	return true
 }
 
-// sortEntities orders entities per the OrderBy spec: ""/"id" by entity
-// id; any other key by that attribute's value (numeric values before
-// string values, entities missing the attribute last), ties broken by
-// id. A '!' prefix reverses the primary order (missing-attribute
-// entities stay last).
+// run is one shard's matches within the collected slice, ascending by id:
+// matched[lo:hi]. Ids are unique across shards, so runs never tie.
+type run struct{ lo, hi int }
+
+// mergePage cuts the Offset/Limit page, in id order (descending when desc),
+// out of the shards' id-ordered runs: a k-way merge that picks the next id
+// among the run heads (tails when descending) and stops at the end of the
+// page, so the matches beyond it are never ordered. Each step costs one id
+// comparison per run. The page is a slice of its own; runs is consumed.
+func mergePage(matched []*Entity, runs []run, desc bool, offset, limit int) []*Entity {
+	n := len(matched) - min(offset, len(matched))
+	if limit > 0 && n > limit {
+		n = limit
+	}
+	page := make([]*Entity, 0, n)
+	for skip := offset; len(page) < n; {
+		best := -1
+		var next *Entity
+		for r, w := range runs {
+			if w.lo == w.hi {
+				continue
+			}
+			e := matched[w.lo]
+			if desc {
+				e = matched[w.hi-1]
+			}
+			if best < 0 || (e.ID < next.ID) != desc {
+				best, next = r, e
+			}
+		}
+		if desc {
+			runs[best].hi--
+		} else {
+			runs[best].lo++
+		}
+		if skip > 0 {
+			skip--
+			continue
+		}
+		page = append(page, next)
+	}
+	return page
+}
+
 // SortEntities sorts entities with the same semantics Query applies:
 // "" or "id" by entity id, anything else by that attribute's value
 // (numeric before string, missing last), '!' prefix reversed. Exported
@@ -378,6 +484,11 @@ func matchConditions(e *Entity, conds []Condition) bool {
 // ordering each node produced.
 func SortEntities(list []*Entity, orderBy string) { sortEntities(list, orderBy) }
 
+// sortEntities orders entities per the OrderBy spec: ""/"id" by entity
+// id; any other key by that attribute's value (numeric values before
+// string values, entities missing the attribute last), ties broken by
+// id. A '!' prefix reverses the primary order (missing-attribute
+// entities stay last).
 func sortEntities(list []*Entity, orderBy string) {
 	key := orderBy
 	desc := strings.HasPrefix(key, "!")

@@ -2,6 +2,7 @@ package ngsi
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -89,6 +90,71 @@ func TestParseQErrors(t *testing.T) {
 	} {
 		if _, err := ParseQ(q); err == nil {
 			t.Errorf("ParseQ(%q): no error", q)
+		}
+	}
+}
+
+// TestNaNComparisons: NaN is unordered. As a literal it is a ParseQ error
+// (±Inf order, and stay legal; quoted, it is text); stored, or in a
+// hand-built condition, it fails every comparison except != — on the
+// in-place evaluator and on the column scan alike.
+func TestNaNComparisons(t *testing.T) {
+	for _, q := range []string{"m==nan", "m!=NaN", "m<nan", "m>=NAN", "zone==z1;m<=nan"} {
+		if _, err := ParseQ(q); err == nil {
+			t.Errorf("ParseQ(%q): no error", q)
+		}
+	}
+	for _, q := range []string{"m<inf", "m>-Inf", "m<=+Infinity", "m=='nan'", `m=="NaN"`} {
+		if _, err := ParseQ(q); err != nil {
+			t.Errorf("ParseQ(%q): %v", q, err)
+		}
+	}
+
+	b := NewBroker(BrokerConfig{Shards: 2})
+	defer b.Close()
+	stored := map[string]*Entity{
+		"nan":  {ID: "nan", Type: "T", Attrs: map[string]Attribute{"m": num(math.NaN())}},
+		"one":  {ID: "one", Type: "T", Attrs: map[string]Attribute{"m": num(1)}},
+		"inf":  {ID: "inf", Type: "T", Attrs: map[string]Attribute{"m": num(math.Inf(1))}},
+		"text": {ID: "text", Type: "T", Attrs: map[string]Attribute{"m": {Type: "Text", Value: "nan"}}},
+		"none": {ID: "none", Type: "T", Attrs: map[string]Attribute{"other": num(1)}},
+	}
+	for _, e := range stored {
+		if err := b.UpsertEntity(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tests := []struct {
+		op   Op
+		num  float64
+		want []string // ascending by id
+	}{
+		{OpEq, 1, []string{"one"}},
+		{OpNe, 1, []string{"inf", "nan"}},
+		{OpLt, 2, []string{"one"}},
+		{OpLe, 1, []string{"one"}},
+		{OpGt, 0, []string{"inf", "one"}},
+		{OpGe, 1, []string{"inf", "one"}},
+		{OpEq, math.Inf(1), []string{"inf"}},
+		{OpLt, math.Inf(1), []string{"one"}},
+		{OpEq, math.NaN(), nil},
+		{OpNe, math.NaN(), []string{"inf", "nan", "one"}},
+		{OpLt, math.NaN(), nil},
+		{OpLe, math.NaN(), nil},
+		{OpGt, math.NaN(), nil},
+		{OpGe, math.NaN(), nil},
+	}
+	for _, tc := range tests {
+		c := Condition{Attr: "m", Op: tc.op, Num: tc.num, IsNum: true}
+		var inPlace []string
+		for _, id := range []string{"inf", "nan", "none", "one", "text"} {
+			if c.match(stored[id]) {
+				inPlace = append(inPlace, id)
+			}
+		}
+		scanned := ids(mustQuery(t, b, Query{Conditions: []Condition{c}, OrderBy: OrderByID}).Entities)
+		if fmt.Sprint(inPlace) != fmt.Sprint(tc.want) || fmt.Sprint(scanned) != fmt.Sprint(tc.want) {
+			t.Errorf("m %v %v: match %v, column scan %v, want %v", tc.op, tc.num, inPlace, scanned, tc.want)
 		}
 	}
 }
