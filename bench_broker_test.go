@@ -16,7 +16,6 @@ import (
 	"slices"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"github.com/swamp-project/swamp/internal/httpapi"
 	"github.com/swamp-project/swamp/internal/ngsi"
@@ -409,13 +408,10 @@ func BenchmarkHTTPFleetListing(b *testing.B) {
 }
 
 // BenchmarkBatcherIngest measures the full coalescing path: Add →
-// interval flush → BatchUpdate, at the agent's default cadence.
+// wake-driven flush → BatchUpdate, configured as the agent does.
 func BenchmarkBatcherIngest(b *testing.B) {
 	ctx := newBenchBroker(b, ngsi.BrokerConfig{QueueLen: 1024})
-	ba, err := ngsi.NewBatcher(ngsi.BatcherConfig{
-		Broker:        ctx,
-		FlushInterval: 2 * time.Millisecond,
-	})
+	ba, err := ngsi.NewBatcher(ngsi.BatcherConfig{Broker: ctx})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -47,8 +47,7 @@
 //	log         level (info), format (text)
 //	mqtt        session_queue (256, dyn), retry_interval (1s),
 //	            flush_watermark (8192, dyn), route_cache (4096, dyn)
-//	ngsi        shards (8), agent_batch_interval (2ms),
-//	            fog_sync_batches (32)
+//	ngsi        shards (8), fog_sync_batches (32)
 //	timeseries  shards (8), chunk_size (512), retention (0s, dyn),
 //	            eviction_interval (1m)
 //	wal         dir (""), segment_bytes (8MiB), fsync_interval (0s),

@@ -59,6 +59,17 @@ func NGSIAttrName(s AttrSpec) string {
 	return string(s.Quantity)
 }
 
+// device is a provision record with what every reading of the device needs
+// resolved once, at Provision time.
+type device struct {
+	Provision
+	// attrName maps UL codes to NGSI attribute names.
+	attrName map[string]string
+	// meta is the device/owner metadata every attribute of the device
+	// carries. Shared, never mutated: the batcher copies what it keeps.
+	meta map[string]string
+}
+
 // Config wires an Agent.
 type Config struct {
 	// Client is the agent's MQTT connection (already connected).
@@ -76,26 +87,20 @@ type Config struct {
 	Metrics *metrics.Registry
 	// Logf receives diagnostics; nil means log.Printf.
 	Logf func(format string, args ...any)
-	// BatchInterval enables the batched ingest path: decoded measurements
-	// are coalesced per entity and flushed to the context broker as
-	// BatchUpdate calls on this cadence. Zero keeps the synchronous
-	// per-message path.
-	BatchInterval time.Duration
-	// BatchMaxEntities flushes early once this many distinct entities are
-	// pending (default 256). Only meaningful with BatchInterval > 0.
-	BatchMaxEntities int
 }
 
-// Agent is the IoT agent. Construct with New, then Start. When batching is
-// configured, call Stop to flush the northbound tail.
+// Agent is the IoT agent. Construct with New, then Start; call Stop to
+// flush the northbound tail. Decoded measurements reach the context broker
+// through an ngsi.Batcher the agent owns: coalesced per entity, flushed as
+// BatchUpdate calls as soon as the previous flush has committed.
 type Agent struct {
 	cfg     Config
 	reg     *metrics.Registry
 	batcher *ngsi.Batcher
 
 	mu      sync.RWMutex
-	byID    map[model.DeviceID]*Provision
-	byKeyID map[string]*Provision // apiKey+"/"+deviceID
+	byID    map[model.DeviceID]*device
+	byTopic map[string]*device // AttrsTopic(apiKey, deviceID)
 	started bool
 }
 
@@ -122,52 +127,40 @@ func New(cfg Config) (*Agent, error) {
 	a := &Agent{
 		cfg:     cfg,
 		reg:     cfg.Metrics,
-		byID:    make(map[model.DeviceID]*Provision),
-		byKeyID: make(map[string]*Provision),
+		byID:    make(map[model.DeviceID]*device),
+		byTopic: make(map[string]*device),
 	}
-	if cfg.BatchInterval > 0 {
-		okCtr := cfg.Metrics.Counter("agent.north.ok")
-		errCtr := cfg.Metrics.Counter("agent.north.ctxerr")
-		ba, err := ngsi.NewBatcher(ngsi.BatcherConfig{
-			Broker:        cfg.Context,
-			FlushInterval: cfg.BatchInterval,
-			MaxEntities:   cfg.BatchMaxEntities,
-			Metrics:       cfg.Metrics,
-			// agent.north.ok counts northbound messages; with batching it
-			// advances only once the measurements are visible in the
-			// context broker, so WaitNorthbound keeps its meaning.
-			OnFlush: func(fs ngsi.FlushStats) {
-				if fs.Err != nil {
-					errCtr.Add(uint64(fs.Updates))
-					cfg.Logf("agent: batched context update (%d entities): %v", fs.Entities, fs.Err)
-					return
-				}
-				okCtr.Add(uint64(fs.Updates))
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		a.batcher = ba
+	okCtr := cfg.Metrics.Counter("agent.north.ok")
+	errCtr := cfg.Metrics.Counter("agent.north.ctxerr")
+	var err error
+	a.batcher, err = ngsi.NewBatcher(ngsi.BatcherConfig{
+		Broker:  cfg.Context,
+		Metrics: cfg.Metrics,
+		// agent.north.ok counts northbound messages; it advances only once
+		// the measurements are visible in the context broker, which is what
+		// WaitNorthbound waits for.
+		OnFlush: func(fs ngsi.FlushStats) {
+			if fs.Err != nil {
+				errCtr.Add(uint64(fs.Updates))
+				cfg.Logf("agent: batched context update (%d entities): %v", fs.Entities, fs.Err)
+				return
+			}
+			okCtr.Add(uint64(fs.Updates))
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
 	return a, nil
 }
 
-// Stop flushes and stops the batched ingest path, if configured. The agent
-// must not receive further northbound traffic afterwards. Idempotent.
-func (a *Agent) Stop() {
-	if a.batcher != nil {
-		a.batcher.Close()
-	}
-}
+// Stop flushes the northbound tail and stops the batcher. The agent must
+// not receive further northbound traffic afterwards. Idempotent.
+func (a *Agent) Stop() { a.batcher.Close() }
 
 // FlushNorthbound forces any coalesced-but-unflushed measurements into the
-// context broker now. A no-op on the synchronous path.
-func (a *Agent) FlushNorthbound() {
-	if a.batcher != nil {
-		a.batcher.Flush()
-	}
-}
+// context broker now.
+func (a *Agent) FlushNorthbound() { a.batcher.Flush() }
 
 // Metrics returns the agent's registry.
 func (a *Agent) Metrics() *metrics.Registry { return a.reg }
@@ -177,18 +170,23 @@ func (a *Agent) Provision(p Provision) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	cp := p
-	cp.AttrMap = make(map[string]AttrSpec, len(p.AttrMap))
+	d := &device{
+		Provision: p,
+		attrName:  make(map[string]string, len(p.AttrMap)),
+		meta:      map[string]string{"device": string(p.Desc.ID), "owner": string(p.Desc.Owner)},
+	}
+	d.AttrMap = make(map[string]AttrSpec, len(p.AttrMap))
 	for k, v := range p.AttrMap {
-		cp.AttrMap[k] = v
+		d.AttrMap[k] = v
+		d.attrName[k] = NGSIAttrName(v)
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if _, dup := a.byID[p.Desc.ID]; dup {
 		return fmt.Errorf("agent: device %s already provisioned", p.Desc.ID)
 	}
-	a.byID[p.Desc.ID] = &cp
-	a.byKeyID[p.Desc.APIKey+"/"+string(p.Desc.ID)] = &cp
+	a.byID[p.Desc.ID] = d
+	a.byTopic[AttrsTopic(p.Desc.APIKey, string(p.Desc.ID))] = d
 	a.reg.Counter("agent.provisioned").Inc()
 	return nil
 }
@@ -197,11 +195,11 @@ func (a *Agent) Provision(p Provision) error {
 func (a *Agent) Device(id model.DeviceID) (Provision, error) {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	p := a.byID[id]
-	if p == nil {
+	d := a.byID[id]
+	if d == nil {
 		return Provision{}, fmt.Errorf("%w: %s", ErrUnknownDevice, id)
 	}
-	return *p, nil
+	return d.Provision, nil
 }
 
 // Start subscribes to the northbound topic tree. Call once.
@@ -222,15 +220,14 @@ func (a *Agent) Start() error {
 
 // onMeasure handles one northbound MQTT message.
 func (a *Agent) onMeasure(msg mqtt.Message) {
-	apiKey, devID, err := ParseAttrsTopic(msg.Topic)
-	if err != nil {
-		a.reg.Counter("agent.north.badtopic").Inc()
-		return
-	}
 	a.mu.RLock()
-	prov := a.byKeyID[apiKey+"/"+devID]
+	prov := a.byTopic[msg.Topic]
 	a.mu.RUnlock()
 	if prov == nil {
+		if _, _, err := ParseAttrsTopic(msg.Topic); err != nil {
+			a.reg.Counter("agent.north.badtopic").Inc()
+			return
+		}
 		// Unknown device or wrong API key — the unauthorized-node threat
 		// of §III. Count and drop.
 		a.reg.Counter("agent.north.unknown").Inc()
@@ -263,38 +260,21 @@ func (a *Agent) onMeasure(msg mqtt.Message) {
 
 	attrs := make(map[string]ngsi.Attribute, len(values))
 	for code, v := range values {
-		spec, ok := prov.AttrMap[code]
+		name, ok := prov.attrName[code]
 		if !ok {
 			a.reg.Counter("agent.north.unknownattr").Inc()
 			continue
 		}
-		attrs[NGSIAttrName(spec)] = ngsi.Attribute{
-			Type:  "Number",
-			Value: v,
-			Metadata: map[string]string{
-				"device": string(prov.Desc.ID),
-				"owner":  string(prov.Desc.Owner),
-			},
-		}
+		attrs[name] = ngsi.Attribute{Type: "Number", Value: v, Metadata: prov.meta}
 	}
 	if len(attrs) == 0 {
 		return
 	}
-	if a.batcher != nil {
-		// Batched ingest path: coalesce per entity, flush on the batcher's
-		// cadence. agent.north.ok advances at flush time (see New).
-		if err := a.batcher.Add(prov.EntityID, prov.EntityType, attrs); err != nil {
-			a.reg.Counter("agent.north.ctxerr").Inc()
-			a.cfg.Logf("agent: batch context update for %s: %v", prov.Desc.ID, err)
-		}
-		return
-	}
-	if err := a.cfg.Context.UpdateAttrs(prov.EntityID, prov.EntityType, attrs); err != nil {
+	// agent.north.ok advances at flush time (see New).
+	if err := a.batcher.Add(prov.EntityID, prov.EntityType, attrs); err != nil {
 		a.reg.Counter("agent.north.ctxerr").Inc()
-		a.cfg.Logf("agent: context update for %s: %v", prov.Desc.ID, err)
-		return
+		a.cfg.Logf("agent: batch context update for %s: %v", prov.Desc.ID, err)
 	}
-	a.reg.Counter("agent.north.ok").Inc()
 }
 
 // SendCommand publishes a southbound actuator command over MQTT (QoS 1),

@@ -31,6 +31,7 @@ func newStack(t *testing.T, ring *secchan.KeyRing) *stack {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(a.Stop)
 	if err := a.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -91,9 +91,8 @@ type MQTT struct {
 
 // NGSI configures the context plane (internal/ngsi ingest side).
 type NGSI struct {
-	Shards         int           `knob:"shards" flag:"ctx-shards" default:"8" min:"1" usage:"context broker entity-store shard count"`
-	AgentBatch     time.Duration `knob:"agent_batch_interval" flag:"agent-batch-interval" default:"2ms" usage:"IoT agent northbound coalescing window (negative = synchronous per-message updates)"`
-	FogSyncBatches int           `knob:"fog_sync_batches" flag:"fog-sync-batches" default:"32" min:"1" usage:"buffered telemetry batches the fog node coalesces per backhaul round trip"`
+	Shards         int `knob:"shards" flag:"ctx-shards" default:"8" min:"1" usage:"context broker entity-store shard count"`
+	FogSyncBatches int `knob:"fog_sync_batches" flag:"fog-sync-batches" default:"32" min:"1" usage:"buffered telemetry batches the fog node coalesces per backhaul round trip"`
 }
 
 // Timeseries configures the telemetry plane (internal/timeseries).

@@ -47,9 +47,8 @@ func OptionsFromConfig(c *config.Config) (Options, error) {
 		MQTTFlushWatermark: c.MQTT.FlushWatermark,
 		MQTTRouteCache:     c.MQTT.RouteCache,
 
-		ContextShards:      c.NGSI.Shards,
-		AgentBatchInterval: c.NGSI.AgentBatch,
-		FogSyncBatches:     c.NGSI.FogSyncBatches,
+		ContextShards:  c.NGSI.Shards,
+		FogSyncBatches: c.NGSI.FogSyncBatches,
 
 		TimeseriesShards:          c.Timeseries.Shards,
 		TimeseriesChunkSize:       c.Timeseries.ChunkSize,

@@ -126,11 +126,6 @@ type Options struct {
 	// ContextShards overrides the context broker's shard count
 	// (0 → ngsi.DefaultShards).
 	ContextShards int
-	// AgentBatchInterval tunes the IoT agent's batched ingest path: the
-	// coalescing window before measurements flush to the context broker.
-	// 0 means the 2ms default; negative disables batching (synchronous
-	// per-message context updates).
-	AgentBatchInterval time.Duration
 	// FogSyncBatches is the number of buffered telemetry batches the fog
 	// node coalesces per backhaul round trip (0 → 32).
 	FogSyncBatches int
@@ -483,16 +478,8 @@ func New(opts Options) (*Platform, error) {
 		p.Close()
 		return nil, err
 	}
-	batchInterval := opts.AgentBatchInterval
-	switch {
-	case batchInterval == 0:
-		batchInterval = 2 * time.Millisecond
-	case batchInterval < 0:
-		batchInterval = 0 // synchronous path
-	}
 	p.Agent, err = agent.New(agent.Config{
 		Client: agentClient, Context: p.Context, KeyRing: p.KeyRing, Metrics: p.reg,
-		BatchInterval: batchInterval,
 	})
 	if err != nil {
 		p.Close()

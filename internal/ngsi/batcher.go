@@ -3,7 +3,6 @@ package ngsi
 import (
 	"errors"
 	"sync"
-	"time"
 
 	"github.com/swamp-project/swamp/internal/metrics"
 )
@@ -13,8 +12,8 @@ type FlushStats struct {
 	// Entities is the number of distinct entities in the flushed batch.
 	Entities int
 	// Updates is the number of Add calls coalesced into the batch (≥
-	// Entities when several updates hit the same entity inside one
-	// interval).
+	// Entities when several updates hit the same entity between two
+	// flushes).
 	Updates int
 	// Err is the BatchUpdate error, nil on success.
 	Err error
@@ -24,11 +23,10 @@ type FlushStats struct {
 type BatcherConfig struct {
 	// Broker receives the flushed batches (required).
 	Broker *Broker
-	// FlushInterval is the coalescing window (default 5ms).
-	FlushInterval time.Duration
-	// MaxEntities flushes early once this many distinct entities are
-	// pending (default 256), bounding both memory and notification delay
-	// under burst load.
+	// MaxEntities is the back-pressure bound: the Add that brings this many
+	// distinct entities pending (default 256) flushes on its own goroutine,
+	// waiting out the flush in progress, which bounds both memory and
+	// notification delay under burst load.
 	MaxEntities int
 	// OnFlush, if non-nil, observes every flush (including failed ones).
 	// It runs on the flusher goroutine or inside Add/Close; keep it cheap.
@@ -38,11 +36,15 @@ type BatcherConfig struct {
 }
 
 // Batcher coalesces per-entity attribute updates and flushes them to the
-// broker as BatchUpdate calls on a fixed cadence — the batched ingest path
-// the IoT agent's MQTT northbound uses. Within one window, later updates to
-// the same attribute overwrite earlier ones (last-write-wins, the same
-// outcome sequential UpdateAttrs calls produce) and the entity still gets
-// exactly one notification per changed-attribute set.
+// broker as BatchUpdate calls — the ingest path the IoT agent's MQTT
+// northbound uses. There is no timer: Add wakes the flusher goroutine, which
+// runs one flush per wake-up, so an update on an idle batcher reaches the
+// broker at once and a busy one ships whatever arrived while the previous
+// flush (BatchUpdate and its journal commit) was in progress. Within one
+// batch, later updates to the same attribute overwrite earlier ones
+// (last-write-wins, the same outcome sequential UpdateAttrs calls produce)
+// and the entity still gets exactly one notification per changed-attribute
+// set.
 //
 // Construct with NewBatcher; call Close to flush the tail and stop the
 // flusher goroutine.
@@ -55,30 +57,22 @@ type Batcher struct {
 	flushMu sync.Mutex
 
 	mu      sync.Mutex
-	pending map[string]*pendingEntity
+	pending map[string]BatchEntry
 	updates int
 	closed  bool
 
+	wake chan struct{} // Add → flusher: pending is non-empty
 	stop chan struct{}
-	wg   sync.WaitGroup
+	done chan struct{} // closed when the flusher has exited
 
 	cFlush, cUpdates, cEntities, cAdded *metrics.Counter
 	gPending                            *metrics.Gauge
-}
-
-type pendingEntity struct {
-	typ     string
-	attrs   map[string]Attribute
-	updates int
 }
 
 // NewBatcher validates the config and starts the flusher goroutine.
 func NewBatcher(cfg BatcherConfig) (*Batcher, error) {
 	if cfg.Broker == nil {
 		return nil, errors.New("ngsi: batcher requires a broker")
-	}
-	if cfg.FlushInterval <= 0 {
-		cfg.FlushInterval = 5 * time.Millisecond
 	}
 	if cfg.MaxEntities <= 0 {
 		cfg.MaxEntities = 256
@@ -88,39 +82,38 @@ func NewBatcher(cfg BatcherConfig) (*Batcher, error) {
 	}
 	ba := &Batcher{
 		cfg:       cfg,
-		pending:   make(map[string]*pendingEntity),
+		pending:   make(map[string]BatchEntry),
+		wake:      make(chan struct{}, 1),
 		stop:      make(chan struct{}),
+		done:      make(chan struct{}),
 		cFlush:    cfg.Metrics.Counter("ngsi.batcher.flushes"),
 		cUpdates:  cfg.Metrics.Counter("ngsi.batcher.updates"),
 		cEntities: cfg.Metrics.Counter("ngsi.batcher.entities"),
 		cAdded:    cfg.Metrics.Counter("ngsi.batcher.added"),
 		gPending:  cfg.Metrics.Gauge("ngsi.batcher.pending"),
 	}
-	ba.wg.Add(1)
 	go ba.loop()
 	return ba, nil
 }
 
+// loop is the flusher: one Flush per wake-up, so the wait for a flush's
+// journal commit is the window the next batch accumulates in.
 func (ba *Batcher) loop() {
-	defer ba.wg.Done()
-	t := time.NewTicker(ba.cfg.FlushInterval)
-	defer t.Stop()
+	defer close(ba.done)
 	for {
 		select {
 		case <-ba.stop:
-			ba.Flush()
 			return
-		case <-t.C:
+		case <-ba.wake:
 			ba.Flush()
 		}
 	}
 }
 
-// Add buffers one entity update. It normally returns without touching the
-// broker — the flush happens on the batcher's cadence — but once
-// MaxEntities distinct entities are pending, the triggering Add flushes
-// synchronously (running BatchUpdate, and OnFlush, on its goroutine) to
-// bound memory and notification delay under burst load.
+// Add buffers one entity update and wakes the flusher; it copies what it
+// keeps of attrs. It normally returns without touching the broker, but the
+// Add that brings MaxEntities distinct entities pending flushes
+// synchronously (running BatchUpdate, and OnFlush, on its goroutine).
 func (ba *Batcher) Add(id, typ string, attrs map[string]Attribute) error {
 	if err := validateEntityKey(id, typ); err != nil {
 		return err
@@ -133,15 +126,14 @@ func (ba *Batcher) Add(id, typ string, attrs map[string]Attribute) error {
 		ba.mu.Unlock()
 		return ErrClosed
 	}
-	pe := ba.pending[id]
-	if pe == nil {
-		pe = &pendingEntity{typ: typ, attrs: make(map[string]Attribute, len(attrs))}
+	pe, ok := ba.pending[id]
+	if !ok {
+		pe = BatchEntry{Type: typ, Attrs: make(map[string]Attribute, len(attrs))}
 		ba.pending[id] = pe
 	}
 	for k, a := range attrs {
-		pe.attrs[k] = cloneAttr(a)
+		pe.Attrs[k] = cloneAttr(a)
 	}
-	pe.updates++
 	ba.updates++
 	full := len(ba.pending) >= ba.cfg.MaxEntities
 	ba.gPending.Set(float64(len(ba.pending)))
@@ -149,6 +141,11 @@ func (ba *Batcher) Add(id, typ string, attrs map[string]Attribute) error {
 	ba.mu.Unlock()
 	if full {
 		ba.Flush()
+		return nil
+	}
+	select {
+	case ba.wake <- struct{}{}:
+	default: // a wake-up is already pending; its Flush will see this update
 	}
 	return nil
 }
@@ -164,17 +161,12 @@ func (ba *Batcher) Flush() int {
 		ba.mu.Unlock()
 		return 0
 	}
-	pending := ba.pending
-	updates := ba.updates
-	ba.pending = make(map[string]*pendingEntity, len(pending))
+	batch, updates := ba.pending, ba.updates
+	ba.pending = make(map[string]BatchEntry, len(batch))
 	ba.updates = 0
 	ba.gPending.Set(0)
 	ba.mu.Unlock()
 
-	batch := make(map[string]BatchEntry, len(pending))
-	for id, pe := range pending {
-		batch[id] = BatchEntry{Type: pe.typ, Attrs: pe.attrs}
-	}
 	err := ba.cfg.Broker.BatchUpdate(batch)
 	ba.cFlush.Inc()
 	ba.cUpdates.Add(uint64(updates))
@@ -185,16 +177,18 @@ func (ba *Batcher) Flush() int {
 	return len(batch)
 }
 
-// Close flushes the tail and stops the flusher. Further Adds return
+// Close stops the flusher and flushes the tail: every Add that returned nil
+// has been flushed to the broker when Close returns. Further Adds return
 // ErrClosed. Idempotent.
 func (ba *Batcher) Close() {
 	ba.mu.Lock()
-	if ba.closed {
-		ba.mu.Unlock()
-		return
-	}
+	already := ba.closed
 	ba.closed = true
 	ba.mu.Unlock()
+	if already {
+		return
+	}
 	close(ba.stop)
-	ba.wg.Wait()
+	<-ba.done
+	ba.Flush()
 }
