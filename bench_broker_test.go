@@ -1,11 +1,8 @@
 // Benchmarks for the NGSI context-broker hot path: concurrent attribute
 // upserts and subscription fan-out under a realistic subscription load
 // (1k subscriptions, the "thousands of devices per pilot" regime the paper
-// names as the platform's scale challenge).
-//
-// The sweep compares the pre-refactor behavior (CompatLinearScan: every
-// update evaluates all 1k subscriptions, one shard ≈ one global lock)
-// against the sharded broker with the pattern-shape subscription index.
+// names as the platform's scale challenge), on the sharded broker with the
+// pattern-shape subscription index.
 package swamp_test
 
 import (
@@ -96,13 +93,8 @@ func benchConcurrentUpsert(b *testing.B, cfg ngsi.BrokerConfig) {
 }
 
 // BenchmarkBrokerConcurrentUpsert measures concurrent UpdateAttrs
-// throughput with 1k live subscriptions: the seed behavior (linear-scan,
-// single shard), then the indexed broker at 1/4/8 shards.
+// throughput with 1k live subscriptions at 1/4/8 shards.
 func BenchmarkBrokerConcurrentUpsert(b *testing.B) {
-	b.Run("legacy-scan-shards-1", func(b *testing.B) {
-		b.SetParallelism(4)
-		benchConcurrentUpsert(b, ngsi.BrokerConfig{QueueLen: 1024, Shards: 1, CompatLinearScan: true})
-	})
 	for _, shards := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("indexed-shards-%d", shards), func(b *testing.B) {
 			b.SetParallelism(4)
@@ -115,8 +107,8 @@ func BenchmarkBrokerConcurrentUpsert(b *testing.B) {
 // subscription set for one update that matches a single exact-id
 // subscription — the common case for per-plot alarms.
 func BenchmarkBrokerNotifyFanout(b *testing.B) {
-	run := func(b *testing.B, cfg ngsi.BrokerConfig) {
-		ctx := newBenchBroker(b, cfg)
+	b.Run("indexed", func(b *testing.B) {
+		ctx := newBenchBroker(b, ngsi.BrokerConfig{QueueLen: 1024})
 		attrs := map[string]ngsi.Attribute{
 			"soilMoisture_d20": {Type: "Number", Value: 0.21},
 		}
@@ -127,12 +119,6 @@ func BenchmarkBrokerNotifyFanout(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-	}
-	b.Run("legacy-scan", func(b *testing.B) {
-		run(b, ngsi.BrokerConfig{QueueLen: 1024, Shards: 1, CompatLinearScan: true})
-	})
-	b.Run("indexed", func(b *testing.B) {
-		run(b, ngsi.BrokerConfig{QueueLen: 1024})
 	})
 }
 

@@ -1,14 +1,10 @@
 // Benchmarks for the MQTT transport-plane fan-out path: publish→deliver
-// latency with and without a stalled subscriber attached, under the
-// per-session queued delivery path and the pre-PR synchronous path
-// (BrokerConfig.CompatSyncDelivery).
+// latency with and without a stalled subscriber attached.
 //
-// The headline comparison is queued/stalled vs queued/baseline: with
+// The headline comparison is queued-stalled vs queued-baseline: with
 // bounded per-session outbound queues, a subscriber wedged mid-write
 // overflows only its own queue, so healthy subscribers' p50 latency stays
-// within 2× of the no-stall baseline. On the synchronous path the same
-// stall back-pressures the publisher's read goroutine and latency degrades
-// with the stall delay (head-of-line blocking).
+// within 2× of the no-stall baseline.
 package swamp_test
 
 import (
@@ -26,13 +22,12 @@ import (
 // benchMQTTFanout measures per-message publish→deliver latency to a healthy
 // subscriber while three more healthy subscribers (and optionally one
 // stalled session) share the fan-out.
-func benchMQTTFanout(b *testing.B, compat, stalled bool) {
+func benchMQTTFanout(b *testing.B, stalled bool) {
 	const stallDelay = 2 * time.Millisecond
 	reg := metrics.NewRegistry()
 	broker := mqtt.NewBroker(mqtt.BrokerConfig{
-		Metrics:            reg,
-		CompatSyncDelivery: compat,
-		SessionQueueLen:    64,
+		Metrics:         reg,
+		SessionQueueLen: 64,
 	})
 	defer broker.Close()
 
@@ -106,21 +101,17 @@ func benchMQTTFanout(b *testing.B, compat, stalled bool) {
 }
 
 // BenchmarkMQTTFanOutStalledSubscriber is the transport-plane acceptance
-// sweep: compare p50-µs across the four cells. queued/stalled stays within
-// 2× of queued/baseline; sync/stalled degrades by the stall delay.
+// pair: compare p50-µs — queued-stalled stays within 2× of queued-baseline.
 func BenchmarkMQTTFanOutStalledSubscriber(b *testing.B) {
-	b.Run("queued-baseline", func(b *testing.B) { benchMQTTFanout(b, false, false) })
-	b.Run("queued-stalled", func(b *testing.B) { benchMQTTFanout(b, false, true) })
-	b.Run("sync-baseline", func(b *testing.B) { benchMQTTFanout(b, true, false) })
-	b.Run("sync-stalled", func(b *testing.B) { benchMQTTFanout(b, true, true) })
+	b.Run("queued-baseline", func(b *testing.B) { benchMQTTFanout(b, false) })
+	b.Run("queued-stalled", func(b *testing.B) { benchMQTTFanout(b, true) })
 }
 
 // BenchmarkMQTTAggregateFanOut measures raw fan-out throughput (messages ×
-// subscribers per second) with no stall: the queued path's enqueue-only
-// route() against the synchronous write loop.
+// subscribers per second) with no stall.
 func BenchmarkMQTTAggregateFanOut(b *testing.B) {
-	run := func(b *testing.B, compat bool) {
-		broker := mqtt.NewBroker(mqtt.BrokerConfig{CompatSyncDelivery: compat})
+	b.Run("queued", func(b *testing.B) {
+		broker := mqtt.NewBroker(mqtt.BrokerConfig{})
 		defer broker.Close()
 		const nSubs = 8
 		var delivered atomic.Uint64
@@ -162,7 +153,5 @@ func BenchmarkMQTTAggregateFanOut(b *testing.B) {
 		}
 		b.StopTimer()
 		b.ReportMetric(float64(delivered.Load())/b.Elapsed().Seconds(), "deliveries/s")
-	}
-	b.Run("queued", func(b *testing.B) { run(b, false) })
-	b.Run("sync", func(b *testing.B) { run(b, true) })
+	})
 }

@@ -1,6 +1,7 @@
-// Benchmarks regenerating every experiment in EXPERIMENTS.md. The paper
-// itself publishes no tables or figures (it is a 2-page overview), so each
-// benchmark reproduces one *claim* — see DESIGN.md for the mapping.
+// Benchmarks regenerating every derived experiment (the tables
+// `swamp-sim -experiments` prints). The paper itself publishes no tables or
+// figures (it is a 2-page overview), so each benchmark reproduces one
+// *claim* — see DESIGN.md for the mapping.
 //
 // Macro experiments (seasons, availability runs) execute once per
 // iteration and export their headline numbers via b.ReportMetric, so

@@ -1,10 +1,6 @@
-// Benchmarks for the chunked, sharded time-series engine against the
-// legacy flat-slice engine it replaced (DESIGN.md §3): aggregate pushdown
-// vs copy-under-lock queries, and batched vs individual appends.
-//
-// The headline acceptance numbers: Summarize over a ≥100k-point series is
-// expected ≥5× faster and allocation-free on sealed chunks
-// (chunked-pushdown vs legacy-copy, compare ns/op and allocs/op).
+// Benchmarks for the chunked, sharded time-series engine (DESIGN.md §3):
+// aggregate pushdown queries, and batched vs individual appends. Summarize
+// over sealed chunks is expected allocation-free (allocs/op).
 package swamp_test
 
 import (
@@ -38,39 +34,14 @@ func fillChunked(b *testing.B, n int) *timeseries.Store {
 	return s
 }
 
-func fillLegacy(b *testing.B, n int) *timeseries.LegacyStore {
-	b.Helper()
-	s := timeseries.NewLegacy(0)
-	k := tsBenchKey()
-	for i := 0; i < n; i++ {
-		if err := s.Append(k, timeseries.Point{
-			At: tsBenchT0.Add(time.Duration(i) * time.Second), Value: 0.2 + float64(i%100)/1000,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return s
-}
-
 // BenchmarkTSSummarize measures the aggregate query over a 100k-point
-// series: the legacy engine copies the whole range under its lock; the
-// chunked engine folds precomputed chunk summaries and scans at most two
-// edge chunks in place.
+// series: the engine folds precomputed chunk summaries and scans at most
+// two edge chunks in place.
 func BenchmarkTSSummarize(b *testing.B) {
 	k := tsBenchKey()
 	from := tsBenchT0.Add(30 * time.Second)
 	to := tsBenchT0.Add(time.Duration(tsBenchPoints-30) * time.Second)
 
-	b.Run("legacy-copy", func(b *testing.B) {
-		s := fillLegacy(b, tsBenchPoints)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if agg := s.Summarize(k, from, to); agg.Count == 0 {
-				b.Fatal("empty aggregate")
-			}
-		}
-	})
 	b.Run("chunked-pushdown", func(b *testing.B) {
 		s := fillChunked(b, tsBenchPoints)
 		b.ReportAllocs()
@@ -90,16 +61,6 @@ func BenchmarkTSDownsample(b *testing.B) {
 	from := tsBenchT0
 	to := tsBenchT0.Add(time.Duration(tsBenchPoints) * time.Second)
 
-	b.Run("legacy-copy", func(b *testing.B) {
-		s := fillLegacy(b, tsBenchPoints)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if pts, err := s.Downsample(k, from, to, time.Hour); err != nil || len(pts) == 0 {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("chunked-pushdown", func(b *testing.B) {
 		s := fillChunked(b, tsBenchPoints)
 		b.ReportAllocs()

@@ -495,22 +495,6 @@ func runClusterBench(cfg clusterBenchConfig) error {
 		return fmt.Errorf("clusterbench: %d acked writes lost through promotion", lost)
 	}
 	fmt.Println("zero acked-write loss")
-
-	if err := writeBenchJSON("clusterbench", map[string]float64{
-		"single_points_per_s":  singleRate,
-		"cluster_points_per_s": clusterRate,
-		"cluster_scaling_x":    scaling,
-		// The _info suffix keeps these out of benchguard's gated set:
-		// mean ack latency on a shared CI disk is too noisy to gate on,
-		// but it belongs in the record — it is the bench's health signal.
-		"single_ack_ms_info":  singleStats.meanAckMs(),
-		"cluster_ack_ms_info": clusterStats.meanAckMs(),
-		"drill_acked_writes":  float64(len(acked)),
-		"drill_lost_writes":   float64(lost),
-		"promoted_partitions": float64(promoted),
-	}); err != nil {
-		return err
-	}
 	return nil
 }
 

@@ -1,41 +1,31 @@
-// Command swamp-sim runs SWAMP simulations from the command line: a full
-// pilot season through the real platform pipeline, the complete derived
-// experiment suite (the rows recorded in EXPERIMENTS.md), a context-plane
-// stress run that drives the sharded NGSI broker at fleet scale, a
-// telemetry-plane stress run that drives the chunked time-series engine
-// with fleet-scale append and aggregate-query load, or a transport-plane
-// stress run that fans MQTT publishes out to many subscribers with one
-// deliberately stalled session attached (queued vs synchronous delivery).
+// Command swamp-sim runs what nothing else in the repository provides: a
+// full pilot season through the real platform pipeline, the derived
+// experiment suite (every table, printed), and three pass/fail drills that
+// exit non-zero when their invariant breaks — the cluster leader-kill
+// drill, the tenant-isolation drill and the kill -9 crash harness.
+// Performance numbers come from bench/ (end to end and per layer) and from
+// `go test -bench` at the repository root, not from here.
 //
 // Usage:
 //
 //	swamp-sim -pilot matopiba -mode farm-fog        # one season
 //	swamp-sim -experiments                          # all experiment tables
-//	swamp-sim -ctxbench -devices 100000 -updates 1000000 -ctx-shards 16
-//	swamp-sim -tsbench -devices 10000 -points 5000000 -batch 256
-//	swamp-sim -tsbench -tslegacy ...                # same load, old engine
-//	swamp-sim -mqttbench -pubs 4 -fansubs 8 -msgs 2000 -stall 1ms
-//	swamp-sim -apibench -devices 10000 -apiqueries 10000 -apisubs 4 -apiupdates 2000
-//	swamp-sim -walbench -walpoints 200000 -walworkers 256         # WAL throughput + recovery
+//	swamp-sim -clusterbench                         # leader kill, zero acked-write loss
+//	swamp-sim -tenantbench                          # 1 abusive vs N polite tenants
 //	swamp-sim -walbench -walingest -waldir D -walmanifest M       # crash-harness producer
 //	swamp-sim -walbench -walverify -waldir D -walmanifest M       # crash-harness checker
 //
-// Platform knobs (-pilot, -mode, -sealed, -seed, -ctx-shards, -ts-shards,
-// -ts-chunk, -mqtt-queue, ...) come from the shared config schema
-// (internal/config), so swampd and swamp-sim accept identical spellings
-// and SWAMP_* environment variables work here too. Bench-shape flags
-// (-devices, -updates, ...) stay local to this command.
-//
-// Every bench accepts -benchjson FILE to emit its headline metrics for
-// the CI regression guard (cmd/benchguard).
+// Platform knobs (-pilot, -mode, -sealed, -seed, -cluster-partitions, ...)
+// come from the shared config schema (internal/config), so swampd and
+// swamp-sim accept identical spellings and SWAMP_* environment variables
+// work here too. Drill-shape flags (-devices, -tbpolite, ...) stay local to
+// this command.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"time"
 
 	"github.com/swamp-project/swamp/internal/config"
@@ -46,38 +36,14 @@ func main() {
 	var (
 		experiments = flag.Bool("experiments", false, "run the full experiment suite instead of a season")
 
-		ctxbench = flag.Bool("ctxbench", false, "stress the context broker instead of a season")
-		devices  = flag.Int("devices", 100_000, "ctxbench/tsbench: simulated device count")
-		updates  = flag.Int("updates", 1_000_000, "ctxbench: total attribute updates to apply")
-		subs     = flag.Int("subs", 1000, "ctxbench: live subscriptions during the run")
-		workers  = flag.Int("workers", 8, "ctxbench/tsbench: concurrent writer goroutines")
-		batch    = flag.Int("batch", 64, "ctxbench/tsbench: entities (or points) per batch (1 = unbatched)")
-
-		tsbench  = flag.Bool("tsbench", false, "stress the time-series engine instead of a season")
-		points   = flag.Int("points", 5_000_000, "tsbench: total points to append")
-		queries  = flag.Int("queries", 10_000, "tsbench: summarize+downsample query pairs after the load")
-		qwindow  = flag.Duration("qwindow", time.Hour, "tsbench: downsample window for the query phase")
-		tslegacy = flag.Bool("tslegacy", false, "tsbench: drive the legacy flat-slice engine for comparison")
-
-		apibench   = flag.Bool("apibench", false, "stress the northbound HTTP API (filtered queries + webhook notifications)")
-		apiqueries = flag.Int("apiqueries", 10_000, "apibench: filtered GET /v2/entities requests")
-		apisubs    = flag.Int("apisubs", 4, "apibench: healthy webhook subscriptions (one stalled is added)")
-		apiupdates = flag.Int("apiupdates", 2_000, "apibench: entity updates driving notifications")
-
-		mqttbench = flag.Bool("mqttbench", false, "stress the MQTT broker fan-out instead of a season")
-		pubs      = flag.Int("pubs", 4, "mqttbench: concurrent publisher clients")
-		fansubs   = flag.Int("fansubs", 8, "mqttbench: healthy subscriber clients")
-		msgs      = flag.Int("msgs", 2000, "mqttbench: total messages published")
-		stall     = flag.Duration("stall", time.Millisecond, "mqttbench: per-write delay of the stalled session")
-
-		walbench    = flag.Bool("walbench", false, "stress the durability plane (group-committed WAL appends + recovery)")
-		waldir      = flag.String("waldir", "", "walbench: WAL directory (empty = temp dir; required for ingest/verify)")
-		walpoints   = flag.Int("walpoints", 200_000, "walbench: total telemetry points appended")
-		walbatch    = flag.Int("walbatch", 8, "walbench: telemetry points per record / per acked ingest batch")
-		walworkers  = flag.Int("walworkers", 256, "walbench: concurrent appenders sharing each group commit")
-		walingest   = flag.Bool("walingest", false, "walbench: crash-harness producer — sustained acked ingest until killed")
-		walverify   = flag.Bool("walverify", false, "walbench: crash-harness checker — recover and compare to the manifest")
-		walmanifest = flag.String("walmanifest", "", "walbench: acked-writes manifest path for ingest/verify")
+		walbench    = flag.Bool("walbench", false, "run the kill -9 crash harness (needs -walingest or -walverify)")
+		waldir      = flag.String("waldir", "", "walbench: WAL directory")
+		walmanifest = flag.String("walmanifest", "", "walbench: acked-writes manifest path")
+		walingest   = flag.Bool("walingest", false, "walbench: producer — sustained acked ingest until killed")
+		walverify   = flag.Bool("walverify", false, "walbench: checker — recover and compare to the manifest")
+		devices     = flag.Int("devices", 100_000, "walbench: simulated device count")
+		walbatch    = flag.Int("walbatch", 8, "walbench: telemetry points per acked ingest batch")
+		walworkers  = flag.Int("walworkers", 256, "walbench: concurrent producers sharing each group commit")
 		walsnap     = flag.Duration("walsnap", 0, "walbench: snapshot cadence during ingest (0 = 2s)")
 
 		tenantbench = flag.Bool("tenantbench", false, "run the tenant-isolation drill (1 abusive tenant vs a polite fleet)")
@@ -85,143 +51,50 @@ func main() {
 		tbquota     = flag.Int("tbquota", 100, "tenantbench: per-tenant msgs/s quota")
 		tbduration  = flag.Duration("tbduration", 4*time.Second, "tenantbench: length of each measured phase")
 
-		clusterbench = flag.Bool("clusterbench", false, "measure cluster-plane ingest scaling and run the leader-kill drill")
+		clusterbench = flag.Bool("clusterbench", false, "run the cluster drill: replicated ingest, leader kill, zero acked-write loss")
 		clnodes      = flag.Int("clnodes", 3, "clusterbench: cluster size for the replicated phases (min 3)")
 		cldevices    = flag.Int("cldevices", 32, "clusterbench: devices per node (the cluster carries clnodes× the baseline population)")
 		clpoints     = flag.Int("clpoints", 51_200, "clusterbench: telemetry points through the single-node baseline")
 		clbatch      = flag.Int("clbatch", 32, "clusterbench: points per device emission")
 		clinterval   = flag.Duration("clinterval", 60*time.Millisecond, "clusterbench: per-device sampling interval")
-
-		benchjson    = flag.String("benchjson", "", "write the bench's headline metrics to this JSON file (BENCH_<name>.json shape)")
-		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
-		memprofile   = flag.String("memprofile", "", "write an allocation profile at exit to this file (go tool pprof)")
-		blockprofile = flag.String("blockprofile", "", "write a goroutine-blocking profile at exit to this file (go tool pprof)")
 	)
 	overlay := config.RegisterFlags(flag.CommandLine)
 	flag.Parse()
-	benchJSONPath = *benchjson
 
 	// Platform knobs resolve through the shared layered loader, so
-	// -ctx-shards / SWAMP_TIMESERIES_SHARDS / etc. mean the same thing
-	// here as in swampd. Benches read the knobs they care about below.
+	// -cluster-partitions / SWAMP_SERVER_PILOT / etc. mean the same thing
+	// here as in swampd.
 	cfg, _, err := (&config.Loader{Flags: overlay}).Load()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "swamp-sim:", err)
 		os.Exit(1)
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "swamp-sim: cpuprofile:", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "swamp-sim: cpuprofile:", err)
-			os.Exit(1)
-		}
-		defer func() { pprof.StopCPUProfile(); f.Close() }()
-	}
-	if *memprofile != "" {
-		path := *memprofile
-		defer func() {
-			f, err := os.Create(path)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "swamp-sim: memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // materialize the final live set before dumping
-			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-				fmt.Fprintln(os.Stderr, "swamp-sim: memprofile:", err)
-			}
-		}()
-	}
-
-	if *blockprofile != "" {
-		runtime.SetBlockProfileRate(100_000) // sample blocking events ≥100µs
-		path := *blockprofile
-		defer func() {
-			f, err := os.Create(path)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "swamp-sim: blockprofile:", err)
-				return
-			}
-			defer f.Close()
-			if err := pprof.Lookup("block").WriteTo(f, 0); err != nil {
-				fmt.Fprintln(os.Stderr, "swamp-sim: blockprofile:", err)
-			}
-		}()
-	}
-
 	switch {
 	case *experiments:
-		if err := runExperiments(); err != nil {
-			fmt.Fprintln(os.Stderr, "swamp-sim:", err)
-			os.Exit(1)
-		}
-	case *ctxbench:
-		if err := runCtxBench(ctxBenchConfig{
-			Devices: *devices, Updates: *updates, Shards: cfg.NGSI.Shards,
-			Subs: *subs, Workers: *workers, Batch: *batch,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "swamp-sim:", err)
-			os.Exit(1)
-		}
-	case *apibench:
-		if err := runAPIBench(apiBenchConfig{
-			Devices: *devices, Queries: *apiqueries, Workers: *workers,
-			Subs: *apisubs, Updates: *apiupdates,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "swamp-sim:", err)
-			os.Exit(1)
-		}
-	case *mqttbench:
-		if err := runMQTTBench(mqttBenchConfig{
-			Pubs: *pubs, Subs: *fansubs, Msgs: *msgs, Queue: cfg.MQTT.SessionQueue, Stall: *stall,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "swamp-sim:", err)
-			os.Exit(1)
-		}
+		err = runExperiments()
 	case *walbench:
-		if err := runWALBench(walBenchConfig{
-			Dir: *waldir, Points: *walpoints, Batch: *walbatch, Workers: *walworkers,
+		err = runWALBench(walBenchConfig{
+			Dir: *waldir, Batch: *walbatch, Workers: *walworkers,
 			Devices: *devices, Ingest: *walingest, Verify: *walverify,
 			Manifest: *walmanifest, SnapIntv: *walsnap,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "swamp-sim:", err)
-			os.Exit(1)
-		}
+		})
 	case *tenantbench:
-		if err := runTenantBench(tenantBenchConfig{
+		err = runTenantBench(tenantBenchConfig{
 			Polite: *tbpolite, QuotaMsg: *tbquota, Duration: *tbduration,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "swamp-sim:", err)
-			os.Exit(1)
-		}
+		})
 	case *clusterbench:
-		if err := runClusterBench(clusterBenchConfig{
+		err = runClusterBench(clusterBenchConfig{
 			Nodes: *clnodes, Partitions: cfg.Cluster.Partitions,
 			Devices: *cldevices, Points: *clpoints, Batch: *clbatch,
 			Interval: *clinterval, AckTimeout: cfg.Cluster.AckTimeout,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "swamp-sim:", err)
-			os.Exit(1)
-		}
-	case *tsbench:
-		if err := runTSBench(tsBenchConfig{
-			Devices: *devices, Points: *points, Workers: *workers, Batch: *batch,
-			Queries: *queries, Shards: cfg.Timeseries.Shards, ChunkSize: cfg.Timeseries.ChunkSize,
-			Window: *qwindow, Legacy: *tslegacy,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "swamp-sim:", err)
-			os.Exit(1)
-		}
+		})
 	default:
-		if err := runSeason(cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "swamp-sim:", err)
-			os.Exit(1)
-		}
+		err = runSeason(cfg)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "swamp-sim:", err)
+		os.Exit(1)
 	}
 }
 

@@ -113,24 +113,7 @@ func runTenantBench(cfg tenantBenchConfig) error {
 	fmt.Printf("isolation held: contended p99 %.2f× solo (bound 2×), zero polite refusals, zero acked loss\n",
 		float64(cont.politeP99)/float64(solo.politeP99))
 
-	headroom := 0.0
-	if cont.politeP99 > 0 {
-		headroom = float64(lim) / float64(cont.politeP99)
-	}
-	return writeBenchJSON("tenantbench", map[string]float64{
-		// Absolute latencies are machine-dependent — informational only
-		// (the _info suffix keeps benchguard from gating them, same as
-		// clusterbench's ack latencies). The guarded metric is the
-		// self-normalized isolation ratio: bound / contended p99, ≥1
-		// means the bound held, higher is more headroom.
-		"polite_solo_p99_us_info":      float64(solo.politeP99) / float64(time.Microsecond),
-		"polite_contended_p99_us_info": float64(cont.politeP99) / float64(time.Microsecond),
-		"isolation_headroom_x":         headroom,
-		"abusive_throttled":            float64(cont.abusiveThrottled),
-		"quota_disconnects":            float64(cont.quotaDisconnects),
-		"http_429":                     float64(cont.http429),
-		"acked_loss":                   float64((solo.politeAcked - solo.politeDelivered) + (cont.politeAcked - cont.politeDelivered)),
-	})
+	return nil
 }
 
 // tenantBenchResult is one phase's measurements.

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,19 +12,17 @@ import (
 	"github.com/swamp-project/swamp/internal/metrics"
 	"github.com/swamp-project/swamp/internal/ngsi"
 	"github.com/swamp-project/swamp/internal/timeseries"
-	"github.com/swamp-project/swamp/internal/wal"
 )
 
-// walBenchConfig parameterizes the durability-plane stress run.
+// walBenchConfig parameterizes the kill -9 crash harness.
 type walBenchConfig struct {
-	Dir      string        // WAL directory (empty = a temp dir, bench mode only)
-	Points   int           // total telemetry points appended in bench mode
-	Batch    int           // points per record / per acked ingest batch
-	Workers  int           // concurrent appenders (group commit coalesces across them)
-	Devices  int           // distinct devices in ingest mode
-	Ingest   bool          // crash-harness producer: sustained acked ingest + manifest
-	Verify   bool          // crash-harness checker: recover and compare to manifest
-	Manifest string        // manifest path for Ingest/Verify
+	Dir      string        // WAL directory
+	Batch    int           // points per acked ingest batch
+	Workers  int           // concurrent producers (group commit coalesces across them)
+	Devices  int           // distinct devices
+	Ingest   bool          // producer: sustained acked ingest + manifest
+	Verify   bool          // checker: recover and compare to manifest
+	Manifest string        // manifest path
 	SnapIntv time.Duration // snapshot cadence during ingest (0 = 2s)
 }
 
@@ -40,230 +37,13 @@ type walManifest struct {
 
 func runWALBench(cfg walBenchConfig) error {
 	switch {
-	case cfg.Ingest && cfg.Verify:
-		return fmt.Errorf("walbench: -walingest and -walverify are exclusive")
+	case cfg.Ingest == cfg.Verify:
+		return fmt.Errorf("walbench: give exactly one of -walingest and -walverify")
 	case cfg.Ingest:
 		return walIngest(cfg)
-	case cfg.Verify:
+	default:
 		return walVerify(cfg)
-	default:
-		return walThroughput(cfg)
 	}
-}
-
-// walThroughput measures (a) group-committed append throughput vs the
-// fsync-per-record baseline and (b) recovery time vs store size.
-func walThroughput(cfg walBenchConfig) error {
-	if cfg.Points <= 0 || cfg.Batch <= 0 || cfg.Workers <= 0 {
-		return fmt.Errorf("walbench: points, batch and workers must be positive")
-	}
-	dir := cfg.Dir
-	if dir == "" {
-		var err error
-		if dir, err = os.MkdirTemp("", "walbench-"); err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir)
-	}
-	records := cfg.Points / cfg.Batch
-	if records == 0 {
-		records = 1
-	}
-	fmt.Printf("walbench: %d records × %d points, %d workers\n", records, cfg.Batch, cfg.Workers)
-
-	// --- phase 0: pure codec, no I/O — isolates the record encoding from
-	// the fsync-bound append path so a codec regression is visible even
-	// when appends are disk-limited ---
-	encPerSec, decPerSec, err := walCodecRun(records, cfg.Batch)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("codec encode   %8.0f points/s\n", encPerSec)
-	fmt.Printf("codec decode   %8.0f points/s\n", decPerSec)
-
-	// --- phase 1: group-committed appends ---
-	groupedDir := filepath.Join(dir, "grouped")
-	groupedPerSec, err := walAppendRun(groupedDir, records, cfg.Batch, cfg.Workers, false)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("group-commit   %8.0f appends/s  (%.0f points/s)\n",
-		groupedPerSec, groupedPerSec*float64(cfg.Batch))
-
-	// --- phase 2: fsync-per-record baseline (fewer records: every append
-	// pays a full fsync) ---
-	syncRecords := records / 10
-	if syncRecords < 50 {
-		syncRecords = 50
-	}
-	if syncRecords > 2000 {
-		syncRecords = 2000
-	}
-	syncDir := filepath.Join(dir, "fsync-each")
-	syncPerSec, err := walAppendRun(syncDir, syncRecords, cfg.Batch, cfg.Workers, true)
-	if err != nil {
-		return err
-	}
-	speedup := 0.0
-	if syncPerSec > 0 {
-		speedup = groupedPerSec / syncPerSec
-	}
-	fmt.Printf("fsync-each     %8.0f appends/s  (%d records)\n", syncPerSec, syncRecords)
-	fmt.Printf("group-commit speedup: %.1f×\n", speedup)
-
-	// --- phase 3: recovery time vs store size (both dirs, two sizes) ---
-	recPerSec := 0.0
-	for _, d := range []string{groupedDir, syncDir} {
-		perSec, recs, pts, elapsed, err := walRecoverRun(d)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("recovery       %d records (%d points) in %v  (%.0f records/s)\n",
-			recs, pts, elapsed.Round(time.Millisecond), perSec)
-		if d == groupedDir {
-			recPerSec = perSec
-		}
-	}
-
-	return writeBenchJSON("walbench", map[string]float64{
-		"grouped_appends_per_s":     groupedPerSec,
-		"grouped_points_per_s":      groupedPerSec * float64(cfg.Batch),
-		"fsync_each_appends_per_s":  syncPerSec,
-		"group_commit_speedup_x":    speedup,
-		"recover_records_per_s":     recPerSec,
-		"codec_encode_points_per_s": encPerSec,
-		"codec_decode_points_per_s": decPerSec,
-	})
-}
-
-// walCodecRun times telemetry record encode and decode in memory (no
-// log, no fsync): the same payload shape the append phases write, so
-// the per-point codec cost is measured on its own.
-func walCodecRun(records, batch int) (encPerSec, decPerSec float64, err error) {
-	if records > 50000 {
-		records = 50000 // bounded: every encoded record is held for the decode pass
-	}
-	key := timeseries.SeriesKey{Device: "urn:sim:probe:000000", Quantity: "soilMoisture_d20"}
-	base := time.Date(2026, 6, 1, 0, 0, 0, 0, time.UTC)
-	pts := make([]timeseries.BatchPoint, batch)
-	encoded := make([]wal.Record, records)
-	start := time.Now()
-	for i := range encoded {
-		for j := range pts {
-			pts[j] = timeseries.BatchPoint{Key: key, Point: timeseries.Point{
-				At:    base.Add(time.Duration(i*batch+j) * time.Millisecond),
-				Value: 0.2 + float64(j%100)/1000,
-			}}
-		}
-		if encoded[i], err = wal.EncodeTelemetry(pts); err != nil {
-			return 0, 0, err
-		}
-	}
-	encPerSec = float64(records*batch) / time.Since(start).Seconds()
-	start = time.Now()
-	for _, rec := range encoded {
-		if _, err = wal.DecodeTelemetry(rec); err != nil {
-			return 0, 0, err
-		}
-	}
-	decPerSec = float64(records*batch) / time.Since(start).Seconds()
-	return encPerSec, decPerSec, nil
-}
-
-// walAppendRun appends records of batch-sized telemetry payloads from
-// workers goroutines and returns sustained acked appends/s.
-func walAppendRun(dir string, records, batch, workers int, syncEvery bool) (float64, error) {
-	m, err := wal.Open(wal.Config{Dir: dir, SyncEveryRecord: syncEvery})
-	if err != nil {
-		return 0, err
-	}
-	if _, err := m.Recover(func(wal.Record) error { return nil }); err != nil {
-		m.Close()
-		return 0, err
-	}
-	base := time.Date(2026, 6, 1, 0, 0, 0, 0, time.UTC)
-	var next atomic.Uint64
-	errs := make(chan error, workers)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			key := timeseries.SeriesKey{
-				Device:   fmt.Sprintf("urn:sim:probe:%06d", w),
-				Quantity: "soilMoisture_d20",
-			}
-			pts := make([]timeseries.BatchPoint, batch)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= records {
-					return
-				}
-				for j := range pts {
-					pts[j] = timeseries.BatchPoint{Key: key, Point: timeseries.Point{
-						At:    base.Add(time.Duration(i*batch+j) * time.Millisecond),
-						Value: 0.2 + float64(j%100)/1000,
-					}}
-				}
-				rec, err := wal.EncodeTelemetry(pts)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if err := m.AppendWait(rec); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	if err := m.Close(); err != nil {
-		return 0, err
-	}
-	select {
-	case err := <-errs:
-		return 0, err
-	default:
-	}
-	reg := m.Metrics()
-	fsyncs := reg.Counter("wal.fsync").Value()
-	recs := reg.Counter("wal.append.records").Value()
-	if fsyncs > 0 {
-		fmt.Printf("  [%s] %d records, %d fsyncs (%.1f records/fsync)\n",
-			filepath.Base(dir), recs, fsyncs, float64(recs)/float64(fsyncs))
-	}
-	return float64(records) / elapsed.Seconds(), nil
-}
-
-// walRecoverRun replays a WAL directory and reports throughput.
-func walRecoverRun(dir string) (perSec float64, recs, pts int, elapsed time.Duration, err error) {
-	m, err := wal.Open(wal.Config{Dir: dir})
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	defer m.Close()
-	start := time.Now()
-	if _, err := m.Recover(func(rec wal.Record) error {
-		recs++
-		if rec.Type == wal.TypeTelemetry {
-			batch, err := wal.DecodeTelemetry(rec)
-			if err != nil {
-				return err
-			}
-			pts += len(batch)
-		}
-		return nil
-	}); err != nil {
-		return 0, 0, 0, 0, err
-	}
-	elapsed = time.Since(start)
-	if elapsed > 0 {
-		perSec = float64(recs) / elapsed.Seconds()
-	}
-	return perSec, recs, pts, elapsed, nil
 }
 
 // walDurablePair builds the standalone broker+store+WAL composition the
@@ -462,4 +242,13 @@ func walVerify(cfg walBenchConfig) error {
 	}
 	fmt.Println("walverify: OK — every acknowledged write recovered")
 	return nil
+}
+
+func entityID(i int) string { return fmt.Sprintf("urn:sim:dev:%07d", i) }
+
+func simAttrs(i int) map[string]ngsi.Attribute {
+	return map[string]ngsi.Attribute{
+		"soilMoisture_d20": {Type: "Number", Value: 0.20 + float64(i%100)/1000},
+		"soilMoisture_d50": {Type: "Number", Value: 0.28 + float64(i%50)/1000},
+	}
 }

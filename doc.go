@@ -113,7 +113,7 @@
 // authorization always runs before a cached body is served.
 //
 // The implementation lives under internal/; see DESIGN.md for the system
-// inventory, EXPERIMENTS.md for the derived experiment results, and
-// bench_test.go in this directory for the harness that regenerates every
-// experiment row.
+// inventory; the derived experiment tables are printed by
+// `swamp-sim -experiments`, and bench_test.go in this directory regenerates
+// every experiment row under `go test -bench .`.
 package swamp

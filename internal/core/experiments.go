@@ -22,10 +22,10 @@ func newWeatherGen(p Pilot, seed int64) (weatherGen, error) {
 	return weather.NewGenerator(p.Climate, seed)
 }
 
-// This file is the experiment harness behind EXPERIMENTS.md: one function
-// per derived experiment (the paper has no tables/figures of its own — see
-// DESIGN.md). The root bench file and cmd/swamp-sim both call these and
-// print the same rows.
+// This file is the experiment harness: one function per derived experiment
+// (the paper has no tables/figures of its own — see DESIGN.md). The root
+// bench file and `swamp-sim -experiments` both call these and print the
+// same rows.
 
 // ModeRow is one EXP-A1 result line.
 type ModeRow struct {

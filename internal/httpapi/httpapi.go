@@ -47,7 +47,8 @@ type Config struct {
 	PEP *pep.PEP
 	// Analytics backs /v2/analytics (optional; 404 when nil).
 	Analytics *cloud.Analytics
-	// Metrics is rendered at GET /metrics; nil allocates a private one.
+	// Metrics receives the server's counters (Ops renders it at GET
+	// /metrics); nil allocates a private one.
 	Metrics *metrics.Registry
 	// Webhooks delivers subscription notifications; nil builds a private
 	// pool wired to Context (closed by Server.Close).
@@ -148,13 +149,6 @@ func NewServer(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("DELETE /v2/subscriptions/{id}", s.handleDeleteSubscription)
 	s.mux.HandleFunc("GET /v2/analytics/{device}/{quantity}", s.handleAnalytics)
 	s.mux.HandleFunc("GET /v2/analytics/{device}/{quantity}/series", s.handleAnalyticsSeries)
-	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
-	s.mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = cfg.Metrics.WritePrometheus(w)
-	})
 	s.queryCap.Store(int64(cfg.QueryMaxLimit))
 	return s, nil
 }

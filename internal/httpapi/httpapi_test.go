@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/swamp-project/swamp/internal/cloud"
+	"github.com/swamp-project/swamp/internal/metrics"
 	"github.com/swamp-project/swamp/internal/model"
 	"github.com/swamp-project/swamp/internal/ngsi"
 	"github.com/swamp-project/swamp/internal/security/identity"
@@ -382,16 +383,28 @@ func TestAnalyticsSeriesEndpoint(t *testing.T) {
 	}
 }
 
+// TestHealthAndMetrics: /healthz and /metrics belong to Ops, rendering the
+// registry the API server counts into; the API mux itself answers neither.
 func TestHealthAndMetrics(t *testing.T) {
-	f := newFixture(t)
-	resp := f.do(t, "GET", "/healthz", "", nil)
-	if resp.StatusCode != http.StatusOK {
+	reg := metrics.NewRegistry()
+	f := newFixtureWith(t, func(c *Config) { c.Metrics = reg })
+	ops := httptest.NewServer(NewOps(reg, nil, nil))
+	t.Cleanup(ops.Close)
+	get := func(path string) *http.Response {
+		t.Helper()
+		resp, err := http.Get(ops.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		return resp
+	}
+	if resp := get("/healthz"); resp.StatusCode != http.StatusOK {
 		t.Errorf("healthz %d", resp.StatusCode)
 	}
 	f.token(t, "farmer") // bump a counter
-	resp = f.do(t, "GET", "/metrics", "", nil)
 	buf := new(strings.Builder)
-	if _, err := jsonSafeCopy(buf, resp); err != nil {
+	if _, err := jsonSafeCopy(buf, get("/metrics")); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "swamp_httpapi_token_issued 1") {
@@ -399,6 +412,11 @@ func TestHealthAndMetrics(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "# TYPE swamp_httpapi_token_issued counter") {
 		t.Errorf("metrics output not in Prometheus exposition format:\n%s", buf.String())
+	}
+	for _, path := range []string{"/healthz", "/metrics"} {
+		if resp := f.do(t, "GET", path, "", nil); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("API mux answers %s with %d, want 404", path, resp.StatusCode)
+		}
 	}
 }
 

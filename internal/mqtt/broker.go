@@ -63,11 +63,6 @@ type BrokerConfig struct {
 	RouteCacheSize int
 	// RetainedShards splits the retained-message store (default 8).
 	RetainedShards int
-	// CompatSyncDelivery restores the pre-queue fan-out: route() writes
-	// synchronously to every subscriber from the publisher's goroutine, so
-	// one slow subscriber head-of-line-blocks every publisher. Kept for
-	// benchmarking against the per-session queue path.
-	CompatSyncDelivery bool
 	// Clock drives keepalive, QoS 1 redelivery and Tap timestamps (nil →
 	// wall clock). Simulations pass clock.Sim so retransmission is
 	// deterministic.
@@ -406,7 +401,7 @@ type session struct {
 
 // outMsg is one queued delivery: either a shared encoded frame (hot path,
 // the queue holds its own reference) or a standalone packet (retained
-// snapshots, compat paths, transports without WriteFrame).
+// snapshots, transports without WriteFrame).
 type outMsg struct {
 	f   *Frame
 	pkt *Packet
@@ -728,10 +723,6 @@ func (b *Broker) storeRetained(topic string, payload []byte, qos byte) {
 // resolved route comes from the epoch-validated cache, and the PUBLISH frame
 // is encoded once into a pooled refcounted buffer shared by every target.
 func (b *Broker) routePublish(topic string, payload []byte, qos byte) {
-	if b.cfg.CompatSyncDelivery {
-		b.routeCompat(topic, payload, qos)
-		return
-	}
 	// Epoch before match: if a mutation lands between these two loads the
 	// entry is tagged with the older epoch and the next publish rebuilds.
 	// A cached entry is served only while its tag equals the current epoch,
@@ -778,32 +769,6 @@ func (b *Broker) routePublish(topic string, payload []byte, qos byte) {
 	}
 	if f1 != nil {
 		f1.release()
-	}
-}
-
-// routeCompat is the CompatSyncDelivery fan-out: synchronous per-subscriber
-// writes from the publisher's goroutine.
-func (b *Broker) routeCompat(topic string, payload []byte, qos byte) {
-	matches := b.subs.Load().match(topic)
-	if len(matches) == 0 {
-		return
-	}
-	targets := make([]*session, 0, len(matches))
-	qoss := make([]byte, 0, len(matches))
-	b.sessMu.RLock()
-	for id, subQoS := range matches {
-		if sess := b.sessions[id]; sess != nil {
-			targets = append(targets, sess)
-			q := qos
-			if subQoS < q {
-				q = subQoS
-			}
-			qoss = append(qoss, q)
-		}
-	}
-	b.sessMu.RUnlock()
-	for i, sess := range targets {
-		b.deliver(sess, topic, payload, qoss[i], false)
 	}
 }
 
@@ -872,34 +837,6 @@ func (b *Broker) storeRoute(topic string, re *routeEntry, rt *routeTargets) {
 	nm[topic] = e
 	b.routeCache.Store(&nm)
 	b.rcMu.Unlock()
-}
-
-// deliver hands one PUBLISH to a subscriber session as a standalone packet
-// (retained snapshots and the compat path; routed fan-out uses shared
-// frames). On the default path the packet is enqueued for the session's
-// writer; with CompatSyncDelivery it is written in place.
-func (b *Broker) deliver(s *session, topic string, payload []byte, qos byte, retain bool) {
-	out := &Packet{Type: PUBLISH, Topic: topic, Payload: payload, QoS: qos, Retain: retain}
-	if b.cfg.CompatSyncDelivery {
-		if qos == 1 {
-			s.mu.Lock()
-			if s.closedFl {
-				s.mu.Unlock()
-				return
-			}
-			id := s.allocPacketIDLocked()
-			out.PacketID = id
-			s.pending[id] = &pendingPub{pkt: out, pid: id, sentAt: b.clk.Now()}
-			s.mu.Unlock()
-		}
-		if err := s.transport.WritePacket(out); err != nil {
-			b.cDeliverErr.Inc()
-			return
-		}
-		b.cDeliverOut.Inc()
-		return
-	}
-	b.enqueueMsg(s, nil, out, qos)
 }
 
 // enqueueMsg places a delivery (shared frame f or standalone pkt) on s's
@@ -1016,15 +953,10 @@ func (b *Broker) enqueueMsg(s *session, f *Frame, pkt *Packet, qos byte) {
 
 // enqueueCtl queues a control response (PUBACK, SUBACK, UNSUBACK, PINGRESP)
 // for the session writer, which drains control packets ahead of data. This
-// keeps exactly one goroutine writing each transport; the compat path keeps
-// the legacy in-place write. The control queue is bounded: a client flooding
-// requests into a wedged transport loses acks, which QoS 1 retransmission
-// and client-side timeouts already absorb.
+// keeps exactly one goroutine writing each transport. The control queue is
+// bounded: a client flooding requests into a wedged transport loses acks,
+// which QoS 1 retransmission and client-side timeouts already absorb.
 func (b *Broker) enqueueCtl(s *session, pkt *Packet) {
-	if b.cfg.CompatSyncDelivery {
-		_ = s.transport.WritePacket(pkt)
-		return
-	}
 	s.mu.Lock()
 	if s.closedFl || len(s.ctlq) >= s.qcap {
 		dropped := !s.closedFl
@@ -1445,7 +1377,10 @@ func (b *Broker) handleSubscribe(s *session, pkt *Packet) {
 	// precedes the retained deliveries it acknowledges.
 	b.enqueueCtl(s, &Packet{Type: SUBACK, PacketID: pkt.PacketID, GrantedQoS: granted})
 	for _, r := range rets {
-		b.deliver(s, r.topic, r.msg.payload, r.qos, true)
+		// Standalone packets: routed fan-out shares encoded frames, a
+		// retained snapshot goes to this one session.
+		out := &Packet{Type: PUBLISH, Topic: r.topic, Payload: r.msg.payload, QoS: r.qos, Retain: true}
+		b.enqueueMsg(s, nil, out, r.qos)
 	}
 	b.reg.Counter("mqtt.subscribe.ok").Add(uint64(len(accepted)))
 }

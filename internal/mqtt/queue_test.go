@@ -2,6 +2,7 @@ package mqtt
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -83,6 +84,18 @@ func (t *scriptTransport) publishCount() int {
 	return t.pubs
 }
 
+func (t *scriptTransport) count(typ PacketType) int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n := 0
+	for _, p := range t.wrote {
+		if p.Type == typ {
+			n++
+		}
+	}
+	return n
+}
+
 func (t *scriptTransport) publishes() []*Packet {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -146,11 +159,19 @@ func TestStalledSubscriberIsolation(t *testing.T) {
 	}
 	pub := newTestPair(t, b, "pub")
 
-	const n = 200
+	// The publisher stays within the healthy session's QoS 1 inflight window
+	// (4× the queue bound): past it the broker sheds by design, which is that
+	// session's own overflow policy, not the isolation under test.
+	const n, window = 200, 16
 	for i := 0; i < n; i++ {
 		if err := pub.Publish("iso/x", []byte{byte(i)}, 1, false); err != nil {
 			t.Fatal(err)
 		}
+		waitFor(t, 5*time.Second, func() bool {
+			mu.Lock()
+			defer mu.Unlock()
+			return len(seen) > i-window
+		})
 	}
 	// Every message reaches the healthy subscriber even though the stalled
 	// session never drains; the stalled queue overflowed instead.
@@ -368,21 +389,90 @@ func TestQoS1InflightWindowBounded(t *testing.T) {
 	close(st.release)
 }
 
-// TestCompatSyncDeliveryStillWorks: the benchmarking compatibility path
-// (synchronous fan-out) must remain functionally correct.
-func TestCompatSyncDeliveryStillWorks(t *testing.T) {
-	b := NewBroker(BrokerConfig{CompatSyncDelivery: true, RetryInterval: 20 * time.Millisecond})
-	defer b.Close()
-	pub := newTestPair(t, b, "pub")
-	sub := newTestPair(t, b, "sub")
-	var n atomic.Int32
-	if _, err := sub.Subscribe("compat/#", 1, func(Message) { n.Add(1) }); err != nil {
-		t.Fatal(err)
+// overlapTransport counts WritePacket calls in flight at once. It is not a
+// FrameWriter, so every byte the broker sends this session goes through the
+// counted call.
+type overlapTransport struct {
+	*scriptTransport
+	active, peak atomic.Int32
+}
+
+func (t *overlapTransport) WritePacket(p *Packet) error {
+	n := t.active.Add(1)
+	for {
+		m := t.peak.Load()
+		if n <= m || t.peak.CompareAndSwap(m, n) {
+			break
+		}
 	}
-	for i := 0; i < 10; i++ {
-		if err := pub.Publish("compat/x", []byte{byte(i)}, 1, false); err != nil {
+	runtime.Gosched() // hold the call open so a second writer would overlap
+	err := t.scriptTransport.WritePacket(p)
+	t.active.Add(-1)
+	return err
+}
+
+// TestSingleWriterPerTransport: exactly one goroutine writes each transport
+// (DESIGN §4.1). One session receives routed QoS 0/1 publishes from other
+// sessions while its own read loop generates SUBACKs with retained replays,
+// PINGRESPs and PUBACKs, and unacknowledged QoS 1 deliveries come round again
+// on the retry pass; at no point may two WritePacket calls overlap.
+func TestSingleWriterPerTransport(t *testing.T) {
+	// The queue bound exceeds everything the test sends, so no control
+	// response is shed and the counts below are exact.
+	b := NewBroker(BrokerConfig{RetryInterval: 5 * time.Millisecond, SessionQueueLen: 1024})
+	defer b.Close()
+
+	seed := newTestPair(t, b, "seed")
+	const retained = 8
+	for i := 0; i < retained; i++ {
+		if err := seed.Publish(fmt.Sprintf("ret/%d", i), []byte{byte(i + 1)}, 1, true); err != nil {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, 2*time.Second, func() bool { return n.Load() >= 10 })
+	waitFor(t, time.Second, func() bool { return b.RetainedCount() == retained })
+
+	ot := &overlapTransport{scriptTransport: newScriptTransport()}
+	t.Cleanup(func() { ot.Close() })
+	b.AttachTransport(ot)
+	ot.send(&Packet{Type: CONNECT, ClientID: "mix"})
+	ot.send(&Packet{Type: SUBSCRIBE, PacketID: 1, Filters: []Subscription{{Filter: "mix/#", QoS: 1}}})
+	waitFor(t, time.Second, func() bool { return ot.count(SUBACK) == 1 })
+
+	const rounds = 100
+	var wg sync.WaitGroup
+	for p := 0; p < 2; p++ {
+		pub := newTestPair(t, b, fmt.Sprintf("pub%d", p))
+		wg.Add(1)
+		go func(qos byte) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if err := pub.Publish("mix/routed", []byte{byte(i)}, qos, false); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(byte(p))
+	}
+	for i := 0; i < rounds; i++ {
+		id := uint16(2 + 2*i)
+		ot.send(&Packet{Type: SUBSCRIBE, PacketID: id, Filters: []Subscription{{Filter: "ret/#", QoS: 1}}})
+		ot.send(&Packet{Type: PINGREQ})
+		ot.send(&Packet{Type: PUBLISH, PacketID: id + 1, Topic: "mix/own", Payload: []byte{1}, QoS: 1})
+	}
+	wg.Wait()
+	// Every kind of write happened: the control responses are exact, and
+	// routed, retained and redelivered publishes each reached the transport.
+	waitFor(t, 5*time.Second, func() bool {
+		var routed, retainedSeen, dups bool
+		for _, p := range ot.publishes() {
+			routed = routed || p.Topic == "mix/routed"
+			retainedSeen = retainedSeen || p.Retain
+			dups = dups || p.Dup
+		}
+		return ot.count(SUBACK) == 1+rounds && ot.count(PINGRESP) == rounds && ot.count(PUBACK) == rounds &&
+			routed && retainedSeen && dups
+	})
+	if peak := ot.peak.Load(); peak != 1 {
+		t.Fatalf("max concurrent WritePacket calls = %d, want 1", peak)
+	}
 }

@@ -319,17 +319,3 @@ outer:
 	}
 	return ms[:w]
 }
-
-// match collects (clientID, qos) pairs whose filters match topic, one entry
-// per client at the highest granted QoS. Allocating convenience wrapper
-// around matchInto, used by the synchronous compatibility path and tests.
-func (t *subTree) match(topic string) map[string]byte {
-	ms, _ := t.matchInto(topic, nil)
-	out := make(map[string]byte, len(ms))
-	for _, m := range ms {
-		if cur, ok := out[m.id]; !ok || m.qos > cur {
-			out[m.id] = m.qos
-		}
-	}
-	return out
-}

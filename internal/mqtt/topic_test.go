@@ -5,6 +5,20 @@ import (
 	"testing"
 )
 
+// match collects (clientID, qos) pairs whose filters match topic, one entry
+// per client at the highest granted QoS: the allocating map view of matchInto
+// the trie tests compare against.
+func (t *subTree) match(topic string) map[string]byte {
+	ms, _ := t.matchInto(topic, nil)
+	out := make(map[string]byte, len(ms))
+	for _, m := range ms {
+		if cur, ok := out[m.id]; !ok || m.qos > cur {
+			out[m.id] = m.qos
+		}
+	}
+	return out
+}
+
 func TestMatchTopic(t *testing.T) {
 	tests := []struct {
 		filter, topic string

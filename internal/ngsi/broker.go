@@ -77,10 +77,6 @@ type BrokerConfig struct {
 	// lock and dispatch worker (default 8). Upserts on entities in
 	// different shards never contend.
 	Shards int
-	// CompatLinearScan disables the subscription index and evaluates every
-	// registered subscription on each update — the pre-sharding behavior.
-	// Exists so benchmarks can measure the index win; leave false.
-	CompatLinearScan bool
 }
 
 // DefaultShards is the shard count used when BrokerConfig.Shards is zero.
@@ -92,7 +88,6 @@ const DefaultShards = 8
 type Broker struct {
 	clk    clock.Clock
 	reg    *metrics.Registry
-	scan   bool
 	shards []*shard
 	closed atomic.Bool
 	done   chan struct{}
@@ -165,7 +160,6 @@ func NewBroker(cfg BrokerConfig) *Broker {
 	b := &Broker{
 		clk:  cfg.Clock,
 		reg:  cfg.Metrics,
-		scan: cfg.CompatLinearScan,
 		subs: make(map[string]*subState),
 		done: make(chan struct{}),
 
@@ -674,13 +668,7 @@ func (b *Broker) rebuildIndexLocked() {
 // attributes in changed were just written. The entity's shard lock must be
 // held; the subscription index is read lock-free.
 func (b *Broker) notifyShardLocked(sh *shard, e *Entity, changed []string) {
-	ix := b.index.Load()
-	var matched []*subState
-	if b.scan {
-		matched = ix.collectScan(e.ID, e.Type, nil)
-	} else {
-		matched = ix.collect(e.ID, e.Type, nil)
-	}
+	matched := b.index.Load().collect(e.ID, e.Type, nil)
 	if len(matched) == 0 {
 		return
 	}

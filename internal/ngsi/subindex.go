@@ -83,7 +83,6 @@ type subIndex struct {
 	prefix     []*subState
 	wildByType map[string][]*subState
 	wild       []*subState
-	all        []*subState // every subscription, for the compat linear scan
 }
 
 func newSubIndex() *subIndex {
@@ -94,7 +93,6 @@ func newSubIndex() *subIndex {
 }
 
 func (ix *subIndex) add(st *subState) {
-	ix.all = append(ix.all, st)
 	switch st.shape {
 	case shapeWild:
 		if st.sub.EntityType != "" {
@@ -125,17 +123,5 @@ func (ix *subIndex) collect(id, typ string, out []*subState) []*subState {
 	}
 	out = append(out, ix.wildByType[typ]...)
 	out = append(out, ix.wild...)
-	return out
-}
-
-// collectScan is the pre-index behavior: test every subscription with
-// MatchIDPattern. Kept behind BrokerConfig.CompatLinearScan so benchmarks
-// can measure the index win against the original O(subscriptions) path.
-func (ix *subIndex) collectScan(id, typ string, out []*subState) []*subState {
-	for _, st := range ix.all {
-		if MatchIDPattern(st.sub.EntityIDPattern, id) && st.matchesType(typ) {
-			out = append(out, st)
-		}
-	}
 	return out
 }

@@ -248,6 +248,18 @@ func TestBatchUpdateNotifiesPerEntity(t *testing.T) {
 	}
 }
 
+// collectScan is the pre-index behavior the index is pinned to: test every
+// subscription with MatchIDPattern.
+func collectScan(all []*subState, id, typ string) []*subState {
+	var out []*subState
+	for _, st := range all {
+		if MatchIDPattern(st.sub.EntityIDPattern, id) && st.matchesType(typ) {
+			out = append(out, st)
+		}
+	}
+	return out
+}
+
 // TestIndexMatchesLinearScan pins the subscription index to
 // MatchIDPattern's semantics: for every pattern shape × entity id, the
 // indexed collect must select exactly the subscriptions the pre-index
@@ -260,11 +272,14 @@ func TestIndexMatchesLinearScan(t *testing.T) {
 		{"urn:a:*", "Pivot"}, {"urn:*", ""}, {"urn:a:10", ""},
 	}
 	ix := newSubIndex()
+	var all []*subState
 	for _, p := range patterns {
-		ix.add(newSubState(Subscription{
+		st := newSubState(Subscription{
 			EntityIDPattern: p.pattern, EntityType: p.typ,
 			Notifier: Callback(func(Notification) {}),
-		}))
+		})
+		all = append(all, st)
+		ix.add(st)
 	}
 	entities := []struct{ id, typ string }{
 		{"urn:a:1", "SoilProbe"}, {"urn:a:1", "Pivot"}, {"urn:a:10", "SoilProbe"},
@@ -273,7 +288,7 @@ func TestIndexMatchesLinearScan(t *testing.T) {
 	key := func(st *subState) string { return st.sub.EntityIDPattern + "|" + st.sub.EntityType }
 	for _, e := range entities {
 		want := map[string]int{}
-		for _, st := range ix.collectScan(e.id, e.typ, nil) {
+		for _, st := range collectScan(all, e.id, e.typ) {
 			want[key(st)]++
 		}
 		got := map[string]int{}

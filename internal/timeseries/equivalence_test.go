@@ -1,14 +1,16 @@
 package timeseries
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 )
 
-// The chunked engine must answer every query exactly like the legacy
-// flat-slice engine. These tests drive both with identical random
+// The chunked engine must answer every query exactly like the flat-slice
+// engine it replaced. These tests drive both with identical random
 // workloads — in-order and out-of-order appends plus DeleteBefore churn —
 // and compare Range, Len, Latest, Summarize and Downsample over random
 // windows. Sums and means get a tiny float tolerance (the chunked engine
@@ -20,7 +22,105 @@ func closeEnough(a, b float64) bool {
 	return math.Abs(a-b) <= floatTol*(1+math.Max(math.Abs(a), math.Abs(b)))
 }
 
-func compareEngines(t *testing.T, trial int, s *Store, leg *LegacyStore, keys []SeriesKey, rng *rand.Rand) {
+// flatStore is the pre-chunking engine, kept as the oracle: flat slices
+// sorted by At, every query a scan of the point range.
+type flatStore map[SeriesKey][]Point
+
+func (s flatStore) Append(key SeriesKey, p Point) error {
+	if err := validatePoint(key, p); err != nil {
+		return err
+	}
+	pts := s[key]
+	n := len(pts)
+	if n == 0 || !p.At.Before(pts[n-1].At) {
+		pts = append(pts, p)
+	} else {
+		i := sort.Search(n, func(i int) bool { return pts[i].At.After(p.At) })
+		pts = append(pts, Point{})
+		copy(pts[i+1:], pts[i:])
+		pts[i] = p
+	}
+	s[key] = pts
+	return nil
+}
+
+func (s flatStore) Len(key SeriesKey) int { return len(s[key]) }
+
+func (s flatStore) Range(key SeriesKey, from, to time.Time) []Point {
+	pts := s[key]
+	lo := sort.Search(len(pts), func(i int) bool { return !pts[i].At.Before(from) })
+	hi := sort.Search(len(pts), func(i int) bool { return !pts[i].At.Before(to) })
+	if lo >= hi {
+		return nil
+	}
+	return pts[lo:hi]
+}
+
+func (s flatStore) Latest(key SeriesKey) (Point, bool) {
+	pts := s[key]
+	if len(pts) == 0 {
+		return Point{}, false
+	}
+	return pts[len(pts)-1], true
+}
+
+func (s flatStore) Summarize(key SeriesKey, from, to time.Time) Aggregate {
+	agg := Aggregate{Min: math.Inf(1), Max: math.Inf(-1)}
+	for _, p := range s.Range(key, from, to) {
+		agg.Count++
+		agg.Sum += p.Value
+		agg.Min = math.Min(agg.Min, p.Value)
+		agg.Max = math.Max(agg.Max, p.Value)
+	}
+	if agg.Count > 0 {
+		agg.Mean = agg.Sum / float64(agg.Count)
+	} else {
+		agg.Min, agg.Max = 0, 0
+	}
+	return agg
+}
+
+// Downsample returns one mean point per non-empty window of [from, to),
+// stamped at the window start.
+func (s flatStore) Downsample(key SeriesKey, from, to time.Time, window time.Duration) ([]Point, error) {
+	if window <= 0 {
+		return nil, fmt.Errorf("timeseries: non-positive downsample window %v", window)
+	}
+	var out []Point
+	wStart := from
+	var sum float64
+	var n int
+	flush := func() {
+		if n > 0 {
+			out = append(out, Point{At: wStart, Value: sum / float64(n)})
+		}
+		sum, n = 0, 0
+	}
+	for _, p := range s.Range(key, from, to) {
+		for !p.At.Before(wStart.Add(window)) {
+			flush()
+			wStart = wStart.Add(window)
+		}
+		sum += p.Value
+		n++
+	}
+	flush()
+	return out, nil
+}
+
+// DeleteBefore drops every point older than cutoff and returns how many.
+// Emptied series stay in the map; only point counts are compared.
+func (s flatStore) DeleteBefore(cutoff time.Time) int {
+	dropped := 0
+	for k, pts := range s {
+		i := sort.Search(len(pts), func(i int) bool { return !pts[i].At.Before(cutoff) })
+		dropped += i
+		s[k] = pts[i:]
+	}
+	return dropped
+}
+
+func compareEngines(t *testing.T, trial int, s *Store, leg flatStore, keys []SeriesKey, rng *rand.Rand) {
 	t.Helper()
 	for _, k := range keys {
 		if s.Len(k) != leg.Len(k) {
@@ -81,7 +181,7 @@ func TestEngineEquivalenceRandomWorkloads(t *testing.T) {
 		// so capped engines diverge by design. Query semantics — what this
 		// suite proves — are compared on identical retained data.
 		s := New(WithChunkSize(chunkSize), WithShards(shards))
-		leg := NewLegacy(0)
+		leg := flatStore{}
 
 		keys := []SeriesKey{
 			{Device: "dev-a", Quantity: "m"},

@@ -13,9 +13,6 @@
 // snapshot of the sealed slice. Retention is by point count
 // (WithMaxPointsPerSeries) and by age (WithMaxAge plus a background
 // eviction loop that also drops emptied series).
-//
-// LegacyStore preserves the previous engine (one RWMutex over flat sorted
-// slices, O(points) copy per query) for benchmarks and equivalence tests.
 package timeseries
 
 import (
