@@ -72,8 +72,8 @@ type device struct {
 
 // Config wires an Agent.
 type Config struct {
-	// Client is the agent's MQTT connection (already connected).
-	Client *mqtt.Client
+	// Broker is the MQTT broker the agent attaches to in process.
+	Broker *mqtt.Broker
 	// Context receives decoded measurements.
 	Context *ngsi.Broker
 	// KeyRing, if non-nil, requires every northbound payload to be a valid
@@ -90,9 +90,13 @@ type Config struct {
 }
 
 // Agent is the IoT agent. Construct with New, then Start; call Stop to
-// flush the northbound tail. Decoded measurements reach the context broker
-// through an ngsi.Batcher the agent owns: coalesced per entity, flushed as
-// BatchUpdate calls as soon as the previous flush has committed.
+// detach and flush the northbound tail. It holds no MQTT session: northbound
+// it is a local attachment (mqtt.Broker.AttachLocal) whose handler decodes on
+// the publishing connection's goroutine, southbound it injects commands.
+// Decoded measurements reach the context broker through an ngsi.Batcher the
+// agent owns: coalesced per entity, flushed as BatchUpdate calls as soon as
+// the previous flush has committed. At the batcher's entity bound the handler
+// blocks — only the connection that published; nothing acknowledged is shed.
 type Agent struct {
 	cfg     Config
 	reg     *metrics.Registry
@@ -101,8 +105,11 @@ type Agent struct {
 	mu      sync.RWMutex
 	byID    map[model.DeviceID]*device
 	byTopic map[string]*device // AttrsTopic(apiKey, deviceID)
-	started bool
+	detach  func()             // set by Start
 }
+
+// clientID is the MQTT client id the agent attaches and publishes under.
+const clientID = "iot-agent"
 
 // Errors surfaced by the agent.
 var (
@@ -112,8 +119,8 @@ var (
 
 // New validates the config and builds an agent.
 func New(cfg Config) (*Agent, error) {
-	if cfg.Client == nil || cfg.Context == nil {
-		return nil, fmt.Errorf("agent: client and context are required")
+	if cfg.Broker == nil || cfg.Context == nil {
+		return nil, fmt.Errorf("agent: broker and context are required")
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
@@ -154,9 +161,18 @@ func New(cfg Config) (*Agent, error) {
 	return a, nil
 }
 
-// Stop flushes the northbound tail and stops the batcher. The agent must
-// not receive further northbound traffic afterwards. Idempotent.
-func (a *Agent) Stop() { a.batcher.Close() }
+// Stop detaches from the broker — a later publish is routed to nobody —
+// then flushes the northbound tail and stops the batcher. Idempotent.
+func (a *Agent) Stop() {
+	a.mu.Lock()
+	detach := a.detach
+	a.detach = nil
+	a.mu.Unlock()
+	if detach != nil {
+		detach()
+	}
+	a.batcher.Close()
+}
 
 // FlushNorthbound forces any coalesced-but-unflushed measurements into the
 // context broker now.
@@ -202,23 +218,23 @@ func (a *Agent) Device(id model.DeviceID) (Provision, error) {
 	return d.Provision, nil
 }
 
-// Start subscribes to the northbound topic tree. Call once.
+// Start attaches to the northbound topic tree. Call once.
 func (a *Agent) Start() error {
 	a.mu.Lock()
-	if a.started {
-		a.mu.Unlock()
+	defer a.mu.Unlock()
+	if a.detach != nil {
 		return fmt.Errorf("agent: already started")
 	}
-	a.started = true
-	a.mu.Unlock()
-	_, err := a.cfg.Client.Subscribe(AttrsFilter, 1, a.onMeasure)
+	detach, err := a.cfg.Broker.AttachLocal(clientID, AttrsFilter, a.onMeasure)
 	if err != nil {
-		return fmt.Errorf("agent: subscribe northbound: %w", err)
+		return fmt.Errorf("agent: attach northbound: %w", err)
 	}
+	a.detach = detach
 	return nil
 }
 
-// onMeasure handles one northbound MQTT message.
+// onMeasure handles one northbound MQTT message, inline on the publisher's
+// goroutine; it keeps nothing of msg.Payload.
 func (a *Agent) onMeasure(msg mqtt.Message) {
 	a.mu.RLock()
 	prov := a.byTopic[msg.Topic]
@@ -299,7 +315,7 @@ func (a *Agent) SendCommand(cmd model.Command) error {
 		}
 		payload = sealed
 	}
-	if err := a.cfg.Client.Publish(topic, payload, 1, false); err != nil {
+	if err := a.cfg.Broker.InjectPublish(clientID, topic, payload, 1, false); err != nil {
 		a.reg.Counter("agent.south.err").Inc()
 		return fmt.Errorf("agent: command to %s: %w", cmd.Target, err)
 	}

@@ -26,8 +26,7 @@ func newStack(t *testing.T, ring *secchan.KeyRing) *stack {
 	ctx := ngsi.NewBroker(ngsi.BrokerConfig{})
 	t.Cleanup(ctx.Close)
 
-	agentClient := dial(t, broker, "iot-agent")
-	a, err := New(Config{Client: agentClient, Context: ctx, KeyRing: ring})
+	a, err := New(Config{Broker: broker, Context: ctx, KeyRing: ring})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,13 +39,18 @@ func newStack(t *testing.T, ring *secchan.KeyRing) *stack {
 
 func dial(t *testing.T, b *mqtt.Broker, id string) *mqtt.Client {
 	t.Helper()
-	ct, st, cleanup, err := mqtt.NewSimPair(simnet.Config{}, id)
+	return dialCfg(t, b, mqtt.ClientConfig{ClientID: id})
+}
+
+func dialCfg(t *testing.T, b *mqtt.Broker, cfg mqtt.ClientConfig) *mqtt.Client {
+	t.Helper()
+	ct, st, cleanup, err := mqtt.NewSimPair(simnet.Config{}, cfg.ClientID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(cleanup)
 	b.AttachTransport(st)
-	c, err := mqtt.Connect(ct, mqtt.ClientConfig{ClientID: id})
+	c, err := mqtt.Connect(ct, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,9 @@
 // FIWARE IoT Agent (UltraLight 2.0 flavour). It bridges the device world
 // (short UL payloads on MQTT topics, per-device API keys, optional secchan
 // envelopes) to the context world (NGSI entities and attributes), and
-// routes southbound actuator commands back over MQTT.
+// routes southbound actuator commands back over MQTT. It runs inside the
+// MQTT broker's process, attached to it directly rather than through a
+// client session.
 package agent
 
 import (

@@ -473,21 +473,17 @@ func New(opts Options) (*Platform, error) {
 	}
 
 	// --- IoT agent ---
-	agentClient, err := p.dial("iot-agent")
-	if err != nil {
-		p.Close()
-		return nil, err
-	}
+	var err error
 	p.Agent, err = agent.New(agent.Config{
-		Client: agentClient, Context: p.Context, KeyRing: p.KeyRing, Metrics: p.reg,
+		Broker: p.Broker, Context: p.Context, KeyRing: p.KeyRing, Metrics: p.reg,
 	})
 	if err != nil {
 		p.Close()
 		return nil, err
 	}
 	// Agent.Stop is sequenced explicitly in Close (after the clients
-	// disconnect, before the context broker closes) so the northbound
-	// batcher flushes into a live broker.
+	// disconnect, before the MQTT and context brokers close) so a late
+	// publish is routed to nobody and the batcher flushes into a live broker.
 	if err := p.Agent.Start(); err != nil {
 		p.Close()
 		return nil, err
@@ -545,31 +541,32 @@ func New(opts Options) (*Platform, error) {
 	return p, nil
 }
 
-// brokerTenant resolves an MQTT client to its tenant at CONNECT time:
-// infrastructure clients are internal platform traffic (tenant.None,
-// exempt from admission); every device client belongs to the pilot's
-// tenant. A username of the form "tenant:<id>" overrides the mapping
-// only when Options.TrustTenantUsernames is set — the username is
-// client-supplied, so honoring it unconditionally would let any device
-// impersonate (and throttle) another tenant or mint fresh tenant IDs to
-// evade quotas.
+// brokerTenant resolves an MQTT client to its tenant at CONNECT time: the
+// agent's id (refused at CONNECT while it is attached) and the benchmark
+// harness's are internal traffic (tenant.None, exempt from admission);
+// every other client is a device of the pilot's tenant. A username of the
+// form "tenant:<id>" overrides the mapping only when
+// Options.TrustTenantUsernames is set — the username is client-supplied,
+// so honoring it unconditionally would let any device impersonate (and
+// throttle) another tenant or mint fresh tenant IDs to evade quotas.
 func (p *Platform) brokerTenant(clientID, username string) tenant.ID {
 	if rest, ok := strings.CutPrefix(username, "tenant:"); ok && p.Opts.TrustTenantUsernames {
 		return tenant.ID(rest)
 	}
 	switch clientID {
-	case "iot-agent", "fog", "cloud", "platform", "bench":
+	case "iot-agent", "bench":
 		return tenant.None
 	}
 	return tenant.ID(p.Opts.Pilot.Name)
 }
 
-// brokerACL restricts devices to their own topics; infrastructure clients
-// are unrestricted. This is the transport-level arm of the §III access
-// control story.
+// brokerACL restricts devices to their own topics. Unrestricted are the
+// IoT agent's id — reachable only through InjectPublish, the broker refuses
+// it at CONNECT while the agent is attached — and the benchmark harness's.
+// This is the transport-level arm of the §III access control story.
 func (p *Platform) brokerACL(clientID, topic string, write bool) bool {
 	switch clientID {
-	case "iot-agent", "fog", "cloud", "platform", "bench":
+	case "iot-agent", "bench":
 		return true
 	}
 	apiKey, devID, err := agent.ParseAttrsTopic(topic)
@@ -604,23 +601,6 @@ func splitTopic(t string) []string {
 		}
 	}
 	return append(parts, t[start:])
-}
-
-// dial connects an infrastructure client to the platform broker over a
-// perfect in-memory link.
-func (p *Platform) dial(clientID string) (*mqtt.Client, error) {
-	ct, st, cleanup, err := mqtt.NewSimPair(simnet.Config{}, clientID)
-	if err != nil {
-		return nil, err
-	}
-	p.Broker.AttachTransport(st)
-	c, err := mqtt.Connect(ct, mqtt.ClientConfig{ClientID: clientID, KeepAlive: 0})
-	if err != nil {
-		cleanup()
-		return nil, fmt.Errorf("core: dial %s: %w", clientID, err)
-	}
-	p.cleanups = append(p.cleanups, func() { c.Close(); cleanup() })
-	return c, nil
 }
 
 // DialDevice connects a (possibly impaired) device client — also used by
@@ -883,10 +863,10 @@ func (p *Platform) Metrics() *metrics.Registry { return p.reg }
 // stores it feeds, then close the stores, and flush the WAL last — so
 // no acknowledged work is lost at shutdown.
 //
-//  1. disconnect MQTT clients (devices, then infrastructure) so no new
-//     traffic enters;
-//  2. stop the IoT agent, flushing its northbound batcher into the
-//     context broker;
+//  1. disconnect the device MQTT clients so no new traffic enters;
+//  2. stop the IoT agent: it detaches from the MQTT broker first (a
+//     publish still racing in is routed to nobody), then flushes its
+//     northbound batcher into the context broker;
 //  3. close the MQTT broker, draining per-session outbound queues;
 //  4. close the context broker, draining shard notification queues into
 //     their notifiers (webhook queues, fog ingest, cloud persistence);

@@ -2,17 +2,21 @@ package core
 
 import (
 	"fmt"
+	"net"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/swamp-project/swamp/internal/agent"
 	"github.com/swamp-project/swamp/internal/clock"
 	"github.com/swamp-project/swamp/internal/model"
 	"github.com/swamp-project/swamp/internal/mqtt"
 	"github.com/swamp-project/swamp/internal/ngsi"
 	"github.com/swamp-project/swamp/internal/simnet"
+	"github.com/swamp-project/swamp/internal/tenant"
 	"github.com/swamp-project/swamp/internal/timeseries"
 )
 
@@ -288,17 +292,20 @@ func TestHeadOfLineFogUplinkOffDispatcher(t *testing.T) {
 	}
 }
 
-// fogDrainers counts live fog drain goroutines in this process.
-func fogDrainers() int {
+// allStacks returns the stack dump of every goroutine in this process.
+func allStacks() string {
 	buf := make([]byte, 1<<20)
 	for {
 		n := runtime.Stack(buf, true)
 		if n < len(buf) {
-			return strings.Count(string(buf[:n]), "fog.(*Node).drain")
+			return string(buf[:n])
 		}
 		buf = make([]byte, 2*len(buf))
 	}
 }
+
+// fogDrainers counts live fog drain goroutines in this process.
+func fogDrainers() int { return strings.Count(allStacks(), "fog.(*Node).drain") }
 
 // waitFogDrainers polls until the process runs want drain goroutines (one
 // that was just started, or just told to stop, takes a moment to show).
@@ -455,5 +462,139 @@ func TestRunSeasonMATOPIBAFog(t *testing.T) {
 	}
 	if !strings.Contains(rep.String(), "pilot=matopiba") {
 		t.Error("report rendering broken")
+	}
+}
+
+// TestInfrastructureNamesGetNoACLPass: no client dials the broker as "fog",
+// "cloud" or "platform", so a device that picks one of those names is a
+// device — own topics only, the pilot's tenant — like any other. Over TCP,
+// the way a device would try it.
+func TestInfrastructureNamesGetNoACLPass(t *testing.T) {
+	p := newPlatform(t, PilotMATOPIBA, ModeFarmFog, false)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() { _ = p.Broker.Serve(ln) }() // returns when ln closes
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cloud, err := mqtt.Connect(mqtt.NewStreamTransport(conn), mqtt.ClientConfig{ClientID: "cloud"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cloud.Close() })
+
+	if _, err := cloud.Subscribe(agent.AttrsFilter, 0, func(mqtt.Message) {}); err == nil {
+		t.Error(`client "cloud" subscribed to every device's readings`)
+	}
+	if err := cloud.Publish("ul/swamp-matopiba/matopiba-probe-00/attrs", []byte("m1|0.01"), 0, false); err != nil {
+		t.Fatal(err)
+	}
+	denied := p.Metrics().Counter("mqtt.publish.denied")
+	for deadline := time.Now().Add(2 * time.Second); denied.Value() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if denied.Value() != 1 {
+		t.Errorf("mqtt.publish.denied = %d after a publish on another device's topic, want 1", denied.Value())
+	}
+	for _, id := range []string{"fog", "cloud", "platform"} {
+		if got := p.brokerTenant(id, ""); got != tenant.ID(PilotMATOPIBA.Name) {
+			t.Errorf("brokerTenant(%q) = %q, want the pilot's tenant", id, got)
+		}
+		if p.brokerACL(id, "ul/swamp-matopiba/matopiba-probe-00/cmd", false) {
+			t.Errorf("client %q may subscribe to another device's commands", id)
+		}
+	}
+}
+
+// platformGoroutines counts the live goroutines that run this module's code.
+func platformGoroutines() int {
+	count := 0
+	for _, g := range strings.Split(allStacks(), "\n\n") {
+		if strings.Contains(g, "swamp/internal/") && !strings.Contains(g, "platformGoroutines") {
+			count++
+		}
+	}
+	return count
+}
+
+// TestCloseUnderPublishLoad: Close detaches the agent from the broker before
+// it stops the batcher, so a device publishing straight through the shutdown
+// is routed to nobody rather than into a closed batcher; nothing the
+// platform started outlives Close.
+func TestCloseUnderPublishLoad(t *testing.T) {
+	before := platformGoroutines()
+	p, err := New(Options{Pilot: PilotIntercrop, Mode: ModeFarmFog, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	// Publishers the platform does not own (Close disconnects its own
+	// probes first): raw transports the broker serves until it closes.
+	const publishers = 3
+	var wg sync.WaitGroup
+	var clients []func()
+	closeClients := func() {
+		for _, f := range clients {
+			f()
+		}
+		clients = nil
+	}
+	defer closeClients()
+	for i := 0; i < publishers; i++ {
+		u := p.Probes[i]
+		id := string(u.Prov.Desc.ID) + "-twin"
+		ct, st, cleanup, err := mqtt.NewSimPair(simnet.Config{}, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Broker.AttachTransport(st)
+		// The twin publishes on the probe's topic; brokerACL keys on the
+		// client id, so it connects under the probe's own (taking it over).
+		c, err := mqtt.Connect(ct, mqtt.ClientConfig{ClientID: string(u.Prov.Desc.ID), AckTimeout: 50 * time.Millisecond, PublishRetries: 1})
+		if err != nil {
+			cleanup()
+			t.Fatal(err)
+		}
+		clients = append(clients, func() { c.Close(); cleanup() })
+		topic := agent.AttrsTopic(u.Prov.Desc.APIKey, string(u.Prov.Desc.ID))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; ; k++ {
+				if err := c.Publish(topic, []byte(fmt.Sprintf("m1|0.%02d", k%100)), 1, false); err != nil {
+					return // the broker went away
+				}
+			}
+		}()
+	}
+	ok := p.Metrics().Counter("agent.north.ok")
+	deadline := time.Now().Add(5 * time.Second)
+	for ok.Value() < 200 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if ok.Value() < 200 {
+		t.Fatalf("only %d readings went north before Close", ok.Value())
+	}
+	p.Close()
+	wg.Wait()
+	closeClients() // their link goroutines are this test's, not the platform's
+	if got := p.Metrics().Counter("agent.north.ctxerr").Value(); got != 0 {
+		t.Errorf("agent.north.ctxerr = %d: a publish reached the agent after its batcher closed", got)
+	}
+	if added, okv := p.Metrics().Counter("ngsi.batcher.added").Value(), ok.Value(); added != okv {
+		t.Errorf("batcher took %d readings, %d reached the context broker", added, okv)
+	}
+	deadline = time.Now().Add(2 * time.Second)
+	got := platformGoroutines()
+	for got > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		got = platformGoroutines()
+	}
+	if got > before {
+		t.Errorf("%d goroutines of the platform outlive Close", got-before)
 	}
 }

@@ -18,7 +18,8 @@ var allocSink int
 // TestQoS0DeliveryPathZeroAlloc pins the headline perf invariant: once the
 // route cache, frame pool and wire pool are warm, a QoS-0 publish routed,
 // enqueued, drained and written costs zero heap allocations — across ALL
-// goroutines, so the session writer's drain/flush path is covered too.
+// goroutines, so the session writer's drain/flush path is covered too. A
+// local attachment matching the same topic rides along at no cost.
 func TestQoS0DeliveryPathZeroAlloc(t *testing.T) {
 	// RetryInterval: time.Hour keeps the writer's retry timer from firing
 	// (its clock.After allocates once per tick).
@@ -33,6 +34,12 @@ func TestQoS0DeliveryPathZeroAlloc(t *testing.T) {
 		{Filter: "farm/+/soil/#", QoS: 0},
 	}})
 	waitFor(t, time.Second, func() bool { return b.SessionCount() == 1 })
+	local := 0
+	detach, err := b.AttachLocal("local", "farm/#", func(m Message) { local += len(m.Payload) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer detach()
 
 	payload := []byte("moisture=41.7")
 	const topic = "farm/f1/soil/probe2"
@@ -57,6 +64,57 @@ func TestQoS0DeliveryPathZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, pump)
 	if allocs != 0 {
 		t.Fatalf("QoS-0 publish->route->enqueue->drain path allocates %.3f objects/op, want 0", allocs)
+	}
+	if want := (64 + 201) * len(payload); local != want {
+		t.Fatalf("local attachment saw %d payload bytes, want %d", local, want)
+	}
+}
+
+// TestLocalOnlyRouteEncodesNoFrame: a topic matched only by a local
+// attachment resolves to a route with no session target — frames are encoded
+// per session target, so none is — and the handler reads the publisher's own
+// payload bytes, for zero allocations a publish.
+func TestLocalOnlyRouteEncodesNoFrame(t *testing.T) {
+	b := NewBroker(BrokerConfig{})
+	defer b.Close()
+	st := NewSlowTransport(0)
+	defer st.Close()
+	b.AttachTransport(st)
+	st.Inject(&Packet{Type: CONNECT, ClientID: "elsewhere"})
+	st.Inject(&Packet{Type: SUBSCRIBE, PacketID: 1, Filters: []Subscription{{Filter: "farm/#", QoS: 1}}})
+	waitFor(t, time.Second, func() bool { return b.Metrics().Counter("mqtt.subscribe.ok").Value() == 1 })
+
+	payload := []byte("m1|0.21|m2|0.27")
+	const topic = "ul/k/probe-1/attrs"
+	aliased := 0
+	detach, err := b.AttachLocal("iot-agent", "ul/+/+/attrs", func(m Message) {
+		if &m.Payload[0] == &payload[0] {
+			aliased++
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer detach()
+
+	pump := func() {
+		if err := b.InjectPublish("probe-1", topic, payload, 1, false); err != nil {
+			panic(err)
+		}
+	}
+	pump()
+	rt := (*b.routeCache.Load())[topic].v.Load()
+	if len(rt.targets) != 0 || len(rt.locals) != 1 {
+		t.Fatalf("route for a local-only topic: %d session targets, %d local, want 0 and 1", len(rt.targets), len(rt.locals))
+	}
+	if allocs := testing.AllocsPerRun(200, pump); allocs != 0 {
+		t.Fatalf("local-only publish allocates %.3f objects/op, want 0", allocs)
+	}
+	if aliased != 202 {
+		t.Fatalf("handler saw the publisher's own bytes %d of 202 times", aliased)
+	}
+	if st.PublishCount() != 0 {
+		t.Fatalf("%d frames written to a session that does not match", st.PublishCount())
 	}
 }
 

@@ -86,7 +86,8 @@ const DefaultFlushWatermark = 8 << 10
 const DefaultRouteCacheSize = 4096
 
 // Broker is an MQTT 3.1.1-subset message broker. Construct with NewBroker;
-// attach clients with Serve (TCP) and/or AttachTransport (simulated links).
+// attach clients with Serve (TCP) and/or AttachTransport (simulated links),
+// and in-process consumers with AttachLocal.
 //
 // Concurrency: the subscription trie is an immutable copy-on-write structure
 // behind an atomic.Pointer — route() reads it lock-free; mutations
@@ -106,6 +107,7 @@ type Broker struct {
 
 	sessMu   sync.RWMutex
 	sessions map[string]*session
+	locals   map[string]*localSub // in-process attachments, by reserved client id
 	closed   bool
 
 	subMu    sync.Mutex // serializes trie mutations; readers never take it
@@ -157,16 +159,34 @@ type routeEntry struct {
 	v atomic.Pointer[routeTargets]
 }
 
-// routeTargets is one resolved fan-out: the sessions subscribed to a topic
-// at the moment epoch was observed.
+// routeTargets is one resolved fan-out: the sessions and local attachments
+// subscribed to a topic at the moment epoch was observed.
 type routeTargets struct {
 	epoch   uint64
 	targets []routeTarget
+	locals  []*localSub
 }
 
 type routeTarget struct {
 	s   *session
 	qos byte // granted subscription QoS
+}
+
+// localSub is one in-process attachment (AttachLocal).
+type localSub struct {
+	h Handler
+	// gate is held shared around every handler call and exclusively by
+	// detach, which so returns once no call is in flight and none can start.
+	gate sync.RWMutex
+	gone bool
+}
+
+func (l *localSub) deliver(m Message) {
+	l.gate.RLock()
+	if !l.gone {
+		l.h(m)
+	}
+	l.gate.RUnlock()
 }
 
 type retainedMsg struct {
@@ -218,6 +238,7 @@ func NewBroker(cfg BrokerConfig) *Broker {
 		reg:      cfg.Metrics,
 		clk:      cfg.Clock,
 		sessions: make(map[string]*session),
+		locals:   make(map[string]*localSub),
 		retained: shards,
 		done:     make(chan struct{}),
 
@@ -551,6 +572,14 @@ func (b *Broker) serveTransport(t Transport) {
 		t.Close()
 		return
 	}
+	if b.locals[s.id] != nil {
+		// The id is an in-process attachment's: no takeover, no sharing.
+		b.sessMu.Unlock()
+		b.reg.Counter("mqtt.connect.refused").Inc()
+		_ = t.WritePacket(&Packet{Type: CONNACK, ReturnCode: ConnRefusedIdentifier})
+		t.Close()
+		return
+	}
 	if old := b.sessions[s.id]; old != nil {
 		old.close()
 		b.stripSubscriptions(s.id)
@@ -714,14 +743,16 @@ func (b *Broker) storeRetained(topic string, payload []byte, qos byte) {
 	sh.mu.Unlock()
 }
 
-// routePublish fans a publish out to matching subscribers. It only matches
-// and enqueues — it never writes to a transport, so a stalled subscriber
-// cannot block the publisher's read goroutine.
+// routePublish fans a publish out to matching subscribers. Towards network
+// sessions it only matches and enqueues — it never writes to a transport, so
+// a stalled subscriber cannot block the publisher's read goroutine. Local
+// attachments run last, inline, and may block it on purpose (AttachLocal).
 //
 // The hot path takes no locks and, at steady state, performs no heap
 // allocations: the subscription trie is read through an atomic pointer, the
 // resolved route comes from the epoch-validated cache, and the PUBLISH frame
-// is encoded once into a pooled refcounted buffer shared by every target.
+// is encoded once into a pooled refcounted buffer shared by every session
+// target — and not at all when only local attachments match.
 func (b *Broker) routePublish(topic string, payload []byte, qos byte) {
 	// Epoch before match: if a mutation lands between these two loads the
 	// entry is tagged with the older epoch and the next publish rebuilds.
@@ -740,9 +771,6 @@ func (b *Broker) routePublish(topic string, payload []byte, qos byte) {
 	}
 	if rt == nil {
 		rt = b.buildRoute(topic, epoch, re)
-	}
-	if len(rt.targets) == 0 {
-		return
 	}
 	// Encode at most twice — QoS 0 and QoS 1 wire layouts differ by the
 	// 2-byte PacketID — and share each frame across all its targets.
@@ -770,6 +798,9 @@ func (b *Broker) routePublish(topic string, payload []byte, qos byte) {
 	if f1 != nil {
 		f1.release()
 	}
+	for _, l := range rt.locals {
+		l.deliver(Message{Topic: topic, Payload: payload, QoS: qos})
+	}
 }
 
 // buildRoute resolves topic against the current trie and installs the result
@@ -788,6 +819,8 @@ func (b *Broker) buildRoute(topic string, epoch uint64, re *routeEntry) *routeTa
 		for _, m := range ms {
 			if sess := b.sessions[m.id]; sess != nil {
 				rt.targets = append(rt.targets, routeTarget{s: sess, qos: m.qos})
+			} else if l := b.locals[m.id]; l != nil {
+				rt.locals = append(rt.locals, l)
 			}
 		}
 		b.sessMu.RUnlock()
@@ -1423,9 +1456,53 @@ func (b *Broker) dropSession(s *session) {
 // errBrokerClosed reported by operations on a closed broker.
 var errBrokerClosed = errors.New("mqtt: broker closed")
 
+// AttachLocal subscribes an in-process consumer to filter under clientID:
+// the receiving half of InjectPublish. h runs inline on the publisher's
+// goroutine — a connection's reader, or InjectPublish's caller — after the
+// PUBACK and the network subscribers are queued, where Tap runs. There is no
+// queue in between: h must not retain Message.Payload, and it may block,
+// which back-pressures only the connection that published and never drops;
+// a connection has one reader, so per-publisher order holds. Retained
+// messages are not replayed. While attached, a CONNECT naming clientID is
+// refused (ConnRefusedIdentifier). detach returns once no call of h is in
+// flight; later publishes are routed without it.
+func (b *Broker) AttachLocal(clientID, filter string, h Handler) (detach func(), err error) {
+	if clientID == "" || h == nil {
+		return nil, errors.New("mqtt: local attachment needs a client id and a handler")
+	}
+	if err := ValidateTopicFilter(filter); err != nil {
+		return nil, err
+	}
+	b.sessMu.Lock()
+	defer b.sessMu.Unlock()
+	if b.closed {
+		return nil, errBrokerClosed
+	}
+	if b.sessions[clientID] != nil || b.locals[clientID] != nil {
+		return nil, fmt.Errorf("mqtt: client id %q is in use", clientID)
+	}
+	l := &localSub{h: h}
+	b.locals[clientID] = l
+	b.subMu.Lock() // nested under sessMu, as a takeover does
+	b.subs.Store(b.subs.Load().withSub(filter, clientID, 1))
+	b.subEpoch.Add(1)
+	b.subMu.Unlock()
+	return func() {
+		b.sessMu.Lock()
+		if b.locals[clientID] == l {
+			delete(b.locals, clientID)
+			b.stripSubscriptions(clientID)
+		}
+		b.sessMu.Unlock()
+		l.gate.Lock()
+		l.gone = true
+		l.gate.Unlock()
+	}, nil
+}
+
 // InjectPublish routes a message as if a client had published it. The fog
 // node uses this to replay its store-and-forward queue into the cloud
-// broker after a partition heals.
+// broker after a partition heals, and the IoT agent to send commands.
 func (b *Broker) InjectPublish(clientID, topic string, payload []byte, qos byte, retain bool) error {
 	b.sessMu.RLock()
 	closed := b.closed

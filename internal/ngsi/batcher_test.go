@@ -388,17 +388,20 @@ func TestBatcherOrderUnderConcurrency(t *testing.T) {
 	}
 }
 
-// batcherLoops counts live batcher flusher goroutines in this process.
-func batcherLoops() int {
+// goroutinesIn counts the live goroutines of this process running fn.
+func goroutinesIn(fn string) int {
 	buf := make([]byte, 1<<20)
 	for {
 		n := runtime.Stack(buf, true)
 		if n < len(buf) {
-			return strings.Count(string(buf[:n]), "ngsi.(*Batcher).loop")
+			return strings.Count(string(buf[:n]), fn)
 		}
 		buf = make([]byte, 2*len(buf))
 	}
 }
+
+// batcherLoops counts live batcher flusher goroutines in this process.
+func batcherLoops() int { return goroutinesIn("ngsi.(*Batcher).loop") }
 
 // TestBatcherCloseLeavesNoGoroutine: the flusher exists from NewBatcher
 // until Close returns.

@@ -139,8 +139,8 @@ func TestSubscriptionFires(t *testing.T) {
 		EntityIDPattern: "urn:plot:*",
 		ConditionAttrs:  []string{"soilMoisture"},
 		Notifier: Callback(func(n Notification) {
+			last.Store(n) // before the count the test waits on
 			notes.Add(1)
-			last.Store(n)
 		}),
 	})
 	if err != nil {
