@@ -66,7 +66,7 @@ type device struct {
 	// attrName maps UL codes to NGSI attribute names.
 	attrName map[string]string
 	// meta is the device/owner metadata every attribute of the device
-	// carries. Shared, never mutated: the batcher copies what it keeps.
+	// carries. Never written after Provision: the stored versions share it.
 	meta map[string]string
 }
 
@@ -286,7 +286,7 @@ func (a *Agent) onMeasure(msg mqtt.Message) {
 	if len(attrs) == 0 {
 		return
 	}
-	// agent.north.ok advances at flush time (see New).
+	// agent.north.ok advances at flush time (see New); attrs is the batcher's.
 	if err := a.batcher.Add(prov.EntityID, prov.EntityType, attrs); err != nil {
 		a.reg.Counter("agent.north.ctxerr").Inc()
 		a.cfg.Logf("agent: batch context update for %s: %v", prov.Desc.ID, err)

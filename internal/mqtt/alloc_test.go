@@ -7,9 +7,14 @@
 package mqtt
 
 import (
+	"bufio"
+	"bytes"
+	"net"
 	"runtime"
 	"testing"
 	"time"
+
+	"github.com/swamp-project/swamp/internal/simnet"
 )
 
 // allocSink defeats dead-code elimination in the measured loops.
@@ -138,5 +143,73 @@ func TestTrieMatchZeroAlloc(t *testing.T) {
 	}
 	if allocSink != 4 {
 		t.Fatalf("matchInto found %d subscriptions, want 4", allocSink)
+	}
+}
+
+// TestPublishDecodeAllocs: a QoS 1 PUBLISH read off a connection's
+// bufio.Reader costs its Packet, its body and its topic string — the header
+// bytes go through ReadByte and the payload aliases the body.
+func TestPublishDecodeAllocs(t *testing.T) {
+	raw, err := (&Packet{Type: PUBLISH, Topic: "ul/k1/probe-1/attrs", Payload: []byte("m1|0.21|m2|0.27"), QoS: 1, PacketID: 7}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := bytes.NewReader(nil)
+	r := bufio.NewReader(src)
+	allocs := testing.AllocsPerRun(500, func() {
+		src.Reset(raw)
+		r.Reset(src)
+		p, err := ReadPacket(r)
+		if err != nil {
+			panic(err)
+		}
+		allocSink = len(p.Payload)
+	})
+	if allocs > 3 {
+		t.Errorf("decoding a QoS 1 PUBLISH allocates %.1f objects, want ≤ 3", allocs)
+	}
+}
+
+// discardConn is a connection that accepts every write.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestWritePacketStagingZeroAlloc: neither transport allocates to stage a
+// packet's encoding — a stream encodes into its buffered writer's free
+// space, flushed or not, and a simulated link's pooled buffer makes the
+// round trip to the receiver and back without boxing a slice header.
+func TestWritePacketStagingZeroAlloc(t *testing.T) {
+	ack := &Packet{Type: PUBACK, PacketID: 9}
+	pub := &Packet{Type: PUBLISH, Topic: "ul/k1/probe-1/attrs", Payload: []byte("m1|0.21|m2|0.27"), QoS: 1, PacketID: 7}
+
+	st := NewStreamTransport(discardConn{})
+	frame := newPublishFrame(pub.Topic, pub.Payload, 1, false)
+	defer frame.release()
+	if allocs := testing.AllocsPerRun(200, func() {
+		if st.WritePacket(ack) != nil || st.WritePacket(pub) != nil {
+			panic("write failed")
+		}
+		if _, err := st.BufferPacket(ack); err != nil || st.WriteFrame(frame, 7, false) != nil || st.Flush() != nil {
+			panic("buffered write failed")
+		}
+	}); allocs != 0 {
+		t.Errorf("StreamTransport: %.2f allocations per four packets, want 0", allocs)
+	}
+
+	ct, srv, cleanup, err := NewSimPair(simnet.Config{}, "staging")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+	recv := srv.(*SimTransport).ep.Recv()
+	if allocs := testing.AllocsPerRun(200, func() {
+		if ct.WritePacket(ack) != nil || ct.WritePacket(pub) != nil {
+			panic("write failed")
+		}
+		putWire(<-recv)
+		putWire(<-recv)
+	}); allocs != 0 {
+		t.Errorf("SimTransport: %.2f allocations per two packets, want 0", allocs)
 	}
 }

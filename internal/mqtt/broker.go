@@ -1041,22 +1041,31 @@ func (b *Broker) sessionWriter(s *session) {
 	}
 }
 
+// writePacket writes one standalone packet from the writer goroutine: buffered
+// (wire is its size) for the drain's flush to carry, or straight through.
+func (s *session) writePacket(p *Packet) (wire int, err error) {
+	if s.fl != nil {
+		return s.fl.BufferPacket(p)
+	}
+	return 0, s.transport.WritePacket(p)
+}
+
 // writeData writes one queued delivery through the transport's fastest
 // available path.
 func (s *session) writeData(m outMsg) (wire int, err error) {
-	if m.f != nil {
-		if s.fw != nil {
-			return m.f.wireLen(), s.fw.WriteFrame(m.f, m.pid, false)
-		}
-		return m.f.wireLen(), s.transport.WritePacket(m.f.packet(m.pid, false))
+	if m.f == nil {
+		return s.writePacket(m.pkt)
 	}
-	return len(m.pkt.Payload) + len(m.pkt.Topic) + 4, s.transport.WritePacket(m.pkt)
+	if s.fw != nil {
+		return m.f.wireLen(), s.fw.WriteFrame(m.f, m.pid, false)
+	}
+	return s.writePacket(m.f.packet(m.pid, false))
 }
 
-// releaseBatch releases the frame references of batch[from:] and zeroes the
-// entries (error-path cleanup; the happy path releases as it stamps).
-func releaseBatch(batch []outMsg, from int) {
-	for i := from; i < len(batch); i++ {
+// releaseBatch releases the frame references batch holds and zeroes the
+// entries.
+func releaseBatch(batch []outMsg) {
+	for i := range batch {
 		if batch[i].f != nil {
 			batch[i].f.release()
 		}
@@ -1066,12 +1075,31 @@ func releaseBatch(batch []outMsg, from int) {
 
 // drainQueue writes everything queued on s — control packets first, then the
 // data ring — batching pops so the lock is held only to swap slices, and
-// coalescing the whole drain into buffered writes flushed at queue-empty or
-// the byte watermark. It reports false on a write error.
+// coalescing the whole drain, control packets included, into buffered writes
+// flushed at queue-empty or the byte watermark. It reports false on a write
+// error.
 func (b *Broker) drainQueue(s *session) bool {
-	unflushed := 0 // packets written since the last flush
-	bytes := 0
+	unflushed, bytes := 0, 0                // packets and bytes written since the last flush
 	watermark := int(b.dynFlushMark.Load()) // one knob read per drain
+	// flush pushes what is buffered out; mqtt.writer.* count exactly these.
+	flush := func() bool {
+		if s.fl != nil {
+			if err := s.fl.Flush(); err != nil {
+				b.cDeliverErr.Inc()
+				return false
+			}
+		}
+		b.cFlushes.Inc()
+		b.cFlushedPkts.Add(uint64(unflushed))
+		unflushed, bytes = 0, 0
+		return true
+	}
+	// wrote accounts for one packet written and flushes at the watermark.
+	wrote := func(wire int) bool {
+		unflushed++
+		bytes += wire
+		return s.fl == nil || bytes < watermark || flush()
+	}
 	for {
 		s.mu.Lock()
 		ctl := s.ctlq
@@ -1097,35 +1125,26 @@ func (b *Broker) drainQueue(s *session) bool {
 		}
 		for i, pkt := range ctl {
 			ctl[i] = nil
-			if err := s.transport.WritePacket(pkt); err != nil {
-				releaseBatch(batch, 0)
+			if wire, err := s.writePacket(pkt); err != nil || !wrote(wire) {
+				releaseBatch(batch)
 				return false
 			}
-			unflushed++
 		}
 		qos1 := 0
-		for i, m := range batch {
+		for _, m := range batch {
 			wire, err := s.writeData(m)
 			if err != nil {
 				b.cDeliverErr.Inc()
-				releaseBatch(batch, i)
+				releaseBatch(batch)
 				return false
 			}
 			b.cDeliverOut.Inc()
-			unflushed++
-			bytes += wire
 			if m.qos == 1 {
 				qos1++
 			}
-			if s.fl != nil && bytes >= watermark {
-				if err := s.fl.Flush(); err != nil {
-					b.cDeliverErr.Inc()
-					releaseBatch(batch, i+1)
-					return false
-				}
-				b.cFlushes.Inc()
-				b.cFlushedPkts.Add(uint64(unflushed))
-				unflushed, bytes = 0, 0
+			if !wrote(wire) {
+				releaseBatch(batch)
+				return false
 			}
 		}
 		if qos1 > 0 {
@@ -1145,21 +1164,11 @@ func (b *Broker) drainQueue(s *session) bool {
 			}
 			s.mu.Unlock()
 		}
-		releaseBatch(batch, 0)
+		releaseBatch(batch)
 	}
 	// Queue drained empty: flush whatever the watermark left buffered so
 	// tail latency is bounded by one wakeup, not by future traffic.
-	if unflushed > 0 {
-		if s.fl != nil {
-			if err := s.fl.Flush(); err != nil {
-				b.cDeliverErr.Inc()
-				return false
-			}
-		}
-		b.cFlushes.Inc()
-		b.cFlushedPkts.Add(uint64(unflushed))
-	}
-	return true
+	return unflushed == 0 || flush()
 }
 
 // resendItem is one retry-pass transmission collected under the lock.
@@ -1261,9 +1270,9 @@ func (b *Broker) writeResend(s *session, resend []resendItem) bool {
 		case r.f != nil && s.fw != nil:
 			err = s.fw.WriteFrame(r.f, r.pid, r.dup)
 		case r.f != nil:
-			err = s.transport.WritePacket(r.f.packet(r.pid, r.dup))
+			_, err = s.writePacket(r.f.packet(r.pid, r.dup))
 		default:
-			err = s.transport.WritePacket(r.pkt)
+			_, err = s.writePacket(r.pkt)
 		}
 		if r.f != nil {
 			r.f.release()

@@ -91,30 +91,43 @@ type FrameWriter interface {
 	WriteFrame(f *Frame, pid uint16, dup bool) error
 }
 
-// Flusher is implemented by transports that buffer writes. The session
-// writer flushes when its queue drains empty or a byte watermark is
-// reached; transports without it write through on every packet.
+// Flusher is implemented by transports that buffer writes: the session
+// writer puts packets in with BufferPacket (which reports their wire size)
+// beside the frames, and flushes when its queue drains empty or a byte
+// watermark is reached. Transports without it write through on every packet.
 type Flusher interface {
+	BufferPacket(p *Packet) (wire int, err error)
 	Flush() error
 }
 
-// wirePool recycles encode staging buffers used by WritePacket/WriteFrame
-// implementations. Oversized buffers are dropped so one huge payload doesn't
-// pin memory.
-var wirePool sync.Pool
+// wirePool recycles the encode staging buffers a SimTransport hands to its
+// link; the receiving side returns them. Buffers travel as *[]byte so that a
+// Put boxes nothing, and the emptied boxes wait in boxPool for the next Put.
+// Oversized buffers are dropped so one huge payload doesn't pin memory.
+var wirePool, boxPool sync.Pool
 
 const maxPooledWire = 64 << 10
 
 func getWire() []byte {
-	if v := wirePool.Get(); v != nil {
-		return v.([]byte)
+	v := wirePool.Get()
+	if v == nil {
+		return make([]byte, 0, 512)
 	}
-	return make([]byte, 0, 512)
+	box := v.(*[]byte)
+	b := *box
+	*box = nil
+	boxPool.Put(box)
+	return b
 }
 
 func putWire(b []byte) {
 	if cap(b) == 0 || cap(b) > maxPooledWire {
 		return
 	}
-	wirePool.Put(b[:0]) //nolint:staticcheck // slice header box is amortized
+	box, _ := boxPool.Get().(*[]byte)
+	if box == nil {
+		box = new([]byte)
+	}
+	*box = b[:0]
+	wirePool.Put(box)
 }

@@ -309,64 +309,99 @@ func Decode(raw []byte) (*Packet, error) {
 
 // ReadPacket reads and decodes exactly one packet from r.
 func ReadPacket(r io.Reader) (*Packet, error) {
-	var hdr [1]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	br, ok := r.(io.ByteReader)
+	if !ok {
+		br = byteReader{r}
+	}
+	b0, err := br.ReadByte()
+	if err != nil {
 		return nil, err // propagate io.EOF for clean shutdown detection
 	}
-	pt := PacketType(hdr[0] >> 4)
-	flags := hdr[0] & 0x0f
-
-	rl, err := readRemainingLength(r)
+	rl, err := readRemainingLength(br)
 	if err != nil {
 		return nil, err
 	}
-	body := make([]byte, rl)
-	if _, err := io.ReadFull(r, body); err != nil {
+	body, err := readBody(r, rl)
+	if err != nil {
 		return nil, fmt.Errorf("%w: short body: %v", ErrMalformed, err)
 	}
-	return decodeBody(pt, flags, body)
+	return decodeBody(PacketType(b0>>4), b0&0x0f, body)
 }
 
+// byteReader lends ReadPacket's header parse to a reader with no ReadByte.
+type byteReader struct{ io.Reader }
+
+func (b byteReader) ReadByte() (byte, error) {
+	var p [1]byte
+	_, err := io.ReadFull(b, p[:])
+	return p[0], err
+}
+
+// bodyChunk is the most ReadPacket allocates on the word of a length field
+// alone: the remaining length arrives before CONNECT is authenticated and
+// may claim 256 MiB, so a longer body's buffer grows only as its bytes do.
+const bodyChunk = 64 << 10
+
+// readBody reads a packet's n body bytes into a buffer of their own (never
+// reused: decodeBody's results alias it).
+func readBody(r io.Reader, n int) ([]byte, error) {
+	body := make([]byte, min(n, bodyChunk))
+	filled := 0
+	for {
+		m, err := io.ReadFull(r, body[filled:])
+		if err != nil {
+			return nil, err
+		}
+		if filled += m; filled == n {
+			return body, nil
+		}
+		grown := make([]byte, min(2*filled, n))
+		copy(grown, body)
+		body = grown
+	}
+}
+
+// decodeBody parses a packet body by index. Payload and GrantedQoS alias
+// body, capped so an append to either cannot write into it.
 func decodeBody(pt PacketType, flags byte, body []byte) (*Packet, error) {
 	p := &Packet{Type: pt}
-	buf := bytes.NewReader(body)
+	c := cursor{b: body}
+	var err error
 
 	switch pt {
 	case CONNECT:
-		name, err := readString(buf)
+		name, err := c.str()
 		if err != nil {
 			return nil, err
 		}
 		if name != protocolName {
 			return nil, fmt.Errorf("%w: protocol name %q", ErrMalformed, name)
 		}
-		level, err := buf.ReadByte()
-		if err != nil {
+		level, ok := c.byte()
+		if !ok {
 			return nil, fmt.Errorf("%w: missing protocol level", ErrMalformed)
 		}
 		if level != protocolLevel {
 			return nil, fmt.Errorf("%w: protocol level %d", ErrMalformed, level)
 		}
-		cf, err := buf.ReadByte()
-		if err != nil {
+		cf, ok := c.byte()
+		if !ok {
 			return nil, fmt.Errorf("%w: missing connect flags", ErrMalformed)
 		}
 		p.CleanSession = cf&0x02 != 0
-		ka, err := readUint16(buf)
-		if err != nil {
+		if p.KeepAliveSec, err = c.uint16(); err != nil {
 			return nil, err
 		}
-		p.KeepAliveSec = ka
-		if p.ClientID, err = readString(buf); err != nil {
+		if p.ClientID, err = c.str(); err != nil {
 			return nil, err
 		}
 		if cf&0x80 != 0 {
-			if p.Username, err = readString(buf); err != nil {
+			if p.Username, err = c.str(); err != nil {
 				return nil, err
 			}
 		}
 		if cf&0x40 != 0 {
-			if p.Password, err = readString(buf); err != nil {
+			if p.Password, err = c.str(); err != nil {
 				return nil, err
 			}
 		}
@@ -385,41 +420,32 @@ func decodeBody(pt PacketType, flags byte, body []byte) (*Packet, error) {
 		if p.QoS > 1 {
 			return nil, fmt.Errorf("%w: QoS %d unsupported", ErrMalformed, p.QoS)
 		}
-		topic, err := readString(buf)
-		if err != nil {
+		if p.Topic, err = c.str(); err != nil {
 			return nil, err
 		}
-		p.Topic = topic
 		if p.QoS > 0 {
-			if p.PacketID, err = readUint16(buf); err != nil {
+			if p.PacketID, err = c.uint16(); err != nil {
 				return nil, err
 			}
 		}
-		p.Payload = make([]byte, buf.Len())
-		if _, err := io.ReadFull(buf, p.Payload); err != nil {
-			return nil, fmt.Errorf("%w: payload: %v", ErrMalformed, err)
-		}
+		p.Payload = c.rest()
 
 	case PUBACK, UNSUBACK:
-		id, err := readUint16(buf)
-		if err != nil {
+		if p.PacketID, err = c.uint16(); err != nil {
 			return nil, err
 		}
-		p.PacketID = id
 
 	case SUBSCRIBE:
-		id, err := readUint16(buf)
-		if err != nil {
+		if p.PacketID, err = c.uint16(); err != nil {
 			return nil, err
 		}
-		p.PacketID = id
-		for buf.Len() > 0 {
-			f, err := readString(buf)
+		for c.left() > 0 {
+			f, err := c.str()
 			if err != nil {
 				return nil, err
 			}
-			q, err := buf.ReadByte()
-			if err != nil {
+			q, ok := c.byte()
+			if !ok {
 				return nil, fmt.Errorf("%w: missing subscribe QoS", ErrMalformed)
 			}
 			p.Filters = append(p.Filters, Subscription{Filter: f, QoS: q})
@@ -429,24 +455,17 @@ func decodeBody(pt PacketType, flags byte, body []byte) (*Packet, error) {
 		}
 
 	case SUBACK:
-		id, err := readUint16(buf)
-		if err != nil {
+		if p.PacketID, err = c.uint16(); err != nil {
 			return nil, err
 		}
-		p.PacketID = id
-		p.GrantedQoS = make([]byte, buf.Len())
-		if _, err := io.ReadFull(buf, p.GrantedQoS); err != nil {
-			return nil, fmt.Errorf("%w: SUBACK codes: %v", ErrMalformed, err)
-		}
+		p.GrantedQoS = c.rest()
 
 	case UNSUBSCRIBE:
-		id, err := readUint16(buf)
-		if err != nil {
+		if p.PacketID, err = c.uint16(); err != nil {
 			return nil, err
 		}
-		p.PacketID = id
-		for buf.Len() > 0 {
-			f, err := readString(buf)
+		for c.left() > 0 {
+			f, err := c.str()
 			if err != nil {
 				return nil, err
 			}
@@ -464,6 +483,47 @@ func decodeBody(pt PacketType, flags byte, body []byte) (*Packet, error) {
 	return p, nil
 }
 
+// cursor walks a packet body.
+type cursor struct {
+	b   []byte
+	off int
+}
+
+func (c *cursor) left() int { return len(c.b) - c.off }
+
+func (c *cursor) byte() (byte, bool) {
+	if c.left() == 0 {
+		return 0, false
+	}
+	c.off++
+	return c.b[c.off-1], true
+}
+
+func (c *cursor) uint16() (uint16, error) {
+	if c.left() < 2 {
+		return 0, fmt.Errorf("%w: short uint16", ErrMalformed)
+	}
+	v := uint16(c.b[c.off])<<8 | uint16(c.b[c.off+1])
+	c.off += 2
+	return v, nil
+}
+
+func (c *cursor) str() (string, error) {
+	n, err := c.uint16()
+	if err != nil {
+		return "", err
+	}
+	if c.left() < int(n) {
+		return "", fmt.Errorf("%w: short string", ErrMalformed)
+	}
+	s := string(c.b[c.off : c.off+int(n)])
+	c.off += int(n)
+	return s, nil
+}
+
+// rest returns what is left of the body, aliased and capacity-capped.
+func (c *cursor) rest() []byte { return c.b[c.off:len(c.b):len(c.b)] }
+
 // --- primitive encoders / decoders ---
 
 func writeUint16(w *bytes.Buffer, v uint16) {
@@ -471,29 +531,9 @@ func writeUint16(w *bytes.Buffer, v uint16) {
 	w.WriteByte(byte(v))
 }
 
-func readUint16(r *bytes.Reader) (uint16, error) {
-	var b [2]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, fmt.Errorf("%w: short uint16", ErrMalformed)
-	}
-	return uint16(b[0])<<8 | uint16(b[1]), nil
-}
-
 func writeString(w *bytes.Buffer, s string) {
 	writeUint16(w, uint16(len(s)))
 	w.WriteString(s)
-}
-
-func readString(r *bytes.Reader) (string, error) {
-	n, err := readUint16(r)
-	if err != nil {
-		return "", err
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return "", fmt.Errorf("%w: short string", ErrMalformed)
-	}
-	return string(b), nil
 }
 
 func writeRemainingLength(w *bytes.Buffer, n int) {
@@ -510,16 +550,16 @@ func writeRemainingLength(w *bytes.Buffer, n int) {
 	}
 }
 
-func readRemainingLength(r io.Reader) (int, error) {
+func readRemainingLength(r io.ByteReader) (int, error) {
 	mult := 1
 	val := 0
-	var b [1]byte
 	for i := 0; i < 4; i++ {
-		if _, err := io.ReadFull(r, b[:]); err != nil {
+		b, err := r.ReadByte()
+		if err != nil {
 			return 0, fmt.Errorf("%w: short remaining length", ErrMalformed)
 		}
-		val += int(b[0]&0x7f) * mult
-		if b[0]&0x80 == 0 {
+		val += int(b&0x7f) * mult
+		if b&0x80 == 0 {
 			return val, nil
 		}
 		mult *= 128

@@ -2,10 +2,15 @@ package mqtt
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math/rand"
+	"net"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func roundTrip(t *testing.T, p *Packet) *Packet {
@@ -180,5 +185,99 @@ func TestRemainingLengthBoundaries(t *testing.T) {
 		if got != n {
 			t.Errorf("remaining length %d: got %d", n, got)
 		}
+	}
+}
+
+// totalAlloc reads the bytes the process has allocated so far.
+func totalAlloc() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc
+}
+
+// TestReadPacketBoundsBodyAlloc: a remaining length is a claim any peer can
+// make before CONNECT is parsed, so the body's buffer grows with the bytes
+// that arrive, not with the claim — the 256 MiB header followed by nothing
+// costs under 1 MiB whether the peer hangs up or stalls — while a packet
+// that is that large in fact still decodes.
+func TestReadPacketBoundsBodyAlloc(t *testing.T) {
+	claim := []byte{byte(PUBLISH) << 4, 0xff, 0xff, 0xff, 0x7f}
+	const bound = 1 << 20
+
+	before := totalAlloc()
+	_, err := ReadPacket(bytes.NewReader(claim))
+	if grew := totalAlloc() - before; grew >= bound {
+		t.Errorf("header then EOF: allocated %d bytes", grew)
+	}
+	if !errors.Is(err, ErrMalformed) {
+		t.Errorf("header then EOF: err = %v, want ErrMalformed", err)
+	}
+
+	client, server := net.Pipe()
+	defer client.Close()
+	done := make(chan error, 1)
+	before = totalAlloc()
+	go func() {
+		_, err := NewStreamTransport(server).ReadPacket()
+		done <- err
+	}()
+	if _, err := client.Write(claim); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("read returned %v while the peer still holds the connection", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if grew := totalAlloc() - before; grew >= bound {
+		t.Errorf("header then a stalled peer: allocated %d bytes", grew)
+	}
+	client.Close()
+	if err := <-done; !errors.Is(err, ErrMalformed) {
+		t.Errorf("header then hang-up: err = %v, want ErrMalformed", err)
+	}
+
+	big := &Packet{Type: PUBLISH, Topic: "big", Payload: bytes.Repeat([]byte("0123456789abcdef"), 1<<16), QoS: 1, PacketID: 9}
+	raw, err := big.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Through a reader with no ReadByte of its own, in small pieces.
+	got, err := ReadPacket(smallReads{bytes.NewReader(raw)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Topic != big.Topic || got.PacketID != 9 || !bytes.Equal(got.Payload, big.Payload) {
+		t.Errorf("1 MiB publish came back as topic %q id %d with %d payload bytes", got.Topic, got.PacketID, len(got.Payload))
+	}
+}
+
+// smallReads hands out at most 1000 bytes a Read, as a socket would.
+type smallReads struct{ r io.Reader }
+
+func (i smallReads) Read(p []byte) (int, error) { return i.r.Read(p[:min(len(p), 1000)]) }
+
+// TestPublishPayloadAliasesOnlyItsBody: Payload points into the buffer
+// ReadPacket allocated for this packet's body — not into the reader's, which
+// the next packet overwrites — and has no spare capacity, so an append cannot
+// write over anything.
+func TestPublishPayloadAliasesOnlyItsBody(t *testing.T) {
+	raw, err := (&Packet{Type: PUBLISH, Topic: "a/b", Payload: []byte("xyz"), QoS: 1, PacketID: 5}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := append([]byte(nil), raw...)
+	p, err := Decode(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range src {
+		src[i] = 0xee
+	}
+	if string(p.Payload) != "xyz" || p.Topic != "a/b" {
+		t.Errorf("decoded packet changed with its source: topic %q payload %q", p.Topic, p.Payload)
+	}
+	if cap(p.Payload) != len(p.Payload) {
+		t.Errorf("payload has %d bytes of capacity beyond its %d", cap(p.Payload)-len(p.Payload), len(p.Payload))
 	}
 }

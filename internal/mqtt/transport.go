@@ -50,54 +50,37 @@ func NewStreamTransport(conn net.Conn) *StreamTransport {
 	return &StreamTransport{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriterSize(conn, streamWriteBuf)}
 }
 
-// WritePacket implements Transport. Packets written this way are flushed
-// immediately (control traffic and client-side writes keep per-packet
-// latency); only WriteFrame batches.
+// WritePacket implements Transport: one packet, flushed at once. CONNACK
+// (before the session writer exists) and the client write this way; the
+// session writer uses BufferPacket and WriteFrame and flushes per drain.
 func (t *StreamTransport) WritePacket(p *Packet) error {
-	buf := getWire()
-	raw, err := p.appendEncode(buf)
-	if err != nil {
-		putWire(buf)
+	if _, err := t.BufferPacket(p); err != nil {
 		return err
 	}
-	t.wmu.Lock()
-	_, werr := t.w.Write(raw)
-	if werr == nil {
-		werr = t.w.Flush()
-	}
-	t.wmu.Unlock()
-	putWire(raw)
-	return werr
+	return t.Flush()
 }
 
-// WriteFrame implements FrameWriter: the shared frame's bytes are copied
-// into the buffered writer with the PacketID/DUP region patched for this
-// target. No flush — the session writer flushes on queue-empty or at its
-// byte watermark.
+// BufferPacket implements Flusher. Like WriteFrame it encodes into the free
+// space the buffered writer lends, so only a packet larger than what is
+// free allocates.
+func (t *StreamTransport) BufferPacket(p *Packet) (int, error) {
+	t.wmu.Lock()
+	defer t.wmu.Unlock()
+	raw, err := p.appendEncode(t.w.AvailableBuffer())
+	if err != nil {
+		return 0, err
+	}
+	_, err = t.w.Write(raw)
+	return len(raw), err
+}
+
+// WriteFrame implements FrameWriter: the shared frame's bytes go into the
+// buffered writer with the PacketID/DUP region patched for this target. No
+// flush — the session writer flushes on queue-empty or at its watermark.
 func (t *StreamTransport) WriteFrame(f *Frame, pid uint16, dup bool) error {
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
-	b0 := f.buf[0]
-	if dup {
-		b0 |= 0x08
-	}
-	if err := t.w.WriteByte(b0); err != nil {
-		return err
-	}
-	if f.pidOff == 0 {
-		_, err := t.w.Write(f.buf[1:])
-		return err
-	}
-	if _, err := t.w.Write(f.buf[1:f.pidOff]); err != nil {
-		return err
-	}
-	if err := t.w.WriteByte(byte(pid >> 8)); err != nil {
-		return err
-	}
-	if err := t.w.WriteByte(byte(pid)); err != nil {
-		return err
-	}
-	_, err := t.w.Write(f.buf[f.pidOff+2:])
+	_, err := t.w.Write(f.appendPatched(t.w.AvailableBuffer(), pid, dup))
 	return err
 }
 
@@ -182,8 +165,8 @@ func (t *SimTransport) ReadPacket() (*Packet, error) {
 			return nil, ErrTransportClosed
 		}
 		p, err := Decode(raw)
-		// Decode copies topic/payload/granted out of raw, so the wire buffer
-		// can go straight back to the pool even on success.
+		// Decode copies the body out of raw before parsing it, so the wire
+		// buffer can go straight back to the pool even on success.
 		putWire(raw)
 		return p, err
 	case <-t.closed:

@@ -2,6 +2,7 @@ package ngsi
 
 import (
 	"errors"
+	"maps"
 	"sync"
 
 	"github.com/swamp-project/swamp/internal/metrics"
@@ -110,10 +111,13 @@ func (ba *Batcher) loop() {
 	}
 }
 
-// Add buffers one entity update and wakes the flusher; it copies what it
-// keeps of attrs. It normally returns without touching the broker, but the
-// Add that brings MaxEntities distinct entities pending flushes
-// synchronously (running BatchUpdate, and OnFlush, on its goroutine).
+// Add buffers one entity update and wakes the flusher. The map and its
+// values belong to the batcher after Add — they reach the stored version
+// uncopied — so the caller builds a map per call and never touches it, or a
+// Metadata map or tree Value in it, again (see Attribute; one immutable
+// Metadata map may serve every call). Add normally returns without touching
+// the broker, but the Add that brings MaxEntities distinct entities pending
+// flushes synchronously (running BatchUpdate, and OnFlush, on its goroutine).
 func (ba *Batcher) Add(id, typ string, attrs map[string]Attribute) error {
 	if err := validateEntityKey(id, typ); err != nil {
 		return err
@@ -126,13 +130,10 @@ func (ba *Batcher) Add(id, typ string, attrs map[string]Attribute) error {
 		ba.mu.Unlock()
 		return ErrClosed
 	}
-	pe, ok := ba.pending[id]
-	if !ok {
-		pe = BatchEntry{Type: typ, Attrs: make(map[string]Attribute, len(attrs))}
-		ba.pending[id] = pe
-	}
-	for k, a := range attrs {
-		pe.Attrs[k] = cloneAttr(a)
+	if pe, ok := ba.pending[id]; ok {
+		maps.Copy(pe.Attrs, attrs) // an earlier Add's map, the batcher's own
+	} else {
+		ba.pending[id] = BatchEntry{Type: typ, Attrs: attrs}
 	}
 	ba.updates++
 	full := len(ba.pending) >= ba.cfg.MaxEntities
@@ -167,7 +168,7 @@ func (ba *Batcher) Flush() int {
 	ba.gPending.Set(0)
 	ba.mu.Unlock()
 
-	err := ba.cfg.Broker.BatchUpdate(batch)
+	err := ba.cfg.Broker.batchUpdate(batch, true)
 	ba.cFlush.Inc()
 	ba.cUpdates.Add(uint64(updates))
 	ba.cEntities.Add(uint64(len(batch)))

@@ -3,6 +3,7 @@ package ngsi
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -131,6 +132,61 @@ func TestBatcherCoalescesPerEntity(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	if notes.Load() != 2 {
 		t.Errorf("notifications = %d, want 2", notes.Load())
+	}
+}
+
+// TestBatcherOwnsWhatItIsHanded: the map given to Add is the batcher's — an
+// Add that finds the entity pending merges into the earlier Add's map, last
+// write wins — and what reaches the broker is not copied again: the stored
+// version carries the caller's Metadata map itself. No version's attribute
+// map is one that was handed in, and an Add after a flush starts from its
+// own map, so a version already applied does not change.
+func TestBatcherOwnsWhatItIsHanded(t *testing.T) {
+	b, j, ba := gatedBatcher(t, BatcherConfig{})
+	mapOf := func(m any) uintptr { return reflect.ValueOf(m).Pointer() }
+	stored := func() *Entity {
+		t.Helper()
+		res, err := b.Query(Query{IDPattern: "e1"})
+		if err != nil || len(res.Entities) != 1 {
+			t.Fatalf("query e1: %v, %d entities", err, len(res.Entities))
+		}
+		return res.Entities[0]
+	}
+	meta := map[string]string{"device": "d1"}
+
+	// Both arrive while flush 1 is parked: the second merges into the first.
+	m1 := map[string]Attribute{"a": {Type: "Number", Value: 1.0, Metadata: meta}, "b": num(2)}
+	m2 := map[string]Attribute{"a": {Type: "Number", Value: 10.0, Metadata: meta}}
+	ba.Add("e1", "T", m1)
+	ba.Add("e1", "T", m2)
+	j.open()
+	ba.Flush()
+	v1 := stored()
+	if a, _ := v1.Attrs["a"].Float(); a != 10 || len(v1.Attrs) != 2 {
+		t.Fatalf("merged version = %+v, want a=10 beside b", v1.Attrs)
+	}
+	if mapOf(v1.Attrs["a"].Metadata) != mapOf(meta) {
+		t.Error("the stored version carries a copy of the Metadata it was handed")
+	}
+	was := fmt.Sprintf("%+v", *v1)
+
+	m3 := map[string]Attribute{"b": num(3)}
+	ba.Add("e1", "T", m3)
+	ba.Flush()
+	v2 := stored()
+	if bv, _ := v2.Attrs["b"].Float(); bv != 3 || v2 == v1 {
+		t.Fatalf("second version = %+v", v2.Attrs)
+	}
+	if now := fmt.Sprintf("%+v", *v1); now != was {
+		t.Errorf("the applied version changed under a later Add:\n was %s\n now %s", was, now)
+	}
+	for _, handed := range []map[string]Attribute{m1, m2, m3} {
+		if mapOf(v1.Attrs) == mapOf(handed) || mapOf(v2.Attrs) == mapOf(handed) {
+			t.Error("a stored version's attribute map is one a caller handed to Add")
+		}
+	}
+	if mapOf(v1.Attrs) == mapOf(v2.Attrs) {
+		t.Error("two versions share one attribute map")
 	}
 }
 

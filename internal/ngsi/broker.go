@@ -330,7 +330,7 @@ func (b *Broker) UpdateAttrs(id, typ string, attrs map[string]Attribute) error {
 		sh.mu.Unlock()
 		return ErrClosed
 	}
-	entry := b.applyUpdateLocked(sh, id, typ, attrs, now)
+	entry := b.applyUpdateLocked(sh, id, typ, attrs, false, now)
 	var ack JournalAck
 	if b.journal != nil {
 		ack = b.journal.EntitiesMerged([]MergeEntry{entry})
@@ -345,11 +345,12 @@ func (b *Broker) UpdateAttrs(id, typ string, attrs map[string]Attribute) error {
 // applyUpdateLocked publishes the entity's next version — the previous
 // attribute map copied shallowly (values and Metadata stay shared with the
 // old version, which readers may still hold) with attrs merged in — and
-// fires subscriptions. sh.mu must be held for writing. When a journal is
-// attached, the returned MergeEntry carries the attributes exactly as
-// applied (timestamps resolved) for the caller to log; otherwise it is
-// zero.
-func (b *Broker) applyUpdateLocked(sh *shard, id, typ string, attrs map[string]Attribute, now time.Time) MergeEntry {
+// fires subscriptions. sh.mu must be held for writing. The attributes are
+// deep-copied on the way in unless owned (the batcher's flush gives them
+// away). When a journal is attached, the returned MergeEntry carries them
+// exactly as applied (timestamps resolved) for the caller to log; otherwise
+// it is zero.
+func (b *Broker) applyUpdateLocked(sh *shard, id, typ string, attrs map[string]Attribute, owned bool, now time.Time) MergeEntry {
 	e := &Entity{ID: id, Type: typ}
 	if prev := sh.get(id); prev != nil {
 		e.Type = prev.Type
@@ -362,8 +363,10 @@ func (b *Broker) applyUpdateLocked(sh *shard, id, typ string, attrs map[string]A
 	if b.journal != nil {
 		resolved = make(map[string]Attribute, len(attrs))
 	}
-	for k, a := range attrs {
-		ca := cloneAttr(a)
+	for k, ca := range attrs {
+		if !owned {
+			ca = cloneAttr(ca)
+		}
 		if ca.At.IsZero() {
 			ca.At = now
 		}
@@ -397,7 +400,14 @@ type BatchEntry = struct {
 // one exception is a concurrent Close: it can interrupt between shards, in
 // which case already-applied shards stay applied and the call returns
 // ErrClosed — callers treat that as shutdown, not as a clean rejection.
+// The broker copies what it keeps of updates.
 func (b *Broker) BatchUpdate(updates map[string]BatchEntry) error {
+	return b.batchUpdate(updates, false)
+}
+
+// batchUpdate is BatchUpdate; with owned, the attribute values in updates
+// are the caller's to give away and the stored versions keep them uncopied.
+func (b *Broker) batchUpdate(updates map[string]BatchEntry, owned bool) error {
 	if len(updates) == 0 {
 		return nil
 	}
@@ -436,7 +446,7 @@ func (b *Broker) BatchUpdate(updates map[string]BatchEntry) error {
 		}
 		for _, id := range ids {
 			u := updates[id]
-			entry := b.applyUpdateLocked(sh, id, u.Type, u.Attrs, now)
+			entry := b.applyUpdateLocked(sh, id, u.Type, u.Attrs, owned, now)
 			if entries != nil {
 				entries = append(entries, entry)
 			}

@@ -15,7 +15,10 @@ import (
 )
 
 // Attribute is one NGSI attribute: a typed value with optional metadata and
-// the time it was last updated.
+// the time it was last updated. Metadata and tree Values (maps, slices) are
+// immutable once handed to the context plane: versions and readers share
+// them and a Batcher passes them through uncopied, so whoever built one
+// never writes to it again. The broker's public write calls copy instead.
 type Attribute struct {
 	Type     string            `json:"type"`
 	Value    any               `json:"value"`

@@ -50,12 +50,15 @@ func (h *heldVersions) hold(t *testing.T, e *Entity) {
 }
 
 // TestVersionsAreImmutable runs every kind of writer against readers that
-// keep what Query and notifications hand them. After the writers finish,
+// keep what Query and notifications hand them — four that reuse and rewrite
+// their maps between public calls, which copy, and one that feeds a Batcher,
+// which does not and is handed a map of its own per Add. After the writers
+// finish,
 // no held entity may have changed, no two versions may share an attribute
 // map, and every id must lead to a version of its own carrying that id.
 func TestVersionsAreImmutable(t *testing.T) {
 	const (
-		writers = 8
+		writers = 10
 		ops     = 250
 		nIDs    = 48
 	)
@@ -74,6 +77,15 @@ func TestVersionsAreImmutable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+
+	ba, err := NewBatcher(BatcherConfig{Broker: b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ba.Close()
+	// What the batching writers share the way the agent's provision does:
+	// written once, here, and handed to every Add.
+	sharedMeta := map[string]string{"device": "batched", "owner": "farm1"}
 
 	var stop atomic.Bool
 	var readers sync.WaitGroup
@@ -123,7 +135,7 @@ func TestVersionsAreImmutable(t *testing.T) {
 				attrs["a"] = Attribute{Type: "Number", Value: float64(i), Metadata: meta}
 				attrs["b"] = Attribute{Type: "Text", Value: fmt.Sprint("w", w), At: time.Unix(int64(i), 0)}
 				var err error
-				switch w % 4 {
+				switch w % 5 {
 				case 0:
 					err = b.UpdateAttrs(target, "T", attrs)
 				case 1:
@@ -141,6 +153,11 @@ func TestVersionsAreImmutable(t *testing.T) {
 					if err = b.DeleteEntity(target); errors.Is(err, ErrNotFound) || errors.Is(err, ErrDurability) {
 						err = nil
 					}
+				case 4:
+					err = ba.Add(target, "T", map[string]Attribute{
+						"a": {Type: "Number", Value: float64(i), Metadata: sharedMeta},
+						"b": {Type: "Text", Value: fmt.Sprint("w", w), At: time.Unix(int64(i), 0)},
+					})
 				}
 				if err != nil {
 					t.Error(err)
@@ -150,6 +167,7 @@ func TestVersionsAreImmutable(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	ba.Close() // flushes the batched tail
 	stop.Store(true)
 	readers.Wait()
 	b.Close() // drains the queued notifications into held
