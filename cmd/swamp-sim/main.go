@@ -99,22 +99,18 @@ func main() {
 }
 
 func runSeason(cfg *config.Config) error {
-	pilot, err := core.PilotByName(cfg.Server.Pilot)
+	opts, err := core.OptionsFromConfig(cfg)
 	if err != nil {
 		return err
 	}
-	mode, err := core.ParseMode(cfg.Server.Mode)
-	if err != nil {
-		return err
-	}
-	p, err := core.New(core.Options{Pilot: pilot, Mode: mode, Sealed: cfg.Server.Sealed, Seed: cfg.Sim.Seed})
+	p, err := core.New(opts)
 	if err != nil {
 		return err
 	}
 	defer p.Close()
 
 	fmt.Printf("running %s season (%d days) in %s mode, sealed=%v ...\n",
-		pilot.Name, pilot.Crop.SeasonDays(), mode, cfg.Server.Sealed)
+		opts.Pilot.Name, opts.Pilot.Crop.SeasonDays(), opts.Mode, opts.Sealed)
 	start := time.Now()
 	rep, err := p.RunSeason(core.SeasonHooks{})
 	if err != nil {

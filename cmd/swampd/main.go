@@ -333,9 +333,10 @@ func run(loader *config.Loader, cfg *config.Config, logger *slog.Logger) error {
 		apiCfg := httpapi.Config{
 			Context: p.Context, Tokens: p.Tokens, PEP: p.PEP,
 			Analytics: p.Analytics, Metrics: reg,
-			Webhooks:      p.Webhooks,
-			Admission:     p.Admission,
-			QueryMaxLimit: cfg.HTTP.QueryCap,
+			Webhooks:          p.Webhooks,
+			Admission:         p.Admission,
+			QueryDefaultLimit: cfg.HTTP.DefaultLimit,
+			QueryMaxLimit:     cfg.HTTP.QueryCap,
 		}
 		if clusterRouter != nil {
 			apiCfg.Cluster = clusterRouter

@@ -35,9 +35,9 @@
 // explicitly set flags, last writer wins with per-knob provenance
 // (swampd -config-check prints the resolved stack). The spellings are
 // mechanical: knob timeseries.retention ⇔ flag -ts-retention ⇔ env
-// SWAMP_TIMESERIES_RETENTION. core.Options is a compatibility shim
-// derived from the schema via core.OptionsFromConfig. The knobs, per
-// section (defaults in parentheses; (dyn) = reloadable at runtime via
+// SWAMP_TIMESERIES_RETENTION. core.New reads every knob from this schema
+// (core.Options.Config). The knobs, per section (defaults in
+// parentheses; (dyn) = reloadable at runtime via
 // SIGHUP or POST /admin/reload, validate-then-swap — a bad file or a
 // static-field change applies nothing and reports every violation):
 //

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/swamp-project/swamp/internal/config"
-	"github.com/swamp-project/swamp/internal/tenant"
 )
 
 // ParseMode maps a deployment-mode name onto its Mode constant.
@@ -20,11 +19,10 @@ func ParseMode(name string) (Mode, error) {
 	return 0, fmt.Errorf("core: unknown mode %q (have cloud-only, farm-fog, mobile-fog)", name)
 }
 
-// OptionsFromConfig maps the resolved configuration plane onto the
-// platform's Options. Options is the compat shim over the config schema:
-// components keep their narrow knob structs, and this is the one place
-// the two vocabularies meet. The error reports an unknown pilot or mode
-// (every other field was already validated by config.Validate).
+// OptionsFromConfig resolves the configuration's scenario (pilot, mode,
+// seed, sealing, backhaul) into Options and hands New the rest as
+// Options.Config. The error reports an unknown pilot or mode (every other
+// field was already validated by config.Validate).
 func OptionsFromConfig(c *config.Config) (Options, error) {
 	pilot, err := PilotByName(c.Server.Pilot)
 	if err != nil {
@@ -35,46 +33,9 @@ func OptionsFromConfig(c *config.Config) (Options, error) {
 		return Options{}, err
 	}
 	return Options{
-		Pilot:  pilot,
-		Mode:   mode,
-		Seed:   c.Sim.Seed,
-		Sealed: c.Server.Sealed,
-
+		Pilot: pilot, Mode: mode, Seed: c.Sim.Seed, Sealed: c.Server.Sealed,
 		BackhaulLatency: c.Sim.BackhaulLatency,
-
-		MQTTSessionQueue:   c.MQTT.SessionQueue,
-		MQTTRetryInterval:  c.MQTT.RetryInterval,
-		MQTTFlushWatermark: c.MQTT.FlushWatermark,
-		MQTTRouteCache:     c.MQTT.RouteCache,
-
-		ContextShards:  c.NGSI.Shards,
-		FogSyncBatches: c.NGSI.FogSyncBatches,
-
-		TimeseriesShards:          c.Timeseries.Shards,
-		TimeseriesChunkSize:       c.Timeseries.ChunkSize,
-		TelemetryMaxAge:           c.Timeseries.Retention,
-		TelemetryEvictionInterval: c.Timeseries.EvictionInterval,
-
-		WALDir:           c.WAL.Dir,
-		WALSegmentBytes:  c.WAL.SegmentBytes,
-		WALFsyncInterval: c.WAL.FsyncInterval,
-		SnapshotInterval: c.WAL.SnapshotInterval,
-
-		WebhookWorkers: c.Webhooks.Workers,
-		WebhookRetry:   c.Webhooks.Retry,
-		WebhookQueue:   c.Webhooks.Queue,
-
-		QueryResultCap: c.HTTP.QueryCap,
-
-		AuditRingSize:      c.Security.AuditRing,
-		TokenPurgeInterval: c.Security.TokenPurgeInterval,
-
-		Tenant: tenant.Config{
-			Enabled: c.Tenant.Enabled,
-			Limits:  c.Tenant.Limits(),
-			Burst:   c.Tenant.Burst,
-			TopK:    c.Tenant.MetricsTopK,
-		},
+		Config:          c,
 	}, nil
 }
 

@@ -31,8 +31,6 @@ type DurabilityConfig struct {
 	// (0 → DefaultSnapshotInterval; negative disables periodic snapshots
 	// — Snapshot can still be called manually).
 	SnapshotInterval time.Duration
-	// SyncEveryRecord forces one fsync per record (bench baseline).
-	SyncEveryRecord bool
 	// Metrics receives the wal.* counters; nil allocates one.
 	Metrics *metrics.Registry
 	// Admission, when set, has a subscription slot restored for every
@@ -76,11 +74,10 @@ func OpenDurability(cfg DurabilityConfig, ctx *ngsi.Broker, store *timeseries.St
 		return nil, fmt.Errorf("core: durability needs a context broker and a store")
 	}
 	m, err := wal.Open(wal.Config{
-		Dir:             cfg.Dir,
-		SegmentBytes:    cfg.SegmentBytes,
-		FsyncInterval:   cfg.FsyncInterval,
-		SyncEveryRecord: cfg.SyncEveryRecord,
-		Metrics:         cfg.Metrics,
+		Dir:           cfg.Dir,
+		SegmentBytes:  cfg.SegmentBytes,
+		FsyncInterval: cfg.FsyncInterval,
+		Metrics:       cfg.Metrics,
 	})
 	if err != nil {
 		return nil, err

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/swamp-project/swamp/internal/config"
 	"github.com/swamp-project/swamp/internal/metrics"
 	"github.com/swamp-project/swamp/internal/ngsi"
 	"github.com/swamp-project/swamp/internal/tenant"
@@ -328,15 +329,12 @@ func TestDurabilityWebhookSubscriptionRecovery(t *testing.T) {
 }
 
 func TestPlatformWALRecovery(t *testing.T) {
-	dir := t.TempDir()
-	opts := Options{
-		Pilot:  PilotIntercrop,
-		Mode:   ModeFarmFog,
-		WALDir: dir,
-		// Disable periodic snapshots: this test exercises pure tail replay
-		// through the full platform wiring.
-		SnapshotInterval: -1,
-	}
+	cfg := config.Default()
+	cfg.WAL.Dir = t.TempDir()
+	// Disable periodic snapshots: this test exercises pure tail replay
+	// through the full platform wiring.
+	cfg.WAL.SnapshotInterval = -1
+	opts := Options{Pilot: PilotIntercrop, Mode: ModeFarmFog, Config: cfg}
 	p, err := New(opts)
 	if err != nil {
 		t.Fatal(err)

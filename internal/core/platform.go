@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,6 +11,7 @@ import (
 	"github.com/swamp-project/swamp/internal/anomaly"
 	"github.com/swamp-project/swamp/internal/clock"
 	"github.com/swamp-project/swamp/internal/cloud"
+	"github.com/swamp-project/swamp/internal/config"
 	"github.com/swamp-project/swamp/internal/drone"
 	"github.com/swamp-project/swamp/internal/fog"
 	"github.com/swamp-project/swamp/internal/irrigation"
@@ -108,7 +108,8 @@ func (b *Backhaul) Trips() (uint64, uint64) {
 	return b.trips.Load(), b.failures.Load()
 }
 
-// Options configures a Platform.
+// Options configures a Platform: the scenario a simulation or test picks
+// by value, and Config, which carries every tuning knob.
 type Options struct {
 	Pilot Pilot
 	Mode  Mode
@@ -116,120 +117,22 @@ type Options struct {
 	Seed int64
 	// Sealed turns on secchan payload encryption end to end.
 	Sealed bool
-	// BackhaulLatency is the one-way farm↔cloud latency (default 20ms;
-	// use 0 in unit tests).
+	// BackhaulLatency is the one-way farm↔cloud latency.
 	BackhaulLatency time.Duration
-	// DeviceLink impairs the device→broker links (default perfect).
-	DeviceLink simnet.Config
+	// Config is the configuration schema New reads every knob from;
+	// nil means config.Default().
+	Config *config.Config
 	// Metrics receives all component counters; nil allocates one.
 	Metrics *metrics.Registry
-	// ContextShards overrides the context broker's shard count
-	// (0 → ngsi.DefaultShards).
-	ContextShards int
-	// FogSyncBatches is the number of buffered telemetry batches the fog
-	// node coalesces per backhaul round trip (0 → 32).
-	FogSyncBatches int
-	// TimeseriesShards overrides the telemetry store's shard count
-	// (0 → timeseries.DefaultShards).
-	TimeseriesShards int
-	// TimeseriesChunkSize overrides the points-per-sealed-chunk seal
-	// threshold (0 → timeseries.DefaultChunkSize).
-	TimeseriesChunkSize int
-	// TelemetryMaxAge enables age-based retention in the telemetry store:
-	// points older than this are evicted in the background and series
-	// emptied by eviction are dropped. 0 disables age-based retention.
-	TelemetryMaxAge time.Duration
-	// TelemetryEvictionInterval is the background eviction cadence
-	// (0 → timeseries.DefaultEvictionInterval; only meaningful with
-	// TelemetryMaxAge set).
-	TelemetryEvictionInterval time.Duration
 	// TelemetryClock drives age-based retention decisions (nil → wall
-	// clock). Simulations that enable TelemetryMaxAge must pass their
+	// clock). Simulations that enable timeseries.retention must pass their
 	// simulated clock here: readings carry simulated timestamps, and
 	// evicting against wall time would silently delete the whole season.
 	TelemetryClock clock.Clock
-	// MQTTSessionQueue bounds each broker session's outbound queue
-	// (0 → mqtt.DefaultSessionQueueLen). A stalled subscriber overflows
-	// only its own queue; other sessions keep streaming.
-	MQTTSessionQueue int
-	// MQTTRetryInterval overrides the broker's QoS 1 redelivery /
-	// keepalive cadence (0 → 1s).
-	MQTTRetryInterval time.Duration
-	// MQTTFlushWatermark is the byte threshold at which a session writer
-	// flushes mid-batch instead of waiting for its queue to drain
-	// (0 → mqtt.DefaultFlushWatermark; negative flushes per packet,
-	// disabling write coalescing).
-	MQTTFlushWatermark int
-	// MQTTRouteCache bounds the broker's topic→subscriber route cache
-	// (0 → mqtt.DefaultRouteCacheSize; negative disables caching so every
-	// publish re-walks the subscription trie).
-	MQTTRouteCache int
-	// TransportClock drives the MQTT broker's keepalive, QoS 1 redelivery
-	// and Tap timestamps (nil → wall clock). Simulations pass their
-	// simulated clock so retransmission behaviour is deterministic.
-	TransportClock clock.Clock
-	// WebhookWorkers bounds concurrent outbound webhook deliveries
-	// (0 → ngsi.DefaultWebhookWorkers).
-	WebhookWorkers int
-	// WebhookRetry is the first webhook retry backoff, doubling per
-	// attempt (0 → ngsi.DefaultWebhookBackoff).
-	WebhookRetry time.Duration
-	// WebhookQueue bounds each subscription's pending-notification queue
-	// (0 → ngsi.DefaultWebhookQueueLen). Overflow drops the newest
-	// notification for that subscription only.
-	WebhookQueue int
-	// QueryResultCap is the hard cap on northbound query page sizes the
-	// HTTP API enforces (0 → httpapi.DefaultQueryCap). The platform
-	// records it here; swampd passes it to the API server.
-	QueryResultCap int
-	// WALDir enables the durability plane: a segmented write-ahead log
-	// plus snapshots under the context broker and telemetry store. On
-	// New, any existing state in the directory is recovered before the
-	// platform starts serving. Empty disables durability (the pre-WAL
-	// in-memory behavior).
-	WALDir string
-	// WALSegmentBytes is the WAL segment roll threshold
-	// (0 → wal.DefaultSegmentBytes).
-	WALSegmentBytes int64
-	// WALFsyncInterval is the group-commit coalescing window: how long
-	// the committer accumulates more records after a batch's first before
-	// fsyncing once for all of them (0 → fsync as soon as the commit
-	// queue drains; batching still emerges under concurrent writers).
-	WALFsyncInterval time.Duration
-	// SnapshotInterval is the cadence of point-in-time snapshots that
-	// seal store state and truncate covered WAL segments
-	// (0 → DefaultSnapshotInterval; negative disables periodic
-	// snapshots). Only meaningful with WALDir set.
-	SnapshotInterval time.Duration
-	// AuditRingSize bounds the PEP's audit ring (entries, rounded up to
-	// a power of two; 0 → pep.DefaultAuditCap). Overflow overwrites the
-	// oldest entries and counts security.audit.dropped.
-	AuditRingSize int
-	// TokenPurgeInterval is the cadence of the OAuth token-store purge
-	// loop that reclaims expired and revoked tokens (0 →
-	// DefaultTokenPurgeInterval; negative disables the loop).
-	TokenPurgeInterval time.Duration
-	// SecurityClock drives token expiry and the purge loop (nil → wall
-	// clock). Simulations pass their simulated clock so token lifetimes
-	// follow simulated time.
-	SecurityClock clock.Clock
-	// Tenant configures the per-tenant admission controller. The zero
-	// value builds a disabled controller: all wiring is in place but
-	// every Admit answers Allow until tenant.enabled flips it on.
-	Tenant tenant.Config
-	// TrustTenantUsernames honors the "tenant:<id>" MQTT username
-	// override in the broker's tenant resolution. Off by default: the
-	// username is client-supplied and the platform broker runs no
-	// AuthFunc, so trusting it would let any device impersonate another
-	// tenant (draining the victim's quota) or mint fresh tenant IDs for
-	// a new burst allowance per connect. Only multi-tenant harnesses
-	// that control every attached transport (tenantbench-style cluster
-	// fronts) should set it; production resolution stays credential-based.
-	TrustTenantUsernames bool
 }
 
 // DefaultTokenPurgeInterval is the token-store purge cadence when
-// Options.TokenPurgeInterval is zero.
+// security.token_purge_interval is zero.
 const DefaultTokenPurgeInterval = time.Minute
 
 // Platform is one fully wired SWAMP deployment.
@@ -261,7 +164,7 @@ type Platform struct {
 	Analytics *cloud.Analytics
 	Backhaul  *Backhaul
 
-	// Durability plane (nil unless Options.WALDir is set).
+	// Durability plane (nil unless wal.dir is set).
 	Durable *Durability
 
 	// Farm plane.
@@ -307,6 +210,10 @@ func New(opts Options) (*Platform, error) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
+	if opts.Config == nil {
+		opts.Config = config.Default()
+	}
+	cfg := opts.Config
 	p := &Platform{
 		Opts: opts, reg: opts.Metrics,
 		notifyProcessed: opts.Metrics.Counter("platform.notify.processed"),
@@ -314,13 +221,12 @@ func New(opts Options) (*Platform, error) {
 
 	// --- security plane ---
 	p.IDM = identity.NewStore()
-	p.Tokens = oauth.NewServer(p.IDM, oauth.Config{Clock: opts.SecurityClock})
-	if opts.TokenPurgeInterval >= 0 {
-		interval := opts.TokenPurgeInterval
-		if interval == 0 {
-			interval = DefaultTokenPurgeInterval
+	p.Tokens = oauth.NewServer(p.IDM, oauth.Config{})
+	if purge := cfg.Security.TokenPurgeInterval; purge >= 0 {
+		if purge == 0 {
+			purge = DefaultTokenPurgeInterval
 		}
-		p.Tokens.StartPurge(interval)
+		p.Tokens.StartPurge(purge)
 	}
 	owner := opts.Pilot.Name
 	tid := tenant.ID(owner)
@@ -356,7 +262,7 @@ func New(opts Options) (*Platform, error) {
 			Effect:  pep.Permit,
 		},
 	)
-	p.PEP = pep.NewPEP(p.Tokens, p.PDP, p.reg, pep.WithAuditCap(opts.AuditRingSize))
+	p.PEP = pep.NewPEP(p.Tokens, p.PDP, p.reg, pep.WithAuditCap(cfg.Security.AuditRing))
 	if err := p.IDM.Register(identity.Principal{
 		ID: owner + "-farmer", Roles: []identity.Role{identity.RoleFarmer}, Owner: tid,
 	}, "farmer-secret"); err != nil {
@@ -393,7 +299,12 @@ func New(opts Options) (*Platform, error) {
 	// Constructed unconditionally (enforcement is behind tenant.enabled)
 	// so every ingress wires through it and a reload can turn admission
 	// on without a restart.
-	p.Admission = tenant.NewAdmission(opts.Tenant)
+	p.Admission = tenant.NewAdmission(tenant.Config{
+		Enabled: cfg.Tenant.Enabled,
+		Limits:  cfg.Tenant.Limits(),
+		Burst:   cfg.Tenant.Burst,
+		TopK:    cfg.Tenant.MetricsTopK,
+	})
 
 	// --- transport plane ---
 	p.Broker = mqtt.NewBroker(mqtt.BrokerConfig{
@@ -401,11 +312,10 @@ func New(opts Options) (*Platform, error) {
 		ACL:             p.brokerACL,
 		TenantFunc:      p.brokerTenant,
 		Admission:       p.Admission,
-		SessionQueueLen: opts.MQTTSessionQueue,
-		RetryInterval:   opts.MQTTRetryInterval,
-		FlushWatermark:  opts.MQTTFlushWatermark,
-		RouteCacheSize:  opts.MQTTRouteCache,
-		Clock:           opts.TransportClock,
+		SessionQueueLen: cfg.MQTT.SessionQueue,
+		RetryInterval:   cfg.MQTT.RetryInterval,
+		FlushWatermark:  cfg.MQTT.FlushWatermark,
+		RouteCacheSize:  cfg.MQTT.RouteCache,
 	})
 	p.Broker.Tap = p.Anomaly.OnMessage
 
@@ -413,44 +323,40 @@ func New(opts Options) (*Platform, error) {
 	// Component shutdown is NOT registered in cleanups: Close sequences
 	// the planes explicitly (ingress → drains → stores → WAL) so
 	// in-flight work lands before the stores it lands in go away.
-	p.Context = ngsi.NewBroker(ngsi.BrokerConfig{Metrics: p.reg, Shards: opts.ContextShards})
+	p.Context = ngsi.NewBroker(ngsi.BrokerConfig{Metrics: p.reg, Shards: cfg.NGSI.Shards})
 	p.Webhooks = ngsi.NewWebhookPool(ngsi.WebhookConfig{
 		Metrics:      p.reg,
-		Workers:      opts.WebhookWorkers,
-		RetryBackoff: opts.WebhookRetry,
-		QueueLen:     opts.WebhookQueue,
+		Workers:      cfg.Webhooks.Workers,
+		RetryBackoff: cfg.Webhooks.Retry,
+		QueueLen:     cfg.Webhooks.Queue,
 		OnStatus:     ngsi.StatusUpdater(p.Context),
 		Admission:    p.Admission,
 	})
 
 	// --- cloud plane ---
-	tsOpts := []timeseries.Option{
+	// The eviction cadence and clock are wired even with retention off, so
+	// a reload that turns retention on evicts on them.
+	p.Store = timeseries.New(
 		timeseries.WithMaxPointsPerSeries(100_000),
-		timeseries.WithShards(opts.TimeseriesShards),
-		timeseries.WithChunkSize(opts.TimeseriesChunkSize),
-	}
-	if opts.TelemetryMaxAge > 0 {
-		tsOpts = append(tsOpts,
-			timeseries.WithMaxAge(opts.TelemetryMaxAge),
-			timeseries.WithEvictionInterval(opts.TelemetryEvictionInterval),
-			timeseries.WithClock(opts.TelemetryClock))
-	}
-	p.Store = timeseries.New(tsOpts...)
+		timeseries.WithShards(cfg.Timeseries.Shards),
+		timeseries.WithChunkSize(cfg.Timeseries.ChunkSize),
+		timeseries.WithMaxAge(cfg.Timeseries.Retention),
+		timeseries.WithEvictionInterval(cfg.Timeseries.EvictionInterval),
+		timeseries.WithClock(opts.TelemetryClock))
 	p.Ingestor = cloud.NewIngestor(p.Store, p.reg)
 	p.Analytics = cloud.NewAnalytics(p.Store)
-	lat := opts.BackhaulLatency
-	p.Backhaul = NewBackhaul(lat)
+	p.Backhaul = NewBackhaul(opts.BackhaulLatency)
 
 	// --- durability plane ---
 	// Recovery runs before any internal subscription is wired, so
 	// replaying entities cannot fire platform callbacks; only recovered
 	// webhook subscriptions see (at-least-once) tail redeliveries.
-	if opts.WALDir != "" {
+	if cfg.WAL.Dir != "" {
 		d, err := OpenDurability(DurabilityConfig{
-			Dir:              opts.WALDir,
-			SegmentBytes:     opts.WALSegmentBytes,
-			FsyncInterval:    opts.WALFsyncInterval,
-			SnapshotInterval: opts.SnapshotInterval,
+			Dir:              cfg.WAL.Dir,
+			SegmentBytes:     cfg.WAL.SegmentBytes,
+			FsyncInterval:    cfg.WAL.FsyncInterval,
+			SnapshotInterval: cfg.WAL.SnapshotInterval,
 			Metrics:          p.reg,
 			Admission:        p.Admission,
 		}, p.Context, p.Store, p.Webhooks)
@@ -522,15 +428,11 @@ func New(opts Options) (*Platform, error) {
 		return nil, err
 	}
 	if opts.Mode != ModeCloudOnly {
-		syncBatches := opts.FogSyncBatches
-		if syncBatches <= 0 {
-			syncBatches = 32
-		}
 		p.Fog, err = fog.NewNode(fog.Config{
 			Uplink:            p.cloudUplink,
 			Decide:            p.Decision.Decide,
 			Commands:          p.applyCommand,
-			MaxBatchesPerTrip: syncBatches,
+			MaxBatchesPerTrip: cfg.NGSI.FogSyncBatches,
 			Metrics:           p.reg,
 		})
 		if err != nil {
@@ -544,15 +446,9 @@ func New(opts Options) (*Platform, error) {
 // brokerTenant resolves an MQTT client to its tenant at CONNECT time: the
 // agent's id (refused at CONNECT while it is attached) and the benchmark
 // harness's are internal traffic (tenant.None, exempt from admission);
-// every other client is a device of the pilot's tenant. A username of the
-// form "tenant:<id>" overrides the mapping only when
-// Options.TrustTenantUsernames is set — the username is client-supplied,
-// so honoring it unconditionally would let any device impersonate (and
-// throttle) another tenant or mint fresh tenant IDs to evade quotas.
-func (p *Platform) brokerTenant(clientID, username string) tenant.ID {
-	if rest, ok := strings.CutPrefix(username, "tenant:"); ok && p.Opts.TrustTenantUsernames {
-		return tenant.ID(rest)
-	}
+// every other client is a device of the pilot's tenant. The username is
+// client-supplied, so it never names the tenant.
+func (p *Platform) brokerTenant(clientID, _ string) tenant.ID {
 	switch clientID {
 	case "iot-agent", "bench":
 		return tenant.None
@@ -666,7 +562,7 @@ func (p *Platform) provisionDevices() error {
 		if err != nil {
 			return err
 		}
-		client, err := p.DialDevice(id, p.Opts.DeviceLink)
+		client, err := p.DialDevice(id, simnet.Config{})
 		if err != nil {
 			return err
 		}

@@ -12,12 +12,16 @@ import (
 
 	"github.com/swamp-project/swamp/internal/agent"
 	"github.com/swamp-project/swamp/internal/clock"
+	"github.com/swamp-project/swamp/internal/config"
+	"github.com/swamp-project/swamp/internal/httpapi"
 	"github.com/swamp-project/swamp/internal/model"
 	"github.com/swamp-project/swamp/internal/mqtt"
 	"github.com/swamp-project/swamp/internal/ngsi"
+	"github.com/swamp-project/swamp/internal/security/pep"
 	"github.com/swamp-project/swamp/internal/simnet"
 	"github.com/swamp-project/swamp/internal/tenant"
 	"github.com/swamp-project/swamp/internal/timeseries"
+	"github.com/swamp-project/swamp/internal/wal"
 )
 
 var t0 = time.Date(2026, 6, 1, 6, 0, 0, 0, time.UTC)
@@ -70,13 +74,14 @@ func TestPlatformConstructionAllPilotsAndModes(t *testing.T) {
 
 func TestTelemetryStoreKnobs(t *testing.T) {
 	sim := clock.NewSim(t0.Add(2 * time.Hour))
+	cfg := config.Default()
+	cfg.Timeseries.Shards = 4
+	cfg.Timeseries.ChunkSize = 64
+	cfg.Timeseries.Retention = time.Hour
+	cfg.Timeseries.EvictionInterval = time.Minute
 	p, err := New(Options{
 		Pilot: PilotIntercrop, Mode: ModeFarmFog, Seed: 7,
-		TimeseriesShards:          4,
-		TimeseriesChunkSize:       64,
-		TelemetryMaxAge:           time.Hour,
-		TelemetryEvictionInterval: time.Minute,
-		TelemetryClock:            sim,
+		Config: cfg, TelemetryClock: sim,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -100,6 +105,96 @@ func TestTelemetryStoreKnobs(t *testing.T) {
 	// Close is registered as a cleanup: a second explicit Close must be
 	// safe (Platform.Close and the eviction goroutine race otherwise).
 	p.Store.Close()
+}
+
+// TestRetentionEnabledByReloadUsesConfiguredClock: a platform started with
+// retention off and turned on by ApplyDynamic evicts on the telemetry
+// clock at timeseries.eviction_interval, as one started with retention on.
+func TestRetentionEnabledByReloadUsesConfiguredClock(t *testing.T) {
+	sim := clock.NewSim(t0)
+	cfg := config.Default()
+	cfg.Timeseries.EvictionInterval = time.Minute
+	p, err := New(Options{Pilot: PilotIntercrop, Mode: ModeFarmFog, Seed: 7, Config: cfg, TelemetryClock: sim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+	reload := cfg.Clone()
+	reload.Timeseries.Retention = time.Hour
+	p.ApplyDynamic(reload)
+	k := timeseries.SeriesKey{Device: "probe-x", Quantity: "m"}
+	if err := p.Store.Append(k, timeseries.Point{At: t0.Add(-2 * time.Hour), Value: 1}); err != nil {
+		t.Fatal(err)
+	}
+	// The eviction loop starts on its own goroutine: advance only once it
+	// has armed its timer on the simulated clock.
+	for deadline := time.Now().Add(2 * time.Second); sim.PendingWaiters() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	sim.Advance(time.Minute)
+	for deadline := time.Now().Add(2 * time.Second); p.Store.Len(k) != 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if got := p.Store.Len(k); got != 0 {
+		t.Fatalf("%d points older than the retention survive one simulated eviction interval", got)
+	}
+}
+
+// TestSchemaDefaultsMatchComponentDefaults: config.Default() carries the
+// value each component falls back to on a zero knob, so a platform built
+// with a nil Options.Config is the platform a zero Options used to build.
+func TestSchemaDefaultsMatchComponentDefaults(t *testing.T) {
+	c := config.Default()
+	for _, tc := range []struct {
+		knob      string
+		got, want any
+	}{
+		{"mqtt.session_queue", c.MQTT.SessionQueue, mqtt.DefaultSessionQueueLen},
+		{"mqtt.flush_watermark", c.MQTT.FlushWatermark, mqtt.DefaultFlushWatermark},
+		{"mqtt.route_cache", c.MQTT.RouteCache, mqtt.DefaultRouteCacheSize},
+		{"mqtt.retry_interval", c.MQTT.RetryInterval, time.Second},
+		{"ngsi.shards", c.NGSI.Shards, ngsi.DefaultShards},
+		{"timeseries.shards", c.Timeseries.Shards, timeseries.DefaultShards},
+		{"timeseries.chunk_size", c.Timeseries.ChunkSize, timeseries.DefaultChunkSize},
+		{"timeseries.eviction_interval", c.Timeseries.EvictionInterval, timeseries.DefaultEvictionInterval},
+		{"wal.segment_bytes", c.WAL.SegmentBytes, int64(wal.DefaultSegmentBytes)},
+		{"wal.snapshot_interval", c.WAL.SnapshotInterval, DefaultSnapshotInterval},
+		{"webhooks.workers", c.Webhooks.Workers, ngsi.DefaultWebhookWorkers},
+		{"webhooks.retry_backoff", c.Webhooks.Retry, ngsi.DefaultWebhookBackoff},
+		{"webhooks.queue", c.Webhooks.Queue, ngsi.DefaultWebhookQueueLen},
+		{"security.audit_ring", c.Security.AuditRing, pep.DefaultAuditCap},
+		{"security.token_purge_interval", c.Security.TokenPurgeInterval, DefaultTokenPurgeInterval},
+		{"http.query_cap", c.HTTP.QueryCap, httpapi.DefaultQueryCap},
+		{"http.default_limit", c.HTTP.DefaultLimit, httpapi.DefaultQueryLimit},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s default = %v, component default = %v", tc.knob, tc.got, tc.want)
+		}
+	}
+}
+
+// TestOptionsFromConfigCarriesKnobs: knobs set in the schema reach the
+// components through OptionsFromConfig and New.
+func TestOptionsFromConfigCarriesKnobs(t *testing.T) {
+	cfg := config.Default()
+	cfg.Server.Pilot = "intercrop"
+	cfg.NGSI.Shards = 3
+	cfg.Timeseries.Shards = 5
+	opts, err := OptionsFromConfig(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+	if got := p.Context.ShardCount(); got != 3 {
+		t.Errorf("context shards = %d, want 3", got)
+	}
+	if got := p.Store.ShardCount(); got != 5 {
+		t.Errorf("store shards = %d, want 5", got)
+	}
 }
 
 func TestPumpOnceReachesContextAndCloud(t *testing.T) {
@@ -246,10 +341,12 @@ func TestPartitionAvailabilityContrast(t *testing.T) {
 // of the same context shard. With the uplink inline on the dispatcher every
 // notification costs a 100 ms round trip and the witness below starves.
 func TestHeadOfLineFogUplinkOffDispatcher(t *testing.T) {
+	cfg := config.Default()
+	cfg.NGSI.Shards = 1 // every subscriber shares the one dispatcher
 	p, err := New(Options{
 		Pilot: PilotIntercrop, Mode: ModeFarmFog, Seed: 7,
-		ContextShards:   1, // every subscriber shares the one dispatcher
 		BackhaulLatency: 50 * time.Millisecond,
+		Config:          cfg,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -110,7 +110,6 @@ type wlog struct {
 	dir           string
 	segmentBytes  int64
 	fsyncInterval time.Duration
-	syncEvery     bool
 	maxBatch      int
 
 	queue chan *Pending
@@ -177,7 +176,7 @@ func createSegment(dir string, idx uint64) (*os.File, error) {
 }
 
 // openLog starts the committer on a fresh segment with index startSeg.
-func openLog(dir string, startSeg uint64, segmentBytes int64, fsyncInterval time.Duration, syncEvery bool, queueLen int, reg *metrics.Registry) (*wlog, error) {
+func openLog(dir string, startSeg uint64, segmentBytes int64, fsyncInterval time.Duration, queueLen int, reg *metrics.Registry) (*wlog, error) {
 	f, err := createSegment(dir, startSeg)
 	if err != nil {
 		return nil, err
@@ -186,7 +185,6 @@ func openLog(dir string, startSeg uint64, segmentBytes int64, fsyncInterval time
 		dir:           dir,
 		segmentBytes:  segmentBytes,
 		fsyncInterval: fsyncInterval,
-		syncEvery:     syncEvery,
 		maxBatch:      4096,
 		queue:         make(chan *Pending, queueLen),
 		done:          make(chan struct{}),
@@ -319,7 +317,7 @@ func (l *wlog) collect(batch []*Pending, timed bool) []*Pending {
 			}
 			batch = append(batch, p)
 		default:
-			if timed && !hasCtl && l.fsyncInterval > 0 && !l.syncEvery {
+			if timed && !hasCtl && l.fsyncInterval > 0 {
 				t := time.NewTimer(l.fsyncInterval)
 				for len(batch) < l.maxBatch {
 					select {
@@ -341,12 +339,12 @@ func (l *wlog) collect(batch []*Pending, timed bool) []*Pending {
 	return batch
 }
 
-// commit writes a batch, fsyncs once (or per record in syncEvery mode),
-// then releases every waiter. On error the whole batch is failed — some
-// prefix may in fact be durable, but reporting failure for a durable
-// record is safe (callers treat it as not acknowledged) — and the error
-// latches (see wlog.fatal): the log refuses all further work rather
-// than acknowledge records it cannot promise to recover.
+// commit writes a batch, fsyncs once, then releases every waiter. On
+// error the whole batch is failed — some prefix may in fact be durable,
+// but reporting failure for a durable record is safe (callers treat it
+// as not acknowledged) — and the error latches (see wlog.fatal): the log
+// refuses all further work rather than acknowledge records it cannot
+// promise to recover.
 func (l *wlog) commit(batch []*Pending, bufp *[]byte) {
 	if l.fatal != nil {
 		for _, p := range batch {
@@ -407,9 +405,6 @@ func (l *wlog) commit(batch []*Pending, bufp *[]byte) {
 					dirty = true
 					l.cRecords.Inc()
 					l.cBytes.Add(uint64(len(frame)))
-					if l.syncEvery {
-						flush()
-					}
 				}
 			}
 			p.err = err

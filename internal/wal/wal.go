@@ -58,9 +58,6 @@ type Config struct {
 	// has been drained — batching still emerges under concurrency, with
 	// no added latency when idle.
 	FsyncInterval time.Duration
-	// SyncEveryRecord forces one fsync per record — the group-commit
-	// bench baseline. Leave false.
-	SyncEveryRecord bool
 	// QueueLen bounds the commit queue (default DefaultQueueLen);
 	// appends past it block.
 	QueueLen int
@@ -156,7 +153,7 @@ func Open(cfg Config) (*Manager, error) {
 			start = idx + 1
 		}
 	}
-	l, err := openLog(cfg.Dir, start, cfg.SegmentBytes, cfg.FsyncInterval, cfg.SyncEveryRecord, cfg.QueueLen, cfg.Metrics)
+	l, err := openLog(cfg.Dir, start, cfg.SegmentBytes, cfg.FsyncInterval, cfg.QueueLen, cfg.Metrics)
 	if err != nil {
 		return nil, err
 	}
