@@ -1,5 +1,5 @@
 # Multi-stage build for swampd (broker + northbound + cluster plane) and
-# swamp-sim (season runs and the cluster/tenant/crash drills). The module has no external
+# swamp-sim (season runs and the experiment suite). The module has no external
 # dependencies, so the build stage never touches the network.
 #
 #   docker build -t swamp/swampd .

@@ -1,25 +1,19 @@
-// Command swamp-sim runs what nothing else in the repository provides: a
-// full pilot season through the real platform pipeline, the derived
-// experiment suite (every table, printed), and three pass/fail drills that
-// exit non-zero when their invariant breaks — the cluster leader-kill
-// drill, the tenant-isolation drill and the kill -9 crash harness.
+// Command swamp-sim runs a full pilot season through the real platform
+// pipeline, or the derived experiment suite (every table, printed).
 // Performance numbers come from bench/ (end to end and per layer) and from
-// `go test -bench` at the repository root, not from here.
+// `go test -bench` at the repository root, not from here; the durability,
+// cluster and admission invariants are go tests in the packages that own
+// them.
 //
 // Usage:
 //
 //	swamp-sim -pilot matopiba -mode farm-fog        # one season
 //	swamp-sim -experiments                          # all experiment tables
-//	swamp-sim -clusterbench                         # leader kill, zero acked-write loss
-//	swamp-sim -tenantbench                          # 1 abusive vs N polite tenants
-//	swamp-sim -walbench -walingest -waldir D -walmanifest M       # crash-harness producer
-//	swamp-sim -walbench -walverify -waldir D -walmanifest M       # crash-harness checker
 //
-// Platform knobs (-pilot, -mode, -sealed, -seed, -cluster-partitions, ...)
-// come from the shared config schema (internal/config), so swampd and
-// swamp-sim accept identical spellings and SWAMP_* environment variables
-// work here too. Drill-shape flags (-devices, -tbpolite, ...) stay local to
-// this command.
+// Platform knobs (-pilot, -mode, -sealed, -seed, -wal-dir, ...) come from
+// the shared config schema (internal/config), so swampd and swamp-sim
+// accept identical spellings and SWAMP_* environment variables work here
+// too.
 package main
 
 import (
@@ -33,64 +27,20 @@ import (
 )
 
 func main() {
-	var (
-		experiments = flag.Bool("experiments", false, "run the full experiment suite instead of a season")
-
-		walbench    = flag.Bool("walbench", false, "run the kill -9 crash harness (needs -walingest or -walverify)")
-		waldir      = flag.String("waldir", "", "walbench: WAL directory")
-		walmanifest = flag.String("walmanifest", "", "walbench: acked-writes manifest path")
-		walingest   = flag.Bool("walingest", false, "walbench: producer — sustained acked ingest until killed")
-		walverify   = flag.Bool("walverify", false, "walbench: checker — recover and compare to the manifest")
-		devices     = flag.Int("devices", 100_000, "walbench: simulated device count")
-		walbatch    = flag.Int("walbatch", 8, "walbench: telemetry points per acked ingest batch")
-		walworkers  = flag.Int("walworkers", 256, "walbench: concurrent producers sharing each group commit")
-		walsnap     = flag.Duration("walsnap", 0, "walbench: snapshot cadence during ingest (0 = 2s)")
-
-		tenantbench = flag.Bool("tenantbench", false, "run the tenant-isolation drill (1 abusive tenant vs a polite fleet)")
-		tbpolite    = flag.Int("tbpolite", 8, "tenantbench: polite tenants, each publishing at half quota")
-		tbquota     = flag.Int("tbquota", 100, "tenantbench: per-tenant msgs/s quota")
-		tbduration  = flag.Duration("tbduration", 4*time.Second, "tenantbench: length of each measured phase")
-
-		clusterbench = flag.Bool("clusterbench", false, "run the cluster drill: replicated ingest, leader kill, zero acked-write loss")
-		clnodes      = flag.Int("clnodes", 3, "clusterbench: cluster size for the replicated phases (min 3)")
-		cldevices    = flag.Int("cldevices", 32, "clusterbench: devices per node (the cluster carries clnodes× the baseline population)")
-		clpoints     = flag.Int("clpoints", 51_200, "clusterbench: telemetry points through the single-node baseline")
-		clbatch      = flag.Int("clbatch", 32, "clusterbench: points per device emission")
-		clinterval   = flag.Duration("clinterval", 60*time.Millisecond, "clusterbench: per-device sampling interval")
-	)
+	experiments := flag.Bool("experiments", false, "run the full experiment suite instead of a season")
 	overlay := config.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
 	// Platform knobs resolve through the shared layered loader, so
-	// -cluster-partitions / SWAMP_SERVER_PILOT / etc. mean the same thing
-	// here as in swampd.
+	// -wal-dir / SWAMP_SERVER_PILOT / etc. mean the same thing here as in
+	// swampd.
 	cfg, _, err := (&config.Loader{Flags: overlay}).Load()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "swamp-sim:", err)
-		os.Exit(1)
-	}
-
-	switch {
-	case *experiments:
-		err = runExperiments()
-	case *walbench:
-		err = runWALBench(walBenchConfig{
-			Dir: *waldir, Batch: *walbatch, Workers: *walworkers,
-			Devices: *devices, Ingest: *walingest, Verify: *walverify,
-			Manifest: *walmanifest, SnapIntv: *walsnap,
-		})
-	case *tenantbench:
-		err = runTenantBench(tenantBenchConfig{
-			Polite: *tbpolite, QuotaMsg: *tbquota, Duration: *tbduration,
-		})
-	case *clusterbench:
-		err = runClusterBench(clusterBenchConfig{
-			Nodes: *clnodes, Partitions: cfg.Cluster.Partitions,
-			Devices: *cldevices, Points: *clpoints, Batch: *clbatch,
-			Interval: *clinterval, AckTimeout: cfg.Cluster.AckTimeout,
-		})
-	default:
-		err = runSeason(cfg)
+	if err == nil {
+		if *experiments {
+			err = runExperiments()
+		} else {
+			err = runSeason(cfg)
+		}
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "swamp-sim:", err)

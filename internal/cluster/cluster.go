@@ -8,7 +8,7 @@
 // A Node wraps one platform's durable stores (broker + time-series store
 // + WAL). Partition ownership lives in a Map: partition → (leader,
 // followers, epoch). Leaders stream committed records to followers over
-// a Conn transport (in-process pipe, simnet, or TCP) and, with MinISR >
+// a Conn transport (in-process pipe or TCP) and, with MinISR >
 // 0, acknowledge a write only after enough followers covering its
 // partition have acked the write's log position — that synchronous hop
 // is what makes "zero acked-write loss across a leader kill" hold. The

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/swamp-project/swamp/internal/metrics"
 	"github.com/swamp-project/swamp/internal/ngsi"
 	"github.com/swamp-project/swamp/internal/timeseries"
 	"github.com/swamp-project/swamp/internal/wal"
@@ -112,10 +113,11 @@ func (p *testPlat) snapshot() error {
 
 func (p *testPlat) close() { _ = p.wm.Close() }
 
-// testCluster wires N nodes over in-process pipes.
+// testCluster wires N nodes over in-process pipes, sharing one registry.
 type testCluster struct {
 	t     *testing.T
 	m     *Map
+	reg   *metrics.Registry
 	mu    sync.Mutex
 	nodes map[string]*testMember
 }
@@ -138,7 +140,7 @@ func newTestCluster(t *testing.T, ids []string, dirs map[string]string, o cluste
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc := &testCluster{t: t, m: m, nodes: make(map[string]*testMember)}
+	tc := &testCluster{t: t, m: m, reg: metrics.NewRegistry(), nodes: make(map[string]*testMember)}
 	for _, id := range ids {
 		tc.addNode(id, dirs[id], o)
 	}
@@ -160,6 +162,7 @@ func (tc *testCluster) addNode(id, dir string, o clusterOpts) *testMember {
 		MinISR:     o.minISR,
 		AckTimeout: o.ackTimeout,
 		Dial:       func(peer string) (Conn, error) { return tc.dial(peer) },
+		Metrics:    tc.reg,
 		Logf:       func(format string, args ...any) { tc.t.Logf("[%s] "+format, append([]any{id}, args...)...) },
 	})
 	if err != nil {
@@ -382,6 +385,72 @@ func TestReplicationSyncAck(t *testing.T) {
 		if _, err := tc.member(nid).plat.ctx.GetEntity(victim); !errors.Is(err, ngsi.ErrNotFound) {
 			t.Fatalf("deleted entity still on %s (err=%v)", nid, err)
 		}
+	}
+}
+
+// TestReplicationSyncAckConcurrent: three nodes each lead partitions and
+// take concurrent batched ingest from several writers. At MinISR=1 every
+// acked point has been applied on a follower before its ack, so the
+// followers' applied count covers the acked points, and position chaining
+// never saw a gap (no resync).
+func TestReplicationSyncAckConcurrent(t *testing.T) {
+	ids := []string{"n1", "n2", "n3"}
+	dirs := map[string]string{"n1": t.TempDir(), "n2": t.TempDir(), "n3": t.TempDir()}
+	tc := newTestCluster(t, ids, dirs, clusterOpts{partitions: 9, replicas: 2, minISR: 1, ackTimeout: 5 * time.Second})
+	defer tc.closeAll()
+
+	const writers, emissions, batch = 4, 25, 16 // per node
+	at := time.Now()
+	var acked atomic.Int64
+	var wg sync.WaitGroup
+	errs := make(chan error, len(ids)*writers)
+	for _, nid := range ids {
+		if len(tc.m.LedBy(nid)) == 0 {
+			t.Fatalf("%s leads no partition", nid)
+		}
+		node := tc.member(nid).node
+		// Each writer owns one device whose partition this node leads.
+		devs := make([]string, 0, writers)
+		for i := 0; len(devs) < writers; i++ {
+			dev := fmt.Sprintf("urn:%s:dev:%04d", nid, i)
+			if leader, _ := tc.m.Leader(tc.m.PartitionOf(dev)); leader == nid {
+				devs = append(devs, dev)
+			}
+		}
+		for _, dev := range devs {
+			wg.Add(1)
+			go func(dev string) {
+				defer wg.Done()
+				key := timeseries.SeriesKey{Device: dev, Quantity: "moisture"}
+				for e := 0; e < emissions; e++ {
+					pts := make([]timeseries.BatchPoint, batch)
+					for i := range pts {
+						seq := e*batch + i
+						pts[i] = timeseries.BatchPoint{Key: key, Point: timeseries.Point{At: at.Add(time.Duration(seq) * time.Millisecond), Value: float64(seq)}}
+					}
+					if _, _, err := node.AppendBatch(pts); err != nil {
+						errs <- fmt.Errorf("append %s: %w", dev, err)
+						return
+					}
+					acked.Add(batch)
+				}
+			}(dev)
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	if want := int64(len(ids) * writers * emissions * batch); acked.Load() != want {
+		t.Fatalf("acked %d points, want %d", acked.Load(), want)
+	}
+	if applied := tc.reg.Counter("cluster.records.applied").Value(); applied < uint64(acked.Load()) {
+		t.Fatalf("followers applied %d of %d acked points", applied, acked.Load())
+	}
+	if resyncs := tc.reg.Counter("cluster.resyncs").Value(); resyncs != 0 {
+		t.Fatalf("cluster.resyncs = %d, want 0", resyncs)
 	}
 }
 

@@ -7,8 +7,6 @@ import (
 	"io"
 	"net"
 	"sync"
-
-	"github.com/swamp-project/swamp/internal/simnet"
 )
 
 // ErrConnClosed is returned by Send on a closed connection.
@@ -22,7 +20,7 @@ const maxFrameBytes = 80 << 20
 // must be safe for concurrent use and must not retain the frame after
 // returning (callers reuse encode buffers). Frames received after the
 // connection closes are dropped; Recv's channel closes on Close or peer
-// loss. A Conn may silently drop frames (simnet impairment, queue
+// loss. A Conn may silently drop frames (a lossy link, queue
 // overflow) — the replication protocol detects gaps by position chaining
 // and re-syncs, it never assumes reliability.
 type Conn interface {
@@ -100,45 +98,6 @@ func (c *pipeConn) Recv() <-chan []byte { return c.recv }
 
 func (c *pipeConn) Close() error {
 	c.sh.once.Do(func() { close(c.sh.done) })
-	return nil
-}
-
-// --- simnet adapter ---
-
-type simConn struct {
-	ep     *simnet.Endpoint
-	closer func()
-	done   chan struct{}
-	recv   chan []byte
-}
-
-// SimnetPair wraps the two ends of a simnet Duplex as Conns. Closing
-// either end closes the duplex (both directions). Simnet links never
-// block and silently drop on loss, partition or queue overflow — size
-// Config.QueueLen above the session window so flow control, not the
-// link, is the bound.
-func SimnetPair(d *simnet.Duplex) (Conn, Conn) {
-	done := make(chan struct{})
-	var once sync.Once
-	closer := func() { once.Do(func() { close(done); d.Close() }) }
-	a := &simConn{ep: d.A, closer: closer, done: done, recv: forwardUntil(d.A.Recv(), done)}
-	b := &simConn{ep: d.B, closer: closer, done: done, recv: forwardUntil(d.B.Recv(), done)}
-	return a, b
-}
-
-func (c *simConn) Send(frame []byte) error {
-	select {
-	case <-c.done:
-		return ErrConnClosed
-	default:
-	}
-	return c.ep.Send(frame)
-}
-
-func (c *simConn) Recv() <-chan []byte { return c.recv }
-
-func (c *simConn) Close() error {
-	c.closer()
 	return nil
 }
 

@@ -42,8 +42,8 @@ type DurabilityConfig struct {
 
 // Durability wires one WAL manager under a context broker and a
 // time-series store (plus, optionally, a webhook pool for recovering
-// HTTP subscriptions): the composition the Platform and the walbench
-// crash harness share.
+// HTTP subscriptions): the composition the Platform uses and
+// TestCrashRecoveryAfterKill9 kills mid-write.
 //
 // Recovery semantics: every mutation acknowledged before a crash is
 // recovered. Entity records replay convergently (attribute writes are

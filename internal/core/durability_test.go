@@ -1,9 +1,14 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -507,5 +512,186 @@ func TestSnapshotDumpOrderIsDeterministic(t *testing.T) {
 	}
 	if got := dumpIDs(t, broker2); !slices.Equal(got, want) {
 		t.Fatalf("dump after recovery differs from the dump before the snapshot:\n got %v\nwant %v", got, want)
+	}
+}
+
+// crashChildEnv marks the re-executed test binary as the crash producer;
+// its value is the directory the producer writes under.
+const crashChildEnv = "SWAMP_CRASH_PRODUCER_ROOT"
+
+// crashManifest is a lower bound on the writes acknowledged before the
+// kill. The producer publishes it only after acks.
+type crashManifest struct {
+	Entities int `json:"entities"`
+	Points   int `json:"points"`
+}
+
+// TestCrashRecoveryAfterKill9 re-executes this test binary as a producer
+// of sustained acked entity + telemetry ingest with frequent snapshots,
+// SIGKILLs it once a snapshot and a tail exist, and recovers the WAL
+// directory: every write the manifest acknowledged must be back. The
+// second round kills a producer that itself started from the recovered
+// directory, so recovery runs over a recovered snapshot + tail.
+func TestCrashRecoveryAfterKill9(t *testing.T) {
+	if root := os.Getenv(crashChildEnv); root != "" {
+		crashProducer(t, root)
+		return
+	}
+	if testing.Short() {
+		t.Skip("re-executes the test binary")
+	}
+	root := t.TempDir()
+	for round := 1; round <= 2; round++ {
+		acked := killProducerMidWrite(t, root)
+
+		reg := metrics.NewRegistry()
+		broker := ngsi.NewBroker(ngsi.BrokerConfig{Metrics: reg})
+		store := timeseries.New()
+		d, err := OpenDurability(DurabilityConfig{
+			Dir: filepath.Join(root, "wal"), SnapshotInterval: -1, Metrics: reg,
+		}, broker, store, nil)
+		if err != nil {
+			t.Fatalf("round %d: recovery: %v", round, err)
+		}
+		entities, points := broker.EntityCount(), store.Stats().Points
+		rec := d.Recovered
+		broker.Close()
+		store.Close()
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("round %d: recovered %d snapshot + %d tail records: entities %d (acked %d), points %d (acked %d)",
+			round, rec.SnapshotRecords, rec.TailRecords, entities, acked.Entities, points, acked.Points)
+		if rec.SnapshotRecords == 0 || rec.TailRecords == 0 {
+			t.Fatalf("round %d: recovery replayed no snapshot or no tail: %+v", round, rec)
+		}
+		if entities < acked.Entities || points < acked.Points {
+			t.Fatalf("round %d: acked writes lost: entities %d < %d or points %d < %d",
+				round, entities, acked.Entities, points, acked.Points)
+		}
+	}
+}
+
+// killProducerMidWrite starts the producer on root, waits until it has
+// written a new snapshot and acked more writes after it, SIGKILLs it and
+// returns the last manifest it published.
+func killProducerMidWrite(t *testing.T, root string) crashManifest {
+	t.Helper()
+	snaps := func() []string {
+		names, _ := filepath.Glob(filepath.Join(root, "wal", "snapshot-*.snap"))
+		return names
+	}
+	before := snaps()
+	var out bytes.Buffer
+	cmd := exec.Command(os.Args[0], "-test.run=^TestCrashRecoveryAfterKill9$", "-test.timeout=60s")
+	cmd.Env = append(os.Environ(), crashChildEnv+"="+root)
+	cmd.Stdout, cmd.Stderr = &out, &out
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- cmd.Wait() }()
+	kill := func() {
+		if err := cmd.Process.Kill(); err != nil {
+			t.Fatal(err)
+		}
+		<-exited
+	}
+
+	afterSnap := -1 // acked points when a new snapshot was first seen
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		select {
+		case err := <-exited:
+			t.Fatalf("producer exited before the kill (%v):\n%s", err, out.String())
+		case <-time.After(10 * time.Millisecond):
+		}
+		m, ok := readCrashManifest(root)
+		if ok && afterSnap < 0 && len(snaps()) > 0 && !slices.Equal(snaps(), before) {
+			afterSnap = m.Points
+		}
+		if ok && afterSnap >= 0 && m.Points > afterSnap {
+			break
+		}
+		if time.Now().After(deadline) {
+			kill()
+			t.Fatalf("producer wrote no new snapshot and tail in 30s:\n%s", out.String())
+		}
+	}
+	kill()
+	m, _ := readCrashManifest(root)
+	return m
+}
+
+func readCrashManifest(root string) (crashManifest, bool) {
+	var m crashManifest
+	data, err := os.ReadFile(filepath.Join(root, "acked.json"))
+	return m, err == nil && json.Unmarshal(data, &m) == nil && m.Points > 0
+}
+
+// crashProducer is the child side: sustained acked ingest through
+// OpenDurability until the parent kills it, publishing the acked counts
+// every few milliseconds. It returns only on failure.
+func crashProducer(t *testing.T, root string) {
+	const workers, devicesPer, batch = 8, 16, 8
+	reg := metrics.NewRegistry()
+	broker := ngsi.NewBroker(ngsi.BrokerConfig{Metrics: reg})
+	store := timeseries.New()
+	if _, err := OpenDurability(DurabilityConfig{
+		Dir: filepath.Join(root, "wal"), SnapshotInterval: 50 * time.Millisecond, Metrics: reg,
+	}, broker, store, nil); err != nil {
+		t.Fatal(err)
+	}
+	// Recovered state is acked state too: it seeds the manifest, so the
+	// second kill still accounts for the first run's writes.
+	recEntities, recPoints := broker.EntityCount(), store.Stats().Points
+	var points atomic.Int64
+	points.Store(int64(recPoints))
+	// A run's per-series timestamps advance 1 ms per point, so starting
+	// recPoints seconds in lands past everything an earlier run wrote.
+	base := time.Date(2026, 6, 1, 0, 0, 0, 0, time.UTC).Add(time.Duration(recPoints) * time.Second)
+
+	iters := make([]atomic.Int64, workers) // acked iterations per worker
+	for w := range workers {
+		go func() {
+			pts := make([]timeseries.BatchPoint, batch)
+			for iter := 0; ; iter++ {
+				dev := fmt.Sprintf("urn:crash:dev:%03d", w*devicesPer+iter%devicesPer)
+				if err := broker.UpdateAttrs(dev, "SoilProbe", map[string]ngsi.Attribute{
+					"soilMoisture": {Type: "Number", Value: float64(iter % 100)},
+				}); err != nil {
+					t.Error(err)
+					return
+				}
+				key := timeseries.SeriesKey{Device: dev, Quantity: "soilMoisture"}
+				for j := range pts {
+					at := base.Add(time.Duration(iter*batch+j) * time.Millisecond)
+					pts[j] = timeseries.BatchPoint{Key: key, Point: timeseries.Point{At: at, Value: float64(j)}}
+				}
+				if _, _, err := store.AppendBatch(pts); err != nil {
+					t.Error(err)
+					return
+				}
+				iters[w].Add(1)
+				points.Add(batch)
+			}
+		}()
+	}
+
+	manifest := filepath.Join(root, "acked.json")
+	for !t.Failed() {
+		time.Sleep(5 * time.Millisecond)
+		m := crashManifest{Points: int(points.Load())}
+		for w := range iters {
+			m.Entities += int(min(iters[w].Load(), devicesPer))
+		}
+		m.Entities = max(m.Entities, recEntities)
+		data, _ := json.Marshal(m) // two ints: cannot fail
+		if err := os.WriteFile(manifest+".partial", data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Rename(manifest+".partial", manifest); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

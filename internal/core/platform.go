@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -465,38 +466,23 @@ func (p *Platform) brokerACL(clientID, topic string, write bool) bool {
 	case "iot-agent", "bench":
 		return true
 	}
-	apiKey, devID, err := agent.ParseAttrsTopic(topic)
-	if err == nil {
-		_ = apiKey
+	if _, devID, err := agent.ParseAttrsTopic(topic); err == nil {
 		return write && devID == clientID
 	}
 	// Command topics: only the device itself may subscribe.
-	if k, d, ok := parseCmdTopic(topic); ok {
-		_ = k
-		return !write && d == clientID
+	if dev, ok := parseCmdTopic(topic); ok {
+		return !write && dev == clientID
 	}
 	return false
 }
 
-func parseCmdTopic(topic string) (apiKey, dev string, ok bool) {
-	// topic = ul/<key>/<dev>/cmd
-	parts := splitTopic(topic)
+// parseCmdTopic returns the device of a command topic ul/<key>/<dev>/cmd.
+func parseCmdTopic(topic string) (dev string, ok bool) {
+	parts := strings.Split(topic, "/")
 	if len(parts) == 4 && parts[0] == "ul" && parts[3] == "cmd" {
-		return parts[1], parts[2], true
+		return parts[2], true
 	}
-	return "", "", false
-}
-
-func splitTopic(t string) []string {
-	var parts []string
-	start := 0
-	for i := 0; i < len(t); i++ {
-		if t[i] == '/' {
-			parts = append(parts, t[start:i])
-			start = i + 1
-		}
-	}
-	return append(parts, t[start:])
+	return "", false
 }
 
 // DialDevice connects a (possibly impaired) device client — also used by

@@ -37,15 +37,27 @@ type rawPeer struct {
 // session goroutine) is each test's leaves-no-goroutine check.
 func attachCounted(t *testing.T, b *Broker, id string) *rawPeer {
 	t.Helper()
+	p, code := dialRaw(t, b, &Packet{Type: CONNECT, ClientID: id})
+	if code != ConnAccepted {
+		t.Fatalf("handshake refused: 0x%02x", code)
+	}
+	return p
+}
+
+// dialRaw sends connect over a fresh counted pipe and returns the peer
+// with the CONNACK return code.
+func dialRaw(t *testing.T, b *Broker, connect *Packet) (*rawPeer, byte) {
+	t.Helper()
 	client, server := net.Pipe()
 	t.Cleanup(func() { client.Close() })
 	p := &rawPeer{t: t, conn: client, r: bufio.NewReader(client), server: &countConn{Conn: server}}
 	b.AttachTransport(NewStreamTransport(p.server))
-	p.send(&Packet{Type: CONNECT, ClientID: id})
-	if ack := p.read(); ack.Type != CONNACK || ack.ReturnCode != ConnAccepted {
+	p.send(connect)
+	ack := p.read()
+	if ack.Type != CONNACK {
 		t.Fatalf("handshake answered %+v", ack)
 	}
-	return p
+	return p, ack.ReturnCode
 }
 
 // send writes the packets to the broker in one Write call.
