@@ -11,8 +11,8 @@
 // The HTTP listener comes up before the platform constructs, so the
 // operational surface is honest about startup: /healthz is 200 as soon as
 // the port is bound, /readyz is 503 until WAL recovery completes (and
-// again whenever the aggregate MQTT queue depth exceeds
-// server.ready_queue_watermark), and API routes return 503 "starting"
+// again whenever the aggregate MQTT queue depth exceeds 100 000 packets),
+// and API routes return 503 "starting"
 // until the platform attaches. SIGHUP and POST /admin/reload re-resolve
 // the config stack and apply dynamic knobs validate-then-swap; SIGINT and
 // SIGTERM drain the HTTP server gracefully and exit 0.
@@ -50,6 +50,10 @@ import (
 // structurally — httpapi deliberately does not import internal/cluster,
 // so the contract is pinned here, where both packages meet.
 var _ httpapi.ClusterBackend = (*cluster.Router)(nil)
+
+// readyQueueWatermark is the aggregate MQTT queue depth above which
+// /readyz reports 503.
+const readyQueueWatermark = 100_000
 
 func main() {
 	configPath := flag.String("config", "", "config file (TOML; .json for JSON); flags and SWAMP_* env override it")
@@ -127,9 +131,6 @@ func run(loader *config.Loader, cfg *config.Config, logger *slog.Logger) error {
 		if p := platform.Load(); p != nil {
 			p.ApplyDynamic(candidate)
 		}
-		if a := api.Load(); a != nil {
-			a.SetQueryCap(candidate.HTTP.QueryCap)
-		}
 		if cn := clusterNode.Load(); cn != nil {
 			cn.SetAckTimeout(candidate.Cluster.AckTimeout)
 		}
@@ -143,15 +144,12 @@ func run(loader *config.Loader, cfg *config.Config, logger *slog.Logger) error {
 		reloadHook = doReload // without a file the stack cannot change at runtime
 	}
 
-	watermark := cfg.Server.ReadyQueueWatermark
 	readiness := func() error {
 		if !ready.Load() {
 			return errors.New("platform starting (WAL recovery in progress)")
 		}
-		if watermark > 0 {
-			if depth := reg.Gauge("mqtt.queue.depth").Value(); depth > float64(watermark) {
-				return fmt.Errorf("mqtt queue depth %.0f above watermark %d", depth, watermark)
-			}
+		if depth := reg.Gauge("mqtt.queue.depth").Value(); depth > readyQueueWatermark {
+			return fmt.Errorf("mqtt queue depth %.0f above watermark %d", depth, readyQueueWatermark)
 		}
 		if cn := clusterNode.Load(); cn != nil {
 			if err := cn.ReadyLag(maxReadyLag.Load()); err != nil {

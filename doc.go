@@ -36,41 +36,20 @@
 // (swampd -config-check prints the resolved stack). The spellings are
 // mechanical: knob timeseries.retention ⇔ flag -ts-retention ⇔ env
 // SWAMP_TIMESERIES_RETENTION. core.New reads every knob from this schema
-// (core.Options.Config). The knobs, per section (defaults in
-// parentheses; (dyn) = reloadable at runtime via
-// SIGHUP or POST /admin/reload, validate-then-swap — a bad file or a
-// static-field change applies nothing and reports every violation):
-//
-//	server      listen (127.0.0.1:1883), http_listen (127.0.0.1:8026),
-//	            pilot (matopiba), mode (farm-fog), interval (2s),
-//	            sealed (false), ready_queue_watermark (100000)
-//	log         level (info), format (text)
-//	mqtt        session_queue (256, dyn), retry_interval (1s),
-//	            flush_watermark (8192, dyn), route_cache (4096, dyn)
-//	ngsi        shards (8), fog_sync_batches (32)
-//	timeseries  shards (8), chunk_size (512), retention (0s, dyn),
-//	            eviction_interval (1m)
-//	wal         dir (""), segment_bytes (8MiB), fsync_interval (0s),
-//	            snapshot_interval (5m, dyn)
-//	webhooks    workers (8, dyn), retry_backoff (250ms, dyn), queue (64)
-//	security    audit_ring (4096), token_purge_interval (1m)
-//	http        query_cap (1000, dyn), default_limit (100)
-//	cluster     node_id (""), peers (""), listen (""), partitions (16),
-//	            replicas (2), min_isr (1), ack_timeout (5s, dyn),
-//	            max_ready_lag (100000, dyn)
-//	tenant      enabled (false, dyn), default_msgs_per_sec (1000, dyn),
-//	            default_bytes_per_sec (1MiB, dyn),
-//	            default_inflight (64, dyn),
-//	            default_subscriptions (32, dyn),
-//	            default_webhook_share_pct (50, dyn), burst (2s, dyn),
-//	            metrics_topk (8, dyn); per-tenant overrides in the
-//	            [tenant.quotas] table (id = "msgs=...,bytes=..." spec)
-//	sim         seed (1; swampd derives 0 from the clock),
-//	            backhaul_latency (0s)
+// (core.Options.Config). The knobs are deployment settings — addresses,
+// paths, pilot and mode, logging, cluster topology, the tenant quota
+// policy with its [tenant.quotas] overrides, retention, snapshot cadence
+// and page sizes; `swampd -config-check` lists every one with its value
+// and source, and examples/swampd.toml documents each. Those marked
+// dynamic reload at runtime via SIGHUP or POST /admin/reload,
+// validate-then-swap: a bad file or a static-field change applies nothing
+// and reports every violation. Tuning values with a single setting in use
+// (queue bounds, shard counts, flush and segment thresholds, worker
+// counts) are the components' own constants, not knobs.
 //
 // swampd's operational surface (DESIGN.md §9): /healthz liveness,
 // /readyz readiness (503 until WAL recovery completes or while the MQTT
-// queue depth exceeds server.ready_queue_watermark), /metrics in
+// queue depth exceeds 100 000 packets), /metrics in
 // Prometheus text exposition format with every knob exported as a
 // config.<name> gauge, POST /admin/reload, structured log/slog logging,
 // graceful drain on SIGINT/SIGTERM. examples/swampd.toml is a commented

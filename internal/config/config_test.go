@@ -28,20 +28,22 @@ func TestOverlayPrecedence(t *testing.T) {
 	// File sets three knobs; env overrides one of them plus a fourth;
 	// a flag overrides one of the env values. Last writer wins.
 	path := writeFile(t, "swampd.toml", `
-[mqtt]
-flush_watermark = 1024
-session_queue = 512
+[tenant]
+default_msgs_per_sec = 1024
+default_inflight = 512
 
 [timeseries]
 retention = "48h"
 `)
 	env := map[string]string{
-		"SWAMP_MQTT_FLUSH_WATERMARK": "2048",
-		"SWAMP_WEBHOOKS_WORKERS":     "3",
+		"SWAMP_TENANT_DEFAULT_MSGS_PER_SEC":  "2048",
+		"SWAMP_TENANT_DEFAULT_SUBSCRIPTIONS": "3",
+		// A variable naming no schema knob is never looked up.
+		"SWAMP_MQTT_FLUSH_WATERMARK": "not-a-number",
 	}
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	overlay := RegisterFlags(fs)
-	if err := fs.Parse([]string{"-mqtt-flush-watermark", "4096"}); err != nil {
+	if err := fs.Parse([]string{"-tenant-msgs", "4096"}); err != nil {
 		t.Fatal(err)
 	}
 	l := &Loader{Path: path, Flags: overlay, Env: func(k string) string { return env[k] }}
@@ -50,28 +52,28 @@ retention = "48h"
 		t.Fatalf("Load: %v", err)
 	}
 
-	if got := c.MQTT.FlushWatermark; got != 4096 {
-		t.Errorf("flush_watermark = %d, want 4096 (flag beats env beats file)", got)
+	if got := c.Tenant.DefaultMsgsPerSec; got != 4096 {
+		t.Errorf("default_msgs_per_sec = %d, want 4096 (flag beats env beats file)", got)
 	}
-	if got := c.MQTT.SessionQueue; got != 512 {
-		t.Errorf("session_queue = %d, want 512 (file)", got)
+	if got := c.Tenant.DefaultInflight; got != 512 {
+		t.Errorf("default_inflight = %d, want 512 (file)", got)
 	}
 	if got := c.Timeseries.Retention; got != 48*time.Hour {
 		t.Errorf("retention = %s, want 48h (file)", got)
 	}
-	if got := c.Webhooks.Workers; got != 3 {
-		t.Errorf("webhook workers = %d, want 3 (env)", got)
+	if got := c.Tenant.DefaultSubscriptions; got != 3 {
+		t.Errorf("default_subscriptions = %d, want 3 (env)", got)
 	}
-	if got := c.MQTT.RouteCache; got != 4096 {
-		t.Errorf("route_cache = %d, want default 4096", got)
+	if got := c.Tenant.DefaultBytesPerSec; got != 1<<20 {
+		t.Errorf("default_bytes_per_sec = %d, want default 1048576", got)
 	}
 
 	wantProv := map[string]Source{
-		"mqtt.flush_watermark": SourceFlag,
-		"mqtt.session_queue":   SourceFile,
-		"timeseries.retention": SourceFile,
-		"webhooks.workers":     SourceEnv,
-		"mqtt.route_cache":     SourceDefault,
+		"tenant.default_msgs_per_sec":  SourceFlag,
+		"tenant.default_inflight":      SourceFile,
+		"timeseries.retention":         SourceFile,
+		"tenant.default_subscriptions": SourceEnv,
+		"tenant.default_bytes_per_sec": SourceDefault,
 	}
 	for name, want := range wantProv {
 		if got := prov[name]; got != want {
@@ -81,7 +83,7 @@ retention = "48h"
 }
 
 func TestUnsetFlagDoesNotShadowFile(t *testing.T) {
-	path := writeFile(t, "swampd.toml", "[mqtt]\nsession_queue = 99\n")
+	path := writeFile(t, "swampd.toml", "[tenant]\ndefault_inflight = 99\n")
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	overlay := RegisterFlags(fs)
 	if err := fs.Parse(nil); err != nil {
@@ -91,23 +93,27 @@ func TestUnsetFlagDoesNotShadowFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.MQTT.SessionQueue != 99 {
-		t.Fatalf("session_queue = %d, want 99: declared-but-unset flag shadowed the file", c.MQTT.SessionQueue)
+	if c.Tenant.DefaultInflight != 99 {
+		t.Fatalf("default_inflight = %d, want 99: declared-but-unset flag shadowed the file", c.Tenant.DefaultInflight)
 	}
 }
 
 func TestAggregatedErrors(t *testing.T) {
-	// One unknown key, one unparseable value, one bounds violation, one
-	// bad env var: all four must surface in a single error.
+	// Two unknown keys (one never existed, one was deleted from the
+	// schema), one unparseable value, one bounds violation, one bad env
+	// var: all five must surface in a single error.
 	path := writeFile(t, "swampd.toml", `
 [mqtt]
 bogus_knob = 1
-session_queue = "not-a-number"
+flush_watermark = 8192
 
-[timeseries]
-chunk_size = 1
+[tenant]
+default_inflight = "not-a-number"
+
+[http]
+default_limit = 0
 `)
-	env := map[string]string{"SWAMP_WEBHOOKS_WORKERS": "zero"}
+	env := map[string]string{"SWAMP_TENANT_DEFAULT_SUBSCRIPTIONS": "zero"}
 	c, _, err := (&Loader{Path: path, Env: func(k string) string { return env[k] }}).Load()
 	if err == nil {
 		t.Fatal("want aggregated error, got nil")
@@ -119,15 +125,16 @@ chunk_size = 1
 	if !ok {
 		t.Fatalf("error type = %T, want Errors", err)
 	}
-	if len(errs) != 4 {
-		t.Fatalf("got %d errors, want 4:\n%v", len(errs), err)
+	if len(errs) != 5 {
+		t.Fatalf("got %d errors, want 5:\n%v", len(errs), err)
 	}
 	msg := err.Error()
 	for _, frag := range []string{
-		"mqtt.bogus_knob", "unknown setting",
-		"mqtt.session_queue",
-		"timeseries.chunk_size",
-		"webhooks.workers", "SWAMP_WEBHOOKS_WORKERS",
+		"mqtt.bogus_knob: unknown setting",
+		"mqtt.flush_watermark: unknown setting",
+		"tenant.default_inflight",
+		"http.default_limit",
+		"tenant.default_subscriptions", "SWAMP_TENANT_DEFAULT_SUBSCRIPTIONS",
 	} {
 		if !strings.Contains(msg, frag) {
 			t.Errorf("aggregated error missing %q:\n%s", frag, msg)
@@ -180,7 +187,7 @@ level = "debug"
 
 func TestJSONConfig(t *testing.T) {
 	path := writeFile(t, "swampd.json", `{
-  "mqtt": {"session_queue": 77, "flush_watermark": -1},
+  "tenant": {"default_inflight": 77, "default_msgs_per_sec": 0},
   "wal": {"snapshot_interval": "30s"},
   "server": {"sealed": true}
 }`)
@@ -188,8 +195,8 @@ func TestJSONConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.MQTT.SessionQueue != 77 || c.MQTT.FlushWatermark != -1 {
-		t.Errorf("mqtt = %+v", c.MQTT)
+	if c.Tenant.DefaultInflight != 77 || c.Tenant.DefaultMsgsPerSec != 0 {
+		t.Errorf("tenant = %+v", c.Tenant)
 	}
 	if c.WAL.SnapshotInterval != 30*time.Second {
 		t.Errorf("snapshot_interval = %s", c.WAL.SnapshotInterval)
@@ -205,13 +212,13 @@ func TestJSONConfig(t *testing.T) {
 func TestValidateReloadDynamicOnly(t *testing.T) {
 	cur := Default()
 	cand := Default()
-	cand.MQTT.FlushWatermark = 1 << 20
-	cand.Webhooks.Retry = time.Second
+	cand.Tenant.DefaultMsgsPerSec = 1 << 20
+	cand.Tenant.Burst = time.Second
 	dynamic, err := ValidateReload(cur, cand)
 	if err != nil {
 		t.Fatalf("dynamic-only reload rejected: %v", err)
 	}
-	want := map[string]bool{"mqtt.flush_watermark": true, "webhooks.retry_backoff": true}
+	want := map[string]bool{"tenant.default_msgs_per_sec": true, "tenant.burst": true}
 	if len(dynamic) != len(want) {
 		t.Fatalf("dynamic = %v, want %v", dynamic, want)
 	}
@@ -225,8 +232,8 @@ func TestValidateReloadDynamicOnly(t *testing.T) {
 func TestValidateReloadRejectsStatic(t *testing.T) {
 	cur := Default()
 	cand := Default()
-	cand.MQTT.FlushWatermark = 1 << 20 // dynamic — fine on its own
-	cand.Timeseries.Shards = 32        // static — poisons the reload
+	cand.Tenant.DefaultMsgsPerSec = 1 << 20 // dynamic — fine on its own
+	cand.HTTP.QueryCap = 500                // static — poisons the reload
 	dynamic, err := ValidateReload(cur, cand)
 	if err == nil {
 		t.Fatal("static change must reject the reload")
@@ -234,7 +241,7 @@ func TestValidateReloadRejectsStatic(t *testing.T) {
 	if dynamic != nil {
 		t.Fatalf("rejected reload must apply nothing, got dynamic=%v", dynamic)
 	}
-	if msg := err.Error(); !strings.Contains(msg, "timeseries.shards") || !strings.Contains(msg, "restart required") {
+	if msg := err.Error(); !strings.Contains(msg, "http.query_cap") || !strings.Contains(msg, "restart required") {
 		t.Errorf("error should name the static field and demand a restart:\n%s", msg)
 	}
 }
@@ -242,7 +249,7 @@ func TestValidateReloadRejectsStatic(t *testing.T) {
 func TestValidateReloadRejectsInvalidCandidate(t *testing.T) {
 	cur := Default()
 	cand := Default()
-	cand.Webhooks.Workers = 0 // below min
+	cand.Tenant.Burst = 0 // below min
 	if _, err := ValidateReload(cur, cand); err == nil {
 		t.Fatal("invalid candidate must reject the reload")
 	}
@@ -254,13 +261,6 @@ func TestCrossFieldValidation(t *testing.T) {
 	err := Validate(c)
 	if err == nil || !strings.Contains(err.Error(), "http.query_cap") {
 		t.Fatalf("cross-field violation not reported: %v", err)
-	}
-
-	c = Default()
-	c.Timeseries.Retention = time.Minute
-	c.Timeseries.EvictionInterval = time.Hour
-	if err := Validate(c); err == nil {
-		t.Fatal("eviction interval beyond retention window not reported")
 	}
 
 	c = Default()
@@ -303,27 +303,27 @@ func TestOneofAndBounds(t *testing.T) {
 		t.Fatalf("oneof violation not reported: %v", err)
 	}
 
-	f, ok := FieldByName("timeseries.chunk_size")
+	f, ok := FieldByName("http.default_limit")
 	if !ok {
 		t.Fatal("missing field")
 	}
 	c = Default()
-	if err := f.Set(c, "1"); err != nil {
+	if err := f.Set(c, "0"); err != nil {
 		t.Fatal(err) // Set parses; bounds are a Validate concern
 	}
 	if err := Validate(c); err == nil {
-		t.Fatal("chunk_size below min accepted")
+		t.Fatal("default_limit below min accepted")
 	}
 }
 
 func TestDescribe(t *testing.T) {
-	path := writeFile(t, "swampd.toml", "[mqtt]\nflush_watermark = 123\n")
+	path := writeFile(t, "swampd.toml", "[tenant]\ndefault_inflight = 123\n")
 	c, prov, err := (&Loader{Path: path, Env: func(string) string { return "" }}).Load()
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := Describe(c, prov)
-	if !strings.Contains(out, "mqtt.flush_watermark") || !strings.Contains(out, "(file)") {
+	if !strings.Contains(out, "tenant.default_inflight") || !strings.Contains(out, "(file)") {
 		t.Errorf("Describe missing file-sourced knob:\n%s", out)
 	}
 	if !strings.Contains(out, "(default)") {
@@ -338,27 +338,21 @@ func TestDescribe(t *testing.T) {
 }
 
 func TestEnvNamesDerived(t *testing.T) {
-	f, ok := FieldByName("mqtt.flush_watermark")
+	f, ok := FieldByName("tenant.default_msgs_per_sec")
 	if !ok {
 		t.Fatal("missing field")
 	}
-	if f.Env != "SWAMP_MQTT_FLUSH_WATERMARK" {
+	if f.Env != "SWAMP_TENANT_DEFAULT_MSGS_PER_SEC" {
 		t.Fatalf("env name = %s", f.Env)
 	}
 }
 
 func TestDynamicSetMatchesIssueList(t *testing.T) {
 	want := map[string]bool{
-		"mqtt.session_queue":     true,
-		"mqtt.flush_watermark":   true,
-		"mqtt.route_cache":       true,
-		"timeseries.retention":   true,
-		"wal.snapshot_interval":  true,
-		"webhooks.workers":       true,
-		"webhooks.retry_backoff": true,
-		"http.query_cap":         true,
-		"cluster.ack_timeout":    true,
-		"cluster.max_ready_lag":  true,
+		"timeseries.retention":  true,
+		"wal.snapshot_interval": true,
+		"cluster.ack_timeout":   true,
+		"cluster.max_ready_lag": true,
 		// The whole tenant admission plane is dynamic: quota retuning
 		// under load is the reload path's primary use case (PR 10).
 		"tenant.enabled":                   true,
@@ -368,7 +362,6 @@ func TestDynamicSetMatchesIssueList(t *testing.T) {
 		"tenant.default_subscriptions":     true,
 		"tenant.default_webhook_share_pct": true,
 		"tenant.burst":                     true,
-		"tenant.metrics_topk":              true,
 	}
 	got := map[string]bool{}
 	for _, f := range Fields() {

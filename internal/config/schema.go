@@ -12,16 +12,17 @@
 //
 // Tag grammar (on leaf fields):
 //
-//	knob:"flush_watermark"       key within the section ([mqtt] table key)
-//	flag:"mqtt-flush-watermark"  command-line flag name
-//	default:"8192"               literal default, parsed per field type
+//	knob:"default_msgs_per_sec"  key within the section ([tenant] table key)
+//	flag:"tenant-msgs"           command-line flag name
+//	default:"1000"               literal default, parsed per field type
 //	dynamic:"true"               reloadable at runtime (validate-then-swap)
-//	min:"-1" max:"65536"         numeric bounds (inclusive), type-aware
+//	min:"0" max:"100"            numeric bounds (inclusive), type-aware
 //	oneof:"a,b,c"                enumerated string values
 //	usage:"..."                  one-line help, shared by flags and docs
 //
 // Environment variable names derive mechanically from the field name:
-// section "mqtt" + knob "flush_watermark" → SWAMP_MQTT_FLUSH_WATERMARK.
+// section "tenant" + knob "default_msgs_per_sec" →
+// SWAMP_TENANT_DEFAULT_MSGS_PER_SEC.
 package config
 
 import (
@@ -38,12 +39,8 @@ import (
 type Config struct {
 	Server     Server     `section:"server"`
 	Log        Log        `section:"log"`
-	MQTT       MQTT       `section:"mqtt"`
-	NGSI       NGSI       `section:"ngsi"`
 	Timeseries Timeseries `section:"timeseries"`
 	WAL        WAL        `section:"wal"`
-	Webhooks   Webhooks   `section:"webhooks"`
-	Security   Security   `section:"security"`
 	HTTP       HTTP       `section:"http"`
 	Cluster    Cluster    `section:"cluster"`
 	Tenant     Tenant     `section:"tenant"`
@@ -66,13 +63,12 @@ func (c *Config) Clone() *Config {
 
 // Server configures the swampd daemon itself.
 type Server struct {
-	Listen              string        `knob:"listen" flag:"listen" default:"127.0.0.1:1883" usage:"MQTT TCP listen address"`
-	HTTPListen          string        `knob:"http_listen" flag:"http" default:"127.0.0.1:8026" usage:"HTTP API listen address (empty disables)"`
-	Pilot               string        `knob:"pilot" flag:"pilot" default:"matopiba" usage:"pilot: matopiba, guaspari, intercrop, cbec"`
-	Mode                string        `knob:"mode" flag:"mode" default:"farm-fog" oneof:"cloud-only,farm-fog,mobile-fog" usage:"deployment mode"`
-	Interval            time.Duration `knob:"interval" flag:"interval" default:"2s" min:"1ms" usage:"sensor sampling / decision interval"`
-	Sealed              bool          `knob:"sealed" flag:"sealed" default:"false" usage:"enable secchan payload encryption"`
-	ReadyQueueWatermark int           `knob:"ready_queue_watermark" flag:"ready-queue-watermark" default:"100000" min:"0" usage:"aggregate MQTT queue depth above which /readyz reports 503 (0 disables the check)"`
+	Listen     string        `knob:"listen" flag:"listen" default:"127.0.0.1:1883" usage:"MQTT TCP listen address"`
+	HTTPListen string        `knob:"http_listen" flag:"http" default:"127.0.0.1:8026" usage:"HTTP API listen address (empty disables)"`
+	Pilot      string        `knob:"pilot" flag:"pilot" default:"matopiba" usage:"pilot: matopiba, guaspari, intercrop, cbec"`
+	Mode       string        `knob:"mode" flag:"mode" default:"farm-fog" oneof:"cloud-only,farm-fog,mobile-fog" usage:"deployment mode"`
+	Interval   time.Duration `knob:"interval" flag:"interval" default:"2s" min:"1ms" usage:"sensor sampling / decision interval"`
+	Sealed     bool          `knob:"sealed" flag:"sealed" default:"false" usage:"enable secchan payload encryption"`
 }
 
 // Log configures structured logging.
@@ -81,52 +77,20 @@ type Log struct {
 	Format string `knob:"format" flag:"log-format" default:"text" oneof:"text,json" usage:"log output format"`
 }
 
-// MQTT configures the transport plane (internal/mqtt).
-type MQTT struct {
-	SessionQueue   int           `knob:"session_queue" flag:"mqtt-queue" default:"256" min:"1" dynamic:"true" usage:"per-session outbound queue bound in packets (reload applies to new sessions)"`
-	RetryInterval  time.Duration `knob:"retry_interval" flag:"mqtt-retry" default:"1s" min:"1ms" usage:"QoS 1 redelivery / keepalive cadence"`
-	FlushWatermark int           `knob:"flush_watermark" flag:"mqtt-flush-watermark" default:"8192" dynamic:"true" usage:"session writer flush threshold in bytes (negative = flush per packet)"`
-	RouteCache     int           `knob:"route_cache" flag:"mqtt-route-cache" default:"4096" dynamic:"true" usage:"topic route cache capacity (negative disables caching)"`
-}
-
-// NGSI configures the context plane (internal/ngsi ingest side).
-type NGSI struct {
-	Shards         int `knob:"shards" flag:"ctx-shards" default:"8" min:"1" usage:"context broker entity-store shard count"`
-	FogSyncBatches int `knob:"fog_sync_batches" flag:"fog-sync-batches" default:"32" min:"1" usage:"buffered telemetry batches the fog node coalesces per backhaul round trip"`
-}
-
 // Timeseries configures the telemetry plane (internal/timeseries).
 type Timeseries struct {
-	Shards           int           `knob:"shards" flag:"ts-shards" default:"8" min:"1" usage:"telemetry store shard count"`
-	ChunkSize        int           `knob:"chunk_size" flag:"ts-chunk" default:"512" min:"2" usage:"points per sealed immutable chunk"`
-	Retention        time.Duration `knob:"retention" flag:"ts-retention" default:"0s" min:"0s" dynamic:"true" usage:"age-based telemetry retention (0 keeps everything)"`
-	EvictionInterval time.Duration `knob:"eviction_interval" flag:"ts-eviction-interval" default:"1m" min:"1ms" usage:"background eviction cadence (meaningful with retention set)"`
+	Retention time.Duration `knob:"retention" flag:"ts-retention" default:"0s" min:"0s" dynamic:"true" usage:"age-based telemetry retention (0 keeps everything; evicted every min(retention, 1m))"`
 }
 
 // WAL configures the durability plane (internal/wal).
 type WAL struct {
 	Dir              string        `knob:"dir" flag:"wal-dir" default:"" usage:"WAL+snapshot directory (empty = in-memory only; existing state is recovered on start)"`
-	SegmentBytes     int64         `knob:"segment_bytes" flag:"wal-segment-bytes" default:"8388608" min:"4096" usage:"WAL segment roll threshold in bytes"`
-	FsyncInterval    time.Duration `knob:"fsync_interval" flag:"wal-fsync-interval" default:"0s" min:"0s" usage:"group-commit coalescing window (0 = fsync when the commit queue drains)"`
 	SnapshotInterval time.Duration `knob:"snapshot_interval" flag:"snapshot-interval" default:"5m" dynamic:"true" usage:"snapshot + WAL truncation cadence (negative disables periodic snapshots)"`
-}
-
-// Webhooks configures outbound subscription delivery (internal/ngsi pool).
-type Webhooks struct {
-	Workers int           `knob:"workers" flag:"webhook-workers" default:"8" min:"1" dynamic:"true" usage:"concurrent outbound webhook deliveries"`
-	Retry   time.Duration `knob:"retry_backoff" flag:"webhook-retry" default:"250ms" min:"1ms" dynamic:"true" usage:"first webhook retry backoff, doubling per attempt"`
-	Queue   int           `knob:"queue" flag:"webhook-queue" default:"64" min:"1" usage:"per-subscription pending notification queue bound"`
-}
-
-// Security configures the security plane (internal/security).
-type Security struct {
-	AuditRing          int           `knob:"audit_ring" flag:"audit-ring" default:"4096" min:"1" usage:"PEP audit ring capacity (overflow overwrites oldest, counted)"`
-	TokenPurgeInterval time.Duration `knob:"token_purge_interval" flag:"token-purge-interval" default:"1m" usage:"expired/revoked token purge cadence (negative disables the loop)"`
 }
 
 // HTTP configures the northbound API server (internal/httpapi).
 type HTTP struct {
-	QueryCap     int `knob:"query_cap" flag:"query-cap" default:"1000" min:"1" dynamic:"true" usage:"hard cap on /v2/entities page sizes and offsets"`
+	QueryCap     int `knob:"query_cap" flag:"query-cap" default:"1000" min:"1" usage:"hard cap on /v2/entities page sizes and offsets"`
 	DefaultLimit int `knob:"default_limit" flag:"query-default-limit" default:"100" min:"1" usage:"page size applied when a listing names none"`
 }
 
@@ -161,7 +125,6 @@ type Tenant struct {
 	DefaultSubscriptions   int           `knob:"default_subscriptions" flag:"tenant-subs" default:"32" min:"0" dynamic:"true" usage:"per-tenant live NGSI subscription bound (0 = unenforced)"`
 	DefaultWebhookSharePct int           `knob:"default_webhook_share_pct" flag:"tenant-webhook-share" default:"50" min:"0" max:"100" dynamic:"true" usage:"per-tenant share of each webhook queue in percent (0 or 100 = full queue)"`
 	Burst                  time.Duration `knob:"burst" flag:"tenant-burst" default:"2s" min:"100ms" dynamic:"true" usage:"token-bucket burst window: a tenant may spend this much quota ahead of its sustained rate"`
-	MetricsTopK            int           `knob:"metrics_topk" flag:"tenant-topk" default:"8" min:"1" dynamic:"true" usage:"tenants granted named swamp_tenant_* metric series; the rest aggregate into _other"`
 
 	// Quotas holds per-tenant overrides from the [tenant.quotas] table
 	// and the admin quota API: tenant id → spec string parsed by
@@ -191,13 +154,13 @@ const (
 
 // Field describes one knob derived from the schema's struct tags.
 type Field struct {
-	// Name is the dotted path, e.g. "mqtt.flush_watermark".
+	// Name is the dotted path, e.g. "tenant.default_msgs_per_sec".
 	Name string
 	// Section and Key split Name at the dot.
 	Section, Key string
 	// Flag is the command-line flag name.
 	Flag string
-	// Env is the environment variable name (SWAMP_MQTT_FLUSH_WATERMARK).
+	// Env is the environment variable name (SWAMP_TENANT_DEFAULT_MSGS_PER_SEC).
 	Env string
 	// Usage is the one-line help string.
 	Usage string

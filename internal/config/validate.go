@@ -54,13 +54,6 @@ func Validate(c *Config) error {
 			Err:  fmt.Errorf("%d exceeds http.query_cap %d", c.HTTP.DefaultLimit, c.HTTP.QueryCap),
 		})
 	}
-	if c.Timeseries.Retention > 0 && c.Timeseries.EvictionInterval > c.Timeseries.Retention {
-		errs = append(errs, FieldError{
-			Name: "timeseries.eviction_interval",
-			Err: fmt.Errorf("%s exceeds the retention window %s",
-				c.Timeseries.EvictionInterval, c.Timeseries.Retention),
-		})
-	}
 	if c.Cluster.MinISR > c.Cluster.Replicas-1 {
 		errs = append(errs, FieldError{
 			Name: "cluster.min_isr",

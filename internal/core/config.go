@@ -46,9 +46,6 @@ func OptionsFromConfig(c *config.Config) (Options, error) {
 // Setters are individually atomic; there is no cross-knob transaction,
 // which is fine — every dynamic knob is an independent tuning bound.
 func (p *Platform) ApplyDynamic(c *config.Config) {
-	p.Broker.SetSessionQueueLen(c.MQTT.SessionQueue)
-	p.Broker.SetFlushWatermark(c.MQTT.FlushWatermark)
-	p.Broker.SetRouteCacheSize(c.MQTT.RouteCache)
 	// The whole tenant section is dynamic: quota-table edits (including
 	// the admin API's PUT) and the enablement switch land here. SetLimits
 	// clamps live buckets, so shrinking a quota below current usage
@@ -56,9 +53,6 @@ func (p *Platform) ApplyDynamic(c *config.Config) {
 	p.Admission.SetEnabled(c.Tenant.Enabled)
 	p.Admission.SetLimits(c.Tenant.Limits())
 	p.Admission.SetBurst(c.Tenant.Burst)
-	p.Admission.SetTopK(c.Tenant.MetricsTopK)
-	p.Webhooks.SetWorkers(c.Webhooks.Workers)
-	p.Webhooks.SetRetryBackoff(c.Webhooks.Retry)
 	p.Store.SetMaxAge(c.Timeseries.Retention)
 	if p.Durable != nil {
 		interval := c.WAL.SnapshotInterval

@@ -20,13 +20,6 @@ const DefaultSnapshotInterval = 5 * time.Minute
 type DurabilityConfig struct {
 	// Dir is the WAL directory. Required.
 	Dir string
-	// SegmentBytes is the WAL segment roll threshold
-	// (0 → wal.DefaultSegmentBytes).
-	SegmentBytes int64
-	// FsyncInterval is the group-commit coalescing window (0 → fsync as
-	// soon as the commit queue drains; batching still emerges under
-	// concurrent writers).
-	FsyncInterval time.Duration
 	// SnapshotInterval is the periodic snapshot + truncation cadence
 	// (0 → DefaultSnapshotInterval; negative disables periodic snapshots
 	// — Snapshot can still be called manually).
@@ -73,12 +66,7 @@ func OpenDurability(cfg DurabilityConfig, ctx *ngsi.Broker, store *timeseries.St
 	if ctx == nil || store == nil {
 		return nil, fmt.Errorf("core: durability needs a context broker and a store")
 	}
-	m, err := wal.Open(wal.Config{
-		Dir:           cfg.Dir,
-		SegmentBytes:  cfg.SegmentBytes,
-		FsyncInterval: cfg.FsyncInterval,
-		Metrics:       cfg.Metrics,
-	})
+	m, err := wal.Open(wal.Config{Dir: cfg.Dir, Metrics: cfg.Metrics})
 	if err != nil {
 		return nil, err
 	}

@@ -132,9 +132,9 @@ type Options struct {
 	TelemetryClock clock.Clock
 }
 
-// DefaultTokenPurgeInterval is the token-store purge cadence when
-// security.token_purge_interval is zero.
-const DefaultTokenPurgeInterval = time.Minute
+// tokenPurgeInterval is how often the token store drops expired and
+// revoked tokens.
+const tokenPurgeInterval = time.Minute
 
 // Platform is one fully wired SWAMP deployment.
 type Platform struct {
@@ -223,12 +223,7 @@ func New(opts Options) (*Platform, error) {
 	// --- security plane ---
 	p.IDM = identity.NewStore()
 	p.Tokens = oauth.NewServer(p.IDM, oauth.Config{})
-	if purge := cfg.Security.TokenPurgeInterval; purge >= 0 {
-		if purge == 0 {
-			purge = DefaultTokenPurgeInterval
-		}
-		p.Tokens.StartPurge(purge)
-	}
+	p.Tokens.StartPurge(tokenPurgeInterval)
 	owner := opts.Pilot.Name
 	tid := tenant.ID(owner)
 	p.PDP = pep.NewPDP(
@@ -263,7 +258,7 @@ func New(opts Options) (*Platform, error) {
 			Effect:  pep.Permit,
 		},
 	)
-	p.PEP = pep.NewPEP(p.Tokens, p.PDP, p.reg, pep.WithAuditCap(cfg.Security.AuditRing))
+	p.PEP = pep.NewPEP(p.Tokens, p.PDP, p.reg)
 	if err := p.IDM.Register(identity.Principal{
 		ID: owner + "-farmer", Roles: []identity.Role{identity.RoleFarmer}, Owner: tid,
 	}, "farmer-secret"); err != nil {
@@ -304,19 +299,14 @@ func New(opts Options) (*Platform, error) {
 		Enabled: cfg.Tenant.Enabled,
 		Limits:  cfg.Tenant.Limits(),
 		Burst:   cfg.Tenant.Burst,
-		TopK:    cfg.Tenant.MetricsTopK,
 	})
 
 	// --- transport plane ---
 	p.Broker = mqtt.NewBroker(mqtt.BrokerConfig{
-		Metrics:         p.reg,
-		ACL:             p.brokerACL,
-		TenantFunc:      p.brokerTenant,
-		Admission:       p.Admission,
-		SessionQueueLen: cfg.MQTT.SessionQueue,
-		RetryInterval:   cfg.MQTT.RetryInterval,
-		FlushWatermark:  cfg.MQTT.FlushWatermark,
-		RouteCacheSize:  cfg.MQTT.RouteCache,
+		Metrics:    p.reg,
+		ACL:        p.brokerACL,
+		TenantFunc: p.brokerTenant,
+		Admission:  p.Admission,
 	})
 	p.Broker.Tap = p.Anomaly.OnMessage
 
@@ -324,25 +314,19 @@ func New(opts Options) (*Platform, error) {
 	// Component shutdown is NOT registered in cleanups: Close sequences
 	// the planes explicitly (ingress → drains → stores → WAL) so
 	// in-flight work lands before the stores it lands in go away.
-	p.Context = ngsi.NewBroker(ngsi.BrokerConfig{Metrics: p.reg, Shards: cfg.NGSI.Shards})
+	p.Context = ngsi.NewBroker(ngsi.BrokerConfig{Metrics: p.reg})
 	p.Webhooks = ngsi.NewWebhookPool(ngsi.WebhookConfig{
-		Metrics:      p.reg,
-		Workers:      cfg.Webhooks.Workers,
-		RetryBackoff: cfg.Webhooks.Retry,
-		QueueLen:     cfg.Webhooks.Queue,
-		OnStatus:     ngsi.StatusUpdater(p.Context),
-		Admission:    p.Admission,
+		Metrics:   p.reg,
+		OnStatus:  ngsi.StatusUpdater(p.Context),
+		Admission: p.Admission,
 	})
 
 	// --- cloud plane ---
-	// The eviction cadence and clock are wired even with retention off, so
-	// a reload that turns retention on evicts on them.
+	// The clock is wired even with retention off, so a reload that turns
+	// retention on evicts on it.
 	p.Store = timeseries.New(
 		timeseries.WithMaxPointsPerSeries(100_000),
-		timeseries.WithShards(cfg.Timeseries.Shards),
-		timeseries.WithChunkSize(cfg.Timeseries.ChunkSize),
 		timeseries.WithMaxAge(cfg.Timeseries.Retention),
-		timeseries.WithEvictionInterval(cfg.Timeseries.EvictionInterval),
 		timeseries.WithClock(opts.TelemetryClock))
 	p.Ingestor = cloud.NewIngestor(p.Store, p.reg)
 	p.Analytics = cloud.NewAnalytics(p.Store)
@@ -355,8 +339,6 @@ func New(opts Options) (*Platform, error) {
 	if cfg.WAL.Dir != "" {
 		d, err := OpenDurability(DurabilityConfig{
 			Dir:              cfg.WAL.Dir,
-			SegmentBytes:     cfg.WAL.SegmentBytes,
-			FsyncInterval:    cfg.WAL.FsyncInterval,
 			SnapshotInterval: cfg.WAL.SnapshotInterval,
 			Metrics:          p.reg,
 			Admission:        p.Admission,
@@ -430,11 +412,10 @@ func New(opts Options) (*Platform, error) {
 	}
 	if opts.Mode != ModeCloudOnly {
 		p.Fog, err = fog.NewNode(fog.Config{
-			Uplink:            p.cloudUplink,
-			Decide:            p.Decision.Decide,
-			Commands:          p.applyCommand,
-			MaxBatchesPerTrip: cfg.NGSI.FogSyncBatches,
-			Metrics:           p.reg,
+			Uplink:   p.cloudUplink,
+			Decide:   p.Decision.Decide,
+			Commands: p.applyCommand,
+			Metrics:  p.reg,
 		})
 		if err != nil {
 			p.Close()

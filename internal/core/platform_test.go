@@ -17,11 +17,9 @@ import (
 	"github.com/swamp-project/swamp/internal/model"
 	"github.com/swamp-project/swamp/internal/mqtt"
 	"github.com/swamp-project/swamp/internal/ngsi"
-	"github.com/swamp-project/swamp/internal/security/pep"
 	"github.com/swamp-project/swamp/internal/simnet"
 	"github.com/swamp-project/swamp/internal/tenant"
 	"github.com/swamp-project/swamp/internal/timeseries"
-	"github.com/swamp-project/swamp/internal/wal"
 )
 
 var t0 = time.Date(2026, 6, 1, 6, 0, 0, 0, time.UTC)
@@ -75,10 +73,7 @@ func TestPlatformConstructionAllPilotsAndModes(t *testing.T) {
 func TestTelemetryStoreKnobs(t *testing.T) {
 	sim := clock.NewSim(t0.Add(2 * time.Hour))
 	cfg := config.Default()
-	cfg.Timeseries.Shards = 4
-	cfg.Timeseries.ChunkSize = 64
 	cfg.Timeseries.Retention = time.Hour
-	cfg.Timeseries.EvictionInterval = time.Minute
 	p, err := New(Options{
 		Pilot: PilotIntercrop, Mode: ModeFarmFog, Seed: 7,
 		Config: cfg, TelemetryClock: sim,
@@ -87,9 +82,6 @@ func TestTelemetryStoreKnobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(p.Close)
-	if got := p.Store.ShardCount(); got != 4 {
-		t.Errorf("store shards = %d, want 4", got)
-	}
 	// Retention must cut off against the injected (simulated) clock, not
 	// wall time: a reading stamped 30 simulated minutes ago survives, one
 	// stamped 90 simulated minutes ago is evicted.
@@ -109,11 +101,10 @@ func TestTelemetryStoreKnobs(t *testing.T) {
 
 // TestRetentionEnabledByReloadUsesConfiguredClock: a platform started with
 // retention off and turned on by ApplyDynamic evicts on the telemetry
-// clock at timeseries.eviction_interval, as one started with retention on.
+// clock every min(retention, 1m), as one started with retention on.
 func TestRetentionEnabledByReloadUsesConfiguredClock(t *testing.T) {
 	sim := clock.NewSim(t0)
 	cfg := config.Default()
-	cfg.Timeseries.EvictionInterval = time.Minute
 	p, err := New(Options{Pilot: PilotIntercrop, Mode: ModeFarmFog, Seed: 7, Config: cfg, TelemetryClock: sim})
 	if err != nil {
 		t.Fatal(err)
@@ -149,21 +140,7 @@ func TestSchemaDefaultsMatchComponentDefaults(t *testing.T) {
 		knob      string
 		got, want any
 	}{
-		{"mqtt.session_queue", c.MQTT.SessionQueue, mqtt.DefaultSessionQueueLen},
-		{"mqtt.flush_watermark", c.MQTT.FlushWatermark, mqtt.DefaultFlushWatermark},
-		{"mqtt.route_cache", c.MQTT.RouteCache, mqtt.DefaultRouteCacheSize},
-		{"mqtt.retry_interval", c.MQTT.RetryInterval, time.Second},
-		{"ngsi.shards", c.NGSI.Shards, ngsi.DefaultShards},
-		{"timeseries.shards", c.Timeseries.Shards, timeseries.DefaultShards},
-		{"timeseries.chunk_size", c.Timeseries.ChunkSize, timeseries.DefaultChunkSize},
-		{"timeseries.eviction_interval", c.Timeseries.EvictionInterval, timeseries.DefaultEvictionInterval},
-		{"wal.segment_bytes", c.WAL.SegmentBytes, int64(wal.DefaultSegmentBytes)},
 		{"wal.snapshot_interval", c.WAL.SnapshotInterval, DefaultSnapshotInterval},
-		{"webhooks.workers", c.Webhooks.Workers, ngsi.DefaultWebhookWorkers},
-		{"webhooks.retry_backoff", c.Webhooks.Retry, ngsi.DefaultWebhookBackoff},
-		{"webhooks.queue", c.Webhooks.Queue, ngsi.DefaultWebhookQueueLen},
-		{"security.audit_ring", c.Security.AuditRing, pep.DefaultAuditCap},
-		{"security.token_purge_interval", c.Security.TokenPurgeInterval, DefaultTokenPurgeInterval},
 		{"http.query_cap", c.HTTP.QueryCap, httpapi.DefaultQueryCap},
 		{"http.default_limit", c.HTTP.DefaultLimit, httpapi.DefaultQueryLimit},
 	} {
@@ -178,8 +155,8 @@ func TestSchemaDefaultsMatchComponentDefaults(t *testing.T) {
 func TestOptionsFromConfigCarriesKnobs(t *testing.T) {
 	cfg := config.Default()
 	cfg.Server.Pilot = "intercrop"
-	cfg.NGSI.Shards = 3
-	cfg.Timeseries.Shards = 5
+	cfg.Timeseries.Retention = 3 * time.Hour
+	cfg.Tenant.Enabled = true
 	opts, err := OptionsFromConfig(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -189,11 +166,11 @@ func TestOptionsFromConfigCarriesKnobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(p.Close)
-	if got := p.Context.ShardCount(); got != 3 {
-		t.Errorf("context shards = %d, want 3", got)
+	if got := p.Store.MaxAge(); got != 3*time.Hour {
+		t.Errorf("store retention = %s, want 3h", got)
 	}
-	if got := p.Store.ShardCount(); got != 5 {
-		t.Errorf("store shards = %d, want 5", got)
+	if !p.Admission.Enabled() {
+		t.Error("tenant admission not enabled")
 	}
 }
 
@@ -341,12 +318,9 @@ func TestPartitionAvailabilityContrast(t *testing.T) {
 // of the same context shard. With the uplink inline on the dispatcher every
 // notification costs a 100 ms round trip and the witness below starves.
 func TestHeadOfLineFogUplinkOffDispatcher(t *testing.T) {
-	cfg := config.Default()
-	cfg.NGSI.Shards = 1 // every subscriber shares the one dispatcher
 	p, err := New(Options{
 		Pilot: PilotIntercrop, Mode: ModeFarmFog, Seed: 7,
 		BackhaulLatency: 50 * time.Millisecond,
-		Config:          cfg,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -39,6 +39,10 @@ type DecisionFunc func(latest map[string]model.Reading, at time.Time) []model.Co
 // CommandSink applies a command to a local actuator.
 type CommandSink func(model.Command) error
 
+// DefaultMaxBatchesPerTrip is the uplink coalescing bound when
+// Config.MaxBatchesPerTrip is zero.
+const DefaultMaxBatchesPerTrip = 32
+
 // Config wires a Node.
 type Config struct {
 	// Uplink forwards batches cloudward (required).
@@ -53,7 +57,7 @@ type Config struct {
 	// more for irrigation than stale history.
 	QueueCap int
 	// MaxBatchesPerTrip coalesces up to this many queued batches into one
-	// uplink call (default 1: one trip per batch). Every trip costs a full
+	// uplink call (default DefaultMaxBatchesPerTrip). Every trip costs a full
 	// backhaul round trip, so shipping in bulk whatever queued up behind
 	// the previous trip — a few batches under load, thousands after a
 	// partition — cuts the trips by the same factor.
@@ -109,7 +113,7 @@ func NewNode(cfg Config) (*Node, error) {
 		cfg.QueueCap = 4096
 	}
 	if cfg.MaxBatchesPerTrip <= 0 {
-		cfg.MaxBatchesPerTrip = 1
+		cfg.MaxBatchesPerTrip = DefaultMaxBatchesPerTrip
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()

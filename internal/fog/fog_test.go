@@ -212,10 +212,13 @@ func TestQueueBoundDropsOldest(t *testing.T) {
 	}
 	u.setDown(false)
 	n.Flush()
-	// The 5 newest batches survived.
+	// The 5 newest batches survived (coalesced into however many trips).
+	if got := u.received(); got != 5 {
+		t.Errorf("synced %d readings, want 5", got)
+	}
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	if len(u.batches) != 5 || u.batches[0][0].Value != 7 {
+	if u.batches[0][0].Value != 7 {
 		t.Errorf("synced batches start at %g", u.batches[0][0].Value)
 	}
 }
@@ -376,7 +379,7 @@ func TestDecisionErrorsSurface(t *testing.T) {
 func TestIngestDoesNotWaitForUplink(t *testing.T) {
 	release := make(chan struct{})
 	var trips atomic.Int32
-	n := newNode(t, Config{MaxBatchesPerTrip: 32, Uplink: func([]model.Reading) error {
+	n := newNode(t, Config{Uplink: func([]model.Reading) error {
 		trips.Add(1)
 		<-release
 		return nil

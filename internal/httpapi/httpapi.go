@@ -17,7 +17,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/swamp-project/swamp/internal/cloud"
@@ -77,10 +76,6 @@ type Server struct {
 	cfg     Config
 	mux     *http.ServeMux
 	ownPool bool
-
-	// queryCap is the reloadable hard cap on listing page sizes and
-	// offsets (see SetQueryCap); it starts at Config.QueryMaxLimit.
-	queryCap atomic.Int64
 
 	// lists memoizes entity-listing bodies across requests, invalidated
 	// by the broker's mutation epoch.
@@ -149,19 +144,7 @@ func NewServer(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("DELETE /v2/subscriptions/{id}", s.handleDeleteSubscription)
 	s.mux.HandleFunc("GET /v2/analytics/{device}/{quantity}", s.handleAnalytics)
 	s.mux.HandleFunc("GET /v2/analytics/{device}/{quantity}/series", s.handleAnalyticsSeries)
-	s.queryCap.Store(int64(cfg.QueryMaxLimit))
 	return s, nil
-}
-
-// SetQueryCap changes the hard cap on listing page sizes and offsets at
-// runtime. n <= 0 restores the default. The static default page size is
-// not re-clamped — a reload can only have raised or kept the cap it was
-// validated against.
-func (s *Server) SetQueryCap(n int) {
-	if n <= 0 {
-		n = DefaultQueryCap
-	}
-	s.queryCap.Store(int64(n))
 }
 
 // Close releases resources the server owns (the private webhook pool,
@@ -476,7 +459,7 @@ func (s *Server) handleListEntities(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "invalid_query", err.Error())
 		return
 	}
-	queryCap := int(s.queryCap.Load())
+	queryCap := s.cfg.QueryMaxLimit
 	limit := s.cfg.QueryDefaultLimit
 	if ls := qs.Get("limit"); ls != "" {
 		limit, err = strconv.Atoi(ls)

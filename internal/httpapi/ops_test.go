@@ -57,7 +57,7 @@ func TestOpsReadyzTransitions(t *testing.T) {
 func TestOpsReload(t *testing.T) {
 	reg := metrics.NewRegistry()
 	var reloadErr error
-	applied := []string{"mqtt.flush_watermark"}
+	applied := []string{"tenant.burst"}
 	ops := NewOps(reg, nil, func() ([]string, error) { return applied, reloadErr })
 	srv := httptest.NewServer(ops)
 	defer srv.Close()
@@ -82,7 +82,7 @@ func TestOpsReload(t *testing.T) {
 	}
 
 	code, body := post()
-	if code != 200 || !strings.Contains(body, "mqtt.flush_watermark") {
+	if code != 200 || !strings.Contains(body, "tenant.burst") {
 		t.Errorf("reload = %d %q", code, body)
 	}
 	reloadErr = errors.New("static field changed (8 -> 16); restart required")
@@ -101,24 +101,5 @@ func TestOpsReload(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 405 {
 		t.Errorf("reload without hook = %d, want 405", resp.StatusCode)
-	}
-}
-
-func TestSetQueryCap(t *testing.T) {
-	f := newFixture(t)
-	tok := f.token(t, "farmer")
-
-	resp := f.do(t, "GET", "/v2/entities?idPattern=urn:farm1:*&limit=900", tok, nil)
-	if resp.StatusCode != 200 {
-		t.Fatalf("limit under default cap rejected: %d", resp.StatusCode)
-	}
-	f.api.SetQueryCap(500)
-	resp = f.do(t, "GET", "/v2/entities?idPattern=urn:farm1:*&limit=901", tok, nil)
-	if resp.StatusCode != 400 {
-		t.Fatalf("limit above reloaded cap = %d, want 400", resp.StatusCode)
-	}
-	resp = f.do(t, "GET", "/v2/entities?idPattern=urn:farm1:*&limit=400", tok, nil)
-	if resp.StatusCode != 200 {
-		t.Fatalf("limit under reloaded cap = %d, want 200", resp.StatusCode)
 	}
 }

@@ -50,17 +50,6 @@ type BrokerConfig struct {
 	// the oldest queued packet and QoS 1 deliveries are parked for the
 	// redelivery pass — either way only that session degrades.
 	SessionQueueLen int
-	// FlushWatermark is the byte threshold at which the session writer
-	// flushes a buffering transport mid-batch (default 8KiB, negative
-	// flushes after every packet). The writer always flushes once its queue
-	// drains empty, so the watermark only bounds latency under sustained
-	// backlog.
-	FlushWatermark int
-	// RouteCacheSize caps the concrete-topic route cache (default 4096
-	// topics; negative disables caching). The cache is reset wholesale when
-	// it fills, which is fine for the telemetry workload it exists for:
-	// a device's topics repeat for its lifetime.
-	RouteCacheSize int
 	// RetainedShards splits the retained-message store (default 8).
 	RetainedShards int
 	// Clock drives keepalive, QoS 1 redelivery and Tap timestamps (nil →
@@ -79,10 +68,15 @@ const DefaultSessionQueueLen = 256
 // DefaultRetainedShards is the retained-store shard count.
 const DefaultRetainedShards = 8
 
-// DefaultFlushWatermark is the writer's mid-batch flush threshold in bytes.
+// DefaultFlushWatermark is the byte threshold at which the session writer
+// flushes a buffering transport mid-batch. The writer always flushes once
+// its queue drains empty, so the watermark only bounds latency under
+// sustained backlog.
 const DefaultFlushWatermark = 8 << 10
 
-// DefaultRouteCacheSize bounds the concrete-topic route cache.
+// DefaultRouteCacheSize caps the concrete-topic route cache. The cache is
+// reset wholesale when it fills, which is fine for the telemetry workload
+// it exists for: a device's topics repeat for its lifetime.
 const DefaultRouteCacheSize = 4096
 
 // Broker is an MQTT 3.1.1-subset message broker. Construct with NewBroker;
@@ -116,14 +110,6 @@ type Broker struct {
 
 	rcMu       sync.Mutex // serializes route-cache map replacement
 	routeCache atomic.Pointer[routeMap]
-
-	// Dynamic knobs, reloadable at runtime via the Set* methods. Sessions
-	// snapshot dynQueueLen at attach (a live ring cannot resize safely),
-	// so a new bound applies to sessions created after the change; the
-	// flush watermark and route-cache cap take effect immediately.
-	dynQueueLen  atomic.Int64
-	dynFlushMark atomic.Int64
-	dynRouteCap  atomic.Int64
 
 	retained []*retainedShard
 
@@ -211,12 +197,6 @@ func NewBroker(cfg BrokerConfig) *Broker {
 	if cfg.SessionQueueLen <= 0 {
 		cfg.SessionQueueLen = DefaultSessionQueueLen
 	}
-	if cfg.FlushWatermark == 0 {
-		cfg.FlushWatermark = DefaultFlushWatermark
-	}
-	if cfg.RouteCacheSize == 0 {
-		cfg.RouteCacheSize = DefaultRouteCacheSize
-	}
 	if cfg.RetainedShards <= 0 {
 		cfg.RetainedShards = DefaultRetainedShards
 	}
@@ -258,50 +238,11 @@ func NewBroker(cfg BrokerConfig) *Broker {
 		gQueueDepth:   cfg.Metrics.Gauge("mqtt.queue.depth"),
 	}
 	b.subs.Store(newSubTree())
-	b.dynQueueLen.Store(int64(cfg.SessionQueueLen))
-	b.dynFlushMark.Store(int64(cfg.FlushWatermark))
-	b.dynRouteCap.Store(int64(cfg.RouteCacheSize))
 	return b
 }
 
 // Metrics returns the broker's metrics registry.
 func (b *Broker) Metrics() *metrics.Registry { return b.reg }
-
-// SetSessionQueueLen changes the per-session outbound queue bound.
-// Existing sessions keep the ring they were attached with; the new bound
-// applies to sessions created afterwards. n <= 0 restores the default.
-func (b *Broker) SetSessionQueueLen(n int) {
-	if n <= 0 {
-		n = DefaultSessionQueueLen
-	}
-	b.dynQueueLen.Store(int64(n))
-}
-
-// SetFlushWatermark changes the writer's mid-batch flush threshold in
-// bytes, effective on the next drain. Negative flushes per packet; 0
-// restores the default.
-func (b *Broker) SetFlushWatermark(n int) {
-	if n == 0 {
-		n = DefaultFlushWatermark
-	}
-	b.dynFlushMark.Store(int64(n))
-}
-
-// SetRouteCacheSize changes the route-cache capacity. Negative disables
-// caching and drops the current cache; 0 restores the default. Shrinking
-// below the current population takes effect at the next insert (the cache
-// resets wholesale at capacity).
-func (b *Broker) SetRouteCacheSize(n int) {
-	if n == 0 {
-		n = DefaultRouteCacheSize
-	}
-	b.dynRouteCap.Store(int64(n))
-	if n < 0 {
-		b.rcMu.Lock()
-		b.routeCache.Store(nil)
-		b.rcMu.Unlock()
-	}
-}
 
 // retainedFor returns the retained shard owning topic.
 func (b *Broker) retainedFor(topic string) *retainedShard {
@@ -548,7 +489,7 @@ func (b *Broker) serveTransport(t Transport) {
 		tenant:    tid,
 		transport: t,
 		broker:    b,
-		qcap:      int(b.dynQueueLen.Load()),
+		qcap:      b.cfg.SessionQueueLen,
 		pending:   make(map[uint16]*pendingPub),
 		lastSeen:  b.clk.Now(),
 		keep:      time.Duration(first.KeepAliveSec) * time.Second,
@@ -837,10 +778,6 @@ func (b *Broker) buildRoute(topic string, epoch uint64, re *routeEntry) *routeTa
 // (rare: once per topic, amortized over the device's lifetime). At capacity
 // the cache is reset wholesale rather than evicting piecemeal.
 func (b *Broker) storeRoute(topic string, re *routeEntry, rt *routeTargets) {
-	rcap := int(b.dynRouteCap.Load())
-	if rcap < 0 {
-		return
-	}
 	if re != nil {
 		re.v.Store(rt)
 		return
@@ -857,7 +794,7 @@ func (b *Broker) storeRoute(topic string, re *routeEntry, rt *routeTargets) {
 	}
 	var nm routeMap
 	switch {
-	case mp == nil || len(*mp) >= rcap:
+	case mp == nil || len(*mp) >= DefaultRouteCacheSize:
 		nm = make(routeMap, 64)
 	default:
 		nm = make(routeMap, len(*mp)+1)
@@ -1079,8 +1016,7 @@ func releaseBatch(batch []outMsg) {
 // flushed at queue-empty or the byte watermark. It reports false on a write
 // error.
 func (b *Broker) drainQueue(s *session) bool {
-	unflushed, bytes := 0, 0                // packets and bytes written since the last flush
-	watermark := int(b.dynFlushMark.Load()) // one knob read per drain
+	unflushed, bytes := 0, 0 // packets and bytes written since the last flush
 	// flush pushes what is buffered out; mqtt.writer.* count exactly these.
 	flush := func() bool {
 		if s.fl != nil {
@@ -1098,7 +1034,7 @@ func (b *Broker) drainQueue(s *session) bool {
 	wrote := func(wire int) bool {
 		unflushed++
 		bytes += wire
-		return s.fl == nil || bytes < watermark || flush()
+		return s.fl == nil || bytes < DefaultFlushWatermark || flush()
 	}
 	for {
 		s.mu.Lock()

@@ -145,36 +145,6 @@ func TestWriterIdlePubackLeavesAtOnce(t *testing.T) {
 	}
 }
 
-// TestWriterNegativeWatermarkFlushesPerPacket: FlushWatermark < 0 still
-// means one write per packet, control packets included.
-func TestWriterNegativeWatermarkFlushesPerPacket(t *testing.T) {
-	b := NewBroker(BrokerConfig{FlushWatermark: -1})
-	defer b.Close()
-	p := attachCounted(t, b, "perpacket")
-	base := p.server.writes.Load()
-
-	const n = 64
-	burst := []*Packet{
-		{Type: SUBSCRIBE, PacketID: 1000, Filters: []Subscription{{Filter: "t/own", QoS: 0}}},
-		{Type: PINGREQ},
-	}
-	for i := 0; i < n; i++ {
-		burst = append(burst, &Packet{Type: PUBLISH, Topic: "t/own", Payload: []byte{byte(i)}, QoS: 1, PacketID: uint16(i + 1)})
-	}
-	p.send(burst...)
-	const want = 2 + 2*n // SUBACK, PINGRESP, and a PUBACK and a delivery per publish
-	for i := 0; i < want; i++ {
-		p.read()
-	}
-	if writes := p.server.writes.Load() - base; writes != want {
-		t.Errorf("%d packets left in %d writes, want one each", want, writes)
-	}
-	waitFor(t, time.Second, func() bool { return counter(b, "mqtt.writer.flushed_packets") == want })
-	if flushes := counter(b, "mqtt.writer.flushes"); flushes != want {
-		t.Errorf("mqtt.writer.flushes = %d, want %d", flushes, want)
-	}
-}
-
 // TestWriterAckBeforeOwnDelivery: a session that publishes QoS 1 into its
 // own subscription reads each PUBACK ahead of that publish's delivery —
 // control packets drain first within a pass — with the PUBACKs in publish

@@ -95,15 +95,8 @@ type WebhookPool struct {
 	cfg WebhookConfig
 	// ownTransport is the default client's; nil with a supplied Client.
 	ownTransport *http.Transport
-	// sem is the delivery-concurrency semaphore, swappable at runtime by
-	// SetWorkers: acquirers load the current channel, and a holder
-	// releases into the channel it acquired from, so a resize never
-	// corrupts accounting — it just lets in-flight deliveries finish
-	// under the old bound while new ones take the new bound.
-	sem atomic.Pointer[chan struct{}]
-	// backoffNanos is the reloadable first-retry delay (doubles per
-	// attempt), read per delivery.
-	backoffNanos atomic.Int64
+	// sem is the delivery-concurrency semaphore, cfg.Workers slots.
+	sem chan struct{}
 
 	mu        sync.Mutex
 	notifiers map[string]*HTTPNotifier
@@ -150,6 +143,7 @@ func NewWebhookPool(cfg WebhookConfig) *WebhookPool {
 	p := &WebhookPool{
 		cfg:          cfg,
 		ownTransport: own,
+		sem:          make(chan struct{}, cfg.Workers),
 		notifiers:    make(map[string]*HTTPNotifier),
 		depth:        cfg.Metrics.Gauge("ngsi.webhook.depth"),
 		cSent:        cfg.Metrics.Counter("ngsi.webhook.sent"),
@@ -157,31 +151,7 @@ func NewWebhookPool(cfg WebhookConfig) *WebhookPool {
 		cRetries:     cfg.Metrics.Counter("ngsi.webhook.retries"),
 		cDropped:     cfg.Metrics.Counter("ngsi.webhook.dropped"),
 	}
-	sem := make(chan struct{}, cfg.Workers)
-	p.sem.Store(&sem)
-	p.backoffNanos.Store(int64(cfg.RetryBackoff))
 	return p
-}
-
-// SetWorkers changes the delivery-concurrency bound by swapping in a new
-// semaphore. Deliveries already in flight finish against the old
-// semaphore (a transient overshoot bounded by old+new), so the new bound
-// is exact once they drain. n <= 0 restores the default.
-func (p *WebhookPool) SetWorkers(n int) {
-	if n <= 0 {
-		n = DefaultWebhookWorkers
-	}
-	sem := make(chan struct{}, n)
-	p.sem.Store(&sem)
-}
-
-// SetRetryBackoff changes the first-retry delay (doubling per attempt),
-// effective on the next delivery. d <= 0 restores the default.
-func (p *WebhookPool) SetRetryBackoff(d time.Duration) {
-	if d <= 0 {
-		d = DefaultWebhookBackoff
-	}
-	p.backoffNanos.Store(int64(d))
 }
 
 // ErrPoolClosed is returned by Notifier on a closed pool.
@@ -444,7 +414,7 @@ func (n *HTTPNotifier) deliver(note Notification) {
 		n.pool.cFailed.Inc()
 		return
 	}
-	backoff := time.Duration(n.pool.backoffNanos.Load())
+	backoff := cfg.RetryBackoff
 	for attempt := 0; ; attempt++ {
 		err := n.post(body)
 		if err == nil {
@@ -493,13 +463,12 @@ func (n *HTTPNotifier) completed(ok bool) {
 
 // post performs one delivery attempt under the pool's concurrency bound.
 func (n *HTTPNotifier) post(body []byte) error {
-	sem := *n.pool.sem.Load()
 	select {
-	case sem <- struct{}{}:
+	case n.pool.sem <- struct{}{}:
 	case <-n.stop:
 		return ErrPoolClosed
 	}
-	defer func() { <-sem }()
+	defer func() { <-n.pool.sem }()
 	resp, err := n.pool.cfg.Client.Post(n.url, "application/json", bytes.NewReader(body))
 	if err != nil {
 		return err

@@ -111,9 +111,9 @@ type Config struct {
 	// Burst is the token-bucket capacity expressed as a duration of
 	// sustained rate (capacity = rate × Burst). 0 → 2s.
 	Burst time.Duration
-	// MetricsTopK caps per-tenant metric cardinality: the K busiest
-	// tenants get named swamp_tenant_* series, the rest aggregate into
-	// "_other". 0 → 8.
+	// TopK caps per-tenant metric cardinality: the K busiest tenants get
+	// named swamp_tenant_* series, the rest aggregate into "_other".
+	// 0 → 8.
 	TopK int
 	// MaxTenants bounds the number of live per-tenant ledger states
 	// (0 → 8192). At the bound, creating a state for an unseen tenant
@@ -137,10 +137,11 @@ type Admission struct {
 	clk     clock.Clock
 	enabled atomic.Bool
 
+	topK int // fixed at construction
+
 	mu         sync.RWMutex
 	limits     Limits
 	burst      time.Duration
-	topK       int
 	maxTenants int
 	lastSweep  time.Time
 	tenants    map[ID]*state
@@ -222,16 +223,6 @@ func (a *Admission) SetBurst(d time.Duration) {
 	}
 	a.mu.Lock()
 	a.burst = d
-	a.mu.Unlock()
-}
-
-// SetTopK updates the metrics cardinality cap (dynamic knob).
-func (a *Admission) SetTopK(k int) {
-	if a == nil || k <= 0 {
-		return
-	}
-	a.mu.Lock()
-	a.topK = k
 	a.mu.Unlock()
 }
 

@@ -32,10 +32,7 @@ func (a *Admission) Export(reg *metrics.Registry) {
 	}
 	stats := a.Tenants()
 	reg.Gauge("tenant.active").Set(float64(len(stats)))
-
-	a.mu.RLock()
 	topK := a.topK
-	a.mu.RUnlock()
 
 	// Rank by cumulative admitted traffic; ties break by id so the named
 	// set is stable between scrapes.

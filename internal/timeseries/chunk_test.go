@@ -179,7 +179,6 @@ func TestMaxAgeBackgroundEviction(t *testing.T) {
 	s := New(
 		WithChunkSize(4),
 		WithMaxAge(10*time.Minute),
-		WithEvictionInterval(time.Minute),
 		WithClock(sim),
 	)
 	defer s.Close()

@@ -12,7 +12,7 @@ import (
 // runtime, and the lazily-started loop evicts.
 func TestSetMaxAgeEnablesRetentionLate(t *testing.T) {
 	sim := clock.NewSim(t0)
-	s := New(WithChunkSize(4), WithEvictionInterval(time.Minute), WithClock(sim))
+	s := New(WithChunkSize(4), WithClock(sim))
 	defer s.Close()
 	k := key()
 	for i := 0; i < 8; i++ {
@@ -55,5 +55,27 @@ func TestSetMaxAgeDisable(t *testing.T) {
 	}
 	if got := s.Len(k); got != 4 {
 		t.Fatalf("points lost after disable: %d", got)
+	}
+}
+
+// TestShortRetentionEvictsEveryWindow: a retention window under a minute
+// sets the eviction cadence itself, so an expired point is gone one window
+// later rather than up to a minute later.
+func TestShortRetentionEvictsEveryWindow(t *testing.T) {
+	sim := clock.NewSim(t0)
+	s := New(WithMaxAge(10*time.Second), WithClock(sim))
+	defer s.Close()
+	k := key()
+	s.Append(k, Point{At: t0, Value: 1})
+	deadline := time.Now().Add(2 * time.Second)
+	for sim.PendingWaiters() == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	sim.Advance(11 * time.Second)
+	for time.Now().Before(deadline) && s.Len(k) > 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if got := s.Len(k); got != 0 {
+		t.Fatalf("%d points outlived a 10s retention by one window", got)
 	}
 }

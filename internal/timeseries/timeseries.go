@@ -49,21 +49,21 @@ const (
 	// DefaultChunkSize is the points-per-sealed-chunk used when
 	// WithChunkSize is not given.
 	DefaultChunkSize = 512
-	// DefaultEvictionInterval is the background eviction cadence used when
-	// WithMaxAge is set without WithEvictionInterval.
-	DefaultEvictionInterval = time.Minute
+	// maxEvictionInterval is the longest the background eviction loop
+	// waits between passes; a shorter retention window evicts once per
+	// window instead.
+	maxEvictionInterval = time.Minute
 )
 
 // Store is a concurrency-safe collection of series. The zero value is not
 // usable; construct with New. Close releases the background eviction
 // goroutine (a no-op when age-based retention is off).
 type Store struct {
-	shards     []*tsShard
-	chunkSize  int
-	maxPoints  int          // per-series retention by count, 0 = unlimited
-	maxAge     atomic.Int64 // per-point retention by age in ns, 0 = unlimited; reloadable
-	evictEvery time.Duration
-	clk        clock.Clock
+	shards    []*tsShard
+	chunkSize int
+	maxPoints int          // per-series retention by count, 0 = unlimited
+	maxAge    atomic.Int64 // per-point retention by age in ns, 0 = unlimited; reloadable
+	clk       clock.Clock
 
 	// journal, when set, receives every accepted append; callers are only
 	// acknowledged once the journal ack resolves. Set via SetJournal
@@ -119,22 +119,12 @@ func WithChunkSize(n int) Option {
 }
 
 // WithMaxAge enables time-based retention: points older than d are dropped
-// by the background eviction loop (see WithEvictionInterval) and by
+// by the background eviction loop, which runs every min(d, 1m), and by
 // EvictExpired. Series emptied by eviction are removed entirely.
 func WithMaxAge(d time.Duration) Option {
 	return func(s *Store) {
 		if d > 0 {
 			s.maxAge.Store(int64(d))
-		}
-	}
-}
-
-// WithEvictionInterval sets the background eviction cadence (default
-// DefaultEvictionInterval). Only meaningful together with WithMaxAge.
-func WithEvictionInterval(d time.Duration) Option {
-	return func(s *Store) {
-		if d > 0 {
-			s.evictEvery = d
 		}
 	}
 }
@@ -163,9 +153,6 @@ func New(opts ...Option) *Store {
 	s.shards = make([]*tsShard, s.nshards)
 	for i := range s.shards {
 		s.shards[i] = &tsShard{series: make(map[SeriesKey]*series)}
-	}
-	if s.evictEvery <= 0 {
-		s.evictEvery = DefaultEvictionInterval
 	}
 	s.done = make(chan struct{})
 	if s.maxAge.Load() > 0 {
@@ -222,10 +209,19 @@ func (s *Store) evictLoop() {
 		select {
 		case <-s.done:
 			return
-		case <-s.clk.After(s.evictEvery):
+		case <-s.clk.After(s.evictionInterval()):
 			s.EvictExpired()
 		}
 	}
+}
+
+// evictionInterval is the eviction loop's wait: min(MaxAge, 1m), or 1m
+// while retention is disabled.
+func (s *Store) evictionInterval() time.Duration {
+	if d := s.MaxAge(); d > 0 && d < maxEvictionInterval {
+		return d
+	}
+	return maxEvictionInterval
 }
 
 // EvictExpired applies age-based retention now: every point older than

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/swamp-project/swamp/internal/metrics"
 )
@@ -107,10 +106,9 @@ func failedPending(err error) *Pending {
 // belongs to the single committer goroutine; callers interact only
 // through the commit queue.
 type wlog struct {
-	dir           string
-	segmentBytes  int64
-	fsyncInterval time.Duration
-	maxBatch      int
+	dir          string
+	segmentBytes int64
+	maxBatch     int
 
 	queue chan *Pending
 	done  chan struct{}
@@ -176,27 +174,26 @@ func createSegment(dir string, idx uint64) (*os.File, error) {
 }
 
 // openLog starts the committer on a fresh segment with index startSeg.
-func openLog(dir string, startSeg uint64, segmentBytes int64, fsyncInterval time.Duration, queueLen int, reg *metrics.Registry) (*wlog, error) {
+func openLog(dir string, startSeg uint64, segmentBytes int64, queueLen int, reg *metrics.Registry) (*wlog, error) {
 	f, err := createSegment(dir, startSeg)
 	if err != nil {
 		return nil, err
 	}
 	l := &wlog{
-		dir:           dir,
-		segmentBytes:  segmentBytes,
-		fsyncInterval: fsyncInterval,
-		maxBatch:      4096,
-		queue:         make(chan *Pending, queueLen),
-		done:          make(chan struct{}),
-		f:             f,
-		seg:           startSeg,
-		size:          int64(len(segMagic)),
-		enc:           newSegEncoder(),
-		cRecords:      reg.Counter("wal.append.records"),
-		cBytes:        reg.Counter("wal.append.bytes"),
-		cFsyncs:       reg.Counter("wal.fsync"),
-		cRotations:    reg.Counter("wal.rotations"),
-		gSegment:      reg.Gauge("wal.segment.active"),
+		dir:          dir,
+		segmentBytes: segmentBytes,
+		maxBatch:     4096,
+		queue:        make(chan *Pending, queueLen),
+		done:         make(chan struct{}),
+		f:            f,
+		seg:          startSeg,
+		size:         int64(len(segMagic)),
+		enc:          newSegEncoder(),
+		cRecords:     reg.Counter("wal.append.records"),
+		cBytes:       reg.Counter("wal.append.bytes"),
+		cFsyncs:      reg.Counter("wal.fsync"),
+		cRotations:   reg.Counter("wal.rotations"),
+		gSegment:     reg.Gauge("wal.segment.active"),
 	}
 	l.gSegment.Set(float64(startSeg))
 	l.wg.Add(1)
@@ -279,13 +276,13 @@ func (l *wlog) run() {
 	for {
 		select {
 		case p := <-l.queue:
-			batch = l.collect(append(batch[:0], p), true)
+			batch = l.collect(append(batch[:0], p))
 			l.commit(batch, &buf)
 		case <-l.done:
 			for {
 				select {
 				case p := <-l.queue:
-					batch = l.collect(append(batch[:0], p), false)
+					batch = l.collect(append(batch[:0], p))
 					l.commit(batch, &buf)
 				default:
 					return
@@ -295,44 +292,16 @@ func (l *wlog) run() {
 	}
 }
 
-// collect gathers everything immediately available (bounded by maxBatch)
-// and — when a coalescing window is configured and timed is true — keeps
-// accumulating until the window elapses. This is the group-commit lever:
-// every record in the batch shares one fsync. Control ops cut the window
-// short: a sync barrier is pure added latency if coalesced, and a
-// rotation may be holding the snapshot's store-wide freeze — waiting out
-// the window there would stall every append for its duration.
-func (l *wlog) collect(batch []*Pending, timed bool) []*Pending {
-	hasCtl := false
-	for _, p := range batch {
-		if p.ctl != ctlNone {
-			hasCtl = true
-		}
-	}
+// collect gathers everything immediately available, bounded by maxBatch.
+// This is the group-commit lever: every record in the batch shares one
+// fsync, so batching emerges under concurrency while an idle log fsyncs
+// as soon as the queue drains, with no added latency.
+func (l *wlog) collect(batch []*Pending) []*Pending {
 	for len(batch) < l.maxBatch {
 		select {
 		case p := <-l.queue:
-			if p.ctl != ctlNone {
-				hasCtl = true
-			}
 			batch = append(batch, p)
 		default:
-			if timed && !hasCtl && l.fsyncInterval > 0 {
-				t := time.NewTimer(l.fsyncInterval)
-				for len(batch) < l.maxBatch {
-					select {
-					case p := <-l.queue:
-						batch = append(batch, p)
-						if p.ctl != ctlNone {
-							t.Stop()
-							return batch
-						}
-					case <-t.C:
-						return batch
-					}
-				}
-				t.Stop()
-			}
 			return batch
 		}
 	}

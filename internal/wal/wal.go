@@ -52,12 +52,6 @@ type Config struct {
 	// SegmentBytes is the size past which the active segment rolls
 	// (default DefaultSegmentBytes).
 	SegmentBytes int64
-	// FsyncInterval is the group-commit coalescing window: after the
-	// first record of a batch the committer keeps accumulating for up to
-	// this long before fsyncing. Zero means fsync as soon as the queue
-	// has been drained — batching still emerges under concurrency, with
-	// no added latency when idle.
-	FsyncInterval time.Duration
 	// QueueLen bounds the commit queue (default DefaultQueueLen);
 	// appends past it block.
 	QueueLen int
@@ -153,7 +147,7 @@ func Open(cfg Config) (*Manager, error) {
 			start = idx + 1
 		}
 	}
-	l, err := openLog(cfg.Dir, start, cfg.SegmentBytes, cfg.FsyncInterval, cfg.QueueLen, cfg.Metrics)
+	l, err := openLog(cfg.Dir, start, cfg.SegmentBytes, cfg.QueueLen, cfg.Metrics)
 	if err != nil {
 		return nil, err
 	}
