@@ -2,9 +2,9 @@ package httpapi
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
-	"net/url"
 	"sync/atomic"
 	"time"
 
@@ -116,8 +116,8 @@ func canManage(prin identity.Principal, v ngsi.SubscriptionView) bool {
 
 // handleCreateSubscription implements POST /v2/subscriptions: validate
 // the payload, authorize "subscribe" on the watched entity pattern, then
-// register a webhook delivery worker plus the broker subscription. The
-// subscription is stamped with the caller's tenant for owner scoping.
+// register a webhook delivery worker (its pool checks the URL) and the
+// broker subscription, stamped with the caller's tenant for owner scoping.
 func (s *Server) handleCreateSubscription(w http.ResponseWriter, r *http.Request) {
 	var body subscriptionBody
 	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
@@ -135,11 +135,6 @@ func (s *Server) handleCreateSubscription(w http.ResponseWriter, r *http.Request
 	}
 	if pattern == "" {
 		writeErr(w, http.StatusBadRequest, "invalid_subject", "subject entity needs id or idPattern")
-		return
-	}
-	target, err := url.Parse(body.Notification.HTTP.URL)
-	if err != nil || (target.Scheme != "http" && target.Scheme != "https") || target.Host == "" {
-		writeErr(w, http.StatusBadRequest, "invalid_notification", "notification.http.url must be an absolute http(s) URL")
 		return
 	}
 	if body.Throttling < 0 {
@@ -163,6 +158,10 @@ func (s *Server) handleCreateSubscription(w http.ResponseWriter, r *http.Request
 	notifier, err := s.cfg.Webhooks.Notifier(id, body.Notification.HTTP.URL)
 	if err != nil {
 		s.cfg.Admission.ReleaseSubscription(prin.Tenant())
+		if errors.Is(err, ngsi.ErrWebhookURL) {
+			writeErr(w, http.StatusBadRequest, "invalid_notification", "notification.http.url must be an absolute http(s) URL")
+			return
+		}
 		writeErr(w, http.StatusInternalServerError, "subscription_failed", err.Error())
 		return
 	}

@@ -221,7 +221,7 @@ func TestSubscriptionWebhookEndToEnd(t *testing.T) {
 		broker = cfg.Context
 		pool = ngsi.NewWebhookPool(ngsi.WebhookConfig{
 			Metrics:          cfg.Metrics,
-			Client:           &http.Client{Timeout: 100 * time.Millisecond},
+			Timeout:          100 * time.Millisecond,
 			RetryBackoff:     time.Millisecond,
 			MaxRetries:       1,
 			FailureThreshold: 2,

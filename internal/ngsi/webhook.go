@@ -1,11 +1,20 @@
 package ngsi
 
 import (
-	"bytes"
+	"bufio"
+	"cmp"
+	"crypto/tls"
+	"encoding/base64"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"net/url"
+	"os"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,8 +27,7 @@ import (
 
 // Webhook defaults.
 const (
-	// DefaultWebhookWorkers bounds concurrent outbound HTTP deliveries
-	// across the whole pool.
+	// DefaultWebhookWorkers bounds the pool's webhook connections in use.
 	DefaultWebhookWorkers = 8
 	// DefaultWebhookQueueLen is the per-subscription pending queue bound.
 	DefaultWebhookQueueLen = 64
@@ -32,7 +40,7 @@ const (
 	// DefaultWebhookFailureThreshold is how many consecutive exhausted
 	// deliveries flip a subscription to SubFailed.
 	DefaultWebhookFailureThreshold = 3
-	// DefaultWebhookTimeout bounds one POST when no Client is supplied.
+	// DefaultWebhookTimeout bounds a lane's dial and each of its rounds.
 	DefaultWebhookTimeout = 5 * time.Second
 
 	// webhookLanes is the number of delivery goroutines per subscription; a
@@ -40,24 +48,23 @@ const (
 	// on bench's ingest_farm (notify_p50_us 1 193 / 913 / 913 µs) and
 	// ingest_fleet (no difference): 4 is where it stops paying on two cores.
 	webhookLanes = 4
-	// webhookDrainLimit bounds how much of a response body a delivery reads
-	// before closing it, so an endless body cannot pin the lane.
+	// webhookDrainLimit bounds the response body a lane reads before it drops
+	// the connection, so an endless body cannot pin the lane.
 	webhookDrainLimit = 64 << 10
 )
 
 // WebhookConfig configures a WebhookPool.
 type WebhookConfig struct {
-	// Client performs the POSTs; nil uses a client with
-	// DefaultWebhookTimeout that keeps one idle connection per worker.
-	// Supply a short-timeout client in tests.
-	Client *http.Client
+	// Timeout bounds each dial and each round — a batch's write and its
+	// answers (default DefaultWebhookTimeout). Supply a short one in tests.
+	Timeout time.Duration
 	// Clock drives retry backoff; nil means the wall clock.
 	Clock clock.Clock
 	// Metrics receives the webhook counters; nil allocates a private
 	// registry.
 	Metrics *metrics.Registry
-	// Workers bounds concurrent HTTP deliveries across all
-	// subscriptions and all their lanes (default DefaultWebhookWorkers).
+	// Workers bounds the connections in use — lanes delivering a batch —
+	// across all subscriptions (default DefaultWebhookWorkers).
 	Workers int
 	// QueueLen bounds each subscription's pending notifications, summed
 	// over its lanes (default DefaultWebhookQueueLen). Overflow drops the
@@ -86,15 +93,12 @@ type WebhookConfig struct {
 }
 
 // WebhookPool delivers NGSI notifications to subscription callback URLs.
-// It is the PR 3 per-session-queue recipe applied to outbound HTTP: each
-// subscription owns a bounded pending queue spread over a fixed number of
-// entity-hashed lanes, one delivery goroutine per lane, so a stalled
-// endpoint backs up (and overflows) only its own queue, while a shared
-// semaphore bounds total concurrent HTTP requests.
+// Each subscription owns a bounded pending queue spread over a fixed number
+// of entity-hashed lanes, with one goroutine and one keep-alive connection
+// per lane, so a stalled endpoint backs up (and overflows) only its own
+// queue, while a shared semaphore bounds the connections in use.
 type WebhookPool struct {
 	cfg WebhookConfig
-	// ownTransport is the default client's; nil with a supplied Client.
-	ownTransport *http.Transport
 	// sem is the delivery-concurrency semaphore, cfg.Workers slots.
 	sem chan struct{}
 
@@ -103,12 +107,15 @@ type WebhookPool struct {
 	closed    bool
 	wg        sync.WaitGroup
 
-	depth                              *metrics.Gauge
-	cSent, cFailed, cRetries, cDropped *metrics.Counter
+	depth                                               *metrics.Gauge
+	cSent, cFailed, cRetries, cDropped, cWrites, cDials *metrics.Counter
 }
 
 // NewWebhookPool builds a pool; Close releases the delivery goroutines.
 func NewWebhookPool(cfg WebhookConfig) *WebhookPool {
+	if cfg.Timeout <= 0 {
+		cfg.Timeout = DefaultWebhookTimeout
+	}
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
 	}
@@ -132,30 +139,25 @@ func NewWebhookPool(cfg WebhookConfig) *WebhookPool {
 	if cfg.FailureThreshold <= 0 {
 		cfg.FailureThreshold = DefaultWebhookFailureThreshold
 	}
-	var own *http.Transport
-	if cfg.Client == nil {
-		// http.DefaultTransport keeps two idle connections per host: lanes
-		// POSTing side by side would reopen the rest on every delivery.
-		own = http.DefaultTransport.(*http.Transport).Clone()
-		own.MaxIdleConnsPerHost = cfg.Workers
-		cfg.Client = &http.Client{Timeout: DefaultWebhookTimeout, Transport: own}
+	return &WebhookPool{
+		cfg:       cfg,
+		sem:       make(chan struct{}, cfg.Workers),
+		notifiers: make(map[string]*HTTPNotifier),
+		depth:     cfg.Metrics.Gauge("ngsi.webhook.depth"),
+		cSent:     cfg.Metrics.Counter("ngsi.webhook.sent"),
+		cFailed:   cfg.Metrics.Counter("ngsi.webhook.failed"),
+		cRetries:  cfg.Metrics.Counter("ngsi.webhook.retries"),
+		cDropped:  cfg.Metrics.Counter("ngsi.webhook.dropped"),
+		cWrites:   cfg.Metrics.Counter("ngsi.webhook.writes"),
+		cDials:    cfg.Metrics.Counter("ngsi.webhook.dials"),
 	}
-	p := &WebhookPool{
-		cfg:          cfg,
-		ownTransport: own,
-		sem:          make(chan struct{}, cfg.Workers),
-		notifiers:    make(map[string]*HTTPNotifier),
-		depth:        cfg.Metrics.Gauge("ngsi.webhook.depth"),
-		cSent:        cfg.Metrics.Counter("ngsi.webhook.sent"),
-		cFailed:      cfg.Metrics.Counter("ngsi.webhook.failed"),
-		cRetries:     cfg.Metrics.Counter("ngsi.webhook.retries"),
-		cDropped:     cfg.Metrics.Counter("ngsi.webhook.dropped"),
-	}
-	return p
 }
 
 // ErrPoolClosed is returned by Notifier on a closed pool.
 var ErrPoolClosed = errors.New("ngsi: webhook pool closed")
+
+// ErrWebhookURL is returned by Notifier for a URL that is not absolute http(s).
+var ErrWebhookURL = errors.New("ngsi: notification URL must be an absolute http(s) URL")
 
 // StatusUpdater returns the standard WebhookConfig.OnStatus wiring: flip
 // the broker subscription between SubActive and SubFailed as its
@@ -170,11 +172,54 @@ func StatusUpdater(b *Broker) func(subscriptionID string, healthy bool) {
 	}
 }
 
+// webhookTarget is what a lane needs of a callback URL.
+type webhookTarget struct {
+	addr string // host:port to dial
+	dial func(network, addr string) (net.Conn, error)
+	// head starts every request: the request line, Host, Authorization
+	// (from the URL's userinfo), Content-Type and the Content-Length name.
+	head string
+}
+
+// parseWebhookURL is Notifier's URL check, an absolute http(s) URL; timeout bounds the dial.
+func parseWebhookURL(raw string, timeout time.Duration) (webhookTarget, error) {
+	u, err := url.Parse(raw)
+	if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+		return webhookTarget{}, ErrWebhookURL
+	}
+	target := strings.ReplaceAll(u.RequestURI(), " ", "%20") // url.Parse leaves a query's spaces raw
+	d := &net.Dialer{Timeout: timeout}
+	t, port := webhookTarget{dial: d.Dial}, "80"
+	if u.Scheme == "https" {
+		t.dial, port = (&tls.Dialer{NetDialer: d}).Dial, "443" // verified against the system roots
+	}
+	t.addr = net.JoinHostPort(u.Hostname(), cmp.Or(u.Port(), port))
+	t.head = "POST " + target + " HTTP/1.1\r\nHost: " + u.Host + "\r\n"
+	if u.User != nil {
+		pass, _ := u.User.Password()
+		t.head += "Authorization: Basic " + base64.StdEncoding.EncodeToString([]byte(u.User.Username()+":"+pass)) + "\r\n"
+	}
+	t.head += "Content-Type: application/json\r\nContent-Length: "
+	return t, nil
+}
+
+// appendWebhookRequest appends one POST of body, behind a target's head.
+func appendWebhookRequest(dst []byte, head string, body []byte) []byte {
+	dst = append(dst, head...)
+	dst = strconv.AppendInt(dst, int64(len(body)), 10)
+	dst = append(dst, "\r\n\r\n"...)
+	return append(dst, body...)
+}
+
 // Notifier registers the delivery lanes for one subscription and returns
 // its Notifier. The subscription id keys them: Remove stops them.
-func (p *WebhookPool) Notifier(subscriptionID, url string) (*HTTPNotifier, error) {
-	if subscriptionID == "" || url == "" {
-		return nil, fmt.Errorf("ngsi: webhook notifier needs subscription id and url")
+func (p *WebhookPool) Notifier(subscriptionID, rawURL string) (*HTTPNotifier, error) {
+	if subscriptionID == "" {
+		return nil, fmt.Errorf("ngsi: webhook notifier needs a subscription id")
+	}
+	target, err := parseWebhookURL(rawURL, p.cfg.Timeout)
+	if err != nil {
+		return nil, err
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -185,19 +230,20 @@ func (p *WebhookPool) Notifier(subscriptionID, url string) (*HTTPNotifier, error
 		return nil, fmt.Errorf("ngsi: duplicate webhook notifier for subscription %q", subscriptionID)
 	}
 	n := &HTTPNotifier{
-		pool:  p,
-		subID: subscriptionID,
-		url:   url,
-		stop:  make(chan struct{}),
+		pool:   p,
+		subID:  subscriptionID,
+		url:    rawURL,
+		target: target,
+		stop:   make(chan struct{}),
 	}
 	p.notifiers[subscriptionID] = n
 	for i := range n.lanes {
-		lane := make(chan Notification, p.cfg.QueueLen) // each can hold the whole bound
-		n.lanes[i] = lane
+		l := &n.lanes[i]
+		l.queue = make(chan Notification, p.cfg.QueueLen) // each can hold the whole bound
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
-			n.run(lane)
+			n.run(l)
 		}()
 	}
 	return n, nil
@@ -215,7 +261,7 @@ func (p *WebhookPool) URL(subscriptionID string) (string, bool) {
 }
 
 // Remove stops and forgets the subscription's delivery lanes; pending
-// notifications are discarded.
+// notifications are discarded and the lanes' connections closed.
 func (p *WebhookPool) Remove(subscriptionID string) {
 	p.mu.Lock()
 	n := p.notifiers[subscriptionID]
@@ -226,7 +272,7 @@ func (p *WebhookPool) Remove(subscriptionID string) {
 	}
 }
 
-// Close stops every delivery worker and waits for them to exit.
+// Close stops every delivery lane, and its connection, and waits for them.
 func (p *WebhookPool) Close() {
 	p.mu.Lock()
 	if p.closed {
@@ -241,16 +287,12 @@ func (p *WebhookPool) Close() {
 		n.shutdown()
 	}
 	p.wg.Wait()
-	if p.ownTransport != nil {
-		p.ownTransport.CloseIdleConnections()
-	}
 }
 
-// Drain blocks until every subscription queue is empty or the timeout
-// elapses, and returns the remaining depth. Use it before Close during
-// shutdown so queued notifications are delivered rather than discarded —
-// a stalled endpoint bounds the wait at the timeout instead of wedging
-// shutdown.
+// Drain blocks until every notification the pool holds has had its first
+// attempt, or the timeout elapses, and returns the remaining depth. Use it
+// before Close, which lets a round on the wire finish but drops what is
+// unsent; a stalled endpoint bounds the wait at the timeout.
 func (p *WebhookPool) Drain(timeout time.Duration) int {
 	deadline := time.Now().Add(timeout)
 	for {
@@ -279,11 +321,12 @@ func (p *WebhookPool) Depth() int {
 // onto its entity's lane and drops (counted) once the subscription holds its
 // bound, so a stalled endpoint cannot back-pressure the broker's dispatchers.
 type HTTPNotifier struct {
-	pool  *WebhookPool
-	subID string
-	url   string
-	lanes [webhookLanes]chan Notification
-	// pending is the subscription-wide depth: queued on any lane, not taken.
+	pool   *WebhookPool
+	subID  string
+	url    string
+	target webhookTarget
+	lanes  [webhookLanes]lane
+	// pending is the depth: what the lanes hold and have not yet attempted.
 	pending atomic.Int64
 	stop    chan struct{}
 
@@ -300,6 +343,28 @@ type HTTPNotifier struct {
 	statMu     sync.Mutex
 	consecFail int
 	failed     bool
+}
+
+// lane is one delivery goroutine's state; Notify only sends on queue.
+type lane struct {
+	queue chan Notification
+	// head, if set, starts the next batch: it cut the last, which had its entity.
+	head Notification
+	// conn survived its last round only if that answered HTTP/1.1 keep-alive.
+	conn net.Conn
+	br   *bufio.Reader
+	// items is what the batch has still to deliver, in order, each request a
+	// slice of reqs; body and out are scratch.
+	items           []laneItem
+	unsent          int // the last unsent items, never attempted, are in pending
+	reqs, body, out []byte
+}
+
+// laneItem is one notification of a lane's batch.
+type laneItem struct {
+	id    string // entity id
+	req   []byte
+	fails int // failed attempts so far
 }
 
 // Endpoint implements Endpointer: it returns the callback URL, marking
@@ -330,28 +395,37 @@ func (n *HTTPNotifier) Notify(note Notification) {
 		n.pool.cDropped.Inc()
 		return
 	}
-	lane := n.lanes[shardhash.Index(webhookLanes, note.Entity.ID)]
-	lane <- note // cannot block: len(lane) ≤ pending ≤ QueueLen = cap(lane)
+	queue := n.lanes[shardhash.Index(webhookLanes, note.Entity.ID)].queue
+	queue <- note // cannot block: len(queue) ≤ pending ≤ QueueLen = cap(queue)
 	n.pool.depth.Add(1)
 	n.pool.cfg.Admission.AddQueueDepth(n.owner, 1)
 	// Re-check after the enqueue: if shutdown ran (and drained)
-	// concurrently, nobody will ever service the lane again, so drain one
-	// item ourselves to keep the depth gauge truthful.
+	// concurrently, nobody will ever service the lane again, so drain it
+	// ourselves to keep the depth gauge truthful.
 	if n.closed.Load() {
+		n.dropQueued(queue)
+	}
+}
+
+// dropQueued drops, counted, what is queued on a lane.
+func (n *HTTPNotifier) dropQueued(queue chan Notification) {
+	for {
 		select {
-		case <-lane:
-			n.dequeued()
+		case <-queue:
 			n.pool.cDropped.Inc()
+			n.release(1)
 		default:
+			return
 		}
 	}
 }
 
-// dequeued accounts for one notification taken off a lane.
-func (n *HTTPNotifier) dequeued() {
-	n.pending.Add(-1)
-	n.pool.depth.Add(-1)
-	n.pool.cfg.Admission.AddQueueDepth(n.owner, -1)
+// release takes k notifications out of the subscription's bound: each has
+// had its first attempt, or was dropped or failed before one.
+func (n *HTTPNotifier) release(k int) {
+	n.pending.Add(int64(-k))
+	n.pool.depth.Add(float64(-k))
+	n.pool.cfg.Admission.AddQueueDepth(n.owner, int64(-k))
 }
 
 func (n *HTTPNotifier) shutdown() {
@@ -361,27 +435,22 @@ func (n *HTTPNotifier) shutdown() {
 	})
 }
 
-// run is one lane's delivery goroutine.
-func (n *HTTPNotifier) run(lane chan Notification) {
-	for {
-		select {
-		case <-n.stop:
-			// Discard whatever is still pending so the depth gauge
-			// stays truthful.
-			for {
-				select {
-				case <-lane:
-					n.dequeued()
-					n.pool.cDropped.Inc()
-				default:
-					return
-				}
-			}
-		case note := <-lane:
-			n.dequeued()
-			n.deliver(note)
-		}
+// run is one lane's delivery goroutine, one batch per wake-up. Once the
+// notifier stops, it closes the lane's connection and drops, counted, all
+// the lane holds: its batch, the next batch's head and its queue.
+func (n *HTTPNotifier) run(l *lane) {
+	for n.deliver(l) {
 	}
+	if l.conn != nil {
+		l.conn.Close()
+	}
+	n.pool.cDropped.Add(uint64(len(l.items)))
+	n.release(l.unsent)
+	if l.head.Entity != nil {
+		n.pool.cDropped.Inc()
+		n.release(1)
+	}
+	n.dropQueued(l.queue)
 }
 
 // appendNotificationJSON appends the NGSI-v2 notification wire format:
@@ -394,50 +463,152 @@ func appendNotificationJSON(dst []byte, subscriptionID string, e *Entity) ([]byt
 	return append(dst, "]}"...), err
 }
 
-// deliver POSTs one notification with per-delivery retry/backoff and
-// subscription-wide consecutive-failure tracking. The lane only occupies a
-// pool slot while the HTTP request is in flight — backoff sleeps release it.
-func (n *HTTPNotifier) deliver(note Notification) {
-	cfg := &n.pool.cfg
-	// Delay rung of the tenant shed ladder: an indebted tenant's webhooks
-	// are postponed, not dropped — the sleep happens on this notifier's
-	// own lane, before a pool slot is held, so no other tenant waits.
-	if d := cfg.Admission.WebhookDelay(n.owner); d > 0 {
+// deliver takes one batch — l.head or the next queued notification, plus
+// what is queued behind it, cut at the first entity the batch carries — and
+// delivers it with per-notification retry/backoff; false once the notifier
+// stops. The lane holds a pool slot only while a round is on the wire.
+func (n *HTTPNotifier) deliver(l *lane) bool {
+	if l.head.Entity == nil {
 		select {
 		case <-n.stop:
-			return
-		case <-cfg.Clock.After(d):
+			return false
+		case l.head = <-l.queue:
 		}
 	}
-	body, err := appendNotificationJSON(nil, n.subID, note.Entity)
-	if err != nil {
+	cfg := &n.pool.cfg
+	l.items, l.reqs = l.items[:0], l.reqs[:0]
+	n.add(l, l.head)
+	l.head = Notification{}
+	// The batch takes what is queued, up to a quarter of QueueLen, so the lanes
+	// put at most one QueueLen on the wire. On the Delay rung of the tenant shed
+	// ladder it takes one, postponed (the first wait below) on this lane and
+	// before a pool slot is held, so no other tenant waits.
+	d := cfg.Admission.WebhookDelay(n.owner)
+	for more := d <= 0; more && len(l.items) < cap(l.queue)/webhookLanes; {
+		select {
+		case note := <-l.queue:
+			same := func(it laneItem) bool { return it.id == note.Entity.ID }
+			if more = !slices.ContainsFunc(l.items, same); more {
+				n.add(l, note)
+			} else {
+				l.head = note
+			}
+		default:
+			more = false
+		}
+	}
+	for wait, backoff := d, cfg.RetryBackoff; len(l.items) > 0; {
+		if wait > 0 {
+			select {
+			case <-n.stop:
+				return false
+			case <-cfg.Clock.After(wait):
+			}
+		}
+		select {
+		case n.pool.sem <- struct{}{}:
+		case <-n.stop:
+			return false
+		}
+		failed := n.round(l)
+		<-n.pool.sem
+		if wait = 0; failed {
+			wait, backoff = backoff, 2*backoff
+		}
+	}
+	return true
+}
+
+// add encodes one notification's request onto the lane's batch. One whose
+// entity has no JSON body counts failed and is not sent.
+func (n *HTTPNotifier) add(l *lane, note Notification) {
+	var err error
+	if l.body, err = appendNotificationJSON(l.body[:0], n.subID, note.Entity); err != nil {
 		n.pool.cFailed.Inc()
+		n.release(1)
 		return
 	}
-	backoff := cfg.RetryBackoff
-	for attempt := 0; ; attempt++ {
-		err := n.post(body)
-		if err == nil {
-			n.pool.cSent.Inc()
-			n.completed(true)
-			return
+	start := len(l.reqs)
+	l.reqs = appendWebhookRequest(l.reqs, n.target.head, l.body)
+	l.items = append(l.items, laneItem{id: note.Entity.ID, req: l.reqs[start:]})
+	l.unsent++
+}
+
+// round writes the batch in one write — only its first request on a fresh
+// connection — and reads the answers in order, all within one Timeout. What
+// must go again stays in l.items, in order; failed: some of it failed an
+// attempt, earning a backoff.
+func (n *HTTPNotifier) round(l *lane) (failed bool) {
+	p := n.pool
+	reused, sent := l.conn != nil, len(l.items)
+	var err error
+	if !reused {
+		sent = 1
+		p.cDials.Inc()
+		if l.conn, err = n.target.dial("tcp", n.target.addr); err == nil {
+			l.br = bufio.NewReader(l.conn)
 		}
-		if errors.Is(err, ErrPoolClosed) {
-			return
-		}
-		if attempt >= cfg.MaxRetries {
-			n.pool.cFailed.Inc()
-			n.completed(false)
-			return
-		}
-		n.pool.cRetries.Inc()
-		select {
-		case <-n.stop:
-			return
-		case <-cfg.Clock.After(backoff):
-		}
-		backoff *= 2
 	}
+	fresh := max(0, sent-(len(l.items)-l.unsent)) // first attempts leave the bound
+	n.release(fresh)
+	l.unsent -= fresh
+	if err == nil {
+		l.out = l.out[:0]
+		for _, it := range l.items[:sent] {
+			l.out = append(l.out, it.req...)
+		}
+		l.conn.SetDeadline(time.Now().Add(p.cfg.Timeout))
+		_, err = l.conn.Write(l.out)
+		p.cWrites.Inc()
+	}
+	kept := 0 // l.items[:kept] go again
+	again := func(it laneItem, attempt bool) {
+		if attempt {
+			if it.fails++; it.fails > p.cfg.MaxRetries {
+				p.cFailed.Inc()
+				n.completed(false)
+				return
+			}
+			p.cRetries.Inc()
+			failed = true
+		}
+		l.items[kept] = it
+		kept++
+	}
+	answered, keepAlive := 0, true
+	for ; err == nil && keepAlive && answered < sent; answered++ {
+		resp, rerr := http.ReadResponse(l.br, nil)
+		for rerr == nil && resp.StatusCode < http.StatusOK { // interim 1xx
+			resp, rerr = http.ReadResponse(l.br, nil)
+		}
+		if err = rerr; err != nil {
+			break
+		}
+		if _, err = io.CopyN(io.Discard, resp.Body, webhookDrainLimit+1); err == io.EOF {
+			err, keepAlive = nil, resp.ProtoAtLeast(1, 1) && !resp.Close
+		} else if err == nil {
+			err = errors.New("ngsi: webhook answer body exceeds the drain limit")
+		}
+		if resp.StatusCode/100 == 2 {
+			p.cSent.Inc()
+			n.completed(true)
+		} else {
+			again(l.items[answered], true)
+		}
+	}
+	// What was sent and not answered goes again: a failed attempt, unless the
+	// endpoint cannot have read it — it closed the connection after an answer,
+	// or a kept-alive one broke before its first answer, closed while idle.
+	counted := err != nil && (!reused || answered > 0 || errors.Is(err, os.ErrDeadlineExceeded))
+	for i := answered; i < len(l.items); i++ {
+		again(l.items[i], counted && i < sent)
+	}
+	l.items = l.items[:kept]
+	if l.conn != nil && (err != nil || !keepAlive) {
+		l.conn.Close()
+		l.conn = nil // the next round dials afresh
+	}
+	return failed
 }
 
 // completed records one delivery's outcome — sent, or failed with its
@@ -459,24 +630,4 @@ func (n *HTTPNotifier) completed(ok bool) {
 			onStatus(n.subID, ok)
 		}
 	}
-}
-
-// post performs one delivery attempt under the pool's concurrency bound.
-func (n *HTTPNotifier) post(body []byte) error {
-	select {
-	case n.pool.sem <- struct{}{}:
-	case <-n.stop:
-		return ErrPoolClosed
-	}
-	defer func() { <-n.pool.sem }()
-	resp, err := n.pool.cfg.Client.Post(n.url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	_, _ = io.CopyN(io.Discard, resp.Body, webhookDrainLimit)
-	resp.Body.Close()
-	if resp.StatusCode >= http.StatusMultipleChoices {
-		return fmt.Errorf("ngsi: webhook %s: status %d", n.url, resp.StatusCode)
-	}
-	return nil
 }

@@ -65,10 +65,10 @@ func newGatedEndpoint(t *testing.T) *gatedEndpoint {
 
 func (g *gatedEndpoint) release() { g.once.Do(func() { close(g.gate) }) }
 
-// gatedPool is a pool whose client outlasts the gate.
+// gatedPool is a pool whose timeout outlasts the gate.
 func gatedPool(t *testing.T, cfg WebhookConfig) *WebhookPool {
 	t.Helper()
-	cfg.Client = &http.Client{Timeout: 30 * time.Second}
+	cfg.Timeout = 30 * time.Second
 	p := NewWebhookPool(cfg)
 	t.Cleanup(p.Close)
 	return p
@@ -225,8 +225,9 @@ func TestLaneWorkersBoundOneSubscription(t *testing.T) {
 	for i := 0; i < 3*webhookLanes; i++ {
 		hn.Notify(seqNote(ids[i%webhookLanes], i))
 	}
-	// Every lane has taken its first notification; two hold a pool slot.
-	waitFor(t, 2*time.Second, func() bool { return pool.Depth() == 2*webhookLanes && g.inHand.Load() == 2 })
+	// Two lanes hold a pool slot, their first notifications on the wire and
+	// out of Depth; the other two wait for one.
+	waitFor(t, 2*time.Second, func() bool { return pool.Depth() == 3*webhookLanes-2 && g.inHand.Load() == 2 })
 	g.release()
 	waitFor(t, 5*time.Second, func() bool { return g.served.Load() == 3*webhookLanes })
 	if m := g.maxHand.Load(); m != 2 {
@@ -323,8 +324,8 @@ func TestLaneEndlessBodyDoesNotPinDelivery(t *testing.T) {
 	}))
 	t.Cleanup(endless.Close)
 	recv := newWebhookReceiver(t)
-	// No client timeout at all: only the drain limit ends a delivery.
-	pool := NewWebhookPool(WebhookConfig{Client: &http.Client{}, Workers: 2})
+	// A timeout far past the test's: only the drain limit ends a delivery.
+	pool := NewWebhookPool(WebhookConfig{Timeout: time.Hour, Workers: 2})
 	t.Cleanup(pool.Close)
 	bad, err := pool.Notifier("sub-endless", endless.URL)
 	if err != nil {

@@ -74,7 +74,7 @@ func newStalledServer(t *testing.T, d time.Duration) *httptest.Server {
 func fastWebhookPool(t *testing.T, b *Broker, extra WebhookConfig) *WebhookPool {
 	t.Helper()
 	cfg := extra
-	cfg.Client = &http.Client{Timeout: 100 * time.Millisecond}
+	cfg.Timeout = 100 * time.Millisecond
 	if cfg.RetryBackoff == 0 {
 		cfg.RetryBackoff = time.Millisecond
 	}
