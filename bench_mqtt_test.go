@@ -10,14 +10,40 @@ package swamp_test
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
+	"net"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/swamp-project/swamp/internal/metrics"
 	"github.com/swamp-project/swamp/internal/mqtt"
-	"github.com/swamp-project/swamp/internal/simnet"
 )
+
+// slowConn is the broker's end of a subscriber that drains slower than the
+// farm publishes: every Write first sleeps for delay.
+type slowConn struct {
+	net.Conn
+	delay time.Duration
+}
+
+func (c slowConn) Write(p []byte) (int, error) {
+	time.Sleep(c.delay)
+	return c.Conn.Write(p)
+}
+
+// dialPipe connects a client to broker over a net.Pipe.
+func dialPipe(b *testing.B, broker *mqtt.Broker, id string) *mqtt.Client {
+	b.Helper()
+	client, server := net.Pipe()
+	broker.AttachConn(server)
+	c, err := mqtt.Connect(client, mqtt.ClientConfig{ClientID: id})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { c.Close() })
+	return c
+}
 
 // benchMQTTFanout measures per-message publish→deliver latency to a healthy
 // subscriber while three more healthy subscribers (and optionally one
@@ -32,12 +58,22 @@ func benchMQTTFanout(b *testing.B, stalled bool) {
 	defer broker.Close()
 
 	if stalled {
-		st := mqtt.NewSlowTransport(stallDelay)
-		defer st.Close()
-		broker.AttachTransport(st)
-		st.Inject(&mqtt.Packet{Type: mqtt.CONNECT, ClientID: "stalled"})
-		st.Inject(&mqtt.Packet{Type: mqtt.SUBSCRIBE, PacketID: 1,
-			Filters: []mqtt.Subscription{{Filter: "fan/#"}}})
+		client, server := net.Pipe()
+		defer client.Close()
+		broker.AttachConn(slowConn{Conn: server, delay: stallDelay})
+		go func() { _, _ = io.Copy(io.Discard, client) }()
+		for _, p := range []*mqtt.Packet{
+			{Type: mqtt.CONNECT, ClientID: "stalled"},
+			{Type: mqtt.SUBSCRIBE, PacketID: 1, Filters: []mqtt.Subscription{{Filter: "fan/#"}}},
+		} {
+			raw, err := p.Encode()
+			if err == nil {
+				_, err = client.Write(raw)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
 		deadline := time.Now().Add(2 * time.Second)
 		for reg.Counter("mqtt.subscribe.ok").Value() == 0 {
 			if time.Now().After(deadline) {
@@ -47,23 +83,8 @@ func benchMQTTFanout(b *testing.B, stalled bool) {
 		}
 	}
 
-	dial := func(id string) *mqtt.Client {
-		ct, st, cleanup, err := mqtt.NewSimPair(simnet.Config{}, id)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(cleanup)
-		broker.AttachTransport(st)
-		c, err := mqtt.Connect(ct, mqtt.ClientConfig{ClientID: id})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { c.Close() })
-		return c
-	}
-
 	// One probe subscriber reports latency; three more add fan-out weight.
-	probe := dial("probe-sub")
+	probe := dialPipe(b, broker, "probe-sub")
 	lat := make(chan time.Duration, 1)
 	if _, err := probe.Subscribe("fan/#", 0, func(m mqtt.Message) {
 		at := time.Unix(0, int64(binary.BigEndian.Uint64(m.Payload)))
@@ -73,12 +94,12 @@ func benchMQTTFanout(b *testing.B, stalled bool) {
 	}
 	var sink atomic.Uint64
 	for i := 0; i < 3; i++ {
-		sub := dial(fmt.Sprintf("bulk-sub-%d", i))
+		sub := dialPipe(b, broker, fmt.Sprintf("bulk-sub-%d", i))
 		if _, err := sub.Subscribe("fan/#", 0, func(mqtt.Message) { sink.Add(1) }); err != nil {
 			b.Fatal(err)
 		}
 	}
-	pub := dial("pub")
+	pub := dialPipe(b, broker, "pub")
 
 	hist := metrics.NewHistogram()
 	payload := make([]byte, 8)
@@ -116,32 +137,12 @@ func BenchmarkMQTTAggregateFanOut(b *testing.B) {
 		const nSubs = 8
 		var delivered atomic.Uint64
 		for i := 0; i < nSubs; i++ {
-			ct, st, cleanup, err := mqtt.NewSimPair(simnet.Config{QueueLen: 8192}, fmt.Sprintf("s%d", i))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(cleanup)
-			broker.AttachTransport(st)
-			c, err := mqtt.Connect(ct, mqtt.ClientConfig{ClientID: fmt.Sprintf("s%d", i)})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { c.Close() })
+			c := dialPipe(b, broker, fmt.Sprintf("s%d", i))
 			if _, err := c.Subscribe("agg/#", 1, func(mqtt.Message) { delivered.Add(1) }); err != nil {
 				b.Fatal(err)
 			}
 		}
-		ct, st, cleanup, err := mqtt.NewSimPair(simnet.Config{QueueLen: 8192}, "pub")
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(cleanup)
-		broker.AttachTransport(st)
-		pub, err := mqtt.Connect(ct, mqtt.ClientConfig{ClientID: "pub"})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { pub.Close() })
+		pub := dialPipe(b, broker, "pub")
 
 		b.ResetTimer()
 		// QoS 1 publishes are broker-acked, so the producer cannot outrun

@@ -24,7 +24,6 @@ import (
 	"github.com/swamp-project/swamp/internal/security/oauth"
 	"github.com/swamp-project/swamp/internal/security/pep"
 	"github.com/swamp-project/swamp/internal/security/secchan"
-	"github.com/swamp-project/swamp/internal/simnet"
 	"github.com/swamp-project/swamp/internal/tenant"
 )
 
@@ -269,78 +268,6 @@ func BenchmarkPartialViewBaseline(b *testing.B) {
 
 // --- Ablations -------------------------------------------------------------------
 
-// BenchmarkQoSOnLossyLink quantifies the QoS 0 vs QoS 1 delivery tradeoff
-// on a rural-grade lossy link (DESIGN.md ablation).
-func BenchmarkQoSOnLossyLink(b *testing.B) {
-	for _, qos := range []byte{0, 1} {
-		b.Run(fmt.Sprintf("qos%d", qos), func(b *testing.B) {
-			broker := mqtt.NewBroker(mqtt.BrokerConfig{RetryInterval: 20 * time.Millisecond})
-			defer broker.Close()
-
-			var delivered atomic.Int64
-			subCT, subST, subClean, err := mqtt.NewSimPair(simnet.Config{}, "sub")
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer subClean()
-			broker.AttachTransport(subST)
-			sub, err := mqtt.Connect(subCT, mqtt.ClientConfig{ClientID: "sub"})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer sub.Close()
-			if _, err := sub.Subscribe("f/#", qos, func(mqtt.Message) { delivered.Add(1) }); err != nil {
-				b.Fatal(err)
-			}
-
-			// 15% loss on the publisher link.
-			var pub *mqtt.Client
-			for attempt := 0; attempt < 20 && pub == nil; attempt++ {
-				ct, st, cleanup, err := mqtt.NewSimPair(simnet.Config{LossProb: 0.15, Seed: int64(7 + attempt)}, "pub")
-				if err != nil {
-					b.Fatal(err)
-				}
-				broker.AttachTransport(st)
-				c, err := mqtt.Connect(ct, mqtt.ClientConfig{
-					ClientID: "pub", AckTimeout: 30 * time.Millisecond, PublishRetries: 20,
-				})
-				if err != nil {
-					cleanup()
-					continue
-				}
-				defer cleanup()
-				defer c.Close()
-				pub = c
-			}
-			if pub == nil {
-				b.Fatal("could not connect over lossy link")
-			}
-
-			// Fixed batch per iteration, paced so queues don't overflow:
-			// the ratio then reflects link loss + QoS, not benchmark
-			// back-pressure.
-			const batch = 500
-			b.ResetTimer()
-			sent := 0
-			for i := 0; i < b.N; i++ {
-				for m := 0; m < batch; m++ {
-					if err := pub.Publish("f/x", []byte("m|0.2"), qos, false); err == nil {
-						sent++
-					}
-					if qos == 0 && m%25 == 0 {
-						time.Sleep(time.Millisecond) // pacing for fire-and-forget
-					}
-				}
-			}
-			b.StopTimer()
-			time.Sleep(100 * time.Millisecond)
-			if sent > 0 {
-				b.ReportMetric(float64(delivered.Load())/float64(sent), "delivery-ratio")
-			}
-		})
-	}
-}
-
 // BenchmarkSubscriptionThrottling measures notification suppression under
 // NGSI throttling (DESIGN.md ablation).
 func BenchmarkSubscriptionThrottling(b *testing.B) {
@@ -415,22 +342,8 @@ func BenchmarkAnomalyWindow(b *testing.B) {
 func BenchmarkMQTTPublishRoundtrip(b *testing.B) {
 	broker := mqtt.NewBroker(mqtt.BrokerConfig{})
 	defer broker.Close()
-	mk := func(id string) *mqtt.Client {
-		ct, st, cleanup, err := mqtt.NewSimPair(simnet.Config{}, id)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(cleanup)
-		broker.AttachTransport(st)
-		c, err := mqtt.Connect(ct, mqtt.ClientConfig{ClientID: id})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { c.Close() })
-		return c
-	}
-	pub := mk("pub")
-	sub := mk("sub")
+	pub := dialPipe(b, broker, "pub")
+	sub := dialPipe(b, broker, "sub")
 	got := make(chan struct{}, 256)
 	if _, err := sub.Subscribe("bench/#", 1, func(mqtt.Message) { got <- struct{}{} }); err != nil {
 		b.Fatal(err)

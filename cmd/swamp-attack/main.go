@@ -18,7 +18,6 @@ import (
 	"github.com/swamp-project/swamp/internal/attack"
 	"github.com/swamp-project/swamp/internal/core"
 	"github.com/swamp-project/swamp/internal/model"
-	"github.com/swamp-project/swamp/internal/simnet"
 )
 
 func main() {
@@ -49,7 +48,7 @@ func run(sealed bool) error {
 
 	// --- 1. DoS flood ---
 	fmt.Println("[1] DoS flood (500 msg/s for 2s against the broker)")
-	flooder, err := p.DialDevice("dos-bot", simnet.Config{})
+	flooder, err := p.DialDevice("dos-bot")
 	if err != nil {
 		return err
 	}
@@ -70,7 +69,7 @@ func run(sealed bool) error {
 
 	// --- 2. Unknown-device injection (unauthorized node) ---
 	fmt.Println("[2] Unauthorized node injecting fake measurements")
-	rogue, err := p.DialDevice("ghost-probe", simnet.Config{})
+	rogue, err := p.DialDevice("ghost-probe")
 	if err != nil {
 		return err
 	}
@@ -111,7 +110,7 @@ func run(sealed bool) error {
 		if err := p.PumpOnce(at.Add(time.Minute), 5*time.Second); err != nil {
 			return err
 		}
-		replayClient, err := p.DialDevice("replay-bot", simnet.Config{})
+		replayClient, err := p.DialDevice("replay-bot")
 		if err != nil {
 			return err
 		}

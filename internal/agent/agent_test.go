@@ -1,6 +1,7 @@
 package agent
 
 import (
+	"net"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -9,7 +10,6 @@ import (
 	"github.com/swamp-project/swamp/internal/mqtt"
 	"github.com/swamp-project/swamp/internal/ngsi"
 	"github.com/swamp-project/swamp/internal/security/secchan"
-	"github.com/swamp-project/swamp/internal/simnet"
 )
 
 // stack is a full northbound pipeline: MQTT broker + agent + NGSI.
@@ -44,13 +44,9 @@ func dial(t *testing.T, b *mqtt.Broker, id string) *mqtt.Client {
 
 func dialCfg(t *testing.T, b *mqtt.Broker, cfg mqtt.ClientConfig) *mqtt.Client {
 	t.Helper()
-	ct, st, cleanup, err := mqtt.NewSimPair(simnet.Config{}, cfg.ClientID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cleanup)
-	b.AttachTransport(st)
-	c, err := mqtt.Connect(ct, cfg)
+	client, server := net.Pipe()
+	b.AttachConn(server)
+	c, err := mqtt.Connect(client, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,20 +117,23 @@ func TestAgentCannotBeDisplaced(t *testing.T) {
 	t.Cleanup(func() { ln.Close() })
 	go func() { _ = s.broker.Serve(ln) }() // returns when ln closes
 
-	dialTCP := func() *mqtt.StreamTransport {
+	dialTCP := func() net.Conn {
 		conn, err := net.Dial("tcp", ln.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := mqtt.NewStreamTransport(conn)
-		t.Cleanup(func() { st.Close() })
-		return st
+		t.Cleanup(func() { conn.Close() })
+		return conn
 	}
 	intruder := dialTCP()
-	if err := intruder.WritePacket(&mqtt.Packet{Type: mqtt.CONNECT, ClientID: clientID, CleanSession: true}); err != nil {
+	connect, err := (&mqtt.Packet{Type: mqtt.CONNECT, ClientID: clientID, CleanSession: true}).Encode()
+	if err != nil {
 		t.Fatal(err)
 	}
-	ack, err := intruder.ReadPacket()
+	if _, err := intruder.Write(connect); err != nil {
+		t.Fatal(err)
+	}
+	ack, err := mqtt.ReadPacket(intruder)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -184,9 +185,16 @@ func (tc *testCluster) dial(peer string) (Conn, error) {
 	if !alive {
 		return nil, fmt.Errorf("peer %s down", peer)
 	}
-	a, b := Pipe(8192)
+	a, b := tcpPipe()
 	go member.node.ServeConn(b)
 	return a, nil
+}
+
+// tcpPipe connects two nodes in-process through the length-prefixed framing
+// the TCP transport runs.
+func tcpPipe() (Conn, Conn) {
+	a, b := net.Pipe()
+	return newTCPConn(a), newTCPConn(b)
 }
 
 // kill severs a member abruptly: future dials fail, its node is killed.
@@ -643,7 +651,7 @@ func TestFencingRejectsDeposedLeader(t *testing.T) {
 	member := tc.member(leaderID)
 
 	// A peer that has seen epoch 5 for p introduces itself.
-	a, b := Pipe(64)
+	a, b := tcpPipe()
 	go member.node.ServeConn(b)
 	if err := a.Send(encodeHello(nil, helloMsg{Node: "time-traveller", Parts: []partEpoch{{Part: p, Epoch: 5}}})); err != nil {
 		t.Fatal(err)

@@ -47,9 +47,10 @@ type NodeConfig struct {
 	// AckTimeout bounds the synchronous-replication wait (default 5s).
 	// Adjustable at runtime via SetAckTimeout.
 	AckTimeout time.Duration
-	// Window is the per-session in-flight record cap (default 4096).
-	// Must stay below the transport's queue length or the link, not
-	// flow control, becomes the bound.
+	// Window is the per-session in-flight record cap (default 4096). A
+	// follower queues at most 1 024 received frames before it stops
+	// reading, so a slow follower may stall Send on the connection before
+	// the window fills.
 	Window int
 	// Dial opens a transport to a peer node by id.
 	Dial func(node string) (Conn, error)

@@ -449,6 +449,13 @@ func (s *session) streamSegments(buf *[]byte, last *wal.Pos, liveStart wal.Pos) 
 	if err != nil {
 		return false
 	}
+	// A snapshot taken on this node since the stream began may have pruned
+	// segments it still needs. Streaming the survivors would chain their
+	// first record onto *last and hide the gap from the follower, so end
+	// the session instead: the follower re-syncs from a newer snapshot.
+	if len(segs) == 0 || segs[0] > last.Seg {
+		return false
+	}
 	for _, seg := range segs {
 		if seg < last.Seg || seg > liveStart.Seg {
 			continue

@@ -112,6 +112,47 @@ func TestCatchUpAcrossTornSegmentTail(t *testing.T) {
 	}
 }
 
+// sentConn counts the frames sent on it and receives nothing.
+type sentConn struct{ sent int }
+
+func (c *sentConn) Send([]byte) error   { c.sent++; return nil }
+func (c *sentConn) Recv() <-chan []byte { return nil }
+func (c *sentConn) Close() error        { return nil }
+
+// TestCatchUpEndsWhenSnapshotPrunedItsSegment: a snapshot on the leader
+// after a session fixed its stream position prunes the segment holding the
+// next record. Catch-up must end the session, so the follower re-syncs,
+// rather than chain the first surviving record onto the stale position
+// and lose the pruned one without a chain break.
+func TestCatchUpEndsWhenSnapshotPrunedItsSegment(t *testing.T) {
+	tc := newTestCluster(t, []string{"n1"}, map[string]string{"n1": t.TempDir()}, clusterOpts{partitions: 1, replicas: 1})
+	defer tc.closeAll()
+	m := tc.member("n1")
+
+	segs, err := m.plat.wm.Segments()
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := wal.Pos{Seg: segs[len(segs)-1]}
+	if err := m.node.UpdateAttrs("urn:gap:1", "Device", attrsOf(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.plat.snapshot(); err != nil { // prunes last.Seg
+		t.Fatal(err)
+	}
+	if err := m.node.UpdateAttrs("urn:gap:2", "Device", attrsOf(2)); err != nil {
+		t.Fatal(err)
+	}
+
+	conn := &sentConn{}
+	s := &session{r: m.node.repl, conn: conn, follower: "n2", parts: map[int]uint64{0: 1}, dead: make(chan struct{})}
+	var buf []byte
+	from := last
+	if s.streamSegments(&buf, &last, m.node.repl.headPos()) || conn.sent != 0 {
+		t.Fatalf("catch-up from %s across a pruned segment went on and sent %d records", from, conn.sent)
+	}
+}
+
 // TestFollowerRestartResumesFromSidecar: a follower that restarts
 // mid-stream resumes from its durable offset — segment replay, not a
 // fresh snapshot bootstrap.
@@ -253,9 +294,18 @@ func TestSnapshotSupersedesTailedSegment(t *testing.T) {
 
 	m2 := tc.addNode("n2", dirs["n2"], opts)
 	all := append(append(append([]string{}, phase1...), phase2...), phase3...)
+	series := func(id string) timeseries.Aggregate {
+		return m2.plat.store.Summarize(timeseries.SeriesKey{Device: id, Quantity: "flow"}, at.Add(-time.Hour), at.Add(time.Hour))
+	}
 	waitFor(t, "bootstrap from newer snapshot", func() bool {
 		for _, id := range all {
 			if _, err := m2.plat.ctx.GetEntity(id); err != nil {
+				return false
+			}
+		}
+		// An install applies its entities before its telemetry.
+		for _, id := range phase1 {
+			if series(id).Count == 0 {
 				return false
 			}
 		}
@@ -268,9 +318,7 @@ func TestSnapshotSupersedesTailedSegment(t *testing.T) {
 	// The wipe+install must not duplicate telemetry delivered both via
 	// the earlier tail and the snapshot image.
 	for i, id := range phase1 {
-		key := timeseries.SeriesKey{Device: id, Quantity: "flow"}
-		agg := m2.plat.store.Summarize(key, at.Add(-time.Hour), at.Add(time.Hour))
-		if agg.Count != 1 || agg.Sum != float64(i) {
+		if agg := series(id); agg.Count != 1 || agg.Sum != float64(i) {
 			t.Fatalf("series %s after re-bootstrap: count=%d sum=%v", id, agg.Count, agg.Sum)
 		}
 	}

@@ -9,7 +9,7 @@ import (
 	"sync"
 )
 
-// ErrConnClosed is returned by Send on a closed connection.
+// ErrConnClosed is returned by a routed call whose peer connection closed.
 var ErrConnClosed = errors.New("cluster: connection closed")
 
 // maxFrameBytes bounds one TCP frame; a record can be at most
@@ -29,80 +29,8 @@ type Conn interface {
 	Close() error
 }
 
-// --- in-process pipe (reliable, for tests and same-process routing) ---
-
-type pipeShared struct {
-	once sync.Once
-	done chan struct{}
-}
-
-type pipeConn struct {
-	sh   *pipeShared
-	out  chan []byte
-	recv chan []byte
-}
-
-// Pipe returns a connected, reliable, in-process Conn pair. Send blocks
-// when the peer's queue (queueLen, default 1024) is full — backpressure,
-// never drops. Closing either end closes both; each end's Recv channel
-// is then closed (in-flight frames may be discarded).
-func Pipe(queueLen int) (Conn, Conn) {
-	if queueLen <= 0 {
-		queueLen = 1024
-	}
-	sh := &pipeShared{done: make(chan struct{})}
-	ab := make(chan []byte, queueLen)
-	ba := make(chan []byte, queueLen)
-	a := &pipeConn{sh: sh, out: ab, recv: forwardUntil(ba, sh.done)}
-	b := &pipeConn{sh: sh, out: ba, recv: forwardUntil(ab, sh.done)}
-	return a, b
-}
-
-// forwardUntil relays frames from in until done closes, then closes the
-// returned channel — giving every Conn implementation the same "Recv
-// closes on Close" shape regardless of the underlying channel's owner.
-func forwardUntil(in <-chan []byte, done <-chan struct{}) chan []byte {
-	out := make(chan []byte)
-	go func() {
-		defer close(out)
-		for {
-			select {
-			case <-done:
-				return
-			case f, ok := <-in:
-				if !ok {
-					return
-				}
-				select {
-				case out <- f:
-				case <-done:
-					return
-				}
-			}
-		}
-	}()
-	return out
-}
-
-func (c *pipeConn) Send(frame []byte) error {
-	cp := append([]byte(nil), frame...)
-	select {
-	case <-c.sh.done:
-		return ErrConnClosed
-	case c.out <- cp:
-		return nil
-	}
-}
-
-func (c *pipeConn) Recv() <-chan []byte { return c.recv }
-
-func (c *pipeConn) Close() error {
-	c.sh.once.Do(func() { close(c.sh.done) })
-	return nil
-}
-
-// --- TCP (length-prefixed frames, for multi-process swampd) ---
-
+// tcpConn carries length-prefixed frames over a byte stream: a TCP
+// connection between swampd processes, or a net.Pipe in tests.
 type tcpConn struct {
 	c    net.Conn
 	wmu  sync.Mutex

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -25,7 +26,6 @@ import (
 	"github.com/swamp-project/swamp/internal/security/pep"
 	"github.com/swamp-project/swamp/internal/security/secchan"
 	"github.com/swamp-project/swamp/internal/sensor"
-	"github.com/swamp-project/swamp/internal/simnet"
 	"github.com/swamp-project/swamp/internal/soil"
 	"github.com/swamp-project/swamp/internal/tenant"
 	"github.com/swamp-project/swamp/internal/timeseries"
@@ -466,21 +466,18 @@ func parseCmdTopic(topic string) (dev string, ok bool) {
 	return "", false
 }
 
-// DialDevice connects a (possibly impaired) device client — also used by
-// attack injectors to join as rogue devices.
-func (p *Platform) DialDevice(clientID string, link simnet.Config) (*mqtt.Client, error) {
-	ct, st, cleanup, err := mqtt.NewSimPair(link, clientID)
+// DialDevice connects an in-process device client over a net.Pipe, through
+// the byte stream a TCP device uses — also used by attack injectors to join
+// as rogue devices.
+func (p *Platform) DialDevice(clientID string) (*mqtt.Client, error) {
+	client, server := net.Pipe()
+	p.Broker.AttachConn(server)
+	c, err := mqtt.Connect(client, mqtt.ClientConfig{ClientID: clientID})
 	if err != nil {
-		return nil, err
-	}
-	p.Broker.AttachTransport(st)
-	c, err := mqtt.Connect(ct, mqtt.ClientConfig{ClientID: clientID})
-	if err != nil {
-		cleanup()
 		return nil, fmt.Errorf("core: dial device %s: %w", clientID, err)
 	}
 	p.mu.Lock()
-	p.cleanups = append(p.cleanups, func() { c.Close(); cleanup() })
+	p.cleanups = append(p.cleanups, func() { c.Close() })
 	p.mu.Unlock()
 	return c, nil
 }
@@ -529,7 +526,7 @@ func (p *Platform) provisionDevices() error {
 		if err != nil {
 			return err
 		}
-		client, err := p.DialDevice(id, simnet.Config{})
+		client, err := p.DialDevice(id)
 		if err != nil {
 			return err
 		}

@@ -17,7 +17,6 @@ import (
 	"github.com/swamp-project/swamp/internal/model"
 	"github.com/swamp-project/swamp/internal/mqtt"
 	"github.com/swamp-project/swamp/internal/ngsi"
-	"github.com/swamp-project/swamp/internal/simnet"
 	"github.com/swamp-project/swamp/internal/tenant"
 	"github.com/swamp-project/swamp/internal/timeseries"
 )
@@ -432,7 +431,7 @@ func TestSealedPlatformEndToEnd(t *testing.T) {
 
 func TestBrokerACLBlocksRogueDevice(t *testing.T) {
 	p := newPlatform(t, PilotMATOPIBA, ModeFarmFog, false)
-	rogue, err := p.DialDevice("rogue-node", simnet.Config{})
+	rogue, err := p.DialDevice("rogue-node")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -552,7 +551,7 @@ func TestInfrastructureNamesGetNoACLPass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cloud, err := mqtt.Connect(mqtt.NewStreamTransport(conn), mqtt.ClientConfig{ClientID: "cloud"})
+	cloud, err := mqtt.Connect(conn, mqtt.ClientConfig{ClientID: "cloud"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -604,7 +603,7 @@ func TestCloseUnderPublishLoad(t *testing.T) {
 	}
 	defer p.Close()
 	// Publishers the platform does not own (Close disconnects its own
-	// probes first): raw transports the broker serves until it closes.
+	// probes first): pipes the broker serves until it closes.
 	const publishers = 3
 	var wg sync.WaitGroup
 	var clients []func()
@@ -617,20 +616,15 @@ func TestCloseUnderPublishLoad(t *testing.T) {
 	defer closeClients()
 	for i := 0; i < publishers; i++ {
 		u := p.Probes[i]
-		id := string(u.Prov.Desc.ID) + "-twin"
-		ct, st, cleanup, err := mqtt.NewSimPair(simnet.Config{}, id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Broker.AttachTransport(st)
+		client, server := net.Pipe()
+		p.Broker.AttachConn(server)
 		// The twin publishes on the probe's topic; brokerACL keys on the
 		// client id, so it connects under the probe's own (taking it over).
-		c, err := mqtt.Connect(ct, mqtt.ClientConfig{ClientID: string(u.Prov.Desc.ID), AckTimeout: 50 * time.Millisecond, PublishRetries: 1})
+		c, err := mqtt.Connect(client, mqtt.ClientConfig{ClientID: string(u.Prov.Desc.ID), AckTimeout: 50 * time.Millisecond, PublishRetries: 1})
 		if err != nil {
-			cleanup()
 			t.Fatal(err)
 		}
-		clients = append(clients, func() { c.Close(); cleanup() })
+		clients = append(clients, func() { c.Close() })
 		topic := agent.AttrsTopic(u.Prov.Desc.APIKey, string(u.Prov.Desc.ID))
 		wg.Add(1)
 		go func() {

@@ -9,36 +9,84 @@ package mqtt
 import (
 	"bufio"
 	"bytes"
+	"io"
 	"net"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
-
-	"github.com/swamp-project/swamp/internal/simnet"
 )
 
 // allocSink defeats dead-code elimination in the measured loops.
 var allocSink int
 
+// feedConn is a broker connection with no peer behind it: reads return the
+// scripted inbound packets and then block until Close, and writes are
+// counted and discarded.
+type feedConn struct {
+	net.Conn
+	in      []byte
+	closed  chan struct{}
+	once    sync.Once
+	written atomic.Int64
+}
+
+func newFeedConn(t *testing.T, pkts ...*Packet) *feedConn {
+	return &feedConn{in: encodeAll(t, pkts...), closed: make(chan struct{})}
+}
+
+func (c *feedConn) Read(p []byte) (int, error) {
+	if len(c.in) > 0 {
+		n := copy(p, c.in)
+		c.in = c.in[n:]
+		return n, nil
+	}
+	<-c.closed
+	return 0, io.EOF
+}
+
+func (c *feedConn) Write(p []byte) (int, error) {
+	c.written.Add(int64(len(p)))
+	return len(p), nil
+}
+
+func (c *feedConn) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return nil
+}
+
+// encodeAll returns the packets' wire bytes, back to back.
+func encodeAll(t *testing.T, pkts ...*Packet) []byte {
+	t.Helper()
+	var raw []byte
+	for _, p := range pkts {
+		var err error
+		if raw, err = p.appendEncode(raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return raw
+}
+
 // TestQoS0DeliveryPathZeroAlloc pins the headline perf invariant: once the
-// route cache, frame pool and wire pool are warm, a QoS-0 publish routed,
-// enqueued, drained and written costs zero heap allocations — across ALL
-// goroutines, so the session writer's drain/flush path is covered too. A
-// local attachment matching the same topic rides along at no cost.
+// route cache and frame pool are warm, a QoS-0 publish routed, enqueued,
+// drained, written and flushed to the connection costs zero heap allocations
+// — across ALL goroutines, so the session writer's drain/flush path is
+// covered too. A local attachment matching the same topic rides along at no
+// cost.
 func TestQoS0DeliveryPathZeroAlloc(t *testing.T) {
 	// RetryInterval: time.Hour keeps the writer's retry timer from firing
 	// (its clock.After allocates once per tick).
 	b := NewBroker(BrokerConfig{RetryInterval: time.Hour})
 	defer b.Close()
 
-	st := NewSlowTransport(0)
-	defer st.Close()
-	b.AttachTransport(st)
-	st.Inject(&Packet{Type: CONNECT, ClientID: "sink"})
-	st.Inject(&Packet{Type: SUBSCRIBE, PacketID: 1, Filters: []Subscription{
+	conn := newFeedConn(t, &Packet{Type: CONNECT, ClientID: "sink"}, &Packet{Type: SUBSCRIBE, PacketID: 1, Filters: []Subscription{
 		{Filter: "farm/+/soil/#", QoS: 0},
 	}})
-	waitFor(t, time.Second, func() bool { return b.SessionCount() == 1 })
+	b.AttachConn(conn)
+	handshake := int64(len(encodeAll(t, &Packet{Type: CONNACK}, &Packet{Type: SUBACK, PacketID: 1, GrantedQoS: []byte{0}})))
+	waitFor(t, time.Second, func() bool { return conn.written.Load() == handshake })
 	local := 0
 	detach, err := b.AttachLocal("local", "farm/#", func(m Message) { local += len(m.Payload) })
 	if err != nil {
@@ -49,16 +97,18 @@ func TestQoS0DeliveryPathZeroAlloc(t *testing.T) {
 	payload := []byte("moisture=41.7")
 	const topic = "farm/f1/soil/probe2"
 
-	// Warm everything: route cache entry for the topic, frame/wire pools,
-	// the writer's batch scratch. Each publish is driven to completion so
-	// frames return to the pool before the next iteration.
-	want := st.PublishCount()
+	// Warm everything: route cache entry for the topic, the frame pool,
+	// the writer's batch scratch. Each publish is driven to completion — its
+	// bytes flushed to the connection — so frames return to the pool before
+	// the next iteration.
+	frame := int64(len(encodeAll(t, &Packet{Type: PUBLISH, Topic: topic, Payload: payload})))
+	want := handshake
 	pump := func() {
 		if err := b.InjectPublish("pub", topic, payload, 0, false); err != nil {
 			panic(err)
 		}
-		want++
-		for st.PublishCount() < want {
+		want += frame
+		for conn.written.Load() < want {
 			runtime.Gosched()
 		}
 	}
@@ -82,12 +132,11 @@ func TestQoS0DeliveryPathZeroAlloc(t *testing.T) {
 func TestLocalOnlyRouteEncodesNoFrame(t *testing.T) {
 	b := NewBroker(BrokerConfig{})
 	defer b.Close()
-	st := NewSlowTransport(0)
-	defer st.Close()
-	b.AttachTransport(st)
-	st.Inject(&Packet{Type: CONNECT, ClientID: "elsewhere"})
-	st.Inject(&Packet{Type: SUBSCRIBE, PacketID: 1, Filters: []Subscription{{Filter: "farm/#", QoS: 1}}})
-	waitFor(t, time.Second, func() bool { return b.Metrics().Counter("mqtt.subscribe.ok").Value() == 1 })
+	conn := newFeedConn(t, &Packet{Type: CONNECT, ClientID: "elsewhere"},
+		&Packet{Type: SUBSCRIBE, PacketID: 1, Filters: []Subscription{{Filter: "farm/#", QoS: 1}}})
+	b.AttachConn(conn)
+	handshake := int64(len(encodeAll(t, &Packet{Type: CONNACK}, &Packet{Type: SUBACK, PacketID: 1, GrantedQoS: []byte{1}})))
+	waitFor(t, time.Second, func() bool { return conn.written.Load() == handshake })
 
 	payload := []byte("m1|0.21|m2|0.27")
 	const topic = "ul/k/probe-1/attrs"
@@ -118,8 +167,8 @@ func TestLocalOnlyRouteEncodesNoFrame(t *testing.T) {
 	if aliased != 202 {
 		t.Fatalf("handler saw the publisher's own bytes %d of 202 times", aliased)
 	}
-	if st.PublishCount() != 0 {
-		t.Fatalf("%d frames written to a session that does not match", st.PublishCount())
+	if extra := conn.written.Load() - handshake; extra != 0 {
+		t.Fatalf("%d bytes written to a session that does not match", extra)
 	}
 }
 
@@ -175,41 +224,24 @@ type discardConn struct{ net.Conn }
 
 func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
 
-// TestWritePacketStagingZeroAlloc: neither transport allocates to stage a
-// packet's encoding — a stream encodes into its buffered writer's free
-// space, flushed or not, and a simulated link's pooled buffer makes the
-// round trip to the receiver and back without boxing a slice header.
+// TestWritePacketStagingZeroAlloc: the stream allocates nothing to stage a
+// packet's encoding — it encodes into its buffered writer's free space,
+// flushed or not.
 func TestWritePacketStagingZeroAlloc(t *testing.T) {
 	ack := &Packet{Type: PUBACK, PacketID: 9}
 	pub := &Packet{Type: PUBLISH, Topic: "ul/k1/probe-1/attrs", Payload: []byte("m1|0.21|m2|0.27"), QoS: 1, PacketID: 7}
 
-	st := NewStreamTransport(discardConn{})
+	st := newStream(discardConn{})
 	frame := newPublishFrame(pub.Topic, pub.Payload, 1, false)
 	defer frame.release()
 	if allocs := testing.AllocsPerRun(200, func() {
-		if st.WritePacket(ack) != nil || st.WritePacket(pub) != nil {
+		if st.writePacket(ack) != nil || st.writePacket(pub) != nil {
 			panic("write failed")
 		}
-		if _, err := st.BufferPacket(ack); err != nil || st.WriteFrame(frame, 7, false) != nil || st.Flush() != nil {
+		if _, err := st.bufferPacket(ack); err != nil || st.writeFrame(frame, 7, false) != nil || st.flush() != nil {
 			panic("buffered write failed")
 		}
 	}); allocs != 0 {
-		t.Errorf("StreamTransport: %.2f allocations per four packets, want 0", allocs)
-	}
-
-	ct, srv, cleanup, err := NewSimPair(simnet.Config{}, "staging")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cleanup()
-	recv := srv.(*SimTransport).ep.Recv()
-	if allocs := testing.AllocsPerRun(200, func() {
-		if ct.WritePacket(ack) != nil || ct.WritePacket(pub) != nil {
-			panic("write failed")
-		}
-		putWire(<-recv)
-		putWire(<-recv)
-	}); allocs != 0 {
-		t.Errorf("SimTransport: %.2f allocations per two packets, want 0", allocs)
+		t.Errorf("stream: %.2f allocations per four packets, want 0", allocs)
 	}
 }

@@ -50,8 +50,6 @@ type BrokerConfig struct {
 	// the oldest queued packet and QoS 1 deliveries are parked for the
 	// redelivery pass — either way only that session degrades.
 	SessionQueueLen int
-	// RetainedShards splits the retained-message store (default 8).
-	RetainedShards int
 	// Clock drives keepalive, QoS 1 redelivery and Tap timestamps (nil →
 	// wall clock). Simulations pass clock.Sim so retransmission is
 	// deterministic.
@@ -69,7 +67,7 @@ const DefaultSessionQueueLen = 256
 const DefaultRetainedShards = 8
 
 // DefaultFlushWatermark is the byte threshold at which the session writer
-// flushes a buffering transport mid-batch. The writer always flushes once
+// flushes its connection mid-batch. The writer always flushes once
 // its queue drains empty, so the watermark only bounds latency under
 // sustained backlog.
 const DefaultFlushWatermark = 8 << 10
@@ -80,8 +78,8 @@ const DefaultFlushWatermark = 8 << 10
 const DefaultRouteCacheSize = 4096
 
 // Broker is an MQTT 3.1.1-subset message broker. Construct with NewBroker;
-// attach clients with Serve (TCP) and/or AttachTransport (simulated links),
-// and in-process consumers with AttachLocal.
+// attach clients with Serve (TCP) or AttachConn (any connection, such as one
+// end of a net.Pipe), and in-process consumers with AttachLocal.
 //
 // Concurrency: the subscription trie is an immutable copy-on-write structure
 // behind an atomic.Pointer — route() reads it lock-free; mutations
@@ -186,7 +184,7 @@ type retainedShard struct {
 	m  map[string]retainedMsg
 }
 
-// NewBroker constructs a broker ready to accept transports.
+// NewBroker constructs a broker ready to accept connections.
 func NewBroker(cfg BrokerConfig) *Broker {
 	if cfg.RetryInterval <= 0 {
 		cfg.RetryInterval = time.Second
@@ -197,9 +195,6 @@ func NewBroker(cfg BrokerConfig) *Broker {
 	if cfg.SessionQueueLen <= 0 {
 		cfg.SessionQueueLen = DefaultSessionQueueLen
 	}
-	if cfg.RetainedShards <= 0 {
-		cfg.RetainedShards = DefaultRetainedShards
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
 	}
@@ -209,7 +204,7 @@ func NewBroker(cfg BrokerConfig) *Broker {
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
 	}
-	shards := make([]*retainedShard, cfg.RetainedShards)
+	shards := make([]*retainedShard, DefaultRetainedShards)
 	for i := range shards {
 		shards[i] = &retainedShard{m: make(map[string]retainedMsg)}
 	}
@@ -262,24 +257,24 @@ func (b *Broker) Serve(ln net.Listener) error {
 				return fmt.Errorf("mqtt broker: accept: %w", err)
 			}
 		}
-		b.AttachTransport(NewStreamTransport(conn))
+		b.AttachConn(conn)
 	}
 }
 
-// AttachTransport hands a connected transport to the broker, which serves
-// it on its own goroutine until disconnect.
-func (b *Broker) AttachTransport(t Transport) {
+// AttachConn hands a connected client to the broker, which serves it on its
+// own goroutine until disconnect.
+func (b *Broker) AttachConn(conn net.Conn) {
 	b.sessMu.Lock()
 	if b.closed {
 		b.sessMu.Unlock()
-		t.Close()
+		conn.Close()
 		return
 	}
 	b.wg.Add(1)
 	b.sessMu.Unlock()
 	go func() {
 		defer b.wg.Done()
-		b.serveTransport(t)
+		b.serveConn(newStream(conn))
 	}()
 }
 
@@ -323,11 +318,9 @@ func (b *Broker) RetainedCount() int {
 
 // session is one connected client.
 type session struct {
-	id        string
-	transport Transport
-	fw        FrameWriter // transport's shared-frame fast path; nil if unsupported
-	fl        Flusher     // transport's flush hook; nil if it writes through
-	broker    *Broker
+	id     string
+	conn   *stream
+	broker *Broker
 
 	// tenant is resolved once at CONNECT and is immutable afterwards.
 	// tenant.None marks internal platform sessions, exempt from admission.
@@ -361,19 +354,16 @@ type session struct {
 	done   chan struct{}
 }
 
-// outMsg is one queued delivery: either a shared encoded frame (hot path,
-// the queue holds its own reference) or a standalone packet (retained
-// snapshots, transports without WriteFrame).
+// outMsg is one queued delivery: a shared encoded frame, of which the queue
+// holds its own reference.
 type outMsg struct {
 	f   *Frame
-	pkt *Packet
 	pid uint16
 	qos byte
 }
 
 type pendingPub struct {
-	f       *Frame // shared frame (holds a reference); nil → pkt
-	pkt     *Packet
+	f       *Frame // shared frame (holds a reference)
 	pid     uint16
 	sentAt  time.Time
 	retries int
@@ -411,15 +401,11 @@ func (s *session) close() {
 	dropped := s.outLen
 	var frames []*Frame
 	for s.outLen > 0 {
-		if m := s.popLocked(); m.f != nil {
-			frames = append(frames, m.f)
-		}
+		frames = append(frames, s.popLocked().f)
 	}
 	s.ctlq = nil
 	for id, p := range s.pending {
-		if p.f != nil {
-			frames = append(frames, p.f)
-		}
+		frames = append(frames, p.f)
 		delete(s.pending, id)
 	}
 	s.mu.Unlock()
@@ -435,7 +421,7 @@ func (s *session) close() {
 		s.broker.cfg.Admission.ReleaseSubscription(s.tenant)
 	}
 	close(s.done)
-	s.transport.Close()
+	s.conn.close()
 }
 
 func (s *session) touch() {
@@ -445,28 +431,28 @@ func (s *session) touch() {
 	s.mu.Unlock()
 }
 
-func (b *Broker) serveTransport(t Transport) {
+func (b *Broker) serveConn(t *stream) {
 	// First packet must be CONNECT.
-	first, err := t.ReadPacket()
+	first, err := t.readPacket()
 	if err != nil {
-		t.Close()
+		t.close()
 		return
 	}
 	if first.Type != CONNECT {
-		b.cfg.Logf("mqtt broker: %s: first packet %v, want CONNECT", t.RemoteAddr(), first.Type)
-		t.Close()
+		b.cfg.Logf("mqtt broker: %v: first packet %v, want CONNECT", t.conn.RemoteAddr(), first.Type)
+		t.close()
 		return
 	}
 	if first.ClientID == "" {
-		_ = t.WritePacket(&Packet{Type: CONNACK, ReturnCode: ConnRefusedIdentifier})
-		t.Close()
+		_ = t.writePacket(&Packet{Type: CONNACK, ReturnCode: ConnRefusedIdentifier})
+		t.close()
 		return
 	}
 	if b.cfg.Auth != nil {
 		if code := b.cfg.Auth(first.ClientID, first.Username, first.Password); code != ConnAccepted {
 			b.reg.Counter("mqtt.connect.refused").Inc()
-			_ = t.WritePacket(&Packet{Type: CONNACK, ReturnCode: code})
-			t.Close()
+			_ = t.writePacket(&Packet{Type: CONNACK, ReturnCode: code})
+			t.close()
 			return
 		}
 	}
@@ -479,46 +465,44 @@ func (b *Broker) serveTransport(t Transport) {
 	// session every publish of which would be shed.
 	if !b.cfg.Admission.AdmitConnect(tid) {
 		b.reg.Counter("mqtt.connect.quota_refused").Inc()
-		_ = t.WritePacket(&Packet{Type: CONNACK, ReturnCode: ConnRefusedQuota})
-		t.Close()
+		_ = t.writePacket(&Packet{Type: CONNACK, ReturnCode: ConnRefusedQuota})
+		t.close()
 		return
 	}
 
 	s := &session{
-		id:        first.ClientID,
-		tenant:    tid,
-		transport: t,
-		broker:    b,
-		qcap:      b.cfg.SessionQueueLen,
-		pending:   make(map[uint16]*pendingPub),
-		lastSeen:  b.clk.Now(),
-		keep:      time.Duration(first.KeepAliveSec) * time.Second,
-		notify:    make(chan struct{}, 1),
-		done:      make(chan struct{}),
+		id:       first.ClientID,
+		tenant:   tid,
+		conn:     t,
+		broker:   b,
+		qcap:     b.cfg.SessionQueueLen,
+		pending:  make(map[uint16]*pendingPub),
+		lastSeen: b.clk.Now(),
+		keep:     time.Duration(first.KeepAliveSec) * time.Second,
+		notify:   make(chan struct{}, 1),
+		done:     make(chan struct{}),
 	}
-	s.fw, _ = t.(FrameWriter)
-	s.fl, _ = t.(Flusher)
 
 	// Session takeover: a reconnect with the same client id displaces the
 	// old connection (3.1.1 §3.1.4). Displace + strip subscriptions +
 	// install must be atomic under sessMu: publishing the new session
 	// before the old one's subscriptions are removed would let a racing
-	// route() deliver the old session's topics to the new transport, and a
+	// route() deliver the old session's topics to the new connection, and a
 	// delayed removal would strip subscriptions the new client has
 	// already re-established. Nesting subMu inside sessMu is safe — no
 	// path acquires them in the opposite nesting.
 	b.sessMu.Lock()
 	if b.closed {
 		b.sessMu.Unlock()
-		t.Close()
+		t.close()
 		return
 	}
 	if b.locals[s.id] != nil {
 		// The id is an in-process attachment's: no takeover, no sharing.
 		b.sessMu.Unlock()
 		b.reg.Counter("mqtt.connect.refused").Inc()
-		_ = t.WritePacket(&Packet{Type: CONNACK, ReturnCode: ConnRefusedIdentifier})
-		t.Close()
+		_ = t.writePacket(&Packet{Type: CONNACK, ReturnCode: ConnRefusedIdentifier})
+		t.close()
 		return
 	}
 	if old := b.sessions[s.id]; old != nil {
@@ -529,8 +513,8 @@ func (b *Broker) serveTransport(t Transport) {
 	b.sessMu.Unlock()
 
 	// CONNACK is written before the writer goroutine exists, so the
-	// single-writer-per-transport rule holds from the first data packet on.
-	if err := t.WritePacket(&Packet{Type: CONNACK, ReturnCode: ConnAccepted}); err != nil {
+	// single-writer-per-connection rule holds from the first data packet on.
+	if err := t.writePacket(&Packet{Type: CONNACK, ReturnCode: ConnAccepted}); err != nil {
 		b.dropSession(s)
 		return
 	}
@@ -539,8 +523,8 @@ func (b *Broker) serveTransport(t Transport) {
 	// Dedicated writer: drains the outbound queue and runs QoS 1
 	// redelivery. The keepalive watchdog stays a separate goroutine on
 	// purpose: a dead TCP peer can wedge the writer inside a blocking
-	// WritePacket forever, and only an independent watchdog can then drop
-	// the session (transport.Close unblocks the writer).
+	// write forever, and only an independent watchdog can then drop the
+	// session (closing the connection unblocks the writer).
 	b.wg.Add(1)
 	go func() {
 		defer b.wg.Done()
@@ -553,7 +537,7 @@ func (b *Broker) serveTransport(t Transport) {
 	}()
 
 	for {
-		pkt, err := t.ReadPacket()
+		pkt, err := t.readPacket()
 		if err != nil {
 			break
 		}
@@ -580,7 +564,7 @@ func (b *Broker) stripSubscriptions(clientID string) {
 // handlePacket processes one inbound packet; it reports whether the session
 // should end. Control responses (PUBACK/SUBACK/UNSUBACK/PINGRESP) are routed
 // through the session's control queue rather than written here: the session
-// writer goroutine is the only writer of the transport.
+// writer goroutine is the only writer of the connection.
 func (b *Broker) handlePacket(s *session, pkt *Packet) (stop bool) {
 	switch pkt.Type {
 	case PUBLISH:
@@ -595,7 +579,7 @@ func (b *Broker) handlePacket(s *session, pkt *Packet) (stop bool) {
 			}
 		}
 		s.mu.Unlock()
-		if p != nil && p.f != nil {
+		if p != nil {
 			p.f.release()
 		}
 	case SUBSCRIBE:
@@ -685,7 +669,7 @@ func (b *Broker) storeRetained(topic string, payload []byte, qos byte) {
 }
 
 // routePublish fans a publish out to matching subscribers. Towards network
-// sessions it only matches and enqueues — it never writes to a transport, so
+// sessions it only matches and enqueues — it never writes to a connection, so
 // a stalled subscriber cannot block the publisher's read goroutine. Local
 // attachments run last, inline, and may block it on purpose (AttachLocal).
 //
@@ -725,12 +709,12 @@ func (b *Broker) routePublish(topic string, payload []byte, qos byte) {
 			if f0 == nil {
 				f0 = newPublishFrame(topic, payload, 0, false)
 			}
-			b.enqueueMsg(tg.s, f0, nil, 0)
+			b.enqueueMsg(tg.s, f0, 0)
 		} else {
 			if f1 == nil {
 				f1 = newPublishFrame(topic, payload, 1, false)
 			}
-			b.enqueueMsg(tg.s, f1, nil, 1)
+			b.enqueueMsg(tg.s, f1, 1)
 		}
 	}
 	if f0 != nil {
@@ -809,13 +793,13 @@ func (b *Broker) storeRoute(topic string, re *routeEntry, rt *routeTargets) {
 	b.rcMu.Unlock()
 }
 
-// enqueueMsg places a delivery (shared frame f or standalone pkt) on s's
-// bounded outbound queue. Overflow policy: QoS 0 drops the oldest queued
+// enqueueMsg places a delivery of the shared frame f on s's bounded outbound
+// queue. Overflow policy: QoS 0 drops the oldest queued
 // packet (fresh field state matters more than stale history — the same call
 // the fog queue makes); QoS 1 entries are parked in the pending map for the
 // writer's retry pass, which transmits them once the queue drains. Either
 // way, only this session degrades.
-func (b *Broker) enqueueMsg(s *session, f *Frame, pkt *Packet, qos byte) {
+func (b *Broker) enqueueMsg(s *session, f *Frame, qos byte) {
 	var evicted outMsg
 	hasEvicted := false
 	s.mu.Lock()
@@ -859,14 +843,8 @@ func (b *Broker) enqueueMsg(s *session, f *Frame, pkt *Packet, qos byte) {
 			b.cQueueDropped.Inc()
 		}
 		pid = s.allocPacketIDLocked()
-		p := &pendingPub{pid: pid, sentAt: b.clk.Now()}
-		if f != nil {
-			f.ref()
-			p.f = f
-		} else {
-			pkt.PacketID = pid
-			p.pkt = pkt
-		}
+		f.ref()
+		p := &pendingPub{f: f, pid: pid, sentAt: b.clk.Now()}
 		s.pending[pid] = p
 		if s.outLen == s.qcap {
 			p.parked = true
@@ -885,10 +863,8 @@ func (b *Broker) enqueueMsg(s *session, f *Frame, pkt *Packet, qos byte) {
 		evicted = s.popLocked()
 		hasEvicted = true
 	}
-	if f != nil {
-		f.ref()
-	}
-	s.pushLocked(outMsg{f: f, pkt: pkt, pid: pid, qos: qos})
+	f.ref()
+	s.pushLocked(outMsg{f: f, pid: pid, qos: qos})
 	s.mu.Unlock()
 
 	if victimF != nil {
@@ -909,9 +885,7 @@ func (b *Broker) enqueueMsg(s *session, f *Frame, pkt *Packet, qos byte) {
 		} else {
 			b.cQueueDropped.Inc()
 		}
-		if evicted.f != nil {
-			evicted.f.release()
-		}
+		evicted.f.release()
 	} else {
 		b.gQueueDepth.Add(1)
 	}
@@ -923,8 +897,8 @@ func (b *Broker) enqueueMsg(s *session, f *Frame, pkt *Packet, qos byte) {
 
 // enqueueCtl queues a control response (PUBACK, SUBACK, UNSUBACK, PINGRESP)
 // for the session writer, which drains control packets ahead of data. This
-// keeps exactly one goroutine writing each transport. The control queue is
-// bounded: a client flooding requests into a wedged transport loses acks,
+// keeps exactly one goroutine writing each connection. The control queue is
+// bounded: a client flooding requests into a wedged connection loses acks,
 // which QoS 1 retransmission and client-side timeouts already absorb.
 func (b *Broker) enqueueCtl(s *session, pkt *Packet) {
 	s.mu.Lock()
@@ -978,34 +952,11 @@ func (b *Broker) sessionWriter(s *session) {
 	}
 }
 
-// writePacket writes one standalone packet from the writer goroutine: buffered
-// (wire is its size) for the drain's flush to carry, or straight through.
-func (s *session) writePacket(p *Packet) (wire int, err error) {
-	if s.fl != nil {
-		return s.fl.BufferPacket(p)
-	}
-	return 0, s.transport.WritePacket(p)
-}
-
-// writeData writes one queued delivery through the transport's fastest
-// available path.
-func (s *session) writeData(m outMsg) (wire int, err error) {
-	if m.f == nil {
-		return s.writePacket(m.pkt)
-	}
-	if s.fw != nil {
-		return m.f.wireLen(), s.fw.WriteFrame(m.f, m.pid, false)
-	}
-	return s.writePacket(m.f.packet(m.pid, false))
-}
-
 // releaseBatch releases the frame references batch holds and zeroes the
 // entries.
 func releaseBatch(batch []outMsg) {
 	for i := range batch {
-		if batch[i].f != nil {
-			batch[i].f.release()
-		}
+		batch[i].f.release()
 		batch[i] = outMsg{}
 	}
 }
@@ -1019,11 +970,9 @@ func (b *Broker) drainQueue(s *session) bool {
 	unflushed, bytes := 0, 0 // packets and bytes written since the last flush
 	// flush pushes what is buffered out; mqtt.writer.* count exactly these.
 	flush := func() bool {
-		if s.fl != nil {
-			if err := s.fl.Flush(); err != nil {
-				b.cDeliverErr.Inc()
-				return false
-			}
+		if err := s.conn.flush(); err != nil {
+			b.cDeliverErr.Inc()
+			return false
 		}
 		b.cFlushes.Inc()
 		b.cFlushedPkts.Add(uint64(unflushed))
@@ -1034,7 +983,7 @@ func (b *Broker) drainQueue(s *session) bool {
 	wrote := func(wire int) bool {
 		unflushed++
 		bytes += wire
-		return s.fl == nil || bytes < DefaultFlushWatermark || flush()
+		return bytes < DefaultFlushWatermark || flush()
 	}
 	for {
 		s.mu.Lock()
@@ -1061,15 +1010,14 @@ func (b *Broker) drainQueue(s *session) bool {
 		}
 		for i, pkt := range ctl {
 			ctl[i] = nil
-			if wire, err := s.writePacket(pkt); err != nil || !wrote(wire) {
+			if wire, err := s.conn.bufferPacket(pkt); err != nil || !wrote(wire) {
 				releaseBatch(batch)
 				return false
 			}
 		}
 		qos1 := 0
 		for _, m := range batch {
-			wire, err := s.writeData(m)
-			if err != nil {
+			if err := s.conn.writeFrame(m.f, m.pid, false); err != nil {
 				b.cDeliverErr.Inc()
 				releaseBatch(batch)
 				return false
@@ -1078,7 +1026,7 @@ func (b *Broker) drainQueue(s *session) bool {
 			if m.qos == 1 {
 				qos1++
 			}
-			if !wrote(wire) {
+			if !wrote(m.f.wireLen()) {
 				releaseBatch(batch)
 				return false
 			}
@@ -1110,7 +1058,6 @@ func (b *Broker) drainQueue(s *session) bool {
 // resendItem is one retry-pass transmission collected under the lock.
 type resendItem struct {
 	f   *Frame // holds a reference taken under the lock
-	pkt *Packet
 	pid uint16
 	dup bool
 }
@@ -1127,10 +1074,8 @@ func (b *Broker) retryPass(s *session, now time.Time) bool {
 			p.parked = false
 			s.parkedN--
 			p.sentAt = now
-			if p.f != nil {
-				p.f.ref()
-			}
-			resend = append(resend, resendItem{f: p.f, pkt: p.pkt, pid: p.pid})
+			p.f.ref()
+			resend = append(resend, resendItem{f: p.f, pid: p.pid})
 			continue
 		}
 		if now.Sub(p.sentAt) < b.cfg.RetryInterval {
@@ -1138,22 +1083,14 @@ func (b *Broker) retryPass(s *session, now time.Time) bool {
 		}
 		if p.retries >= b.cfg.MaxRetries {
 			delete(s.pending, id)
-			if p.f != nil {
-				expired = append(expired, p.f)
-			}
+			expired = append(expired, p.f)
 			b.reg.Counter("mqtt.deliver.expired").Inc()
 			continue
 		}
 		p.retries++
 		p.sentAt = now
-		if p.f != nil {
-			p.f.ref()
-			resend = append(resend, resendItem{f: p.f, pid: p.pid, dup: true})
-		} else {
-			dup := *p.pkt
-			dup.Dup = true
-			resend = append(resend, resendItem{pkt: &dup, pid: p.pid, dup: true})
-		}
+		p.f.ref()
+		resend = append(resend, resendItem{f: p.f, pid: p.pid, dup: true})
 	}
 	s.mu.Unlock()
 	for _, f := range expired {
@@ -1187,10 +1124,8 @@ func (b *Broker) unparkPass(s *session) bool {
 		p.parked = false
 		s.parkedN--
 		p.sentAt = now
-		if p.f != nil {
-			p.f.ref()
-		}
-		resend = append(resend, resendItem{f: p.f, pkt: p.pkt, pid: p.pid})
+		p.f.ref()
+		resend = append(resend, resendItem{f: p.f, pid: p.pid})
 	}
 	s.mu.Unlock()
 	return b.writeResend(s, resend)
@@ -1201,24 +1136,12 @@ func (b *Broker) unparkPass(s *session) bool {
 // end. It reports false on a write error.
 func (b *Broker) writeResend(s *session, resend []resendItem) bool {
 	for i, r := range resend {
-		var err error
-		switch {
-		case r.f != nil && s.fw != nil:
-			err = s.fw.WriteFrame(r.f, r.pid, r.dup)
-		case r.f != nil:
-			_, err = s.writePacket(r.f.packet(r.pid, r.dup))
-		default:
-			_, err = s.writePacket(r.pkt)
-		}
-		if r.f != nil {
-			r.f.release()
-		}
+		err := s.conn.writeFrame(r.f, r.pid, r.dup)
+		r.f.release()
 		if err != nil {
 			b.cDeliverErr.Inc()
 			for _, rest := range resend[i+1:] {
-				if rest.f != nil {
-					rest.f.release()
-				}
+				rest.f.release()
 			}
 			return false
 		}
@@ -1229,11 +1152,9 @@ func (b *Broker) writeResend(s *session, resend []resendItem) bool {
 		}
 	}
 	if len(resend) > 0 {
-		if s.fl != nil {
-			if err := s.fl.Flush(); err != nil {
-				b.cDeliverErr.Inc()
-				return false
-			}
+		if err := s.conn.flush(); err != nil {
+			b.cDeliverErr.Inc()
+			return false
 		}
 		b.cFlushes.Inc()
 		b.cFlushedPkts.Add(uint64(len(resend)))
@@ -1243,8 +1164,8 @@ func (b *Broker) writeResend(s *session, resend []resendItem) bool {
 
 // keepaliveWatchdog drops the session once it has been silent past 1.5×
 // its keepalive (3.1.1 §3.1.2.10). Independent of the writer goroutine so
-// a transport wedged mid-write still gets reaped — dropSession's
-// transport.Close is what unblocks the stuck writer.
+// a connection wedged mid-write still gets reaped — dropSession's close of
+// the connection is what unblocks the stuck writer.
 func (b *Broker) keepaliveWatchdog(s *session) {
 	for {
 		select {
@@ -1355,10 +1276,9 @@ func (b *Broker) handleSubscribe(s *session, pkt *Packet) {
 	// precedes the retained deliveries it acknowledges.
 	b.enqueueCtl(s, &Packet{Type: SUBACK, PacketID: pkt.PacketID, GrantedQoS: granted})
 	for _, r := range rets {
-		// Standalone packets: routed fan-out shares encoded frames, a
-		// retained snapshot goes to this one session.
-		out := &Packet{Type: PUBLISH, Topic: r.topic, Payload: r.msg.payload, QoS: r.qos, Retain: true}
-		b.enqueueMsg(s, nil, out, r.qos)
+		f := newPublishFrame(r.topic, r.msg.payload, r.qos, true)
+		b.enqueueMsg(s, f, r.qos)
+		f.release()
 	}
 	b.reg.Counter("mqtt.subscribe.ok").Add(uint64(len(accepted)))
 }
@@ -1384,7 +1304,7 @@ func (b *Broker) handleUnsubscribe(s *session, pkt *Packet) {
 	b.enqueueCtl(s, &Packet{Type: UNSUBACK, PacketID: pkt.PacketID})
 }
 
-// dropSession removes s from the broker and closes its transport.
+// dropSession removes s from the broker and closes its connection.
 func (b *Broker) dropSession(s *session) {
 	b.sessMu.Lock()
 	owner := b.sessions[s.id] == s

@@ -1,17 +1,17 @@
 package mqtt
 
 import (
+	"bufio"
 	"fmt"
+	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"github.com/swamp-project/swamp/internal/simnet"
 )
 
-// newTestPair connects a client to b over a perfect in-memory link.
+// newTestPair connects a client to b over a net.Pipe.
 func newTestPair(t *testing.T, b *Broker, id string) *Client {
 	t.Helper()
 	return newTestPairCfg(t, b, ClientConfig{ClientID: id, CleanSession: true})
@@ -19,13 +19,9 @@ func newTestPair(t *testing.T, b *Broker, id string) *Client {
 
 func newTestPairCfg(t *testing.T, b *Broker, cfg ClientConfig) *Client {
 	t.Helper()
-	ct, st, cleanup, err := NewSimPair(simnet.Config{}, cfg.ClientID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cleanup)
-	b.AttachTransport(st)
-	c, err := Connect(ct, cfg)
+	client, server := net.Pipe()
+	b.AttachConn(server)
+	c, err := Connect(client, cfg)
 	if err != nil {
 		t.Fatalf("connect %s: %v", cfg.ClientID, err)
 	}
@@ -122,13 +118,9 @@ func TestBrokerAuthRejects(t *testing.T) {
 	})
 	defer b.Close()
 
-	ct, st, cleanup, err := NewSimPair(simnet.Config{}, "bad")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cleanup()
-	b.AttachTransport(st)
-	if _, err := Connect(ct, ClientConfig{ClientID: "bad", Password: "wrong"}); err == nil {
+	client, server := net.Pipe()
+	b.AttachConn(server)
+	if _, err := Connect(client, ClientConfig{ClientID: "bad", Password: "wrong"}); err == nil {
 		t.Fatal("connect with wrong password succeeded")
 	}
 
@@ -199,7 +191,7 @@ func TestBrokerOverTCP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := Connect(NewStreamTransport(conn), ClientConfig{ClientID: id})
+		c, err := Connect(conn, ClientConfig{ClientID: id})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,27 +220,53 @@ func TestBrokerOverTCP(t *testing.T) {
 	}
 }
 
-// connectLossy dials b over a lossy link, retrying the handshake over fresh
-// pairs (CONNECT itself can be lost — as in the field).
-func connectLossy(t *testing.T, b *Broker, cfg ClientConfig, link simnet.Config) *Client {
+// connectLossy dials b through lossy relays, retrying the handshake over
+// fresh ones (CONNECT itself can be lost — as in the field). The client→broker
+// relay draws its losses from seed, the broker→client relay from seed+1.
+func connectLossy(t *testing.T, b *Broker, cfg ClientConfig, loss float64, seed int64) *Client {
 	t.Helper()
 	for attempt := 0; attempt < 20; attempt++ {
-		link.Seed += int64(attempt * 2)
-		ct, st, cleanup, err := NewSimPair(link, cfg.ClientID)
+		seed += int64(attempt * 2)
+		client, near := net.Pipe()
+		far, server := net.Pipe()
+		go lossyRelay(near, far, loss, seed)
+		go lossyRelay(far, near, loss, seed+1)
+		b.AttachConn(server)
+		c, err := Connect(client, cfg)
 		if err != nil {
-			t.Fatal(err)
+			continue // Connect closed client; the relays close the rest
 		}
-		b.AttachTransport(st)
-		c, err := Connect(ct, cfg)
-		if err != nil {
-			cleanup()
-			continue
-		}
-		t.Cleanup(func() { c.Close(); cleanup() })
+		t.Cleanup(func() { c.Close() })
 		return c
 	}
 	t.Fatal("could not connect over lossy link in 20 attempts")
 	return nil
+}
+
+// lossyRelay copies whole packets from one pipe to the other, dropping each
+// with probability loss from an RNG seeded with seed: a link that loses
+// packets beneath the MQTT layer. When either side closes it closes both.
+func lossyRelay(from, to net.Conn, loss float64, seed int64) {
+	defer from.Close()
+	defer to.Close()
+	rng := rand.New(rand.NewSource(seed))
+	r := bufio.NewReader(from)
+	for {
+		p, err := ReadPacket(r)
+		if err != nil {
+			return
+		}
+		if rng.Float64() < loss {
+			continue
+		}
+		raw, err := p.Encode()
+		if err != nil {
+			return
+		}
+		if _, err := to.Write(raw); err != nil {
+			return
+		}
+	}
 }
 
 func TestQoS1SurvivesLossyLink(t *testing.T) {
@@ -256,8 +274,7 @@ func TestQoS1SurvivesLossyLink(t *testing.T) {
 	defer b.Close()
 
 	// Publisher on a 30% lossy link; QoS 1 retries must get everything through.
-	pub := connectLossy(t, b, ClientConfig{ClientID: "lossy-pub", AckTimeout: 50 * time.Millisecond, PublishRetries: 30},
-		simnet.Config{LossProb: 0.3, Seed: 7})
+	pub := connectLossy(t, b, ClientConfig{ClientID: "lossy-pub", AckTimeout: 50 * time.Millisecond, PublishRetries: 30}, 0.3, 7)
 
 	sub := newTestPair(t, b, "clean-sub")
 	seen := make(map[string]bool)
@@ -286,8 +303,7 @@ func TestQoS1SurvivesLossyLink(t *testing.T) {
 func TestQoS0DropsOnLossyLink(t *testing.T) {
 	b := NewBroker(BrokerConfig{})
 	defer b.Close()
-	pub := connectLossy(t, b, ClientConfig{ClientID: "q0-pub", AckTimeout: 200 * time.Millisecond, PublishRetries: 50},
-		simnet.Config{LossProb: 0.5, Seed: 3})
+	pub := connectLossy(t, b, ClientConfig{ClientID: "q0-pub", AckTimeout: 200 * time.Millisecond, PublishRetries: 50}, 0.5, 3)
 
 	sub := newTestPair(t, b, "q0-sub")
 	var n atomic.Int32

@@ -3,6 +3,7 @@ package mqtt
 import (
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"time"
 )
@@ -41,11 +42,11 @@ var ErrClientClosed = errors.New("mqtt: client closed")
 // (wrapped with context).
 var ErrAckTimeout = errors.New("mqtt: ack timeout")
 
-// Client is an MQTT client running over any Transport. Construct with
-// Connect. Safe for concurrent use.
+// Client is an MQTT client over one connection. Construct with Connect.
+// Safe for concurrent use.
 type Client struct {
 	cfg ClientConfig
-	t   Transport
+	t   *stream
 
 	mu       sync.Mutex
 	nextID   uint16
@@ -68,13 +69,14 @@ type clientSub struct {
 	handler Handler
 }
 
-// Connect performs the MQTT handshake over t and starts the client loops.
-// On error the transport is closed.
-func Connect(t Transport, cfg ClientConfig) (*Client, error) {
+// Connect performs the MQTT handshake over conn and starts the client
+// loops. On error conn is closed.
+func Connect(conn net.Conn, cfg ClientConfig) (*Client, error) {
 	if cfg.ClientID == "" {
-		t.Close()
+		conn.Close()
 		return nil, fmt.Errorf("mqtt: empty client id")
 	}
+	t := newStream(conn)
 	if cfg.AckTimeout <= 0 {
 		cfg.AckTimeout = 2 * time.Second
 	}
@@ -88,7 +90,7 @@ func Connect(t Transport, cfg ClientConfig) (*Client, error) {
 		pingpong: make(chan struct{}, 1),
 		done:     make(chan struct{}),
 	}
-	conn := &Packet{
+	connect := &Packet{
 		Type:         CONNECT,
 		ClientID:     cfg.ClientID,
 		Username:     cfg.Username,
@@ -96,21 +98,21 @@ func Connect(t Transport, cfg ClientConfig) (*Client, error) {
 		KeepAliveSec: uint16(cfg.KeepAlive / time.Second),
 		CleanSession: cfg.CleanSession,
 	}
-	if err := t.WritePacket(conn); err != nil {
-		t.Close()
+	if err := t.writePacket(connect); err != nil {
+		t.close()
 		return nil, fmt.Errorf("mqtt connect: %w", err)
 	}
 	ack, err := c.readWithTimeout(cfg.AckTimeout)
 	if err != nil {
-		t.Close()
+		t.close()
 		return nil, fmt.Errorf("mqtt connect: waiting CONNACK: %w", err)
 	}
 	if ack.Type != CONNACK {
-		t.Close()
+		t.close()
 		return nil, fmt.Errorf("mqtt connect: got %v, want CONNACK", ack.Type)
 	}
 	if ack.ReturnCode != ConnAccepted {
-		t.Close()
+		t.close()
 		return nil, fmt.Errorf("mqtt connect: refused (code %d)", ack.ReturnCode)
 	}
 
@@ -164,7 +166,7 @@ func (c *Client) readWithTimeout(d time.Duration) (*Packet, error) {
 	}
 	ch := make(chan res, 1)
 	go func() {
-		p, err := c.t.ReadPacket()
+		p, err := c.t.readPacket()
 		ch <- res{p, err}
 	}()
 	select {
@@ -184,9 +186,9 @@ func (c *Client) Close() error {
 	}
 	c.closed = true
 	c.mu.Unlock()
-	_ = c.t.WritePacket(&Packet{Type: DISCONNECT})
+	_ = c.t.writePacket(&Packet{Type: DISCONNECT})
 	close(c.done)
-	err := c.t.Close()
+	err := c.t.close()
 	c.wg.Wait()
 	return err
 }
@@ -201,7 +203,7 @@ func (c *Client) Closed() bool {
 
 func (c *Client) readLoop() {
 	for {
-		pkt, err := c.t.ReadPacket()
+		pkt, err := c.t.readPacket()
 		if err != nil {
 			c.mu.Lock()
 			if !c.closed {
@@ -216,7 +218,7 @@ func (c *Client) readLoop() {
 		case PUBLISH:
 			c.dispatch(pkt)
 			if pkt.QoS == 1 {
-				_ = c.t.WritePacket(&Packet{Type: PUBACK, PacketID: pkt.PacketID})
+				_ = c.t.writePacket(&Packet{Type: PUBACK, PacketID: pkt.PacketID})
 			}
 		case PUBACK, SUBACK, UNSUBACK:
 			c.mu.Lock()
@@ -273,7 +275,7 @@ func (c *Client) pingLoop() {
 		case <-c.done:
 			return
 		case <-tick.C:
-			if err := c.t.WritePacket(&Packet{Type: PINGREQ}); err != nil {
+			if err := c.t.writePacket(&Packet{Type: PINGREQ}); err != nil {
 				return
 			}
 		}
@@ -324,7 +326,7 @@ func (c *Client) Publish(topic string, payload []byte, qos byte, retain bool) er
 		if closed {
 			return ErrClientClosed
 		}
-		return c.t.WritePacket(&Packet{Type: PUBLISH, Topic: topic, Payload: payload, Retain: retain})
+		return c.t.writePacket(&Packet{Type: PUBLISH, Topic: topic, Payload: payload, Retain: retain})
 	}
 
 	id, ch, err := c.allocAck()
@@ -337,7 +339,7 @@ func (c *Client) Publish(topic string, payload []byte, qos byte, retain bool) er
 		if attempt > 0 {
 			pkt.Dup = true
 		}
-		if err := c.t.WritePacket(pkt); err != nil {
+		if err := c.t.writePacket(pkt); err != nil {
 			return fmt.Errorf("mqtt publish %q: %w", topic, err)
 		}
 		timer := getAckTimer(c.cfg.AckTimeout)
@@ -410,7 +412,7 @@ func (c *Client) Subscribe(filter string, qos byte, handler Handler) (byte, erro
 	}
 
 	pkt := &Packet{Type: SUBSCRIBE, PacketID: id, Filters: []Subscription{{Filter: filter, QoS: qos}}}
-	if err := c.t.WritePacket(pkt); err != nil {
+	if err := c.t.writePacket(pkt); err != nil {
 		rollback()
 		return 0, fmt.Errorf("mqtt subscribe %q: %w", filter, err)
 	}
@@ -439,7 +441,7 @@ func (c *Client) Unsubscribe(filter string) error {
 	}
 	defer c.dropAck(id)
 	pkt := &Packet{Type: UNSUBSCRIBE, PacketID: id, Filters: []Subscription{{Filter: filter}}}
-	if err := c.t.WritePacket(pkt); err != nil {
+	if err := c.t.writePacket(pkt); err != nil {
 		return fmt.Errorf("mqtt unsubscribe %q: %w", filter, err)
 	}
 	timer := getAckTimer(c.cfg.AckTimeout)
@@ -474,7 +476,7 @@ func (c *Client) Ping(timeout time.Duration) error {
 	case <-c.pingpong: // drain stale pong
 	default:
 	}
-	if err := c.t.WritePacket(&Packet{Type: PINGREQ}); err != nil {
+	if err := c.t.writePacket(&Packet{Type: PINGREQ}); err != nil {
 		return err
 	}
 	timer := getAckTimer(timeout)

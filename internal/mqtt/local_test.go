@@ -125,19 +125,19 @@ func TestReservedIDRefusedAtConnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := NewStreamTransport(conn)
-	defer st.Close()
-	if err := st.WritePacket(&Packet{Type: CONNECT, ClientID: "iot-agent", CleanSession: true}); err != nil {
+	st := newStream(conn)
+	defer st.close()
+	if err := st.writePacket(&Packet{Type: CONNECT, ClientID: "iot-agent", CleanSession: true}); err != nil {
 		t.Fatal(err)
 	}
-	ack, err := st.ReadPacket()
+	ack, err := st.readPacket()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ack.Type != CONNACK || ack.ReturnCode != ConnRefusedIdentifier {
 		t.Fatalf("CONNECT as an attached id answered %v code %d, want CONNACK code %d", ack.Type, ack.ReturnCode, ConnRefusedIdentifier)
 	}
-	if _, err := st.ReadPacket(); err == nil {
+	if _, err := st.readPacket(); err == nil {
 		t.Error("refused connection left open")
 	}
 	if got := b.Metrics().Counter("mqtt.connect.refused").Value(); got != 1 {

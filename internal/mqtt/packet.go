@@ -4,9 +4,8 @@
 // plus retained messages and the standard '+' / '#' topic wildcards.
 //
 // The wire codec is the real 3.1.1 framing (fixed header, varint remaining
-// length, UTF-8 strings), so the broker can serve genuine TCP clients; an
-// additional transport runs the same packets over simnet links to model
-// lossy rural connections beneath the MQTT layer.
+// length, UTF-8 strings) over any net.Conn: genuine TCP clients and
+// in-process peers on a net.Pipe take the same byte-stream path.
 package mqtt
 
 import (

@@ -218,7 +218,7 @@ func TestReadPacketBoundsBodyAlloc(t *testing.T) {
 	done := make(chan error, 1)
 	before = totalAlloc()
 	go func() {
-		_, err := NewStreamTransport(server).ReadPacket()
+		_, err := newStream(server).readPacket()
 		done <- err
 	}()
 	if _, err := client.Write(claim); err != nil {

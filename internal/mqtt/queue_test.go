@@ -1,7 +1,9 @@
 package mqtt
 
 import (
+	"bufio"
 	"fmt"
+	"net"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -11,98 +13,120 @@ import (
 	"github.com/swamp-project/swamp/internal/clock"
 )
 
-// scriptTransport is a broker-side transport driven directly by the test:
-// the test injects inbound packets with send() and inspects everything the
-// broker wrote. Writes of PUBLISH packets can be stalled, modelling a
-// subscriber that stops draining its link — the failure the per-session
-// queues must isolate.
-type scriptTransport struct {
-	in      chan *Packet
+// scriptConn is the broker's end of a pipe whose far end the test reads.
+// Its writes can be stalled, modelling a subscriber that stops draining its
+// link — the failure the per-session queues must isolate — and it records
+// the most Write calls ever in flight at once.
+type scriptConn struct {
+	net.Conn
 	release chan struct{} // closed → stalled writes unblock
 	closed  chan struct{}
 	once    sync.Once
 
-	stalled atomic.Bool
-
-	mu     sync.Mutex
-	wrote  []*Packet // every packet the broker wrote
-	pubs   int       // PUBLISH count, for cheap polling
-	lastCk *Packet
+	stalled      atomic.Bool
+	active, peak atomic.Int32
 }
 
-func newScriptTransport() *scriptTransport {
-	return &scriptTransport{
-		in:      make(chan *Packet, 64),
-		release: make(chan struct{}),
-		closed:  make(chan struct{}),
-	}
-}
-
-func (t *scriptTransport) send(p *Packet) { t.in <- p }
-
-func (t *scriptTransport) WritePacket(p *Packet) error {
-	if p.Type == PUBLISH && t.stalled.Load() {
-		select {
-		case <-t.release:
-		case <-t.closed:
-			return ErrTransportClosed
+func (c *scriptConn) Write(b []byte) (int, error) {
+	n := c.active.Add(1)
+	defer c.active.Add(-1)
+	for {
+		m := c.peak.Load()
+		if n <= m || c.peak.CompareAndSwap(m, n) {
+			break
 		}
 	}
-	select {
-	case <-t.closed:
-		return ErrTransportClosed
-	default:
+	if c.stalled.Load() {
+		select {
+		case <-c.release:
+		case <-c.closed:
+			return 0, net.ErrClosed
+		}
 	}
-	t.mu.Lock()
-	t.wrote = append(t.wrote, p)
-	if p.Type == PUBLISH {
-		t.pubs++
+	runtime.Gosched() // hold the call open so a second writer would overlap
+	return c.Conn.Write(b)
+}
+
+func (c *scriptConn) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return c.Conn.Close()
+}
+
+// scriptPeer is the test's side of a scripted session: it sends packets
+// encoded by hand and records every packet the broker writes.
+type scriptPeer struct {
+	*scriptConn
+	client net.Conn
+
+	mu    sync.Mutex
+	wrote []*Packet // every packet the broker wrote
+	pubs  int       // PUBLISH count, for cheap polling
+}
+
+func newScriptPeer(t *testing.T, b *Broker) *scriptPeer {
+	client, server := net.Pipe()
+	t.Cleanup(func() { client.Close() })
+	p := &scriptPeer{
+		scriptConn: &scriptConn{Conn: server, release: make(chan struct{}), closed: make(chan struct{})},
+		client:     client,
 	}
-	t.mu.Unlock()
-	return nil
+	b.AttachConn(p.scriptConn)
+	go p.record()
+	return p
 }
 
-func (t *scriptTransport) ReadPacket() (*Packet, error) {
-	select {
-	case p := <-t.in:
-		return p, nil
-	case <-t.closed:
-		return nil, ErrTransportClosed
+// record reads the broker's packets off the far end until it closes.
+func (p *scriptPeer) record() {
+	r := bufio.NewReader(p.client)
+	for {
+		pkt, err := ReadPacket(r)
+		if err != nil {
+			return
+		}
+		p.mu.Lock()
+		p.wrote = append(p.wrote, pkt)
+		if pkt.Type == PUBLISH {
+			p.pubs++
+		}
+		p.mu.Unlock()
 	}
 }
 
-func (t *scriptTransport) Close() error {
-	t.once.Do(func() { close(t.closed) })
-	return nil
+func (p *scriptPeer) send(pkt *Packet) {
+	raw, err := pkt.Encode()
+	if err != nil {
+		panic(err)
+	}
+	// A write fails only once the broker has hung up, which the caller's
+	// waits then report.
+	_, _ = p.client.Write(raw)
 }
 
-func (t *scriptTransport) RemoteAddr() string { return "script" }
-
-func (t *scriptTransport) publishCount() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.pubs
+func (p *scriptPeer) publishCount() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.pubs
 }
 
-func (t *scriptTransport) count(typ PacketType) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+func (p *scriptPeer) count(typ PacketType) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	n := 0
-	for _, p := range t.wrote {
-		if p.Type == typ {
+	for _, pkt := range p.wrote {
+		if pkt.Type == typ {
 			n++
 		}
 	}
 	return n
 }
 
-func (t *scriptTransport) publishes() []*Packet {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+func (p *scriptPeer) publishes() []*Packet {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	var out []*Packet
-	for _, p := range t.wrote {
-		if p.Type == PUBLISH {
-			out = append(out, p)
+	for _, pkt := range p.wrote {
+		if pkt.Type == PUBLISH {
+			out = append(out, pkt)
 		}
 	}
 	return out
@@ -110,27 +134,17 @@ func (t *scriptTransport) publishes() []*Packet {
 
 // attachScripted connects a scripted session (CONNECT + one SUBSCRIBE) and
 // waits for the broker to acknowledge both.
-func attachScripted(t *testing.T, b *Broker, id, filter string, qos byte) *scriptTransport {
+func attachScripted(t *testing.T, b *Broker, id, filter string, qos byte) *scriptPeer {
 	t.Helper()
-	st := newScriptTransport()
-	t.Cleanup(func() { st.Close() })
-	b.AttachTransport(st)
-	st.send(&Packet{Type: CONNECT, ClientID: id})
+	return attachScriptedConnect(t, b, &Packet{Type: CONNECT, ClientID: id}, filter, qos)
+}
+
+func attachScriptedConnect(t *testing.T, b *Broker, connect *Packet, filter string, qos byte) *scriptPeer {
+	t.Helper()
+	st := newScriptPeer(t, b)
+	st.send(connect)
 	st.send(&Packet{Type: SUBSCRIBE, PacketID: 1, Filters: []Subscription{{Filter: filter, QoS: qos}}})
-	waitFor(t, time.Second, func() bool {
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		var seenConnack, seenSuback bool
-		for _, p := range st.wrote {
-			switch p.Type {
-			case CONNACK:
-				seenConnack = true
-			case SUBACK:
-				seenSuback = true
-			}
-		}
-		return seenConnack && seenSuback
-	})
+	waitFor(t, time.Second, func() bool { return st.count(CONNACK) == 1 && st.count(SUBACK) == 1 })
 	return st
 }
 
@@ -302,7 +316,7 @@ func TestRedeliveryDrivenBySimClock(t *testing.T) {
 // TestRetainedSharded: retained messages live in a sharded store; storing,
 // replacing, clearing and wildcard snapshot-on-subscribe all still work.
 func TestRetainedSharded(t *testing.T) {
-	b := NewBroker(BrokerConfig{RetainedShards: 4})
+	b := NewBroker(BrokerConfig{})
 	defer b.Close()
 	pub := newTestPair(t, b, "pub")
 	const topics = 20
@@ -331,20 +345,15 @@ func TestRetainedSharded(t *testing.T) {
 	waitFor(t, time.Second, func() bool { return b.RetainedCount() == topics-1 })
 }
 
-// TestKeepaliveReapsWedgedWriter: a session whose transport blocks writes
+// TestKeepaliveReapsWedgedWriter: a session whose connection blocks writes
 // forever (dead TCP peer) must still be reaped by the keepalive watchdog —
-// the writer goroutine being stuck mid-WritePacket cannot disable it.
+// the writer goroutine being stuck mid-write cannot disable it.
 func TestKeepaliveReapsWedgedWriter(t *testing.T) {
 	b := NewBroker(BrokerConfig{RetryInterval: 20 * time.Millisecond})
 	defer b.Close()
 
-	st := newScriptTransport()
-	t.Cleanup(func() { st.Close() })
-	b.AttachTransport(st)
-	st.stalled.Store(true) // wedge every PUBLISH write from the start
-	st.send(&Packet{Type: CONNECT, ClientID: "wedged", KeepAliveSec: 1})
-	st.send(&Packet{Type: SUBSCRIBE, PacketID: 1, Filters: []Subscription{{Filter: "wdg/#"}}})
-	waitFor(t, time.Second, func() bool { return b.SessionCount() == 1 })
+	st := attachScriptedConnect(t, b, &Packet{Type: CONNECT, ClientID: "wedged", KeepAliveSec: 1}, "wdg/#", 0)
+	st.stalled.Store(true) // wedge every write from here on
 
 	// Wedge the writer on a delivery, then go silent.
 	pub := newTestPair(t, b, "pub")
@@ -352,7 +361,7 @@ func TestKeepaliveReapsWedgedWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Silence > 1.5×keepalive → the watchdog drops the session even though
-	// the writer is still stuck inside WritePacket.
+	// the writer is still stuck inside its write.
 	waitFor(t, 4*time.Second, func() bool { return b.SessionCount() == 1 }) // pub only
 }
 
@@ -389,33 +398,11 @@ func TestQoS1InflightWindowBounded(t *testing.T) {
 	close(st.release)
 }
 
-// overlapTransport counts WritePacket calls in flight at once. It is not a
-// FrameWriter, so every byte the broker sends this session goes through the
-// counted call.
-type overlapTransport struct {
-	*scriptTransport
-	active, peak atomic.Int32
-}
-
-func (t *overlapTransport) WritePacket(p *Packet) error {
-	n := t.active.Add(1)
-	for {
-		m := t.peak.Load()
-		if n <= m || t.peak.CompareAndSwap(m, n) {
-			break
-		}
-	}
-	runtime.Gosched() // hold the call open so a second writer would overlap
-	err := t.scriptTransport.WritePacket(p)
-	t.active.Add(-1)
-	return err
-}
-
-// TestSingleWriterPerTransport: exactly one goroutine writes each transport
+// TestSingleWriterPerTransport: exactly one goroutine writes each connection
 // (DESIGN §4.1). One session receives routed QoS 0/1 publishes from other
 // sessions while its own read loop generates SUBACKs with retained replays,
 // PINGRESPs and PUBACKs, and unacknowledged QoS 1 deliveries come round again
-// on the retry pass; at no point may two WritePacket calls overlap.
+// on the retry pass; at no point may two conn.Write calls overlap.
 func TestSingleWriterPerTransport(t *testing.T) {
 	// The queue bound exceeds everything the test sends, so no control
 	// response is shed and the counts below are exact.
@@ -431,9 +418,7 @@ func TestSingleWriterPerTransport(t *testing.T) {
 	}
 	waitFor(t, time.Second, func() bool { return b.RetainedCount() == retained })
 
-	ot := &overlapTransport{scriptTransport: newScriptTransport()}
-	t.Cleanup(func() { ot.Close() })
-	b.AttachTransport(ot)
+	ot := newScriptPeer(t, b)
 	ot.send(&Packet{Type: CONNECT, ClientID: "mix"})
 	ot.send(&Packet{Type: SUBSCRIBE, PacketID: 1, Filters: []Subscription{{Filter: "mix/#", QoS: 1}}})
 	waitFor(t, time.Second, func() bool { return ot.count(SUBACK) == 1 })
@@ -461,7 +446,7 @@ func TestSingleWriterPerTransport(t *testing.T) {
 	}
 	wg.Wait()
 	// Every kind of write happened: the control responses are exact, and
-	// routed, retained and redelivered publishes each reached the transport.
+	// routed, retained and redelivered publishes each reached the connection.
 	waitFor(t, 5*time.Second, func() bool {
 		var routed, retainedSeen, dups bool
 		for _, p := range ot.publishes() {
@@ -473,6 +458,6 @@ func TestSingleWriterPerTransport(t *testing.T) {
 			routed && retainedSeen && dups
 	})
 	if peak := ot.peak.Load(); peak != 1 {
-		t.Fatalf("max concurrent WritePacket calls = %d, want 1", peak)
+		t.Fatalf("max concurrent conn.Write calls = %d, want 1", peak)
 	}
 }

@@ -1,11 +1,12 @@
 package mqtt
 
 import (
+	"errors"
+	"net"
+	"os"
 	"testing"
 	"testing/quick"
 	"time"
-
-	"github.com/swamp-project/swamp/internal/simnet"
 )
 
 // TestBrokerKeepaliveExpiry: a client that stops talking past 1.5× its
@@ -13,20 +14,10 @@ import (
 func TestBrokerKeepaliveExpiry(t *testing.T) {
 	b := NewBroker(BrokerConfig{RetryInterval: 20 * time.Millisecond})
 	defer b.Close()
-	// KeepAlive 0 on the client side disables client pings; the CONNECT
-	// still advertises 1 second, so the broker expects traffic.
-	ct, st, cleanup, err := NewSimPair(simnet.Config{}, "quiet")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cleanup()
-	b.AttachTransport(st)
-	// Hand-roll the connect so no ping loop runs.
-	if err := ct.WritePacket(&Packet{Type: CONNECT, ClientID: "quiet", KeepAliveSec: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ct.ReadPacket(); err != nil {
-		t.Fatal(err)
+	// Hand-roll the connect so no ping loop runs; the CONNECT advertises 1
+	// second, so the broker expects traffic.
+	if _, code := dialRaw(t, b, &Packet{Type: CONNECT, ClientID: "quiet", KeepAliveSec: 1}); code != ConnAccepted {
+		t.Fatalf("handshake refused: 0x%02x", code)
 	}
 	waitFor(t, time.Second, func() bool { return b.SessionCount() == 1 })
 	// Silence > 1.5s → dropped.
@@ -39,13 +30,10 @@ func TestBrokerSurvivesGarbage(t *testing.T) {
 	b := NewBroker(BrokerConfig{Logf: func(string, ...any) {}})
 	defer b.Close()
 	f := func(blob []byte) bool {
-		ct, st, cleanup, err := NewSimPair(simnet.Config{}, "garbage")
-		if err != nil {
-			return false
-		}
-		defer cleanup()
-		b.AttachTransport(st)
-		_ = ct.(*SimTransport).ep.Send(blob) // raw frame, bypassing the codec
+		client, server := net.Pipe()
+		defer client.Close()
+		b.AttachConn(server)
+		_, _ = client.Write(blob) // raw bytes, bypassing the codec; the broker may hang up first
 		time.Sleep(time.Millisecond)
 		return true
 	}
@@ -62,23 +50,15 @@ func TestBrokerSurvivesGarbage(t *testing.T) {
 func TestBrokerRejectsNonConnectFirst(t *testing.T) {
 	b := NewBroker(BrokerConfig{Logf: func(string, ...any) {}})
 	defer b.Close()
-	ct, st, cleanup, err := NewSimPair(simnet.Config{}, "eager")
-	if err != nil {
+	p := attachRaw(t, b)
+	p.send(&Packet{Type: PUBLISH, Topic: "x", Payload: []byte("y")})
+	// The broker must close the connection; the next read fails.
+	if err := p.conn.SetReadDeadline(time.Now().Add(time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	defer cleanup()
-	b.AttachTransport(st)
-	if err := ct.WritePacket(&Packet{Type: PUBLISH, Topic: "x", Payload: []byte("y")}); err != nil {
-		t.Fatal(err)
+	if pkt, err := ReadPacket(p.r); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("broker kept a session that never sent CONNECT: read %+v, %v", pkt, err)
 	}
-	// The broker must close the transport; the next read fails.
-	deadline := time.Now().Add(time.Second)
-	for time.Now().Before(deadline) {
-		if _, err := ct.ReadPacket(); err != nil {
-			return
-		}
-	}
-	t.Fatal("broker kept a session that never sent CONNECT")
 }
 
 // TestBrokerRejectsEmptyClientID per MQTT 3.1.1 with clean-session
@@ -86,20 +66,8 @@ func TestBrokerRejectsNonConnectFirst(t *testing.T) {
 func TestBrokerRejectsEmptyClientID(t *testing.T) {
 	b := NewBroker(BrokerConfig{})
 	defer b.Close()
-	ct, st, cleanup, err := NewSimPair(simnet.Config{}, "anon")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cleanup()
-	b.AttachTransport(st)
-	if err := ct.WritePacket(&Packet{Type: CONNECT, ClientID: ""}); err != nil {
-		t.Fatal(err)
-	}
-	// The broker sends a refusal CONNACK and immediately closes; depending
-	// on scheduling the client sees either. Both are a rejection.
-	ack, err := ct.ReadPacket()
-	if err == nil && (ack.Type != CONNACK || ack.ReturnCode != ConnRefusedIdentifier) {
-		t.Errorf("ack = %+v", ack)
+	if _, code := dialRaw(t, b, &Packet{Type: CONNECT, ClientID: ""}); code != ConnRefusedIdentifier {
+		t.Errorf("empty client id answered CONNACK code %d", code)
 	}
 	waitFor(t, time.Second, func() bool { return b.SessionCount() == 0 })
 }

@@ -9,8 +9,7 @@ import (
 )
 
 // countConn counts the Write calls the broker makes on a connection — one
-// per flush of the StreamTransport's buffered writer, the write(2) of a real
-// socket.
+// per flush of its buffered writer, the write(2) of a real socket.
 type countConn struct {
 	net.Conn
 	writes atomic.Int64
@@ -44,14 +43,20 @@ func attachCounted(t *testing.T, b *Broker, id string) *rawPeer {
 	return p
 }
 
+// attachRaw attaches a fresh counted pipe to b and returns the test's end.
+func attachRaw(t *testing.T, b *Broker) *rawPeer {
+	client, server := net.Pipe()
+	t.Cleanup(func() { client.Close() })
+	p := &rawPeer{t: t, conn: client, r: bufio.NewReader(client), server: &countConn{Conn: server}}
+	b.AttachConn(p.server)
+	return p
+}
+
 // dialRaw sends connect over a fresh counted pipe and returns the peer
 // with the CONNACK return code.
 func dialRaw(t *testing.T, b *Broker, connect *Packet) (*rawPeer, byte) {
 	t.Helper()
-	client, server := net.Pipe()
-	t.Cleanup(func() { client.Close() })
-	p := &rawPeer{t: t, conn: client, r: bufio.NewReader(client), server: &countConn{Conn: server}}
-	b.AttachTransport(NewStreamTransport(p.server))
+	p := attachRaw(t, b)
 	p.send(connect)
 	ack := p.read()
 	if ack.Type != CONNACK {

@@ -400,14 +400,14 @@ func TestBatcherOrderUnderConcurrency(t *testing.T) {
 		last[n.Entity.ID] = v
 	})})
 
-	stopFlusher := make(chan struct{})
+	stopFlushing := make(chan struct{})
 	var flusher sync.WaitGroup
 	flusher.Add(1)
 	go func() {
 		defer flusher.Done()
 		for {
 			select {
-			case <-stopFlusher:
+			case <-stopFlushing:
 				return
 			default:
 				ba.Flush()
@@ -429,7 +429,7 @@ func TestBatcherOrderUnderConcurrency(t *testing.T) {
 		}(fmt.Sprintf("e%d", g))
 	}
 	wg.Wait()
-	close(stopFlusher)
+	close(stopFlushing)
 	flusher.Wait()
 	ba.Flush()
 	for g := 0; g < adders; g++ {
