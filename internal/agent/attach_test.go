@@ -45,7 +45,7 @@ func TestAckedReadingsSurviveStalledContext(t *testing.T) {
 		}
 	}
 	// One gateway connection carries the fleet. The ack timeout outlasts the
-	// stall, so nothing is retransmitted and the counts below are exact.
+	// stall, so no publish fails and the counts below are exact.
 	gw := dialCfg(t, s.broker, mqtt.ClientConfig{ClientID: "gateway", AckTimeout: time.Minute})
 
 	var acked atomic.Int64

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"github.com/swamp-project/swamp/internal/ngsi"
-	"github.com/swamp-project/swamp/internal/tenant"
 	"github.com/swamp-project/swamp/internal/timeseries"
 )
 
@@ -18,7 +17,6 @@ import (
 // node rebuilds the filter from the shared hash, so follower copies of
 // foreign partitions never leak into a scatter leg.
 type wireQuery struct {
-	Tenant     tenant.ID        `json:"tenant,omitempty"`
 	IDPattern  string           `json:"idPattern,omitempty"`
 	Type       string           `json:"type,omitempty"`
 	Conditions []ngsi.Condition `json:"conditions,omitempty"`
@@ -36,19 +34,16 @@ type wireQueryResult struct {
 }
 
 type wireID struct {
-	Tenant tenant.ID `json:"tenant,omitempty"`
-	ID     string    `json:"id"`
+	ID string `json:"id"`
 }
 
 type wireUpdate struct {
-	Tenant tenant.ID                 `json:"tenant,omitempty"`
-	ID     string                    `json:"id"`
-	Type   string                    `json:"type"`
-	Attrs  map[string]ngsi.Attribute `json:"attrs"`
+	ID    string                    `json:"id"`
+	Type  string                    `json:"type"`
+	Attrs map[string]ngsi.Attribute `json:"attrs"`
 }
 
 type wireBatch struct {
-	Tenant  tenant.ID                  `json:"tenant,omitempty"`
 	Updates map[string]ngsi.BatchEntry `json:"updates"`
 }
 
@@ -62,7 +57,6 @@ type wireAppendResult struct {
 }
 
 type wireSeries struct {
-	Tenant   tenant.ID     `json:"tenant,omitempty"`
 	Device   string        `json:"device"`
 	Quantity string        `json:"quantity"`
 	From     time.Time     `json:"from"`
@@ -322,22 +316,9 @@ func (rt *Router) peer(node string) (*peerClient, error) {
 	return pc, nil
 }
 
-// call routes one request to a node, locally short-circuiting.
+// call routes one request to a peer node. Every caller serves its own
+// node's share locally and calls only for the others.
 func (rt *Router) call(node string, kind byte, in, out any) error {
-	if node == rt.node.id {
-		body, err := json.Marshal(in)
-		if err != nil {
-			return err
-		}
-		resp, err := rt.node.handleReq(kind, body)
-		if err != nil {
-			return err
-		}
-		if out == nil || len(resp) == 0 {
-			return nil
-		}
-		return json.Unmarshal(resp, out)
-	}
 	pc, err := rt.peer(node)
 	if err != nil {
 		return err
@@ -351,41 +332,41 @@ func (rt *Router) owner(key string) string {
 }
 
 // GetEntity reads an entity from its owning leader.
-func (rt *Router) GetEntity(tid tenant.ID, id string) (*ngsi.Entity, error) {
+func (rt *Router) GetEntity(id string) (*ngsi.Entity, error) {
 	node := rt.owner(id)
 	if node == rt.node.id {
 		return rt.node.hooks.Context.GetEntity(id)
 	}
 	var e ngsi.Entity
-	if err := rt.call(node, reqGet, wireID{Tenant: tid, ID: id}, &e); err != nil {
+	if err := rt.call(node, reqGet, wireID{ID: id}, &e); err != nil {
 		return nil, err
 	}
 	return &e, nil
 }
 
 // UpdateAttrs routes an attribute merge to the owning leader.
-func (rt *Router) UpdateAttrs(tid tenant.ID, id, typ string, attrs map[string]ngsi.Attribute) error {
+func (rt *Router) UpdateAttrs(id, typ string, attrs map[string]ngsi.Attribute) error {
 	node := rt.owner(id)
 	if node == rt.node.id {
 		return rt.node.UpdateAttrs(id, typ, attrs)
 	}
-	return rt.call(node, reqUpdateAttrs, wireUpdate{Tenant: tid, ID: id, Type: typ, Attrs: attrs}, nil)
+	return rt.call(node, reqUpdateAttrs, wireUpdate{ID: id, Type: typ, Attrs: attrs}, nil)
 }
 
 // DeleteEntity routes a delete to the owning leader.
-func (rt *Router) DeleteEntity(tid tenant.ID, id string) error {
+func (rt *Router) DeleteEntity(id string) error {
 	node := rt.owner(id)
 	if node == rt.node.id {
 		return rt.node.DeleteEntity(id)
 	}
-	return rt.call(node, reqDelete, wireID{Tenant: tid, ID: id}, nil)
+	return rt.call(node, reqDelete, wireID{ID: id}, nil)
 }
 
 // BatchUpdate splits a batch by owning leader and applies the slices
 // concurrently. Per-entity atomicity holds (an entity is in exactly one
 // slice); cross-entity atomicity across nodes does not, matching the
 // broker's own per-shard semantics.
-func (rt *Router) BatchUpdate(tid tenant.ID, updates map[string]ngsi.BatchEntry) error {
+func (rt *Router) BatchUpdate(updates map[string]ngsi.BatchEntry) error {
 	slices := make(map[string]map[string]ngsi.BatchEntry)
 	for id, e := range updates {
 		node := rt.owner(id)
@@ -457,7 +438,7 @@ func (rt *Router) fanOut(n int, start func(errs chan<- error)) error {
 // global ordering and an offset+limit over-fetch, the merged set is
 // re-sorted, and the global offset/limit window is cut. Counts are exact
 // — partitions are disjoint, so leg totals sum.
-func (rt *Router) Query(tid tenant.ID, q ngsi.Query) (ngsi.QueryResult, error) {
+func (rt *Router) Query(q ngsi.Query) (ngsi.QueryResult, error) {
 	m := rt.node.m
 	byLeader := make(map[string][]int)
 	for p := 0; p < m.Partitions(); p++ {
@@ -469,7 +450,6 @@ func (rt *Router) Query(tid tenant.ID, q ngsi.Query) (ngsi.QueryResult, error) {
 		need = q.Offset + q.Limit
 	}
 	wq := wireQuery{
-		Tenant:     tid,
 		IDPattern:  q.IDPattern,
 		Type:       q.Type,
 		Conditions: q.Conditions,
@@ -543,7 +523,7 @@ func (rt *Router) Query(tid tenant.ID, q ngsi.Query) (ngsi.QueryResult, error) {
 }
 
 // Summary routes a series aggregate to the device's owning leader.
-func (rt *Router) Summary(tid tenant.ID, device, quantity string, from, to time.Time) (timeseries.Aggregate, error) {
+func (rt *Router) Summary(device, quantity string, from, to time.Time) (timeseries.Aggregate, error) {
 	node := rt.owner(device)
 	if node == rt.node.id {
 		return rt.node.hooks.Store.Summarize(
@@ -551,12 +531,12 @@ func (rt *Router) Summary(tid tenant.ID, device, quantity string, from, to time.
 	}
 	var agg timeseries.Aggregate
 	err := rt.call(node, reqSummary,
-		wireSeries{Tenant: tid, Device: device, Quantity: quantity, From: from, To: to}, &agg)
+		wireSeries{Device: device, Quantity: quantity, From: from, To: to}, &agg)
 	return agg, err
 }
 
 // Windows routes a downsampled series read to the device's owning leader.
-func (rt *Router) Windows(tid tenant.ID, device, quantity string, from, to time.Time, window time.Duration) ([]timeseries.WindowAggregate, error) {
+func (rt *Router) Windows(device, quantity string, from, to time.Time, window time.Duration) ([]timeseries.WindowAggregate, error) {
 	node := rt.owner(device)
 	if node == rt.node.id {
 		return rt.node.hooks.Store.AggregateWindows(
@@ -564,6 +544,6 @@ func (rt *Router) Windows(tid tenant.ID, device, quantity string, from, to time.
 	}
 	var out wireWindows
 	err := rt.call(node, reqWindows,
-		wireSeries{Tenant: tid, Device: device, Quantity: quantity, From: from, To: to, Window: window}, &out)
+		wireSeries{Device: device, Quantity: quantity, From: from, To: to, Window: window}, &out)
 	return out.Windows, err
 }

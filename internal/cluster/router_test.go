@@ -27,7 +27,7 @@ func TestRouterWriteRouting(t *testing.T) {
 
 	for i := 0; i < 30; i++ {
 		id := fmt.Sprintf("urn:rt:%03d", i)
-		if err := entry.UpdateAttrs("", id, "Device", attrsOf(float64(i))); err != nil {
+		if err := entry.UpdateAttrs(id, "Device", attrsOf(float64(i))); err != nil {
 			t.Fatalf("routed write %s: %v", id, err)
 		}
 	}
@@ -42,22 +42,22 @@ func TestRouterWriteRouting(t *testing.T) {
 	}
 	// Reads route too: any entry node finds any entity.
 	for _, nid := range ids {
-		e, err := tc.member(nid).router.GetEntity("", "urn:rt:017")
+		e, err := tc.member(nid).router.GetEntity("urn:rt:017")
 		if err != nil || e.Attrs["level"].Value != 17.0 {
 			t.Fatalf("routed read via %s: e=%+v err=%v", nid, e, err)
 		}
 	}
 	// Missing ids map back to ngsi.ErrNotFound across the wire.
 	for _, nid := range ids {
-		if _, err := tc.member(nid).router.GetEntity("", "urn:rt:nope"); !errors.Is(err, ngsi.ErrNotFound) {
+		if _, err := tc.member(nid).router.GetEntity("urn:rt:nope"); !errors.Is(err, ngsi.ErrNotFound) {
 			t.Fatalf("missing entity via %s: err=%v, want ErrNotFound", nid, err)
 		}
 	}
 	// Routed delete.
-	if err := tc.member("n1").router.DeleteEntity("", "urn:rt:017"); err != nil {
+	if err := tc.member("n1").router.DeleteEntity("urn:rt:017"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tc.member("n2").router.GetEntity("", "urn:rt:017"); !errors.Is(err, ngsi.ErrNotFound) {
+	if _, err := tc.member("n2").router.GetEntity("urn:rt:017"); !errors.Is(err, ngsi.ErrNotFound) {
 		t.Fatalf("deleted entity still readable: %v", err)
 	}
 }
@@ -72,13 +72,13 @@ func TestRouterScatterGather(t *testing.T) {
 	const n = 40
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("urn:sg:%03d", i)
-		if err := entry.UpdateAttrs("", id, "Device", attrsOf(float64(i))); err != nil {
+		if err := entry.UpdateAttrs(id, "Device", attrsOf(float64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	// Ordered page with offset, exact count.
-	res, err := entry.Query("", ngsi.Query{
+	res, err := entry.Query(ngsi.Query{
 		IDPattern: "urn:sg:*", OrderBy: ngsi.OrderByID, Limit: 10, Offset: 5, Count: true,
 	})
 	if err != nil {
@@ -99,7 +99,7 @@ func TestRouterScatterGather(t *testing.T) {
 
 	// Same answer from every entry node.
 	for _, nid := range ids {
-		r2, err := tc.member(nid).router.Query("", ngsi.Query{
+		r2, err := tc.member(nid).router.Query(ngsi.Query{
 			IDPattern: "urn:sg:*", OrderBy: ngsi.OrderByID, Limit: 10, Offset: 5, Count: true,
 		})
 		if err != nil {
@@ -111,7 +111,7 @@ func TestRouterScatterGather(t *testing.T) {
 	}
 
 	// Unordered limit honours the cap; count stays exact.
-	res, err = entry.Query("", ngsi.Query{IDPattern: "urn:sg:*", Limit: 7, Count: true})
+	res, err = entry.Query(ngsi.Query{IDPattern: "urn:sg:*", Limit: 7, Count: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestRouterScatterGather(t *testing.T) {
 	}
 
 	// Attribute ordering with reversal crosses partitions correctly.
-	res, err = entry.Query("", ngsi.Query{IDPattern: "urn:sg:*", OrderBy: "!level", Limit: 3})
+	res, err = entry.Query(ngsi.Query{IDPattern: "urn:sg:*", OrderBy: "!level", Limit: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestRouterScatterGather(t *testing.T) {
 	}
 
 	// Offset past the result set yields an empty page, not an error.
-	res, err = entry.Query("", ngsi.Query{IDPattern: "urn:sg:*", OrderBy: ngsi.OrderByID, Limit: 10, Offset: n + 5})
+	res, err = entry.Query(ngsi.Query{IDPattern: "urn:sg:*", OrderBy: ngsi.OrderByID, Limit: 10, Offset: n + 5})
 	if err != nil || len(res.Entities) != 0 {
 		t.Fatalf("past-end page: len=%d err=%v", len(res.Entities), err)
 	}
@@ -150,7 +150,7 @@ func TestRouterBatchAndTelemetry(t *testing.T) {
 		id := fmt.Sprintf("urn:bt:%03d", i)
 		batch[id] = ngsi.BatchEntry{Type: "Device", Attrs: attrsOf(float64(i))}
 	}
-	if err := entry.BatchUpdate("", batch); err != nil {
+	if err := entry.BatchUpdate(batch); err != nil {
 		t.Fatal(err)
 	}
 	for id := range batch {
@@ -181,14 +181,14 @@ func TestRouterBatchAndTelemetry(t *testing.T) {
 
 	// Aggregates route to the owner regardless of entry node.
 	for _, nid := range ids {
-		agg, err := tc.member(nid).router.Summary("", "urn:bt:007", "moisture", at.Add(-time.Hour), at.Add(time.Hour))
+		agg, err := tc.member(nid).router.Summary("urn:bt:007", "moisture", at.Add(-time.Hour), at.Add(time.Hour))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if agg.Count != 5 || agg.Min != 70 || agg.Max != 74 {
 			t.Fatalf("summary via %s: %+v", nid, agg)
 		}
-		wins, err := tc.member(nid).router.Windows("", "urn:bt:007", "moisture", at.Add(-time.Minute), at.Add(5*time.Minute), 2*time.Minute)
+		wins, err := tc.member(nid).router.Windows("urn:bt:007", "moisture", at.Add(-time.Minute), at.Add(5*time.Minute), 2*time.Minute)
 		if err != nil {
 			t.Fatal(err)
 		}

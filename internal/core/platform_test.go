@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"runtime"
@@ -429,6 +430,60 @@ func TestSealedPlatformEndToEnd(t *testing.T) {
 	}
 }
 
+// slowAckConn is the broker's end of a device link whose broker-to-device
+// direction stalls each write by delay once armed: PUBACKs arrive late.
+type slowAckConn struct {
+	net.Conn
+	delay time.Duration
+	armed atomic.Bool
+}
+
+func (c *slowAckConn) Write(b []byte) (int, error) {
+	if c.armed.Load() {
+		time.Sleep(c.delay)
+	}
+	return c.Conn.Write(b)
+}
+
+// TestSlowPubackRaisesNoReplayAlarm: an honest sealed probe whose PUBACK
+// arrives after its AckTimeout sends its envelope once, so the agent's
+// replay guard sees one envelope and raises nothing.
+func TestSlowPubackRaisesNoReplayAlarm(t *testing.T) {
+	p := newPlatform(t, PilotIntercrop, ModeFarmFog, true)
+	u := p.Probes[0]
+	client, server := net.Pipe()
+	slow := &slowAckConn{Conn: server, delay: 150 * time.Millisecond}
+	p.Broker.AttachConn(slow)
+	// Connecting under the probe's own id takes its session over.
+	c, err := mqtt.Connect(client, mqtt.ClientConfig{ClientID: string(u.Prov.Desc.ID), AckTimeout: 40 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	send, err := agent.DeviceSender(u.Prov, c, p.KeyRing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readings, err := u.Probe.Sample(t0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow.armed.Store(true)
+	if err := send(readings); !errors.Is(err, mqtt.ErrAckTimeout) {
+		t.Errorf("send with a late PUBACK returned %v, want ErrAckTimeout", err)
+	}
+	if !p.Agent.WaitNorthbound(1, 2*time.Second) {
+		t.Fatal("the sealed reading never went north")
+	}
+	time.Sleep(250 * time.Millisecond) // past the late PUBACK
+	if n := p.Metrics().Counter("agent.north.replay").Value(); n != 0 {
+		t.Errorf("agent.north.replay = %d for one honest reading", n)
+	}
+	if n := p.Metrics().Counter("agent.north.ok").Value(); n != 1 {
+		t.Errorf("agent.north.ok = %d, want 1", n)
+	}
+}
+
 func TestBrokerACLBlocksRogueDevice(t *testing.T) {
 	p := newPlatform(t, PilotMATOPIBA, ModeFarmFog, false)
 	rogue, err := p.DialDevice("rogue-node")
@@ -620,7 +675,7 @@ func TestCloseUnderPublishLoad(t *testing.T) {
 		p.Broker.AttachConn(server)
 		// The twin publishes on the probe's topic; brokerACL keys on the
 		// client id, so it connects under the probe's own (taking it over).
-		c, err := mqtt.Connect(client, mqtt.ClientConfig{ClientID: string(u.Prov.Desc.ID), AckTimeout: 50 * time.Millisecond, PublishRetries: 1})
+		c, err := mqtt.Connect(client, mqtt.ClientConfig{ClientID: string(u.Prov.Desc.ID), AckTimeout: 50 * time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}

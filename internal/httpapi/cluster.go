@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/swamp-project/swamp/internal/ngsi"
-	"github.com/swamp-project/swamp/internal/tenant"
 	"github.com/swamp-project/swamp/internal/timeseries"
 )
 
@@ -26,19 +25,17 @@ import (
 // Entities returned by Query are read-only (ngsi.QueryResult): the local
 // leg of a scatter-gather hands back the broker's stored versions.
 //
-// Every call carries the originating tenant as typed request metadata.
-// Admission is charged exactly once, at the ingress node that resolved
-// the principal — the serving leader uses the ID for attribution
-// (routed-load accounting, audit), never to re-admit, so a routed
-// request can't be double-charged.
+// Calls carry no tenant. Admission is charged exactly once, at the
+// ingress node that resolved the principal, and the serving leader
+// neither re-admits nor accounts a routed request.
 type ClusterBackend interface {
-	Query(tid tenant.ID, q ngsi.Query) (ngsi.QueryResult, error)
-	GetEntity(tid tenant.ID, id string) (*ngsi.Entity, error)
-	UpdateAttrs(tid tenant.ID, id, typ string, attrs map[string]ngsi.Attribute) error
-	BatchUpdate(tid tenant.ID, updates map[string]ngsi.BatchEntry) error
-	DeleteEntity(tid tenant.ID, id string) error
-	Summary(tid tenant.ID, device, quantity string, from, to time.Time) (timeseries.Aggregate, error)
-	Windows(tid tenant.ID, device, quantity string, from, to time.Time, window time.Duration) ([]timeseries.WindowAggregate, error)
+	Query(q ngsi.Query) (ngsi.QueryResult, error)
+	GetEntity(id string) (*ngsi.Entity, error)
+	UpdateAttrs(id, typ string, attrs map[string]ngsi.Attribute) error
+	BatchUpdate(updates map[string]ngsi.BatchEntry) error
+	DeleteEntity(id string) error
+	Summary(device, quantity string, from, to time.Time) (timeseries.Aggregate, error)
+	Windows(device, quantity string, from, to time.Time, window time.Duration) ([]timeseries.WindowAggregate, error)
 }
 
 // clusterRetryable reports whether an error from the cluster backend is
@@ -67,41 +64,39 @@ func writeClusterMutationErr(w http.ResponseWriter, fallbackCode int, kind strin
 }
 
 // Backend indirection: each data route calls through these so cluster
-// mode changes routing, not handler logic. The request's context carries
-// the tenant stamped by authorize; local (non-cluster) stores don't need
-// it — single-node admission already ran at the front door.
+// mode changes routing, not handler logic.
 
-func (s *Server) backendQuery(r *http.Request, q ngsi.Query) (ngsi.QueryResult, error) {
+func (s *Server) backendQuery(q ngsi.Query) (ngsi.QueryResult, error) {
 	if s.cfg.Cluster != nil {
-		return s.cfg.Cluster.Query(tenant.FromContext(r.Context()), q)
+		return s.cfg.Cluster.Query(q)
 	}
 	return s.cfg.Context.Query(q)
 }
 
-func (s *Server) backendGetEntity(r *http.Request, id string) (*ngsi.Entity, error) {
+func (s *Server) backendGetEntity(id string) (*ngsi.Entity, error) {
 	if s.cfg.Cluster != nil {
-		return s.cfg.Cluster.GetEntity(tenant.FromContext(r.Context()), id)
+		return s.cfg.Cluster.GetEntity(id)
 	}
 	return s.cfg.Context.GetEntity(id)
 }
 
-func (s *Server) backendUpdateAttrs(r *http.Request, id, typ string, attrs map[string]ngsi.Attribute) error {
+func (s *Server) backendUpdateAttrs(id, typ string, attrs map[string]ngsi.Attribute) error {
 	if s.cfg.Cluster != nil {
-		return s.cfg.Cluster.UpdateAttrs(tenant.FromContext(r.Context()), id, typ, attrs)
+		return s.cfg.Cluster.UpdateAttrs(id, typ, attrs)
 	}
 	return s.cfg.Context.UpdateAttrs(id, typ, attrs)
 }
 
-func (s *Server) backendBatchUpdate(r *http.Request, updates map[string]ngsi.BatchEntry) error {
+func (s *Server) backendBatchUpdate(updates map[string]ngsi.BatchEntry) error {
 	if s.cfg.Cluster != nil {
-		return s.cfg.Cluster.BatchUpdate(tenant.FromContext(r.Context()), updates)
+		return s.cfg.Cluster.BatchUpdate(updates)
 	}
 	return s.cfg.Context.BatchUpdate(updates)
 }
 
-func (s *Server) backendDeleteEntity(r *http.Request, id string) error {
+func (s *Server) backendDeleteEntity(id string) error {
 	if s.cfg.Cluster != nil {
-		return s.cfg.Cluster.DeleteEntity(tenant.FromContext(r.Context()), id)
+		return s.cfg.Cluster.DeleteEntity(id)
 	}
 	return s.cfg.Context.DeleteEntity(id)
 }

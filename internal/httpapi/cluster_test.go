@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"github.com/swamp-project/swamp/internal/ngsi"
-	"github.com/swamp-project/swamp/internal/tenant"
 	"github.com/swamp-project/swamp/internal/timeseries"
 )
 
@@ -24,12 +23,12 @@ type fakeCluster struct {
 	wins     []timeseries.WindowAggregate
 }
 
-func (f *fakeCluster) Query(_ tenant.ID, q ngsi.Query) (ngsi.QueryResult, error) {
+func (f *fakeCluster) Query(q ngsi.Query) (ngsi.QueryResult, error) {
 	f.calls = append(f.calls, fmt.Sprintf("query limit=%d offset=%d order=%s", q.Limit, q.Offset, q.OrderBy))
 	return f.queryRes, f.err
 }
 
-func (f *fakeCluster) GetEntity(_ tenant.ID, id string) (*ngsi.Entity, error) {
+func (f *fakeCluster) GetEntity(id string) (*ngsi.Entity, error) {
 	f.calls = append(f.calls, "get "+id)
 	if f.entity == nil && f.err == nil {
 		return nil, fmt.Errorf("entity %q: %w", id, ngsi.ErrNotFound)
@@ -37,27 +36,27 @@ func (f *fakeCluster) GetEntity(_ tenant.ID, id string) (*ngsi.Entity, error) {
 	return f.entity, f.err
 }
 
-func (f *fakeCluster) UpdateAttrs(_ tenant.ID, id, typ string, attrs map[string]ngsi.Attribute) error {
+func (f *fakeCluster) UpdateAttrs(id, typ string, attrs map[string]ngsi.Attribute) error {
 	f.calls = append(f.calls, "update "+id)
 	return f.err
 }
 
-func (f *fakeCluster) BatchUpdate(_ tenant.ID, updates map[string]ngsi.BatchEntry) error {
+func (f *fakeCluster) BatchUpdate(updates map[string]ngsi.BatchEntry) error {
 	f.calls = append(f.calls, fmt.Sprintf("batch n=%d", len(updates)))
 	return f.err
 }
 
-func (f *fakeCluster) DeleteEntity(_ tenant.ID, id string) error {
+func (f *fakeCluster) DeleteEntity(id string) error {
 	f.calls = append(f.calls, "delete "+id)
 	return f.err
 }
 
-func (f *fakeCluster) Summary(_ tenant.ID, device, quantity string, from, to time.Time) (timeseries.Aggregate, error) {
+func (f *fakeCluster) Summary(device, quantity string, from, to time.Time) (timeseries.Aggregate, error) {
 	f.calls = append(f.calls, "summary "+device+"/"+quantity)
 	return f.agg, f.err
 }
 
-func (f *fakeCluster) Windows(_ tenant.ID, device, quantity string, from, to time.Time, window time.Duration) ([]timeseries.WindowAggregate, error) {
+func (f *fakeCluster) Windows(device, quantity string, from, to time.Time, window time.Duration) ([]timeseries.WindowAggregate, error) {
 	f.calls = append(f.calls, "windows "+device+"/"+quantity)
 	return f.wins, f.err
 }

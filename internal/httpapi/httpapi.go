@@ -505,7 +505,7 @@ func (s *Server) handleListEntities(w http.ResponseWriter, r *http.Request) {
 			count = true
 		}
 	}
-	res, err := s.backendQuery(r, ngsi.Query{
+	res, err := s.backendQuery(ngsi.Query{
 		IDPattern:  pattern,
 		Type:       qs.Get("type"),
 		Conditions: conds,
@@ -557,7 +557,7 @@ func (s *Server) handleGetEntity(w http.ResponseWriter, r *http.Request) {
 	if _, ok := s.authorize(w, r, "read", "ngsi:"+id); !ok {
 		return
 	}
-	e, err := s.backendGetEntity(r, id)
+	e, err := s.backendGetEntity(id)
 	if err != nil {
 		if s.cfg.Cluster != nil && !errors.Is(err, ngsi.ErrNotFound) && clusterRetryable(err) {
 			writeErr(w, http.StatusServiceUnavailable, "cluster_unavailable", err.Error())
@@ -607,7 +607,7 @@ func (s *Server) handleUpdateAttrs(w http.ResponseWriter, r *http.Request) {
 		}
 		attrs[name] = ngsi.Attribute{Type: typ, Value: a.Value}
 	}
-	if err := s.backendUpdateAttrs(r, id, entityType, attrs); err != nil {
+	if err := s.backendUpdateAttrs(id, entityType, attrs); err != nil {
 		if s.cfg.Cluster != nil {
 			writeClusterMutationErr(w, http.StatusBadRequest, "update_failed", err)
 		} else {
@@ -670,7 +670,7 @@ func (s *Server) handleBatchUpdate(w http.ResponseWriter, r *http.Request) {
 		}
 		updates[e.ID] = entry
 	}
-	if err := s.backendBatchUpdate(r, updates); err != nil {
+	if err := s.backendBatchUpdate(updates); err != nil {
 		if s.cfg.Cluster != nil {
 			writeClusterMutationErr(w, http.StatusBadRequest, "update_failed", err)
 		} else {
@@ -688,7 +688,7 @@ func (s *Server) handleDeleteEntity(w http.ResponseWriter, r *http.Request) {
 	if _, ok := s.authorize(w, r, "write", "ngsi:"+id); !ok {
 		return
 	}
-	if err := s.backendDeleteEntity(r, id); err != nil {
+	if err := s.backendDeleteEntity(id); err != nil {
 		// A durability failure answers 503, not 404: the delete was
 		// rolled back, so the entity is still there and the client
 		// must retry.
@@ -736,7 +736,7 @@ func (s *Server) handleAnalytics(w http.ResponseWriter, r *http.Request) {
 	var agg timeseries.Aggregate
 	if s.cfg.Cluster != nil {
 		var err error
-		agg, err = s.cfg.Cluster.Summary(tenant.FromContext(r.Context()), device, quantity, from, to)
+		agg, err = s.cfg.Cluster.Summary(device, quantity, from, to)
 		if err != nil {
 			writeErr(w, http.StatusServiceUnavailable, "cluster_unavailable", err.Error())
 			return
@@ -791,7 +791,7 @@ func (s *Server) handleAnalyticsSeries(w http.ResponseWriter, r *http.Request) {
 	var wins []timeseries.WindowAggregate
 	var err error
 	if s.cfg.Cluster != nil {
-		wins, err = s.cfg.Cluster.Windows(tenant.FromContext(r.Context()), device, quantity, from, to, window)
+		wins, err = s.cfg.Cluster.Windows(device, quantity, from, to, window)
 		if err != nil {
 			writeErr(w, http.StatusServiceUnavailable, "cluster_unavailable", err.Error())
 			return

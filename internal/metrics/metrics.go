@@ -12,24 +12,21 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Registry holds named metrics. The zero value is not usable; construct
 // with NewRegistry. All methods are safe for concurrent use.
 type Registry struct {
-	mu         sync.RWMutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	histograms map[string]*Histogram
+	mu       sync.RWMutex
+	counters map[string]*Counter
+	gauges   map[string]*Gauge
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
-		histograms: make(map[string]*Histogram),
+		counters: make(map[string]*Counter),
+		gauges:   make(map[string]*Gauge),
 	}
 }
 
@@ -82,24 +79,6 @@ func (r *Registry) DeleteGauge(name string) {
 	r.mu.Unlock()
 }
 
-// Histogram returns the histogram named name, creating it on first use.
-func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.RLock()
-	h := r.histograms[name]
-	r.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h := r.histograms[name]; h != nil {
-		return h
-	}
-	h = NewHistogram()
-	r.histograms[name] = h
-	return h
-}
-
 // Snapshot renders every metric as "name value" lines, sorted by name.
 func (r *Registry) Snapshot() string {
 	r.mu.RLock()
@@ -110,10 +89,6 @@ func (r *Registry) Snapshot() string {
 	}
 	for n, g := range r.gauges {
 		lines = append(lines, fmt.Sprintf("gauge %s %g", n, g.Value()))
-	}
-	for n, h := range r.histograms {
-		lines = append(lines, fmt.Sprintf("histogram %s count=%d p50=%v p99=%v",
-			n, h.Count(), h.Quantile(0.5), h.Quantile(0.99)))
 	}
 	sort.Strings(lines)
 	return strings.Join(lines, "\n")
@@ -155,94 +130,3 @@ func (g *Gauge) Add(d float64) {
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// Histogram records durations and answers quantile queries. It keeps the
-// raw samples (bounded) — at platform scale (thousands of samples per
-// bench run) this is simpler and more accurate than bucketing.
-type Histogram struct {
-	mu      sync.Mutex
-	samples []time.Duration
-	sorted  bool
-	max     int
-	// seen counts every observation ever made, not just retained ones:
-	// it drives the rolling overwrite index once the reservoir is full
-	// (len(samples) stops growing there, so an index derived from it
-	// would pin every overwrite to one slot) and is what Prometheus
-	// exposition reports as the cumulative _count.
-	seen uint64
-	// sum accumulates every observed duration for the exposition _sum.
-	sum time.Duration
-}
-
-// NewHistogram returns a histogram bounded to 100k samples.
-func NewHistogram() *Histogram {
-	return &Histogram{max: 100_000}
-}
-
-// Observe records one duration. Once the bound is hit, a rolling
-// overwrite driven by the total observation count keeps memory constant
-// while spreading replacements across the whole reservoir.
-func (h *Histogram) Observe(d time.Duration) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.samples) < h.max {
-		h.samples = append(h.samples, d)
-	} else {
-		h.samples[int(h.seen%uint64(h.max))] = d
-	}
-	h.seen++
-	h.sum += d
-	h.sorted = false
-}
-
-// Count returns the number of retained samples.
-func (h *Histogram) Count() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.samples)
-}
-
-// Observations returns the total number of Observe calls, including
-// samples since evicted from the reservoir.
-func (h *Histogram) Observations() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.seen
-}
-
-// Sum returns the cumulative total of every observed duration.
-func (h *Histogram) Sum() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
-// Quantile returns the q-quantile (0..1) of retained samples, or 0 if empty.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
-		return 0
-	}
-	if !h.sorted {
-		sort.Slice(h.samples, func(i, j int) bool { return h.samples[i] < h.samples[j] })
-		h.sorted = true
-	}
-	q = math.Max(0, math.Min(1, q))
-	idx := int(q * float64(len(h.samples)-1))
-	return h.samples[idx]
-}
-
-// Mean returns the mean of retained samples, or 0 if empty.
-func (h *Histogram) Mean() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, s := range h.samples {
-		sum += s
-	}
-	return sum / time.Duration(len(h.samples))
-}

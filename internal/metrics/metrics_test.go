@@ -4,7 +4,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounter(t *testing.T) {
@@ -48,80 +47,10 @@ func TestGauge(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantiles(t *testing.T) {
-	h := NewHistogram()
-	if h.Quantile(0.5) != 0 || h.Mean() != 0 {
-		t.Error("empty histogram should return 0")
-	}
-	for i := 1; i <= 100; i++ {
-		h.Observe(time.Duration(i) * time.Millisecond)
-	}
-	if h.Count() != 100 {
-		t.Errorf("count = %d", h.Count())
-	}
-	p50 := h.Quantile(0.5)
-	if p50 < 45*time.Millisecond || p50 > 55*time.Millisecond {
-		t.Errorf("p50 = %v", p50)
-	}
-	p99 := h.Quantile(0.99)
-	if p99 < 95*time.Millisecond {
-		t.Errorf("p99 = %v", p99)
-	}
-	if mean := h.Mean(); mean < 49*time.Millisecond || mean > 52*time.Millisecond {
-		t.Errorf("mean = %v", mean)
-	}
-	// Quantile clamping.
-	if h.Quantile(-1) != h.Quantile(0) || h.Quantile(2) != h.Quantile(1) {
-		t.Error("quantile clamping broken")
-	}
-}
-
-func TestHistogramBounded(t *testing.T) {
-	h := &Histogram{max: 100}
-	for i := 0; i < 1000; i++ {
-		h.Observe(time.Millisecond)
-	}
-	if h.Count() > 100 {
-		t.Errorf("histogram grew past bound: %d", h.Count())
-	}
-	if h.Observations() != 1000 {
-		t.Errorf("observations = %d, want 1000", h.Observations())
-	}
-}
-
-// Regression: once the reservoir filled, the overwrite index was derived
-// from len(samples)%max — always 0 — so every later sample landed in one
-// slot and the other max-1 slots fossilized. The rolling index must come
-// from the total observation count so overwrites sweep the reservoir.
-func TestHistogramReservoirRolls(t *testing.T) {
-	h := &Histogram{max: 10}
-	// Fill with a low value, then overwrite the entire reservoir with a
-	// high one. With the rolling index every slot is replaced; with the
-	// broken index 9 low samples survive and the median stays low.
-	for i := 0; i < 10; i++ {
-		h.Observe(time.Millisecond)
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(time.Second)
-	}
-	if got := h.Quantile(0); got != time.Second {
-		t.Fatalf("min retained sample = %v, want 1s: reservoir overwrites pinned to one slot", got)
-	}
-	if h.Observations() != 20 {
-		t.Errorf("observations = %d, want 20", h.Observations())
-	}
-	if h.Sum() != 10*time.Millisecond+10*time.Second {
-		t.Errorf("sum = %v", h.Sum())
-	}
-}
-
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("mqtt.publish.count").Add(42)
 	r.Gauge("mqtt.queue.depth").Set(7)
-	h := r.Histogram("api.latency")
-	h.Observe(100 * time.Millisecond)
-	h.Observe(300 * time.Millisecond)
 
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
@@ -133,17 +62,13 @@ func TestWritePrometheus(t *testing.T) {
 		"swamp_mqtt_publish_count 42\n",
 		"# TYPE swamp_mqtt_queue_depth gauge\n",
 		"swamp_mqtt_queue_depth 7\n",
-		"# TYPE swamp_api_latency_seconds summary\n",
-		"swamp_api_latency_seconds{quantile=\"0.5\"} ",
-		"swamp_api_latency_seconds_sum 0.4\n",
-		"swamp_api_latency_seconds_count 2\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
 	}
-	// Structural check: every non-comment line is "name[{labels}] value"
-	// and every sample is preceded by a TYPE declaration for its family.
+	// Structural check: every non-comment line is "name value" and every
+	// sample is preceded by a TYPE declaration for it.
 	types := map[string]bool{}
 	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
 		if strings.HasPrefix(line, "# TYPE ") {
@@ -160,12 +85,7 @@ func TestWritePrometheus(t *testing.T) {
 			t.Errorf("malformed sample line %q", line)
 			continue
 		}
-		name := fields[0]
-		if i := strings.IndexByte(name, '{'); i >= 0 {
-			name = name[:i]
-		}
-		family := strings.TrimSuffix(strings.TrimSuffix(name, "_sum"), "_count")
-		if !types[name] && !types[family] {
+		if !types[fields[0]] {
 			t.Errorf("sample %q has no TYPE declaration", line)
 		}
 	}
@@ -175,9 +95,8 @@ func TestSnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a.count").Inc()
 	r.Gauge("b.level").Set(7)
-	r.Histogram("c.lat").Observe(time.Second)
 	snap := r.Snapshot()
-	for _, want := range []string{"counter a.count 1", "gauge b.level 7", "histogram c.lat"} {
+	for _, want := range []string{"counter a.count 1", "gauge b.level 7"} {
 		if !strings.Contains(snap, want) {
 			t.Errorf("snapshot missing %q:\n%s", want, snap)
 		}

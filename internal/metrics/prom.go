@@ -23,10 +23,8 @@ func promName(name string) string {
 }
 
 // WritePrometheus renders every metric in the Prometheus text exposition
-// format (version 0.0.4): counters and gauges as single samples,
-// histograms as summaries — quantile-labelled samples from the retained
-// reservoir plus cumulative _sum (seconds) and _count over all
-// observations. Families are sorted by name so output is diffable.
+// format (version 0.0.4): counters and gauges as single samples. Families
+// are sorted by name so output is diffable.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -51,22 +49,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for _, n := range names {
 		pn := promName(n)
 		fmt.Fprintf(&b, "# TYPE %s gauge\n%s %g\n", pn, pn, r.gauges[n].Value())
-	}
-
-	names = names[:0]
-	for n := range r.histograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		h := r.histograms[n]
-		pn := promName(n) + "_seconds"
-		fmt.Fprintf(&b, "# TYPE %s summary\n", pn)
-		for _, q := range []float64{0.5, 0.9, 0.99} {
-			fmt.Fprintf(&b, "%s{quantile=\"%g\"} %g\n", pn, q, h.Quantile(q).Seconds())
-		}
-		fmt.Fprintf(&b, "%s_sum %g\n", pn, h.Sum().Seconds())
-		fmt.Fprintf(&b, "%s_count %d\n", pn, h.Observations())
 	}
 
 	_, err := io.WriteString(w, b.String())

@@ -76,9 +76,7 @@ func encodeAll(t *testing.T, pkts ...*Packet) []byte {
 // covered too. A local attachment matching the same topic rides along at no
 // cost.
 func TestQoS0DeliveryPathZeroAlloc(t *testing.T) {
-	// RetryInterval: time.Hour keeps the writer's retry timer from firing
-	// (its clock.After allocates once per tick).
-	b := NewBroker(BrokerConfig{RetryInterval: time.Hour})
+	b := NewBroker(BrokerConfig{})
 	defer b.Close()
 
 	conn := newFeedConn(t, &Packet{Type: CONNECT, ClientID: "sink"}, &Packet{Type: SUBSCRIBE, PacketID: 1, Filters: []Subscription{
@@ -238,7 +236,7 @@ func TestWritePacketStagingZeroAlloc(t *testing.T) {
 		if st.writePacket(ack) != nil || st.writePacket(pub) != nil {
 			panic("write failed")
 		}
-		if _, err := st.bufferPacket(ack); err != nil || st.writeFrame(frame, 7, false) != nil || st.flush() != nil {
+		if _, err := st.bufferPacket(ack); err != nil || st.writeFrame(frame, 7) != nil || st.flush() != nil {
 			panic("buffered write failed")
 		}
 	}); allocs != 0 {

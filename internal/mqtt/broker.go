@@ -40,19 +40,14 @@ type BrokerConfig struct {
 	// disabled) admits everything; when set, CONNECT, PUBLISH and
 	// SUBSCRIBE are charged against the session tenant's quotas.
 	Admission *tenant.Admission
-	// RetryInterval is the QoS 1 redelivery interval (default 1s).
-	RetryInterval time.Duration
-	// MaxRetries bounds QoS 1 redeliveries before the message is dropped
-	// (default 5).
-	MaxRetries int
 	// SessionQueueLen bounds each session's outbound queue in packets
-	// (default 256). When a session's queue is full, QoS 0 deliveries drop
-	// the oldest queued packet and QoS 1 deliveries are parked for the
-	// redelivery pass — either way only that session degrades.
+	// (default 256). A QoS 0 delivery that meets a full queue sheds the
+	// oldest queued QoS 0 delivery; QoS 1 deliveries queue while fewer than
+	// 4× this many await a PUBACK. Either way only that session degrades.
+	// It also bounds the control queue, past which the session's reader
+	// waits.
 	SessionQueueLen int
-	// Clock drives keepalive, QoS 1 redelivery and Tap timestamps (nil →
-	// wall clock). Simulations pass clock.Sim so retransmission is
-	// deterministic.
+	// Clock drives keepalive and Tap timestamps (nil → wall clock).
 	Clock clock.Clock
 	// Metrics receives broker counters; nil allocates a private registry.
 	Metrics *metrics.Registry
@@ -62,6 +57,9 @@ type BrokerConfig struct {
 
 // DefaultSessionQueueLen is the per-session outbound queue bound.
 const DefaultSessionQueueLen = 256
+
+// keepaliveTick is how often a session's keepalive watchdog looks at it.
+const keepaliveTick = time.Second
 
 // DefaultRetainedShards is the retained-store shard count.
 const DefaultRetainedShards = 8
@@ -118,9 +116,9 @@ type Broker struct {
 	// sensor reading through publish/deliver, so per-message registry map
 	// lookups add up.
 	cPubIn, cPubDenied, cDeliverOut, cDeliverErr *metrics.Counter
-	cQueueDropped, cQueueParked, cCtlDropped     *metrics.Counter
-	cFlushes, cFlushedPkts, cRouteMiss           *metrics.Counter
-	cPubSampled, cPubThrottled, cQuotaDisc       *metrics.Counter
+	cQueueDropped, cFlushes, cFlushedPkts        *metrics.Counter
+	cRouteMiss, cPubSampled, cPubThrottled       *metrics.Counter
+	cQuotaDisc                                   *metrics.Counter
 	gQueueDepth                                  *metrics.Gauge
 	// lastQuotaLog rate-limits the quota-disconnect log line (unix nanos
 	// of the last emission).
@@ -186,12 +184,6 @@ type retainedShard struct {
 
 // NewBroker constructs a broker ready to accept connections.
 func NewBroker(cfg BrokerConfig) *Broker {
-	if cfg.RetryInterval <= 0 {
-		cfg.RetryInterval = time.Second
-	}
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = 5
-	}
 	if cfg.SessionQueueLen <= 0 {
 		cfg.SessionQueueLen = DefaultSessionQueueLen
 	}
@@ -222,8 +214,6 @@ func NewBroker(cfg BrokerConfig) *Broker {
 		cDeliverOut:   cfg.Metrics.Counter("mqtt.deliver.out"),
 		cDeliverErr:   cfg.Metrics.Counter("mqtt.deliver.err"),
 		cQueueDropped: cfg.Metrics.Counter("mqtt.queue.dropped"),
-		cQueueParked:  cfg.Metrics.Counter("mqtt.queue.parked"),
-		cCtlDropped:   cfg.Metrics.Counter("mqtt.queue.ctl_dropped"),
 		cFlushes:      cfg.Metrics.Counter("mqtt.writer.flushes"),
 		cFlushedPkts:  cfg.Metrics.Counter("mqtt.writer.flushed_packets"),
 		cRouteMiss:    cfg.Metrics.Counter("mqtt.route.cache_miss"),
@@ -329,20 +319,21 @@ type session struct {
 	// so close() can return exactly what was reserved.
 	tenantSubs atomic.Int64
 
-	// qcap is the session's outbound queue bound, snapshotted from the
-	// broker's dynamic knob at attach: the ring is fixed-capacity once
-	// allocated, so a reload applies to sessions created after it.
+	// qcap is the session's queue bound (BrokerConfig.SessionQueueLen).
 	qcap int
 
-	mu      sync.Mutex
-	pending map[uint16]*pendingPub
-	parkedN int // pending entries with parked=true, so the writer can skip scans
-	// outq is a fixed-capacity ring of queued deliveries (cap = qcap,
-	// allocated on first use) drained by the writer.
+	mu sync.Mutex
+	// pending holds the packet ids of QoS 1 deliveries not yet PUBACKed,
+	// queued or on the wire, so no id is reused while in flight.
+	pending map[uint16]struct{}
+	// outq is the ring of queued deliveries in routing order, drained by
+	// the writer. It is allocated at qcap on first use and grows only when
+	// QoS 1 deliveries take the queue past its bound.
 	outq            []outMsg
 	outHead, outLen int
 	ctlq            []*Packet // control acks, drained ahead of outq
 	ctlAlt          []*Packet // writer's drained ctl slice, swapped back in
+	ctlRoom         sync.Cond // on mu: the writer took the control queue, or the session closed
 	nextID          uint16
 	lastSeen        time.Time
 	keep            time.Duration
@@ -362,24 +353,38 @@ type outMsg struct {
 	qos byte
 }
 
-type pendingPub struct {
-	f       *Frame // shared frame (holds a reference)
-	pid     uint16
-	sentAt  time.Time
-	retries int
-	// parked marks a QoS 1 publish that never made it onto the outbound
-	// queue (overflow). The writer's retry pass sends it as a fresh
-	// transmission: no DUP flag, no retry charged.
-	parked bool
-}
-
-// pushLocked appends to the ring; the caller has checked it is not full.
+// pushLocked appends m behind everything queued, growing the ring when it
+// is full.
 func (s *session) pushLocked(m outMsg) {
-	if s.outq == nil {
-		s.outq = make([]outMsg, s.qcap)
+	if s.outLen == len(s.outq) {
+		q := make([]outMsg, max(s.qcap, 2*len(s.outq)))
+		for i := range s.outLen {
+			q[i] = s.outq[(s.outHead+i)%len(s.outq)]
+		}
+		s.outq, s.outHead = q, 0
 	}
 	s.outq[(s.outHead+s.outLen)%len(s.outq)] = m
 	s.outLen++
+}
+
+// dropOldestQoS0Locked removes the oldest queued QoS 0 delivery, moving the
+// QoS 1 deliveries ahead of it up one slot so the queue keeps its order,
+// and returns its frame: nil when only QoS 1 deliveries are queued.
+func (s *session) dropOldestQoS0Locked() *Frame {
+	n := len(s.outq)
+	for i := range s.outLen {
+		j := (s.outHead + i) % n
+		if s.outq[j].qos != 0 {
+			continue
+		}
+		f := s.outq[j].f
+		for ; j != s.outHead; j = (j - 1 + n) % n {
+			s.outq[j] = s.outq[(j-1+n)%n]
+		}
+		s.popLocked()
+		return f
+	}
+	return nil
 }
 
 // popLocked removes and returns the oldest ring entry.
@@ -404,10 +409,7 @@ func (s *session) close() {
 		frames = append(frames, s.popLocked().f)
 	}
 	s.ctlq = nil
-	for id, p := range s.pending {
-		frames = append(frames, p.f)
-		delete(s.pending, id)
-	}
+	s.ctlRoom.Broadcast()
 	s.mu.Unlock()
 	if dropped > 0 {
 		s.broker.gQueueDepth.Add(-float64(dropped))
@@ -476,12 +478,13 @@ func (b *Broker) serveConn(t *stream) {
 		conn:     t,
 		broker:   b,
 		qcap:     b.cfg.SessionQueueLen,
-		pending:  make(map[uint16]*pendingPub),
+		pending:  make(map[uint16]struct{}),
 		lastSeen: b.clk.Now(),
 		keep:     time.Duration(first.KeepAliveSec) * time.Second,
 		notify:   make(chan struct{}, 1),
 		done:     make(chan struct{}),
 	}
+	s.ctlRoom.L = &s.mu
 
 	// Session takeover: a reconnect with the same client id displaces the
 	// old connection (3.1.1 §3.1.4). Displace + strip subscriptions +
@@ -520,11 +523,11 @@ func (b *Broker) serveConn(t *stream) {
 	}
 	b.reg.Counter("mqtt.connect.accepted").Inc()
 
-	// Dedicated writer: drains the outbound queue and runs QoS 1
-	// redelivery. The keepalive watchdog stays a separate goroutine on
-	// purpose: a dead TCP peer can wedge the writer inside a blocking
-	// write forever, and only an independent watchdog can then drop the
-	// session (closing the connection unblocks the writer).
+	// Dedicated writer: drains the outbound queue. The keepalive watchdog
+	// is a separate goroutine on purpose: a dead TCP peer can wedge the
+	// writer inside a blocking write forever, and only an independent
+	// watchdog can then drop the session (closing the connection unblocks
+	// the writer).
 	b.wg.Add(1)
 	go func() {
 		defer b.wg.Done()
@@ -571,17 +574,8 @@ func (b *Broker) handlePacket(s *session, pkt *Packet) (stop bool) {
 		return b.handlePublish(s, pkt)
 	case PUBACK:
 		s.mu.Lock()
-		p := s.pending[pkt.PacketID]
-		if p != nil {
-			delete(s.pending, pkt.PacketID)
-			if p.parked {
-				s.parkedN--
-			}
-		}
+		delete(s.pending, pkt.PacketID)
 		s.mu.Unlock()
-		if p != nil {
-			p.f.release()
-		}
 	case SUBSCRIBE:
 		b.handleSubscribe(s, pkt)
 	case UNSUBSCRIBE:
@@ -614,17 +608,18 @@ func (b *Broker) handlePublish(s *session, pkt *Packet) (stop bool) {
 	case tenant.ActAllow:
 	case tenant.ActSampled:
 		// Sampling rung: the reading is shed but QoS 1 is still
-		// acknowledged, so constrained devices do not retransmit into the
-		// very congestion being shed. The shed is counted, never silent.
+		// acknowledged, so constrained devices do not time out and publish
+		// again into the very congestion being shed. The shed is counted,
+		// never silent.
 		b.cPubSampled.Inc()
 		if pkt.QoS == 1 {
 			b.enqueueCtl(s, &Packet{Type: PUBACK, PacketID: pkt.PacketID})
 		}
 		return false
 	case tenant.ActRejected:
-		// Reject rung: drop without PUBACK. A QoS 1 publisher's
-		// redelivery timer is the honest backpressure signal here —
-		// nothing was acknowledged, so nothing acked is lost.
+		// Reject rung: drop without PUBACK. A QoS 1 publisher's ack
+		// timeout (the client's ErrAckTimeout) is the honest backpressure
+		// signal here — nothing was acknowledged, so nothing acked is lost.
 		b.cPubThrottled.Inc()
 		return false
 	case tenant.ActDisconnected:
@@ -793,101 +788,56 @@ func (b *Broker) storeRoute(topic string, re *routeEntry, rt *routeTargets) {
 	b.rcMu.Unlock()
 }
 
-// enqueueMsg places a delivery of the shared frame f on s's bounded outbound
-// queue. Overflow policy: QoS 0 drops the oldest queued
-// packet (fresh field state matters more than stale history — the same call
-// the fog queue makes); QoS 1 entries are parked in the pending map for the
-// writer's retry pass, which transmits them once the queue drains. Either
-// way, only this session degrades.
+// enqueueMsg places a delivery of the shared frame f on s's outbound queue,
+// behind every delivery routed to s before it: nothing is set aside and sent
+// later, so each topic reaches s in routing order. Overflow policy, per QoS:
+// a QoS 0 delivery that meets the queue at its bound sheds the oldest queued
+// QoS 0 delivery (fresh field state matters more than stale history — the
+// same call the fog queue makes), or itself when only QoS 1 is queued; a
+// QoS 1 delivery queues, past the bound if need be, while fewer than 4× the
+// bound await a PUBACK, and is shed beyond that. Each shed counts in
+// mqtt.queue.dropped, and only this session degrades.
 func (b *Broker) enqueueMsg(s *session, f *Frame, qos byte) {
-	var evicted outMsg
-	hasEvicted := false
 	s.mu.Lock()
 	if s.closedFl {
 		s.mu.Unlock()
 		return
 	}
+	full := s.outLen >= s.qcap
 	var pid uint16
-	var victimF *Frame
-	if qos == 1 {
-		// The pending map is the session's inflight window. Cap it at 4×
-		// the queue bound so a sick session cannot grow memory without
-		// bound. At the cap, prefer evicting the oldest entry that was
-		// already transmitted once — its ack is probably in flight, so
-		// losing its retransmission tracking costs less than shedding a
-		// delivery that never went out (on a loss-free link it costs
-		// nothing). Only when nothing has been transmitted (everything
-		// parked behind a full ring) is the new delivery shed.
-		if len(s.pending) >= 4*s.qcap {
-			var victim *pendingPub
-			for _, p := range s.pending {
-				if p.parked {
-					continue
-				}
-				if victim == nil || p.sentAt.Before(victim.sentAt) {
-					victim = p
-				}
-			}
-			if victim == nil {
-				s.mu.Unlock()
-				b.cQueueDropped.Inc()
-				// Everything inflight is parked: the writer is behind, and on
-				// a single-P runtime a hot publish pipeline's channel handoffs
-				// can keep a runnable writer off the CPU indefinitely. Yield
-				// so it can drain before the next publish sheds too.
-				runtime.Gosched()
-				return
-			}
-			delete(s.pending, victim.pid)
-			victimF = victim.f
-			b.cQueueDropped.Inc()
-		}
+	var shed *Frame
+	switch {
+	case qos == 1 && len(s.pending) >= 4*s.qcap:
+		shed = f
+	case qos == 1:
 		pid = s.allocPacketIDLocked()
-		f.ref()
-		p := &pendingPub{f: f, pid: pid, sentAt: b.clk.Now()}
-		s.pending[pid] = p
-		if s.outLen == s.qcap {
-			p.parked = true
-			s.parkedN++
-			s.mu.Unlock()
-			if victimF != nil {
-				victimF.release()
-			}
-			b.cQueueParked.Inc()
-			// Parking means the ring is full with the writer behind; give it
-			// a scheduling slot (see the shed path above).
-			runtime.Gosched()
-			return
+		s.pending[pid] = struct{}{}
+	case full:
+		if shed = s.dropOldestQoS0Locked(); shed == nil {
+			shed = f
 		}
-	} else if s.outLen == s.qcap {
-		evicted = s.popLocked()
-		hasEvicted = true
 	}
-	f.ref()
-	s.pushLocked(outMsg{f: f, pid: pid, qos: qos})
+	if shed != f {
+		f.ref()
+		s.pushLocked(outMsg{f: f, pid: pid, qos: qos})
+	}
 	s.mu.Unlock()
 
-	if victimF != nil {
-		victimF.release()
-	}
-	if hasEvicted {
-		if evicted.qos == 1 {
-			// A queued QoS 1 packet is already tracked in pending; evicting
-			// it from the queue just converts it into a parked entry. The
-			// pending entry keeps its own frame reference.
-			s.mu.Lock()
-			if p := s.pending[evicted.pid]; p != nil && !p.parked {
-				p.parked = true
-				s.parkedN++
-			}
-			s.mu.Unlock()
-			b.cQueueParked.Inc()
-		} else {
-			b.cQueueDropped.Inc()
-		}
-		evicted.f.release()
-	} else {
+	switch {
+	case shed == nil:
 		b.gQueueDepth.Add(1)
+	case shed != f:
+		shed.release()
+	}
+	if shed != nil {
+		b.cQueueDropped.Inc()
+	}
+	if full {
+		// The writer is behind, and on a single-P runtime a hot publish
+		// pipeline's channel handoffs can keep a runnable writer off the
+		// CPU indefinitely. Yield so it can drain before the next
+		// delivery meets a full queue too.
+		runtime.Gosched()
 	}
 	select {
 	case s.notify <- struct{}{}:
@@ -897,17 +847,17 @@ func (b *Broker) enqueueMsg(s *session, f *Frame, qos byte) {
 
 // enqueueCtl queues a control response (PUBACK, SUBACK, UNSUBACK, PINGRESP)
 // for the session writer, which drains control packets ahead of data. This
-// keeps exactly one goroutine writing each connection. The control queue is
-// bounded: a client flooding requests into a wedged connection loses acks,
-// which QoS 1 retransmission and client-side timeouts already absorb.
+// keeps exactly one goroutine writing each connection. Only the session's
+// reader calls it, so a full control queue stops the reader — and with it
+// the socket — until the writer takes the queue or the session ends: no
+// response is ever dropped.
 func (b *Broker) enqueueCtl(s *session, pkt *Packet) {
 	s.mu.Lock()
-	if s.closedFl || len(s.ctlq) >= s.qcap {
-		dropped := !s.closedFl
+	for !s.closedFl && len(s.ctlq) >= s.qcap {
+		s.ctlRoom.Wait()
+	}
+	if s.closedFl {
 		s.mu.Unlock()
-		if dropped {
-			b.cCtlDropped.Inc()
-		}
 		return
 	}
 	s.ctlq = append(s.ctlq, pkt)
@@ -919,11 +869,9 @@ func (b *Broker) enqueueCtl(s *session, pkt *Packet) {
 }
 
 // sessionWriter is the per-session writer goroutine: it drains the outbound
-// queue, redelivers unacknowledged QoS 1 messages and enforces the
-// keepalive deadline. Keeping redelivery bookkeeping here means the only
-// contention on session.mu is the short enqueue/pop critical section.
+// queue on every wakeup, so the only contention on session.mu is the short
+// enqueue/pop critical section.
 func (b *Broker) sessionWriter(s *session) {
-	retry := b.clk.After(b.cfg.RetryInterval)
 	for {
 		select {
 		case <-s.done:
@@ -931,20 +879,7 @@ func (b *Broker) sessionWriter(s *session) {
 		case <-b.done:
 			return
 		case <-s.notify:
-			// Drain, then immediately transmit anything the overflow parked:
-			// by the time the ring is empty the parked entries are the oldest
-			// undelivered messages this session has.
-			if !b.drainQueue(s) || !b.unparkPass(s) {
-				b.dropSession(s)
-				return
-			}
-		case now := <-retry:
-			retry = b.clk.After(b.cfg.RetryInterval)
-			// Drain before retrying: retransmitting (or transmitting
-			// parked entries) while older deliveries still sit unwritten
-			// in the queue would reorder QoS 1 streams and DUP-mark first
-			// transmissions.
-			if !b.drainQueue(s) || !b.retryPass(s, now) {
+			if !b.drainQueue(s) {
 				b.dropSession(s)
 				return
 			}
@@ -994,6 +929,7 @@ func (b *Broker) drainQueue(s *session) bool {
 			// sequential in this goroutine, so ctlAlt is free for reuse.
 			s.ctlq = s.ctlAlt[:0]
 			s.ctlAlt = ctl
+			s.ctlRoom.Signal()
 		}
 		n := s.outLen
 		batch := s.wbatch[:0]
@@ -1015,151 +951,23 @@ func (b *Broker) drainQueue(s *session) bool {
 				return false
 			}
 		}
-		qos1 := 0
 		for _, m := range batch {
-			if err := s.conn.writeFrame(m.f, m.pid, false); err != nil {
+			if err := s.conn.writeFrame(m.f, m.pid); err != nil {
 				b.cDeliverErr.Inc()
 				releaseBatch(batch)
 				return false
 			}
 			b.cDeliverOut.Inc()
-			if m.qos == 1 {
-				qos1++
-			}
 			if !wrote(m.f.wireLen()) {
 				releaseBatch(batch)
 				return false
 			}
-		}
-		if qos1 > 0 {
-			// The unacked clock starts at transmission, not enqueue —
-			// otherwise time spent waiting in the queue behind a slow link
-			// would be charged as retry/expiry time. One stamp pass per
-			// batch keeps s.mu traffic off the per-packet path.
-			now := b.clk.Now()
-			s.mu.Lock()
-			for _, m := range batch {
-				if m.qos != 1 {
-					continue
-				}
-				if p := s.pending[m.pid]; p != nil {
-					p.sentAt = now
-				}
-			}
-			s.mu.Unlock()
 		}
 		releaseBatch(batch)
 	}
 	// Queue drained empty: flush whatever the watermark left buffered so
 	// tail latency is bounded by one wakeup, not by future traffic.
 	return unflushed == 0 || flush()
-}
-
-// resendItem is one retry-pass transmission collected under the lock.
-type resendItem struct {
-	f   *Frame // holds a reference taken under the lock
-	pid uint16
-	dup bool
-}
-
-// retryPass redelivers due QoS 1 messages (transmitting parked ones for
-// the first time) and expires messages past MaxRetries. It reports false
-// when the session must be dropped.
-func (b *Broker) retryPass(s *session, now time.Time) bool {
-	var resend []resendItem
-	var expired []*Frame
-	s.mu.Lock()
-	for id, p := range s.pending {
-		if p.parked {
-			p.parked = false
-			s.parkedN--
-			p.sentAt = now
-			p.f.ref()
-			resend = append(resend, resendItem{f: p.f, pid: p.pid})
-			continue
-		}
-		if now.Sub(p.sentAt) < b.cfg.RetryInterval {
-			continue
-		}
-		if p.retries >= b.cfg.MaxRetries {
-			delete(s.pending, id)
-			expired = append(expired, p.f)
-			b.reg.Counter("mqtt.deliver.expired").Inc()
-			continue
-		}
-		p.retries++
-		p.sentAt = now
-		p.f.ref()
-		resend = append(resend, resendItem{f: p.f, pid: p.pid, dup: true})
-	}
-	s.mu.Unlock()
-	for _, f := range expired {
-		f.release()
-	}
-	return b.writeResend(s, resend)
-}
-
-// unparkPass transmits parked QoS 1 deliveries as soon as the queue whose
-// overflow parked them has drained, instead of leaving them to the next
-// retry tick — parking bounds memory, it should not add a full retry
-// interval of latency. Parked entries are older than anything currently
-// queued, so sending them straight after a drain preserves rough FIFO
-// order. It reports false when the session must be dropped.
-func (b *Broker) unparkPass(s *session) bool {
-	s.mu.Lock()
-	if s.parkedN == 0 || s.outLen > 0 {
-		// Nothing parked, or the ring refilled while we drained: those
-		// entries are older than any parked one now, and the enqueue that
-		// refilled it left a notify token, so another drain+unpark cycle
-		// is already scheduled.
-		s.mu.Unlock()
-		return true
-	}
-	now := b.clk.Now()
-	resend := make([]resendItem, 0, s.parkedN)
-	for _, p := range s.pending {
-		if !p.parked {
-			continue
-		}
-		p.parked = false
-		s.parkedN--
-		p.sentAt = now
-		p.f.ref()
-		resend = append(resend, resendItem{f: p.f, pid: p.pid})
-	}
-	s.mu.Unlock()
-	return b.writeResend(s, resend)
-}
-
-// writeResend transmits one retry/unpark batch, releasing the frame
-// references the collector took under the lock, and flushes once at the
-// end. It reports false on a write error.
-func (b *Broker) writeResend(s *session, resend []resendItem) bool {
-	for i, r := range resend {
-		err := s.conn.writeFrame(r.f, r.pid, r.dup)
-		r.f.release()
-		if err != nil {
-			b.cDeliverErr.Inc()
-			for _, rest := range resend[i+1:] {
-				rest.f.release()
-			}
-			return false
-		}
-		if r.dup {
-			b.reg.Counter("mqtt.deliver.retry").Inc()
-		} else {
-			b.cDeliverOut.Inc()
-		}
-	}
-	if len(resend) > 0 {
-		if err := s.conn.flush(); err != nil {
-			b.cDeliverErr.Inc()
-			return false
-		}
-		b.cFlushes.Inc()
-		b.cFlushedPkts.Add(uint64(len(resend)))
-	}
-	return true
 }
 
 // keepaliveWatchdog drops the session once it has been silent past 1.5×
@@ -1173,7 +981,7 @@ func (b *Broker) keepaliveWatchdog(s *session) {
 			return
 		case <-b.done:
 			return
-		case now := <-b.clk.After(b.cfg.RetryInterval):
+		case now := <-b.clk.After(keepaliveTick):
 			s.mu.Lock()
 			expired := s.keep > 0 && now.Sub(s.lastSeen) > s.keep*3/2
 			s.mu.Unlock()

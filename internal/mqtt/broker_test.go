@@ -1,9 +1,8 @@
 package mqtt
 
 import (
-	"bufio"
+	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -220,106 +219,52 @@ func TestBrokerOverTCP(t *testing.T) {
 	}
 }
 
-// connectLossy dials b through lossy relays, retrying the handshake over
-// fresh ones (CONNECT itself can be lost — as in the field). The client→broker
-// relay draws its losses from seed, the broker→client relay from seed+1.
-func connectLossy(t *testing.T, b *Broker, cfg ClientConfig, loss float64, seed int64) *Client {
-	t.Helper()
-	for attempt := 0; attempt < 20; attempt++ {
-		seed += int64(attempt * 2)
-		client, near := net.Pipe()
-		far, server := net.Pipe()
-		go lossyRelay(near, far, loss, seed)
-		go lossyRelay(far, near, loss, seed+1)
-		b.AttachConn(server)
-		c, err := Connect(client, cfg)
-		if err != nil {
-			continue // Connect closed client; the relays close the rest
-		}
-		t.Cleanup(func() { c.Close() })
-		return c
-	}
-	t.Fatal("could not connect over lossy link in 20 attempts")
-	return nil
+// slowAckConn is the broker's end of a link whose broker-to-client
+// direction stalls each write by delay once armed: the client's PUBACKs
+// arrive late.
+type slowAckConn struct {
+	net.Conn
+	delay time.Duration
+	armed atomic.Bool
 }
 
-// lossyRelay copies whole packets from one pipe to the other, dropping each
-// with probability loss from an RNG seeded with seed: a link that loses
-// packets beneath the MQTT layer. When either side closes it closes both.
-func lossyRelay(from, to net.Conn, loss float64, seed int64) {
-	defer from.Close()
-	defer to.Close()
-	rng := rand.New(rand.NewSource(seed))
-	r := bufio.NewReader(from)
-	for {
-		p, err := ReadPacket(r)
-		if err != nil {
-			return
-		}
-		if rng.Float64() < loss {
-			continue
-		}
-		raw, err := p.Encode()
-		if err != nil {
-			return
-		}
-		if _, err := to.Write(raw); err != nil {
-			return
-		}
+func (c *slowAckConn) Write(p []byte) (int, error) {
+	if c.armed.Load() {
+		time.Sleep(c.delay)
 	}
+	return c.Conn.Write(p)
 }
 
-func TestQoS1SurvivesLossyLink(t *testing.T) {
-	b := NewBroker(BrokerConfig{RetryInterval: 20 * time.Millisecond})
-	defer b.Close()
-
-	// Publisher on a 30% lossy link; QoS 1 retries must get everything through.
-	pub := connectLossy(t, b, ClientConfig{ClientID: "lossy-pub", AckTimeout: 50 * time.Millisecond, PublishRetries: 30}, 0.3, 7)
-
-	sub := newTestPair(t, b, "clean-sub")
-	seen := make(map[string]bool)
-	var mu sync.Mutex
-	if _, err := sub.Subscribe("lossy/#", 1, func(m Message) {
-		mu.Lock()
-		seen[string(m.Payload)] = true
-		mu.Unlock()
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	const n = 20
-	for i := 0; i < n; i++ {
-		if err := pub.Publish("lossy/data", []byte(fmt.Sprintf("r%d", i)), 1, false); err != nil {
-			t.Fatalf("publish %d failed despite retries: %v", i, err)
-		}
-	}
-	waitFor(t, 5*time.Second, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(seen) >= n
-	})
-}
-
-func TestQoS0DropsOnLossyLink(t *testing.T) {
+// TestSlowPubackRoutesOneCopy: a QoS 1 publish whose PUBACK arrives after
+// the client's AckTimeout fails with ErrAckTimeout, and the broker routes
+// the reading exactly once — the client does not resend on a live
+// connection.
+func TestSlowPubackRoutesOneCopy(t *testing.T) {
 	b := NewBroker(BrokerConfig{})
 	defer b.Close()
-	pub := connectLossy(t, b, ClientConfig{ClientID: "q0-pub", AckTimeout: 200 * time.Millisecond, PublishRetries: 50}, 0.5, 3)
-
-	sub := newTestPair(t, b, "q0-sub")
-	var n atomic.Int32
-	if _, err := sub.Subscribe("q0/#", 0, func(Message) { n.Add(1) }); err != nil {
+	sub := newTestPair(t, b, "sub")
+	var copies atomic.Int32
+	if _, err := sub.Subscribe("slow/#", 1, func(Message) { copies.Add(1) }); err != nil {
 		t.Fatal(err)
 	}
-	const sent = 200
-	for i := 0; i < sent; i++ {
-		if err := pub.Publish("q0/data", []byte{byte(i)}, 0, false); err != nil {
-			t.Fatal(err)
-		}
+
+	client, server := net.Pipe()
+	slow := &slowAckConn{Conn: server, delay: 150 * time.Millisecond}
+	b.AttachConn(slow)
+	pub, err := Connect(client, ClientConfig{ClientID: "pub", AckTimeout: 40 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
 	}
-	time.Sleep(300 * time.Millisecond)
-	got := int(n.Load())
-	if got == 0 || got >= sent {
-		t.Errorf("QoS0 over 50%% loss delivered %d/%d; expected partial delivery", got, sent)
+	defer pub.Close()
+	slow.armed.Store(true)
+
+	if err := pub.Publish("slow/x", []byte("r1"), 1, false); !errors.Is(err, ErrAckTimeout) {
+		t.Errorf("publish with a late PUBACK returned %v, want ErrAckTimeout", err)
+	}
+	waitFor(t, time.Second, func() bool { return copies.Load() > 0 })
+	time.Sleep(250 * time.Millisecond) // past the late PUBACK
+	if n := copies.Load(); n != 1 {
+		t.Errorf("the broker routed %d copies of one publish, want 1", n)
 	}
 }
 

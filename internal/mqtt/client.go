@@ -30,9 +30,6 @@ type ClientConfig struct {
 	CleanSession bool
 	// AckTimeout bounds waits for CONNACK/SUBACK/PUBACK (default 2s).
 	AckTimeout time.Duration
-	// PublishRetries is how many times a QoS 1 publish is retransmitted
-	// before giving up (default 5).
-	PublishRetries int
 }
 
 // ErrClientClosed is returned by operations on a closed client.
@@ -79,9 +76,6 @@ func Connect(conn net.Conn, cfg ClientConfig) (*Client, error) {
 	t := newStream(conn)
 	if cfg.AckTimeout <= 0 {
 		cfg.AckTimeout = 2 * time.Second
-	}
-	if cfg.PublishRetries <= 0 {
-		cfg.PublishRetries = 5
 	}
 	c := &Client{
 		cfg:      cfg,
@@ -309,9 +303,11 @@ func (c *Client) dropAck(id uint16) {
 	c.mu.Unlock()
 }
 
-// Publish sends one message. QoS 0 is fire-and-forget; QoS 1 blocks until
-// PUBACK, retransmitting with the DUP flag up to PublishRetries times —
-// this is the mechanism that survives lossy rural links.
+// Publish sends one message. QoS 0 is fire-and-forget; QoS 1 sends once and
+// blocks until PUBACK, or returns ErrAckTimeout after one AckTimeout. The
+// connection is a byte stream that loses nothing while it lives, so the
+// client never resends on it (MQTT 5.0 §4.4); whether to publish again
+// after a timeout is the caller's decision.
 func (c *Client) Publish(topic string, payload []byte, qos byte, retain bool) error {
 	if qos > 1 {
 		return fmt.Errorf("mqtt: QoS %d unsupported", qos)
@@ -335,27 +331,19 @@ func (c *Client) Publish(topic string, payload []byte, qos byte, retain bool) er
 	}
 	defer c.dropAck(id)
 	pkt := &Packet{Type: PUBLISH, Topic: topic, Payload: payload, QoS: 1, Retain: retain, PacketID: id}
-	for attempt := 0; attempt <= c.cfg.PublishRetries; attempt++ {
-		if attempt > 0 {
-			pkt.Dup = true
-		}
-		if err := c.t.writePacket(pkt); err != nil {
-			return fmt.Errorf("mqtt publish %q: %w", topic, err)
-		}
-		timer := getAckTimer(c.cfg.AckTimeout)
-		select {
-		case <-ch:
-			putAckTimer(timer)
-			return nil
-		case <-timer.C:
-			putAckTimer(timer)
-			// retransmit
-		case <-c.done:
-			putAckTimer(timer)
-			return ErrClientClosed
-		}
+	if err := c.t.writePacket(pkt); err != nil {
+		return fmt.Errorf("mqtt publish %q: %w", topic, err)
 	}
-	return fmt.Errorf("mqtt publish %q: %w after %d attempts", topic, ErrAckTimeout, c.cfg.PublishRetries+1)
+	timer := getAckTimer(c.cfg.AckTimeout)
+	defer putAckTimer(timer)
+	select {
+	case <-ch:
+		return nil
+	case <-timer.C:
+		return fmt.Errorf("mqtt publish %q: %w", topic, ErrAckTimeout)
+	case <-c.done:
+		return ErrClientClosed
+	}
 }
 
 // Subscribe registers handler for filter and waits for the broker grant.

@@ -7,10 +7,10 @@ import (
 
 // Frame is one PUBLISH packet encoded once and shared by every subscriber of
 // a fan-out. The wire bytes in buf are immutable while any reference is
-// live: per-target fix-ups (PacketID, DUP bit) happen in the stream while
-// copying into its own write buffer, never in place. Frames are refcounted
-// and pooled — route() creates one with refcount 1, each queue or pending
-// entry holds its own reference, and the last release returns the frame to
+// live: the per-target PacketID is patched in the stream while copying into
+// its own write buffer, never in place. Frames are refcounted and pooled —
+// route() creates one with refcount 1, each queued delivery holds its own
+// reference until it is written, and the last release returns the frame to
 // the pool for reuse.
 type Frame struct {
 	buf    []byte
@@ -41,17 +41,12 @@ func (f *Frame) release() {
 }
 
 // appendPatched appends f's wire bytes to dst with the per-target PacketID
-// and DUP bit applied. The shared buffer is never written.
-func (f *Frame) appendPatched(dst []byte, pid uint16, dup bool) []byte {
-	b0 := f.buf[0]
-	if dup {
-		b0 |= 0x08
-	}
-	dst = append(dst, b0)
+// applied. The shared buffer is never written.
+func (f *Frame) appendPatched(dst []byte, pid uint16) []byte {
 	if f.pidOff == 0 {
-		return append(dst, f.buf[1:]...)
+		return append(dst, f.buf...)
 	}
-	dst = append(dst, f.buf[1:f.pidOff]...)
+	dst = append(dst, f.buf[:f.pidOff]...)
 	dst = append(dst, byte(pid>>8), byte(pid))
 	return append(dst, f.buf[f.pidOff+2:]...)
 }

@@ -234,14 +234,22 @@ func TestQueueOverflowDropsOldestQoS0(t *testing.T) {
 	}
 }
 
-// TestQoS1ParkedThenRedelivered: QoS 1 deliveries that overflow the queue
-// are parked, not lost — the writer's retry pass transmits them once the
-// session drains, without a DUP flag or a charged retry.
-func TestQoS1ParkedThenRedelivered(t *testing.T) {
-	b := NewBroker(BrokerConfig{SessionQueueLen: 2, RetryInterval: 30 * time.Millisecond})
+// TestQoS1OverflowArrivesInOrder: QoS 1 deliveries that overflow a stalled
+// subscriber's queue bound still leave in routing order once it drains —
+// each topic is an ordered topic [MQTT-4.6.0-6] — and none is lost or sent
+// twice.
+func TestQoS1OverflowArrivesInOrder(t *testing.T) {
+	for run := 0; run < 50; run++ {
+		qos1OverflowRun(t)
+	}
+}
+
+func qos1OverflowRun(t *testing.T) {
+	t.Helper()
+	b := NewBroker(BrokerConfig{SessionQueueLen: 2})
 	defer b.Close()
 
-	st := attachScripted(t, b, "parker", "park/#", 1)
+	st := attachScripted(t, b, "slow", "ord/#", 1)
 	st.stalled.Store(true)
 
 	pub := newTestPair(t, b, "pub")
@@ -249,67 +257,24 @@ func TestQoS1ParkedThenRedelivered(t *testing.T) {
 	// are shed, which TestQoS1InflightWindowBounded covers.
 	const n = 8
 	for i := 0; i < n; i++ {
-		if err := pub.Publish("park/x", []byte(fmt.Sprintf("p%02d", i)), 1, false); err != nil {
+		if err := pub.Publish("ord/x", []byte(fmt.Sprintf("p%02d", i)), 1, false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, 2*time.Second, func() bool {
-		return b.Metrics().Counter("mqtt.queue.parked").Value() > 0
-	})
 	close(st.release)
-	// Parked messages flow on retry ticks; everything arrives. The
-	// scripted session never acks, so retransmissions may add duplicates —
-	// count distinct payloads.
-	waitFor(t, 3*time.Second, func() bool {
-		seen := make(map[string]bool)
-		for _, p := range st.publishes() {
-			seen[string(p.Payload)] = true
-		}
-		return len(seen) == n
-	})
-}
-
-// TestRedeliveryDrivenBySimClock: with a simulated clock wired into the
-// broker, QoS 1 redelivery is deterministic — no wall time passes, only
-// clock.Advance drives the retry pass, then expiry at MaxRetries.
-func TestRedeliveryDrivenBySimClock(t *testing.T) {
-	sim := clock.NewSim(time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC))
-	b := NewBroker(BrokerConfig{Clock: sim, RetryInterval: time.Second, MaxRetries: 2})
-	defer b.Close()
-
-	st := attachScripted(t, b, "noack", "clk/#", 1)
-
-	pub := newTestPair(t, b, "pub")
-	if err := pub.Publish("clk/x", []byte("v"), 1, false); err != nil {
-		t.Fatal(err)
+	waitFor(t, 2*time.Second, func() bool { return st.publishCount() >= n })
+	time.Sleep(5 * time.Millisecond) // room for a copy too many to show
+	pubs := st.publishes()
+	if len(pubs) != n {
+		t.Fatalf("%d deliveries, want %d", len(pubs), n)
 	}
-	// Initial transmission arrives without any clock movement.
-	waitFor(t, time.Second, func() bool { return st.publishCount() == 1 })
-	if st.publishes()[0].Dup {
-		t.Error("first transmission carried DUP")
-	}
-
-	// Each advance past RetryInterval yields exactly one DUP retransmission
-	// (4 broker goroutines are parked on sim.After: a writer and a
-	// keepalive watchdog for each of the pub and noack sessions).
-	for want := 2; want <= 3; want++ {
-		waitFor(t, time.Second, func() bool { return sim.PendingWaiters() >= 4 })
-		sim.Advance(time.Second)
-		waitFor(t, time.Second, func() bool { return st.publishCount() == want })
-		if last := st.publishes()[want-1]; !last.Dup {
-			t.Errorf("retransmission %d missing DUP", want)
+	for i, p := range pubs {
+		if want := fmt.Sprintf("p%02d", i); string(p.Payload) != want || p.Dup {
+			t.Fatalf("delivery %d is %q (dup=%v), want %q", i, p.Payload, p.Dup, want)
 		}
 	}
-
-	// Past MaxRetries the message expires instead of retransmitting.
-	waitFor(t, time.Second, func() bool { return sim.PendingWaiters() >= 4 })
-	sim.Advance(time.Second)
-	waitFor(t, time.Second, func() bool {
-		return b.Metrics().Counter("mqtt.deliver.expired").Value() == 1
-	})
-	time.Sleep(20 * time.Millisecond)
-	if got := st.publishCount(); got != 3 {
-		t.Errorf("expired message retransmitted: %d publishes", got)
+	if d := b.Metrics().Counter("mqtt.queue.dropped").Value(); d != 0 {
+		t.Fatalf("mqtt.queue.dropped = %d", d)
 	}
 }
 
@@ -349,7 +314,8 @@ func TestRetainedSharded(t *testing.T) {
 // forever (dead TCP peer) must still be reaped by the keepalive watchdog —
 // the writer goroutine being stuck mid-write cannot disable it.
 func TestKeepaliveReapsWedgedWriter(t *testing.T) {
-	b := NewBroker(BrokerConfig{RetryInterval: 20 * time.Millisecond})
+	sim := clock.NewSim(time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC))
+	b := NewBroker(BrokerConfig{Clock: sim})
 	defer b.Close()
 
 	st := attachScriptedConnect(t, b, &Packet{Type: CONNECT, ClientID: "wedged", KeepAliveSec: 1}, "wdg/#", 0)
@@ -360,9 +326,21 @@ func TestKeepaliveReapsWedgedWriter(t *testing.T) {
 	if err := pub.Publish("wdg/x", []byte("v"), 0, false); err != nil {
 		t.Fatal(err)
 	}
+	waitFor(t, time.Second, func() bool { return st.active.Load() == 1 })
 	// Silence > 1.5×keepalive → the watchdog drops the session even though
 	// the writer is still stuck inside its write.
-	waitFor(t, 4*time.Second, func() bool { return b.SessionCount() == 1 }) // pub only
+	advanceUntil(t, sim, func() bool { return b.SessionCount() == 1 }) // pub only
+}
+
+// advanceUntil moves sim a keepalive tick at a time, each once a watchdog
+// waits on it, until cond holds.
+func advanceUntil(t *testing.T, sim *clock.Sim, cond func() bool) {
+	t.Helper()
+	for i := 0; i < 10 && !cond(); i++ {
+		waitFor(t, time.Second, func() bool { return cond() || sim.PendingWaiters() > 0 })
+		sim.Advance(keepaliveTick)
+	}
+	waitFor(t, time.Second, cond)
 }
 
 // TestQoS1InflightWindowBounded: a wedged session cannot grow its pending
@@ -370,7 +348,7 @@ func TestKeepaliveReapsWedgedWriter(t *testing.T) {
 // shed and counted.
 func TestQoS1InflightWindowBounded(t *testing.T) {
 	const qlen = 4
-	b := NewBroker(BrokerConfig{SessionQueueLen: qlen, RetryInterval: time.Hour})
+	b := NewBroker(BrokerConfig{SessionQueueLen: qlen})
 	defer b.Close()
 
 	st := attachScripted(t, b, "wedged", "win/#", 1)
@@ -401,12 +379,11 @@ func TestQoS1InflightWindowBounded(t *testing.T) {
 // TestSingleWriterPerTransport: exactly one goroutine writes each connection
 // (DESIGN §4.1). One session receives routed QoS 0/1 publishes from other
 // sessions while its own read loop generates SUBACKs with retained replays,
-// PINGRESPs and PUBACKs, and unacknowledged QoS 1 deliveries come round again
-// on the retry pass; at no point may two conn.Write calls overlap.
+// PINGRESPs and PUBACKs; at no point may two conn.Write calls overlap.
 func TestSingleWriterPerTransport(t *testing.T) {
-	// The queue bound exceeds everything the test sends, so no control
-	// response is shed and the counts below are exact.
-	b := NewBroker(BrokerConfig{RetryInterval: 5 * time.Millisecond, SessionQueueLen: 1024})
+	// The queue bound exceeds everything the test routes, so no delivery
+	// is shed.
+	b := NewBroker(BrokerConfig{SessionQueueLen: 1024})
 	defer b.Close()
 
 	seed := newTestPair(t, b, "seed")
@@ -446,16 +423,15 @@ func TestSingleWriterPerTransport(t *testing.T) {
 	}
 	wg.Wait()
 	// Every kind of write happened: the control responses are exact, and
-	// routed, retained and redelivered publishes each reached the connection.
+	// routed and retained publishes each reached the connection.
 	waitFor(t, 5*time.Second, func() bool {
-		var routed, retainedSeen, dups bool
+		var routed, retainedSeen bool
 		for _, p := range ot.publishes() {
 			routed = routed || p.Topic == "mix/routed"
 			retainedSeen = retainedSeen || p.Retain
-			dups = dups || p.Dup
 		}
 		return ot.count(SUBACK) == 1+rounds && ot.count(PINGRESP) == rounds && ot.count(PUBACK) == rounds &&
-			routed && retainedSeen && dups
+			routed && retainedSeen
 	})
 	if peak := ot.peak.Load(); peak != 1 {
 		t.Fatalf("max concurrent conn.Write calls = %d, want 1", peak)

@@ -7,12 +7,15 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"github.com/swamp-project/swamp/internal/clock"
 )
 
 // TestBrokerKeepaliveExpiry: a client that stops talking past 1.5× its
-// keepalive is dropped by the broker's janitor.
+// keepalive is dropped by the broker's watchdog.
 func TestBrokerKeepaliveExpiry(t *testing.T) {
-	b := NewBroker(BrokerConfig{RetryInterval: 20 * time.Millisecond})
+	sim := clock.NewSim(time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC))
+	b := NewBroker(BrokerConfig{Clock: sim})
 	defer b.Close()
 	// Hand-roll the connect so no ping loop runs; the CONNECT advertises 1
 	// second, so the broker expects traffic.
@@ -20,8 +23,14 @@ func TestBrokerKeepaliveExpiry(t *testing.T) {
 		t.Fatalf("handshake refused: 0x%02x", code)
 	}
 	waitFor(t, time.Second, func() bool { return b.SessionCount() == 1 })
-	// Silence > 1.5s → dropped.
-	waitFor(t, 4*time.Second, func() bool { return b.SessionCount() == 0 })
+	// One tick is not yet 1.5× the keepalive; silence past it is.
+	waitFor(t, time.Second, func() bool { return sim.PendingWaiters() == 1 })
+	sim.Advance(keepaliveTick)
+	waitFor(t, time.Second, func() bool { return sim.PendingWaiters() == 1 })
+	if b.SessionCount() != 1 {
+		t.Fatal("session dropped after one second of silence")
+	}
+	advanceUntil(t, sim, func() bool { return b.SessionCount() == 0 })
 }
 
 // TestBrokerSurvivesGarbage: random byte blobs thrown at the broker as

@@ -49,12 +49,12 @@ func (t *stream) bufferPacket(p *Packet) (int, error) {
 }
 
 // writeFrame copies the shared frame's bytes into the buffered writer with
-// the PacketID/DUP region patched for this target. No flush — the session
-// writer flushes on queue-empty or at its watermark.
-func (t *stream) writeFrame(f *Frame, pid uint16, dup bool) error {
+// the PacketID patched for this target. No flush — the session writer
+// flushes on queue-empty or at its watermark.
+func (t *stream) writeFrame(f *Frame, pid uint16) error {
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
-	_, err := t.w.Write(f.appendPatched(t.w.AvailableBuffer(), pid, dup))
+	_, err := t.w.Write(f.appendPatched(t.w.AvailableBuffer(), pid))
 	return err
 }
 

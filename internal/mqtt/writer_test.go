@@ -127,8 +127,33 @@ func TestWriterCoalescesPubacks(t *testing.T) {
 	if flushes := counter(b, "mqtt.writer.flushes"); flushes != writes {
 		t.Errorf("mqtt.writer.flushes = %d beside %d writes on the connection", flushes, writes)
 	}
-	if d := counter(b, "mqtt.queue.ctl_dropped"); d != 0 {
-		t.Errorf("%d control packets dropped", d)
+}
+
+// TestFullControlQueuePushesBack: a peer that pipelines twice the queue
+// bound of QoS 1 publishes while the writer is stalled gets every PUBACK,
+// in order, once it reads again — a full control queue stops the session's
+// reader instead of dropping acknowledgements.
+func TestFullControlQueuePushesBack(t *testing.T) {
+	const qlen = 4
+	b := NewBroker(BrokerConfig{SessionQueueLen: qlen})
+	defer b.Close()
+	p := attachCounted(t, b, "flood")
+
+	const n = 2 * qlen
+	burst := make([]*Packet, n)
+	for i := range burst {
+		burst[i] = &Packet{Type: PUBLISH, Topic: "t/flood", Payload: []byte{byte(i)}, QoS: 1, PacketID: uint16(i + 1)}
+	}
+	// Nothing is read until the whole burst is in: the writer sits in its
+	// first write (the pipe has no buffer), so the control queue fills.
+	p.send(burst...)
+	for i := 0; i < n; i++ {
+		if ack := p.read(); ack.Type != PUBACK || ack.PacketID != uint16(i+1) {
+			t.Fatalf("packet %d from the broker = %+v, want PUBACK %d", i, ack, i+1)
+		}
+	}
+	if in := counter(b, "mqtt.publish.in"); in != n {
+		t.Errorf("mqtt.publish.in = %d, want %d", in, n)
 	}
 }
 
