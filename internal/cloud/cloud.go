@@ -20,11 +20,10 @@ import (
 
 	"github.com/swamp-project/swamp/internal/metrics"
 	"github.com/swamp-project/swamp/internal/model"
-	"github.com/swamp-project/swamp/internal/ngsi"
 	"github.com/swamp-project/swamp/internal/timeseries"
 )
 
-// Ingestor persists readings and NGSI notifications into the store.
+// Ingestor persists readings into the store.
 type Ingestor struct {
 	store *timeseries.Store
 	reg   *metrics.Registry
@@ -34,14 +33,13 @@ type Ingestor struct {
 
 	// lastJournalLog throttles durability-failure logging (UnixNano of
 	// the last line): a latched WAL failure would otherwise turn every
-	// notification into a log line.
+	// ingested batch into a log line.
 	lastJournalLog atomic.Int64
 
 	// Hot-path counters, resolved once so ingest never touches the
 	// registry map.
-	cReadings, cInvalid *metrics.Counter
-	cBatches, cNotifs   *metrics.Counter
-	cJournalErr         *metrics.Counter
+	cReadings, cInvalid, cBatches *metrics.Counter
+	cJournalErr                   *metrics.Counter
 }
 
 // NewIngestor builds an ingestor over store. metricsReg may be nil.
@@ -55,7 +53,6 @@ func NewIngestor(store *timeseries.Store, metricsReg *metrics.Registry) *Ingesto
 		cReadings:   metricsReg.Counter("cloud.ingest.readings"),
 		cInvalid:    metricsReg.Counter("cloud.ingest.invalid"),
 		cBatches:    metricsReg.Counter("cloud.ingest.batches"),
-		cNotifs:     metricsReg.Counter("cloud.ingest.notifications"),
 		cJournalErr: metricsReg.Counter("cloud.ingest.journal_errors"),
 	}
 }
@@ -71,18 +68,18 @@ func (i *Ingestor) logf(format string, args ...any) {
 	log.Printf(format, args...)
 }
 
-// journalLogThrottle bounds how often notification-path durability
-// failures are logged.
+// journalLogThrottle bounds how often ingest-path durability failures
+// are logged.
 const journalLogThrottle = 10 * time.Second
 
-// noteJournalErr counts an ingest-path durability failure and logs it
-// under the given path label, at most once per throttle window.
-func (i *Ingestor) noteJournalErr(path string, err error) {
+// noteJournalErr counts an ingest-path durability failure and logs it at
+// most once per throttle window.
+func (i *Ingestor) noteJournalErr(err error) {
 	i.cJournalErr.Inc()
 	now := time.Now().UnixNano()
 	last := i.lastJournalLog.Load()
 	if now-last >= int64(journalLogThrottle) && i.lastJournalLog.CompareAndSwap(last, now) {
-		i.logf("cloud: %s telemetry not durable (batch rolled back from memory): %v", path, err)
+		i.logf("cloud: reading-batch telemetry not durable (batch rolled back from memory): %v", err)
 	}
 }
 
@@ -126,7 +123,7 @@ func (i *Ingestor) IngestReadings(batch []model.Reading) error {
 		// latched each retry fails cleanly (rolled back again, no
 		// duplicates); after the restart that clears it, the retry
 		// lands durably.
-		i.noteJournalErr("reading-batch", err)
+		i.noteJournalErr(err)
 		return err
 	}
 	return nil
@@ -143,53 +140,6 @@ func quantityKey(r model.Reading) string {
 		return string(b)
 	}
 	return string(r.Quantity)
-}
-
-// Notifier adapts the ingestor to the broker's Notifier interface — the
-// form a catch-all persistence subscription wires in.
-func (i *Ingestor) Notifier() ngsi.Notifier {
-	return ngsi.Callback(i.NotificationHandler())
-}
-
-// NotificationHandler adapts the ingestor to NGSI subscriptions: every
-// numeric attribute in a notification becomes a point in the entity's
-// series, landed through one batched append. Wire it (via Notifier) as
-// the handler of a catch-all subscription. It only reads the notified
-// entity, which is a stored version shared with every other reader.
-func (i *Ingestor) NotificationHandler() ngsi.Handler {
-	return func(n ngsi.Notification) {
-		pts := make([]timeseries.BatchPoint, 0, len(n.Entity.Attrs))
-		for name, attr := range n.Entity.Attrs {
-			v, ok := attr.Float()
-			if !ok {
-				continue
-			}
-			at := attr.At
-			if at.IsZero() {
-				at = n.At
-			}
-			pts = append(pts, timeseries.BatchPoint{
-				Key:   timeseries.SeriesKey{Device: n.Entity.ID, Quantity: name},
-				Point: timeseries.Point{At: at, Value: v},
-			})
-		}
-		if len(pts) > 0 {
-			accepted, rejected, err := i.store.AppendBatch(pts)
-			if accepted > 0 {
-				i.cReadings.Add(uint64(accepted))
-			}
-			if rejected > 0 {
-				i.cInvalid.Add(uint64(rejected))
-			}
-			if err != nil {
-				// Notification handlers cannot return errors and the
-				// broker does not redeliver, so the rolled-back batch is
-				// dropped: count and log the loss.
-				i.noteJournalErr("notification", err)
-			}
-		}
-		i.cNotifs.Inc()
-	}
 }
 
 // Analytics answers the queries the optimizer and dashboards need. All

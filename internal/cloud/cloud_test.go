@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/swamp-project/swamp/internal/model"
-	"github.com/swamp-project/swamp/internal/ngsi"
 	"github.com/swamp-project/swamp/internal/timeseries"
 )
 
@@ -83,34 +82,6 @@ func TestIngestSkipsInvalidMidBatch(t *testing.T) {
 	}
 	if got := ing.Metrics().Counter("cloud.ingest.invalid").Value(); got != 1 {
 		t.Errorf("invalid counter = %d, want 1", got)
-	}
-}
-
-func TestNotificationHandler(t *testing.T) {
-	store := timeseries.New()
-	ing := NewIngestor(store, nil)
-	ctx := ngsi.NewBroker(ngsi.BrokerConfig{})
-	defer ctx.Close()
-	if _, err := ctx.Subscribe(ngsi.Subscription{
-		EntityIDPattern: "*",
-		Notifier:        ing.Notifier(),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	ctx.UpdateAttrs("urn:plot:1", "AgriParcel", map[string]ngsi.Attribute{
-		"soilMoisture_d20": {Type: "Number", Value: 0.22, At: t0},
-		"label":            {Type: "Text", Value: "north plot", At: t0}, // non-numeric: skipped
-	})
-	deadline := time.Now().Add(2 * time.Second)
-	key := timeseries.SeriesKey{Device: "urn:plot:1", Quantity: "soilMoisture_d20"}
-	for time.Now().Before(deadline) && store.Len(key) == 0 {
-		time.Sleep(2 * time.Millisecond)
-	}
-	if store.Len(key) != 1 {
-		t.Fatal("notification not persisted")
-	}
-	if store.Len(timeseries.SeriesKey{Device: "urn:plot:1", Quantity: "label"}) != 0 {
-		t.Error("non-numeric attribute persisted")
 	}
 }
 

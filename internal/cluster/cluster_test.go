@@ -38,7 +38,8 @@ func openPlat(t *testing.T, dir string) *testPlat {
 		t.Fatal(err)
 	}
 	p.wm = m
-	if _, err := m.Recover(p.applyRec); err != nil {
+	replay := &wal.Applier{Context: p.ctx, Store: p.store}
+	if _, err := m.Recover(replay.Apply); err != nil {
 		t.Fatal(err)
 	}
 	p.ctx.SetJournal(m.ContextJournal())
@@ -46,69 +47,10 @@ func openPlat(t *testing.T, dir string) *testPlat {
 	return p
 }
 
-func (p *testPlat) applyRec(rec wal.Record) error {
-	switch rec.Type {
-	case wal.TypeEntityUpsert:
-		e, err := wal.DecodeEntityUpsert(rec)
-		if err != nil {
-			return err
-		}
-		return p.ctx.UpsertEntity(e)
-	case wal.TypeEntityMerge:
-		entries, err := wal.DecodeEntityMerge(rec)
-		if err != nil {
-			return err
-		}
-		for _, en := range entries {
-			if err := p.ctx.UpdateAttrs(en.ID, en.Type, en.Attrs); err != nil {
-				return err
-			}
-		}
-		return nil
-	case wal.TypeEntityDelete:
-		id, err := wal.DecodeID(rec)
-		if err != nil {
-			return err
-		}
-		if err := p.ctx.DeleteEntity(id); err != nil && !errors.Is(err, ngsi.ErrNotFound) {
-			return err
-		}
-		return nil
-	case wal.TypeTelemetry:
-		pts, err := wal.DecodeTelemetry(rec)
-		if err != nil {
-			return err
-		}
-		_, _, err = p.store.AppendBatch(pts)
-		return err
-	}
-	return nil
-}
-
 func (p *testPlat) snapshot() error {
 	p.snaps.Add(1)
 	return p.wm.Snapshot(func(rotate func() error, sink func(wal.Record) error) error {
-		err := p.store.DumpFrozen(rotate, func(key timeseries.SeriesKey, pts []timeseries.Point) error {
-			batch := make([]timeseries.BatchPoint, len(pts))
-			for i, pt := range pts {
-				batch[i] = timeseries.BatchPoint{Key: key, Point: pt}
-			}
-			rec, err := wal.EncodeTelemetry(batch)
-			if err != nil {
-				return err
-			}
-			return sink(rec)
-		})
-		if err != nil {
-			return err
-		}
-		return p.ctx.DumpEntities(func(e *ngsi.Entity) error {
-			rec, err := wal.EncodeEntityUpsert(e)
-			if err != nil {
-				return err
-			}
-			return sink(rec)
-		})
+		return wal.DumpStores(p.ctx, p.store, rotate, sink)
 	})
 }
 

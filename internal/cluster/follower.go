@@ -10,8 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/swamp-project/swamp/internal/ngsi"
-	"github.com/swamp-project/swamp/internal/timeseries"
 	"github.com/swamp-project/swamp/internal/wal"
 )
 
@@ -33,8 +31,9 @@ type offsetEntry struct {
 // rename and are throttled (~100ms) on the hot path; the state the
 // offset covers is applied — and fsynced by the leader before shipping —
 // before the offset is advanced, so the sidecar never runs ahead of the
-// stores. Running behind only costs duplicate re-application, which the
-// apply path tolerates (entity ops converge, telemetry is At-filtered).
+// stores. Running behind only costs re-sent records, which the applier
+// tolerates: entity ops converge, and a follower's applier skips a point
+// its series already holds at the same time with the same value.
 type replicaOffsets struct {
 	mu       sync.Mutex
 	path     string
@@ -284,7 +283,14 @@ func (l *followLink) session() error {
 	}
 
 	st := &tailState{chain: resume, mapVer: n.m.Version()}
-	var pend pending
+	// Apply only the elements of granted partitions. Subscriptions never
+	// replicate: webhook delivery pools are node-local.
+	app := &wal.Applier{
+		Context:     n.hooks.Context,
+		Store:       n.hooks.Store,
+		Keep:        func(key string) bool { _, ok := st.granted[n.m.PartitionOf(key)]; return ok },
+		SkipRepeats: true,
+	}
 	tick := time.NewTicker(100 * time.Millisecond)
 	defer tick.Stop()
 	for {
@@ -301,7 +307,7 @@ func (l *followLink) session() error {
 			if !ok {
 				return errors.New("transport closed")
 			}
-			if err := l.handleFrame(frame, st, &pend); err != nil {
+			if err := l.handleFrame(frame, st, app); err != nil {
 				return err
 			}
 			// Drain whatever else is queued (bounded) so applies batch.
@@ -311,14 +317,14 @@ func (l *followLink) session() error {
 				case frame, ok := <-conn.Recv():
 					if !ok {
 						drained = true
-					} else if err := l.handleFrame(frame, st, &pend); err != nil {
+					} else if err := l.handleFrame(frame, st, app); err != nil {
 						return err
 					}
 				default:
 					drained = true
 				}
 			}
-			if err := l.flush(conn, st, &pend, &buf); err != nil {
+			if err := l.flush(conn, st, app, &buf); err != nil {
 				return err
 			}
 		}
@@ -370,23 +376,7 @@ func (l *followLink) watchEpochs(conn Conn, st *tailState, buf *[]byte) bool {
 	return true
 }
 
-// pending accumulates decoded records between flushes so the entity and
-// telemetry planes apply in large batches. Per-entity and per-series
-// order is preserved; the two planes are independent stores, so applying
-// them in plane order within one flush is safe.
-type pending struct {
-	ents []entOp
-	pts  []timeseries.BatchPoint
-}
-
-type entOp struct {
-	kind  byte // 'u' upsert, 'm' merge, 'd' delete
-	ent   *ngsi.Entity
-	merge []ngsi.MergeEntry
-	id    string
-}
-
-func (l *followLink) handleFrame(frame []byte, st *tailState, pend *pending) error {
+func (l *followLink) handleFrame(frame []byte, st *tailState, app *wal.Applier) error {
 	n := l.n
 	t, body, err := frameType(frame)
 	if err != nil {
@@ -433,7 +423,9 @@ func (l *followLink) handleFrame(frame []byte, st *tailState, pend *pending) err
 			return err
 		}
 		st.snapCount++
-		l.stash(rec, st, pend)
+		if err := app.Add(rec); err != nil {
+			return fmt.Errorf("snapshot record: %w", err)
+		}
 	case msgSnapEnd:
 		e, err := decodeSnapEnd(body)
 		if err != nil {
@@ -442,7 +434,7 @@ func (l *followLink) handleFrame(frame []byte, st *tailState, pend *pending) err
 		if e.Count != st.snapCount {
 			return fmt.Errorf("snapshot count mismatch: got %d want %d", st.snapCount, e.Count)
 		}
-		if err := l.apply(pend); err != nil {
+		if err := l.apply(app); err != nil {
 			return err
 		}
 		// Compact our own WAL so local crash recovery replays the
@@ -473,7 +465,9 @@ func (l *followLink) handleFrame(frame []byte, st *tailState, pend *pending) err
 		st.chain = m.Pos
 		st.processed++
 		if !m.Skip {
-			l.stash(m.Rec, st, pend)
+			if err := app.Add(m.Rec); err != nil {
+				return fmt.Errorf("record %s: %w", m.Pos, err)
+			}
 		}
 	case msgFence:
 		f, err := decodeFence(body)
@@ -486,61 +480,10 @@ func (l *followLink) handleFrame(frame []byte, st *tailState, pend *pending) err
 	return nil
 }
 
-// stash decodes one record and queues the elements owned by the granted
-// partitions. Subscriptions never replicate — webhook delivery pools are
-// node-local.
-func (l *followLink) stash(rec wal.Record, st *tailState, pend *pending) {
-	n := l.n
-	owned := func(key string) bool {
-		_, ok := st.granted[n.m.PartitionOf(key)]
-		return ok
-	}
-	switch rec.Type {
-	case wal.TypeEntityUpsert:
-		e, err := wal.DecodeEntityUpsert(rec)
-		if err == nil && owned(e.ID) {
-			pend.ents = append(pend.ents, entOp{kind: 'u', ent: e})
-		}
-	case wal.TypeEntityMerge:
-		entries, err := wal.DecodeEntityMerge(rec)
-		if err != nil {
-			return
-		}
-		kept := entries[:0]
-		for _, en := range entries {
-			if owned(en.ID) {
-				kept = append(kept, en)
-			}
-		}
-		if len(kept) > 0 {
-			pend.ents = append(pend.ents, entOp{kind: 'm', merge: kept})
-		}
-	case wal.TypeEntityDelete:
-		id, err := wal.DecodeID(rec)
-		if err == nil && owned(id) {
-			pend.ents = append(pend.ents, entOp{kind: 'd', id: id})
-		}
-	case wal.TypeTelemetry:
-		pts, err := wal.DecodeTelemetry(rec)
-		if err != nil {
-			return
-		}
-		for _, bp := range pts {
-			if owned(bp.Key.Device) {
-				pend.pts = append(pend.pts, bp)
-			}
-		}
-	default:
-		if n.cSkipped != nil {
-			n.cSkipped.Inc()
-		}
-	}
-}
-
-// flush applies the pending batch, acks the chain position, and persists
+// flush applies the queued run, acks the chain position, and persists
 // the sidecar offset (throttled).
-func (l *followLink) flush(conn Conn, st *tailState, pend *pending, buf *[]byte) error {
-	if err := l.apply(pend); err != nil {
+func (l *followLink) flush(conn Conn, st *tailState, app *wal.Applier, buf *[]byte) error {
+	if err := l.apply(app); err != nil {
 		return err
 	}
 	if !st.installed {
@@ -556,86 +499,12 @@ func (l *followLink) flush(conn Conn, st *tailState, pend *pending, buf *[]byte)
 	return nil
 }
 
-// apply replays the batch into the local stores. Consecutive merges
-// coalesce into one BatchUpdate (into maps built here — nothing the broker
-// stores or hands out is written); telemetry coalesces into one
-// AppendBatch with an At-filter so re-delivered points (crash-window
-// duplicates) drop instead of double-counting.
-func (l *followLink) apply(pend *pending) error {
-	n := l.n
-	if len(pend.ents) > 0 {
-		batch := make(map[string]ngsi.BatchEntry)
-		flushBatch := func() error {
-			if len(batch) == 0 {
-				return nil
-			}
-			err := n.hooks.Context.BatchUpdate(batch)
-			batch = make(map[string]ngsi.BatchEntry)
-			return err
-		}
-		for _, op := range pend.ents {
-			switch op.kind {
-			case 'm':
-				for _, en := range op.merge {
-					be := batch[en.ID]
-					if en.Type != "" {
-						be.Type = en.Type
-					}
-					if be.Attrs == nil {
-						be.Attrs = make(map[string]ngsi.Attribute, len(en.Attrs))
-					}
-					for k, v := range en.Attrs {
-						be.Attrs[k] = v
-					}
-					batch[en.ID] = be
-				}
-			case 'u':
-				if err := flushBatch(); err != nil {
-					return err
-				}
-				if err := n.hooks.Context.UpsertEntity(op.ent); err != nil {
-					return err
-				}
-			case 'd':
-				if err := flushBatch(); err != nil {
-					return err
-				}
-				if err := n.hooks.Context.DeleteEntity(op.id); err != nil && !errors.Is(err, ngsi.ErrNotFound) {
-					return err
-				}
-			}
-		}
-		if err := flushBatch(); err != nil {
-			return err
-		}
-		pend.ents = pend.ents[:0]
+// apply flushes the applier into the local stores and counts the points
+// that landed.
+func (l *followLink) apply(app *wal.Applier) error {
+	applied, err := app.Flush()
+	if l.n.cApplied != nil {
+		l.n.cApplied.Add(uint64(applied))
 	}
-	if len(pend.pts) > 0 {
-		latest := make(map[timeseries.SeriesKey]time.Time)
-		accepted := pend.pts[:0]
-		for _, bp := range pend.pts {
-			base, known := latest[bp.Key]
-			if !known {
-				if last, have := n.hooks.Store.Latest(bp.Key); have {
-					base = last.At
-				}
-				latest[bp.Key] = base
-			}
-			if !bp.Point.At.After(base) {
-				continue // re-delivered or stale: already absorbed
-			}
-			accepted = append(accepted, bp)
-			latest[bp.Key] = bp.Point.At
-		}
-		if len(accepted) > 0 {
-			if _, _, err := n.hooks.Store.AppendBatch(accepted); err != nil {
-				return err
-			}
-		}
-		if n.cApplied != nil {
-			n.cApplied.Add(uint64(len(accepted)))
-		}
-		pend.pts = pend.pts[:0]
-	}
-	return nil
+	return err
 }

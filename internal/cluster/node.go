@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,11 +48,6 @@ type NodeConfig struct {
 	// AckTimeout bounds the synchronous-replication wait (default 5s).
 	// Adjustable at runtime via SetAckTimeout.
 	AckTimeout time.Duration
-	// Window is the per-session in-flight record cap (default 4096). A
-	// follower queues at most 1 024 received frames before it stops
-	// reading, so a slow follower may stall Send on the connection before
-	// the window fills.
-	Window int
 	// Dial opens a transport to a peer node by id.
 	Dial func(node string) (Conn, error)
 	// Metrics receives the swamp_cluster_* gauges and counters
@@ -109,9 +105,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	}
 	if cfg.AckTimeout <= 0 {
 		cfg.AckTimeout = 5 * time.Second
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 4096
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -333,52 +326,16 @@ func (n *Node) AppendBatch(batch []timeseries.BatchPoint) (accepted, rejected in
 
 // recordParts returns the partitions a record's elements land in, or nil
 // for record types that do not replicate (subscriptions are node-local:
-// each node serves its own webhooks). Used by both the sender (session
-// relevance) and the follower (element filtering is finer-grained).
+// each node serves its own webhooks). The sender uses it for session
+// relevance; the follower's applier filters element by element.
 func (n *Node) recordParts(rec wal.Record) []int {
-	add := func(parts []int, p int) []int {
-		for _, q := range parts {
-			if q == p {
-				return parts
-			}
+	var parts []int
+	for _, key := range wal.Keys(rec) {
+		if p := n.m.PartitionOf(key); !slices.Contains(parts, p) {
+			parts = append(parts, p)
 		}
-		return append(parts, p)
 	}
-	switch rec.Type {
-	case wal.TypeEntityUpsert:
-		e, err := wal.DecodeEntityUpsert(rec)
-		if err != nil {
-			return nil
-		}
-		return []int{n.m.PartitionOf(e.ID)}
-	case wal.TypeEntityMerge:
-		entries, err := wal.DecodeEntityMerge(rec)
-		if err != nil {
-			return nil
-		}
-		var parts []int
-		for _, en := range entries {
-			parts = add(parts, n.m.PartitionOf(en.ID))
-		}
-		return parts
-	case wal.TypeEntityDelete:
-		id, err := wal.DecodeID(rec)
-		if err != nil {
-			return nil
-		}
-		return []int{n.m.PartitionOf(id)}
-	case wal.TypeTelemetry:
-		pts, err := wal.DecodeTelemetry(rec)
-		if err != nil {
-			return nil
-		}
-		var parts []int
-		for _, bp := range pts {
-			parts = add(parts, n.m.PartitionOf(bp.Key.Device))
-		}
-		return parts
-	}
-	return nil
+	return parts
 }
 
 // --- follower-side state surgery ---

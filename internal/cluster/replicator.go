@@ -14,6 +14,11 @@ import (
 // live queue instead).
 var errStopStream = errors.New("cluster: stop streaming")
 
+// sessionWindow is the per-session in-flight record cap. A follower
+// queues at most 1 024 received frames before it stops reading, so a slow
+// follower may stall Send on the connection before the window fills.
+const sessionWindow = 4096
+
 // liveEntry is one committed record on its way to follower sessions. The
 // partition set is computed at most once, shared by every session.
 type liveEntry struct {
@@ -213,7 +218,7 @@ func (r *replicator) startSession(c Conn, h helloMsg) *session {
 		conn:     c,
 		follower: h.Node,
 		parts:    granted,
-		live:     make(chan *liveEntry, n.cfg.Window),
+		live:     make(chan *liveEntry, sessionWindow),
 		dead:     make(chan struct{}),
 		acked:    h.Resume,
 	}
@@ -492,7 +497,7 @@ func (s *session) sendRecord(buf *[]byte, rec wal.Record, parts []int, pos wal.P
 	skip := !s.overlaps(parts)
 	r := s.r
 	r.mu.Lock()
-	for s.sentCount-s.ackedCount >= uint64(n.cfg.Window) {
+	for s.sentCount-s.ackedCount >= sessionWindow {
 		if s.isDead() {
 			r.mu.Unlock()
 			return false

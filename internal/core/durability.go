@@ -71,7 +71,8 @@ func OpenDurability(cfg DurabilityConfig, ctx *ngsi.Broker, store *timeseries.St
 		return nil, err
 	}
 	d := &Durability{WAL: m, Context: ctx, Store: store, Webhooks: hooks, Admission: cfg.Admission}
-	stats, err := m.Recover(d.apply)
+	replay := &wal.Applier{Context: ctx, Store: store}
+	stats, err := m.Recover(func(rec wal.Record) error { return d.apply(replay, rec) })
 	if err != nil {
 		m.Close()
 		return nil, fmt.Errorf("core: WAL recovery: %w", err)
@@ -97,37 +98,12 @@ func (d *Durability) Close() error { return d.WAL.Close() }
 // Snapshot takes one snapshot now and truncates covered segments.
 func (d *Durability) Snapshot() error { return d.WAL.Snapshot(d.dump) }
 
-// apply replays one record during recovery. The journals are not yet
+// apply replays one record during recovery and flushes it before the
+// next. Subscription records rebuild webhook lanes and quota slots here;
+// every other record goes to the store applier. The journals are not yet
 // attached, so nothing replayed is re-logged.
-func (d *Durability) apply(rec wal.Record) error {
+func (d *Durability) apply(replay *wal.Applier, rec wal.Record) error {
 	switch rec.Type {
-	case wal.TypeEntityUpsert:
-		e, err := wal.DecodeEntityUpsert(rec)
-		if err != nil {
-			return err
-		}
-		return d.Context.UpsertEntity(e)
-	case wal.TypeEntityMerge:
-		entries, err := wal.DecodeEntityMerge(rec)
-		if err != nil {
-			return err
-		}
-		for _, en := range entries {
-			if err := d.Context.UpdateAttrs(en.ID, en.Type, en.Attrs); err != nil {
-				return err
-			}
-		}
-		return nil
-	case wal.TypeEntityDelete:
-		id, err := wal.DecodeID(rec)
-		if err != nil {
-			return err
-		}
-		// A tail delete may target an entity the snapshot already lacks.
-		if err := d.Context.DeleteEntity(id); err != nil && !errors.Is(err, ngsi.ErrNotFound) {
-			return err
-		}
-		return nil
 	case wal.TypeSubscriptionPut:
 		sr, err := wal.DecodeSubscriptionPut(rec)
 		if err != nil {
@@ -185,70 +161,17 @@ func (d *Durability) apply(rec wal.Record) error {
 			d.Webhooks.Remove(id)
 		}
 		return nil
-	case wal.TypeTelemetry:
-		pts, err := wal.DecodeTelemetry(rec)
-		if err != nil {
-			return err
-		}
-		_, rejected, err := d.Store.AppendBatch(pts)
-		if err != nil {
-			return err
-		}
-		if rejected > 0 {
-			return fmt.Errorf("core: replay rejected %d telemetry points", rejected)
-		}
-		return nil
 	default:
-		// Unknown record type: written by a newer version. Refuse rather
-		// than silently dropping acknowledged writes.
-		return fmt.Errorf("core: unknown WAL record type %d", rec.Type)
+		return replay.Apply(rec)
 	}
 }
 
-// telemetrySnapshotChunk bounds the points per snapshot record so one
-// huge series cannot produce an oversized record.
-const telemetrySnapshotChunk = 2048
-
-// dump streams the platform state as a snapshot. Order matters:
-//
-//  1. telemetry first, under DumpFrozen — the store is frozen while the
-//     WAL rotates, which is what makes point recovery exact-count;
-//  2. then entities (after the rotation, so any concurrent update is in
-//     the tail too; replaying it on top of the snapshot converges
-//     because attribute writes are absolute);
-//  3. then webhook subscriptions — last, so replaying the snapshot's
-//     entities never fires recovered subscriptions.
+// dump streams the platform state as a snapshot: the stores through
+// wal.DumpStores (telemetry frozen across the rotation, then entities),
+// then webhook subscriptions, last so replaying the snapshot's entities
+// never fires recovered subscriptions.
 func (d *Durability) dump(rotate func() error, sink func(wal.Record) error) error {
-	err := d.Store.DumpFrozen(rotate, func(key timeseries.SeriesKey, pts []timeseries.Point) error {
-		for start := 0; start < len(pts); start += telemetrySnapshotChunk {
-			end := start + telemetrySnapshotChunk
-			if end > len(pts) {
-				end = len(pts)
-			}
-			batch := make([]timeseries.BatchPoint, end-start)
-			for i := range batch {
-				batch[i] = timeseries.BatchPoint{Key: key, Point: pts[start+i]}
-			}
-			rec, err := wal.EncodeTelemetry(batch)
-			if err != nil {
-				return err
-			}
-			if err := sink(rec); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if err := d.Context.DumpEntities(func(e *ngsi.Entity) error {
-		rec, err := wal.EncodeEntityUpsert(e)
-		if err != nil {
-			return err
-		}
-		return sink(rec)
-	}); err != nil {
+	if err := wal.DumpStores(d.Context, d.Store, rotate, sink); err != nil {
 		return err
 	}
 	if d.Webhooks == nil {

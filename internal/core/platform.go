@@ -592,8 +592,7 @@ func (p *Platform) onContextNotification(n ngsi.Notification) {
 	defer p.notifyProcessed.Inc()
 	if p.Opts.Mode == ModeCloudOnly {
 		_ = p.Backhaul.Do(func() error {
-			p.Ingestor.NotificationHandler()(n)
-			return nil
+			return p.Ingestor.IngestReadings(readings)
 		})
 	} else if p.Fog != nil {
 		// Fog ingests the decoded readings for local decisions and queues

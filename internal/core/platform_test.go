@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -257,6 +258,44 @@ func TestFogDecisionIssuesCommands(t *testing.T) {
 	}
 	if wet == 0 {
 		t.Error("prescription waters nothing")
+	}
+}
+
+// TestCloudOnlyDecidesLikeFarmFog: cloud-only mode files telemetry under
+// the device ids fog mode uses, so on the same field both decision loops
+// place the probes in their pivot sectors and command the same targets.
+// Thirty days at 6 mm/day dry the probes inside the pivot circle (sectors
+// 11 and 12) past the trigger while the field mean stays below it, so a
+// loop that cannot place them commands neither.
+func TestCloudOnlyDecidesLikeFarmFog(t *testing.T) {
+	targets := func(mode Mode) []string {
+		p := newPlatform(t, PilotMATOPIBA, mode, false)
+		for range 30 {
+			p.Field.StepAll(6, 0, nil)
+		}
+		if err := p.PumpOnce(t0, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if !p.WaitPipeline(uint64(PilotMATOPIBA.Probes), 5*time.Second) {
+			t.Fatalf("%s: the pump never reached the decision loop's store", mode)
+		}
+		cmds, err := p.DecideOnce(t0)
+		if err != nil {
+			t.Fatalf("%s: %v", mode, err)
+		}
+		out := make([]string, len(cmds))
+		for i, c := range cmds {
+			out[i] = string(c.Target)
+		}
+		slices.Sort(out)
+		return out
+	}
+	fog, cloud := targets(ModeFarmFog), targets(ModeCloudOnly)
+	if len(fog) == 0 {
+		t.Fatal("farm-fog commanded no sector: the field is not dry enough to tell the modes apart")
+	}
+	if !slices.Equal(fog, cloud) {
+		t.Fatalf("farm-fog commands %v, cloud-only %v", fog, cloud)
 	}
 }
 

@@ -64,18 +64,25 @@ func TestRunSeasonSealed(t *testing.T) {
 // A cloud-only season with a mid-season partition loses exactly the
 // partitioned decision days — and the crop pays for it.
 func TestRunSeasonCloudPartition(t *testing.T) {
-	p := newPlatform(t, PilotMATOPIBA, ModeCloudOnly, false)
 	cut, heal := 40, 70
-	rep, err := p.RunSeason(SeasonHooks{
-		OnDay: func(day int, p *Platform) {
-			if day == cut {
+	// partition cuts the backhaul on days [cut, heal) and counts the
+	// commands the actuators applied inside that window.
+	partition := func(applied *int) SeasonHooks {
+		var before int
+		return SeasonHooks{OnDay: func(day int, p *Platform) {
+			switch day {
+			case cut:
 				p.Backhaul.SetPartitioned(true)
-			}
-			if day == heal {
+				before = len(p.Actuators.Journal())
+			case heal:
 				p.Backhaul.SetPartitioned(false)
+				*applied = len(p.Actuators.Journal()) - before
 			}
-		},
-	})
+		}}
+	}
+	var cloudApplied, fogApplied int
+	p := newPlatform(t, PilotMATOPIBA, ModeCloudOnly, false)
+	rep, err := p.RunSeason(partition(&cloudApplied))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,28 +92,22 @@ func TestRunSeasonCloudPartition(t *testing.T) {
 
 	// The same outage under farm-fog costs nothing.
 	pf := newPlatform(t, PilotMATOPIBA, ModeFarmFog, false)
-	repF, err := pf.RunSeason(SeasonHooks{
-		OnDay: func(day int, p *Platform) {
-			if day == cut {
-				p.Backhaul.SetPartitioned(true)
-			}
-			if day == heal {
-				p.Backhaul.SetPartitioned(false)
-			}
-		},
-	})
+	repF, err := pf.RunSeason(partition(&fogApplied))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if repF.DecisionFailures != 0 {
 		t.Errorf("fog failures = %d during partition", repF.DecisionFailures)
 	}
-	// Fog keeps commanding during the window, so it cannot issue fewer
-	// commands than the stalled cloud loop. (Yield differences are within
-	// seasonal noise and not asserted.)
-	if repF.CommandsIssued < rep.CommandsIssued {
-		t.Errorf("fog commands %d < partitioned-cloud commands %d",
-			repF.CommandsIssued, rep.CommandsIssued)
+	// Inside the outage the stalled cloud loop applies nothing while fog
+	// keeps commanding. Season totals are not compared: the cloud-only
+	// field leaves the outage drier and may command more afterwards, and
+	// yield differences are within seasonal noise.
+	if cloudApplied != 0 {
+		t.Errorf("partitioned cloud applied %d commands inside the outage", cloudApplied)
+	}
+	if fogApplied == 0 {
+		t.Error("fog applied no command inside the outage")
 	}
 }
 
