@@ -3,8 +3,8 @@
 // connect with any MQTT 3.1.1 client), the simulated pilot devices feed it,
 // and the decision loop runs on a wall-clock cadence.
 //
-// Configuration is layered: schema defaults, then the -config file (TOML,
-// or JSON by extension), then SWAMP_* environment variables, then any
+// Configuration is layered: schema defaults, then the -config file (a
+// TOML subset), then SWAMP_* environment variables, then any
 // explicitly set command-line flag — last writer wins. -config-check
 // resolves the stack, prints every knob with its provenance, and exits.
 //
@@ -56,7 +56,7 @@ var _ httpapi.ClusterBackend = (*cluster.Router)(nil)
 const readyQueueWatermark = 100_000
 
 func main() {
-	configPath := flag.String("config", "", "config file (TOML; .json for JSON); flags and SWAMP_* env override it")
+	configPath := flag.String("config", "", "config file (a TOML subset, as examples/swampd.toml); flags and SWAMP_* env override it")
 	configCheck := flag.Bool("config-check", false, "resolve the config stack, print every knob with provenance, and exit")
 	overlay := config.RegisterFlags(flag.CommandLine)
 	flag.Parse()

@@ -30,8 +30,8 @@
 // snapshots replay forever.
 //
 // Every operational knob lives in one typed schema (internal/config),
-// resolved in layers — declared defaults, then a -config file (TOML, or
-// JSON by extension), then SWAMP_* environment variables, then
+// resolved in layers — declared defaults, then a -config file (a TOML
+// subset), then SWAMP_* environment variables, then
 // explicitly set flags, last writer wins with per-knob provenance
 // (swampd -config-check prints the resolved stack). The spellings are
 // mechanical: knob timeseries.retention ⇔ flag -ts-retention ⇔ env

@@ -34,11 +34,11 @@ func (a gateAck) Wait() error {
 
 func (j *gateJournal) open() { j.opened.Do(func() { close(j.gate) }) }
 
-func (j *gateJournal) EntitiesMerged([]ngsi.MergeEntry) ngsi.JournalAck              { return gateAck{j} }
-func (j *gateJournal) EntityUpserted(*ngsi.Entity) ngsi.JournalAck                   { return nil }
-func (j *gateJournal) EntityDeleted(string) ngsi.JournalAck                          { return nil }
-func (j *gateJournal) SubscriptionPut(ngsi.SubscriptionView, string) ngsi.JournalAck { return nil }
-func (j *gateJournal) SubscriptionDeleted(string) ngsi.JournalAck                    { return nil }
+func (j *gateJournal) EntitiesMerged([]ngsi.MergeEntry) ngsi.JournalAck      { return gateAck{j} }
+func (j *gateJournal) EntityUpserted(*ngsi.Entity) ngsi.JournalAck           { return nil }
+func (j *gateJournal) EntityDeleted(string) ngsi.JournalAck                  { return nil }
+func (j *gateJournal) SubscriptionPut(ngsi.SubscriptionView) ngsi.JournalAck { return nil }
+func (j *gateJournal) SubscriptionDeleted(string) ngsi.JournalAck            { return nil }
 
 // newGatedStack wires the northbound pipeline over a context broker whose
 // journal gate is shut, provisions the probe and parks the agent's flusher:

@@ -60,24 +60,7 @@ func TestFollowerResumeFromTrailingSidecarAddsNoRepeats(t *testing.T) {
 	defer tc.closeAll()
 	leader := tc.member("n1").node
 
-	// Let cluster birth settle, as TestFollowerRestartResumesFromSidecar
-	// does: both directions installed and n2's offset inside n1's log, so
-	// the restart below resumes instead of re-bootstrapping.
-	nudge := idsOwned(t, tc.m, "n1", "urn:nudge:", 1)[0]
-	waitFor(t, "quiescent birth with resumable offset on n2", func() bool {
-		if err := leader.UpdateAttrs(nudge, "Device", attrsOf(1)); err != nil {
-			return false
-		}
-		if _, ok := leader.fmgr.offsets().get("n2"); !ok {
-			return false
-		}
-		off, ok := tc.member("n2").node.fmgr.offsets().get("n1")
-		if !ok {
-			return false
-		}
-		segs, err := tc.member("n1").plat.wm.Segments()
-		return err == nil && len(segs) > 0 && off.Seg >= segs[0]
-	})
+	waitResumableBirth(t, tc)
 	// caughtUp waits until m's offset for n1 reaches n1's log head.
 	caughtUp := func(m *testMember) offsetEntry {
 		t.Helper()

@@ -153,6 +153,41 @@ func TestCatchUpEndsWhenSnapshotPrunedItsSegment(t *testing.T) {
 	}
 }
 
+// waitResumableBirth waits, nudging live records through both nodes, until
+// the birth of the two-node cluster tc is quiescent and a restart of
+// either node resumes instead of re-bootstrapping. Three birth-time events
+// race that: each bootstrap's snapEnd persists the follower's offset, and
+// each install or streaming-side snapshot truncates the node-wide log. A
+// resume is granted only for an offset at or past the leader's oldest
+// retained segment, so both directions must hold one: n2's offset into
+// n1's log, and n1's into n2's — a stale one makes the restarted n2
+// bootstrap n1, which fires n2's snapshot hook as a re-bootstrap would.
+// Each node is nudged because an offset into a log moves only with that
+// log's records.
+func waitResumableBirth(t *testing.T, tc *testCluster) {
+	t.Helper()
+	nudges := map[string]string{}
+	for _, n := range []string{"n1", "n2"} {
+		nudges[n] = idsOwned(t, tc.m, n, "urn:nudge:", 1)[0]
+	}
+	resumable := func(follower, leader string) bool {
+		off, ok := tc.member(follower).node.fmgr.offsets().get(leader)
+		if !ok {
+			return false
+		}
+		segs, err := tc.member(leader).plat.wm.Segments()
+		return err == nil && len(segs) > 0 && off.Seg >= segs[0]
+	}
+	waitFor(t, "quiescent birth with resumable offsets both ways", func() bool {
+		for n, id := range nudges {
+			if err := tc.member(n).node.UpdateAttrs(id, "Device", attrsOf(1)); err != nil {
+				return false
+			}
+		}
+		return resumable("n2", "n1") && resumable("n1", "n2")
+	})
+}
+
 // TestFollowerRestartResumesFromSidecar: a follower that restarts
 // mid-stream resumes from its durable offset — segment replay, not a
 // fresh snapshot bootstrap.
@@ -178,31 +213,7 @@ func TestFollowerRestartResumesFromSidecar(t *testing.T) {
 		return true
 	})
 
-	// The snapshot counter on n1 only stops moving once cluster birth is
-	// fully quiescent, and a resume is only granted for an offset at or
-	// past the leader's oldest retained segment. Three birth-time events
-	// race the test's precondition: the bootstrap's snapEnd persists
-	// n2's offset, n1's own install snapshot (for the partitions it
-	// follows from n2 — its offsets entry for n2 appears only after that
-	// snapshot) truncates n1's log, and the streaming-side snapshot did
-	// so too. Keep nudging live records through until both directions
-	// are installed and n2 holds a resumable offset — only then is
-	// "restart must not re-bootstrap" a fair assertion.
-	nudge := idsOwned(t, tc.m, "n1", "urn:nudge:", 1)[0]
-	waitFor(t, "quiescent birth with resumable offset on n2", func() bool {
-		if err := tc.member("n1").node.UpdateAttrs(nudge, "Device", attrsOf(1)); err != nil {
-			return false
-		}
-		if _, ok := tc.member("n1").node.fmgr.offsets().get("n2"); !ok {
-			return false
-		}
-		off, ok := tc.member("n2").node.fmgr.offsets().get("n1")
-		if !ok {
-			return false
-		}
-		segs, err := tc.member("n1").plat.wm.Segments()
-		return err == nil && len(segs) > 0 && off.Seg >= segs[0]
-	})
+	waitResumableBirth(t, tc)
 
 	tc.stop("n2")
 

@@ -185,30 +185,6 @@ level = "debug"
 	}
 }
 
-func TestJSONConfig(t *testing.T) {
-	path := writeFile(t, "swampd.json", `{
-  "tenant": {"default_inflight": 77, "default_msgs_per_sec": 0},
-  "wal": {"snapshot_interval": "30s"},
-  "server": {"sealed": true}
-}`)
-	c, prov, err := (&Loader{Path: path, Env: func(string) string { return "" }}).Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Tenant.DefaultInflight != 77 || c.Tenant.DefaultMsgsPerSec != 0 {
-		t.Errorf("tenant = %+v", c.Tenant)
-	}
-	if c.WAL.SnapshotInterval != 30*time.Second {
-		t.Errorf("snapshot_interval = %s", c.WAL.SnapshotInterval)
-	}
-	if !c.Server.Sealed {
-		t.Error("sealed not set from JSON bool")
-	}
-	if prov["wal.snapshot_interval"] != SourceFile {
-		t.Errorf("provenance = %s", prov["wal.snapshot_interval"])
-	}
-}
-
 func TestValidateReloadDynamicOnly(t *testing.T) {
 	cur := Default()
 	cand := Default()

@@ -1,11 +1,9 @@
 package config
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 )
@@ -30,8 +28,8 @@ type Provenance map[string]Source
 // reusable: Load re-reads the file and environment each call, which is
 // exactly what a SIGHUP reload wants.
 type Loader struct {
-	// Path is the config file (TOML by default, JSON for .json). Empty
-	// skips the file layer.
+	// Path is the config file, in the TOML subset examples/swampd.toml
+	// uses. Empty skips the file layer.
 	Path string
 	// Flags carries explicitly set command-line values; nil skips the
 	// flag layer.
@@ -93,39 +91,6 @@ func (l *Loader) Load() (*Config, Provenance, error) {
 // abort; per-key problems (unknown keys, bad values) aggregate so the
 // operator sees every mistake at once.
 func applyFile(c *Config, prov Provenance, path string, raw []byte) (Errors, error) {
-	var sections map[string]map[string]string
-	if strings.EqualFold(filepath.Ext(path), ".json") {
-		var doc map[string]map[string]any
-		if err := json.Unmarshal(raw, &doc); err != nil {
-			return nil, fmt.Errorf("config: %s: %w", path, err)
-		}
-		var errs Errors
-		for _, section := range sortedKeys(doc) {
-			for _, key := range sortedKeys(doc[section]) {
-				name := section + "." + key
-				if section == quotasSection {
-					raw, ok := doc[section][key].(string)
-					if !ok {
-						errs = append(errs, FieldError{Name: name, Err: fmt.Errorf("quota specs are strings")})
-						continue
-					}
-					setQuota(c, prov, key, raw)
-					continue
-				}
-				f, ok := FieldByName(name)
-				if !ok {
-					errs = append(errs, FieldError{Name: name, Err: fmt.Errorf("unknown setting")})
-					continue
-				}
-				if err := f.setAny(c, doc[section][key]); err != nil {
-					errs = append(errs, FieldError{Name: name, Err: err})
-					continue
-				}
-				prov[name] = SourceFile
-			}
-		}
-		return errs, nil
-	}
 	sections, err := parseTOML(string(raw))
 	if err != nil {
 		return nil, fmt.Errorf("config: %s: %w", path, err)

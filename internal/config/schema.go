@@ -122,7 +122,7 @@ type Tenant struct {
 	DefaultMsgsPerSec      int           `knob:"default_msgs_per_sec" flag:"tenant-msgs" default:"1000" min:"0" dynamic:"true" usage:"per-tenant sustained message budget across all ingress points (0 suspends unlisted tenants)"`
 	DefaultBytesPerSec     int64         `knob:"default_bytes_per_sec" flag:"tenant-bytes" default:"1048576" min:"0" dynamic:"true" usage:"per-tenant sustained payload-byte budget (0 leaves bytes unenforced)"`
 	DefaultInflight        int           `knob:"default_inflight" flag:"tenant-inflight" default:"64" min:"0" dynamic:"true" usage:"per-tenant concurrent HTTP request bound (0 = unenforced)"`
-	DefaultSubscriptions   int           `knob:"default_subscriptions" flag:"tenant-subs" default:"32" min:"0" dynamic:"true" usage:"per-tenant live NGSI subscription bound (0 = unenforced)"`
+	DefaultSubscriptions   int           `knob:"default_subscriptions" flag:"tenant-subs" default:"32" min:"0" dynamic:"true" usage:"per-tenant bound on live NGSI subscriptions plus MQTT topic filters, counted while admission is off too (0 = unenforced)"`
 	DefaultWebhookSharePct int           `knob:"default_webhook_share_pct" flag:"tenant-webhook-share" default:"50" min:"0" max:"100" dynamic:"true" usage:"per-tenant share of each webhook queue in percent (0 or 100 = full queue)"`
 	Burst                  time.Duration `knob:"burst" flag:"tenant-burst" default:"2s" min:"100ms" dynamic:"true" usage:"token-bucket burst window: a tenant may spend this much quota ahead of its sustained rate"`
 
@@ -343,38 +343,6 @@ func (f *Field) Set(c *Config, raw string) error {
 	return nil
 }
 
-// setAny stores a decoded JSON value (float64/bool/string) into c.
-func (f *Field) setAny(c *Config, val any) error {
-	switch tv := val.(type) {
-	case string:
-		if f.Kind == KindString || f.Kind == KindDuration {
-			return f.Set(c, tv)
-		}
-		return f.Set(c, tv) // numeric/bool strings parse too
-	case bool:
-		if f.Kind != KindBool {
-			return fmt.Errorf("expected %s, got boolean", f.kindName())
-		}
-		f.value(c).SetBool(tv)
-		return nil
-	case float64:
-		switch f.Kind {
-		case KindInt, KindInt64:
-			if tv != float64(int64(tv)) {
-				return fmt.Errorf("expected integer, got %v", tv)
-			}
-			f.value(c).SetInt(int64(tv))
-			return nil
-		case KindDuration:
-			return fmt.Errorf("durations are strings (e.g. \"250ms\"), got number %v", tv)
-		default:
-			return fmt.Errorf("expected %s, got number", f.kindName())
-		}
-	default:
-		return fmt.Errorf("unsupported value type %T", val)
-	}
-}
-
 // Get returns the field's current value as a comparable any.
 func (f *Field) Get(c *Config) any {
 	v := f.value(c)
@@ -402,19 +370,6 @@ func (f *Field) Format(c *Config) string {
 		return fmt.Sprintf("%q", val)
 	default:
 		return fmt.Sprint(val)
-	}
-}
-
-func (f *Field) kindName() string {
-	switch f.Kind {
-	case KindDuration:
-		return "duration string"
-	case KindInt, KindInt64:
-		return "integer"
-	case KindBool:
-		return "boolean"
-	default:
-		return "string"
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"github.com/swamp-project/swamp/internal/metrics"
 	"github.com/swamp-project/swamp/internal/ngsi"
-	"github.com/swamp-project/swamp/internal/tenant"
 	"github.com/swamp-project/swamp/internal/timeseries"
 	"github.com/swamp-project/swamp/internal/wal"
 )
@@ -26,11 +25,6 @@ type DurabilityConfig struct {
 	SnapshotInterval time.Duration
 	// Metrics receives the wal.* counters; nil allocates one.
 	Metrics *metrics.Registry
-	// Admission, when set, has a subscription slot restored for every
-	// owned subscription recovered during replay (and released again when
-	// a tail delete removes one), so post-restart slot accounting matches
-	// the live subscriptions instead of restarting at zero.
-	Admission *tenant.Admission
 }
 
 // Durability wires one WAL manager under a context broker and a
@@ -47,11 +41,10 @@ type DurabilityConfig struct {
 // Notifications replayed from the tail may redeliver to webhook
 // endpoints: durability is at-least-once at the notification layer.
 type Durability struct {
-	WAL       *wal.Manager
-	Context   *ngsi.Broker
-	Store     *timeseries.Store
-	Webhooks  *ngsi.WebhookPool
-	Admission *tenant.Admission
+	WAL      *wal.Manager
+	Context  *ngsi.Broker
+	Store    *timeseries.Store
+	Webhooks *ngsi.WebhookPool
 	// Recovered reports what the opening recovery replayed.
 	Recovered wal.RecoverStats
 }
@@ -70,7 +63,7 @@ func OpenDurability(cfg DurabilityConfig, ctx *ngsi.Broker, store *timeseries.St
 	if err != nil {
 		return nil, err
 	}
-	d := &Durability{WAL: m, Context: ctx, Store: store, Webhooks: hooks, Admission: cfg.Admission}
+	d := &Durability{WAL: m, Context: ctx, Store: store, Webhooks: hooks}
 	replay := &wal.Applier{Context: ctx, Store: store}
 	stats, err := m.Recover(func(rec wal.Record) error { return d.apply(replay, rec) })
 	if err != nil {
@@ -99,68 +92,26 @@ func (d *Durability) Close() error { return d.WAL.Close() }
 func (d *Durability) Snapshot() error { return d.WAL.Snapshot(d.dump) }
 
 // apply replays one record during recovery and flushes it before the
-// next. Subscription records rebuild webhook lanes and quota slots here;
-// every other record goes to the store applier. The journals are not yet
-// attached, so nothing replayed is re-logged.
+// next. Subscription records go to the webhook pool, which rebuilds their
+// lanes and quota slots; every other record goes to the store applier.
+// The journals are not yet attached, so nothing replayed is re-logged.
 func (d *Durability) apply(replay *wal.Applier, rec wal.Record) error {
 	switch rec.Type {
 	case wal.TypeSubscriptionPut:
 		sr, err := wal.DecodeSubscriptionPut(rec)
-		if err != nil {
+		if err != nil || d.Webhooks == nil { // no pool to rebuild lanes in
 			return err
 		}
-		if d.Webhooks == nil {
-			return nil // no pool to rebuild delivery workers in
-		}
-		// Replay idempotently: a subscription present in both the
-		// snapshot and the tail replaces itself — releasing the slot the
-		// earlier apply restored, so the pairing survives re-puts.
-		if prev, err := d.Context.Subscription(sr.ID); err == nil {
-			_ = d.Context.Unsubscribe(sr.ID)
-			d.Admission.ReleaseSubscription(prev.Owner)
-		}
-		d.Webhooks.Remove(sr.ID)
-		notifier, err := d.Webhooks.Notifier(sr.ID, sr.Endpoint)
-		if err != nil {
-			return err
-		}
-		notifier.SetOwner(tenant.ID(sr.Owner))
-		_, err = d.Context.Subscribe(ngsi.Subscription{
-			ID:              sr.ID,
-			EntityIDPattern: sr.EntityIDPattern,
-			EntityType:      sr.EntityType,
-			ConditionAttrs:  sr.ConditionAttrs,
-			NotifyAttrs:     sr.NotifyAttrs,
-			Throttling:      sr.Throttling,
-			Owner:           tenant.ID(sr.Owner),
-			Notifier:        notifier,
-		})
-		if err != nil {
-			d.Webhooks.Remove(sr.ID)
-			return err
-		}
-		// Restore the recovered subscription's quota slot (bypassing the
-		// quota bound — it was enforced at create time) so a post-restart
-		// delete releases a slot this subscription actually holds.
-		d.Admission.RestoreSubscription(tenant.ID(sr.Owner))
-		return nil
+		return d.Webhooks.Restore(d.Context, sr.Subscription())
 	case wal.TypeSubscriptionDelete:
 		id, err := wal.DecodeID(rec)
-		if err != nil {
+		if err != nil || d.Webhooks == nil {
 			return err
 		}
-		// A tail delete removes a subscription an earlier apply restored
-		// a slot for; release it so the pairing holds through replay.
-		if sub, err := d.Context.Subscription(id); err == nil {
-			d.Admission.ReleaseSubscription(sub.Owner)
+		if err = d.Webhooks.Unsubscribe(d.Context, id); errors.Is(err, ngsi.ErrNotFound) {
+			return nil // never restored, or already deleted
 		}
-		if err := d.Context.Unsubscribe(id); err != nil && !errors.Is(err, ngsi.ErrNotFound) {
-			return err
-		}
-		if d.Webhooks != nil {
-			d.Webhooks.Remove(id)
-		}
-		return nil
+		return err
 	default:
 		return replay.Apply(rec)
 	}
@@ -174,15 +125,11 @@ func (d *Durability) dump(rotate func() error, sink func(wal.Record) error) erro
 	if err := wal.DumpStores(d.Context, d.Store, rotate, sink); err != nil {
 		return err
 	}
-	if d.Webhooks == nil {
-		return nil
-	}
 	for _, v := range d.Context.Subscriptions() {
-		url, ok := d.Webhooks.URL(v.ID)
-		if !ok {
+		if v.URL == "" {
 			continue // in-process wiring: rebuilt on startup, not persisted
 		}
-		rec, err := wal.EncodeSubscriptionPut(wal.NewSubscriptionRecord(v, url))
+		rec, err := wal.EncodeSubscriptionPut(wal.NewSubscriptionRecord(v))
 		if err != nil {
 			return err
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -266,33 +267,24 @@ func TestDurabilityWebhookSubscriptionRecovery(t *testing.T) {
 	defer srv.Close()
 
 	broker, store, pool, d := durablePair(t, dir, -1)
-	notifier, err := pool.Notifier("urn:swamp:subscription:000007", srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := broker.Subscribe(ngsi.Subscription{
+	if _, err := pool.Subscribe(broker, ngsi.Subscription{
 		ID:              "urn:swamp:subscription:000007",
 		EntityIDPattern: "urn:test:*",
 		NotifyAttrs:     []string{"m"},
 		Owner:           "tenant-1",
-		Notifier:        notifier,
+		URL:             srv.URL,
 	}); err != nil {
 		t.Fatal(err)
 	}
 	// A second durable subscription that gets deleted: must stay deleted.
-	n2, err := pool.Notifier("urn:swamp:subscription:000008", srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := broker.Subscribe(ngsi.Subscription{
-		ID: "urn:swamp:subscription:000008", EntityIDPattern: "*", Notifier: n2,
+	if _, err := pool.Subscribe(broker, ngsi.Subscription{
+		ID: "urn:swamp:subscription:000008", EntityIDPattern: "*", URL: srv.URL,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := broker.Unsubscribe("urn:swamp:subscription:000008"); err != nil {
+	if err := pool.Unsubscribe(broker, "urn:swamp:subscription:000008"); err != nil {
 		t.Fatal(err)
 	}
-	pool.Remove("urn:swamp:subscription:000008")
 	// An in-process subscription: must NOT be journaled.
 	if _, err := broker.Subscribe(ngsi.Subscription{
 		EntityIDPattern: "*", Notifier: ngsi.Callback(func(ngsi.Notification) {}),
@@ -306,7 +298,7 @@ func TestDurabilityWebhookSubscriptionRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	broker2, _, pool2, _ := durablePair(t, dir, -1)
+	broker2, _, _, _ := durablePair(t, dir, -1)
 	subs := broker2.Subscriptions()
 	if len(subs) != 1 || subs[0].ID != "urn:swamp:subscription:000007" {
 		t.Fatalf("recovered subscriptions: %+v", subs)
@@ -314,8 +306,8 @@ func TestDurabilityWebhookSubscriptionRecovery(t *testing.T) {
 	if subs[0].Owner != "tenant-1" || subs[0].EntityIDPattern != "urn:test:*" {
 		t.Fatalf("subscription fields lost: %+v", subs[0])
 	}
-	if url, ok := pool2.URL("urn:swamp:subscription:000007"); !ok || url != srv.URL {
-		t.Fatalf("webhook URL not restored: %q %v", url, ok)
+	if subs[0].URL != srv.URL {
+		t.Fatalf("webhook URL not restored: %q", subs[0].URL)
 	}
 	// And it still delivers: an update must reach the endpoint.
 	if err := broker2.UpsertEntity(&ngsi.Entity{
@@ -398,9 +390,9 @@ func TestDurabilityRestoresSubscriptionSlots(t *testing.T) {
 		reg := metrics.NewRegistry()
 		broker := ngsi.NewBroker(ngsi.BrokerConfig{Metrics: reg})
 		store := timeseries.New()
-		pool := ngsi.NewWebhookPool(ngsi.WebhookConfig{Metrics: reg, OnStatus: ngsi.StatusUpdater(broker)})
+		pool := ngsi.NewWebhookPool(ngsi.WebhookConfig{Metrics: reg, OnStatus: ngsi.StatusUpdater(broker), Admission: adm})
 		d, err := OpenDurability(DurabilityConfig{
-			Dir: dir, SnapshotInterval: -1, Metrics: reg, Admission: adm,
+			Dir: dir, SnapshotInterval: -1, Metrics: reg,
 		}, broker, store, pool)
 		if err != nil {
 			t.Fatal(err)
@@ -413,26 +405,19 @@ func TestDurabilityRestoresSubscriptionSlots(t *testing.T) {
 		})
 		return broker, pool, d
 	}
-	subscribe := func(broker *ngsi.Broker, pool *ngsi.WebhookPool, adm *tenant.Admission, id string) {
-		t.Helper()
-		if err := adm.ReserveSubscription("tenant-1"); err != nil {
-			t.Fatal(err)
-		}
-		n, err := pool.Notifier(id, "http://127.0.0.1:1/hook")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := broker.Subscribe(ngsi.Subscription{
-			ID: id, EntityIDPattern: "urn:test:*", Owner: "tenant-1", Notifier: n,
-		}); err != nil {
+	subscribe := func(broker *ngsi.Broker, pool *ngsi.WebhookPool) error {
+		_, err := pool.Subscribe(broker, ngsi.Subscription{
+			EntityIDPattern: "urn:test:*", Owner: "tenant-1", URL: "http://127.0.0.1:1/hook",
+		})
+		return err
+	}
+
+	broker, pool, d := open(newAdm())
+	for i := 0; i < 2; i++ {
+		if err := subscribe(broker, pool); err != nil {
 			t.Fatal(err)
 		}
 	}
-
-	adm := newAdm()
-	broker, pool, d := open(adm)
-	subscribe(broker, pool, adm, "urn:swamp:subscription:000001")
-	subscribe(broker, pool, adm, "urn:swamp:subscription:000002")
 	broker.Close()
 	pool.Close()
 	if err := d.Close(); err != nil {
@@ -441,24 +426,22 @@ func TestDurabilityRestoresSubscriptionSlots(t *testing.T) {
 
 	// Fresh admission over the same dir: replay must restore both slots,
 	// so the quota of 2 is already exhausted.
-	adm2 := newAdm()
-	broker2, _, _ := open(adm2)
+	broker2, pool2, _ := open(newAdm())
 	if len(broker2.Subscriptions()) != 2 {
 		t.Fatalf("recovered %d subscriptions, want 2", len(broker2.Subscriptions()))
 	}
-	if err := adm2.ReserveSubscription("tenant-1"); err == nil {
-		t.Fatal("recovered subscriptions did not occupy their quota slots")
+	if err := subscribe(broker2, pool2); !errors.Is(err, tenant.ErrSubscriptionQuota) {
+		t.Fatalf("third subscription = %v: recovered subscriptions did not occupy their quota slots", err)
 	}
 	// Deleting a recovered subscription frees exactly one slot.
-	if err := broker2.Unsubscribe("urn:swamp:subscription:000001"); err != nil {
+	if err := pool2.Unsubscribe(broker2, "urn:swamp:subscription:000001"); err != nil {
 		t.Fatal(err)
 	}
-	adm2.ReleaseSubscription("tenant-1")
-	if err := adm2.ReserveSubscription("tenant-1"); err != nil {
+	if err := subscribe(broker2, pool2); err != nil {
 		t.Fatalf("released slot not reusable: %v", err)
 	}
-	if err := adm2.ReserveSubscription("tenant-1"); err == nil {
-		t.Fatal("slot accounting drifted: quota 2 admitted a third subscription")
+	if err := subscribe(broker2, pool2); !errors.Is(err, tenant.ErrSubscriptionQuota) {
+		t.Fatalf("slot accounting drifted: quota 2 admitted a third subscription (%v)", err)
 	}
 }
 

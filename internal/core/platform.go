@@ -341,7 +341,6 @@ func New(opts Options) (*Platform, error) {
 			Dir:              cfg.WAL.Dir,
 			SnapshotInterval: cfg.WAL.SnapshotInterval,
 			Metrics:          p.reg,
-			Admission:        p.Admission,
 		}, p.Context, p.Store, p.Webhooks)
 		if err != nil {
 			p.Close()

@@ -49,8 +49,9 @@ type Config struct {
 	// Metrics receives the server's counters (Ops renders it at GET
 	// /metrics); nil allocates a private one.
 	Metrics *metrics.Registry
-	// Webhooks delivers subscription notifications; nil builds a private
-	// pool wired to Context (closed by Server.Close).
+	// Webhooks delivers subscription notifications and holds their quota
+	// slots; nil builds a private pool wired to Context and Admission
+	// (closed by Server.Close).
 	Webhooks *ngsi.WebhookPool
 	// Cluster, when non-nil, routes entity reads/writes and analytics to
 	// partition owners across the cluster instead of the local stores.
@@ -121,14 +122,11 @@ func NewServer(cfg Config) (*Server, error) {
 		cSeries:        cfg.Metrics.Counter("httpapi.analytics.series"),
 		cThrottled:     cfg.Metrics.Counter("httpapi.throttled"),
 	}
-	// WAL recovery may have repopulated the broker with HTTP-created
-	// subscriptions; advance the id counter past them so fresh creations
-	// never collide with recovered ids.
-	seedSubscriptionCounter(cfg.Context)
 	if s.cfg.Webhooks == nil {
 		s.cfg.Webhooks = ngsi.NewWebhookPool(ngsi.WebhookConfig{
-			Metrics:  cfg.Metrics,
-			OnStatus: ngsi.StatusUpdater(cfg.Context),
+			Metrics:   cfg.Metrics,
+			OnStatus:  ngsi.StatusUpdater(cfg.Context),
+			Admission: cfg.Admission,
 		})
 		s.ownPool = true
 	}

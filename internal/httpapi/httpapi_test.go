@@ -455,7 +455,7 @@ func (j failJournal) EntitiesMerged([]ngsi.MergeEntry) ngsi.JournalAck {
 	return failJournalAck{j.err}
 }
 func (j failJournal) EntityDeleted(string) ngsi.JournalAck { return failJournalAck{j.err} }
-func (j failJournal) SubscriptionPut(ngsi.SubscriptionView, string) ngsi.JournalAck {
+func (j failJournal) SubscriptionPut(ngsi.SubscriptionView) ngsi.JournalAck {
 	return failJournalAck{j.err}
 }
 func (j failJournal) SubscriptionDeleted(string) ngsi.JournalAck { return failJournalAck{j.err} }

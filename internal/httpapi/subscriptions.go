@@ -3,38 +3,13 @@ package httpapi
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
-	"sync/atomic"
 	"time"
 
 	"github.com/swamp-project/swamp/internal/ngsi"
 	"github.com/swamp-project/swamp/internal/security/identity"
 	"github.com/swamp-project/swamp/internal/tenant"
 )
-
-// nextSubID numbers HTTP-created subscriptions. The prefix keeps them
-// out of the broker's own "sub-N" namespace.
-var nextSubID atomic.Uint64
-
-// seedSubscriptionCounter bumps nextSubID past every existing
-// HTTP-namespace subscription id in the broker (monotonically — the
-// counter is shared across servers), so ids survive a WAL recovery
-// without colliding.
-func seedSubscriptionCounter(b *ngsi.Broker) {
-	for _, v := range b.Subscriptions() {
-		var n uint64
-		if _, err := fmt.Sscanf(v.ID, "urn:swamp:subscription:%d", &n); err != nil {
-			continue
-		}
-		for {
-			cur := nextSubID.Load()
-			if n <= cur || nextSubID.CompareAndSwap(cur, n) {
-				break
-			}
-		}
-	}
-}
 
 // subscriptionBody is the accepted payload of POST /v2/subscriptions —
 // the Orion subscription shape restricted to one subject entity selector
@@ -94,9 +69,7 @@ func (s *Server) subscriptionToJSON(v ngsi.SubscriptionView) subscriptionJSON {
 	}
 	out.Subject.Entities = []map[string]string{ent}
 	out.Subject.Condition.Attrs = v.ConditionAttrs
-	if url, ok := s.cfg.Webhooks.URL(v.ID); ok {
-		out.Notification.HTTP.URL = url
-	}
+	out.Notification.HTTP.URL = v.URL
 	out.Notification.Attrs = v.NotifyAttrs
 	out.Throttling = v.Throttling.Seconds()
 	return out
@@ -116,8 +89,8 @@ func canManage(prin identity.Principal, v ngsi.SubscriptionView) bool {
 
 // handleCreateSubscription implements POST /v2/subscriptions: validate
 // the payload, authorize "subscribe" on the watched entity pattern, then
-// register a webhook delivery worker (its pool checks the URL) and the
-// broker subscription, stamped with the caller's tenant for owner scoping.
+// subscribe through the webhook pool (it checks the URL and the quota),
+// stamped with the caller's tenant for owner scoping.
 func (s *Server) handleCreateSubscription(w http.ResponseWriter, r *http.Request) {
 	var body subscriptionBody
 	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
@@ -145,39 +118,30 @@ func (s *Server) handleCreateSubscription(w http.ResponseWriter, r *http.Request
 	if !ok {
 		return
 	}
-	// The subscription slot is held for the subscription's lifetime, not
-	// the request's: released on delete, or below if registration fails.
-	if err := s.cfg.Admission.ReserveSubscription(prin.Tenant()); err != nil {
-		s.cThrottled.Inc()
-		w.Header().Set("Retry-After", "60")
-		writeErr(w, http.StatusTooManyRequests, "too_many_requests", err.Error())
-		return
-	}
-
-	id := fmt.Sprintf("urn:swamp:subscription:%06d", nextSubID.Add(1))
-	notifier, err := s.cfg.Webhooks.Notifier(id, body.Notification.HTTP.URL)
-	if err != nil {
-		s.cfg.Admission.ReleaseSubscription(prin.Tenant())
-		if errors.Is(err, ngsi.ErrWebhookURL) {
-			writeErr(w, http.StatusBadRequest, "invalid_notification", "notification.http.url must be an absolute http(s) URL")
-			return
-		}
-		writeErr(w, http.StatusInternalServerError, "subscription_failed", err.Error())
-		return
-	}
-	notifier.SetOwner(prin.Tenant())
-	if _, err := s.cfg.Context.Subscribe(ngsi.Subscription{
-		ID:              id,
+	// The pool holds the owner's subscription slot for the subscription's
+	// lifetime, not the request's, and undoes what it began on failure.
+	id, err := s.cfg.Webhooks.Subscribe(s.cfg.Context, ngsi.Subscription{
 		EntityIDPattern: pattern,
 		EntityType:      ent.Type,
 		ConditionAttrs:  body.Subject.Condition.Attrs,
 		NotifyAttrs:     body.Notification.Attrs,
 		Throttling:      time.Duration(body.Throttling * float64(time.Second)),
-		Notifier:        notifier,
+		URL:             body.Notification.HTTP.URL,
 		Owner:           prin.Owner,
-	}); err != nil {
-		s.cfg.Webhooks.Remove(id)
-		s.cfg.Admission.ReleaseSubscription(prin.Tenant())
+	})
+	switch {
+	case errors.Is(err, tenant.ErrSubscriptionQuota):
+		s.cThrottled.Inc()
+		w.Header().Set("Retry-After", "60")
+		writeErr(w, http.StatusTooManyRequests, "too_many_requests", err.Error())
+		return
+	case errors.Is(err, ngsi.ErrWebhookURL):
+		writeErr(w, http.StatusBadRequest, "invalid_notification", "notification.http.url must be an absolute http(s) URL")
+		return
+	case errors.Is(err, ngsi.ErrPoolClosed):
+		writeErr(w, http.StatusInternalServerError, "subscription_failed", err.Error())
+		return
+	case err != nil:
 		writeMutationErr(w, http.StatusBadRequest, "subscription_failed", err)
 		return
 	}
@@ -222,9 +186,9 @@ func (s *Server) handleGetSubscription(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.subscriptionToJSON(v))
 }
 
-// handleDeleteSubscription implements DELETE /v2/subscriptions/{id}: the
-// broker subscription is removed first, then the webhook worker, so no
-// new notifications can be queued to a dead worker.
+// handleDeleteSubscription implements DELETE /v2/subscriptions/{id}
+// through the webhook pool, which removes the broker entry before the
+// lanes, so nothing is queued to a stopped lane.
 func (s *Server) handleDeleteSubscription(w http.ResponseWriter, r *http.Request) {
 	prin, ok := s.authorize(w, r, "subscribe", "subscriptions")
 	if !ok {
@@ -237,16 +201,14 @@ func (s *Server) handleDeleteSubscription(w http.ResponseWriter, r *http.Request
 		writeErr(w, http.StatusNotFound, "not_found", id)
 		return
 	}
-	if err := s.cfg.Context.Unsubscribe(id); err != nil {
+	// The pool returns the owner's slot, not the caller's: an operator
+	// may delete another tenant's subscription.
+	if err := s.cfg.Webhooks.Unsubscribe(s.cfg.Context, id); err != nil {
 		// A durability failure answers 503, not 404: the broker rolled
 		// the delete back, so the subscription is still live.
 		writeMutationErr(w, http.StatusNotFound, "not_found", err)
 		return
 	}
-	s.cfg.Webhooks.Remove(id)
-	// Return the owner's slot (not the caller's — an operator may delete
-	// another tenant's subscription).
-	s.cfg.Admission.ReleaseSubscription(v.Owner)
 	s.cfg.Metrics.Counter("httpapi.subscriptions.deleted").Inc()
 	w.WriteHeader(http.StatusNoContent)
 }

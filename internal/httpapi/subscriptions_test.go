@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/swamp-project/swamp/internal/ngsi"
+	"github.com/swamp-project/swamp/internal/tenant"
 )
 
 // seedEntities writes n farm1 plots with a numeric soilMoisture spread
@@ -452,5 +454,57 @@ func TestSubscriptionValidation(t *testing.T) {
 	}
 	if n := f.ctx.SubscriptionCount(); n != 0 {
 		t.Errorf("invalid payloads created %d subscriptions", n)
+	}
+}
+
+// TestSubscriptionQuotaSurvivesAdmissionToggle: a subscription created
+// while admission is off holds its owner's slot, so turning admission on
+// with a quota of one refuses the next POST with 429; deleting the first
+// returns the slot. Created ids come from the broker's generator.
+func TestSubscriptionQuotaSurvivesAdmissionToggle(t *testing.T) {
+	adm := tenant.NewAdmission(tenant.Config{
+		Limits: tenant.Limits{Default: tenant.Quota{MsgsPerSec: 1000, Subscriptions: 1}},
+	})
+	f := newFixtureWith(t, func(c *Config) { c.Admission = adm })
+	tok := f.token(t, "farmer")
+	body := []byte(`{"subject":{"entities":[{"idPattern":"urn:farm1:*"}]},
+		"notification":{"http":{"url":"http://127.0.0.1:1/hook"}}}`)
+	create := func() *http.Response {
+		t.Helper()
+		return f.do(t, "POST", "/v2/subscriptions", tok, body)
+	}
+
+	resp := create()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create with admission off: status %d", resp.StatusCode)
+	}
+	var out struct {
+		ID string `json:"id"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if !regexp.MustCompile(`^urn:swamp:subscription:\d{6}$`).MatchString(out.ID) {
+		t.Fatalf("created id %q, want urn:swamp:subscription:NNNNNN", out.ID)
+	}
+
+	adm.SetEnabled(true)
+	resp = create()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("second create past quota 1: status %d, want 429", resp.StatusCode)
+	}
+	if got := resp.Header.Get("Retry-After"); got != "60" {
+		t.Errorf("Retry-After = %q, want 60", got)
+	}
+	decodeErr(t, resp)
+	if n := f.ctx.SubscriptionCount(); n != 1 {
+		t.Fatalf("%d subscriptions after the refused create, want 1", n)
+	}
+
+	if resp := f.do(t, "DELETE", "/v2/subscriptions/"+out.ID, tok, nil); resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("delete status %d", resp.StatusCode)
+	}
+	if resp := create(); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create after delete: status %d, want the slot back", resp.StatusCode)
 	}
 }

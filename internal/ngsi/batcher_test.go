@@ -49,11 +49,11 @@ func (a gateAck) Wait() error {
 	return nil
 }
 
-func (j *gateJournal) EntitiesMerged([]MergeEntry) JournalAck              { return gateAck{j} }
-func (j *gateJournal) EntityUpserted(*Entity) JournalAck                   { return nil }
-func (j *gateJournal) EntityDeleted(string) JournalAck                     { return nil }
-func (j *gateJournal) SubscriptionPut(SubscriptionView, string) JournalAck { return nil }
-func (j *gateJournal) SubscriptionDeleted(string) JournalAck               { return nil }
+func (j *gateJournal) EntitiesMerged([]MergeEntry) JournalAck      { return gateAck{j} }
+func (j *gateJournal) EntityUpserted(*Entity) JournalAck           { return nil }
+func (j *gateJournal) EntityDeleted(string) JournalAck             { return nil }
+func (j *gateJournal) SubscriptionPut(SubscriptionView) JournalAck { return nil }
+func (j *gateJournal) SubscriptionDeleted(string) JournalAck       { return nil }
 
 // gatedBatcher builds a broker behind a shut gate and a batcher on it, then
 // parks the flusher: flush 1 (entity "e0") is inside BatchUpdate, waiting

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"maps"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,9 +57,14 @@ type Subscription struct {
 	// tracked per entity.
 	Throttling time.Duration
 	// Notifier receives the notifications. Required. In-process
-	// consumers wrap a function with Callback; HTTP subscriptions use an
-	// HTTPNotifier from a WebhookPool.
+	// consumers wrap a function with Callback; WebhookPool.Subscribe
+	// builds a webhook subscription's from its URL.
 	Notifier Notifier
+	// URL is a webhook subscription's callback URL. It makes the
+	// subscription durable: the broker journals a subscription exactly
+	// when URL is non-empty. In-process subscriptions leave it empty;
+	// they are platform wiring re-created on startup.
+	URL string
 	// Owner is the tenant that created the subscription; the HTTP API
 	// scopes visibility and deletion to it, and the admission plane
 	// charges webhook budgets against it. tenant.None for internal
@@ -554,13 +561,22 @@ func (b *Broker) EntityCount() int {
 	return n
 }
 
+// subIDPrefix starts every id the broker's generator emits.
+const subIDPrefix = "urn:swamp:subscription:"
+
+// nextSubIDLocked takes a fresh id from the broker's one generator.
+// b.subMu must be held.
+func (b *Broker) nextSubIDLocked() string {
+	b.nextSub++
+	return fmt.Sprintf("%s%06d", subIDPrefix, b.nextSub)
+}
+
 // Subscribe registers a subscription and returns its id. When a journal
-// is attached and the notifier carries an external endpoint (see
-// Endpointer), the subscription is logged for recovery; a journal
-// failure rolls the registration back so the live state matches the
-// reported outcome. Failure reporting is conservative: a commit that
-// reported failure may still have reached disk, so a rolled-back
-// mutation can reappear after a restart.
+// is attached and the subscription has a URL, it is logged for
+// recovery; a journal failure rolls the registration back so the live
+// state matches the reported outcome. Failure reporting is conservative:
+// a commit that reported failure may still have reached disk, so a
+// rolled-back mutation can reappear after a restart.
 func (b *Broker) Subscribe(sub Subscription) (string, error) {
 	if sub.Notifier == nil {
 		return "", fmt.Errorf("ngsi: subscription without notifier")
@@ -571,8 +587,7 @@ func (b *Broker) Subscribe(sub Subscription) (string, error) {
 		return "", ErrClosed
 	}
 	if sub.ID == "" {
-		b.nextSub++
-		sub.ID = fmt.Sprintf("sub-%d", b.nextSub)
+		sub.ID = b.nextSubIDLocked()
 	} else if n, ok := parseGeneratedSubID(sub.ID); ok && n > b.nextSub {
 		// A recovered (or externally chosen) id from the generated
 		// namespace advances the counter so fresh ids never collide.
@@ -586,10 +601,8 @@ func (b *Broker) Subscribe(sub Subscription) (string, error) {
 	b.subs[sub.ID] = st
 	b.rebuildIndexLocked()
 	var ack JournalAck
-	if b.journal != nil {
-		if ep, ok := sub.Notifier.(Endpointer); ok {
-			ack = b.journal.SubscriptionPut(b.viewLocked(st), ep.Endpoint())
-		}
+	if b.journal != nil && sub.URL != "" {
+		ack = b.journal.SubscriptionPut(b.viewLocked(st))
 	}
 	b.subMu.Unlock()
 	if ack != nil {
@@ -611,31 +624,35 @@ func (b *Broker) Subscribe(sub Subscription) (string, error) {
 	return sub.ID, nil
 }
 
-// parseGeneratedSubID recognizes ids from the broker's own "sub-N"
-// namespace.
+// parseGeneratedSubID recognizes ids from the broker's own generator.
 func parseGeneratedSubID(id string) (int, bool) {
-	var n int
-	if _, err := fmt.Sscanf(id, "sub-%d", &n); err != nil || n <= 0 {
+	digits, ok := strings.CutPrefix(id, subIDPrefix)
+	if !ok {
 		return 0, false
 	}
-	return n, true
+	n, err := strconv.Atoi(digits)
+	return n, err == nil && n > 0
 }
 
 // Unsubscribe removes a subscription.
 func (b *Broker) Unsubscribe(id string) error {
+	_, err := b.unsubscribe(id)
+	return err
+}
+
+// unsubscribe removes a subscription and returns what it removed.
+func (b *Broker) unsubscribe(id string) (Subscription, error) {
 	b.subMu.Lock()
 	st, ok := b.subs[id]
 	if !ok {
 		b.subMu.Unlock()
-		return fmt.Errorf("ngsi: subscription %q: %w", id, ErrNotFound)
+		return Subscription{}, fmt.Errorf("ngsi: subscription %q: %w", id, ErrNotFound)
 	}
 	delete(b.subs, id)
 	b.rebuildIndexLocked()
 	var ack JournalAck
-	if b.journal != nil {
-		if _, durable := st.sub.Notifier.(Endpointer); durable {
-			ack = b.journal.SubscriptionDeleted(id)
-		}
+	if b.journal != nil && st.sub.URL != "" {
+		ack = b.journal.SubscriptionDeleted(id)
 	}
 	b.subMu.Unlock()
 	if ack != nil {
@@ -650,10 +667,10 @@ func (b *Broker) Unsubscribe(id string) error {
 				b.rebuildIndexLocked()
 			}
 			b.subMu.Unlock()
-			return notDurable(err)
+			return Subscription{}, notDurable(err)
 		}
 	}
-	return nil
+	return st.sub, nil
 }
 
 // SubscriptionCount returns the number of active subscriptions.

@@ -41,21 +41,14 @@ type MergeEntry struct {
 // Journal receives every accepted context mutation after it has been
 // applied in memory. A mutation is only acknowledged to the caller once
 // its ack's Wait returns nil, so "accepted" means "recoverable".
-// Subscriptions are journaled only when their Notifier carries an
-// external endpoint (see Endpointer): in-process subscriptions are
-// platform wiring re-created on startup.
+// Subscriptions are journaled only when they have a URL: in-process
+// subscriptions are platform wiring re-created on startup.
 type Journal interface {
 	EntityUpserted(e *Entity) JournalAck
 	EntitiesMerged(entries []MergeEntry) JournalAck
 	EntityDeleted(id string) JournalAck
-	SubscriptionPut(v SubscriptionView, endpoint string) JournalAck
+	SubscriptionPut(v SubscriptionView) JournalAck
 	SubscriptionDeleted(id string) JournalAck
-}
-
-// Endpointer marks notifiers bound to an external callback URL — the
-// durable kind. HTTPNotifier implements it; Callback does not.
-type Endpointer interface {
-	Endpoint() string
 }
 
 // SetJournal attaches a journal to the broker. It must be called before

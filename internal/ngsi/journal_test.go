@@ -17,19 +17,10 @@ type stubJournal struct{ putErr, delErr, entityDelErr error }
 func (j stubJournal) EntityUpserted(*Entity) JournalAck      { return stubAck{} }
 func (j stubJournal) EntitiesMerged([]MergeEntry) JournalAck { return stubAck{} }
 func (j stubJournal) EntityDeleted(string) JournalAck        { return stubAck{err: j.entityDelErr} }
-func (j stubJournal) SubscriptionPut(SubscriptionView, string) JournalAck {
+func (j stubJournal) SubscriptionPut(SubscriptionView) JournalAck {
 	return stubAck{err: j.putErr}
 }
 func (j stubJournal) SubscriptionDeleted(string) JournalAck { return stubAck{err: j.delErr} }
-
-// endpointNotifier is an in-process notifier that claims an external
-// endpoint, making it journal-eligible.
-type endpointNotifier struct {
-	Notifier
-	url string
-}
-
-func (e endpointNotifier) Endpoint() string { return e.url }
 
 func TestSubscribeJournalFailureRollsBack(t *testing.T) {
 	b := NewBroker(BrokerConfig{})
@@ -40,10 +31,8 @@ func TestSubscribeJournalFailureRollsBack(t *testing.T) {
 	var fired atomic.Int32
 	id, err := b.Subscribe(Subscription{
 		EntityIDPattern: "*",
-		Notifier: endpointNotifier{
-			Notifier: Callback(func(Notification) { fired.Add(1) }),
-			url:      "http://example.test/hook",
-		},
+		URL:             "http://example.test/hook", // journal-eligible
+		Notifier:        Callback(func(Notification) { fired.Add(1) }),
 	})
 	if !errors.Is(err, werr) {
 		t.Fatalf("Subscribe error = %v, want %v", err, werr)
@@ -77,10 +66,8 @@ func TestUnsubscribeJournalFailureRollsBack(t *testing.T) {
 	var fired atomic.Int32
 	id, err := b.Subscribe(Subscription{
 		EntityIDPattern: "*",
-		Notifier: endpointNotifier{
-			Notifier: Callback(func(Notification) { fired.Add(1) }),
-			url:      "http://example.test/hook",
-		},
+		URL:             "http://example.test/hook", // journal-eligible
+		Notifier:        Callback(func(Notification) { fired.Add(1) }),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -10,9 +10,9 @@ import (
 
 // Notifier delivers notifications for one subscription. Implementations
 // are invoked from a shard's dispatch goroutine and must not block for
-// long: an in-process consumer runs its callback inline, while outbound
-// transports (HTTPNotifier) enqueue onto their own bounded queue and
-// return immediately.
+// long: an in-process consumer runs its callback inline, while a webhook
+// subscription's lanes enqueue onto their own bounded queue and return
+// immediately.
 type Notifier interface {
 	Notify(Notification)
 }
@@ -49,7 +49,9 @@ type SubscriptionView struct {
 	NotifyAttrs     []string
 	Throttling      time.Duration
 	Owner           tenant.ID
-	Status          SubStatus
+	// URL is a webhook subscription's callback URL; empty in-process.
+	URL    string
+	Status SubStatus
 }
 
 func (b *Broker) viewLocked(st *subState) SubscriptionView {
@@ -62,6 +64,7 @@ func (b *Broker) viewLocked(st *subState) SubscriptionView {
 		NotifyAttrs:     append([]string(nil), s.NotifyAttrs...),
 		Throttling:      s.Throttling,
 		Owner:           s.Owner,
+		URL:             s.URL,
 		Status:          st.status(),
 	}
 }

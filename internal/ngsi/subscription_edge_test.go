@@ -325,20 +325,20 @@ func TestBatchUpdateValidatesBeforeApplying(t *testing.T) {
 }
 
 // TestSubscribeExplicitIDAdvancesCounter: re-registering a recovered
-// "sub-N" id must advance the generator so fresh subscriptions never
+// generated id must advance the generator so fresh subscriptions never
 // collide with recovered ones.
 func TestSubscribeExplicitIDAdvancesCounter(t *testing.T) {
 	b := NewBroker(BrokerConfig{})
 	defer b.Close()
 	noop := Callback(func(Notification) {})
-	if _, err := b.Subscribe(Subscription{ID: "sub-42", EntityIDPattern: "*", Notifier: noop}); err != nil {
+	if _, err := b.Subscribe(Subscription{ID: "urn:swamp:subscription:000042", EntityIDPattern: "*", Notifier: noop}); err != nil {
 		t.Fatal(err)
 	}
 	id, err := b.Subscribe(Subscription{EntityIDPattern: "*", Notifier: noop})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id != "sub-43" {
-		t.Fatalf("generated id %q, want sub-43", id)
+	if want := "urn:swamp:subscription:000043"; id != want {
+		t.Fatalf("generated id %q, want %s", id, want)
 	}
 }

@@ -85,10 +85,11 @@ type WebhookConfig struct {
 	// crosses the failure threshold (healthy=false) or recovers
 	// (healthy=true). Wire it to Broker.SetSubscriptionStatus.
 	OnStatus func(subscriptionID string, healthy bool)
-	// Admission is the shared per-tenant admission controller. nil (or
-	// disabled) changes nothing; when set, owned notifiers cap their
-	// queue at the tenant's webhook share and delay deliveries on the
-	// ladder's Delay rung.
+	// Admission is the shared per-tenant admission controller. Subscribe,
+	// Restore and Unsubscribe hold each owned subscription's slot in it.
+	// While it is enabled, owned subscriptions' lanes cap their queue at
+	// the tenant's webhook share and delay deliveries on the ladder's
+	// Delay rung. nil changes nothing.
 	Admission *tenant.Admission
 }
 
@@ -103,7 +104,7 @@ type WebhookPool struct {
 	sem chan struct{}
 
 	mu        sync.Mutex
-	notifiers map[string]*HTTPNotifier
+	notifiers map[string]*httpNotifier
 	closed    bool
 	wg        sync.WaitGroup
 
@@ -142,7 +143,7 @@ func NewWebhookPool(cfg WebhookConfig) *WebhookPool {
 	return &WebhookPool{
 		cfg:       cfg,
 		sem:       make(chan struct{}, cfg.Workers),
-		notifiers: make(map[string]*HTTPNotifier),
+		notifiers: make(map[string]*httpNotifier),
 		depth:     cfg.Metrics.Gauge("ngsi.webhook.depth"),
 		cSent:     cfg.Metrics.Counter("ngsi.webhook.sent"),
 		cFailed:   cfg.Metrics.Counter("ngsi.webhook.failed"),
@@ -153,10 +154,11 @@ func NewWebhookPool(cfg WebhookConfig) *WebhookPool {
 	}
 }
 
-// ErrPoolClosed is returned by Notifier on a closed pool.
+// ErrPoolClosed is returned by Subscribe and Restore on a closed pool.
 var ErrPoolClosed = errors.New("ngsi: webhook pool closed")
 
-// ErrWebhookURL is returned by Notifier for a URL that is not absolute http(s).
+// ErrWebhookURL is returned by Subscribe and Restore for a URL that is not
+// absolute http(s).
 var ErrWebhookURL = errors.New("ngsi: notification URL must be an absolute http(s) URL")
 
 // StatusUpdater returns the standard WebhookConfig.OnStatus wiring: flip
@@ -181,7 +183,7 @@ type webhookTarget struct {
 	head string
 }
 
-// parseWebhookURL is Notifier's URL check, an absolute http(s) URL; timeout bounds the dial.
+// parseWebhookURL is the lanes' URL check, an absolute http(s) URL; timeout bounds the dial.
 func parseWebhookURL(raw string, timeout time.Duration) (webhookTarget, error) {
 	u, err := url.Parse(raw)
 	if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
@@ -211,9 +213,74 @@ func appendWebhookRequest(dst []byte, head string, body []byte) []byte {
 	return append(dst, body...)
 }
 
-// Notifier registers the delivery lanes for one subscription and returns
-// its Notifier. The subscription id keys them: Remove stops them.
-func (p *WebhookPool) Notifier(subscriptionID, rawURL string) (*HTTPNotifier, error) {
+// Subscribe registers a webhook subscription: it claims the owner's
+// subscription slot, takes an id from the broker if sub has none, starts
+// the delivery lanes to sub.URL, owned by sub.Owner, and registers the
+// subscription with b, so its lanes exist before b can queue to them. A
+// failure undoes the earlier steps: it wraps tenant.ErrSubscriptionQuota,
+// ErrWebhookURL, ErrPoolClosed or the broker's error.
+func (p *WebhookPool) Subscribe(b *Broker, sub Subscription) (string, error) {
+	if err := p.cfg.Admission.ReserveSubscription(sub.Owner); err != nil {
+		return "", err
+	}
+	if sub.ID == "" {
+		b.subMu.Lock()
+		sub.ID = b.nextSubIDLocked()
+		b.subMu.Unlock()
+	}
+	id, err := p.register(b, sub)
+	if err != nil {
+		p.cfg.Admission.ReleaseSubscription(sub.Owner)
+	}
+	return id, err
+}
+
+// Restore re-registers a recovered webhook subscription — the WAL replay
+// path. One with the same id is replaced, so a subscription in both the
+// snapshot and the tail holds one slot; the owner's slot is restored
+// without enforcing the quota, which was enforced at create time.
+func (p *WebhookPool) Restore(b *Broker, sub Subscription) error {
+	if err := p.Unsubscribe(b, sub.ID); err != nil && !errors.Is(err, ErrNotFound) {
+		return err
+	}
+	if _, err := p.register(b, sub); err != nil {
+		return err
+	}
+	p.cfg.Admission.RestoreSubscription(sub.Owner)
+	return nil
+}
+
+// Unsubscribe removes a subscription: the broker entry first, so nothing
+// more is queued to its lanes, then the lanes, then the owner's slot.
+func (p *WebhookPool) Unsubscribe(b *Broker, id string) error {
+	sub, err := b.unsubscribe(id)
+	if err != nil {
+		return err
+	}
+	p.remove(id)
+	p.cfg.Admission.ReleaseSubscription(sub.Owner)
+	return nil
+}
+
+// register starts sub's lanes and registers it with b; if b refuses it,
+// the lanes stop.
+func (p *WebhookPool) register(b *Broker, sub Subscription) (string, error) {
+	n, err := p.notifier(sub.ID, sub.URL, sub.Owner)
+	if err != nil {
+		return "", err
+	}
+	sub.Notifier = n
+	id, err := b.Subscribe(sub)
+	if err != nil {
+		p.remove(sub.ID)
+	}
+	return id, err
+}
+
+// notifier starts the delivery lanes for one subscription, owned by
+// owner, and returns its notifier. The subscription id keys them: remove
+// stops them.
+func (p *WebhookPool) notifier(subscriptionID, rawURL string, owner tenant.ID) (*httpNotifier, error) {
 	if subscriptionID == "" {
 		return nil, fmt.Errorf("ngsi: webhook notifier needs a subscription id")
 	}
@@ -229,11 +296,11 @@ func (p *WebhookPool) Notifier(subscriptionID, rawURL string) (*HTTPNotifier, er
 	if _, dup := p.notifiers[subscriptionID]; dup {
 		return nil, fmt.Errorf("ngsi: duplicate webhook notifier for subscription %q", subscriptionID)
 	}
-	n := &HTTPNotifier{
+	n := &httpNotifier{
 		pool:   p,
 		subID:  subscriptionID,
-		url:    rawURL,
 		target: target,
+		owner:  owner,
 		stop:   make(chan struct{}),
 	}
 	p.notifiers[subscriptionID] = n
@@ -249,20 +316,9 @@ func (p *WebhookPool) Notifier(subscriptionID, rawURL string) (*HTTPNotifier, er
 	return n, nil
 }
 
-// URL returns the callback URL registered for a subscription.
-func (p *WebhookPool) URL(subscriptionID string) (string, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n, ok := p.notifiers[subscriptionID]
-	if !ok {
-		return "", false
-	}
-	return n.url, true
-}
-
-// Remove stops and forgets the subscription's delivery lanes; pending
+// remove stops and forgets the subscription's delivery lanes; pending
 // notifications are discarded and the lanes' connections closed.
-func (p *WebhookPool) Remove(subscriptionID string) {
+func (p *WebhookPool) remove(subscriptionID string) {
 	p.mu.Lock()
 	n := p.notifiers[subscriptionID]
 	delete(p.notifiers, subscriptionID)
@@ -281,7 +337,7 @@ func (p *WebhookPool) Close() {
 	}
 	p.closed = true
 	notifiers := p.notifiers
-	p.notifiers = make(map[string]*HTTPNotifier)
+	p.notifiers = make(map[string]*httpNotifier)
 	p.mu.Unlock()
 	for _, n := range notifiers {
 		n.shutdown()
@@ -316,22 +372,20 @@ func (p *WebhookPool) Depth() int {
 	return d
 }
 
-// HTTPNotifier implements Notifier by POSTing NGSI notification payloads
+// httpNotifier implements Notifier by POSTing NGSI notification payloads
 // to one subscription's callback URL. Notify never blocks: it enqueues
 // onto its entity's lane and drops (counted) once the subscription holds its
 // bound, so a stalled endpoint cannot back-pressure the broker's dispatchers.
-type HTTPNotifier struct {
+type httpNotifier struct {
 	pool   *WebhookPool
 	subID  string
-	url    string
 	target webhookTarget
 	lanes  [webhookLanes]lane
 	// pending is the depth: what the lanes hold and have not yet attempted.
 	pending atomic.Int64
 	stop    chan struct{}
 
-	// owner is the subscription's tenant, set once via SetOwner before
-	// the subscription starts receiving traffic; tenant.None exempts the
+	// owner is the subscription's tenant; tenant.None exempts the
 	// notifier from per-tenant queue caps and delivery delays.
 	owner tenant.ID
 
@@ -367,18 +421,8 @@ type laneItem struct {
 	fails int // failed attempts so far
 }
 
-// Endpoint implements Endpointer: it returns the callback URL, marking
-// webhook subscriptions as durable for the journal.
-func (n *HTTPNotifier) Endpoint() string { return n.url }
-
-// SetOwner binds the notifier to its subscription's tenant for webhook
-// quota accounting. Call it after Notifier and before the subscription is
-// registered with the broker (registration is the synchronization point —
-// no notification can race a SetOwner that precedes it).
-func (n *HTTPNotifier) SetOwner(id tenant.ID) { n.owner = id }
-
 // Notify implements Notifier.
-func (n *HTTPNotifier) Notify(note Notification) {
+func (n *httpNotifier) Notify(note Notification) {
 	if n.closed.Load() {
 		n.pool.cDropped.Inc()
 		return
@@ -408,7 +452,7 @@ func (n *HTTPNotifier) Notify(note Notification) {
 }
 
 // dropQueued drops, counted, what is queued on a lane.
-func (n *HTTPNotifier) dropQueued(queue chan Notification) {
+func (n *httpNotifier) dropQueued(queue chan Notification) {
 	for {
 		select {
 		case <-queue:
@@ -422,13 +466,13 @@ func (n *HTTPNotifier) dropQueued(queue chan Notification) {
 
 // release takes k notifications out of the subscription's bound: each has
 // had its first attempt, or was dropped or failed before one.
-func (n *HTTPNotifier) release(k int) {
+func (n *httpNotifier) release(k int) {
 	n.pending.Add(int64(-k))
 	n.pool.depth.Add(float64(-k))
 	n.pool.cfg.Admission.AddQueueDepth(n.owner, int64(-k))
 }
 
-func (n *HTTPNotifier) shutdown() {
+func (n *httpNotifier) shutdown() {
 	n.stopOnce.Do(func() {
 		n.closed.Store(true)
 		close(n.stop)
@@ -438,7 +482,7 @@ func (n *HTTPNotifier) shutdown() {
 // run is one lane's delivery goroutine, one batch per wake-up. Once the
 // notifier stops, it closes the lane's connection and drops, counted, all
 // the lane holds: its batch, the next batch's head and its queue.
-func (n *HTTPNotifier) run(l *lane) {
+func (n *httpNotifier) run(l *lane) {
 	for n.deliver(l) {
 	}
 	if l.conn != nil {
@@ -467,7 +511,7 @@ func appendNotificationJSON(dst []byte, subscriptionID string, e *Entity) ([]byt
 // what is queued behind it, cut at the first entity the batch carries — and
 // delivers it with per-notification retry/backoff; false once the notifier
 // stops. The lane holds a pool slot only while a round is on the wire.
-func (n *HTTPNotifier) deliver(l *lane) bool {
+func (n *httpNotifier) deliver(l *lane) bool {
 	if l.head.Entity == nil {
 		select {
 		case <-n.stop:
@@ -521,7 +565,7 @@ func (n *HTTPNotifier) deliver(l *lane) bool {
 
 // add encodes one notification's request onto the lane's batch. One whose
 // entity has no JSON body counts failed and is not sent.
-func (n *HTTPNotifier) add(l *lane, note Notification) {
+func (n *httpNotifier) add(l *lane, note Notification) {
 	var err error
 	if l.body, err = appendNotificationJSON(l.body[:0], n.subID, note.Entity); err != nil {
 		n.pool.cFailed.Inc()
@@ -538,7 +582,7 @@ func (n *HTTPNotifier) add(l *lane, note Notification) {
 // connection — and reads the answers in order, all within one Timeout. What
 // must go again stays in l.items, in order; failed: some of it failed an
 // attempt, earning a backoff.
-func (n *HTTPNotifier) round(l *lane) (failed bool) {
+func (n *httpNotifier) round(l *lane) (failed bool) {
 	p := n.pool
 	reused, sent := l.conn != nil, len(l.items)
 	var err error
@@ -613,7 +657,7 @@ func (n *HTTPNotifier) round(l *lane) (failed bool) {
 
 // completed records one delivery's outcome — sent, or failed with its
 // retries exhausted — and reports a status change of the subscription.
-func (n *HTTPNotifier) completed(ok bool) {
+func (n *httpNotifier) completed(ok bool) {
 	n.statMu.Lock()
 	defer n.statMu.Unlock()
 	var flipped bool

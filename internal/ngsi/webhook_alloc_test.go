@@ -13,6 +13,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"github.com/swamp-project/swamp/internal/tenant"
 )
 
 // serveFixed204 answers every complete request read from c with a fixed
@@ -81,7 +83,7 @@ func TestWebhookLaneAllocs(t *testing.T) {
 	}()
 	pool := NewWebhookPool(WebhookConfig{})
 	t.Cleanup(pool.Close)
-	hn, err := pool.Notifier("sub-allocs", "http://"+ln.Addr().String()+"/notify")
+	hn, err := pool.notifier("sub-allocs", "http://"+ln.Addr().String()+"/notify", tenant.None)
 	if err != nil {
 		t.Fatal(err)
 	}

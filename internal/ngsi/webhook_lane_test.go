@@ -102,7 +102,7 @@ func TestLanePerEntityOrder(t *testing.T) {
 	}))
 	t.Cleanup(srv.Close)
 	pool := fastWebhookPool(t, nil, WebhookConfig{QueueLen: webhookLanes * perEntity})
-	hn, err := pool.Notifier("sub-order", srv.URL)
+	hn, err := pool.notifier("sub-order", srv.URL, tenant.None)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,11 +162,10 @@ func TestLaneQueueBoundIsSubscriptionWide(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			pool := gatedPool(t, WebhookConfig{QueueLen: bound, Admission: adm})
 			g := newGatedEndpoint(t) // after the pool: released before the pool closes
-			hn, err := pool.Notifier("sub-bound", g.srv.URL)
+			hn, err := pool.notifier("sub-bound", g.srv.URL, tc.owner)
 			if err != nil {
 				t.Fatal(err)
 			}
-			hn.SetOwner(tc.owner)
 			id := func(i int) string {
 				if tc.spread {
 					return ids[i%webhookLanes]
@@ -218,7 +217,7 @@ func TestLaneWorkersBoundOneSubscription(t *testing.T) {
 	ids := laneEntities(t)
 	pool := gatedPool(t, WebhookConfig{Workers: 2})
 	g := newGatedEndpoint(t) // after the pool: released before the pool closes
-	hn, err := pool.Notifier("sub-workers", g.srv.URL)
+	hn, err := pool.notifier("sub-workers", g.srv.URL, tenant.None)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +259,7 @@ func TestLaneFailureStateIsShared(t *testing.T) {
 			mu.Unlock()
 		},
 	})
-	hn, err := pool.Notifier("sub-fail", srv.URL)
+	hn, err := pool.notifier("sub-fail", srv.URL, tenant.None)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,11 +326,11 @@ func TestLaneEndlessBodyDoesNotPinDelivery(t *testing.T) {
 	// A timeout far past the test's: only the drain limit ends a delivery.
 	pool := NewWebhookPool(WebhookConfig{Timeout: time.Hour, Workers: 2})
 	t.Cleanup(pool.Close)
-	bad, err := pool.Notifier("sub-endless", endless.URL)
+	bad, err := pool.notifier("sub-endless", endless.URL, tenant.None)
 	if err != nil {
 		t.Fatal(err)
 	}
-	good, err := pool.Notifier("sub-good", recv.srv.URL)
+	good, err := pool.notifier("sub-good", recv.srv.URL, tenant.None)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,10 +345,10 @@ func TestLaneEndlessBodyDoesNotPinDelivery(t *testing.T) {
 }
 
 // laneGoroutines counts live webhook lane goroutines in this process.
-func laneGoroutines() int { return goroutinesIn("ngsi.(*HTTPNotifier).run") }
+func laneGoroutines() int { return goroutinesIn("ngsi.(*httpNotifier).run") }
 
 // TestLaneGoroutinesStopOnRemoveAndClose: a subscription's lanes exist from
-// Notifier until Remove (or the pool's Close) — also with a delivery parked
+// notifier until remove (or the pool's Close) — also with a delivery parked
 // in a retry backoff.
 func TestLaneGoroutinesStopOnRemoveAndClose(t *testing.T) {
 	ids := laneEntities(t)
@@ -360,7 +359,7 @@ func TestLaneGoroutinesStopOnRemoveAndClose(t *testing.T) {
 	t.Cleanup(srv.Close)
 	pool := fastWebhookPool(t, nil, WebhookConfig{RetryBackoff: time.Hour})
 	for _, sub := range []string{"s1", "s2"} {
-		hn, err := pool.Notifier(sub, srv.URL)
+		hn, err := pool.notifier(sub, srv.URL, tenant.None)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -372,7 +371,7 @@ func TestLaneGoroutinesStopOnRemoveAndClose(t *testing.T) {
 	if got := laneGoroutines(); got != before+2*webhookLanes {
 		t.Fatalf("%d lane goroutines for two subscriptions, want %d", got-before, 2*webhookLanes)
 	}
-	pool.Remove("s1")
+	pool.remove("s1")
 	waitFor(t, 2*time.Second, func() bool { return laneGoroutines() == before+webhookLanes })
 	pool.Close()
 	waitFor(t, 2*time.Second, func() bool { return laneGoroutines() == before })

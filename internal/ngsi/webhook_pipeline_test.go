@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/swamp-project/swamp/internal/shardhash"
+	"github.com/swamp-project/swamp/internal/tenant"
 )
 
 // sameLaneEntities returns n entity ids that all hash to lane 0.
@@ -95,7 +96,7 @@ func pipePool(t *testing.T) *WebhookPool {
 
 // queueBehindGate notifies first, waits until the endpoint holds it — alone
 // on the lane's fresh connection — and queues the rest behind it.
-func queueBehindGate(t *testing.T, pool *WebhookPool, hn *HTTPNotifier, e *pipeEndpoint, first Notification, rest []Notification) {
+func queueBehindGate(t *testing.T, pool *WebhookPool, hn *httpNotifier, e *pipeEndpoint, first Notification, rest []Notification) {
 	t.Helper()
 	hn.Notify(first)
 	waitFor(t, 2*time.Second, func() bool { return len(e.arrivals()) == 1 })
@@ -115,7 +116,7 @@ func TestPipelineBatchInFewWrites(t *testing.T) {
 	ids := sameLaneEntities(t, 32)
 	e := newPipeEndpoint(t, always204)
 	pool := pipePool(t)
-	hn, err := pool.Notifier("sub-pipe", e.srv.URL)
+	hn, err := pool.notifier("sub-pipe", e.srv.URL, tenant.None)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestPipelineConnectionCloseResendsUncounted(t *testing.T) {
 		return http.StatusNoContent
 	})
 	pool := pipePool(t)
-	hn, err := pool.Notifier("sub-close", e.srv.URL)
+	hn, err := pool.notifier("sub-close", e.srv.URL, tenant.None)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestPipelineErrorAnswerRetriesInOrder(t *testing.T) {
 		return http.StatusNoContent
 	})
 	pool := pipePool(t)
-	hn, err := pool.Notifier("sub-500", e.srv.URL)
+	hn, err := pool.notifier("sub-500", e.srv.URL, tenant.None)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +246,7 @@ func TestPipelineResetMidBatch(t *testing.T) {
 		return 0
 	})
 	pool := pipePool(t)
-	hn, err := pool.Notifier("sub-reset", e.srv.URL)
+	hn, err := pool.notifier("sub-reset", e.srv.URL, tenant.None)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +307,7 @@ func TestPipelineCloseAccountsForEveryNotification(t *testing.T) {
 			t.Cleanup(unhold)
 			pool := NewWebhookPool(WebhookConfig{Timeout: 30 * time.Second, RetryBackoff: time.Hour})
 			t.Cleanup(pool.Close)
-			hn, err := pool.Notifier("sub-burst", e.srv.URL)
+			hn, err := pool.notifier("sub-burst", e.srv.URL, tenant.None)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -355,11 +356,11 @@ func TestPipelineSlowRoundHoldsSlotOneTimeout(t *testing.T) {
 	recv := newWebhookReceiver(t)
 	pool := NewWebhookPool(WebhookConfig{Timeout: timeout, Workers: 1, RetryBackoff: time.Hour})
 	t.Cleanup(pool.Close)
-	hn, err := pool.Notifier("sub-slow", slow.srv.URL)
+	hn, err := pool.notifier("sub-slow", slow.srv.URL, tenant.None)
 	if err != nil {
 		t.Fatal(err)
 	}
-	healthy, err := pool.Notifier("sub-healthy", recv.srv.URL)
+	healthy, err := pool.notifier("sub-healthy", recv.srv.URL, tenant.None)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +379,7 @@ func TestPipelineSlowRoundHoldsSlotOneTimeout(t *testing.T) {
 	}
 }
 
-// TestPipelineRemoveAndCloseCloseConnections: Remove closes the
+// TestPipelineRemoveAndCloseCloseConnections: remove closes the
 // subscription's lane connections, Close every other one — each once.
 func TestPipelineRemoveAndCloseCloseConnections(t *testing.T) {
 	ids := laneEntities(t)
@@ -398,7 +399,7 @@ func TestPipelineRemoveAndCloseCloseConnections(t *testing.T) {
 	t.Cleanup(srv.Close)
 	pool := pipePool(t)
 	for i, sub := range []string{"s1", "s2"} {
-		hn, err := pool.Notifier(sub, srv.URL)
+		hn, err := pool.notifier(sub, srv.URL, tenant.None)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -411,7 +412,7 @@ func TestPipelineRemoveAndCloseCloseConnections(t *testing.T) {
 			t.Fatalf("%d connections for %d lanes", o, want)
 		}
 	}
-	pool.Remove("s1")
+	pool.remove("s1")
 	waitFor(t, 2*time.Second, func() bool { return closed.Load() == webhookLanes })
 	pool.Close()
 	waitFor(t, 2*time.Second, func() bool { return closed.Load() == 2*webhookLanes })

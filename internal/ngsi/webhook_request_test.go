@@ -11,9 +11,11 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"github.com/swamp-project/swamp/internal/tenant"
 )
 
-// TestWebhookURLCheck: Notifier takes absolute http(s) URLs and refuses the
+// TestWebhookURLCheck: the lanes take absolute http(s) URLs and refuses the
 // rest with ErrWebhookURL.
 func TestWebhookURLCheck(t *testing.T) {
 	pool := fastWebhookPool(t, nil, WebhookConfig{})
@@ -32,17 +34,14 @@ func TestWebhookURLCheck(t *testing.T) {
 		{"http://h/\r\nX-Injected: 1", false},
 		{"http://h/?a b", true}, // the query's space goes as %20
 	} {
-		hn, err := pool.Notifier("sub-"+strconv.Itoa(i), tc.url)
+		_, err := pool.notifier("sub-"+strconv.Itoa(i), tc.url, tenant.None)
 		if tc.ok != (err == nil) || (err != nil && !errors.Is(err, ErrWebhookURL)) {
-			t.Errorf("Notifier(%q) = %v, want ok = %v", tc.url, err, tc.ok)
-		}
-		if hn != nil && hn.Endpoint() != tc.url {
-			t.Errorf("Endpoint() = %q, want %q", hn.Endpoint(), tc.url)
+			t.Errorf("notifier(%q) = %v, want ok = %v", tc.url, err, tc.ok)
 		}
 	}
 }
 
-// FuzzWebhookRequest: for every URL Notifier accepts, one request and two
+// FuzzWebhookRequest: for every URL the lanes accept, one request and two
 // pipelined requests as a lane writes them parse with net/http's server
 // parser into exactly that many POSTs of the body to the URL's target and
 // Host — no request smuggled in, no header taken from the URL.

@@ -2,6 +2,7 @@ package ngsi
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -10,6 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/swamp-project/swamp/internal/tenant"
 )
 
 // notificationBody is the NGSI-v2 notification wire format as a receiver
@@ -86,7 +89,7 @@ func fastWebhookPool(t *testing.T, b *Broker, extra WebhookConfig) *WebhookPool 
 	return p
 }
 
-// TestWebhookDelivery: an entity update flows broker → HTTPNotifier →
+// TestWebhookDelivery: an entity update flows broker → webhook lanes →
 // endpoint as an NGSI notification payload.
 func TestWebhookDelivery(t *testing.T) {
 	b := NewBroker(BrokerConfig{})
@@ -94,12 +97,8 @@ func TestWebhookDelivery(t *testing.T) {
 	recv := newWebhookReceiver(t)
 	pool := fastWebhookPool(t, b, WebhookConfig{})
 
-	hn, err := pool.Notifier("sub-wh", recv.srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Subscribe(Subscription{
-		ID: "sub-wh", EntityIDPattern: "urn:wh:*", Notifier: hn, Owner: "farm1",
+	if _, err := pool.Subscribe(b, Subscription{
+		ID: "sub-wh", EntityIDPattern: "urn:wh:*", URL: recv.srv.URL, Owner: "farm1",
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -136,16 +135,8 @@ func TestWebhookStalledEndpointIsolation(t *testing.T) {
 		MaxRetries: 1, FailureThreshold: 2, Workers: 4,
 	})
 
-	healthy, err := pool.Notifier("sub-ok", recv.srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad, err := pool.Notifier("sub-bad", stalled.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id, n := range map[string]Notifier{"sub-ok": healthy, "sub-bad": bad} {
-		if _, err := b.Subscribe(Subscription{ID: id, EntityIDPattern: "*", Notifier: n}); err != nil {
+	for id, url := range map[string]string{"sub-ok": recv.srv.URL, "sub-bad": stalled.URL} {
+		if _, err := pool.Subscribe(b, Subscription{ID: id, EntityIDPattern: "*", URL: url}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -195,11 +186,7 @@ func TestWebhookRecoveryFlipsStatusBack(t *testing.T) {
 	}))
 	t.Cleanup(srv.Close)
 	pool := fastWebhookPool(t, b, WebhookConfig{MaxRetries: -1, FailureThreshold: 1})
-	hn, err := pool.Notifier("sub-r", srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Subscribe(Subscription{ID: "sub-r", EntityIDPattern: "*", Notifier: hn}); err != nil {
+	if _, err := pool.Subscribe(b, Subscription{ID: "sub-r", EntityIDPattern: "*", URL: srv.URL}); err != nil {
 		t.Fatal(err)
 	}
 	b.UpdateAttrs("e", "T", map[string]Attribute{"a": num(1)})
@@ -220,7 +207,7 @@ func TestWebhookRecoveryFlipsStatusBack(t *testing.T) {
 func TestWebhookQueueOverflowDrops(t *testing.T) {
 	stalled := newStalledServer(t, time.Second)
 	pool := fastWebhookPool(t, nil, WebhookConfig{QueueLen: 2, Workers: 1})
-	hn, err := pool.Notifier("sub-of", stalled.URL)
+	hn, err := pool.notifier("sub-of", stalled.URL, tenant.None)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,31 +219,28 @@ func TestWebhookQueueOverflowDrops(t *testing.T) {
 	}
 }
 
-// TestWebhookPoolLifecycle: duplicate registration is rejected, Remove
+// TestWebhookPoolLifecycle: duplicate registration is rejected, remove
 // stops a worker, Close is idempotent.
 func TestWebhookPoolLifecycle(t *testing.T) {
 	recv := newWebhookReceiver(t)
 	pool := fastWebhookPool(t, nil, WebhookConfig{})
-	if _, err := pool.Notifier("s1", recv.srv.URL); err != nil {
+	if _, err := pool.notifier("s1", recv.srv.URL, tenant.None); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pool.Notifier("s1", recv.srv.URL); err == nil {
+	if _, err := pool.notifier("s1", recv.srv.URL, tenant.None); err == nil {
 		t.Error("duplicate notifier accepted")
 	}
-	if _, err := pool.Notifier("", recv.srv.URL); err == nil {
+	if _, err := pool.notifier("", recv.srv.URL, tenant.None); err == nil {
 		t.Error("empty subscription id accepted")
 	}
-	if url, ok := pool.URL("s1"); !ok || url != recv.srv.URL {
-		t.Errorf("URL(s1) = %q, %v", url, ok)
-	}
-	pool.Remove("s1")
-	if _, ok := pool.URL("s1"); ok {
-		t.Error("removed notifier still registered")
+	pool.remove("s1")
+	if _, err := pool.notifier("s1", recv.srv.URL, tenant.None); err != nil {
+		t.Errorf("id not reusable after remove: %v", err)
 	}
 	pool.Close()
 	pool.Close()
-	if _, err := pool.Notifier("s2", recv.srv.URL); err == nil {
-		t.Error("closed pool accepted a notifier")
+	if _, err := pool.notifier("s2", recv.srv.URL, tenant.None); !errors.Is(err, ErrPoolClosed) {
+		t.Errorf("closed pool: notifier error = %v, want ErrPoolClosed", err)
 	}
 }
 
@@ -273,11 +257,7 @@ func TestConcurrentSubscribeQueryWebhook(t *testing.T) {
 
 	for i, url := range []string{recv.srv.URL, stalled.URL} {
 		id := fmt.Sprintf("sub-wh-%d", i)
-		hn, err := pool.Notifier(id, url)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := b.Subscribe(Subscription{ID: id, EntityIDPattern: "urn:c:*", Notifier: hn}); err != nil {
+		if _, err := pool.Subscribe(b, Subscription{ID: id, EntityIDPattern: "urn:c:*", URL: url}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -367,11 +347,7 @@ func TestWebhookUnencodableNotificationCountsFailed(t *testing.T) {
 	defer b.Close()
 	recv := newWebhookReceiver(t)
 	pool := fastWebhookPool(t, b, WebhookConfig{})
-	hn, err := pool.Notifier("sub-nan", recv.srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Subscribe(Subscription{ID: "sub-nan", EntityIDPattern: "urn:wh:*", Notifier: hn}); err != nil {
+	if _, err := pool.Subscribe(b, Subscription{ID: "sub-nan", EntityIDPattern: "urn:wh:*", URL: recv.srv.URL}); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.UpsertEntity(&Entity{ID: "urn:wh:nan", Type: "SoilProbe", Attrs: map[string]Attribute{"soilMoisture": num(math.NaN())}}); err != nil {

@@ -1,6 +1,7 @@
 package tenant
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -546,11 +547,17 @@ func (st *state) quotaInflight() int {
 	return st.quota.Inflight
 }
 
-// ReserveSubscription claims one of the tenant's subscription slots,
-// failing when the quota is exhausted. Callers pair it with
+// ErrSubscriptionQuota is wrapped by ReserveSubscription's refusal.
+var ErrSubscriptionQuota = errors.New("subscription quota exhausted")
+
+// ReserveSubscription claims one of the tenant's subscription slots —
+// NGSI subscriptions and MQTT topic filters alike — failing when the
+// quota is exhausted. Slots are counted while admission is off too, so
+// turning it on enforces the bound against what the tenant already
+// holds; only the bound waits for Enabled. Callers pair it with
 // ReleaseSubscription on teardown.
 func (a *Admission) ReserveSubscription(id ID) error {
-	if !a.Enabled() || id.IsNone() {
+	if a == nil || id.IsNone() {
 		return nil
 	}
 	st := a.get(id)
@@ -559,9 +566,9 @@ func (a *Admission) ReserveSubscription(id ID) error {
 	st.mu.Unlock()
 	for {
 		cur := st.subs.Load()
-		if lim > 0 && cur >= int64(lim) {
+		if lim > 0 && cur >= int64(lim) && a.Enabled() {
 			st.throttled.Add(1)
-			return fmt.Errorf("tenant %s: subscription quota %d exhausted", id, lim)
+			return fmt.Errorf("tenant %s: %w (%d)", id, ErrSubscriptionQuota, lim)
 		}
 		if st.subs.CompareAndSwap(cur, cur+1) {
 			return nil
@@ -577,7 +584,7 @@ func (a *Admission) ReserveSubscription(id ID) error {
 // subscriptions uncounted, and a later delete would decrement a slot
 // legitimately held by a post-restart subscription of the same tenant.
 func (a *Admission) RestoreSubscription(id ID) {
-	if !a.Enabled() || id.IsNone() {
+	if a == nil || id.IsNone() {
 		return
 	}
 	a.get(id).subs.Add(1)

@@ -1,6 +1,7 @@
 package tenant
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -249,6 +250,44 @@ func TestSubscriptionSlots(t *testing.T) {
 	if err := a.ReserveSubscription("other"); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestSubscriptionSlotsSurviveEnableToggle: slots taken while admission is
+// off count once it is on, so a tenant cannot enter enforcement above its
+// quota, and a slot released after the toggle is one the tenant held.
+func TestSubscriptionSlotsSurviveEnableToggle(t *testing.T) {
+	limits := Limits{Default: Quota{MsgsPerSec: 100, Subscriptions: 2}}
+	t.Run("held before enable", func(t *testing.T) {
+		a, _ := simAdmission(t, limits)
+		a.SetEnabled(false)
+		for i := 0; i < 2; i++ {
+			if err := a.ReserveSubscription("farm-a"); err != nil {
+				t.Fatalf("reserve %d with admission off: %v", i+1, err)
+			}
+		}
+		a.SetEnabled(true)
+		if err := a.ReserveSubscription("farm-a"); !errors.Is(err, ErrSubscriptionQuota) {
+			t.Fatalf("third reserve after enable = %v, want ErrSubscriptionQuota", err)
+		}
+	})
+	t.Run("released after enable", func(t *testing.T) {
+		a, _ := simAdmission(t, limits)
+		a.SetEnabled(false)
+		if err := a.ReserveSubscription("farm-a"); err != nil { // X
+			t.Fatal(err)
+		}
+		a.SetEnabled(true)
+		if err := a.ReserveSubscription("farm-a"); err != nil { // Y
+			t.Fatal(err)
+		}
+		a.ReleaseSubscription("farm-a")                         // X goes
+		if err := a.ReserveSubscription("farm-a"); err != nil { // Z
+			t.Fatalf("reserve after releasing X: %v", err)
+		}
+		if err := a.ReserveSubscription("farm-a"); !errors.Is(err, ErrSubscriptionQuota) {
+			t.Fatalf("fourth reserve holding Y and Z = %v, want ErrSubscriptionQuota", err)
+		}
+	})
 }
 
 func TestWebhookShares(t *testing.T) {

@@ -22,8 +22,8 @@ type Quota struct {
 	// Inflight bounds concurrently admitted-but-unfinished HTTP requests
 	// (0 = unenforced).
 	Inflight int `json:"inflight"`
-	// Subscriptions bounds live NGSI subscriptions owned by the tenant
-	// (0 = unenforced).
+	// Subscriptions bounds the tenant's live NGSI subscriptions plus MQTT
+	// topic filters (0 = unenforced).
 	Subscriptions int `json:"subscriptions"`
 	// WebhookSharePct is the tenant's share of the webhook delivery
 	// queue, in percent of each subscription queue's bound

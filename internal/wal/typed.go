@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/swamp-project/swamp/internal/ngsi"
+	"github.com/swamp-project/swamp/internal/tenant"
 	"github.com/swamp-project/swamp/internal/timeseries"
 )
 
@@ -19,9 +20,9 @@ import (
 
 // SubscriptionRecord is the declarative, durable slice of a webhook
 // subscription: everything needed to rebuild it on recovery, including
-// the callback endpoint its Notifier was bound to. In-process
-// subscriptions (fog sync, cloud ingest, anomaly feed) are platform
-// wiring re-created on startup and are never journaled.
+// its callback URL (Endpoint). In-process subscriptions (fog sync, cloud
+// ingest, anomaly feed) are platform wiring re-created on startup and
+// are never journaled.
 type SubscriptionRecord struct {
 	ID              string        `json:"id"`
 	EntityIDPattern string        `json:"pattern"`
@@ -136,8 +137,8 @@ func DecodeID(rec Record) (string, error) {
 // NewSubscriptionRecord builds the durable record for a webhook
 // subscription — the single view→record mapping shared by the journal
 // hook and the snapshot dump, so the two cannot drift when a field is
-// added.
-func NewSubscriptionRecord(v ngsi.SubscriptionView, endpoint string) SubscriptionRecord {
+// added. Subscription is its inverse.
+func NewSubscriptionRecord(v ngsi.SubscriptionView) SubscriptionRecord {
 	return SubscriptionRecord{
 		ID:              v.ID,
 		EntityIDPattern: v.EntityIDPattern,
@@ -146,7 +147,21 @@ func NewSubscriptionRecord(v ngsi.SubscriptionView, endpoint string) Subscriptio
 		NotifyAttrs:     v.NotifyAttrs,
 		Throttling:      v.Throttling,
 		Owner:           string(v.Owner),
-		Endpoint:        endpoint,
+		Endpoint:        v.URL,
+	}
+}
+
+// Subscription is the webhook subscription a record rebuilds on replay.
+func (sr SubscriptionRecord) Subscription() ngsi.Subscription {
+	return ngsi.Subscription{
+		ID:              sr.ID,
+		EntityIDPattern: sr.EntityIDPattern,
+		EntityType:      sr.EntityType,
+		ConditionAttrs:  sr.ConditionAttrs,
+		NotifyAttrs:     sr.NotifyAttrs,
+		Throttling:      sr.Throttling,
+		Owner:           tenant.ID(sr.Owner),
+		URL:             sr.Endpoint,
 	}
 }
 
@@ -227,8 +242,8 @@ func (j ctxJournal) EntityDeleted(id string) ngsi.JournalAck {
 	return j.m.Append(rec)
 }
 
-func (j ctxJournal) SubscriptionPut(v ngsi.SubscriptionView, endpoint string) ngsi.JournalAck {
-	rec, err := EncodeSubscriptionPut(NewSubscriptionRecord(v, endpoint))
+func (j ctxJournal) SubscriptionPut(v ngsi.SubscriptionView) ngsi.JournalAck {
+	rec, err := EncodeSubscriptionPut(NewSubscriptionRecord(v))
 	if err != nil {
 		return erredAck{err}
 	}
