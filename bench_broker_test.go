@@ -220,8 +220,8 @@ func BenchmarkBrokerProvision(b *testing.B) {
 
 // BenchmarkBrokerFilteredQuery measures a selective northbound query
 // (~1% of a 8k-entity farm matches, page of 10) three ways: the
-// pre-redesign shape — list the whole id/type space via QueryEntities,
-// then filter and page in the caller — against the query engine doing the
+// pre-redesign shape — list the whole id/type space sorted by id, then
+// filter and page in the caller — against the query engine doing the
 // filter, order, page cut and projection itself, ordered and unordered.
 func BenchmarkBrokerFilteredQuery(b *testing.B) {
 	const queryEntities = 8192
@@ -255,7 +255,11 @@ func BenchmarkBrokerFilteredQuery(b *testing.B) {
 		ctx := seed(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			all := ctx.QueryEntities("*", "SoilProbe") // lists and sorts everything
+			res, err := ctx.Query(ngsi.Query{IDPattern: "*", Type: "SoilProbe", OrderBy: ngsi.OrderByID})
+			if err != nil {
+				b.Fatal(err)
+			}
+			all := res.Entities // lists and sorts everything
 			got := 0
 			for _, e := range all {
 				if v, ok := e.Attrs["soilMoisture_d20"].Float(); ok && v < 0.01 {
@@ -353,8 +357,8 @@ func BenchmarkBrokerFleetListing(b *testing.B) {
 
 // BenchmarkHTTPFleetListing is the same listing through the northbound
 // handler — bearer token, PEP, query engine, JSON body — on a recorder.
-// Every request carries a distinct threshold spelling (same selectivity),
-// so each one misses the listing cache the way a fleet under writes does.
+// Every request carries a distinct threshold spelling of the same
+// selectivity, as a dashboard fleet's listings do.
 func BenchmarkHTTPFleetListing(b *testing.B) {
 	idm := identity.NewStore()
 	if err := idm.Register(identity.Principal{

@@ -87,9 +87,8 @@
 // into refcounted shared frames, and per-session writers that coalesce
 // whole-queue drains into single buffered flushes (DESIGN.md §4).
 //
-// The northbound GET /v2/entities path memoizes rendered responses,
-// invalidated by the context broker's mutation epoch (ngsi.Broker.Epoch);
-// authorization always runs before a cached body is served.
+// Every northbound GET /v2/entities request crosses the PEP, which asks
+// the PDP afresh, and then runs the context broker's query engine.
 //
 // The implementation lives under internal/; see DESIGN.md for the system
 // inventory; the derived experiment tables are printed by

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/swamp-project/swamp/internal/core"
+	"github.com/swamp-project/swamp/internal/ngsi"
 )
 
 func main() {
@@ -39,7 +40,11 @@ func main() {
 	if err := platform.PumpOnce(at, 5*time.Second); err != nil {
 		log.Fatal(err)
 	}
-	entities := platform.Context.QueryEntities("urn:swamp:matopiba:probe:*", "")
+	res, err := platform.Context.Query(ngsi.Query{IDPattern: "urn:swamp:matopiba:probe:*", OrderBy: ngsi.OrderByID})
+	if err != nil {
+		log.Fatal(err)
+	}
+	entities := res.Entities
 	fmt.Printf("context broker holds %d probe entities; first one:\n", len(entities))
 	for _, name := range entities[0].AttrNames() {
 		v, _ := entities[0].Attrs[name].Float()

@@ -1,8 +1,7 @@
 // Package cloud implements the SWAMP cloud services: telemetry ingestion
 // into the historical time-series store, the analytics queries the
-// irrigation optimizer and dashboards consume, and plain-text reporting.
-// In FIWARE terms this is the STH-Comet/QuantumLeap + application-services
-// tier.
+// irrigation optimizer and dashboards consume. In FIWARE terms this is
+// the STH-Comet/QuantumLeap + application-services tier.
 //
 // Ingestion rides the store's batched append path (one shard lock per
 // batch, however many series it spans) and analytics ride the aggregate
@@ -10,11 +9,8 @@
 package cloud
 
 import (
-	"fmt"
 	"log"
-	"sort"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -162,55 +158,4 @@ func (a *Analytics) Summary(device, quantity string, from, to time.Time) timeser
 // series — the downsampled range the dashboard series endpoint serves.
 func (a *Analytics) Windows(device, quantity string, from, to time.Time, window time.Duration) ([]timeseries.WindowAggregate, error) {
 	return a.store.AggregateWindows(timeseries.SeriesKey{Device: device, Quantity: quantity}, from, to, window)
-}
-
-// Daily returns day-resolution means for a series.
-func (a *Analytics) Daily(device, quantity string, from, to time.Time) ([]timeseries.Point, error) {
-	return a.store.Downsample(timeseries.SeriesKey{Device: device, Quantity: quantity}, from, to, 24*time.Hour)
-}
-
-// Latest returns the freshest value of a series.
-func (a *Analytics) Latest(device, quantity string) (timeseries.Point, bool) {
-	return a.store.Latest(timeseries.SeriesKey{Device: device, Quantity: quantity})
-}
-
-// ReportRow is one line of a field report.
-type ReportRow struct {
-	Device   string
-	Quantity string
-	Agg      timeseries.Aggregate
-}
-
-// FieldReport summarises every series whose device id has the given prefix
-// over [from, to), sorted by (device, quantity).
-func (a *Analytics) FieldReport(devicePrefix string, from, to time.Time) []ReportRow {
-	var rows []ReportRow
-	for _, key := range a.store.Keys() {
-		if !strings.HasPrefix(key.Device, devicePrefix) {
-			continue
-		}
-		agg := a.store.Summarize(key, from, to)
-		if agg.Count == 0 {
-			continue
-		}
-		rows = append(rows, ReportRow{Device: key.Device, Quantity: key.Quantity, Agg: agg})
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Device != rows[j].Device {
-			return rows[i].Device < rows[j].Device
-		}
-		return rows[i].Quantity < rows[j].Quantity
-	})
-	return rows
-}
-
-// RenderReport formats rows as an aligned text table.
-func RenderReport(rows []ReportRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-28s %-22s %8s %10s %10s %10s\n", "DEVICE", "QUANTITY", "N", "MIN", "MEAN", "MAX")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-28s %-22s %8d %10.3f %10.3f %10.3f\n",
-			r.Device, r.Quantity, r.Agg.Count, r.Agg.Min, r.Agg.Mean, r.Agg.Max)
-	}
-	return b.String()
 }

@@ -2,7 +2,6 @@ package cloud
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -113,23 +112,6 @@ func TestAnalyticsQueries(t *testing.T) {
 	if agg.Count != 72 {
 		t.Errorf("summary count = %d", agg.Count)
 	}
-	daily, err := a.Daily("farm1-p1", "soilMoisture", t0, t0.Add(72*time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(daily) != 3 {
-		t.Fatalf("daily windows = %d", len(daily))
-	}
-	if !(daily[0].Value < daily[2].Value) {
-		t.Errorf("daily trend lost: %v", daily)
-	}
-	if _, ok := a.Latest("farm1-p1", "soilMoisture"); !ok {
-		t.Error("latest missing")
-	}
-	if _, ok := a.Latest("ghost", "x"); ok {
-		t.Error("latest for unknown series")
-	}
-
 	wins, err := a.Windows("farm1-p1", "soilMoisture", t0, t0.Add(72*time.Hour), 12*time.Hour)
 	if err != nil {
 		t.Fatal(err)
@@ -142,24 +124,5 @@ func TestAnalyticsQueries(t *testing.T) {
 	}
 	if _, err := a.Windows("farm1-p1", "soilMoisture", t0, t0.Add(time.Hour), 0); err == nil {
 		t.Error("zero window accepted")
-	}
-}
-
-func TestFieldReportFiltersAndSorts(t *testing.T) {
-	store := seedStore(t)
-	a := NewAnalytics(store)
-	rows := a.FieldReport("farm1-", t0, t0.Add(72*time.Hour))
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	if rows[0].Device != "farm1-p1" || rows[1].Device != "farm1-ws" {
-		t.Errorf("order: %s, %s", rows[0].Device, rows[1].Device)
-	}
-	text := RenderReport(rows)
-	if !strings.Contains(text, "farm1-p1") || !strings.Contains(text, "soilMoisture") {
-		t.Errorf("report:\n%s", text)
-	}
-	if strings.Contains(text, "farm2") {
-		t.Error("report leaked other farm's devices")
 	}
 }

@@ -181,7 +181,11 @@ func TestPumpOnceReachesContextAndCloud(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Context entities exist.
-	entities := p.Context.QueryEntities("urn:swamp:matopiba:probe:*", "")
+	res, err := p.Context.Query(ngsi.Query{IDPattern: "urn:swamp:matopiba:probe:*", OrderBy: ngsi.OrderByID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entities := res.Entities
 	if len(entities) != PilotMATOPIBA.Probes {
 		t.Fatalf("context has %d probe entities", len(entities))
 	}

@@ -156,9 +156,9 @@ func TestClusterRoutesDataPlane(t *testing.T) {
 	}
 }
 
-// TestClusterListBypassesCache: the same listing twice must hit the
-// backend both times — the local epoch can't witness remote mutations.
-func TestClusterListBypassesCache(t *testing.T) {
+// TestClusterListReachesBackend: the same listing twice must hit the
+// backend both times.
+func TestClusterListReachesBackend(t *testing.T) {
 	fc := &fakeCluster{}
 	f := newClusterFixture(t, fc)
 	tok := f.token(t, "farmer")
@@ -170,7 +170,7 @@ func TestClusterListBypassesCache(t *testing.T) {
 		resp.Body.Close()
 	}
 	if len(fc.calls) != 2 {
-		t.Fatalf("backend saw %d queries, want 2 (cache must be bypassed): %v", len(fc.calls), fc.calls)
+		t.Fatalf("backend saw %d queries, want 2: %v", len(fc.calls), fc.calls)
 	}
 }
 

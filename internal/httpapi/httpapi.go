@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -55,9 +56,7 @@ type Config struct {
 	Webhooks *ngsi.WebhookPool
 	// Cluster, when non-nil, routes entity reads/writes and analytics to
 	// partition owners across the cluster instead of the local stores.
-	// Listing responses bypass the local cache in this mode (the local
-	// broker epoch cannot witness remote mutations). Subscriptions stay
-	// node-local either way.
+	// Subscriptions stay node-local either way.
 	Cluster ClusterBackend
 	// QueryDefaultLimit is the page size applied when a listing request
 	// names none (0 → DefaultQueryLimit).
@@ -78,14 +77,10 @@ type Server struct {
 	mux     *http.ServeMux
 	ownPool bool
 
-	// lists memoizes entity-listing bodies across requests, invalidated
-	// by the broker's mutation epoch.
-	lists *listCache
-
 	// Hot-path counters, resolved once so request handling never takes
 	// the registry lock.
 	cTokenIssued, cTokenRejected *metrics.Counter
-	cList, cListCached           *metrics.Counter
+	cList                        *metrics.Counter
 	cUpdate, cBatch, cBatchSize  *metrics.Counter
 	cSeries, cThrottled          *metrics.Counter
 }
@@ -108,14 +103,12 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg.QueryDefaultLimit = cfg.QueryMaxLimit
 	}
 	s := &Server{
-		cfg:   cfg,
-		mux:   http.NewServeMux(),
-		lists: newListCache(),
+		cfg: cfg,
+		mux: http.NewServeMux(),
 
 		cTokenIssued:   cfg.Metrics.Counter("httpapi.token.issued"),
 		cTokenRejected: cfg.Metrics.Counter("httpapi.token.rejected"),
 		cList:          cfg.Metrics.Counter("httpapi.entities.list"),
-		cListCached:    cfg.Metrics.Counter("httpapi.entities.list.cached"),
 		cUpdate:        cfg.Metrics.Counter("httpapi.entities.update"),
 		cBatch:         cfg.Metrics.Counter("httpapi.entities.batch"),
 		cBatchSize:     cfg.Metrics.Counter("httpapi.entities.batch.size"),
@@ -435,23 +428,6 @@ func (s *Server) handleListEntities(w http.ResponseWriter, r *http.Request) {
 	if _, ok := s.authorize(w, r, "read", "ngsi:"+pattern); !ok {
 		return
 	}
-	// The epoch must be captured before the query runs: a mutation that
-	// races the scan bumps it, so the filled entry can never validate
-	// against post-mutation reads (see listCache.put). In cluster mode
-	// the cache is bypassed entirely — remote mutations don't bump the
-	// local epoch, so a hit could serve arbitrarily stale pages.
-	epoch := s.cfg.Context.Epoch()
-	if ent := s.lists.get(r.URL.RawQuery, epoch); ent != nil && s.cfg.Cluster == nil {
-		if ent.total >= 0 {
-			w.Header().Set("Fiware-Total-Count", strconv.Itoa(ent.total))
-		}
-		s.cList.Inc()
-		s.cListCached.Inc()
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(ent.body)
-		return
-	}
 	conds, err := ngsi.ParseQ(qs.Get("q"))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "invalid_query", err.Error())
@@ -529,22 +505,14 @@ func (s *Server) handleListEntities(w http.ResponseWriter, r *http.Request) {
 			body = append(body, ',')
 		}
 		if body, err = e.AppendJSON(body); err != nil {
-			writeEncodeFailure(w, err) // and the failed render is not cached
+			writeEncodeFailure(w, err)
 			return
 		}
 	}
 	body = append(body, ']', '\n')
 	*buf = body
-	total := -1
 	if count {
-		total = res.Total
-		w.Header().Set("Fiware-Total-Count", strconv.Itoa(total))
-	}
-	if s.cfg.Cluster == nil {
-		s.lists.put(r.URL.RawQuery, epoch, &listCacheEntry{
-			body:  bytes.Clone(body),
-			total: total,
-		})
+		w.Header().Set("Fiware-Total-Count", strconv.Itoa(res.Total))
 	}
 	s.cList.Inc()
 	writeBody(w, http.StatusOK, body)
@@ -700,12 +668,17 @@ func (s *Server) handleDeleteEntity(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
+// maxAnalyticsHours is the largest ?hours= whose window, hours+1 hours
+// long, still fits a time.Duration.
+const maxAnalyticsHours = math.MaxInt64/int64(time.Hour) - 1
+
 // analyticsRange parses the shared ?hours=N query range: it returns the
 // [from, to) window or false after writing the error response.
 func (s *Server) analyticsRange(w http.ResponseWriter, r *http.Request) (from, to time.Time, ok bool) {
 	hours := 24
 	if h := r.URL.Query().Get("hours"); h != "" {
-		if _, err := fmt.Sscanf(h, "%d", &hours); err != nil || hours <= 0 {
+		var err error
+		if hours, err = strconv.Atoi(h); err != nil || hours <= 0 || int64(hours) > maxAnalyticsHours {
 			writeErr(w, http.StatusBadRequest, "invalid_hours", h)
 			return time.Time{}, time.Time{}, false
 		}

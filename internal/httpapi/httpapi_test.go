@@ -383,6 +383,43 @@ func TestAnalyticsSeriesEndpoint(t *testing.T) {
 	}
 }
 
+// TestAnalyticsHoursValidation: ?hours= must be a whole positive number
+// of hours whose window fits a time.Duration, on both analytics routes;
+// the widest accepted window still covers the stored points.
+func TestAnalyticsHoursValidation(t *testing.T) {
+	f := newFixture(t)
+	tok := f.token(t, "farmer")
+	for _, route := range []string{"/v2/analytics/farm1-p1/soilMoisture", "/v2/analytics/farm1-p1/soilMoisture/series"} {
+		for _, h := range []string{"24abc", "1e3", "0", "-1", "2562047"} {
+			resp := f.do(t, "GET", route+"?hours="+h, tok, nil)
+			var apiErr apiError
+			_ = json.NewDecoder(resp.Body).Decode(&apiErr)
+			if resp.StatusCode != http.StatusBadRequest || apiErr.Error != "invalid_hours" {
+				t.Errorf("%s?hours=%s: status %d %q, want 400 invalid_hours", route, h, resp.StatusCode, apiErr.Error)
+			}
+		}
+		resp := f.do(t, "GET", route+"?hours=2562046", tok, nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s?hours=2562046: status %d", route, resp.StatusCode)
+		}
+		var out struct {
+			Count  int `json:"count"`
+			Points []struct {
+				Count int `json:"count"`
+			} `json:"points"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range out.Points {
+			out.Count += p.Count
+		}
+		if out.Count != 2 {
+			t.Errorf("%s?hours=2562046: count %d, want 2", route, out.Count)
+		}
+	}
+}
+
 // TestHealthAndMetrics: /healthz and /metrics belong to Ops, rendering the
 // registry the API server counts into; the API mux itself answers neither.
 func TestHealthAndMetrics(t *testing.T) {

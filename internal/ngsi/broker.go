@@ -100,12 +100,6 @@ type Broker struct {
 	done   chan struct{}
 	wg     sync.WaitGroup
 
-	// epoch counts entity mutations; see Epoch. Bumped after each
-	// mutation is applied (inside the shard lock), so a reader that
-	// captures the epoch before a scan can tell afterwards whether the
-	// scanned state might since have changed.
-	epoch atomic.Uint64
-
 	// Subscription table. The index is copy-on-write: subscribe/unsubscribe
 	// rebuild it under subMu and publish atomically; shard update paths
 	// load it lock-free.
@@ -252,12 +246,6 @@ func (b *Broker) Close() {
 // Metrics returns the broker's registry.
 func (b *Broker) Metrics() *metrics.Registry { return b.reg }
 
-// Epoch returns the entity-mutation counter. Two equal Epoch readings
-// bracketing a query guarantee the store did not change in between, so
-// callers can cache derived results (the HTTP listing cache does) and
-// invalidate them by comparing epochs. The counter only ever advances.
-func (b *Broker) Epoch() uint64 { return b.epoch.Load() }
-
 // ShardCount returns the number of entity shards.
 func (b *Broker) ShardCount() int { return len(b.shards) }
 
@@ -301,7 +289,6 @@ func (b *Broker) UpsertEntity(e *Entity) error {
 		return ErrClosed
 	}
 	sh.put(cp, nil)
-	b.epoch.Add(1)
 	b.cUpsert.Inc()
 	b.notifyShardLocked(sh, cp, changed)
 	var ack JournalAck
@@ -384,7 +371,6 @@ func (b *Broker) applyUpdateLocked(sh *shard, id, typ string, attrs map[string]A
 		}
 	}
 	sh.put(e, changed)
-	b.epoch.Add(1)
 	b.cUpdate.Inc()
 	b.notifyShardLocked(sh, e, changed)
 	if resolved == nil {
@@ -482,18 +468,6 @@ func (b *Broker) GetEntity(id string) (*Entity, error) {
 	return e.Clone(), nil // the version is immutable: copied outside the lock
 }
 
-// QueryEntities returns the entities matching the id pattern and
-// (optional) type, sorted by id, read-only like every Query result. It is
-// a thin compatibility wrapper over Query; new callers should use Query
-// directly for filtering, projection and pagination.
-func (b *Broker) QueryEntities(idPattern, entityType string) []*Entity {
-	res, err := b.Query(Query{IDPattern: idPattern, Type: entityType, OrderBy: OrderByID})
-	if err != nil {
-		return nil
-	}
-	return res.Entities
-}
-
 // DeleteEntity removes an entity. A journal failure rolls the delete
 // back so the live state matches the reported outcome (with the same
 // conservative-reporting caveat as Subscribe: the failed record may
@@ -506,7 +480,6 @@ func (b *Broker) DeleteEntity(id string) error {
 		sh.mu.Unlock()
 		return fmt.Errorf("ngsi: entity %q: %w", id, ErrNotFound)
 	}
-	b.epoch.Add(1)
 	var ack JournalAck
 	if b.journal != nil {
 		ack = b.journal.EntityDeleted(id)
@@ -521,7 +494,6 @@ func (b *Broker) DeleteEntity(id string) error {
 			sh.mu.Lock()
 			if sh.get(id) == nil {
 				sh.put(e, nil)
-				b.epoch.Add(1)
 			}
 			sh.mu.Unlock()
 			return notDurable(err)

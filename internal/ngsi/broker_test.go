@@ -105,6 +105,17 @@ func TestUpdateAttrsMergesAndCreates(t *testing.T) {
 	}
 }
 
+// queryByID lists every entity matching the id pattern and type, sorted
+// by id.
+func queryByID(t *testing.T, b *Broker, idPattern, entityType string) []*Entity {
+	t.Helper()
+	res, err := b.Query(Query{IDPattern: idPattern, Type: entityType, OrderBy: OrderByID})
+	if err != nil {
+		t.Error(err)
+	}
+	return res.Entities
+}
+
 func TestQueryEntities(t *testing.T) {
 	b := NewBroker(BrokerConfig{})
 	defer b.Close()
@@ -113,16 +124,16 @@ func TestQueryEntities(t *testing.T) {
 	}
 	b.UpsertEntity(&Entity{ID: "urn:pivot:1", Type: "Pivot"})
 
-	if got := b.QueryEntities("urn:probe:*", ""); len(got) != 5 {
+	if got := queryByID(t, b, "urn:probe:*", ""); len(got) != 5 {
 		t.Errorf("prefix query returned %d", len(got))
 	}
-	if got := b.QueryEntities("*", "Pivot"); len(got) != 1 {
+	if got := queryByID(t, b, "*", "Pivot"); len(got) != 1 {
 		t.Errorf("type query returned %d", len(got))
 	}
-	if got := b.QueryEntities("", ""); len(got) != 6 {
+	if got := queryByID(t, b, "", ""); len(got) != 6 {
 		t.Errorf("match-all returned %d", len(got))
 	}
-	got := b.QueryEntities("urn:probe:*", "")
+	got := queryByID(t, b, "urn:probe:*", "")
 	for i := 1; i < len(got); i++ {
 		if got[i-1].ID >= got[i].ID {
 			t.Error("query result not sorted")
@@ -306,7 +317,7 @@ func TestConcurrentUpdatesAndQueries(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				id := fmt.Sprintf("e%d", w)
 				b.UpdateAttrs(id, "T", map[string]Attribute{"v": num(float64(i))})
-				b.QueryEntities("e*", "")
+				queryByID(t, b, "e*", "")
 				b.GetEntity(id)
 			}
 		}(w)

@@ -3,6 +3,9 @@ package ngsi
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -402,28 +405,68 @@ func TestQueryPageAllocs(t *testing.T) {
 	}
 }
 
-// TestQueryEntitiesWrapperEquivalence pins the compat wrapper to the old
-// behavior: all matches, sorted by id.
-func TestQueryEntitiesWrapperEquivalence(t *testing.T) {
-	b := seedQueryBroker(t, 30)
-	got := b.QueryEntities("urn:q:plot:000*", "AgriParcel")
-	if len(got) != 10 {
-		t.Fatalf("wrapper returned %d", len(got))
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i-1].ID >= got[i].ID {
-			t.Fatal("wrapper result not sorted")
-		}
-	}
-	if got := b.QueryEntities("*", "NoSuchType"); len(got) != 0 {
-		t.Errorf("type filter returned %d", len(got))
-	}
-}
-
 func ids(es []*Entity) []string {
 	out := make([]string, len(es))
 	for i, e := range es {
 		out[i] = e.ID
 	}
 	return out
+}
+
+// FuzzParseQ: the q= parser never panics, every condition it accepts is
+// well-formed, and rendering the conditions back to q= syntax re-parses
+// to the same conditions.
+func FuzzParseQ(f *testing.F) {
+	f.Fuzz(func(t *testing.T, q string) {
+		conds, err := ParseQ(q)
+		if err != nil {
+			return
+		}
+		for _, c := range conds {
+			if c.Attr == "" || strings.ContainsAny(c.Attr, "=<>!'\" \t") {
+				t.Fatalf("ParseQ(%q): malformed attribute in %+v", q, c)
+			}
+			if c.IsNum {
+				v, err := strconv.ParseFloat(c.Value, 64)
+				if err != nil || math.IsNaN(v) || v != c.Num {
+					t.Fatalf("ParseQ(%q): numeric %+v does not parse to Num", q, c)
+				}
+			}
+		}
+		rendered, ok := renderQ(conds)
+		if !ok {
+			return
+		}
+		again, err := ParseQ(rendered)
+		if err != nil {
+			t.Fatalf("ParseQ(%q) rendered as %q: %v", q, rendered, err)
+		}
+		if !reflect.DeepEqual(again, conds) {
+			t.Fatalf("ParseQ(%q) = %+v; rendered as %q it parses to %+v", q, conds, rendered, again)
+		}
+	})
+}
+
+// renderQ writes conditions back in q= syntax, quoting every string
+// value. It reports false for a string value holding both quote
+// characters, which the grammar cannot express.
+func renderQ(conds []Condition) (string, bool) {
+	stmts := make([]string, len(conds))
+	for i, c := range conds {
+		switch {
+		case c.Op == OpExists:
+			stmts[i] = c.Attr
+		case c.Op == OpNotExists:
+			stmts[i] = "!" + c.Attr
+		case c.IsNum:
+			stmts[i] = c.Attr + c.Op.String() + c.Value
+		case !strings.Contains(c.Value, "'"):
+			stmts[i] = c.Attr + c.Op.String() + "'" + c.Value + "'"
+		case !strings.Contains(c.Value, `"`):
+			stmts[i] = c.Attr + c.Op.String() + `"` + c.Value + `"`
+		default:
+			return "", false
+		}
+	}
+	return strings.Join(stmts, ";"), true
 }

@@ -8,14 +8,9 @@
 // owner controls their data and decides the access control to the data and
 // the services".
 //
-// Because the PEP fronts every authenticated request, its hot path is
-// built to stay off locks: policy decisions are memoized per
-// (principal, action, resource) and validated against the PDP's version
-// counter (any AddPolicy/RemovePolicy bump invalidates every cached
-// decision at once — see the invariant on Authorize), and the audit
-// trail is a fixed-size lock-free ring of atomic slots instead of a
-// mutex-guarded slice. Memoization switches itself off while any policy
-// carries a Condition closure, whose result a cache key cannot capture.
+// Because the PEP fronts every authenticated request, its audit trail is
+// a fixed-size lock-free ring of atomic slots instead of a mutex-guarded
+// slice.
 package pep
 
 import (
@@ -73,8 +68,7 @@ type Policy struct {
 	// ResourcePattern: exact resource or prefix ending in '*'; empty
 	// matches any resource.
 	ResourcePattern string
-	// Condition is an optional ABAC predicate evaluated last. Policies
-	// with a Condition disable PEP decision memoization while installed.
+	// Condition is an optional ABAC predicate evaluated last.
 	Condition func(Request) bool
 	Effect    Effect
 }
@@ -147,26 +141,11 @@ type Decision struct {
 type PDP struct {
 	mu       sync.RWMutex
 	policies []Policy
-	// version counts policy-set mutations. Caches key their entries to
-	// the version observed *before* deciding, so by the time AddPolicy or
-	// RemovePolicy returns, every previously cached decision has become
-	// unreachable.
-	version atomic.Uint64
-	// conditional counts installed policies with a Condition closure;
-	// while nonzero, decisions are not cacheable.
-	conditional atomic.Int64
 }
 
 // NewPDP builds a PDP over the given policies.
 func NewPDP(policies ...Policy) *PDP {
-	p := &PDP{}
-	for _, pol := range policies {
-		p.policies = append(p.policies, pol)
-		if pol.Condition != nil {
-			p.conditional.Add(1)
-		}
-	}
-	return p
+	return &PDP{policies: append([]Policy(nil), policies...)}
 }
 
 // AddPolicy appends a policy at runtime (a farmer granting an agronomist
@@ -175,10 +154,6 @@ func (p *PDP) AddPolicy(pol Policy) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.policies = append(p.policies, pol)
-	if pol.Condition != nil {
-		p.conditional.Add(1)
-	}
-	p.version.Add(1)
 }
 
 // RemovePolicy deletes the policy with the given id; it reports whether a
@@ -188,25 +163,12 @@ func (p *PDP) RemovePolicy(id string) bool {
 	defer p.mu.Unlock()
 	for i, pol := range p.policies {
 		if pol.ID == id {
-			if pol.Condition != nil {
-				p.conditional.Add(-1)
-			}
 			p.policies = append(p.policies[:i], p.policies[i+1:]...)
-			p.version.Add(1)
 			return true
 		}
 	}
 	return false
 }
-
-// Version returns the mutation counter. A cached decision is valid only
-// while the version it was computed under is still current.
-func (p *PDP) Version() uint64 { return p.version.Load() }
-
-// Cacheable reports whether decisions are pure functions of
-// (principal, action, resource) right now — false while any installed
-// policy carries a Condition closure.
-func (p *PDP) Cacheable() bool { return p.conditional.Load() == 0 }
 
 // Decide answers one request.
 func (p *PDP) Decide(req Request) Decision {
@@ -245,8 +207,8 @@ type AuditEntry struct {
 // ErrDenied is wrapped by Authorize when the PDP denies.
 var ErrDenied = errors.New("pep: denied")
 
-// DefaultAuditCap is the audit-ring capacity when no option overrides it.
-const DefaultAuditCap = 4096
+// auditCap is the audit-ring capacity (a power of two).
+const auditCap = 4096
 
 // auditRing is a fixed-size lock-free ring: writers claim a slot with one
 // atomic increment and publish the entry with one atomic pointer store.
@@ -262,16 +224,10 @@ type auditRing struct {
 	dropped *metrics.Counter
 }
 
+// newAuditRing builds a ring of capacity slots; capacity must be a power
+// of two so that slot = seq & mask.
 func newAuditRing(capacity int, dropped *metrics.Counter) *auditRing {
-	if capacity <= 0 {
-		capacity = DefaultAuditCap
-	}
-	// Round up to a power of two so slot = seq & mask.
-	c := 1
-	for c < capacity {
-		c <<= 1
-	}
-	return &auditRing{slots: make([]atomic.Pointer[AuditEntry], c), mask: uint64(c - 1), dropped: dropped}
+	return &auditRing{slots: make([]atomic.Pointer[AuditEntry], capacity), mask: uint64(capacity - 1), dropped: dropped}
 }
 
 func (r *auditRing) add(e AuditEntry) {
@@ -299,123 +255,38 @@ func (r *auditRing) snapshot() []AuditEntry {
 	return out
 }
 
-// memoEntry is one cached decision, valid while version is current.
-type memoEntry struct {
-	version uint64
-	dec     Decision
-}
-
-// memoTable is one cache generation. When a generation grows past
-// memoCap distinct keys the whole table is swapped for a fresh one —
-// cheaper and simpler than eviction, and a full re-decide of the working
-// set costs one PDP pass per key.
-type memoTable struct {
-	m     sync.Map // string key -> memoEntry
-	count atomic.Int64
-}
-
-const memoCap = 1 << 14
-
-// Option configures a PEP.
-type Option func(*PEP)
-
-// WithAuditCap bounds the audit ring (entries; rounded up to a power of
-// two). Zero or negative means DefaultAuditCap.
-func WithAuditCap(n int) Option { return func(p *PEP) { p.auditCap = n } }
-
 // PEP couples token introspection with policy decisions and keeps a
 // bounded audit ring.
 type PEP struct {
 	tokens *oauth.Server
 	pdp    *PDP
 	reg    *metrics.Registry
-
-	auditCap int
-	ring     *auditRing
-	memo     atomic.Pointer[memoTable]
+	ring   *auditRing
 
 	cPermitted *metrics.Counter
 	cDenied    *metrics.Counter
 	cRejected  *metrics.Counter
-	cMemoHit   *metrics.Counter
 }
 
 // NewPEP builds an enforcement point. metricsReg may be nil.
-func NewPEP(tokens *oauth.Server, pdp *PDP, metricsReg *metrics.Registry, opts ...Option) *PEP {
+func NewPEP(tokens *oauth.Server, pdp *PDP, metricsReg *metrics.Registry) *PEP {
 	if metricsReg == nil {
 		metricsReg = metrics.NewRegistry()
 	}
-	p := &PEP{tokens: tokens, pdp: pdp, reg: metricsReg, auditCap: DefaultAuditCap}
-	for _, o := range opts {
-		o(p)
+	return &PEP{
+		tokens:     tokens,
+		pdp:        pdp,
+		reg:        metricsReg,
+		ring:       newAuditRing(auditCap, metricsReg.Counter("security.audit.dropped")),
+		cPermitted: metricsReg.Counter("pep.permitted"),
+		cDenied:    metricsReg.Counter("pep.denied"),
+		cRejected:  metricsReg.Counter("pep.token.rejected"),
 	}
-	p.ring = newAuditRing(p.auditCap, metricsReg.Counter("security.audit.dropped"))
-	p.memo.Store(&memoTable{})
-	p.cPermitted = metricsReg.Counter("pep.permitted")
-	p.cDenied = metricsReg.Counter("pep.denied")
-	p.cRejected = metricsReg.Counter("pep.token.rejected")
-	p.cMemoHit = metricsReg.Counter("pep.memo.hits")
-	return p
-}
-
-// memoKey identifies a decision. It covers everything Decide can read
-// from a condition-free request: the principal's identity, tenant and
-// role set (two tokens for the same ID issued across a role change must
-// not share an entry), plus action and resource.
-func memoKey(pr *identity.Principal, action, resource string) string {
-	n := len(pr.ID) + len(pr.Owner) + len(action) + len(resource) + 4
-	for _, r := range pr.Roles {
-		n += len(r) + 1
-	}
-	var b strings.Builder
-	b.Grow(n)
-	b.WriteString(pr.ID)
-	b.WriteByte(0)
-	b.WriteString(string(pr.Owner))
-	for _, r := range pr.Roles {
-		b.WriteByte(0)
-		b.WriteString(string(r))
-	}
-	b.WriteByte(1)
-	b.WriteString(action)
-	b.WriteByte(0)
-	b.WriteString(resource)
-	return b.String()
-}
-
-// decide answers via the memo when possible.
-//
-// Invariant (no stale permit): the PDP version is read BEFORE Decide and
-// stored with the entry. AddPolicy/RemovePolicy bump the version after
-// mutating, so an entry cached under the old version — even one computed
-// concurrently with the mutation — fails the version check on every
-// lookup after the mutation returns. Revocation needs no invalidation
-// here: Introspect rejects the token before the memo is consulted.
-func (p *PEP) decide(req Request) Decision {
-	if !p.pdp.Cacheable() {
-		return p.pdp.Decide(req)
-	}
-	ver := p.pdp.Version()
-	key := memoKey(&req.Principal, req.Action, req.Resource)
-	tbl := p.memo.Load()
-	if v, ok := tbl.m.Load(key); ok {
-		if e := v.(memoEntry); e.version == ver {
-			p.cMemoHit.Inc()
-			return e.dec
-		}
-	}
-	dec := p.pdp.Decide(req)
-	if _, loaded := tbl.m.LoadOrStore(key, memoEntry{version: ver, dec: dec}); loaded {
-		tbl.m.Store(key, memoEntry{version: ver, dec: dec})
-	} else if tbl.count.Add(1) > memoCap {
-		p.memo.CompareAndSwap(tbl, &memoTable{})
-	}
-	return dec
 }
 
 // Authorize enforces one access: it introspects the bearer token, asks the
-// PDP (through the decision memo), audits, and returns the principal on
-// permit.
+// PDP, audits, and returns the principal on permit. A policy change or a
+// token revocation therefore takes effect on the next call.
 func (p *PEP) Authorize(tokenValue, action, resource string) (identity.Principal, error) {
 	tok, err := p.tokens.Introspect(tokenValue)
 	if err != nil {
@@ -423,8 +294,7 @@ func (p *PEP) Authorize(tokenValue, action, resource string) (identity.Principal
 		p.cRejected.Inc()
 		return identity.Principal{}, fmt.Errorf("pep: token: %w", err)
 	}
-	req := Request{Principal: tok.Principal, Action: action, Resource: resource}
-	dec := p.decide(req)
+	dec := p.pdp.Decide(Request{Principal: tok.Principal, Action: action, Resource: resource})
 	p.ring.add(AuditEntry{
 		At: time.Now(), Principal: tok.Principal.ID, Action: action,
 		Resource: resource, Effect: dec.Effect, PolicyID: dec.PolicyID,

@@ -3,6 +3,7 @@ package pep
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"github.com/swamp-project/swamp/internal/security/identity"
@@ -191,7 +192,8 @@ func TestPEPAuditTrail(t *testing.T) {
 
 func TestPEPAuditRingWraps(t *testing.T) {
 	tokens, base := newStack(t)
-	pep := NewPEP(tokens, base.pdp, nil, WithAuditCap(8))
+	pep := NewPEP(tokens, base.pdp, nil)
+	pep.ring = newAuditRing(8, pep.Metrics().Counter("security.audit.dropped"))
 	tok, _ := tokens.GrantPassword("farm1-farmer", "pw")
 	for i := 0; i < 20; i++ {
 		pep.Authorize(tok.Value, "read", fmt.Sprintf("ngsi:farm1:%d", i))
@@ -208,5 +210,114 @@ func TestPEPAuditRingWraps(t *testing.T) {
 func TestEffectString(t *testing.T) {
 	if Permit.String() != "permit" || Deny.String() != "deny" {
 		t.Error("effect strings wrong")
+	}
+}
+
+// TestNeverServesStalePermit is the -race proof that every decision is
+// current: while workers hammer Authorize, the main goroutine flip-flops
+// a deny policy and revokes tokens — and every Authorize issued after a
+// mutation returns must observe it.
+func TestNeverServesStalePermit(t *testing.T) {
+	tokens, pep := newStack(t)
+	tok, err := tokens.GrantPassword("farm1-farmer", "pw")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				pep.Authorize(tok.Value, "read", fmt.Sprintf("ngsi:farm1:%d", i%8))
+			}
+		}()
+	}
+
+	for i := 0; i < 100; i++ {
+		res := fmt.Sprintf("ngsi:farm1:%d", i%8)
+		if _, err := pep.Authorize(tok.Value, "read", res); err != nil {
+			t.Fatalf("warm-up authorize: %v", err)
+		}
+		pep.pdp.AddPolicy(Policy{ID: "ban", ResourcePattern: res, Effect: Deny})
+		if _, err := pep.Authorize(tok.Value, "read", res); !errors.Is(err, ErrDenied) {
+			t.Fatalf("iteration %d: stale permit served after AddPolicy: err=%v", i, err)
+		}
+		pep.pdp.RemovePolicy("ban")
+		if _, err := pep.Authorize(tok.Value, "read", res); err != nil {
+			t.Fatalf("iteration %d: stale deny served after RemovePolicy: %v", i, err)
+		}
+	}
+
+	// Revocation path: Introspect rejects a revoked token before the PDP
+	// is asked.
+	if err := tokens.Revoke(tok.Value); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pep.Authorize(tok.Value, "read", "ngsi:farm1:0"); err == nil || errors.Is(err, ErrDenied) {
+		t.Fatalf("revoked token: got %v, want token rejection", err)
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// TestConditionDecidesEveryCall: a Condition policy's answer is asked
+// afresh on each Authorize, so a predicate that flips flips the outcome.
+func TestConditionDecidesEveryCall(t *testing.T) {
+	tokens, pep := newStack(t)
+	tok, _ := tokens.GrantPassword("farm1-farmer", "pw")
+	allow := true
+	pep.pdp.AddPolicy(Policy{
+		ID:              "flaky",
+		ResourcePattern: "ngsi:farm1:cond",
+		Effect:          Deny,
+		Condition:       func(Request) bool { return !allow },
+	})
+	if _, err := pep.Authorize(tok.Value, "read", "ngsi:farm1:cond"); err != nil {
+		t.Fatalf("condition-false should permit: %v", err)
+	}
+	allow = false
+	if _, err := pep.Authorize(tok.Value, "read", "ngsi:farm1:cond"); !errors.Is(err, ErrDenied) {
+		t.Fatalf("condition-true should deny: %v", err)
+	}
+}
+
+func TestAuditDroppedCounter(t *testing.T) {
+	tokens, base := newStack(t)
+	pep := NewPEP(tokens, base.pdp, nil)
+	pep.ring = newAuditRing(8, pep.Metrics().Counter("security.audit.dropped"))
+	tok, _ := tokens.GrantPassword("farm1-farmer", "pw")
+	for i := 0; i < 20; i++ {
+		pep.Authorize(tok.Value, "read", "ngsi:farm1:a")
+	}
+	if got := pep.Metrics().Counter("security.audit.dropped").Value(); got != 12 {
+		t.Fatalf("security.audit.dropped = %d, want 12", got)
+	}
+	if n := len(pep.Audit()); n != 8 {
+		t.Fatalf("retained audit = %d, want 8", n)
+	}
+}
+
+// TestAuthorizeAllocs: a permit allocates only its audit entry.
+func TestAuthorizeAllocs(t *testing.T) {
+	tokens, pep := newStack(t)
+	tok, err := tokens.GrantPassword("farm1-farmer", "pw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := pep.Authorize(tok.Value, "read", "ngsi:farm1:plot1"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("permit: %v allocs/op, want at most 1 (the audit entry)", allocs)
 	}
 }
