@@ -46,10 +46,10 @@ import (
 	"github.com/swamp-project/swamp/internal/tenant"
 )
 
-// The cluster router satisfies the northbound's cluster seam
+// The cluster router satisfies the northbound's Backend
 // structurally — httpapi deliberately does not import internal/cluster,
 // so the contract is pinned here, where both packages meet.
-var _ httpapi.ClusterBackend = (*cluster.Router)(nil)
+var _ httpapi.Backend = (*cluster.Router)(nil)
 
 // readyQueueWatermark is the aggregate MQTT queue depth above which
 // /readyz reports 503.

@@ -24,24 +24,43 @@ import (
 	"strings"
 	"sync"
 
+	"github.com/swamp-project/swamp/internal/ngsi"
 	"github.com/swamp-project/swamp/internal/shardhash"
 )
 
-// Errors of the write path.
+// Errors of the write path. Each satisfies errors.Is(err,
+// ngsi.ErrUnavailable): the write may be retried against the (possibly
+// re-elected) owner.
 var (
 	// ErrNotLeader rejects a write routed to a node that does not lead
 	// the key's partition (per the node's view of the Map).
-	ErrNotLeader = errors.New("cluster: not the partition leader")
+	ErrNotLeader = unavailablef("cluster: not the partition leader")
 	// ErrFenced rejects a write on a partition for which this node has
 	// observed a higher epoch: it has been deposed, and acknowledging —
 	// even if a late follower ack arrives — would hand the client a
 	// durability promise the new leader never made.
-	ErrFenced = errors.New("cluster: partition fenced by a higher epoch")
+	ErrFenced = unavailablef("cluster: partition fenced by a higher epoch")
 	// ErrAckTimeout reports that not enough in-sync followers acked the
 	// write's position in time. The write is locally durable but was
 	// NOT acknowledged; the caller must treat it as failed.
-	ErrAckTimeout = errors.New("cluster: replication ack timeout")
+	ErrAckTimeout = unavailablef("cluster: replication ack timeout")
 )
+
+// kindError is an error with its own text that satisfies errors.Is
+// against one ngsi sentinel, its kind (none when nil).
+type kindError struct {
+	msg  string
+	kind error
+}
+
+func (e *kindError) Error() string { return e.msg }
+func (e *kindError) Unwrap() error { return e.kind }
+
+// unavailablef builds a failure the client should retry: it satisfies
+// errors.Is(err, ngsi.ErrUnavailable).
+func unavailablef(format string, args ...any) error {
+	return &kindError{msg: fmt.Sprintf(format, args...), kind: ngsi.ErrUnavailable}
+}
 
 // Topology is the static cluster layout: every node id plus the
 // partition and replication counts. All nodes must agree on it (it is

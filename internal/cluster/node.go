@@ -246,18 +246,6 @@ func (n *Node) waitReplicated(parts ...int) error {
 	return nil
 }
 
-// UpsertEntity applies a full entity write on the owning leader.
-func (n *Node) UpsertEntity(e *ngsi.Entity) error {
-	p := n.m.PartitionOf(e.ID)
-	if err := n.checkLeader(p); err != nil {
-		return err
-	}
-	if err := n.hooks.Context.UpsertEntity(e); err != nil {
-		return err
-	}
-	return n.waitReplicated(p)
-}
-
 // UpdateAttrs applies an attribute merge on the owning leader.
 func (n *Node) UpdateAttrs(id, typ string, attrs map[string]ngsi.Attribute) error {
 	p := n.m.PartitionOf(id)

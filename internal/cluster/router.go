@@ -4,8 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/swamp-project/swamp/internal/ngsi"
@@ -28,11 +28,6 @@ type wireQuery struct {
 	Parts      []int            `json:"parts,omitempty"`
 }
 
-type wireQueryResult struct {
-	Entities []*ngsi.Entity `json:"entities"`
-	Total    int            `json:"total"`
-}
-
 type wireID struct {
 	ID string `json:"id"`
 }
@@ -47,15 +42,6 @@ type wireBatch struct {
 	Updates map[string]ngsi.BatchEntry `json:"updates"`
 }
 
-type wireAppend struct {
-	Points []timeseries.BatchPoint `json:"points"`
-}
-
-type wireAppendResult struct {
-	Accepted int `json:"accepted"`
-	Rejected int `json:"rejected"`
-}
-
 type wireSeries struct {
 	Device   string        `json:"device"`
 	Quantity string        `json:"quantity"`
@@ -64,8 +50,69 @@ type wireSeries struct {
 	Window   time.Duration `json:"window,omitempty"`
 }
 
-type wireWindows struct {
-	Windows []timeseries.WindowAggregate `json:"windows"`
+func (w wireSeries) key() timeseries.SeriesKey {
+	return timeseries.SeriesKey{Device: w.Device, Quantity: w.Quantity}
+}
+
+// errKinds are the sentinels a msgResp's error kind names: kind k is
+// errKinds[k-1], and zero names none. The kind crosses the wire so a
+// routed failure keeps the sentinel the northbound maps to a status.
+var errKinds = [...]error{ngsi.ErrNotFound, ngsi.ErrDurability, ngsi.ErrUnavailable}
+
+func errKind(err error) byte {
+	for i, s := range errKinds {
+		if errors.Is(err, s) {
+			return byte(i + 1)
+		}
+	}
+	return 0
+}
+
+// remoteErr rebuilds a peer's failure: its text, and the sentinel its
+// kind names.
+func remoteErr(r respMsg) error {
+	e := &kindError{msg: r.Err}
+	if k := int(r.Kind); k > 0 && k <= len(errKinds) {
+		e.kind = errKinds[k-1]
+	}
+	return e
+}
+
+// --- one function per request kind: the Router's local leg calls it,
+// and handleReq calls it for a peer's request ---
+
+func (n *Node) query(w wireQuery) (ngsi.QueryResult, error) {
+	return n.hooks.Context.Query(ngsi.Query{
+		IDPattern:  w.IDPattern,
+		Type:       w.Type,
+		Conditions: w.Conditions,
+		Attrs:      w.Attrs,
+		OrderBy:    w.OrderBy,
+		Limit:      w.Limit,
+		Offset:     w.Offset,
+		Count:      w.Count,
+		IDFilter:   n.partFilter(w.Parts),
+	})
+}
+
+func (n *Node) getEntity(w wireID) (*ngsi.Entity, error) { return n.hooks.Context.GetEntity(w.ID) }
+
+func (n *Node) updateAttrs(w wireUpdate) (struct{}, error) {
+	return struct{}{}, n.UpdateAttrs(w.ID, w.Type, w.Attrs)
+}
+
+func (n *Node) batchUpdate(w wireBatch) (struct{}, error) {
+	return struct{}{}, n.BatchUpdate(w.Updates)
+}
+
+func (n *Node) deleteEntity(w wireID) (struct{}, error) { return struct{}{}, n.DeleteEntity(w.ID) }
+
+func (n *Node) summary(w wireSeries) (timeseries.Aggregate, error) {
+	return n.hooks.Store.Summarize(w.key(), w.From, w.To), nil
+}
+
+func (n *Node) windows(w wireSeries) ([]timeseries.WindowAggregate, error) {
+	return n.hooks.Store.AggregateWindows(w.key(), w.From, w.To, w.Window)
 }
 
 // partFilter builds the scatter-leg id filter for a partition subset.
@@ -85,7 +132,7 @@ func (n *Node) serveReq(c Conn, rq reqMsg) {
 	body, err := n.handleReq(rq.Kind, rq.Body)
 	resp := respMsg{ID: rq.ID, Body: body}
 	if err != nil {
-		resp.Err = err.Error()
+		resp.Kind, resp.Err = errKind(err), err.Error()
 	}
 	_ = c.Send(encodeResp(nil, resp))
 }
@@ -93,84 +140,34 @@ func (n *Node) serveReq(c Conn, rq reqMsg) {
 func (n *Node) handleReq(kind byte, body []byte) ([]byte, error) {
 	switch kind {
 	case reqQuery:
-		var wq wireQuery
-		if err := json.Unmarshal(body, &wq); err != nil {
-			return nil, err
-		}
-		res, err := n.hooks.Context.Query(ngsi.Query{
-			IDPattern:  wq.IDPattern,
-			Type:       wq.Type,
-			Conditions: wq.Conditions,
-			Attrs:      wq.Attrs,
-			OrderBy:    wq.OrderBy,
-			Limit:      wq.Limit,
-			Offset:     wq.Offset,
-			Count:      wq.Count,
-			IDFilter:   n.partFilter(wq.Parts),
-		})
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(wireQueryResult{Entities: res.Entities, Total: res.Total})
+		return serve(body, n.query)
 	case reqGet:
-		var w wireID
-		if err := json.Unmarshal(body, &w); err != nil {
-			return nil, err
-		}
-		e, err := n.hooks.Context.GetEntity(w.ID)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(e)
+		return serve(body, n.getEntity)
 	case reqUpdateAttrs:
-		var w wireUpdate
-		if err := json.Unmarshal(body, &w); err != nil {
-			return nil, err
-		}
-		return nil, n.UpdateAttrs(w.ID, w.Type, w.Attrs)
+		return serve(body, n.updateAttrs)
 	case reqBatchUpdate:
-		var w wireBatch
-		if err := json.Unmarshal(body, &w); err != nil {
-			return nil, err
-		}
-		return nil, n.BatchUpdate(w.Updates)
+		return serve(body, n.batchUpdate)
 	case reqDelete:
-		var w wireID
-		if err := json.Unmarshal(body, &w); err != nil {
-			return nil, err
-		}
-		return nil, n.DeleteEntity(w.ID)
-	case reqAppend:
-		var w wireAppend
-		if err := json.Unmarshal(body, &w); err != nil {
-			return nil, err
-		}
-		acc, rej, err := n.AppendBatch(w.Points)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(wireAppendResult{Accepted: acc, Rejected: rej})
+		return serve(body, n.deleteEntity)
 	case reqSummary:
-		var w wireSeries
-		if err := json.Unmarshal(body, &w); err != nil {
-			return nil, err
-		}
-		agg := n.hooks.Store.Summarize(
-			timeseries.SeriesKey{Device: w.Device, Quantity: w.Quantity}, w.From, w.To)
-		return json.Marshal(agg)
+		return serve(body, n.summary)
 	case reqWindows:
-		var w wireSeries
-		if err := json.Unmarshal(body, &w); err != nil {
-			return nil, err
-		}
-		wins, err := n.hooks.Store.AggregateWindows(
-			timeseries.SeriesKey{Device: w.Device, Quantity: w.Quantity}, w.From, w.To, w.Window)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(wireWindows{Windows: wins})
+		return serve(body, n.windows)
 	}
 	return nil, fmt.Errorf("cluster: unknown request kind %d", kind)
+}
+
+// serve decodes a request body, runs fn on it and encodes the result.
+func serve[In, Out any](body []byte, fn func(In) (Out, error)) ([]byte, error) {
+	var in In
+	if err := json.Unmarshal(body, &in); err != nil {
+		return nil, err
+	}
+	out, err := fn(in)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(out)
 }
 
 // --- peer client (one multiplexed request connection per peer) ---
@@ -180,7 +177,7 @@ type peerClient struct {
 	mu      sync.Mutex
 	nextID  uint64
 	waiting map[uint64]chan respMsg
-	broken  bool
+	broken  atomic.Bool // set under mu when the read loop ends
 }
 
 func newPeerClient(conn Conn) *peerClient {
@@ -208,7 +205,7 @@ func (pc *peerClient) readLoop() {
 		}
 	}
 	pc.mu.Lock()
-	pc.broken = true
+	pc.broken.Store(true)
 	for id, ch := range pc.waiting {
 		close(ch)
 		delete(pc.waiting, id)
@@ -223,7 +220,7 @@ func (pc *peerClient) call(kind byte, in, out any, timeout time.Duration) error 
 	}
 	ch := make(chan respMsg, 1)
 	pc.mu.Lock()
-	if pc.broken {
+	if pc.broken.Load() {
 		pc.mu.Unlock()
 		return ErrConnClosed
 	}
@@ -235,7 +232,7 @@ func (pc *peerClient) call(kind byte, in, out any, timeout time.Duration) error 
 		pc.mu.Lock()
 		delete(pc.waiting, id)
 		pc.mu.Unlock()
-		return err
+		return unavailablef("cluster: send to peer: %v", err)
 	}
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
@@ -245,30 +242,21 @@ func (pc *peerClient) call(kind byte, in, out any, timeout time.Duration) error 
 			return ErrConnClosed
 		}
 		if r.Err != "" {
-			// Re-establish the not-found sentinel across the wire so
-			// callers' errors.Is checks keep working (broker errors wrap
-			// it, so match the suffix, not the whole string).
-			if strings.HasSuffix(r.Err, ngsi.ErrNotFound.Error()) {
-				return fmt.Errorf("cluster: peer: %s: %w", strings.TrimSuffix(r.Err, ngsi.ErrNotFound.Error()), ngsi.ErrNotFound)
-			}
-			return errors.New(r.Err)
-		}
-		if out == nil || len(r.Body) == 0 {
-			return nil
+			return remoteErr(r)
 		}
 		return json.Unmarshal(r.Body, out)
 	case <-timer.C:
 		pc.mu.Lock()
 		delete(pc.waiting, id)
 		pc.mu.Unlock()
-		return fmt.Errorf("cluster: request to peer timed out after %s", timeout)
+		return unavailablef("cluster: request to peer timed out after %s", timeout)
 	}
 }
 
 // Router is the cluster-aware northbound backend: writes and point reads
-// route to the owning partition leader, entity listings and analytics
-// scatter-gather across every leader and merge with ordering, limit,
-// offset and count preserved. It implements httpapi.ClusterBackend.
+// route to the owning partition leader, entity listings scatter-gather
+// across every leader and merge with ordering, limit, offset and count
+// preserved. It implements httpapi.Backend.
 type Router struct {
 	node *Node
 	mu   sync.Mutex
@@ -301,29 +289,34 @@ func (rt *Router) reqTimeout() time.Duration {
 func (rt *Router) peer(node string) (*peerClient, error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if pc, ok := rt.pcs[node]; ok && !pc.broken {
+	if pc, ok := rt.pcs[node]; ok && !pc.broken.Load() {
 		return pc, nil
 	}
 	if rt.node.cfg.Dial == nil {
-		return nil, fmt.Errorf("cluster: no dialer configured, cannot reach %s", node)
+		return nil, unavailablef("cluster: no dialer configured, cannot reach %s", node)
 	}
 	conn, err := rt.node.cfg.Dial(node)
 	if err != nil {
-		return nil, err
+		return nil, unavailablef("cluster: dial %s: %v", node, err)
 	}
 	pc := newPeerClient(conn)
 	rt.pcs[node] = pc
 	return pc, nil
 }
 
-// call routes one request to a peer node. Every caller serves its own
-// node's share locally and calls only for the others.
-func (rt *Router) call(node string, kind byte, in, out any) error {
-	pc, err := rt.peer(node)
-	if err != nil {
-		return err
+// route serves one request on node: in-process through fn when that is
+// this node, otherwise over the wire, where the peer's handleReq runs
+// the same fn.
+func route[In, Out any](rt *Router, node string, kind byte, in In, fn func(In) (Out, error)) (Out, error) {
+	if node == rt.node.id {
+		return fn(in)
 	}
-	return pc.call(kind, in, out, rt.reqTimeout())
+	var out Out
+	pc, err := rt.peer(node)
+	if err == nil {
+		err = pc.call(kind, in, &out, rt.reqTimeout())
+	}
+	return out, err
 }
 
 func (rt *Router) owner(key string) string {
@@ -333,39 +326,25 @@ func (rt *Router) owner(key string) string {
 
 // GetEntity reads an entity from its owning leader.
 func (rt *Router) GetEntity(id string) (*ngsi.Entity, error) {
-	node := rt.owner(id)
-	if node == rt.node.id {
-		return rt.node.hooks.Context.GetEntity(id)
-	}
-	var e ngsi.Entity
-	if err := rt.call(node, reqGet, wireID{ID: id}, &e); err != nil {
-		return nil, err
-	}
-	return &e, nil
+	return route(rt, rt.owner(id), reqGet, wireID{ID: id}, rt.node.getEntity)
 }
 
 // UpdateAttrs routes an attribute merge to the owning leader.
 func (rt *Router) UpdateAttrs(id, typ string, attrs map[string]ngsi.Attribute) error {
-	node := rt.owner(id)
-	if node == rt.node.id {
-		return rt.node.UpdateAttrs(id, typ, attrs)
-	}
-	return rt.call(node, reqUpdateAttrs, wireUpdate{ID: id, Type: typ, Attrs: attrs}, nil)
+	_, err := route(rt, rt.owner(id), reqUpdateAttrs, wireUpdate{ID: id, Type: typ, Attrs: attrs}, rt.node.updateAttrs)
+	return err
 }
 
 // DeleteEntity routes a delete to the owning leader.
 func (rt *Router) DeleteEntity(id string) error {
-	node := rt.owner(id)
-	if node == rt.node.id {
-		return rt.node.DeleteEntity(id)
-	}
-	return rt.call(node, reqDelete, wireID{ID: id}, nil)
+	_, err := route(rt, rt.owner(id), reqDelete, wireID{ID: id}, rt.node.deleteEntity)
+	return err
 }
 
 // BatchUpdate splits a batch by owning leader and applies the slices
-// concurrently. Per-entity atomicity holds (an entity is in exactly one
-// slice); cross-entity atomicity across nodes does not, matching the
-// broker's own per-shard semantics.
+// concurrently, returning the first error. Per-entity atomicity holds
+// (an entity is in exactly one slice); cross-entity atomicity across
+// nodes does not, matching the broker's own per-shard semantics.
 func (rt *Router) BatchUpdate(updates map[string]ngsi.BatchEntry) error {
 	slices := make(map[string]map[string]ngsi.BatchEntry)
 	for id, e := range updates {
@@ -375,59 +354,17 @@ func (rt *Router) BatchUpdate(updates map[string]ngsi.BatchEntry) error {
 		}
 		slices[node][id] = e
 	}
-	return rt.fanOut(len(slices), func(errs chan<- error) {
-		for node, slice := range slices {
-			go func(node string, slice map[string]ngsi.BatchEntry) {
-				if node == rt.node.id {
-					errs <- rt.node.BatchUpdate(slice)
-					return
-				}
-				errs <- rt.call(node, reqBatchUpdate, wireBatch{Updates: slice}, nil)
-			}(node, slice)
-		}
-	})
-}
-
-// AppendBatch splits telemetry by owning leader. Returns the summed
-// accepted/rejected counts; the first error aborts the report.
-func (rt *Router) AppendBatch(batch []timeseries.BatchPoint) (accepted, rejected int, err error) {
-	slices := make(map[string][]timeseries.BatchPoint)
-	for _, bp := range batch {
-		node := rt.owner(bp.Key.Device)
-		slices[node] = append(slices[node], bp)
+	errs := make(chan error, len(slices))
+	for node, slice := range slices {
+		go func() {
+			_, err := route(rt, node, reqBatchUpdate, wireBatch{Updates: slice}, rt.node.batchUpdate)
+			errs <- err
+		}()
 	}
-	var mu sync.Mutex
-	err = rt.fanOut(len(slices), func(errs chan<- error) {
-		for node, slice := range slices {
-			go func(node string, slice []timeseries.BatchPoint) {
-				var acc, rej int
-				var e error
-				if node == rt.node.id {
-					acc, rej, e = rt.node.AppendBatch(slice)
-				} else {
-					var res wireAppendResult
-					e = rt.call(node, reqAppend, wireAppend{Points: slice}, &res)
-					acc, rej = res.Accepted, res.Rejected
-				}
-				mu.Lock()
-				accepted += acc
-				rejected += rej
-				mu.Unlock()
-				errs <- e
-			}(node, slice)
-		}
-	})
-	return accepted, rejected, err
-}
-
-// fanOut runs n concurrent legs and returns the first error.
-func (rt *Router) fanOut(n int, start func(errs chan<- error)) error {
-	errs := make(chan error, n)
-	start(errs)
 	var first error
-	for i := 0; i < n; i++ {
-		if e := <-errs; e != nil && first == nil {
-			first = e
+	for range slices {
+		if err := <-errs; err != nil && first == nil {
+			first = err
 		}
 	}
 	return first
@@ -449,43 +386,27 @@ func (rt *Router) Query(q ngsi.Query) (ngsi.QueryResult, error) {
 	if q.Limit > 0 {
 		need = q.Offset + q.Limit
 	}
-	wq := wireQuery{
-		IDPattern:  q.IDPattern,
-		Type:       q.Type,
-		Conditions: q.Conditions,
-		Attrs:      q.Attrs,
-		OrderBy:    q.OrderBy,
-		Limit:      need,
-		Count:      q.Count,
-	}
 
 	type legResult struct {
-		res wireQueryResult
+		res ngsi.QueryResult
 		err error
 	}
 	results := make(chan legResult, len(byLeader))
 	for leader, parts := range byLeader {
-		go func(leader string, parts []int) {
+		go func() {
 			var lr legResult
-			if leader == rt.node.id {
-				res, err := rt.node.hooks.Context.Query(ngsi.Query{
-					IDPattern:  q.IDPattern,
-					Type:       q.Type,
-					Conditions: q.Conditions,
-					Attrs:      q.Attrs,
-					OrderBy:    q.OrderBy,
-					Limit:      need,
-					Count:      q.Count,
-					IDFilter:   rt.node.partFilter(parts),
-				})
-				lr = legResult{res: wireQueryResult{Entities: res.Entities, Total: res.Total}, err: err}
-			} else {
-				sub := wq
-				sub.Parts = parts
-				lr.err = rt.call(leader, reqQuery, sub, &lr.res)
-			}
+			lr.res, lr.err = route(rt, leader, reqQuery, wireQuery{
+				IDPattern:  q.IDPattern,
+				Type:       q.Type,
+				Conditions: q.Conditions,
+				Attrs:      q.Attrs,
+				OrderBy:    q.OrderBy,
+				Limit:      need,
+				Count:      q.Count,
+				Parts:      parts,
+			}, rt.node.query)
 			results <- lr
-		}(leader, parts)
+		}()
 	}
 
 	// The local leg's entities are the broker's stored versions: merged,
@@ -524,26 +445,12 @@ func (rt *Router) Query(q ngsi.Query) (ngsi.QueryResult, error) {
 
 // Summary routes a series aggregate to the device's owning leader.
 func (rt *Router) Summary(device, quantity string, from, to time.Time) (timeseries.Aggregate, error) {
-	node := rt.owner(device)
-	if node == rt.node.id {
-		return rt.node.hooks.Store.Summarize(
-			timeseries.SeriesKey{Device: device, Quantity: quantity}, from, to), nil
-	}
-	var agg timeseries.Aggregate
-	err := rt.call(node, reqSummary,
-		wireSeries{Device: device, Quantity: quantity, From: from, To: to}, &agg)
-	return agg, err
+	return route(rt, rt.owner(device), reqSummary,
+		wireSeries{Device: device, Quantity: quantity, From: from, To: to}, rt.node.summary)
 }
 
 // Windows routes a downsampled series read to the device's owning leader.
 func (rt *Router) Windows(device, quantity string, from, to time.Time, window time.Duration) ([]timeseries.WindowAggregate, error) {
-	node := rt.owner(device)
-	if node == rt.node.id {
-		return rt.node.hooks.Store.AggregateWindows(
-			timeseries.SeriesKey{Device: device, Quantity: quantity}, from, to, window)
-	}
-	var out wireWindows
-	err := rt.call(node, reqWindows,
-		wireSeries{Device: device, Quantity: quantity, From: from, To: to, Window: window}, &out)
-	return out.Windows, err
+	return route(rt, rt.owner(device), reqWindows,
+		wireSeries{Device: device, Quantity: quantity, From: from, To: to, Window: window}, rt.node.windows)
 }

@@ -139,8 +139,8 @@ func TestRouterScatterGather(t *testing.T) {
 	}
 }
 
-// TestRouterBatchAndTelemetry: batched entity updates and telemetry
-// appends split by owner, and series reads route to the owning leader.
+// TestRouterBatchAndTelemetry: batched entity updates split by owner,
+// and series reads route to the owning leader.
 func TestRouterBatchAndTelemetry(t *testing.T) {
 	tc, ids := newRouterCluster(t)
 	entry := tc.member("n2").router
@@ -160,23 +160,22 @@ func TestRouterBatchAndTelemetry(t *testing.T) {
 		}
 	}
 
+	// Seed each device's series on its owner; the reads below route.
 	at := time.Now().Truncate(time.Second)
-	var pts []timeseries.BatchPoint
 	for i := 0; i < 20; i++ {
 		key := timeseries.SeriesKey{Device: fmt.Sprintf("urn:bt:%03d", i), Quantity: "moisture"}
+		var pts []timeseries.BatchPoint
 		for j := 0; j < 5; j++ {
 			pts = append(pts, timeseries.BatchPoint{
 				Key:   key,
 				Point: timeseries.Point{At: at.Add(time.Duration(j) * time.Minute), Value: float64(i*10 + j)},
 			})
 		}
-	}
-	accepted, rejected, err := entry.AppendBatch(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if accepted != len(pts) || rejected != 0 {
-		t.Fatalf("append: accepted=%d rejected=%d", accepted, rejected)
+		owner, _ := tc.m.Leader(tc.m.PartitionOf(key.Device))
+		accepted, rejected, err := tc.member(owner).node.AppendBatch(pts)
+		if err != nil || accepted != len(pts) || rejected != 0 {
+			t.Fatalf("append on %s: accepted=%d rejected=%d err=%v", owner, accepted, rejected, err)
+		}
 	}
 
 	// Aggregates route to the owner regardless of entry node.
@@ -198,6 +197,53 @@ func TestRouterBatchAndTelemetry(t *testing.T) {
 		}
 		if sum != 5 {
 			t.Fatalf("windows via %s sum to %d points: %+v", nid, sum, wins)
+		}
+	}
+}
+
+// TestRouterErrorKeepsKind: a failure keeps its sentinel across the
+// routed hop. A write whose owner cannot journal it is ErrDurability
+// through every entry node, with the owner's text; an owner that cannot
+// be reached is ErrUnavailable.
+func TestRouterErrorKeepsKind(t *testing.T) {
+	tc, ids := newRouterCluster(t)
+	const id = "urn:rt:durable"
+	owner, _ := tc.m.Leader(tc.m.PartitionOf(id))
+	_ = tc.member(owner).plat.wm.Close()
+
+	var texts []string
+	for _, nid := range ids {
+		err := tc.member(nid).router.UpdateAttrs(id, "Device", attrsOf(1))
+		if !errors.Is(err, ngsi.ErrDurability) {
+			t.Fatalf("write via %s to owner %s with a closed journal: err=%v, want ErrDurability", nid, owner, err)
+		}
+		if errors.Is(err, ngsi.ErrUnavailable) || errors.Is(err, ngsi.ErrNotFound) {
+			t.Fatalf("write via %s: err=%v carries a second kind", nid, err)
+		}
+		texts = append(texts, err.Error())
+	}
+	for i := range texts {
+		if texts[i] != texts[0] {
+			t.Fatalf("error text differs by entry node: %q", texts)
+		}
+	}
+
+	entry := ""
+	for _, nid := range ids {
+		if nid != owner {
+			entry = nid
+		}
+	}
+	tc.kill(owner)
+	// A fresh router has no connection to the owner and must dial it.
+	fresh := NewRouter(tc.member(entry).node)
+	defer fresh.Close()
+	if err := fresh.UpdateAttrs(id, "Device", attrsOf(2)); !errors.Is(err, ngsi.ErrUnavailable) {
+		t.Fatalf("write via %s to dead owner %s: err=%v, want ErrUnavailable", entry, owner, err)
+	}
+	for _, err := range []error{ErrNotLeader, ErrFenced, ErrAckTimeout, ErrConnClosed} {
+		if !errors.Is(err, ngsi.ErrUnavailable) {
+			t.Fatalf("%v does not satisfy ErrUnavailable", err)
 		}
 	}
 }

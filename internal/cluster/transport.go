@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -10,7 +9,8 @@ import (
 )
 
 // ErrConnClosed is returned by a routed call whose peer connection closed.
-var ErrConnClosed = errors.New("cluster: connection closed")
+// It satisfies errors.Is(err, ngsi.ErrUnavailable).
+var ErrConnClosed = unavailablef("cluster: connection closed")
 
 // maxFrameBytes bounds one TCP frame; a record can be at most
 // wal.MaxRecordBytes, plus envelope.

@@ -29,14 +29,14 @@ const (
 	modeSnapshot byte = 2 // full bootstrap: wipe, install snapshot, then tail
 )
 
-// Routed request kinds (msgReq bodies are JSON).
+// Routed request kinds (msgReq and msgResp bodies are JSON).
 const (
 	reqQuery byte = iota + 1
 	reqGet
 	reqUpdateAttrs
 	reqBatchUpdate
 	reqDelete
-	reqAppend
+	_ // unused, so the kinds after it keep their byte values
 	reqSummary
 	reqWindows
 )
@@ -97,6 +97,7 @@ type reqMsg struct {
 
 type respMsg struct {
 	ID   uint64
+	Kind byte // the error's sentinel, an index into errKinds; 0 for none
 	Err  string
 	Body []byte
 }
@@ -193,6 +194,7 @@ func encodeReq(buf []byte, r reqMsg) []byte {
 
 func encodeResp(buf []byte, r respMsg) []byte {
 	buf = putUvarint(append(buf[:0], msgResp), r.ID)
+	buf = append(buf, r.Kind)
 	buf = putString(buf, r.Err)
 	return putBytes(buf, r.Body)
 }
@@ -251,16 +253,27 @@ func (r *wbuf) str() string { return string(r.bytes()) }
 
 func (r *wbuf) pos() wal.Pos { return wal.Pos{Seg: r.uvarint(), Rec: r.uvarint()} }
 
-func (r *wbuf) parts() []partEpoch {
+// count reads an element count and rejects one the remaining bytes
+// cannot hold at minSize encoded bytes per element, so a peer-supplied
+// count never sizes an allocation the frame does not back.
+func (r *wbuf) count(minSize int) int {
 	n := r.uvarint()
-	if r.err != nil || n > 1<<20 {
-		if n > 1<<20 {
-			r.err = errShortFrame
-		}
+	if r.err == nil && n > uint64(len(r.b)/minSize) {
+		r.err = errShortFrame
+	}
+	if r.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
+func (r *wbuf) parts() []partEpoch {
+	n := r.count(2) // a partEpoch is two uvarints
+	if r.err != nil {
 		return nil
 	}
 	out := make([]partEpoch, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		out = append(out, partEpoch{Part: int(r.uvarint()), Epoch: r.uvarint()})
 	}
 	return out
@@ -268,16 +281,13 @@ func (r *wbuf) parts() []partEpoch {
 
 func (r *wbuf) record() wal.Record {
 	rec := wal.Record{Type: wal.Type(r.byte1()), Codec: wal.Codec(r.byte1())}
-	n := r.uvarint()
-	if r.err != nil || n > 1<<20 {
-		if n > 1<<20 {
-			r.err = errShortFrame
-		}
+	n := r.count(1) // a string is at least its length byte
+	if r.err != nil {
 		return wal.Record{}
 	}
 	if n > 0 {
 		rec.Strings = make([]string, 0, n)
-		for i := uint64(0); i < n; i++ {
+		for i := 0; i < n; i++ {
 			rec.Strings = append(rec.Strings, r.str())
 		}
 	}
@@ -342,7 +352,7 @@ func decodeReq(b []byte) (reqMsg, error) {
 
 func decodeResp(b []byte) (respMsg, error) {
 	r := wbuf{b: b}
-	m := respMsg{ID: r.uvarint(), Err: r.str(), Body: r.bytes()}
+	m := respMsg{ID: r.uvarint(), Kind: r.byte1(), Err: r.str(), Body: r.bytes()}
 	return m, r.err
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -13,7 +14,7 @@ import (
 	"github.com/swamp-project/swamp/internal/timeseries"
 )
 
-// fakeCluster is a scripted ClusterBackend that records routed calls.
+// fakeCluster is a scripted cluster Backend that records routed calls.
 type fakeCluster struct {
 	calls    []string
 	queryRes ngsi.QueryResult
@@ -177,7 +178,7 @@ func TestClusterListReachesBackend(t *testing.T) {
 // TestClusterErrorMapping: infrastructure failures answer 503 so clients
 // retry; not-found keeps its 404.
 func TestClusterErrorMapping(t *testing.T) {
-	fc := &fakeCluster{err: fmt.Errorf("%w: partition 3", errors.New("cluster: replication ack timeout"))}
+	fc := &fakeCluster{err: fmt.Errorf("%w: partition 3", ngsi.ErrUnavailable)}
 	f := newClusterFixture(t, fc)
 	tok := f.token(t, "farmer")
 
@@ -212,6 +213,36 @@ func TestClusterErrorMapping(t *testing.T) {
 		t.Fatalf("missing entity: status %d, want 404", resp.StatusCode)
 	}
 	resp.Body.Close()
+}
+
+// TestClusterBadIDAnswers400: a request defect answers in cluster mode
+// exactly as on a single node — 400, not a retryable 503 — even when the
+// broker's error quotes an id that contains "cluster: ".
+func TestClusterBadIDAnswers400(t *testing.T) {
+	const path = "/v2/entities/urn:farm1:cluster:%20x/attrs"
+	body := []byte(`{"soilMoisture":{"value":0.4}}`)
+
+	single := newFixture(t)
+	want := single.do(t, "POST", path, single.token(t, "farmer"), body)
+	wantBody, _ := io.ReadAll(want.Body)
+	if want.StatusCode != http.StatusBadRequest {
+		t.Fatalf("single node: status %d, want 400: %s", want.StatusCode, wantBody)
+	}
+
+	// The cluster backend fails with the broker's own error for the id.
+	broker := ngsi.NewBroker(ngsi.BrokerConfig{})
+	t.Cleanup(broker.Close)
+	fc := &fakeCluster{err: broker.UpdateAttrs("urn:farm1:cluster: x", "Thing",
+		map[string]ngsi.Attribute{"soilMoisture": {Type: "Number", Value: 0.4}})}
+	if fc.err == nil {
+		t.Fatal("broker accepted a whitespace id")
+	}
+	f := newClusterFixture(t, fc)
+	got := f.do(t, "POST", path, f.token(t, "farmer"), body)
+	gotBody, _ := io.ReadAll(got.Body)
+	if got.StatusCode != want.StatusCode || string(gotBody) != string(wantBody) {
+		t.Fatalf("cluster mode: %d %s, want %d %s", got.StatusCode, gotBody, want.StatusCode, wantBody)
+	}
 }
 
 // TestReadyzDetail: the ops readiness body carries the Detail fields on

@@ -27,7 +27,6 @@ import (
 	"github.com/swamp-project/swamp/internal/security/oauth"
 	"github.com/swamp-project/swamp/internal/security/pep"
 	"github.com/swamp-project/swamp/internal/tenant"
-	"github.com/swamp-project/swamp/internal/timeseries"
 )
 
 // Query pagination defaults: every entity listing is bounded, so a
@@ -54,10 +53,11 @@ type Config struct {
 	// slots; nil builds a private pool wired to Context and Admission
 	// (closed by Server.Close).
 	Webhooks *ngsi.WebhookPool
-	// Cluster, when non-nil, routes entity reads/writes and analytics to
-	// partition owners across the cluster instead of the local stores.
-	// Subscriptions stay node-local either way.
-	Cluster ClusterBackend
+	// Cluster, when non-nil, is the Backend the entity and analytics
+	// routes use instead of the local stores (Context and Analytics): it
+	// routes to partition owners across the cluster. Subscriptions stay
+	// node-local either way.
+	Cluster Backend
 	// QueryDefaultLimit is the page size applied when a listing request
 	// names none (0 → DefaultQueryLimit).
 	QueryDefaultLimit int
@@ -75,6 +75,7 @@ type Config struct {
 type Server struct {
 	cfg     Config
 	mux     *http.ServeMux
+	backend Backend
 	ownPool bool
 
 	// Hot-path counters, resolved once so request handling never takes
@@ -103,8 +104,9 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg.QueryDefaultLimit = cfg.QueryMaxLimit
 	}
 	s := &Server{
-		cfg: cfg,
-		mux: http.NewServeMux(),
+		cfg:     cfg,
+		mux:     http.NewServeMux(),
+		backend: cfg.Cluster,
 
 		cTokenIssued:   cfg.Metrics.Counter("httpapi.token.issued"),
 		cTokenRejected: cfg.Metrics.Counter("httpapi.token.rejected"),
@@ -123,6 +125,13 @@ func NewServer(cfg Config) (*Server, error) {
 		})
 		s.ownPool = true
 	}
+	if s.backend == nil {
+		s.backend = localBackend{Broker: cfg.Context, analytics: cfg.Analytics}
+	}
+	analytics, series := s.handleAnalytics, s.handleAnalyticsSeries
+	if cfg.Cluster == nil && cfg.Analytics == nil {
+		analytics, series = analyticsDisabled, analyticsDisabled
+	}
 	s.mux.HandleFunc("POST /oauth/token", s.handleToken)
 	s.mux.HandleFunc("GET /v2/entities", s.handleListEntities)
 	s.mux.HandleFunc("GET /v2/entities/{id}", s.handleGetEntity)
@@ -133,8 +142,8 @@ func NewServer(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /v2/subscriptions", s.handleListSubscriptions)
 	s.mux.HandleFunc("GET /v2/subscriptions/{id}", s.handleGetSubscription)
 	s.mux.HandleFunc("DELETE /v2/subscriptions/{id}", s.handleDeleteSubscription)
-	s.mux.HandleFunc("GET /v2/analytics/{device}/{quantity}", s.handleAnalytics)
-	s.mux.HandleFunc("GET /v2/analytics/{device}/{quantity}/series", s.handleAnalyticsSeries)
+	s.mux.HandleFunc("GET /v2/analytics/{device}/{quantity}", analytics)
+	s.mux.HandleFunc("GET /v2/analytics/{device}/{quantity}/series", series)
 	return s, nil
 }
 
@@ -264,19 +273,25 @@ func writeEncodeFailure(w http.ResponseWriter, err error) {
 	writeErr(w, http.StatusInternalServerError, "encode_failure", err.Error())
 }
 
-// writeMutationErr maps a broker mutation failure. A durability error
-// (journal record not durable — deletes and subscription changes are
-// rolled back; entity upserts/merges stay applied and converge on
-// restart to the durable state) is the server's fault: 503 tells
-// well-behaved clients to retry instead of dropping the payload as
-// rejected. Everything else answers with the caller's fallback
-// status/kind (400 validation, 404 lookup).
+// writeMutationErr maps a backend failure by its sentinel, the same on
+// every node. A lookup miss answers 404. A durability error (journal
+// record not durable — deletes and subscription changes are rolled
+// back; entity upserts/merges stay applied and converge on restart to
+// the durable state) and an unavailable owner are the server's fault:
+// 503 tells well-behaved clients to retry instead of dropping the
+// payload as rejected. Everything else answers with the caller's
+// fallback status/kind (400 validation, 404 lookup).
 func writeMutationErr(w http.ResponseWriter, fallbackCode int, kind string, err error) {
-	if errors.Is(err, ngsi.ErrDurability) {
+	switch {
+	case errors.Is(err, ngsi.ErrNotFound):
+		writeErr(w, http.StatusNotFound, "not_found", err.Error())
+	case errors.Is(err, ngsi.ErrDurability):
 		writeErr(w, http.StatusServiceUnavailable, "durability_failure", err.Error())
-		return
+	case errors.Is(err, ngsi.ErrUnavailable):
+		writeErr(w, http.StatusServiceUnavailable, "cluster_unavailable", err.Error())
+	default:
+		writeErr(w, fallbackCode, kind, err.Error())
 	}
-	writeErr(w, fallbackCode, kind, err.Error())
 }
 
 // handleToken implements the password and client_credentials grants with
@@ -479,7 +494,7 @@ func (s *Server) handleListEntities(w http.ResponseWriter, r *http.Request) {
 			count = true
 		}
 	}
-	res, err := s.backendQuery(ngsi.Query{
+	res, err := s.backend.Query(ngsi.Query{
 		IDPattern:  pattern,
 		Type:       qs.Get("type"),
 		Conditions: conds,
@@ -490,11 +505,7 @@ func (s *Server) handleListEntities(w http.ResponseWriter, r *http.Request) {
 		Count:      count,
 	})
 	if err != nil {
-		if s.cfg.Cluster != nil && clusterRetryable(err) {
-			writeErr(w, http.StatusServiceUnavailable, "cluster_unavailable", err.Error())
-			return
-		}
-		writeErr(w, http.StatusBadRequest, "invalid_query", err.Error())
+		writeMutationErr(w, http.StatusBadRequest, "invalid_query", err)
 		return
 	}
 	buf := getJSONBuf()
@@ -523,13 +534,13 @@ func (s *Server) handleGetEntity(w http.ResponseWriter, r *http.Request) {
 	if _, ok := s.authorize(w, r, "read", "ngsi:"+id); !ok {
 		return
 	}
-	e, err := s.backendGetEntity(id)
-	if err != nil {
-		if s.cfg.Cluster != nil && !errors.Is(err, ngsi.ErrNotFound) && clusterRetryable(err) {
-			writeErr(w, http.StatusServiceUnavailable, "cluster_unavailable", err.Error())
-			return
-		}
+	e, err := s.backend.GetEntity(id)
+	if errors.Is(err, ngsi.ErrNotFound) {
 		writeErr(w, http.StatusNotFound, "not_found", id)
+		return
+	}
+	if err != nil {
+		writeMutationErr(w, http.StatusNotFound, "not_found", err)
 		return
 	}
 	buf := getJSONBuf()
@@ -573,12 +584,8 @@ func (s *Server) handleUpdateAttrs(w http.ResponseWriter, r *http.Request) {
 		}
 		attrs[name] = ngsi.Attribute{Type: typ, Value: a.Value}
 	}
-	if err := s.backendUpdateAttrs(id, entityType, attrs); err != nil {
-		if s.cfg.Cluster != nil {
-			writeClusterMutationErr(w, http.StatusBadRequest, "update_failed", err)
-		} else {
-			writeMutationErr(w, http.StatusBadRequest, "update_failed", err)
-		}
+	if err := s.backend.UpdateAttrs(id, entityType, attrs); err != nil {
+		writeMutationErr(w, http.StatusBadRequest, "update_failed", err)
 		return
 	}
 	s.cUpdate.Inc()
@@ -636,12 +643,8 @@ func (s *Server) handleBatchUpdate(w http.ResponseWriter, r *http.Request) {
 		}
 		updates[e.ID] = entry
 	}
-	if err := s.backendBatchUpdate(updates); err != nil {
-		if s.cfg.Cluster != nil {
-			writeClusterMutationErr(w, http.StatusBadRequest, "update_failed", err)
-		} else {
-			writeMutationErr(w, http.StatusBadRequest, "update_failed", err)
-		}
+	if err := s.backend.BatchUpdate(updates); err != nil {
+		writeMutationErr(w, http.StatusBadRequest, "update_failed", err)
 		return
 	}
 	s.cBatch.Inc()
@@ -654,15 +657,11 @@ func (s *Server) handleDeleteEntity(w http.ResponseWriter, r *http.Request) {
 	if _, ok := s.authorize(w, r, "write", "ngsi:"+id); !ok {
 		return
 	}
-	if err := s.backendDeleteEntity(id); err != nil {
+	if err := s.backend.DeleteEntity(id); err != nil {
 		// A durability failure answers 503, not 404: the delete was
 		// rolled back, so the entity is still there and the client
 		// must retry.
-		if s.cfg.Cluster != nil {
-			writeClusterMutationErr(w, http.StatusNotFound, "not_found", err)
-		} else {
-			writeMutationErr(w, http.StatusNotFound, "not_found", err)
-		}
+		writeMutationErr(w, http.StatusNotFound, "not_found", err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -688,13 +687,15 @@ func (s *Server) analyticsRange(w http.ResponseWriter, r *http.Request) (from, t
 	return from, to, true
 }
 
+// analyticsDisabled answers both analytics routes of a server with no
+// analytics backend.
+func analyticsDisabled(w http.ResponseWriter, _ *http.Request) {
+	writeErr(w, http.StatusNotFound, "analytics_disabled", "")
+}
+
 // handleAnalytics returns the summary aggregate of one series:
 // GET /v2/analytics/{device}/{quantity}?hours=24
 func (s *Server) handleAnalytics(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Analytics == nil && s.cfg.Cluster == nil {
-		writeErr(w, http.StatusNotFound, "analytics_disabled", "")
-		return
-	}
 	device := r.PathValue("device")
 	quantity := r.PathValue("quantity")
 	if _, ok := s.authorize(w, r, "read", "series:"+device); !ok {
@@ -704,16 +705,10 @@ func (s *Server) handleAnalytics(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var agg timeseries.Aggregate
-	if s.cfg.Cluster != nil {
-		var err error
-		agg, err = s.cfg.Cluster.Summary(device, quantity, from, to)
-		if err != nil {
-			writeErr(w, http.StatusServiceUnavailable, "cluster_unavailable", err.Error())
-			return
-		}
-	} else {
-		agg = s.cfg.Analytics.Summary(device, quantity, from, to)
+	agg, err := s.backend.Summary(device, quantity, from, to)
+	if err != nil {
+		writeMutationErr(w, http.StatusInternalServerError, "query_failed", err)
+		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"device": device, "quantity": quantity,
@@ -737,10 +732,6 @@ type seriesWindowJSON struct {
 // aggregation is pushed down onto the store's chunk summaries, so the cost
 // scales with chunks, not points.
 func (s *Server) handleAnalyticsSeries(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Analytics == nil && s.cfg.Cluster == nil {
-		writeErr(w, http.StatusNotFound, "analytics_disabled", "")
-		return
-	}
 	device := r.PathValue("device")
 	quantity := r.PathValue("quantity")
 	if _, ok := s.authorize(w, r, "read", "series:"+device); !ok {
@@ -759,19 +750,9 @@ func (s *Server) handleAnalyticsSeries(w http.ResponseWriter, r *http.Request) {
 		}
 		window = d
 	}
-	var wins []timeseries.WindowAggregate
-	var err error
-	if s.cfg.Cluster != nil {
-		wins, err = s.cfg.Cluster.Windows(device, quantity, from, to, window)
-		if err != nil {
-			writeErr(w, http.StatusServiceUnavailable, "cluster_unavailable", err.Error())
-			return
-		}
-	} else {
-		wins, err = s.cfg.Analytics.Windows(device, quantity, from, to, window)
-	}
+	wins, err := s.backend.Windows(device, quantity, from, to, window)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "query_failed", err.Error())
+		writeMutationErr(w, http.StatusBadRequest, "query_failed", err)
 		return
 	}
 	points := make([]seriesWindowJSON, 0, len(wins))

@@ -20,6 +20,11 @@ import (
 // ErrNotFound is returned for lookups of unknown entities or subscriptions.
 var ErrNotFound = errors.New("ngsi: not found")
 
+// ErrUnavailable marks a request its backend could not serve right now:
+// on a cluster, the owner was not the leader, was fenced, missed its
+// replication acks, or could not be reached. The client should retry.
+var ErrUnavailable = errors.New("ngsi: unavailable")
+
 // ErrClosed is returned by operations on a closed broker.
 var ErrClosed = errors.New("ngsi: broker closed")
 

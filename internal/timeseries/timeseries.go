@@ -314,30 +314,15 @@ type Journal interface {
 // without synchronization on the append paths.
 func (s *Store) SetJournal(j Journal) { s.journal = j }
 
-// Append adds a point to the series identified by key. Out-of-order appends
-// are accepted and inserted in timestamp order.
+// Append adds a point to the series identified by key: a one-point
+// AppendBatch that reports the point's validation error. Out-of-order
+// appends are accepted and inserted in timestamp order.
 func (s *Store) Append(key SeriesKey, p Point) error {
 	if err := validatePoint(key, p); err != nil {
 		return err
 	}
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	var ack JournalAck
-	if s.journal != nil {
-		s.applyLocked(sh, key, p)
-		ack = s.journal.PointsAppended([]BatchPoint{{Key: key, Point: p}})
-	} else {
-		s.appendLocked(sh, key, p)
-	}
-	sh.mu.Unlock()
-	if ack != nil {
-		if err := ack.Wait(); err != nil {
-			s.rollback(sh, []BatchPoint{{Key: key, Point: p}})
-			return err
-		}
-		s.enforceCapGroup(sh, []BatchPoint{{Key: key, Point: p}})
-	}
-	return nil
+	_, _, err := s.AppendBatch([]BatchPoint{{Key: key, Point: p}})
+	return err
 }
 
 // rollback removes a group of just-applied points whose journal ack

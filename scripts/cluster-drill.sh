@@ -8,6 +8,7 @@
 # first node only, walk the authenticated northbound: OAuth
 # client_credentials grant, scatter-gather entity list, and routed
 # fetches of the pilot probe entities (which hash across all leaders).
+# Last, a missing id must answer 404 not_found through every node.
 #
 # Exercised by `docker compose run --rm drill`; also runs against a
 # hand-started local cluster, e.g.
@@ -65,4 +66,17 @@ for i in 00 01 02 03; do
     fail "routed fetch of probe:$i via $api failed"
 done
 
-echo "drill: PASS — $# nodes ready, cluster gauges present, auth + scatter-gather + routed reads OK"
+# A missing id answers 404 not_found through every node: the owner's
+# not-found kind crosses the request plane, whichever node it entered.
+for n in $NODES; do
+  case "$n" in *:*) addr="$n" ;; *) addr="$n:8026" ;; esac
+  ntok=$(curl -fsS -X POST "http://$addr/oauth/token" \
+    -d grant_type=client_credentials -d client_id=svc-irrigation -d client_secret=svc-secret |
+    grep -o '"access_token":"[^"]*"' | cut -d'"' -f4)
+  code=$(curl -sS -o /tmp/nope.json -w '%{http_code}' -H "Authorization: Bearer $ntok" \
+    "http://$addr/v2/entities/urn:swamp:matopiba:probe:nope")
+  [ "$code" = 404 ] && grep -q '"error":"not_found"' /tmp/nope.json ||
+    fail "missing entity via $addr answered $code: $(cat /tmp/nope.json)"
+done
+
+echo "drill: PASS — $# nodes ready, cluster gauges present, auth + scatter-gather + routed reads + not-found on every node OK"
