@@ -401,7 +401,7 @@ func BenchmarkHTTPFleetListing(b *testing.B) {
 // wake-driven flush → BatchUpdate, configured as the agent does.
 func BenchmarkBatcherIngest(b *testing.B) {
 	ctx := newBenchBroker(b, ngsi.BrokerConfig{QueueLen: 1024})
-	ba, err := ngsi.NewBatcher(ngsi.BatcherConfig{Broker: ctx})
+	ba, err := ngsi.NewBatcher(ngsi.BatcherConfig{Writer: ngsi.Local{Broker: ctx}})
 	if err != nil {
 		b.Fatal(err)
 	}

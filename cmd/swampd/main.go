@@ -38,18 +38,12 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/swamp-project/swamp/internal/cluster"
 	"github.com/swamp-project/swamp/internal/config"
 	"github.com/swamp-project/swamp/internal/core"
 	"github.com/swamp-project/swamp/internal/httpapi"
 	"github.com/swamp-project/swamp/internal/metrics"
 	"github.com/swamp-project/swamp/internal/tenant"
 )
-
-// The cluster router satisfies the northbound's Backend
-// structurally — httpapi deliberately does not import internal/cluster,
-// so the contract is pinned here, where both packages meet.
-var _ httpapi.Backend = (*cluster.Router)(nil)
 
 // readyQueueWatermark is the aggregate MQTT queue depth above which
 // /readyz reports 503.
@@ -110,20 +104,15 @@ func run(loader *config.Loader, cfg *config.Config, logger *slog.Logger) error {
 		cfgMu       sync.Mutex
 		platform    atomic.Pointer[core.Platform]
 		api         atomic.Pointer[httpapi.Server]
-		clusterNode atomic.Pointer[cluster.Node]
 		maxReadyLag atomic.Int64
 		ready       atomic.Bool
 	)
 	current := cfg
 	maxReadyLag.Store(cfg.Cluster.MaxReadyLag)
 
-	doReload := func() ([]string, error) {
-		cfgMu.Lock()
-		defer cfgMu.Unlock()
-		candidate, _, err := loader.Load()
-		if err != nil {
-			return nil, err
-		}
+	// swap validates candidate against the running config and applies its
+	// dynamic knobs; the caller holds cfgMu.
+	swap := func(candidate *config.Config) ([]string, error) {
 		applied, err := config.ValidateReload(current, candidate)
 		if err != nil {
 			return nil, err
@@ -131,13 +120,19 @@ func run(loader *config.Loader, cfg *config.Config, logger *slog.Logger) error {
 		if p := platform.Load(); p != nil {
 			p.ApplyDynamic(candidate)
 		}
-		if cn := clusterNode.Load(); cn != nil {
-			cn.SetAckTimeout(candidate.Cluster.AckTimeout)
-		}
 		maxReadyLag.Store(candidate.Cluster.MaxReadyLag)
 		config.ExportGauges(reg, candidate)
 		current = candidate
 		return applied, nil
+	}
+	doReload := func() ([]string, error) {
+		cfgMu.Lock()
+		defer cfgMu.Unlock()
+		candidate, _, err := loader.Load()
+		if err != nil {
+			return nil, err
+		}
+		return swap(candidate)
 	}
 	var reloadHook func() ([]string, error)
 	if loader.Path != "" {
@@ -151,10 +146,8 @@ func run(loader *config.Loader, cfg *config.Config, logger *slog.Logger) error {
 		if depth := reg.Gauge("mqtt.queue.depth").Value(); depth > readyQueueWatermark {
 			return fmt.Errorf("mqtt queue depth %.0f above watermark %d", depth, readyQueueWatermark)
 		}
-		if cn := clusterNode.Load(); cn != nil {
-			if err := cn.ReadyLag(maxReadyLag.Load()); err != nil {
-				return err
-			}
+		if p := platform.Load(); p != nil && p.Node != nil {
+			return p.Node.ReadyLag(maxReadyLag.Load())
 		}
 		return nil
 	}
@@ -171,8 +164,8 @@ func run(loader *config.Loader, cfg *config.Config, logger *slog.Logger) error {
 				"torn":             st.Torn,
 			}
 		}
-		if cn := clusterNode.Load(); cn != nil {
-			d["cluster"] = cn.Status()
+		if p := platform.Load(); p != nil && p.Node != nil {
+			d["cluster"] = p.Node.Status()
 		}
 		return d
 	}
@@ -198,15 +191,8 @@ func run(loader *config.Loader, cfg *config.Config, logger *slog.Logger) error {
 			}
 			candidate.Tenant.Quotas[id] = spec
 		}
-		if _, err := config.ValidateReload(current, candidate); err != nil {
-			return err
-		}
-		if p := platform.Load(); p != nil {
-			p.ApplyDynamic(candidate)
-		}
-		config.ExportGauges(reg, candidate)
-		current = candidate
-		return nil
+		_, err := swap(candidate)
+		return err
 	}
 
 	// Bind and serve HTTP before the (possibly long) platform construction,
@@ -254,68 +240,6 @@ func run(loader *config.Loader, cfg *config.Config, logger *slog.Logger) error {
 	defer p.Close()
 	platform.Store(p)
 
-	// Cluster plane: replication listener + peer router. Comes up after
-	// recovery (followers must not stream half-recovered state) but before
-	// the northbound attaches, so routed requests never race bring-up.
-	var clusterRouter *cluster.Router
-	if cfg.Cluster.NodeID != "" {
-		peers, err := cluster.ParsePeers(cfg.Cluster.Peers)
-		if err != nil {
-			return err
-		}
-		ids := make([]string, 0, len(peers))
-		for id := range peers {
-			ids = append(ids, id)
-		}
-		m, err := cluster.NewMap(cluster.Topology{
-			Partitions: cfg.Cluster.Partitions,
-			Replicas:   cfg.Cluster.Replicas,
-			Nodes:      ids,
-		})
-		if err != nil {
-			return err
-		}
-		hooks, err := p.ClusterHooks()
-		if err != nil {
-			return err
-		}
-		node, err := cluster.NewNode(cluster.NodeConfig{
-			ID:         cfg.Cluster.NodeID,
-			Map:        m,
-			Hooks:      hooks,
-			MinISR:     cfg.Cluster.MinISR,
-			AckTimeout: cfg.Cluster.AckTimeout,
-			Dial: func(id string) (cluster.Conn, error) {
-				addr, ok := peers[id]
-				if !ok {
-					return nil, fmt.Errorf("cluster: no endpoint for peer %q", id)
-				}
-				return cluster.DialTCP(addr)
-			},
-			Metrics: reg,
-			Logf: func(format string, args ...any) {
-				logger.Info(fmt.Sprintf(format, args...))
-			},
-		})
-		if err != nil {
-			return err
-		}
-		replLn, err := cluster.ListenTCP(cfg.Cluster.Listen, node.ServeConn)
-		if err != nil {
-			node.Close()
-			return err
-		}
-		defer replLn.Close()
-		node.Start()
-		defer node.Close()
-		clusterNode.Store(node)
-		clusterRouter = cluster.NewRouter(node)
-		defer clusterRouter.Close()
-		logger.Info("cluster up",
-			"node", node.ID(), "peers", len(peers),
-			"partitions", m.Partitions(), "led", len(m.LedBy(node.ID())))
-	}
-
 	ln, err := net.Listen("tcp", cfg.Server.Listen)
 	if err != nil {
 		return err
@@ -336,8 +260,8 @@ func run(loader *config.Loader, cfg *config.Config, logger *slog.Logger) error {
 			QueryDefaultLimit: cfg.HTTP.DefaultLimit,
 			QueryMaxLimit:     cfg.HTTP.QueryCap,
 		}
-		if clusterRouter != nil {
-			apiCfg.Cluster = clusterRouter
+		if p.Router != nil {
+			apiCfg.Cluster = p.Router
 		}
 		a, err := httpapi.NewServer(apiCfg)
 		if err != nil {

@@ -55,13 +55,13 @@
 // graceful drain on SIGINT/SIGTERM. examples/swampd.toml is a commented
 // starting point.
 //
-// Setting cluster.node_id (with peers + listen) turns swampd into one
+// Setting cluster.node_id (with peers + listen) makes core.New build one
 // node of a replicated cluster (internal/cluster, DESIGN.md §10):
 // entities and series consistent-hash across nodes, leaders ship their
 // committed WAL to followers over TCP (min_isr follower acks before a
-// write is acknowledged), deposed leaders are epoch-fenced, and the
-// northbound routes writes to the owning leader and scatter-gathers
-// queries — the API is unchanged from a client's view. /readyz grows a
+// write is acknowledged), deposed leaders are epoch-fenced, and every
+// ingress (MQTT via the agent, fog and cloud ingest, the northbound)
+// writes through a Router to the owning leader. /readyz grows a
 // cluster block (partitions led/followed, per-session lag) and 503s
 // past cluster.max_ready_lag; /metrics exports the swamp_cluster_*
 // gauges. The Dockerfile + docker-compose.yml stand up the 3-node

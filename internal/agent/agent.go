@@ -74,8 +74,8 @@ type device struct {
 type Config struct {
 	// Broker is the MQTT broker the agent attaches to in process.
 	Broker *mqtt.Broker
-	// Context receives decoded measurements.
-	Context *ngsi.Broker
+	// Writer receives decoded measurements.
+	Writer ngsi.Writer
 	// KeyRing, if non-nil, requires every northbound payload to be a valid
 	// secchan envelope (AAD = topic) and protects southbound commands the
 	// same way.
@@ -93,7 +93,7 @@ type Config struct {
 // detach and flush the northbound tail. It holds no MQTT session: northbound
 // it is a local attachment (mqtt.Broker.AttachLocal) whose handler decodes on
 // the publishing connection's goroutine, southbound it injects commands.
-// Decoded measurements reach the context broker through an ngsi.Batcher the
+// Decoded measurements reach the writer through an ngsi.Batcher the
 // agent owns: coalesced per entity, flushed as BatchUpdate calls as soon as
 // the previous flush has committed. At the batcher's entity bound the handler
 // blocks — only the connection that published; nothing acknowledged is shed.
@@ -119,8 +119,8 @@ var (
 
 // New validates the config and builds an agent.
 func New(cfg Config) (*Agent, error) {
-	if cfg.Broker == nil || cfg.Context == nil {
-		return nil, fmt.Errorf("agent: broker and context are required")
+	if cfg.Broker == nil || cfg.Writer == nil {
+		return nil, fmt.Errorf("agent: broker and writer are required")
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
@@ -141,11 +141,12 @@ func New(cfg Config) (*Agent, error) {
 	errCtr := cfg.Metrics.Counter("agent.north.ctxerr")
 	var err error
 	a.batcher, err = ngsi.NewBatcher(ngsi.BatcherConfig{
-		Broker:  cfg.Context,
+		Writer:  cfg.Writer,
 		Metrics: cfg.Metrics,
 		// agent.north.ok counts northbound messages; it advances only once
-		// the measurements are visible in the context broker, which is what
-		// WaitNorthbound waits for.
+		// the writer has taken the measurements (on a cluster: applied on
+		// the leader and min_isr acked), which is what WaitNorthbound
+		// waits for.
 		OnFlush: func(fs ngsi.FlushStats) {
 			if fs.Err != nil {
 				errCtr.Add(uint64(fs.Updates))
@@ -175,7 +176,7 @@ func (a *Agent) Stop() {
 }
 
 // FlushNorthbound forces any coalesced-but-unflushed measurements into the
-// context broker now.
+// writer now.
 func (a *Agent) FlushNorthbound() { a.batcher.Flush() }
 
 // Metrics returns the agent's registry.

@@ -26,7 +26,7 @@ func newStack(t *testing.T, ring *secchan.KeyRing) *stack {
 	ctx := ngsi.NewBroker(ngsi.BrokerConfig{})
 	t.Cleanup(ctx.Close)
 
-	a, err := New(Config{Broker: broker, Context: ctx, KeyRing: ring})
+	a, err := New(Config{Broker: broker, Writer: ngsi.Local{Broker: ctx}, KeyRing: ring})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package agent
 
 import (
+	"maps"
 	"math"
 	"strings"
 	"testing"
@@ -108,4 +109,29 @@ func TestTopics(t *testing.T) {
 	if CmdTopic("k", "d") != "ul/k/d/cmd" {
 		t.Errorf("cmd topic %q", CmdTopic("k", "d"))
 	}
+}
+
+// FuzzDecodeUL: DecodeUL never panics, every payload it accepts yields
+// finite values, and re-encoding what it decoded decodes to the same map.
+// The seed corpus is in testdata/fuzz/FuzzDecodeUL.
+func FuzzDecodeUL(f *testing.F) {
+	f.Add("m1|0.31|m2|0.28")
+	f.Fuzz(func(t *testing.T, s string) {
+		m, err := DecodeUL(s)
+		if err != nil {
+			return
+		}
+		for k, v := range m {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("DecodeUL(%q)[%q] = %v, not finite", s, k, v)
+			}
+		}
+		again, err := DecodeUL(EncodeUL(m))
+		if err != nil {
+			t.Fatalf("DecodeUL(EncodeUL(%v)) = %v", m, err)
+		}
+		if !maps.Equal(again, m) {
+			t.Fatalf("round trip of %q: %v, want %v", s, again, m)
+		}
+	})
 }

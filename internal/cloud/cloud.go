@@ -16,13 +16,14 @@ import (
 
 	"github.com/swamp-project/swamp/internal/metrics"
 	"github.com/swamp-project/swamp/internal/model"
+	"github.com/swamp-project/swamp/internal/ngsi"
 	"github.com/swamp-project/swamp/internal/timeseries"
 )
 
-// Ingestor persists readings into the store.
+// Ingestor persists readings through the platform's writer.
 type Ingestor struct {
-	store *timeseries.Store
-	reg   *metrics.Registry
+	dst ngsi.Writer
+	reg *metrics.Registry
 
 	// Logf receives diagnostics; nil means log.Printf.
 	Logf func(format string, args ...any)
@@ -38,13 +39,13 @@ type Ingestor struct {
 	cJournalErr                   *metrics.Counter
 }
 
-// NewIngestor builds an ingestor over store. metricsReg may be nil.
-func NewIngestor(store *timeseries.Store, metricsReg *metrics.Registry) *Ingestor {
+// NewIngestor builds an ingestor over dst. metricsReg may be nil.
+func NewIngestor(dst ngsi.Writer, metricsReg *metrics.Registry) *Ingestor {
 	if metricsReg == nil {
 		metricsReg = metrics.NewRegistry()
 	}
 	return &Ingestor{
-		store:       store,
+		dst:         dst,
 		reg:         metricsReg,
 		cReadings:   metricsReg.Counter("cloud.ingest.readings"),
 		cInvalid:    metricsReg.Counter("cloud.ingest.invalid"),
@@ -68,19 +69,19 @@ func (i *Ingestor) logf(format string, args ...any) {
 // are logged.
 const journalLogThrottle = 10 * time.Second
 
-// noteJournalErr counts an ingest-path durability failure and logs it at
-// most once per throttle window.
+// noteJournalErr counts a failed append (a durability failure, or on a
+// cluster an owner out of reach) and logs it at most once per window.
 func (i *Ingestor) noteJournalErr(err error) {
 	i.cJournalErr.Inc()
 	now := time.Now().UnixNano()
 	last := i.lastJournalLog.Load()
 	if now-last >= int64(journalLogThrottle) && i.lastJournalLog.CompareAndSwap(last, now) {
-		i.logf("cloud: reading-batch telemetry not durable (batch rolled back from memory): %v", err)
+		i.logf("cloud: reading batch not stored, left to the sender's retry: %v", err)
 	}
 }
 
-// IngestReadings appends a batch of device readings through the store's
-// batched path (one shard lock per batch). Invalid readings are
+// IngestReadings appends a batch of device readings as one AppendBatch
+// (on a store: one shard lock per batch). Invalid readings are
 // skipped-and-counted (`cloud.ingest.invalid`), never an error: a
 // validation failure is a data-quality fact about the reading, not a
 // transport failure, and returning one would make the fog node's
@@ -103,7 +104,7 @@ func (i *Ingestor) IngestReadings(batch []model.Reading) error {
 			Point: timeseries.Point{At: r.At, Value: r.Value},
 		})
 	}
-	accepted, rejected, err := i.store.AppendBatch(pts)
+	accepted, rejected, err := i.dst.AppendBatch(pts)
 	invalid += rejected
 	i.cBatches.Inc()
 	if accepted > 0 {
@@ -118,7 +119,8 @@ func (i *Ingestor) IngestReadings(batch []model.Reading) error {
 		// surface the error so it redelivers. While the WAL stays
 		// latched each retry fails cleanly (rolled back again, no
 		// duplicates); after the restart that clears it, the retry
-		// lands durably.
+		// lands durably. On a cluster a batch is all-or-nothing per
+		// owner only, so a retry may repeat the legs that landed.
 		i.noteJournalErr(err)
 		return err
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/swamp-project/swamp/internal/model"
+	"github.com/swamp-project/swamp/internal/ngsi"
 	"github.com/swamp-project/swamp/internal/timeseries"
 )
 
@@ -13,7 +14,7 @@ var t0 = time.Date(2026, 6, 1, 0, 0, 0, 0, time.UTC)
 
 func TestIngestReadings(t *testing.T) {
 	store := timeseries.New()
-	ing := NewIngestor(store, nil)
+	ing := NewIngestor(ngsi.Local{Store: store}, nil)
 	batch := []model.Reading{
 		{Device: "p1", Quantity: model.QSoilMoisture, Value: 0.2, Depth: 0.2, At: t0},
 		{Device: "p1", Quantity: model.QSoilMoisture, Value: 0.3, Depth: 0.5, At: t0},
@@ -61,7 +62,7 @@ func TestQuantityKeyMatchesSprintf(t *testing.T) {
 // and are counted, invalid ones are skipped and counted.
 func TestIngestSkipsInvalidMidBatch(t *testing.T) {
 	store := timeseries.New()
-	ing := NewIngestor(store, nil)
+	ing := NewIngestor(ngsi.Local{Store: store}, nil)
 	batch := []model.Reading{
 		{Device: "p1", Quantity: model.QSoilMoisture, Value: 0.2, At: t0},
 		{}, // invalid: must be skipped, not fail the batch
@@ -87,7 +88,7 @@ func TestIngestSkipsInvalidMidBatch(t *testing.T) {
 func seedStore(t *testing.T) *timeseries.Store {
 	t.Helper()
 	store := timeseries.New()
-	ing := NewIngestor(store, nil)
+	ing := NewIngestor(ngsi.Local{Store: store}, nil)
 	for day := 0; day < 3; day++ {
 		for h := 0; h < 24; h++ {
 			at := t0.Add(time.Duration(day*24+h) * time.Hour)

@@ -94,14 +94,12 @@ func (tc *testCluster) addNode(id, dir string, o clusterOpts) *testMember {
 	tc.t.Helper()
 	plat := openPlat(tc.t, dir)
 	node, err := NewNode(NodeConfig{
-		ID:  id,
-		Map: tc.m,
-		Hooks: Hooks{
-			Context:  plat.ctx,
-			Store:    plat.store,
-			WAL:      plat.wm,
-			Snapshot: plat.snapshot,
-		},
+		ID:         id,
+		Map:        tc.m,
+		Context:    plat.ctx,
+		Store:      plat.store,
+		WAL:        plat.wm,
+		Snapshot:   plat.snapshot,
 		MinISR:     o.minISR,
 		AckTimeout: o.ackTimeout,
 		Dial:       func(peer string) (Conn, error) { return tc.dial(peer) },

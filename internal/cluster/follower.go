@@ -111,7 +111,7 @@ func newFollowerMgr(n *Node) *followerMgr {
 	return &followerMgr{
 		n:     n,
 		links: make(map[string]*followLink),
-		off:   loadOffsets(n.hooks.WAL.Dir()),
+		off:   loadOffsets(n.cfg.WAL.Dir()),
 	}
 }
 
@@ -286,8 +286,8 @@ func (l *followLink) session() error {
 	// Apply only the elements of granted partitions. Subscriptions never
 	// replicate: webhook delivery pools are node-local.
 	app := &wal.Applier{
-		Context:     n.hooks.Context,
-		Store:       n.hooks.Store,
+		Context:     n.cfg.Context,
+		Store:       n.cfg.Store,
 		Keep:        func(key string) bool { _, ok := st.granted[n.m.PartitionOf(key)]; return ok },
 		SkipRepeats: true,
 	}
@@ -440,8 +440,8 @@ func (l *followLink) handleFrame(frame []byte, st *tailState, app *wal.Applier) 
 		// Compact our own WAL so local crash recovery replays the
 		// installed image, not the pre-wipe state (the wipe itself is
 		// not journaled).
-		if n.hooks.Snapshot != nil {
-			if err := n.hooks.Snapshot(); err != nil {
+		if n.cfg.Snapshot != nil {
+			if err := n.cfg.Snapshot(); err != nil {
 				return fmt.Errorf("post-install snapshot: %w", err)
 			}
 		}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -14,14 +15,18 @@ import (
 	"github.com/swamp-project/swamp/internal/wal"
 )
 
-// Hooks is the slice of a platform a Node drives: the durable stores it
-// replicates and the WAL whose committed records it ships. core wires
-// these from a Platform via ClusterHooks.
-type Hooks struct {
-	// Context is the entity broker (NGSI plane).
+// NodeConfig configures a cluster Node. core.New builds it from the
+// platform's stores and WAL.
+type NodeConfig struct {
+	// ID is this node's id; it must appear in the Map's node list.
+	ID string
+	// Map is the shared (in-process) or config-derived (multi-process)
+	// partition-ownership table.
+	Map *Map
+	// Context (the entity broker) and Store (the time-series store) are
+	// the durable stores the node replicates.
 	Context *ngsi.Broker
-	// Store is the time-series store (telemetry plane).
-	Store *timeseries.Store
+	Store   *timeseries.Store
 	// WAL is the platform's write-ahead log; the Node installs a commit
 	// hook on it and streams its segments to followers.
 	WAL *wal.Manager
@@ -30,17 +35,6 @@ type Hooks struct {
 	// followers call it right after installing one. Required for
 	// bootstrap; a nil Snapshot limits the node to resume-mode peers.
 	Snapshot func() error
-}
-
-// NodeConfig configures a cluster Node.
-type NodeConfig struct {
-	// ID is this node's id; it must appear in the Map's node list.
-	ID string
-	// Map is the shared (in-process) or config-derived (multi-process)
-	// partition-ownership table.
-	Map *Map
-	// Hooks binds the node to its platform's stores and WAL.
-	Hooks Hooks
 	// MinISR is how many followers covering a partition must ack a
 	// write's log position before the write returns. 0 disables
 	// synchronous replication (acks are then only a lag signal).
@@ -63,12 +57,11 @@ type NodeConfig struct {
 // fans those out to follower sessions; its own follower manager keeps
 // inbound sessions to every leader it replicates from.
 type Node struct {
-	cfg   NodeConfig
-	id    string
-	m     *Map
-	hooks Hooks
-	repl  *replicator
-	fmgr  *followerMgr
+	cfg  NodeConfig
+	id   string
+	m    *Map
+	repl *replicator
+	fmgr *followerMgr
 
 	ackTimeoutNs atomic.Int64
 	closed       chan struct{}
@@ -91,16 +84,10 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.Map == nil {
 		return nil, errors.New("cluster: NodeConfig.Map required")
 	}
-	if cfg.Hooks.Context == nil || cfg.Hooks.Store == nil || cfg.Hooks.WAL == nil {
-		return nil, errors.New("cluster: NodeConfig.Hooks requires Context, Store and WAL")
+	if cfg.Context == nil || cfg.Store == nil || cfg.WAL == nil {
+		return nil, errors.New("cluster: NodeConfig requires Context, Store and WAL")
 	}
-	known := false
-	for _, n := range cfg.Map.Nodes() {
-		if n == cfg.ID {
-			known = true
-		}
-	}
-	if !known {
+	if !slices.Contains(cfg.Map.Nodes(), cfg.ID) {
 		return nil, fmt.Errorf("cluster: node %q not in the map", cfg.ID)
 	}
 	if cfg.AckTimeout <= 0 {
@@ -113,7 +100,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		cfg:    cfg,
 		id:     cfg.ID,
 		m:      cfg.Map,
-		hooks:  cfg.Hooks,
 		closed: make(chan struct{}),
 	}
 	n.ackTimeoutNs.Store(int64(cfg.AckTimeout))
@@ -133,19 +119,17 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	}
 	n.repl = newReplicator(n)
 	n.fmgr = newFollowerMgr(n)
-	n.hooks.WAL.SetCommitHook(n.repl.onCommit)
+	n.cfg.WAL.SetCommitHook(n.repl.onCommit)
 	n.repl.seedHead()
 	return n, nil
 }
 
-// ID returns the node id.
-func (n *Node) ID() string { return n.id }
-
-// Map returns the partition-ownership table.
-func (n *Node) Map() *Map { return n.m }
-
-// Hooks returns the platform bindings (the router's local fast path).
-func (n *Node) Hooks() Hooks { return n.hooks }
+// Leads reports whether this node leads key's partition: the one node
+// where the platform's callbacks for key run.
+func (n *Node) Leads(key string) bool {
+	leader, _ := n.m.Leader(n.m.PartitionOf(key))
+	return leader == n.id
+}
 
 // Start launches the follower manager and the metrics updater.
 func (n *Node) Start() {
@@ -187,7 +171,7 @@ func (n *Node) Kill() { n.shutdown(false) }
 
 func (n *Node) shutdown(flushOffsets bool) {
 	n.closeOnce.Do(func() {
-		n.hooks.WAL.SetCommitHook(nil)
+		n.cfg.WAL.SetCommitHook(nil)
 		close(n.closed)
 		n.repl.closeAll()
 		n.fmgr.closeAll()
@@ -246,68 +230,51 @@ func (n *Node) waitReplicated(parts ...int) error {
 	return nil
 }
 
+// write runs apply as the leader of every key's partition, then waits
+// for MinISR follower acks on those partitions.
+func (n *Node) write(apply func() error, keys ...string) error {
+	var parts []int
+	for _, key := range keys {
+		if p := n.m.PartitionOf(key); !slices.Contains(parts, p) {
+			if err := n.checkLeader(p); err != nil {
+				return err
+			}
+			parts = append(parts, p)
+		}
+	}
+	if err := apply(); err != nil {
+		return err
+	}
+	return n.waitReplicated(parts...)
+}
+
 // UpdateAttrs applies an attribute merge on the owning leader.
 func (n *Node) UpdateAttrs(id, typ string, attrs map[string]ngsi.Attribute) error {
-	p := n.m.PartitionOf(id)
-	if err := n.checkLeader(p); err != nil {
-		return err
-	}
-	if err := n.hooks.Context.UpdateAttrs(id, typ, attrs); err != nil {
-		return err
-	}
-	return n.waitReplicated(p)
+	return n.write(func() error { return n.cfg.Context.UpdateAttrs(id, typ, attrs) }, id)
 }
 
 // BatchUpdate applies a batch whose entities this node must all own.
 // The Router splits cross-node batches before calling this.
 func (n *Node) BatchUpdate(updates map[string]ngsi.BatchEntry) error {
-	parts := make(map[int]bool)
-	for id := range updates {
-		parts[n.m.PartitionOf(id)] = true
-	}
-	list := make([]int, 0, len(parts))
-	for p := range parts {
-		if err := n.checkLeader(p); err != nil {
-			return err
-		}
-		list = append(list, p)
-	}
-	if err := n.hooks.Context.BatchUpdate(updates); err != nil {
-		return err
-	}
-	return n.waitReplicated(list...)
+	return n.write(func() error { return n.cfg.Context.BatchUpdate(updates) }, slices.Collect(maps.Keys(updates))...)
 }
 
 // DeleteEntity deletes an entity on the owning leader.
 func (n *Node) DeleteEntity(id string) error {
-	p := n.m.PartitionOf(id)
-	if err := n.checkLeader(p); err != nil {
-		return err
-	}
-	if err := n.hooks.Context.DeleteEntity(id); err != nil {
-		return err
-	}
-	return n.waitReplicated(p)
+	return n.write(func() error { return n.cfg.Context.DeleteEntity(id) }, id)
 }
 
 // AppendBatch appends telemetry whose devices this node must all own.
 func (n *Node) AppendBatch(batch []timeseries.BatchPoint) (accepted, rejected int, err error) {
-	parts := make(map[int]bool)
-	for _, bp := range batch {
-		parts[n.m.PartitionOf(bp.Key.Device)] = true
+	devices := make([]string, len(batch))
+	for i, bp := range batch {
+		devices[i] = bp.Key.Device
 	}
-	list := make([]int, 0, len(parts))
-	for p := range parts {
-		if err := n.checkLeader(p); err != nil {
-			return 0, 0, err
-		}
-		list = append(list, p)
-	}
-	accepted, rejected, err = n.hooks.Store.AppendBatch(batch)
-	if err != nil {
-		return accepted, rejected, err
-	}
-	return accepted, rejected, n.waitReplicated(list...)
+	err = n.write(func() (err error) {
+		accepted, rejected, err = n.cfg.Store.AppendBatch(batch)
+		return err
+	}, devices...)
+	return accepted, rejected, err
 }
 
 // --- record → partition mapping ---
@@ -334,7 +301,7 @@ func (n *Node) recordParts(rec wal.Record) []int {
 // between re-bootstraps rather than recovering a half-wiped state.
 func (n *Node) wipe(parts map[int]bool) error {
 	var ids []string
-	err := n.hooks.Context.DumpEntities(func(e *ngsi.Entity) error {
+	err := n.cfg.Context.DumpEntities(func(e *ngsi.Entity) error {
 		if parts[n.m.PartitionOf(e.ID)] {
 			ids = append(ids, e.ID)
 		}
@@ -344,13 +311,13 @@ func (n *Node) wipe(parts map[int]bool) error {
 		return err
 	}
 	for _, id := range ids {
-		if err := n.hooks.Context.DeleteEntity(id); err != nil && !errors.Is(err, ngsi.ErrNotFound) {
+		if err := n.cfg.Context.DeleteEntity(id); err != nil && !errors.Is(err, ngsi.ErrNotFound) {
 			return err
 		}
 	}
-	for _, k := range n.hooks.Store.Keys() {
+	for _, k := range n.cfg.Store.Keys() {
 		if parts[n.m.PartitionOf(k.Device)] {
-			n.hooks.Store.DeleteSeries(k)
+			n.cfg.Store.DeleteSeries(k)
 		}
 	}
 	return nil

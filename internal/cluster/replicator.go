@@ -107,7 +107,7 @@ func newReplicator(n *Node) *replicator {
 // sessions opened before the first post-hook commit still catch up fully.
 // Best effort: a record committed mid-scan is picked up by the hook.
 func (r *replicator) seedHead() {
-	w := r.n.hooks.WAL
+	w := r.n.cfg.WAL
 	segs, err := w.Segments()
 	if err != nil || len(segs) == 0 {
 		return
@@ -191,13 +191,13 @@ func (r *replicator) startSession(c Conn, h helloMsg) *session {
 	}
 
 	mode := byte(modeResume)
-	segs, err := n.hooks.WAL.Segments()
+	segs, err := n.cfg.WAL.Segments()
 	if err != nil {
 		return nil
 	}
 	if h.Resume.IsZero() || len(segs) == 0 || h.Resume.Seg < segs[0] {
 		mode = modeSnapshot
-		if n.hooks.Snapshot == nil {
+		if n.cfg.Snapshot == nil {
 			n.cfg.Logf("cluster: %s needs a bootstrap but no snapshot hook is wired", h.Node)
 			return nil
 		}
@@ -413,11 +413,11 @@ func (s *session) pump(mode byte, resume wal.Pos) {
 // snapEnd. Returns the snapshot boundary segment.
 func (s *session) streamSnapshot(buf *[]byte) (uint64, bool) {
 	n := s.r.n
-	if err := n.hooks.Snapshot(); err != nil {
+	if err := n.cfg.Snapshot(); err != nil {
 		n.cfg.Logf("cluster: bootstrap snapshot for %s failed: %v", s.follower, err)
 		return 0, false
 	}
-	boundary, ok, err := n.hooks.WAL.SnapshotSeq()
+	boundary, ok, err := n.cfg.WAL.SnapshotSeq()
 	if err != nil || !ok {
 		return 0, false
 	}
@@ -427,7 +427,7 @@ func (s *session) streamSnapshot(buf *[]byte) (uint64, bool) {
 		return 0, false
 	}
 	count := uint64(0)
-	_, _, err = wal.ReplayFile(n.hooks.WAL.SnapshotPath(boundary), func(rec wal.Record) error {
+	_, _, err = wal.ReplayFile(n.cfg.WAL.SnapshotPath(boundary), func(rec wal.Record) error {
 		if !s.overlaps(n.recordParts(rec)) {
 			return nil
 		}
@@ -450,7 +450,7 @@ func (s *session) streamSnapshot(buf *[]byte) (uint64, bool) {
 // the scan continues with the next segment.
 func (s *session) streamSegments(buf *[]byte, last *wal.Pos, liveStart wal.Pos) bool {
 	n := s.r.n
-	segs, err := n.hooks.WAL.Segments()
+	segs, err := n.cfg.WAL.Segments()
 	if err != nil {
 		return false
 	}
@@ -466,7 +466,7 @@ func (s *session) streamSegments(buf *[]byte, last *wal.Pos, liveStart wal.Pos) 
 			continue
 		}
 		idx := uint64(0)
-		_, _, err := wal.ReplayFile(n.hooks.WAL.SegmentPath(seg), func(rec wal.Record) error {
+		_, _, err := wal.ReplayFile(n.cfg.WAL.SegmentPath(seg), func(rec wal.Record) error {
 			idx++
 			pos := wal.Pos{Seg: seg, Rec: idx}
 			if !last.Less(pos) {

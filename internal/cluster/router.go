@@ -8,9 +8,13 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/swamp-project/swamp/internal/httpapi"
 	"github.com/swamp-project/swamp/internal/ngsi"
 	"github.com/swamp-project/swamp/internal/timeseries"
 )
+
+// httpapi does not import the cluster plane; the contract is pinned here.
+var _ httpapi.Backend = (*Router)(nil)
 
 // Wire DTOs for routed requests (msgReq/msgResp bodies, JSON). The
 // partition scope replaces ngsi.Query.IDFilter on the wire: the serving
@@ -40,6 +44,15 @@ type wireUpdate struct {
 
 type wireBatch struct {
 	Updates map[string]ngsi.BatchEntry `json:"updates"`
+}
+
+type wireAppend struct {
+	Points []timeseries.BatchPoint `json:"points"`
+}
+
+type wireAppended struct {
+	Accepted int `json:"accepted"`
+	Rejected int `json:"rejected"`
 }
 
 type wireSeries struct {
@@ -82,7 +95,7 @@ func remoteErr(r respMsg) error {
 // and handleReq calls it for a peer's request ---
 
 func (n *Node) query(w wireQuery) (ngsi.QueryResult, error) {
-	return n.hooks.Context.Query(ngsi.Query{
+	return n.cfg.Context.Query(ngsi.Query{
 		IDPattern:  w.IDPattern,
 		Type:       w.Type,
 		Conditions: w.Conditions,
@@ -95,7 +108,7 @@ func (n *Node) query(w wireQuery) (ngsi.QueryResult, error) {
 	})
 }
 
-func (n *Node) getEntity(w wireID) (*ngsi.Entity, error) { return n.hooks.Context.GetEntity(w.ID) }
+func (n *Node) getEntity(w wireID) (*ngsi.Entity, error) { return n.cfg.Context.GetEntity(w.ID) }
 
 func (n *Node) updateAttrs(w wireUpdate) (struct{}, error) {
 	return struct{}{}, n.UpdateAttrs(w.ID, w.Type, w.Attrs)
@@ -107,12 +120,17 @@ func (n *Node) batchUpdate(w wireBatch) (struct{}, error) {
 
 func (n *Node) deleteEntity(w wireID) (struct{}, error) { return struct{}{}, n.DeleteEntity(w.ID) }
 
+func (n *Node) appendBatch(w wireAppend) (wireAppended, error) {
+	acc, rej, err := n.AppendBatch(w.Points)
+	return wireAppended{Accepted: acc, Rejected: rej}, err
+}
+
 func (n *Node) summary(w wireSeries) (timeseries.Aggregate, error) {
-	return n.hooks.Store.Summarize(w.key(), w.From, w.To), nil
+	return n.cfg.Store.Summarize(w.key(), w.From, w.To), nil
 }
 
 func (n *Node) windows(w wireSeries) ([]timeseries.WindowAggregate, error) {
-	return n.hooks.Store.AggregateWindows(w.key(), w.From, w.To, w.Window)
+	return n.cfg.Store.AggregateWindows(w.key(), w.From, w.To, w.Window)
 }
 
 // partFilter builds the scatter-leg id filter for a partition subset.
@@ -149,6 +167,8 @@ func (n *Node) handleReq(kind byte, body []byte) ([]byte, error) {
 		return serve(body, n.batchUpdate)
 	case reqDelete:
 		return serve(body, n.deleteEntity)
+	case reqAppend:
+		return serve(body, n.appendBatch)
 	case reqSummary:
 		return serve(body, n.summary)
 	case reqWindows:
@@ -253,10 +273,10 @@ func (pc *peerClient) call(kind byte, in, out any, timeout time.Duration) error 
 	}
 }
 
-// Router is the cluster-aware northbound backend: writes and point reads
-// route to the owning partition leader, entity listings scatter-gather
-// across every leader and merge with ordering, limit, offset and count
-// preserved. It implements httpapi.Backend.
+// Router is the cluster's Writer and northbound Backend: writes and point
+// reads route to the owning partition leader, entity listings
+// scatter-gather across every leader and merge with ordering, limit,
+// offset and count preserved.
 type Router struct {
 	node *Node
 	mu   sync.Mutex
@@ -341,33 +361,71 @@ func (rt *Router) DeleteEntity(id string) error {
 	return err
 }
 
+// scatter runs one routed call per node concurrently and returns every
+// leg's result and the first error.
+func scatter[In, Out any](rt *Router, legs map[string]In, kind byte, fn func(In) (Out, error)) ([]Out, error) {
+	type result struct {
+		out Out
+		err error
+	}
+	results := make(chan result, len(legs))
+	for node, in := range legs {
+		go func() {
+			out, err := route(rt, node, kind, in, fn)
+			results <- result{out, err}
+		}()
+	}
+	outs := make([]Out, 0, len(legs))
+	var first error
+	for range legs {
+		r := <-results
+		outs = append(outs, r.out)
+		if r.err != nil && first == nil {
+			first = r.err
+		}
+	}
+	return outs, first
+}
+
 // BatchUpdate splits a batch by owning leader and applies the slices
 // concurrently, returning the first error. Per-entity atomicity holds
 // (an entity is in exactly one slice); cross-entity atomicity across
 // nodes does not, matching the broker's own per-shard semantics.
 func (rt *Router) BatchUpdate(updates map[string]ngsi.BatchEntry) error {
-	slices := make(map[string]map[string]ngsi.BatchEntry)
+	legs := make(map[string]wireBatch)
 	for id, e := range updates {
 		node := rt.owner(id)
-		if slices[node] == nil {
-			slices[node] = make(map[string]ngsi.BatchEntry)
+		if legs[node].Updates == nil {
+			legs[node] = wireBatch{Updates: make(map[string]ngsi.BatchEntry)}
 		}
-		slices[node][id] = e
+		legs[node].Updates[id] = e
 	}
-	errs := make(chan error, len(slices))
-	for node, slice := range slices {
-		go func() {
-			_, err := route(rt, node, reqBatchUpdate, wireBatch{Updates: slice}, rt.node.batchUpdate)
-			errs <- err
-		}()
-	}
-	var first error
-	for range slices {
-		if err := <-errs; err != nil && first == nil {
-			first = err
+	_, err := scatter(rt, legs, reqBatchUpdate, rt.node.batchUpdate)
+	return err
+}
+
+// AppendBatch splits telemetry by device owner and appends the slices
+// concurrently. A point the store would refuse is counted rejected here,
+// as the store counts it, and never encoded (encoding/json refuses NaN).
+// Each slice commits as one batch on its owner; slices on different
+// owners succeed or fail apart. The counts sum the slices, and the first
+// error is returned.
+func (rt *Router) AppendBatch(batch []timeseries.BatchPoint) (accepted, rejected int, err error) {
+	legs := make(map[string]wireAppend)
+	for _, bp := range batch {
+		if timeseries.ValidatePoint(bp.Key, bp.Point) != nil {
+			rejected++
+			continue
 		}
+		node := rt.owner(bp.Key.Device)
+		legs[node] = wireAppend{Points: append(legs[node].Points, bp)}
 	}
-	return first
+	res, err := scatter(rt, legs, reqAppend, rt.node.appendBatch)
+	for _, r := range res {
+		accepted += r.Accepted
+		rejected += r.Rejected
+	}
+	return accepted, rejected, err
 }
 
 // Query scatter-gathers an entity listing across every partition leader
@@ -376,26 +434,17 @@ func (rt *Router) BatchUpdate(updates map[string]ngsi.BatchEntry) error {
 // re-sorted, and the global offset/limit window is cut. Counts are exact
 // — partitions are disjoint, so leg totals sum.
 func (rt *Router) Query(q ngsi.Query) (ngsi.QueryResult, error) {
-	m := rt.node.m
-	byLeader := make(map[string][]int)
-	for p := 0; p < m.Partitions(); p++ {
-		leader, _ := m.Leader(p)
-		byLeader[leader] = append(byLeader[leader], p)
-	}
 	need := 0
 	if q.Limit > 0 {
 		need = q.Offset + q.Limit
 	}
-
-	type legResult struct {
-		res ngsi.QueryResult
-		err error
-	}
-	results := make(chan legResult, len(byLeader))
-	for leader, parts := range byLeader {
-		go func() {
-			var lr legResult
-			lr.res, lr.err = route(rt, leader, reqQuery, wireQuery{
+	m := rt.node.m
+	legs := make(map[string]wireQuery)
+	for p := 0; p < m.Partitions(); p++ {
+		leader, _ := m.Leader(p)
+		leg, ok := legs[leader]
+		if !ok {
+			leg = wireQuery{
 				IDPattern:  q.IDPattern,
 				Type:       q.Type,
 				Conditions: q.Conditions,
@@ -403,25 +452,23 @@ func (rt *Router) Query(q ngsi.Query) (ngsi.QueryResult, error) {
 				OrderBy:    q.OrderBy,
 				Limit:      need,
 				Count:      q.Count,
-				Parts:      parts,
-			}, rt.node.query)
-			results <- lr
-		}()
+			}
+		}
+		leg.Parts = append(leg.Parts, p)
+		legs[leader] = leg
+	}
+	legRes, err := scatter(rt, legs, reqQuery, rt.node.query)
+	if err != nil {
+		return ngsi.QueryResult{}, err
 	}
 
 	// The local leg's entities are the broker's stored versions: merged,
 	// ordered and cut below by pointer, never written.
 	var all []*ngsi.Entity
 	total := 0
-	for range byLeader {
-		lr := <-results
-		if lr.err != nil {
-			return ngsi.QueryResult{}, lr.err
-		}
-		all = append(all, lr.res.Entities...)
-		if q.Count {
-			total += lr.res.Total
-		}
+	for _, r := range legRes {
+		all = append(all, r.Entities...)
+		total += r.Total
 	}
 	if q.OrderBy != "" {
 		ngsi.SortEntities(all, q.OrderBy)

@@ -36,7 +36,7 @@ const (
 	reqUpdateAttrs
 	reqBatchUpdate
 	reqDelete
-	_ // unused, so the kinds after it keep their byte values
+	reqAppend
 	reqSummary
 	reqWindows
 )

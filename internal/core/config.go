@@ -61,4 +61,7 @@ func (p *Platform) ApplyDynamic(c *config.Config) {
 		}
 		p.Durable.WAL.SetSnapshotInterval(interval)
 	}
+	if p.Node != nil {
+		p.Node.SetAckTimeout(c.Cluster.AckTimeout)
+	}
 }

@@ -36,7 +36,7 @@ func (p *Platform) EnsureDrone() (*drone.Drone, error) {
 }
 
 // SurveyOnce flies the drone over the field, computes NDVI on board
-// (mobile fog processing), publishes the summary into the context broker
+// (mobile fog processing), writes the summary through the platform's writer
 // and feeds the per-survey mean into the anomaly engine (where Sybil
 // clustering watches NDVI sources).
 func (p *Platform) SurveyOnce(at time.Time) (*drone.NDVIMap, error) {
@@ -50,7 +50,7 @@ func (p *Platform) SurveyOnce(at time.Time) (*drone.NDVIMap, error) {
 	}
 	stress := m.StressCells(0.45)
 	entityID := fmt.Sprintf("urn:swamp:%s:ndvi", p.Opts.Pilot.Name)
-	err = p.Context.UpdateAttrs(entityID, "VegetationIndex", map[string]ngsi.Attribute{
+	err = p.Writer.UpdateAttrs(entityID, "VegetationIndex", map[string]ngsi.Attribute{
 		"ndviMean": {Type: "Number", Value: m.Mean(), At: at,
 			Metadata: map[string]string{"device": string(d.Desc.ID), "owner": p.Opts.Pilot.Name}},
 		"stressCells": {Type: "Number", Value: float64(len(stress)), At: at,

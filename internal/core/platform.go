@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -13,6 +14,7 @@ import (
 	"github.com/swamp-project/swamp/internal/anomaly"
 	"github.com/swamp-project/swamp/internal/clock"
 	"github.com/swamp-project/swamp/internal/cloud"
+	"github.com/swamp-project/swamp/internal/cluster"
 	"github.com/swamp-project/swamp/internal/config"
 	"github.com/swamp-project/swamp/internal/drone"
 	"github.com/swamp-project/swamp/internal/fog"
@@ -167,6 +169,15 @@ type Platform struct {
 
 	// Durability plane (nil unless wal.dir is set).
 	Durable *Durability
+
+	// Writer is the write path every ingress takes: ngsi.Local on a
+	// single node, Router on a cluster.
+	Writer ngsi.Writer
+
+	// Cluster plane (nil unless cluster.node_id is set).
+	Node      *cluster.Node
+	Router    *cluster.Router
+	clusterLn io.Closer
 
 	// Farm plane.
 	Fog       *fog.Node
@@ -328,7 +339,6 @@ func New(opts Options) (*Platform, error) {
 		timeseries.WithMaxPointsPerSeries(100_000),
 		timeseries.WithMaxAge(cfg.Timeseries.Retention),
 		timeseries.WithClock(opts.TelemetryClock))
-	p.Ingestor = cloud.NewIngestor(p.Store, p.reg)
 	p.Analytics = cloud.NewAnalytics(p.Store)
 	p.Backhaul = NewBackhaul(opts.BackhaulLatency)
 
@@ -349,6 +359,20 @@ func New(opts Options) (*Platform, error) {
 		p.Durable = d
 	}
 
+	// --- write path ---
+	// A cluster node comes up after recovery (followers must not stream
+	// half-recovered state) and before any ingress attaches, so every
+	// write below routes to its partition's leader.
+	p.Writer = ngsi.Local{Broker: p.Context, Store: p.Store}
+	if cfg.Cluster.NodeID != "" {
+		if err := p.startCluster(cfg.Cluster); err != nil {
+			p.Close()
+			return nil, err
+		}
+		p.Writer = p.Router
+	}
+	p.Ingestor = cloud.NewIngestor(p.Writer, p.reg)
+
 	// Context → anomaly + cloud persistence. In fog modes the fog node
 	// forwards telemetry instead, so the context subscription only feeds
 	// anomaly detection there.
@@ -357,13 +381,14 @@ func New(opts Options) (*Platform, error) {
 		EntityIDPattern: "*",
 		Notifier:        ngsi.Callback(p.onContextNotification),
 	}); err != nil {
+		p.Close()
 		return nil, err
 	}
 
 	// --- IoT agent ---
 	var err error
 	p.Agent, err = agent.New(agent.Config{
-		Broker: p.Broker, Context: p.Context, KeyRing: p.KeyRing, Metrics: p.reg,
+		Broker: p.Broker, Writer: p.Writer, KeyRing: p.KeyRing, Metrics: p.reg,
 	})
 	if err != nil {
 		p.Close()
@@ -566,8 +591,13 @@ func (p *Platform) probeCells() map[model.DeviceID]int {
 
 // onContextNotification feeds anomaly detection (always) and, in cloud-only
 // mode, persists through the backhaul (fog forwards otherwise). It only
-// reads n.Entity — a stored version shared with every other reader.
+// reads n.Entity — a stored version shared with every other reader. On a
+// cluster it runs on the entity's leader only: a follower's replicated
+// apply notifies too, and would ingest every reading once more.
 func (p *Platform) onContextNotification(n ngsi.Notification) {
+	if p.Node != nil && !p.Node.Leads(n.Entity.ID) {
+		return
+	}
 	readings := make([]model.Reading, 0, len(n.Entity.Attrs))
 	for name, attr := range n.Entity.Attrs {
 		v, ok := attr.Float()
@@ -732,8 +762,10 @@ func (p *Platform) Metrics() *metrics.Registry { return p.reg }
 //     endpoint cannot wedge shutdown);
 //  6. close the fog node: its uplink loop stops and a final flush syncs
 //     the store-and-forward backlog while the cloud store is still open;
-//  7. close the telemetry store (stops background eviction);
-//  8. close the durability plane last: every write the steps above
+//  7. on a cluster, stop the Router and the Node (the flushes above
+//     have routed their writes);
+//  8. close the telemetry store (stops background eviction);
+//  9. close the durability plane last: every write the steps above
 //     produced group-commits and fsyncs before Close returns.
 func (p *Platform) Close() {
 	p.mu.Lock()
@@ -763,6 +795,11 @@ func (p *Platform) Close() {
 	}
 	if p.Fog != nil {
 		p.Fog.Close()
+	}
+	if p.Node != nil {
+		p.Router.Close()
+		_ = p.clusterLn.Close()
+		p.Node.Close()
 	}
 	if p.Store != nil {
 		p.Store.Close()

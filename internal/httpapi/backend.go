@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"errors"
 	"time"
 
 	"github.com/swamp-project/swamp/internal/cloud"
@@ -9,7 +10,8 @@ import (
 )
 
 // Backend is the data plane every entity and analytics route reads and
-// writes through. A single node serves it from its local stores
+// writes through: ngsi.Writer, the write path every platform ingress
+// shares, plus the reads. A single node serves it from its local stores
 // (localBackend); a cluster serves it through internal/cluster's Router,
 // which routes to partition owners and satisfies this structurally —
 // httpapi deliberately does not import the cluster plane.
@@ -26,11 +28,9 @@ import (
 // ingress node that resolved the principal, and the serving leader
 // neither re-admits nor accounts a routed request.
 type Backend interface {
+	ngsi.Writer
 	Query(q ngsi.Query) (ngsi.QueryResult, error)
 	GetEntity(id string) (*ngsi.Entity, error)
-	UpdateAttrs(id, typ string, attrs map[string]ngsi.Attribute) error
-	BatchUpdate(updates map[string]ngsi.BatchEntry) error
-	DeleteEntity(id string) error
 	Summary(device, quantity string, from, to time.Time) (timeseries.Aggregate, error)
 	Windows(device, quantity string, from, to time.Time, window time.Duration) ([]timeseries.WindowAggregate, error)
 }
@@ -40,6 +40,12 @@ type Backend interface {
 type localBackend struct {
 	*ngsi.Broker
 	analytics *cloud.Analytics
+}
+
+// AppendBatch refuses telemetry: no route writes it, and a single node's
+// server holds only the analytics read facade over its store.
+func (localBackend) AppendBatch([]timeseries.BatchPoint) (int, int, error) {
+	return 0, 0, errors.New("httpapi: no telemetry write path")
 }
 
 func (b localBackend) Summary(device, quantity string, from, to time.Time) (timeseries.Aggregate, error) {

@@ -52,6 +52,11 @@ func (f *fakeCluster) DeleteEntity(id string) error {
 	return f.err
 }
 
+func (f *fakeCluster) AppendBatch(pts []timeseries.BatchPoint) (int, int, error) {
+	f.calls = append(f.calls, fmt.Sprintf("append n=%d", len(pts)))
+	return 0, 0, f.err
+}
+
 func (f *fakeCluster) Summary(device, quantity string, from, to time.Time) (timeseries.Aggregate, error) {
 	f.calls = append(f.calls, "summary "+device+"/"+quantity)
 	return f.agg, f.err

@@ -74,7 +74,7 @@ func newFixtureWith(t *testing.T, tweak func(*Config)) *fixture {
 	ctx := ngsi.NewBroker(ngsi.BrokerConfig{})
 	t.Cleanup(ctx.Close)
 	store := timeseries.New()
-	ing := cloud.NewIngestor(store, nil)
+	ing := cloud.NewIngestor(ngsi.Local{Store: store}, nil)
 	if err := ing.IngestReadings([]model.Reading{
 		{Device: "farm1-p1", Quantity: model.QSoilMoisture, Value: 0.25, At: time.Now()},
 		{Device: "farm1-p1", Quantity: model.QSoilMoisture, Value: 0.27, At: time.Now()},

@@ -22,8 +22,8 @@ type FlushStats struct {
 
 // BatcherConfig configures a Batcher.
 type BatcherConfig struct {
-	// Broker receives the flushed batches (required).
-	Broker *Broker
+	// Writer receives the flushed batches (required).
+	Writer Writer
 	// MaxEntities is the back-pressure bound: the Add that brings this many
 	// distinct entities pending (default 256) flushes on its own goroutine,
 	// waiting out the flush in progress, which bounds both memory and
@@ -32,15 +32,15 @@ type BatcherConfig struct {
 	// OnFlush, if non-nil, observes every flush (including failed ones).
 	// It runs on the flusher goroutine or inside Add/Close; keep it cheap.
 	OnFlush func(FlushStats)
-	// Metrics receives batcher counters; nil uses the broker's registry.
+	// Metrics receives batcher counters; nil allocates a private registry.
 	Metrics *metrics.Registry
 }
 
-// Batcher coalesces per-entity attribute updates and flushes them to the
-// broker as BatchUpdate calls — the ingest path the IoT agent's MQTT
+// Batcher coalesces per-entity attribute updates and flushes them to its
+// writer as BatchUpdate calls — the ingest path the IoT agent's MQTT
 // northbound uses. There is no timer: Add wakes the flusher goroutine, which
 // runs one flush per wake-up, so an update on an idle batcher reaches the
-// broker at once and a busy one ships whatever arrived while the previous
+// writer at once and a busy one ships whatever arrived while the previous
 // flush (BatchUpdate and its journal commit) was in progress. Within one
 // batch, later updates to the same attribute overwrite earlier ones
 // (last-write-wins, the same outcome sequential UpdateAttrs calls produce)
@@ -72,14 +72,14 @@ type Batcher struct {
 
 // NewBatcher validates the config and starts the flusher goroutine.
 func NewBatcher(cfg BatcherConfig) (*Batcher, error) {
-	if cfg.Broker == nil {
-		return nil, errors.New("ngsi: batcher requires a broker")
+	if cfg.Writer == nil {
+		return nil, errors.New("ngsi: batcher requires a writer")
 	}
 	if cfg.MaxEntities <= 0 {
 		cfg.MaxEntities = 256
 	}
 	if cfg.Metrics == nil {
-		cfg.Metrics = cfg.Broker.Metrics()
+		cfg.Metrics = metrics.NewRegistry()
 	}
 	ba := &Batcher{
 		cfg:       cfg,
@@ -112,11 +112,11 @@ func (ba *Batcher) loop() {
 }
 
 // Add buffers one entity update and wakes the flusher. The map and its
-// values belong to the batcher after Add — they reach the stored version
-// uncopied — so the caller builds a map per call and never touches it, or a
+// values belong to the batcher after Add — over a Local writer they reach
+// the stored version uncopied — so the caller builds a map per call and never touches it, or a
 // Metadata map or tree Value in it, again (see Attribute; one immutable
 // Metadata map may serve every call). Add normally returns without touching
-// the broker, but the Add that brings MaxEntities distinct entities pending
+// the writer, but the Add that brings MaxEntities distinct entities pending
 // flushes synchronously (running BatchUpdate, and OnFlush, on its goroutine).
 func (ba *Batcher) Add(id, typ string, attrs map[string]Attribute) error {
 	if err := validateEntityKey(id, typ); err != nil {
@@ -151,7 +151,7 @@ func (ba *Batcher) Add(id, typ string, attrs map[string]Attribute) error {
 	return nil
 }
 
-// Flush pushes everything pending to the broker now and returns the number
+// Flush pushes everything pending to the writer now and returns the number
 // of entities flushed. Safe to call concurrently with Add and other
 // flushers; concurrent flushes apply in order.
 func (ba *Batcher) Flush() int {
@@ -168,7 +168,12 @@ func (ba *Batcher) Flush() int {
 	ba.gPending.Set(0)
 	ba.mu.Unlock()
 
-	err := ba.cfg.Broker.batchUpdate(batch, true)
+	var err error
+	if l, ok := ba.cfg.Writer.(Local); ok {
+		err = l.batchUpdate(batch, true) // the stored versions keep the batch's maps
+	} else {
+		err = ba.cfg.Writer.BatchUpdate(batch)
+	}
 	ba.cFlush.Inc()
 	ba.cUpdates.Add(uint64(updates))
 	ba.cEntities.Add(uint64(len(batch)))
@@ -179,7 +184,7 @@ func (ba *Batcher) Flush() int {
 }
 
 // Close stops the flusher and flushes the tail: every Add that returned nil
-// has been flushed to the broker when Close returns. Further Adds return
+// has been flushed to the writer when Close returns. Further Adds return
 // ErrClosed. Idempotent.
 func (ba *Batcher) Close() {
 	ba.mu.Lock()

@@ -64,7 +64,7 @@ func gatedBatcher(t *testing.T, cfg BatcherConfig) (*Broker, *gateJournal, *Batc
 	t.Cleanup(b.Close)
 	j := newGateJournal()
 	b.SetJournal(j)
-	cfg.Broker = b
+	cfg.Writer, cfg.Metrics = Local{Broker: b}, b.Metrics()
 	ba, err := NewBatcher(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +195,7 @@ func TestBatcherOwnsWhatItIsHanded(t *testing.T) {
 func TestBatcherFlushesOnInterval(t *testing.T) {
 	b := NewBroker(BrokerConfig{})
 	defer b.Close()
-	ba, err := NewBatcher(BatcherConfig{Broker: b})
+	ba, err := NewBatcher(BatcherConfig{Writer: Local{Broker: b}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestBatcherFlushesOnInterval(t *testing.T) {
 func TestBatcherIdleAddNeedsNoWindow(t *testing.T) {
 	b := NewBroker(BrokerConfig{})
 	defer b.Close()
-	ba, err := NewBatcher(BatcherConfig{Broker: b})
+	ba, err := NewBatcher(BatcherConfig{Writer: Local{Broker: b}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestBatcherCloseFlushesTail(t *testing.T) {
 func TestBatcherAddRacingClose(t *testing.T) {
 	b := NewBroker(BrokerConfig{})
 	defer b.Close()
-	ba, err := NewBatcher(BatcherConfig{Broker: b, MaxEntities: 3})
+	ba, err := NewBatcher(BatcherConfig{Writer: Local{Broker: b}, MaxEntities: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func TestBatcherOrderUnderConcurrency(t *testing.T) {
 	const adders, perAdder = 8, 500
 	b := NewBroker(BrokerConfig{})
 	defer b.Close()
-	ba, err := NewBatcher(BatcherConfig{Broker: b, MaxEntities: 4})
+	ba, err := NewBatcher(BatcherConfig{Writer: Local{Broker: b}, MaxEntities: 4, Metrics: b.Metrics()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +465,7 @@ func TestBatcherCloseLeavesNoGoroutine(t *testing.T) {
 	before := batcherLoops()
 	b := NewBroker(BrokerConfig{})
 	defer b.Close()
-	ba, err := NewBatcher(BatcherConfig{Broker: b})
+	ba, err := NewBatcher(BatcherConfig{Writer: Local{Broker: b}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +482,7 @@ func TestBatcherCloseLeavesNoGoroutine(t *testing.T) {
 func TestBatcherValidatesAdds(t *testing.T) {
 	b := NewBroker(BrokerConfig{})
 	defer b.Close()
-	ba, err := NewBatcher(BatcherConfig{Broker: b})
+	ba, err := NewBatcher(BatcherConfig{Writer: Local{Broker: b}})
 	if err != nil {
 		t.Fatal(err)
 	}

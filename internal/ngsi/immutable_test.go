@@ -78,7 +78,7 @@ func TestVersionsAreImmutable(t *testing.T) {
 		}
 	}
 
-	ba, err := NewBatcher(BatcherConfig{Broker: b})
+	ba, err := NewBatcher(BatcherConfig{Writer: Local{Broker: b}})
 	if err != nil {
 		t.Fatal(err)
 	}

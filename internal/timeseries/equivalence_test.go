@@ -27,7 +27,7 @@ func closeEnough(a, b float64) bool {
 type flatStore map[SeriesKey][]Point
 
 func (s flatStore) Append(key SeriesKey, p Point) error {
-	if err := validatePoint(key, p); err != nil {
+	if err := ValidatePoint(key, p); err != nil {
 		return err
 	}
 	pts := s[key]

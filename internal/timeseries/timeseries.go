@@ -243,7 +243,9 @@ func (s *Store) shardIndex(k SeriesKey) int {
 
 func (s *Store) shardFor(k SeriesKey) *tsShard { return s.shards[s.shardIndex(k)] }
 
-func validatePoint(key SeriesKey, p Point) error {
+// ValidatePoint reports why a store refuses a point: an empty series key
+// or a non-finite value.
+func ValidatePoint(key SeriesKey, p Point) error {
 	if key.Device == "" || key.Quantity == "" {
 		return fmt.Errorf("timeseries: empty series key")
 	}
@@ -318,7 +320,7 @@ func (s *Store) SetJournal(j Journal) { s.journal = j }
 // AppendBatch that reports the point's validation error. Out-of-order
 // appends are accepted and inserted in timestamp order.
 func (s *Store) Append(key SeriesKey, p Point) error {
-	if err := validatePoint(key, p); err != nil {
+	if err := ValidatePoint(key, p); err != nil {
 		return err
 	}
 	_, _, err := s.AppendBatch([]BatchPoint{{Key: key, Point: p}})
@@ -372,7 +374,7 @@ func (s *Store) AppendBatch(batch []BatchPoint) (accepted, rejected int, err err
 	groups := make([][]int, len(s.shards))
 	valid := 0
 	for i := range batch {
-		if validatePoint(batch[i].Key, batch[i].Point) != nil {
+		if ValidatePoint(batch[i].Key, batch[i].Point) != nil {
 			rejected++
 			continue
 		}
