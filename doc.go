@@ -69,12 +69,12 @@
 //
 // With tenant.enabled, the admission plane (internal/tenant, DESIGN.md
 // §11) enforces per-tenant token-bucket quotas at every ingress — MQTT
-// publishes, HTTP API requests, fog sync — with a graduated shed ladder
-// (telemetry sampling, delayed webhooks, HTTP 429 + Retry-After, MQTT
-// disconnect last). The ops surface grows GET /admin/tenants and
-// GET/PUT /admin/tenants/{id}/quota (validate-then-swap, like a
-// reload), and /metrics exports the capped-cardinality swamp_tenant_*
-// family. Deprecation note: tenancy used to ride untyped `owner string`
+// publishes, HTTP API requests, fog sync — pacing a tenant in debt
+// before its work is done, then refusing it uncharged (HTTP 429 +
+// Retry-After, a withheld PUBACK), MQTT disconnect last. The ops
+// surface grows GET /admin/tenants and GET/PUT /admin/tenants/{id}/quota
+// (validate-then-swap, like a reload), and /metrics exports the
+// capped-cardinality swamp_tenant_* family. Deprecation note: tenancy used to ride untyped `owner string`
 // fields; those are now tenant.ID throughout (ngsi.Subscription.Owner,
 // identity.Principal.Owner, the cluster request metadata). JSON wire
 // shapes are unchanged — subscription bodies still serialize the tenant

@@ -9,6 +9,7 @@
 package cloud
 
 import (
+	"errors"
 	"log"
 	"strconv"
 	"sync/atomic"
@@ -36,7 +37,7 @@ type Ingestor struct {
 	// Hot-path counters, resolved once so ingest never touches the
 	// registry map.
 	cReadings, cInvalid, cBatches *metrics.Counter
-	cJournalErr                   *metrics.Counter
+	cJournalErr, cRouteErr        *metrics.Counter
 }
 
 // NewIngestor builds an ingestor over dst. metricsReg may be nil.
@@ -51,6 +52,7 @@ func NewIngestor(dst ngsi.Writer, metricsReg *metrics.Registry) *Ingestor {
 		cInvalid:    metricsReg.Counter("cloud.ingest.invalid"),
 		cBatches:    metricsReg.Counter("cloud.ingest.batches"),
 		cJournalErr: metricsReg.Counter("cloud.ingest.journal_errors"),
+		cRouteErr:   metricsReg.Counter("cloud.ingest.route_errors"),
 	}
 }
 
@@ -65,14 +67,19 @@ func (i *Ingestor) logf(format string, args ...any) {
 	log.Printf(format, args...)
 }
 
-// journalLogThrottle bounds how often ingest-path durability failures
-// are logged.
+// journalLogThrottle bounds how often ingest-path append failures are
+// logged.
 const journalLogThrottle = 10 * time.Second
 
-// noteJournalErr counts a failed append (a durability failure, or on a
-// cluster an owner out of reach) and logs it at most once per window.
-func (i *Ingestor) noteJournalErr(err error) {
-	i.cJournalErr.Inc()
+// noteAppendErr counts a failed append — a durability failure as a
+// journal error, anything else (on a cluster, an owner out of reach) as
+// a route error — and logs it at most once per window.
+func (i *Ingestor) noteAppendErr(err error) {
+	c := i.cRouteErr
+	if errors.Is(err, ngsi.ErrDurability) {
+		c = i.cJournalErr
+	}
+	c.Inc()
 	now := time.Now().UnixNano()
 	last := i.lastJournalLog.Load()
 	if now-last >= int64(journalLogThrottle) && i.lastJournalLog.CompareAndSwap(last, now) {
@@ -121,7 +128,7 @@ func (i *Ingestor) IngestReadings(batch []model.Reading) error {
 		// duplicates); after the restart that clears it, the retry
 		// lands durably. On a cluster a batch is all-or-nothing per
 		// owner only, so a retry may repeat the legs that landed.
-		i.noteJournalErr(err)
+		i.noteAppendErr(err)
 		return err
 	}
 	return nil

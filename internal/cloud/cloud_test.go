@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -125,5 +126,60 @@ func TestAnalyticsQueries(t *testing.T) {
 	}
 	if _, err := a.Windows("farm1-p1", "soilMoisture", t0, t0.Add(time.Hour), 0); err == nil {
 		t.Error("zero window accepted")
+	}
+}
+
+// failingWriter is an ngsi.Writer whose telemetry append fails with err.
+type failingWriter struct {
+	ngsi.Writer
+	err error
+}
+
+func (w failingWriter) AppendBatch([]timeseries.BatchPoint) (int, int, error) { return 0, 0, w.err }
+
+// failingJournal refuses every record, as a latched WAL does.
+type failingJournal struct{}
+
+func (failingJournal) PointsAppended([]timeseries.BatchPoint) timeseries.JournalAck {
+	return failingJournal{}
+}
+func (failingJournal) Wait() error { return errors.New("wal: closed") }
+
+// TestIngestAppendErrorsCountedByKind: a failed append counts as a
+// journal error only when it is a durability failure — a single node's
+// own journal included; any other failure (an owner out of reach, a
+// cluster that cannot serve) counts as a route error. Either way the
+// error reaches the sender, whose retry redelivers.
+func TestIngestAppendErrorsCountedByKind(t *testing.T) {
+	latched := timeseries.New()
+	latched.SetJournal(failingJournal{})
+	unavailable := fmt.Errorf("%w: partition 3", ngsi.ErrUnavailable)
+	unreachable := errors.New("cluster: dial n2: connection refused")
+	for _, tc := range []struct {
+		name           string
+		w              ngsi.Writer
+		want           error
+		journal, route uint64
+	}{
+		{"local journal", ngsi.Local{Store: latched}, ngsi.ErrDurability, 1, 0},
+		{"remote journal", failingWriter{err: fmt.Errorf("%w: wal: closed", ngsi.ErrDurability)}, ngsi.ErrDurability, 1, 0},
+		{"unavailable", failingWriter{err: unavailable}, ngsi.ErrUnavailable, 0, 1},
+		{"unreachable owner", failingWriter{err: unreachable}, unreachable, 0, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ing := NewIngestor(tc.w, nil)
+			ing.Logf = func(string, ...any) {}
+			err := ing.IngestReadings([]model.Reading{{Device: "p1", Quantity: model.QAirTemp, Value: 20, At: t0}})
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("IngestReadings = %v, want %v", err, tc.want)
+			}
+			reg := ing.Metrics()
+			if got := reg.Counter("cloud.ingest.journal_errors").Value(); got != tc.journal {
+				t.Errorf("journal_errors = %d, want %d", got, tc.journal)
+			}
+			if got := reg.Counter("cloud.ingest.route_errors").Value(); got != tc.route {
+				t.Errorf("route_errors = %d, want %d", got, tc.route)
+			}
+		})
 	}
 }

@@ -271,7 +271,8 @@ func (n *Node) AppendBatch(batch []timeseries.BatchPoint) (accepted, rejected in
 		devices[i] = bp.Key.Device
 	}
 	err = n.write(func() (err error) {
-		accepted, rejected, err = n.cfg.Store.AppendBatch(batch)
+		// Through ngsi.Local, so a journal failure is an ngsi.ErrDurability.
+		accepted, rejected, err = ngsi.Local{Store: n.cfg.Store}.AppendBatch(batch)
 		return err
 	}, devices...)
 	return accepted, rejected, err

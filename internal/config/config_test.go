@@ -169,6 +169,10 @@ level = "debug"
 	if got := sections["log"]["level"]; got != "debug" {
 		t.Errorf("level = %q", got)
 	}
+	if got, err := parseTOML(`[s]
+k = "a\"b\\"  # escaped quote, escaped backslash`); err != nil || got["s"]["k"] != `a"b\` {
+		t.Errorf("escapes parsed to %q, %v; want a\"b\\", got["s"]["k"], err)
+	}
 
 	for _, bad := range []string{
 		"key = 1",                      // key outside any section
@@ -178,6 +182,9 @@ level = "debug"
 		"[server]\nx = 1\nx = 2",       // duplicate key
 		"[server\nlisten = \"a\"",      // malformed header
 		"[server]\nbad key = 1",        // space in key
+		"[server]\nk = \"a\\\\\"b\"",   // the string ends after the escaped backslash
+		"[server]\nk = \"a\"b\"",       // unescaped quote
+		"[server]\nk = \"a\" b",        // trailing text after the string
 	} {
 		if _, err := parseTOML(bad); err == nil {
 			t.Errorf("parseTOML(%q) accepted invalid input", bad)

@@ -82,42 +82,38 @@ func parseTOMLValue(v string) (string, error) {
 	if v == "" {
 		return "", fmt.Errorf("missing value")
 	}
-	if v[0] == '"' {
-		if len(v) < 2 || v[len(v)-1] != '"' {
-			return "", fmt.Errorf("unterminated string %s", v)
-		}
-		body := v[1 : len(v)-1]
-		// Minimal escape handling: \" \\ \t \n.
-		if strings.ContainsRune(body, '\\') {
-			var b strings.Builder
-			for i := 0; i < len(body); i++ {
-				if body[i] != '\\' {
-					b.WriteByte(body[i])
-					continue
-				}
-				i++
-				if i >= len(body) {
-					return "", fmt.Errorf("dangling escape in %s", v)
-				}
-				switch body[i] {
-				case '"', '\\':
-					b.WriteByte(body[i])
-				case 't':
-					b.WriteByte('\t')
-				case 'n':
-					b.WriteByte('\n')
-				default:
-					return "", fmt.Errorf("unsupported escape \\%c", body[i])
-				}
-			}
-			body = b.String()
-		} else if strings.ContainsRune(body, '"') {
-			return "", fmt.Errorf("unescaped quote in %s", v)
-		}
-		return body, nil
-	}
-	if v[0] == '\'' || v[0] == '[' || v[0] == '{' {
+	switch v[0] {
+	case '"':
+		return parseBasicString(v)
+	case '\'', '[', '{':
 		return "", fmt.Errorf("unsupported TOML value %s (only basic strings, integers and booleans)", v)
 	}
 	return v, nil
 }
+
+// parseBasicString unquotes a basic string. It ends at its first
+// unescaped quote, and nothing may follow it. Escapes are minimal:
+// \" \\ \t \n.
+func parseBasicString(v string) (string, error) {
+	var b strings.Builder
+	for i := 1; i < len(v); i++ {
+		c := v[i]
+		if c == '"' {
+			if rest := v[i+1:]; rest != "" {
+				return "", fmt.Errorf("unexpected %s after string", rest)
+			}
+			return b.String(), nil
+		}
+		if c == '\\' && i+1 < len(v) {
+			i++
+			if c = unescape[v[i]]; c == 0 {
+				return "", fmt.Errorf("unsupported escape \\%c", v[i])
+			}
+		}
+		b.WriteByte(c)
+	}
+	return "", fmt.Errorf("unterminated string %s", v)
+}
+
+// unescape maps the byte after a backslash to what it stands for.
+var unescape = [256]byte{'"': '"', '\\': '\\', 't': '\t', 'n': '\n'}

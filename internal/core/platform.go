@@ -191,6 +191,7 @@ type Platform struct {
 	reg       *metrics.Registry
 	cleanups  []func()
 	closed    bool
+	closing   chan struct{} // closed first thing in Close: cuts pacing short
 	mu        sync.Mutex
 	droneUnit *drone.Drone
 
@@ -227,7 +228,7 @@ func New(opts Options) (*Platform, error) {
 	}
 	cfg := opts.Config
 	p := &Platform{
-		Opts: opts, reg: opts.Metrics,
+		Opts: opts, reg: opts.Metrics, closing: make(chan struct{}),
 		notifyProcessed: opts.Metrics.Counter("platform.notify.processed"),
 	}
 
@@ -638,16 +639,18 @@ const approxReadingBytes = 24
 // cloudUplink is the fog node's northbound path: a backhaul round trip
 // into the cloud ingestor.
 //
-// Admission here is pure backpressure: any non-Allow decision surfaces
-// as an error, which the fog node treats exactly like a partition — the
-// batch stays in its store-and-forward queue and replays later. Nothing
-// acknowledged is ever shed; an over-quota tenant's sync just falls
-// behind its own queue bound.
+// Admission here is pure backpressure. A refusal (uncharged) surfaces as
+// an error, which the fog node treats exactly like a partition: the
+// batch stays in its store-and-forward queue and replays later. A tenant
+// in debt is charged once and paced before the trip; Close cuts the pace
+// short, and the charged batch still goes.
 func (p *Platform) cloudUplink(batch []model.Reading) error {
 	tid := tenant.ID(p.Opts.Pilot.Name)
-	if d := p.Admission.Admit(tid, int64(len(batch))*approxReadingBytes); !d.Allowed() {
-		return fmt.Errorf("core: fog uplink throttled for tenant %s (retry in %v)", tid, d.RetryAfter)
+	d := p.Admission.Admit(tid, int64(len(batch))*approxReadingBytes)
+	if !d.Allowed() {
+		return fmt.Errorf("core: fog uplink throttled for tenant %s (retry in %v)", tid, d.Wait)
 	}
+	p.Admission.Pace(d, p.closing)
 	return p.Backhaul.Do(func() error {
 		return p.Ingestor.IngestReadings(batch)
 	})
@@ -774,6 +777,7 @@ func (p *Platform) Close() {
 		return
 	}
 	p.closed = true
+	close(p.closing)
 	cleanups := p.cleanups
 	p.cleanups = nil
 	p.mu.Unlock()

@@ -329,7 +329,7 @@ func (s *Server) handleToken(w http.ResponseWriter, r *http.Request) {
 
 // authorize enforces bearer-token + PEP on a data route; it returns the
 // authenticated principal, or ok=false after writing the error response
-// (401 missing/invalid token, 403 PEP deny).
+// (401 missing/invalid token, 403 PEP deny, 429 over quota).
 func (s *Server) authorize(w http.ResponseWriter, r *http.Request, action, resource string) (identity.Principal, bool) {
 	auth := r.Header.Get("Authorization")
 	const prefix = "Bearer "
@@ -377,6 +377,13 @@ func (s *Server) authorize(w http.ResponseWriter, r *http.Request, action, resou
 			// only the inflight bound is skipped.
 			release()
 		}
+		// A tenant in debt is paced, holding its inflight slot, until its
+		// bucket is back at zero (≤ 1 s). A client that hangs up
+		// meanwhile gets no response: nobody is left to read it. Done is
+		// asked for only when there is a wait: its first call allocates.
+		if d.Wait > 0 && !s.cfg.Admission.Pace(d, r.Context().Done()) {
+			return identity.Principal{}, false
+		}
 		// Thread the tenant through the request context so downstream
 		// layers can attribute work without re-deriving the principal.
 		*r = *r.WithContext(tenant.WithID(r.Context(), prin.Tenant()))
@@ -406,7 +413,7 @@ func (b *chargedBody) Read(p []byte) (int, error) {
 // error envelope plus a Retry-After header sized from the tenant's
 // current quota debt (never below 1s — clients should back off, not spin).
 func writeThrottled(w http.ResponseWriter, d tenant.Decision) {
-	retry := int(d.RetryAfter / time.Second)
+	retry := int(d.Wait / time.Second)
 	if retry < 1 {
 		retry = 1
 	}

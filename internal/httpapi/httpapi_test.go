@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/swamp-project/swamp/internal/clock"
 	"github.com/swamp-project/swamp/internal/cloud"
 	"github.com/swamp-project/swamp/internal/metrics"
 	"github.com/swamp-project/swamp/internal/model"
@@ -579,5 +580,80 @@ func TestChunkedBodyChargedAgainstByteQuota(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("429 without Retry-After")
+	}
+}
+
+// TestAdmissionPacedRequestsChargedOnce: on a standstill simulated
+// clock, a tenant past its burst has each request charged and paced —
+// held open until the clock refills its bucket — and, past one second of
+// debt, answered 429 without any charge. Every paced request is served
+// once the clock moves.
+func TestAdmissionPacedRequestsChargedOnce(t *testing.T) {
+	sim := clock.NewSim(time.Date(2026, 6, 1, 0, 0, 0, 0, time.UTC))
+	adm := tenant.NewAdmission(tenant.Config{
+		Enabled: true,
+		Limits:  tenant.Limits{Default: tenant.Quota{MsgsPerSec: 10}},
+		Burst:   time.Second,
+		Clock:   sim,
+	})
+	f := newFixtureWith(t, func(c *Config) { c.Admission = adm })
+	tok := f.token(t, "farmer")
+	debt := func() float64 {
+		for _, st := range adm.Tenants() {
+			return st.DebtSec
+		}
+		return 0
+	}
+	get := func(res chan<- int) {
+		req, _ := http.NewRequest("GET", f.srv.URL+"/v2/entities/urn:farm1:plot1", nil)
+		req.Header.Set("Authorization", "Bearer "+tok)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			res <- 0
+			return
+		}
+		resp.Body.Close()
+		res <- resp.StatusCode
+	}
+
+	var paced []chan int
+	throttled := 0
+	for i := 0; i < 30; i++ {
+		before := debt()
+		res := make(chan int, 1)
+		go get(res)
+		// Each request either answers or is charged and held.
+		for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("request %d neither answered nor was paced", i)
+			}
+			select {
+			case code := <-res:
+				if code == http.StatusTooManyRequests {
+					throttled++
+					if after := debt(); after != before {
+						t.Fatalf("request %d answered 429 and was charged: debt %v → %v", i, before, after)
+					}
+				} else if code == 0 || before > 0 {
+					t.Fatalf("request %d answered %d at debt %v", i, code, before)
+				}
+			default:
+				if debt() <= before {
+					continue
+				}
+				paced = append(paced, res)
+			}
+			break
+		}
+	}
+	// Ten requests fit the burst; eleven take the debt past one second.
+	if len(paced) != 11 || throttled != 30-10-11 {
+		t.Fatalf("paced %d and throttled %d of 30, want 11 and 9", len(paced), throttled)
+	}
+	sim.Advance(2 * time.Second)
+	for i, res := range paced {
+		if code := <-res; code == http.StatusTooManyRequests || code == 0 {
+			t.Fatalf("paced request %d answered %d", i, code)
+		}
 	}
 }

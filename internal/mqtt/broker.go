@@ -117,8 +117,7 @@ type Broker struct {
 	// lookups add up.
 	cPubIn, cPubDenied, cDeliverOut, cDeliverErr *metrics.Counter
 	cQueueDropped, cFlushes, cFlushedPkts        *metrics.Counter
-	cRouteMiss, cPubSampled, cPubThrottled       *metrics.Counter
-	cQuotaDisc                                   *metrics.Counter
+	cRouteMiss, cPubThrottled, cQuotaDisc        *metrics.Counter
 	gQueueDepth                                  *metrics.Gauge
 	// lastQuotaLog rate-limits the quota-disconnect log line (unix nanos
 	// of the last emission).
@@ -217,7 +216,6 @@ func NewBroker(cfg BrokerConfig) *Broker {
 		cFlushes:      cfg.Metrics.Counter("mqtt.writer.flushes"),
 		cFlushedPkts:  cfg.Metrics.Counter("mqtt.writer.flushed_packets"),
 		cRouteMiss:    cfg.Metrics.Counter("mqtt.route.cache_miss"),
-		cPubSampled:   cfg.Metrics.Counter("mqtt.publish.sampled"),
 		cPubThrottled: cfg.Metrics.Counter("mqtt.publish.throttled"),
 		cQuotaDisc:    cfg.Metrics.Counter("mqtt.quota.disconnects"),
 		gQueueDepth:   cfg.Metrics.Gauge("mqtt.queue.depth"),
@@ -603,19 +601,17 @@ func (b *Broker) handlePublish(s *session, pkt *Packet) (stop bool) {
 		return false
 	}
 	// Tenant admission walks the shed ladder before any routing work —
-	// a shed message costs the platform nothing but this switch.
+	// a refused message costs the platform nothing but this switch.
 	switch d := b.cfg.Admission.Admit(s.tenant, int64(len(pkt.Payload))); d.Action {
 	case tenant.ActAllow:
-	case tenant.ActSampled:
-		// Sampling rung: the reading is shed but QoS 1 is still
-		// acknowledged, so constrained devices do not time out and publish
-		// again into the very congestion being shed. The shed is counted,
-		// never silent.
-		b.cPubSampled.Inc()
-		if pkt.QoS == 1 {
-			b.enqueueCtl(s, &Packet{Type: PUBACK, PacketID: pkt.PacketID})
+		// Pacing: a tenant in debt has this reader wait until its bucket
+		// is back at zero (≤ 1 s) before the PUBACK and the routing, so
+		// TCP flow control slows the device; every PUBACK stands for a
+		// routed message.
+		// Close ends the session, and with it the wait.
+		if !b.cfg.Admission.Pace(d, s.done) {
+			return true
 		}
-		return false
 	case tenant.ActRejected:
 		// Reject rung: drop without PUBACK. A QoS 1 publisher's ack
 		// timeout (the client's ErrAckTimeout) is the honest backpressure

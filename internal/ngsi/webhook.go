@@ -88,8 +88,8 @@ type WebhookConfig struct {
 	// Admission is the shared per-tenant admission controller. Subscribe,
 	// Restore and Unsubscribe hold each owned subscription's slot in it.
 	// While it is enabled, owned subscriptions' lanes cap their queue at
-	// the tenant's webhook share and delay deliveries on the ladder's
-	// Delay rung. nil changes nothing.
+	// the tenant's webhook share and delay deliveries while the tenant
+	// is in debt (WebhookDelay). nil changes nothing.
 	Admission *tenant.Admission
 }
 
@@ -524,8 +524,8 @@ func (n *httpNotifier) deliver(l *lane) bool {
 	n.add(l, l.head)
 	l.head = Notification{}
 	// The batch takes what is queued, up to a quarter of QueueLen, so the lanes
-	// put at most one QueueLen on the wire. On the Delay rung of the tenant shed
-	// ladder it takes one, postponed (the first wait below) on this lane and
+	// put at most one QueueLen on the wire. While the tenant's webhooks are
+	// delayed it takes one, postponed (the first wait below) on this lane and
 	// before a pool slot is held, so no other tenant waits.
 	d := cfg.Admission.WebhookDelay(n.owner)
 	for more := d <= 0; more && len(l.items) < cap(l.queue)/webhookLanes; {

@@ -24,3 +24,10 @@ type Local struct {
 	*Broker
 	*timeseries.Store
 }
+
+// AppendBatch appends telemetry to the store. A journal failure is an
+// ErrDurability, as it is for an entity write.
+func (l Local) AppendBatch(pts []timeseries.BatchPoint) (accepted, rejected int, err error) {
+	accepted, rejected, err = l.Store.AppendBatch(pts)
+	return accepted, rejected, notDurable(err)
+}

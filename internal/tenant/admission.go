@@ -12,24 +12,23 @@ import (
 	"github.com/swamp-project/swamp/internal/clock"
 )
 
-// The graduated shed ladder, in seconds of accumulated quota debt
-// (DESIGN.md §11.2). A tenant within budget pays nothing; past budget it
-// is degraded in escalating rungs before anything is refused outright.
+// The shed ladder, in seconds of accumulated quota debt (DESIGN.md
+// §11.2): debt is the tenant's overdraft. A tenant within budget pays
+// nothing; a tenant in debt is paced, then refused, then disconnected.
 const (
-	// sampleDebtSec: telemetry sampling starts (keep 1 in sampleKeepN).
-	sampleDebtSec = 0.5
-	// delayDebtSec: webhook deliveries are delayed and sampling hardens
-	// to 1 in delayKeepN.
+	// delayDebtSec is the pacing window: up to this much debt a message
+	// is charged and admitted, and its ingress waits until the bucket is
+	// back at zero (never longer than this); past it ingress is refused
+	// (HTTP 429 + Retry-After, MQTT withheld PUBACK), uncharged.
 	delayDebtSec = 1.0
-	// rejectCapSec caps accumulated debt: past delayDebtSec ingress is
-	// refused (HTTP 429 + Retry-After, MQTT throttle), and debt never
-	// grows beyond this, bounding the post-abuse recovery time.
+	// webhookDelayDebtSec: past this debt the tenant's webhook
+	// deliveries are deferred (WebhookDelay).
+	webhookDelayDebtSec = 0.5
+	// rejectCapSec caps accumulated debt, bounding the post-abuse
+	// recovery time.
 	rejectCapSec = 3.0
 
-	sampleKeepN = 4 // Sample rung: admit 1 in 4 telemetry messages
-	delayKeepN  = 8 // Delay rung: admit 1 in 8
-
-	// maxWebhookDelay bounds the Delay rung's webhook deferral.
+	// maxWebhookDelay bounds the webhook deferral.
 	maxWebhookDelay = time.Second
 )
 
@@ -56,14 +55,12 @@ type Action uint8
 
 // Admission dispositions, in ladder order.
 const (
-	// ActAllow admits the message.
+	// ActAllow admits the message; Decision.Wait is how long its ingress
+	// waits before doing the work.
 	ActAllow Action = iota
-	// ActSampled sheds the message as telemetry thinning: the tenant is
-	// over budget and this message lost the 1-in-N draw. Observable
-	// (tenant.sampled counts it), never silent.
-	ActSampled
-	// ActRejected refuses the message: HTTP surfaces 429 + Retry-After,
-	// MQTT withholds the ack so QoS 1 clients back off and retry.
+	// ActRejected refuses the message, uncharged: HTTP surfaces 429 +
+	// Retry-After, MQTT withholds the ack so QoS 1 clients back off and
+	// retry.
 	ActRejected
 	// ActDisconnected is the MQTT last resort: the tenant kept hammering
 	// through a sustained reject streak and its session should be
@@ -76,8 +73,6 @@ func (a Action) String() string {
 	switch a {
 	case ActAllow:
 		return "allow"
-	case ActSampled:
-		return "sampled"
 	case ActRejected:
 		return "rejected"
 	case ActDisconnected:
@@ -89,10 +84,11 @@ func (a Action) String() string {
 // Decision is the outcome of one admission check.
 type Decision struct {
 	Action Action
-	// RetryAfter is how long the tenant should wait before retrying —
-	// the HTTP Retry-After header value. Set on ActRejected and
-	// ActDisconnected.
-	RetryAfter time.Duration
+	// Wait is, on ActAllow, the pace: how long the ingress waits before
+	// doing the work, until the tenant's bucket is back at zero (0 within
+	// budget, never above delayDebtSec). On a refusal it is how long the
+	// tenant should wait before retrying — the HTTP Retry-After value.
+	Wait time.Duration
 }
 
 // Allowed reports whether the message was admitted.
@@ -132,7 +128,7 @@ type Config struct {
 // single on/off switch.
 //
 // Isolation invariant: a tenant that stays within its quota is never
-// sampled, delayed, rejected or disconnected — regardless of what any
+// paced, delayed, rejected or disconnected — regardless of what any
 // other tenant does. Each tenant draws on its own budget only.
 type Admission struct {
 	clk     clock.Clock
@@ -155,7 +151,8 @@ type Admission struct {
 }
 
 // state is one tenant's live admission ledger. Token counts may go
-// negative: the debt depth selects the shed-ladder rung.
+// negative: the debt depth sets the pace and selects the shed-ladder
+// rung.
 type state struct {
 	mu         sync.Mutex
 	quota      Quota
@@ -163,7 +160,6 @@ type state struct {
 	msgTokens  float64
 	byteTokens float64
 	last       time.Time
-	sampleSeq  uint64
 	// rejectStreak counts consecutive rejected messages; crossing
 	// disconnectStreak(quota) escalates to ActDisconnected.
 	rejectStreak int
@@ -175,7 +171,6 @@ type state struct {
 	queueDepth atomic.Int64
 
 	admitted    atomic.Uint64
-	sampled     atomic.Uint64
 	throttled   atomic.Uint64
 	disconnects atomic.Uint64
 	bytesIn     atomic.Uint64
@@ -359,6 +354,17 @@ func (st *state) clampLocked(burst time.Duration) {
 	st.byteTokens = math.Max(st.byteTokens, -rejectCapSec*float64(st.quota.BytesPerSec))
 }
 
+// lockRefilled locks st and advances its buckets to now, returning the
+// burst window it refilled against. Callers unlock st.mu.
+func (a *Admission) lockRefilled(st *state) (burst time.Duration) {
+	a.mu.RLock()
+	burst = a.burst
+	a.mu.RUnlock()
+	st.mu.Lock()
+	st.refillLocked(a.clk.Now(), burst)
+	return burst
+}
+
 // refillLocked advances the buckets to now. Callers hold st.mu.
 func (st *state) refillLocked(now time.Time, burst time.Duration) {
 	dt := now.Sub(st.last).Seconds()
@@ -375,25 +381,18 @@ func (st *state) refillLocked(now time.Time, burst time.Duration) {
 // of sustained quota. Callers hold st.mu.
 func (st *state) debtSecLocked() float64 {
 	var d float64
-	if st.quota.MsgsPerSec > 0 && st.msgTokens < 0 {
-		d = -st.msgTokens / float64(st.quota.MsgsPerSec)
+	if q := st.quota.MsgsPerSec; q > 0 {
+		d = -st.msgTokens / float64(q)
 	}
-	if st.quota.BytesPerSec > 0 && st.byteTokens < 0 {
-		if bd := -st.byteTokens / float64(st.quota.BytesPerSec); bd > d {
-			d = bd
-		}
+	if q := st.quota.BytesPerSec; q > 0 {
+		d = max(d, -st.byteTokens/float64(q))
 	}
-	return d
+	return max(d, 0)
 }
 
 // disconnectStreak is the sustained-reject threshold past which an MQTT
 // tenant is disconnected: about a second of hammering at full quota rate.
-func disconnectStreak(q Quota) int {
-	if n := q.MsgsPerSec; n > 32 {
-		return n
-	}
-	return 32
-}
+func disconnectStreak(q Quota) int { return max(q.MsgsPerSec, 32) }
 
 // Admit charges one message of the given payload size against the tenant
 // and walks the shed ladder. The None tenant (internal platform traffic)
@@ -402,58 +401,63 @@ func (a *Admission) Admit(id ID, bytes int64) Decision {
 	if !a.Enabled() || id.IsNone() {
 		return Decision{Action: ActAllow}
 	}
-	st := a.get(id)
-	a.mu.RLock()
-	burst := a.burst
-	a.mu.RUnlock()
+	return a.admit(a.get(id), bytes)
+}
 
-	st.mu.Lock()
+func (a *Admission) admit(st *state, bytes int64) Decision {
+	burst := a.lockRefilled(st)
 	defer st.mu.Unlock()
-	st.refillLocked(a.clk.Now(), burst)
 
 	// MsgsPerSec 0 suspends the tenant outright (an operator kill
 	// switch); the other dimensions treat 0 as unenforced.
 	if st.quota.MsgsPerSec == 0 {
-		st.rejectStreak++
-		if st.rejectStreak > disconnectStreak(st.quota) {
-			st.disconnects.Add(1)
-			return Decision{Action: ActDisconnected, RetryAfter: time.Duration(rejectCapSec * float64(time.Second))}
-		}
-		st.throttled.Add(1)
-		return Decision{Action: ActRejected, RetryAfter: time.Second}
+		return st.refuseLocked(time.Second)
 	}
 
-	// Reject rung: debt is already past the delay window. Refused
+	// Reject rung: debt is already past the pacing window. Refused
 	// messages are not charged — debt is capped so recovery time is
 	// bounded by rejectCapSec.
 	if debt := st.debtSecLocked(); debt > delayDebtSec {
-		st.rejectStreak++
-		retry := time.Duration(debt * float64(time.Second))
-		if st.rejectStreak > disconnectStreak(st.quota) {
-			st.disconnects.Add(1)
-			return Decision{Action: ActDisconnected, RetryAfter: retry}
-		}
-		st.throttled.Add(1)
-		return Decision{Action: ActRejected, RetryAfter: retry}
+		return st.refuseLocked(time.Duration(debt * float64(time.Second)))
 	}
 	st.rejectStreak = 0
 
-	// Charge the buckets (they may go negative — that's the ladder).
+	// Charge the buckets (they may go negative — that is the pace).
 	st.msgTokens--
 	if st.quota.BytesPerSec > 0 {
 		st.byteTokens -= float64(bytes)
 	}
 	st.clampLocked(burst)
+	st.admitted.Add(1)
+	st.bytesIn.Add(uint64(bytes))
+	wait := min(st.debtSecLocked(), delayDebtSec)
+	return Decision{Action: ActAllow, Wait: time.Duration(wait * float64(time.Second))}
+}
 
-	switch debt := st.debtSecLocked(); {
-	case debt <= 0:
-		st.admitted.Add(1)
-		st.bytesIn.Add(uint64(bytes))
-		return Decision{Action: ActAllow}
-	case debt <= sampleDebtSec:
-		return st.sampleLocked(bytes, sampleKeepN)
-	default:
-		return st.sampleLocked(bytes, delayKeepN)
+// refuseLocked counts one refused message, escalating to
+// ActDisconnected once the reject streak passes disconnectStreak.
+// Callers hold st.mu.
+func (st *state) refuseLocked(retry time.Duration) Decision {
+	st.rejectStreak++
+	if st.rejectStreak > disconnectStreak(st.quota) {
+		st.disconnects.Add(1)
+		return Decision{Action: ActDisconnected, Wait: retry}
+	}
+	st.throttled.Add(1)
+	return Decision{Action: ActRejected, Wait: retry}
+}
+
+// Pace waits out an admitted message's Wait on the controller's clock.
+// It reports false if done closed first.
+func (a *Admission) Pace(d Decision, done <-chan struct{}) bool {
+	if a == nil || d.Wait <= 0 {
+		return true
+	}
+	select {
+	case <-a.clk.After(d.Wait):
+		return true
+	case <-done:
+		return false
 	}
 }
 
@@ -468,30 +472,13 @@ func (a *Admission) ChargeBytes(id ID, n int64) {
 		return
 	}
 	st := a.get(id)
-	a.mu.RLock()
-	burst := a.burst
-	a.mu.RUnlock()
-	st.mu.Lock()
-	st.refillLocked(a.clk.Now(), burst)
+	burst := a.lockRefilled(st)
 	if st.quota.BytesPerSec > 0 {
 		st.byteTokens -= float64(n)
 		st.clampLocked(burst)
 	}
 	st.mu.Unlock()
 	st.bytesIn.Add(uint64(n))
-}
-
-// sampleLocked implements the Sample/Delay rungs: admit 1 in keepN,
-// counting the rest as sampled sheds. Callers hold st.mu.
-func (st *state) sampleLocked(bytes int64, keepN uint64) Decision {
-	st.sampleSeq++
-	if st.sampleSeq%keepN == 0 {
-		st.admitted.Add(1)
-		st.bytesIn.Add(uint64(bytes))
-		return Decision{Action: ActAllow}
-	}
-	st.sampled.Add(1)
-	return Decision{Action: ActSampled}
 }
 
 // AdmitConnect gates an MQTT CONNECT. It charges nothing: it only
@@ -503,48 +490,52 @@ func (a *Admission) AdmitConnect(id ID) bool {
 		return true
 	}
 	st := a.get(id)
-	a.mu.RLock()
-	burst := a.burst
-	a.mu.RUnlock()
-	st.mu.Lock()
+	a.lockRefilled(st)
 	defer st.mu.Unlock()
-	st.refillLocked(a.clk.Now(), burst)
-	if st.quota.MsgsPerSec == 0 {
-		st.throttled.Add(1)
-		return false
-	}
-	if st.debtSecLocked() > delayDebtSec {
+	if st.quota.MsgsPerSec == 0 || st.debtSecLocked() > delayDebtSec {
 		st.throttled.Add(1)
 		return false
 	}
 	return true
 }
 
-// AdmitRequest admits one HTTP request: the rate check plus the inflight
-// bound. On ActAllow the returned release func MUST be called when the
-// request completes; it is nil otherwise.
+// AdmitRequest admits one HTTP request: the inflight bound plus the rate
+// check. The inflight slot is reserved first and atomically, so
+// concurrent requests never overshoot the bound, and it is held while
+// the request is paced. On ActAllow the returned release func MUST be
+// called when the request completes; it is nil otherwise.
 func (a *Admission) AdmitRequest(id ID, bytes int64) (Decision, func()) {
 	if !a.Enabled() || id.IsNone() {
 		return Decision{Action: ActAllow}, func() {}
 	}
 	st := a.get(id)
-	if lim := st.quotaInflight(); lim > 0 && st.inflight.Load() >= int64(lim) {
+	st.mu.Lock()
+	lim := st.quota.Inflight
+	st.mu.Unlock()
+	if !reserve(&st.inflight, lim) {
 		st.throttled.Add(1)
-		return Decision{Action: ActRejected, RetryAfter: time.Second}, nil
+		return Decision{Action: ActRejected, Wait: time.Second}, nil
 	}
-	d := a.Admit(id, bytes)
+	d := a.admit(st, bytes)
 	if !d.Allowed() {
+		st.inflight.Add(-1)
 		return d, nil
 	}
-	st.inflight.Add(1)
 	var once sync.Once
 	return d, func() { once.Do(func() { st.inflight.Add(-1) }) }
 }
 
-func (st *state) quotaInflight() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.quota.Inflight
+// reserve claims one unit of c while it is below lim (0 = unbounded).
+func reserve(c *atomic.Int64, lim int) bool {
+	for {
+		cur := c.Load()
+		if lim > 0 && cur >= int64(lim) {
+			return false
+		}
+		if c.CompareAndSwap(cur, cur+1) {
+			return true
+		}
+	}
 }
 
 // ErrSubscriptionQuota is wrapped by ReserveSubscription's refusal.
@@ -564,16 +555,14 @@ func (a *Admission) ReserveSubscription(id ID) error {
 	st.mu.Lock()
 	lim := st.quota.Subscriptions
 	st.mu.Unlock()
-	for {
-		cur := st.subs.Load()
-		if lim > 0 && cur >= int64(lim) && a.Enabled() {
-			st.throttled.Add(1)
-			return fmt.Errorf("tenant %s: %w (%d)", id, ErrSubscriptionQuota, lim)
-		}
-		if st.subs.CompareAndSwap(cur, cur+1) {
-			return nil
-		}
+	if !a.Enabled() {
+		lim = 0 // counted, not bounded
 	}
+	if !reserve(&st.subs, lim) {
+		st.throttled.Add(1)
+		return fmt.Errorf("tenant %s: %w (%d)", id, ErrSubscriptionQuota, lim)
+	}
+	return nil
 }
 
 // RestoreSubscription re-claims a subscription slot without enforcing
@@ -607,26 +596,22 @@ func (a *Admission) ReleaseSubscription(id ID) {
 	}
 }
 
-// WebhookDelay implements the Delay rung for outbound notifications: 0
-// while the tenant is inside the delay window, else a deferral
-// proportional to debt, capped at maxWebhookDelay. The webhook pool adds
+// WebhookDelay defers a tenant's outbound notifications: 0 while its
+// debt is at most webhookDelayDebtSec, else a deferral proportional to
+// debt, capped at maxWebhookDelay. The webhook pool adds
 // this to a delivery's schedule the way a retry backoff would be.
 func (a *Admission) WebhookDelay(id ID) time.Duration {
 	if !a.Enabled() || id.IsNone() {
 		return 0
 	}
 	st := a.get(id)
-	a.mu.RLock()
-	burst := a.burst
-	a.mu.RUnlock()
-	st.mu.Lock()
-	st.refillLocked(a.clk.Now(), burst)
+	a.lockRefilled(st)
 	debt := st.debtSecLocked()
 	st.mu.Unlock()
-	if debt <= sampleDebtSec {
+	if debt <= webhookDelayDebtSec {
 		return 0
 	}
-	d := time.Duration((debt - sampleDebtSec) * float64(time.Second))
+	d := time.Duration((debt - webhookDelayDebtSec) * float64(time.Second))
 	if d > maxWebhookDelay {
 		d = maxWebhookDelay
 	}
@@ -671,7 +656,6 @@ type Status struct {
 	Subscriptions int64   `json:"subscriptions"`
 	QueueDepth    int64   `json:"queue_depth"`
 	Admitted      uint64  `json:"admitted"`
-	Sampled       uint64  `json:"sampled"`
 	Throttled     uint64  `json:"throttled"`
 	Disconnects   uint64  `json:"disconnects"`
 	BytesIn       uint64  `json:"bytes_in"`
@@ -714,7 +698,6 @@ func (a *Admission) Tenants() []Status {
 		s.Subscriptions = st.subs.Load()
 		s.QueueDepth = st.queueDepth.Load()
 		s.Admitted = st.admitted.Load()
-		s.Sampled = st.sampled.Load()
 		s.Throttled = st.throttled.Load()
 		s.Disconnects = st.disconnects.Load()
 		s.BytesIn = st.bytesIn.Load()

@@ -2,7 +2,9 @@ package tenant
 
 import (
 	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -37,7 +39,7 @@ func TestDisabledAndNoneAdmitEverything(t *testing.T) {
 }
 
 // A zero-msgs quota is the operator kill switch: every message is
-// refused (never sampled), CONNECT is refused at the door, and a
+// refused (never paced), CONNECT is refused at the door, and a
 // sustained hammer escalates to disconnect.
 func TestZeroQuotaSuspendsTenant(t *testing.T) {
 	a, _ := simAdmission(t, Limits{
@@ -71,42 +73,38 @@ func TestZeroQuotaSuspendsTenant(t *testing.T) {
 }
 
 // Burst-then-idle: a tenant may spend its full burst allowance at once,
-// degrades under sustained overrun, and is fully forgiven after idling
-// long enough for the buckets to refill (debt is capped, so recovery
-// time is bounded).
+// is paced under sustained overrun, then refused, and is fully forgiven
+// after idling long enough for the buckets to refill (debt is capped, so
+// recovery time is bounded).
 func TestBurstThenIdleRefill(t *testing.T) {
 	a, sim := simAdmission(t, Limits{Default: Quota{MsgsPerSec: 10}})
 	a.SetBurst(2 * time.Second) // capacity: 20 messages
 
-	// The full burst is admitted back-to-back.
+	// The full burst is admitted back-to-back, unpaced.
 	for i := 0; i < 20; i++ {
-		if d := a.Admit("farm-a", 1); !d.Allowed() {
-			t.Fatalf("burst message %d refused: %+v", i, d)
+		if d := a.Admit("farm-a", 1); !d.Allowed() || d.Wait != 0 {
+			t.Fatalf("burst message %d: %+v", i, d)
 		}
 	}
-	// Past the burst the ladder engages: keep hammering until rejected.
-	sawShed := false
-	for i := 0; i < 200; i++ {
-		d := a.Admit("farm-a", 1)
-		if d.Action == ActSampled {
-			sawShed = true
-		}
-		if d.Action == ActRejected {
-			if d.RetryAfter <= 0 {
-				t.Fatalf("reject without RetryAfter: %+v", d)
-			}
-			break
+	// Past the burst each message is admitted with a wait of its debt —
+	// 0.1 s more per message — until the debt passes one second: ten
+	// messages reach it, an eleventh crosses it (its wait capped at 1 s),
+	// and the next is refused with a Retry-After.
+	for i := 1; i <= 11; i++ {
+		want := min(time.Duration(i)*100*time.Millisecond, time.Second)
+		if d := a.Admit("farm-a", 1); !d.Allowed() || d.Wait != want {
+			t.Fatalf("paced message %d: %+v, want allowed with wait %v", i, d, want)
 		}
 	}
-	if !sawShed {
-		t.Fatal("ladder skipped the Sample rung")
+	if d := a.Admit("farm-a", 1); d.Action != ActRejected || d.Wait <= 0 {
+		t.Fatalf("message past the pacing window: %+v, want rejected with Retry-After", d)
 	}
 
 	// Idle past the debt cap + burst window: fully forgiven.
 	sim.Advance(rejectCapSec*time.Second + 3*time.Second)
 	for i := 0; i < 20; i++ {
-		if d := a.Admit("farm-a", 1); !d.Allowed() {
-			t.Fatalf("post-idle message %d refused: %+v (refill did not forgive)", i, d)
+		if d := a.Admit("farm-a", 1); !d.Allowed() || d.Wait != 0 {
+			t.Fatalf("post-idle message %d: %+v (refill did not forgive)", i, d)
 		}
 	}
 }
@@ -132,13 +130,80 @@ func TestReloadShrinkBelowUsageClampsImmediately(t *testing.T) {
 			allowed++
 		}
 	}
-	// 20 clean admits plus the sampled rungs' 1-in-N draws (≤ ~15 in 180).
-	if allowed > 60 {
-		t.Fatalf("post-shrink burst admitted %d of 200 (clamp did not apply)", allowed)
+	// 20 unpaced admits plus the 11 paced ones that take the debt past
+	// one second; the clock stands still, so everything after is refused.
+	if allowed != 31 {
+		t.Fatalf("post-shrink burst admitted %d of 200, want 31 (clamp did not apply)", allowed)
 	}
 	q, override := a.QuotaFor("farm-a")
 	if q.MsgsPerSec != 10 || override {
 		t.Fatalf("QuotaFor after reload = %+v override=%v", q, override)
+	}
+}
+
+// TestAdmissionPaceBoundedAndRefusalsUncharged: an admitted message's
+// wait is its debt and never above one second, whatever the message's
+// size, and a refused message leaves the debt exactly where it was.
+func TestAdmissionPaceBoundedAndRefusalsUncharged(t *testing.T) {
+	a, _ := simAdmission(t, Limits{Default: Quota{MsgsPerSec: 7, BytesPerSec: 1000}})
+	debt := func() float64 {
+		for _, st := range a.Tenants() {
+			return st.DebtSec
+		}
+		return 0
+	}
+	for i, size := range []int64{1, 900, 5000, 3, 1 << 20, 250, 1, 1, 70000, 2} {
+		before := debt()
+		d := a.Admit("farm-a", size)
+		switch d.Action {
+		case ActAllow:
+			if d.Wait < 0 || d.Wait > time.Second {
+				t.Fatalf("message %d (%d B): wait %v outside [0, 1s]", i, size, d.Wait)
+			}
+			if want := time.Duration(min(debt(), 1) * float64(time.Second)); d.Wait != want {
+				t.Fatalf("message %d: wait %v, want the debt %v", i, d.Wait, want)
+			}
+		case ActRejected, ActDisconnected:
+			if after := debt(); after != before {
+				t.Fatalf("refused message %d charged: debt %v → %v", i, before, after)
+			}
+		}
+	}
+	// A chunked upload settled past the window is not paced longer: the
+	// next message is refused, uncharged.
+	a.ChargeBytes("farm-a", 1<<20)
+	before := debt()
+	if d := a.Admit("farm-a", 1); d.Action == ActAllow {
+		t.Fatalf("message after a deep ChargeBytes admitted: %+v", d)
+	}
+	if after := debt(); after != before {
+		t.Fatalf("refused message charged: debt %v → %v", before, after)
+	}
+}
+
+// TestAdmissionPaceInterruptible: Pace waits on the controller's clock
+// and returns early, reporting false, once done closes.
+func TestAdmissionPaceInterruptible(t *testing.T) {
+	a, sim := simAdmission(t, Limits{Default: Quota{MsgsPerSec: 10}})
+	var nilA *Admission
+	if !nilA.Pace(Decision{Wait: time.Hour}, nil) || !a.Pace(Decision{}, nil) {
+		t.Fatal("a zero wait or a nil controller paced")
+	}
+	d := Decision{Wait: 500 * time.Millisecond}
+	res := make(chan bool)
+	go func() { res <- a.Pace(d, nil) }()
+	for sim.PendingWaiters() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	sim.Advance(500 * time.Millisecond)
+	if !<-res {
+		t.Fatal("Pace reported an interruption after its wait elapsed")
+	}
+	done := make(chan struct{})
+	go func() { res <- a.Pace(d, done) }()
+	close(done)
+	if <-res {
+		t.Fatal("Pace reported a full wait on a standstill clock")
 	}
 }
 
@@ -230,6 +295,53 @@ func TestInflightBound(t *testing.T) {
 	rel2()
 }
 
+// TestAdmissionInflightBoundHoldsUnderConcurrency: many goroutines
+// holding requests open never observe more than Inflight at once — the
+// slot is reserved atomically before the rate check, and given back if
+// the rate check refuses.
+func TestAdmissionInflightBoundHoldsUnderConcurrency(t *testing.T) {
+	const limit = 3
+	a, _ := simAdmission(t, Limits{Default: Quota{MsgsPerSec: 1 << 20, Inflight: limit}})
+	var open, peak atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 32; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				d, release := a.AdmitRequest("farm-a", 1)
+				if !d.Allowed() {
+					runtime.Gosched()
+					continue
+				}
+				n := open.Add(1)
+				for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+				}
+				runtime.Gosched()
+				open.Add(-1)
+				release()
+			}
+		}()
+	}
+	wg.Wait()
+	if p := peak.Load(); p > limit || p == 0 {
+		t.Fatalf("peak concurrent requests = %d, want 1..%d", p, limit)
+	}
+	if n := a.Tenants()[0].Inflight; n != 0 {
+		t.Fatalf("inflight after every release = %d, want 0", n)
+	}
+	// A request the rate check refuses gives its slot back.
+	a.SetLimits(Limits{Default: Quota{MsgsPerSec: 0, Inflight: limit}})
+	for i := 0; i < 2*limit; i++ {
+		if d, _ := a.AdmitRequest("farm-a", 1); d.Allowed() {
+			t.Fatal("suspended tenant admitted")
+		}
+	}
+	if n := a.Tenants()[0].Inflight; n != 0 {
+		t.Fatalf("refused requests kept %d inflight slots", n)
+	}
+}
+
 func TestSubscriptionSlots(t *testing.T) {
 	a, _ := simAdmission(t, Limits{Default: Quota{MsgsPerSec: 100, Subscriptions: 2}})
 	if err := a.ReserveSubscription("farm-a"); err != nil {
@@ -304,7 +416,8 @@ func TestWebhookShares(t *testing.T) {
 	if d := a.WebhookDelay("half"); d != 0 {
 		t.Fatalf("in-budget tenant delayed %v", d)
 	}
-	// Drive the tenant into the Delay rung and check the deferral.
+	// Drive the tenant past the webhook delay threshold and check the
+	// deferral.
 	for i := 0; i < 40; i++ {
 		a.Admit("half", 1)
 	}

@@ -12,8 +12,8 @@ import (
 // deleting an absent gauge is a no-op).
 var tenantSeries = []string{
 	"tenant.queue_depth.", "tenant.inflight.", "tenant.debt_sec.",
-	"tenant.admitted.", "tenant.sampled.", "tenant.throttled.",
-	"tenant.disconnects.", "tenant.bytes_in.",
+	"tenant.admitted.", "tenant.throttled.", "tenant.disconnects.",
+	"tenant.bytes_in.",
 }
 
 // Export publishes the swamp_tenant_* family into reg, capping
@@ -57,7 +57,6 @@ func (a *Admission) Export(reg *metrics.Registry) {
 			reg.Gauge("tenant.inflight." + label).Set(float64(s.Inflight))
 			reg.Gauge("tenant.debt_sec." + label).Set(s.DebtSec)
 			reg.Gauge("tenant.admitted." + label).Set(float64(s.Admitted))
-			reg.Gauge("tenant.sampled." + label).Set(float64(s.Sampled))
 			reg.Gauge("tenant.throttled." + label).Set(float64(s.Throttled))
 			reg.Gauge("tenant.disconnects." + label).Set(float64(s.Disconnects))
 			reg.Gauge("tenant.bytes_in." + label).Set(float64(s.BytesIn))
@@ -66,7 +65,6 @@ func (a *Admission) Export(reg *metrics.Registry) {
 		other.QueueDepth += s.QueueDepth
 		other.Inflight += s.Inflight
 		other.Admitted += s.Admitted
-		other.Sampled += s.Sampled
 		other.Throttled += s.Throttled
 		other.Disconnects += s.Disconnects
 		other.BytesIn += s.BytesIn
@@ -76,7 +74,6 @@ func (a *Admission) Export(reg *metrics.Registry) {
 		reg.Gauge("tenant.queue_depth._other").Set(float64(other.QueueDepth))
 		reg.Gauge("tenant.inflight._other").Set(float64(other.Inflight))
 		reg.Gauge("tenant.admitted._other").Set(float64(other.Admitted))
-		reg.Gauge("tenant.sampled._other").Set(float64(other.Sampled))
 		reg.Gauge("tenant.throttled._other").Set(float64(other.Throttled))
 		reg.Gauge("tenant.disconnects._other").Set(float64(other.Disconnects))
 		reg.Gauge("tenant.bytes_in._other").Set(float64(other.BytesIn))
