@@ -14,11 +14,12 @@
 // /v2/subscriptions with webhook (HTTP POST) notifications; batch ingest
 // via POST /v2/op/update; OAuth2 tokens at POST /oauth/token — every
 // data route behind the PEP. In process, the same surface is
-// ngsi.Broker.Query and subscriptions: entities they hand out are the
-// broker's stored, immutable versions — retain them freely, never write
-// to them (Broker.GetEntity returns a private deep copy) — and
-// (*ngsi.Entity).AppendJSON is the one wire encoder behind listings,
-// single GETs and webhook bodies.
+// ngsi.Broker.Query, GetEntity and subscriptions: entities they hand out
+// are the broker's stored, immutable versions — retain them freely, never
+// write to them (Clone one to edit) — and (*ngsi.Entity).AppendJSON is
+// the one wire encoder behind listings, single GETs and webhook bodies; a
+// listing or GET encodes each stored version once and serves the kept
+// bytes after.
 //
 // State survives restarts through the durability plane (internal/wal): a
 // segmented, group-committed write-ahead log plus point-in-time

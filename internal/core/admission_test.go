@@ -120,3 +120,68 @@ func TestAdmissionFogUplinkPacedAndRefused(t *testing.T) {
 	}
 	checkCharged(31)
 }
+
+// TestAdmissionFogUplinkChargedOnlyWhenItCrosses: while the backhaul is
+// partitioned every fog trip is refused before admission, so the farm's
+// usage and debt stay where they were however often the fog node tries;
+// once healed, the queued batches cross and each is charged exactly once.
+func TestAdmissionFogUplinkChargedOnlyWhenItCrosses(t *testing.T) {
+	p := newPlatform(t, PilotIntercrop, ModeFarmFog, false)
+	p.Admission = tenant.NewAdmission(tenant.Config{
+		Enabled: true,
+		Limits:  tenant.Limits{Default: tenant.Quota{MsgsPerSec: 10}},
+		Burst:   time.Second,
+		Clock:   clock.NewSim(t0),
+	})
+	status := func() tenant.Status {
+		for _, st := range p.Admission.Tenants() {
+			return st
+		}
+		return tenant.Status{}
+	}
+	stored := func() uint64 { return p.Metrics().Counter("cloud.ingest.readings").Value() }
+	// One charged trip first, so the tenant has a usage row to compare.
+	reading := func(i int) []model.Reading {
+		return []model.Reading{{
+			Device: "fog-probe", Quantity: model.QSoilMoisture, Value: 0.3,
+			At: t0.Add(time.Duration(i) * time.Minute),
+		}}
+	}
+	if err := p.cloudUplink(reading(0)); err != nil {
+		t.Fatal(err)
+	}
+	before := status()
+	trips, _ := p.Backhaul.Trips()
+
+	p.Backhaul.SetPartitioned(true)
+	const rounds = 5
+	for i := 1; i <= rounds; i++ {
+		if err := p.Fog.Ingest(reading(i)); err != nil {
+			t.Fatal(err)
+		}
+		if sent := p.Fog.Flush(); sent != 0 {
+			t.Fatalf("round %d: %d batches crossed a partitioned backhaul", i, sent)
+		}
+	}
+	if st := status(); st.Admitted != before.Admitted || st.BytesIn != before.BytesIn || st.DebtSec != before.DebtSec {
+		t.Fatalf("partitioned trips charged: admitted %d → %d, bytes %d → %d, debt %v → %v",
+			before.Admitted, st.Admitted, before.BytesIn, st.BytesIn, before.DebtSec, st.DebtSec)
+	}
+	if now, _ := p.Backhaul.Trips(); now != trips {
+		t.Fatalf("partitioned trips counted as made: %d → %d", trips, now)
+	}
+
+	p.Backhaul.SetPartitioned(false)
+	p.Fog.Flush()
+	if stored() != 1+rounds {
+		t.Fatalf("stored %d readings after healing, want %d", stored(), 1+rounds)
+	}
+	now, _ := p.Backhaul.Trips()
+	st := status()
+	if st.Admitted-before.Admitted != now-trips {
+		t.Errorf("%d trips crossed after healing, %d charged", now-trips, st.Admitted-before.Admitted)
+	}
+	if got, want := st.BytesIn-before.BytesIn, uint64(rounds*approxReadingBytes); got != want {
+		t.Errorf("healed replay charged %d bytes, want %d: each batch once", got, want)
+	}
+}

@@ -84,10 +84,20 @@ var ErrPartitioned = errors.New("core: backhaul partitioned")
 
 // Do executes one round trip: it fails during partitions and otherwise
 // charges 2× latency before invoking f.
-func (b *Backhaul) Do(f func() error) error {
+func (b *Backhaul) Do(f func() error) error { return b.DoGated(nil, f) }
+
+// DoGated is Do with a gate in front of the trip: gate runs only once the
+// backhaul is up, and an error from it refuses the trip, which is then
+// neither made nor counted.
+func (b *Backhaul) DoGated(gate, f func() error) error {
 	if b.partitioned.Load() {
 		b.failures.Add(1)
 		return ErrPartitioned
+	}
+	if gate != nil {
+		if err := gate(); err != nil {
+			return err
+		}
 	}
 	if b.latency > 0 {
 		time.Sleep(2 * b.latency)
@@ -639,19 +649,24 @@ const approxReadingBytes = 24
 // cloudUplink is the fog node's northbound path: a backhaul round trip
 // into the cloud ingestor.
 //
-// Admission here is pure backpressure. A refusal (uncharged) surfaces as
-// an error, which the fog node treats exactly like a partition: the
-// batch stays in its store-and-forward queue and replays later. A tenant
-// in debt is charged once and paced before the trip; Close cuts the pace
+// Admission here is pure backpressure, charged only for a trip that
+// crosses: it runs once the backhaul is known to be up, so a partitioned
+// trip costs nothing. A refusal (uncharged, no trip counted) surfaces as
+// an error, which the fog node treats exactly like a partition: the batch
+// stays in its store-and-forward queue and replays later. A tenant in
+// debt is charged once and paced before the trip; Close cuts the pace
 // short, and the charged batch still goes.
 func (p *Platform) cloudUplink(batch []model.Reading) error {
 	tid := tenant.ID(p.Opts.Pilot.Name)
-	d := p.Admission.Admit(tid, int64(len(batch))*approxReadingBytes)
-	if !d.Allowed() {
-		return fmt.Errorf("core: fog uplink throttled for tenant %s (retry in %v)", tid, d.Wait)
+	admit := func() error {
+		d := p.Admission.Admit(tid, int64(len(batch))*approxReadingBytes)
+		if !d.Allowed() {
+			return fmt.Errorf("core: fog uplink throttled for tenant %s (retry in %v)", tid, d.Wait)
+		}
+		p.Admission.Pace(d, p.closing)
+		return nil
 	}
-	p.Admission.Pace(d, p.closing)
-	return p.Backhaul.Do(func() error {
+	return p.Backhaul.DoGated(admit, func() error {
 		return p.Ingestor.IngestReadings(batch)
 	})
 }

@@ -11,6 +11,7 @@ import (
 
 	"github.com/swamp-project/swamp/internal/metrics"
 	"github.com/swamp-project/swamp/internal/ngsi"
+	"github.com/swamp-project/swamp/internal/timeseries"
 )
 
 // TestUnencodableEntityAnswers500: an entity holding NaN (reachable
@@ -107,5 +108,136 @@ func TestEntityBodiesMatchEncodingJSON(t *testing.T) {
 	}
 	if got := body("/v2/entities?idPattern=urn:farm1:*&type=Nothing"); string(got) != "[]\n" {
 		t.Errorf("empty listing = %q", got)
+	}
+}
+
+// seriesPointJSON is the reference shape of one series window: the struct
+// encoding/json wrote the series points from before the bodies were
+// appended by hand.
+type seriesPointJSON struct {
+	At    time.Time `json:"at"`
+	Count int       `json:"count"`
+	Min   float64   `json:"min"`
+	Max   float64   `json:"max"`
+	Mean  float64   `json:"mean"`
+}
+
+// encodeReference renders v the way the analytics routes did through
+// encoding/json: json.Encoder, trailing newline.
+func encodeReference(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	err := json.NewEncoder(&buf).Encode(v)
+	return buf.Bytes(), err
+}
+
+func summaryReference(device, quantity string, agg timeseries.Aggregate) ([]byte, error) {
+	return encodeReference(map[string]any{
+		"device": device, "quantity": quantity,
+		"count": agg.Count, "min": agg.Min, "max": agg.Max, "mean": agg.Mean,
+	})
+}
+
+func seriesReference(device, quantity string, window time.Duration, wins []timeseries.WindowAggregate) ([]byte, error) {
+	points := make([]seriesPointJSON, 0, len(wins))
+	for _, wa := range wins {
+		points = append(points, seriesPointJSON{At: wa.Start, Count: wa.Count, Min: wa.Min, Max: wa.Max, Mean: wa.Mean})
+	}
+	return encodeReference(map[string]any{
+		"device": device, "quantity": quantity, "window": window.String(), "points": points,
+	})
+}
+
+// checkBody holds a hand-appended body to its encoding/json reference:
+// the same bytes, or the same error when encoding/json refuses.
+func checkBody(t *testing.T, what string, got []byte, gerr error, want []byte, werr error) {
+	t.Helper()
+	if (gerr == nil) != (werr == nil) || (werr != nil && gerr.Error() != werr.Error()) {
+		t.Fatalf("%s: error %v, encoding/json error %v", what, gerr, werr)
+	}
+	if werr == nil && !bytes.Equal(got, want) {
+		t.Fatalf("%s:\n got %s\nwant %s", what, got, want)
+	}
+}
+
+// FuzzAnalyticsBody: for any device and quantity and any aggregate
+// values, the summary and series bodies are exactly what encoding/json
+// writes for them; when encoding/json refuses a value (NaN, ±Inf, a time
+// outside years 0–9999), so does the encoder, with encoding/json's error.
+// TestAnalyticsRefusedBodyAnswers500 holds the routes to answering that
+// error as 500 encode_failure. (The fuzz target calls no handler: the
+// server's pooled buffers make its coverage vary from run to run, which
+// stalls the fuzzer's minimization.)
+func FuzzAnalyticsBody(f *testing.F) {
+	f.Add("farm1-p1", "soilMoisture", int64(2), 0.25, 0.27, 0.26, int64(1_790_000_000), int64(5e8), int32(0), int64(time.Hour), uint8(2))
+	f.Fuzz(func(t *testing.T, device, quantity string, count int64, lo, hi, mean float64, sec, nsec int64, zone int32, window int64, n uint8) {
+		at := time.Unix(sec, nsec).In(time.FixedZone("", int(zone)))
+		agg := timeseries.Aggregate{Count: int(count), Min: lo, Max: hi, Mean: mean}
+		wins := make([]timeseries.WindowAggregate, n%3)
+		for i := range wins {
+			wins[i] = timeseries.WindowAggregate{Start: at.Add(time.Duration(i) * time.Duration(window)), Aggregate: agg}
+		}
+		if len(wins) == 2 { // a second window with its extremes swapped
+			wins[1].Count++
+			wins[1].Min, wins[1].Max = hi, lo
+		}
+		got, gerr := appendSummaryJSON([]byte("prefix"), device, quantity, agg)
+		want, werr := summaryReference(device, quantity, agg)
+		if gerr == nil {
+			got = bytes.TrimPrefix(got, []byte("prefix"))
+		}
+		checkBody(t, "summary", got, gerr, want, werr)
+		got, gerr = appendSeriesJSON(nil, device, quantity, time.Duration(window), wins)
+		want, werr = seriesReference(device, quantity, time.Duration(window), wins)
+		checkBody(t, "series", got, gerr, want, werr)
+	})
+}
+
+// TestAnalyticsRefusedBodyAnswers500: an aggregate JSON cannot carry
+// answers 500 encode_failure on both analytics routes, carrying the error
+// encoding/json refuses the same body with — never a 200 with a partial
+// body.
+func TestAnalyticsRefusedBodyAnswers500(t *testing.T) {
+	fc := &fakeCluster{}
+	f := newClusterFixture(t, fc)
+	tok := f.token(t, "farmer")
+	at := time.Date(2026, 9, 28, 12, 0, 0, 0, time.UTC)
+	for _, tc := range []struct {
+		name string
+		agg  timeseries.Aggregate
+		at   time.Time
+	}{
+		{"NaN mean", timeseries.Aggregate{Count: 1, Mean: math.NaN()}, at},
+		{"+Inf max", timeseries.Aggregate{Count: 1, Max: math.Inf(1), Mean: math.NaN()}, at},
+		{"-Inf min", timeseries.Aggregate{Count: 1, Min: math.Inf(-1)}, at},
+		{"year 10000", timeseries.Aggregate{Count: 1}, time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)},
+	} {
+		wins := []timeseries.WindowAggregate{{Start: at}, {Start: tc.at, Aggregate: tc.agg}}
+		fc.agg, fc.wins = tc.agg, wins
+		for path, ref := range map[string]func() ([]byte, error){
+			"/v2/analytics/farm1-p1/soilMoisture": func() ([]byte, error) {
+				return summaryReference("farm1-p1", "soilMoisture", tc.agg)
+			},
+			"/v2/analytics/farm1-p1/soilMoisture/series": func() ([]byte, error) {
+				return seriesReference("farm1-p1", "soilMoisture", time.Hour, wins)
+			},
+		} {
+			want, werr := ref()
+			resp := f.do(t, http.MethodGet, path, tok, nil)
+			body, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if werr == nil {
+				if resp.StatusCode != http.StatusOK || !bytes.Equal(body, want) {
+					t.Errorf("%s %s: status %d, body %s; want %s", tc.name, path, resp.StatusCode, body, want)
+				}
+				continue
+			}
+			var env apiError
+			if err := json.Unmarshal(body, &env); err != nil || resp.StatusCode != http.StatusInternalServerError ||
+				env.Error != "encode_failure" || env.Description != werr.Error() {
+				t.Errorf("%s %s: status %d, body %s; want 500 encode_failure %q", tc.name, path, resp.StatusCode, body, werr)
+			}
+		}
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"github.com/swamp-project/swamp/internal/security/oauth"
 	"github.com/swamp-project/swamp/internal/security/pep"
 	"github.com/swamp-project/swamp/internal/tenant"
+	"github.com/swamp-project/swamp/internal/timeseries"
 )
 
 // Query pagination defaults: every entity listing is bounded, so a
@@ -242,8 +243,12 @@ func putJSONBuf(buf *[]byte) {
 	}
 }
 
+// writeBody sends a complete JSON body. Its length is known, so it goes
+// out with Content-Length, never chunked.
 func writeBody(w http.ResponseWriter, code int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
 	_, _ = w.Write(body) // a failed write is the client gone; nothing to report to
 }
@@ -429,7 +434,8 @@ func writeThrottled(w http.ResponseWriter, d tenant.Decision) {
 //
 // Every knob is handed to the broker's query engine (filter, order, page,
 // projection), and the page it returns — read-only stored versions — is
-// encoded straight into the response. The page size always applies — even
+// encoded straight into the response, each version through its memo
+// (QueryResult.AppendJSON). The page size always applies — even
 // a bare request gets QueryDefaultLimit — so the legacy unpaginated
 // listing can no longer return an unbounded body. options=count adds the
 // exact match total as the Fiware-Total-Count header.
@@ -517,17 +523,12 @@ func (s *Server) handleListEntities(w http.ResponseWriter, r *http.Request) {
 	}
 	buf := getJSONBuf()
 	defer putJSONBuf(buf)
-	body := append(*buf, '[')
-	for i, e := range res.Entities {
-		if i > 0 {
-			body = append(body, ',')
-		}
-		if body, err = e.AppendJSON(body); err != nil {
-			writeEncodeFailure(w, err)
-			return
-		}
+	body, err := res.AppendJSON(*buf)
+	if err != nil {
+		writeEncodeFailure(w, err)
+		return
 	}
-	body = append(body, ']', '\n')
+	body = append(body, '\n')
 	*buf = body
 	if count {
 		w.Header().Set("Fiware-Total-Count", strconv.Itoa(res.Total))
@@ -552,7 +553,9 @@ func (s *Server) handleGetEntity(w http.ResponseWriter, r *http.Request) {
 	}
 	buf := getJSONBuf()
 	defer putJSONBuf(buf)
-	body, err := e.AppendJSON(*buf)
+	// A locally stored version encodes through its memo; an entity a
+	// cluster peer sent is encoded afresh.
+	body, err := s.cfg.Context.AppendEntityJSON(*buf, e)
 	if err != nil {
 		writeEncodeFailure(w, err)
 		return
@@ -717,19 +720,15 @@ func (s *Server) handleAnalytics(w http.ResponseWriter, r *http.Request) {
 		writeMutationErr(w, http.StatusInternalServerError, "query_failed", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"device": device, "quantity": quantity,
-		"count": agg.Count, "min": agg.Min, "max": agg.Max, "mean": agg.Mean,
-	})
-}
-
-// seriesWindowJSON is one downsampled window of a series response.
-type seriesWindowJSON struct {
-	At    time.Time `json:"at"`
-	Count int       `json:"count"`
-	Min   float64   `json:"min"`
-	Max   float64   `json:"max"`
-	Mean  float64   `json:"mean"`
+	buf := getJSONBuf()
+	defer putJSONBuf(buf)
+	body, err := appendSummaryJSON(*buf, device, quantity, agg)
+	*buf = body
+	if err != nil {
+		writeEncodeFailure(w, err)
+		return
+	}
+	writeBody(w, http.StatusOK, body)
 }
 
 // handleAnalyticsSeries returns a downsampled range of one series, one
@@ -762,15 +761,104 @@ func (s *Server) handleAnalyticsSeries(w http.ResponseWriter, r *http.Request) {
 		writeMutationErr(w, http.StatusBadRequest, "query_failed", err)
 		return
 	}
-	points := make([]seriesWindowJSON, 0, len(wins))
-	for _, wa := range wins {
-		points = append(points, seriesWindowJSON{
-			At: wa.Start, Count: wa.Count, Min: wa.Min, Max: wa.Max, Mean: wa.Mean,
-		})
+	buf := getJSONBuf()
+	defer putJSONBuf(buf)
+	body, err := appendSeriesJSON(*buf, device, quantity, window, wins)
+	*buf = body
+	if err != nil {
+		writeEncodeFailure(w, err)
+		return
 	}
 	s.cSeries.Inc()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"device": device, "quantity": quantity, "window": window.String(),
-		"points": points,
-	})
+	writeBody(w, http.StatusOK, body)
+}
+
+// appendSummaryJSON appends the summary body: byte for byte what
+// json.Encoder writes for the map {device, quantity, count, min, max,
+// mean} — keys sorted, trailing newline. A value JSON cannot carry
+// returns encoding/json's own error for it.
+func appendSummaryJSON(dst []byte, device, quantity string, agg timeseries.Aggregate) ([]byte, error) {
+	a := jsonAppender{b: dst}
+	a.raw(`{"count":`)
+	a.int(agg.Count)
+	a.raw(`,"device":`)
+	a.str(device)
+	a.raw(`,"max":`)
+	a.float(agg.Max)
+	a.raw(`,"mean":`)
+	a.float(agg.Mean)
+	a.raw(`,"min":`)
+	a.float(agg.Min)
+	a.raw(`,"quantity":`)
+	a.str(quantity)
+	a.raw("}\n")
+	return a.b, a.err
+}
+
+// appendSeriesJSON appends the series body: byte for byte what
+// json.Encoder writes for the map {device, quantity, window, points},
+// each point {at, count, min, max, mean} in that order. A value JSON
+// cannot carry returns encoding/json's own error for it.
+func appendSeriesJSON(dst []byte, device, quantity string, window time.Duration, wins []timeseries.WindowAggregate) ([]byte, error) {
+	a := jsonAppender{b: dst}
+	a.raw(`{"device":`)
+	a.str(device)
+	a.raw(`,"points":[`)
+	for i, wa := range wins {
+		if i > 0 {
+			a.raw(",")
+		}
+		a.raw(`{"at":`)
+		a.time(wa.Start)
+		a.raw(`,"count":`)
+		a.int(wa.Count)
+		a.raw(`,"min":`)
+		a.float(wa.Min)
+		a.raw(`,"max":`)
+		a.float(wa.Max)
+		a.raw(`,"mean":`)
+		a.float(wa.Mean)
+		a.raw("}")
+	}
+	a.raw(`],"quantity":`)
+	a.str(quantity)
+	a.raw(`,"window":`)
+	a.str(window.String())
+	a.raw("}\n")
+	return a.b, a.err
+}
+
+// jsonAppender appends JSON tokens to b through ngsi's encoders and keeps
+// the first error, in encoding order, that a value JSON cannot carry
+// raises — encoding/json's error for that value, so a refused body reads
+// as it did when encoding/json wrote it.
+type jsonAppender struct {
+	b   []byte
+	err error
+}
+
+func (a *jsonAppender) raw(s string) { a.b = append(a.b, s...) }
+func (a *jsonAppender) str(s string) { a.b = ngsi.AppendJSONString(a.b, s) }
+func (a *jsonAppender) int(n int)    { a.b = strconv.AppendInt(a.b, int64(n), 10) }
+
+func (a *jsonAppender) float(f float64) {
+	var err error
+	if a.b, err = ngsi.AppendJSONFloat(a.b, f); err != nil {
+		a.fail(f)
+	}
+}
+
+func (a *jsonAppender) time(t time.Time) {
+	out, err := t.AppendText(append(a.b, '"'))
+	if err != nil {
+		a.fail(t)
+		return
+	}
+	a.b = append(out, '"')
+}
+
+func (a *jsonAppender) fail(v any) {
+	if a.err == nil {
+		_, a.err = json.Marshal(v)
+	}
 }

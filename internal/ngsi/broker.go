@@ -461,7 +461,10 @@ func (b *Broker) batchUpdate(updates map[string]BatchEntry, owned bool) error {
 	return notDurable(waitAcks(acks))
 }
 
-// GetEntity returns a deep copy of the entity, which the caller owns.
+// GetEntity returns the entity's stored version. Like Query's entities it
+// is read-only: the caller may retain it, and a later write publishes a
+// new version beside it instead of changing it, but must never write to
+// it, its Attrs map or a Metadata map. A caller that edits takes a Clone.
 func (b *Broker) GetEntity(id string) (*Entity, error) {
 	sh := b.shardFor(id)
 	sh.mu.RLock()
@@ -470,7 +473,23 @@ func (b *Broker) GetEntity(id string) (*Entity, error) {
 	if e == nil {
 		return nil, fmt.Errorf("ngsi: entity %q: %w", id, ErrNotFound)
 	}
-	return e.Clone(), nil // the version is immutable: copied outside the lock
+	return e, nil
+}
+
+// AppendEntityJSON appends e's wire form to dst, as e.AppendJSON does.
+// When e is the version b currently stores under its id — a GetEntity
+// answer no write has replaced yet — the bytes come from the version's
+// memo, so repeated reads encode it once; any other entity is encoded
+// afresh.
+func (b *Broker) AppendEntityJSON(dst []byte, e *Entity) ([]byte, error) {
+	sh := b.shardFor(e.ID)
+	sh.mu.RLock()
+	stored := sh.get(e.ID) == e
+	sh.mu.RUnlock()
+	if !stored {
+		return e.AppendJSON(dst)
+	}
+	return e.appendVersionJSON(dst)
 }
 
 // DeleteEntity removes an entity. A journal failure rolls the delete

@@ -71,15 +71,37 @@ func TestUpsertValidation(t *testing.T) {
 	}
 }
 
-func TestGetReturnsCopy(t *testing.T) {
+// TestGetReturnsStoredVersion pins GetEntity's read contract: it hands
+// out the stored version itself, read-only, as Query does, and a later
+// write publishes a new version beside it instead of editing it, so the
+// version returned earlier still reads the old value.
+func TestGetReturnsStoredVersion(t *testing.T) {
 	b := NewBroker(BrokerConfig{})
 	defer b.Close()
 	b.UpsertEntity(&Entity{ID: "e1", Type: "T", Attrs: map[string]Attribute{"a": num(1)}})
-	got, _ := b.GetEntity("e1")
-	got.Attrs["a"] = num(999) // mutate the copy
-	again, _ := b.GetEntity("e1")
-	if v, _ := again.Attrs["a"].Float(); v != 1 {
-		t.Error("mutation of returned entity leaked into the store")
+	v1, err := b.GetEntity("e1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := b.Query(Query{IDPattern: "e1"})
+	if err != nil || len(res.Entities) != 1 || res.Entities[0] != v1 {
+		t.Fatalf("GetEntity and Query disagree on the stored version: %v, %v", res.Entities, err)
+	}
+	if again, _ := b.GetEntity("e1"); again != v1 {
+		t.Fatal("two reads of an unchanged entity returned different versions")
+	}
+	if err := b.UpdateAttrs("e1", "T", map[string]Attribute{"a": num(2)}); err != nil {
+		t.Fatal(err)
+	}
+	v2, _ := b.GetEntity("e1")
+	if v2 == v1 {
+		t.Fatal("a write edited the stored version in place")
+	}
+	if a, _ := v1.Attrs["a"].Float(); a != 1 {
+		t.Errorf("the version returned before the write reads a=%v, want 1", a)
+	}
+	if a, _ := v2.Attrs["a"].Float(); a != 2 {
+		t.Errorf("the new version reads a=%v, want 2", a)
 	}
 }
 

@@ -16,17 +16,18 @@ import (
 // int, string, bool and nil values, string metadata) are appended by hand,
 // and any other value goes through json.Marshal on its own. It is the one
 // encoder behind the northbound listing, the single-entity GET and the
-// webhook body. A value JSON cannot carry (NaN, ±Inf, a time outside years
-// 0–9999) returns an error and leaves dst's contents unspecified past its
-// original length.
+// webhook body; the northbound reads reach it through a stored version's
+// memo (appendVersionJSON). A value JSON cannot carry (NaN, ±Inf, a time
+// outside years 0–9999) returns an error and leaves dst's contents
+// unspecified past its original length.
 func (e *Entity) AppendJSON(dst []byte) ([]byte, error) {
 	if e == nil {
 		return append(dst, "null"...), nil
 	}
 	dst = append(dst, `{"id":`...)
-	dst = appendJSONString(dst, e.ID)
+	dst = AppendJSONString(dst, e.ID)
 	dst = append(dst, `,"type":`...)
-	dst = appendJSONString(dst, e.Type)
+	dst = AppendJSONString(dst, e.Type)
 	dst = append(dst, `,"attrs":`...)
 	if e.Attrs == nil {
 		return append(dst, "null}"...), nil
@@ -37,7 +38,7 @@ func (e *Entity) AppendJSON(dst []byte) ([]byte, error) {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = appendJSONString(dst, k)
+		dst = AppendJSONString(dst, k)
 		dst = append(dst, ':')
 		var err error
 		if dst, err = e.Attrs[k].appendJSON(dst); err != nil {
@@ -47,22 +48,40 @@ func (e *Entity) AppendJSON(dst []byte) ([]byte, error) {
 	return append(dst, "}}"...), nil
 }
 
+// appendVersionJSON appends the wire form of e, a version the broker
+// stored, from its memo: the first call encodes the version and keeps the
+// bytes, every later call copies them. A version never changes once
+// stored, so the memo never goes stale; a write publishes a new version
+// with an empty memo. An encoding that fails is not kept, so such a
+// version fails the same way on every read. Concurrent first reads may
+// both encode; they keep identical bytes.
+func (e *Entity) appendVersionJSON(dst []byte) ([]byte, error) {
+	if enc, ok := e.enc.Load().([]byte); ok {
+		return append(dst, enc...), nil
+	}
+	out, err := e.AppendJSON(dst)
+	if err == nil {
+		e.enc.Store(slices.Clone(out[len(dst):]))
+	}
+	return out, err
+}
+
 func (a Attribute) appendJSON(dst []byte) ([]byte, error) {
 	dst = append(dst, `{"type":`...)
-	dst = appendJSONString(dst, a.Type)
+	dst = AppendJSONString(dst, a.Type)
 	dst = append(dst, `,"value":`...)
 	switch v := a.Value.(type) {
 	case nil:
 		dst = append(dst, "null"...)
 	case float64:
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return dst, fmt.Errorf("unsupported value %v", v)
+		var err error
+		if dst, err = AppendJSONFloat(dst, v); err != nil {
+			return dst, err
 		}
-		dst = appendJSONFloat(dst, v)
 	case int:
 		dst = strconv.AppendInt(dst, int64(v), 10)
 	case string:
-		dst = appendJSONString(dst, v)
+		dst = AppendJSONString(dst, v)
 	case bool:
 		dst = strconv.AppendBool(dst, v)
 	default:
@@ -79,9 +98,9 @@ func (a Attribute) appendJSON(dst []byte) ([]byte, error) {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = appendJSONString(dst, k)
+			dst = AppendJSONString(dst, k)
 			dst = append(dst, ':')
-			dst = appendJSONString(dst, a.Metadata[k])
+			dst = AppendJSONString(dst, a.Metadata[k])
 		}
 		dst = append(dst, '}')
 	}
@@ -104,9 +123,14 @@ func sortedKeys[V any](m map[string]V, buf []string) []string {
 	return buf
 }
 
-// appendJSONFloat formats like encoding/json: ES6 number-to-string, i.e.
+// AppendJSONFloat formats like encoding/json: ES6 number-to-string, i.e.
 // %f between 1e-6 and 1e21 and %e outside, exponent without zero padding.
-func appendJSONFloat(dst []byte, f float64) []byte {
+// NaN and ±Inf have no JSON form: they return an error and leave dst as it
+// was.
+func AppendJSONFloat(dst []byte, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return dst, fmt.Errorf("unsupported value %v", f)
+	}
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
@@ -118,15 +142,15 @@ func appendJSONFloat(dst []byte, f float64) []byte {
 			dst = dst[:n-1]
 		}
 	}
-	return dst
+	return dst, nil
 }
 
 const hexDigits = "0123456789abcdef"
 
-// appendJSONString quotes s like encoding/json with HTML escaping on:
+// AppendJSONString quotes s like encoding/json with HTML escaping on:
 // control bytes, '"', '\\', '<', '>' and '&' are escaped, invalid UTF-8
 // becomes U+FFFD, and U+2028/U+2029 are written as \u escapes.
-func appendJSONString(dst []byte, s string) []byte {
+func AppendJSONString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {

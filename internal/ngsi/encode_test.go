@@ -174,3 +174,86 @@ func TestAppendJSONAllocs(t *testing.T) {
 		t.Fatalf("AppendJSON into a warm buffer: %v allocs/op, want 0", allocs)
 	}
 }
+
+// TestVersionMemoFilledOnlyByReads: a stored version's memo stays empty
+// through the writes that publish it, and the first northbound read of
+// the version fills it — a listing page of stored versions, or
+// AppendEntityJSON of the current version — with exactly the bytes
+// AppendJSON writes. A projected page, a retired version, an entity the
+// caller built and a version JSON cannot carry leave their memo empty.
+func TestVersionMemoFilledOnlyByReads(t *testing.T) {
+	b := NewBroker(BrokerConfig{})
+	defer b.Close()
+	memo := func(e *Entity) []byte {
+		enc, _ := e.enc.Load().([]byte)
+		return enc
+	}
+	encode := func(e *Entity) []byte {
+		t.Helper()
+		out, err := e.AppendJSON(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	if err := b.UpsertEntity(&Entity{ID: "e1", Type: "T", Attrs: map[string]Attribute{"a": num(1), "b": num(2)}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.UpdateAttrs("e1", "T", map[string]Attribute{"a": num(3)}); err != nil {
+		t.Fatal(err)
+	}
+	v1, _ := b.GetEntity("e1")
+	if memo(v1) != nil {
+		t.Fatal("a write filled the memo")
+	}
+
+	projected, _ := b.Query(Query{IDPattern: "e1", Attrs: []string{"a"}})
+	if _, err := projected.AppendJSON(nil); err != nil || memo(v1) != nil {
+		t.Fatalf("a projected page filled the memo (%v)", err)
+	}
+	page, _ := b.Query(Query{IDPattern: "e1"})
+	for range 2 { // the fill, then the hit
+		body, err := page.AppendJSON([]byte("x"))
+		if want := "x[" + string(encode(v1)) + "]"; err != nil || string(body) != want {
+			t.Fatalf("listing page = %s, %v; want %s", body, err, want)
+		}
+		if !bytes.Equal(memo(v1), encode(v1)) {
+			t.Fatalf("memo after a listing = %q", memo(v1))
+		}
+	}
+
+	if err := b.UpdateAttrs("e1", "T", map[string]Attribute{"b": num(4)}); err != nil {
+		t.Fatal(err)
+	}
+	v2, _ := b.GetEntity("e1")
+	if memo(v2) != nil {
+		t.Fatal("the new version inherited a memo")
+	}
+	if body, err := b.AppendEntityJSON(nil, v2); err != nil || !bytes.Equal(body, encode(v2)) || !bytes.Equal(memo(v2), body) {
+		t.Fatalf("GET of the current version = %s, %v; memo %q", body, err, memo(v2))
+	}
+	if err := b.UpdateAttrs("e1", "T", map[string]Attribute{"b": num(5)}); err != nil {
+		t.Fatal(err)
+	}
+	v3, _ := b.GetEntity("e1")
+	if err := b.UpdateAttrs("e1", "T", map[string]Attribute{"b": num(6)}); err != nil {
+		t.Fatal(err)
+	}
+	v4, _ := b.GetEntity("e1")
+	if body, err := b.AppendEntityJSON(nil, v3); err != nil || !bytes.Equal(body, encode(v3)) || memo(v3) != nil {
+		t.Fatalf("retired version = %s, %v; memo %q", body, err, memo(v3))
+	}
+	if body, err := b.AppendEntityJSON(nil, v4.Clone()); err != nil || !bytes.Equal(body, encode(v4)) || memo(v4) != nil {
+		t.Fatalf("a caller's copy = %s, %v, and the stored version's memo %q", body, err, memo(v4))
+	}
+
+	if err := b.UpsertEntity(&Entity{ID: "nan", Type: "T", Attrs: map[string]Attribute{"a": num(math.NaN())}}); err != nil {
+		t.Fatal(err)
+	}
+	bad, _ := b.GetEntity("nan")
+	for range 2 {
+		if _, err := b.AppendEntityJSON(nil, bad); err == nil || memo(bad) != nil {
+			t.Fatalf("unencodable version: error %v, memo %q", err, memo(bad))
+		}
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"time"
 )
 
@@ -45,6 +46,12 @@ type Entity struct {
 	ID    string               `json:"id"`
 	Type  string               `json:"type"`
 	Attrs map[string]Attribute `json:"attrs"`
+
+	// enc memoizes a stored version's wire form ([]byte). It stays empty
+	// until the first northbound read of the version fills it
+	// (appendVersionJSON), and it is read only for a version the broker
+	// stored: an entity a caller builds or copies is encoded afresh.
+	enc atomic.Value
 }
 
 // Validate reports the first structural problem with the entity header.

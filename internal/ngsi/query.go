@@ -317,11 +317,41 @@ type QueryResult struct {
 	// stored versions, or projections sharing a version's attribute values,
 	// and are read-only: the caller owns the slice and may retain the
 	// entities, but must never write to one, its Attrs map or a Metadata
-	// map. Use GetEntity (or Clone) for a copy to edit.
+	// map. Use Clone for a copy to edit.
 	Entities []*Entity
 	// Total is the exact number of matches when Query.Count was set,
 	// and -1 otherwise.
 	Total int
+
+	// versions reports that Entities are the broker's stored versions, as
+	// an unprojected Broker.Query returns them, so AppendJSON may encode
+	// each through its memo.
+	versions bool
+}
+
+// AppendJSON appends Entities to dst as a JSON array — byte for byte what
+// encoding/json writes for a non-empty slice, and "[]" for an empty one.
+// A page of stored versions encodes each version at most once over its
+// life: later pages copy the bytes its first read kept. Any other page (a
+// projection, one a cluster Router merged) is encoded entity by entity.
+// An entity JSON cannot carry returns Entity.AppendJSON's error.
+func (r QueryResult) AppendJSON(dst []byte) ([]byte, error) {
+	dst = append(dst, '[')
+	for i, e := range r.Entities {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		var err error
+		if r.versions {
+			dst, err = e.appendVersionJSON(dst)
+		} else {
+			dst, err = e.AppendJSON(dst)
+		}
+		if err != nil {
+			return dst, err
+		}
+	}
+	return append(dst, ']'), nil
 }
 
 // Query runs a typed context query. Each shard's table is scanned under
@@ -329,11 +359,11 @@ type QueryResult struct {
 // per shard — a shard without the column cannot match — and tested on the
 // dense slice before the entity is touched; id pattern, IDFilter, type and
 // the remaining conditions run on the survivors, which are collected by
-// pointer, nothing copied, as one id-ordered run per shard. An id ordering
-// then merges the runs only as deep as the Offset/Limit page reaches; an
-// attribute ordering sorts every match. Only the page is projected onto
-// Query.Attrs. An unordered query without Count stops scanning once
-// Offset+Limit matches are found.
+// pointer, nothing copied, into one slice sized up front, as one
+// id-ordered run per shard. An id ordering then merges the runs only as
+// deep as the Offset/Limit page reaches; an attribute ordering sorts every
+// match. Only the page is projected onto Query.Attrs. An unordered query
+// without Count stops scanning once Offset+Limit matches are found.
 func (b *Broker) Query(q Query) (QueryResult, error) {
 	if q.Limit < 0 || q.Offset < 0 {
 		return QueryResult{}, fmt.Errorf("ngsi: query: negative limit or offset")
@@ -357,7 +387,13 @@ func (b *Broker) Query(q Query) (QueryResult, error) {
 	cols = cols[:len(q.Conditions)]
 	var runBuf [16]run
 	runs := runBuf[:0]
-	var matched []*Entity
+	// No shard matches more than its rows: one allocation holds every
+	// match unless a write lands between this count and the scan.
+	size := b.EntityCount()
+	if earlyStop {
+		size = min(size, need)
+	}
+	matched := make([]*Entity, 0, size)
 	for _, sh := range b.shards {
 		lo := len(matched)
 		sh.mu.RLock()
@@ -397,7 +433,7 @@ func (b *Broker) Query(q Query) (QueryResult, error) {
 			break
 		}
 	}
-	res := QueryResult{Total: -1}
+	res := QueryResult{Total: -1, versions: len(q.Attrs) == 0}
 	if q.Count {
 		res.Total = len(matched)
 	}
@@ -438,36 +474,35 @@ func matchConditions(e *Entity, conds []Condition) bool {
 type run struct{ lo, hi int }
 
 // mergePage cuts the Offset/Limit page, in id order (descending when desc),
-// out of the shards' id-ordered runs: a k-way merge that picks the next id
-// among the run heads (tails when descending) and stops at the end of the
-// page, so the matches beyond it are never ordered. Each step costs one id
-// comparison per run. The page is a slice of its own; runs is consumed.
+// out of the shards' id-ordered runs: a k-way merge over a heap of the runs
+// keyed by their next id (head, or tail when descending) that stops at the
+// end of the page, so the matches beyond it are never ordered. Each step
+// costs log₂(runs) id comparisons. The page is a slice of its own; runs is
+// consumed.
 func mergePage(matched []*Entity, runs []run, desc bool, offset, limit int) []*Entity {
 	n := len(matched) - min(offset, len(matched))
 	if limit > 0 && n > limit {
 		n = limit
 	}
 	page := make([]*Entity, 0, n)
+	h := runHeap{matched: matched, runs: runs, desc: desc}
+	for i := len(runs)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
 	for skip := offset; len(page) < n; {
-		best := -1
-		var next *Entity
-		for r, w := range runs {
-			if w.lo == w.hi {
-				continue
-			}
-			e := matched[w.lo]
-			if desc {
-				e = matched[w.hi-1]
-			}
-			if best < 0 || (e.ID < next.ID) != desc {
-				best, next = r, e
-			}
-		}
+		top := &h.runs[0]
+		next := h.next(*top)
 		if desc {
-			runs[best].hi--
+			top.hi--
 		} else {
-			runs[best].lo++
+			top.lo++
 		}
+		if top.lo == top.hi {
+			last := len(h.runs) - 1
+			h.runs[0] = h.runs[last]
+			h.runs = h.runs[:last]
+		}
+		h.down(0)
 		if skip > 0 {
 			skip--
 			continue
@@ -475,6 +510,44 @@ func mergePage(matched []*Entity, runs []run, desc bool, offset, limit int) []*E
 		page = append(page, next)
 	}
 	return page
+}
+
+// runHeap orders non-empty runs by their next entity's id, smallest on
+// top (largest when desc).
+type runHeap struct {
+	matched []*Entity
+	runs    []run
+	desc    bool
+}
+
+// next is the entity run w hands out next.
+func (h *runHeap) next(w run) *Entity {
+	if h.desc {
+		return h.matched[w.hi-1]
+	}
+	return h.matched[w.lo]
+}
+
+func (h *runHeap) before(i, j int) bool {
+	return (h.next(h.runs[i]).ID < h.next(h.runs[j]).ID) != h.desc
+}
+
+// down restores the heap below i after runs[i] changed.
+func (h *runHeap) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h.runs) {
+			return
+		}
+		if c+1 < len(h.runs) && h.before(c+1, c) {
+			c++
+		}
+		if !h.before(c, i) {
+			return
+		}
+		h.runs[i], h.runs[c] = h.runs[c], h.runs[i]
+		i = c
+	}
 }
 
 // SortEntities sorts entities with the same semantics Query applies:

@@ -501,7 +501,7 @@ func (n *httpNotifier) run(l *lane) {
 // {"subscriptionId": id, "data": [entity]}.
 func appendNotificationJSON(dst []byte, subscriptionID string, e *Entity) ([]byte, error) {
 	dst = append(dst, `{"subscriptionId":`...)
-	dst = appendJSONString(dst, subscriptionID)
+	dst = AppendJSONString(dst, subscriptionID)
 	dst = append(dst, `,"data":[`...)
 	dst, err := e.AppendJSON(dst)
 	return append(dst, "]}"...), err
