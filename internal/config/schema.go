@@ -118,7 +118,7 @@ type Cluster struct {
 // through the same layered path. Every knob here is dynamic: admission
 // policy is exactly the kind of thing operators retune under load.
 type Tenant struct {
-	Enabled                bool          `knob:"enabled" flag:"tenant-admission" default:"false" dynamic:"true" usage:"enforce per-tenant admission control at the MQTT, HTTP and fog ingress points"`
+	Enabled                bool          `knob:"enabled" flag:"tenant-admission" default:"false" dynamic:"true" usage:"enforce per-tenant admission control where MQTT publishes and HTTP requests come in"`
 	DefaultMsgsPerSec      int           `knob:"default_msgs_per_sec" flag:"tenant-msgs" default:"1000" min:"0" dynamic:"true" usage:"per-tenant sustained message budget across all ingress points (0 suspends unlisted tenants)"`
 	DefaultBytesPerSec     int64         `knob:"default_bytes_per_sec" flag:"tenant-bytes" default:"1048576" min:"0" dynamic:"true" usage:"per-tenant sustained payload-byte budget (0 leaves bytes unenforced)"`
 	DefaultInflight        int           `knob:"default_inflight" flag:"tenant-inflight" default:"64" min:"0" dynamic:"true" usage:"per-tenant concurrent HTTP request bound (0 = unenforced)"`

@@ -1,187 +1,142 @@
 package core
 
 import (
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"github.com/swamp-project/swamp/internal/agent"
 	"github.com/swamp-project/swamp/internal/clock"
-	"github.com/swamp-project/swamp/internal/model"
+	"github.com/swamp-project/swamp/internal/config"
 	"github.com/swamp-project/swamp/internal/tenant"
 )
 
-// TestAdmissionFogUplinkPacedAndRefused: a farm past its burst has each
-// fog uplink charged once and paced before the backhaul trip; past one
-// second of debt the uplink is refused without a charge and the fog node
-// keeps the batch, which its replay later delivers, charged once.
-// Platform.Close cuts a pending pace short and still delivers the charged
-// batch.
-func TestAdmissionFogUplinkPacedAndRefused(t *testing.T) {
-	p := newPlatform(t, PilotIntercrop, ModeFarmFog, false)
+// tenantStatus returns the tenant's admission row (zero if unseen).
+func tenantStatus(adm *tenant.Admission, id tenant.ID) tenant.Status {
+	for _, st := range adm.Tenants() {
+		if st.ID == id {
+			return st
+		}
+	}
+	return tenant.Status{}
+}
+
+// TestAdmissionChargedOnceAtTheDoor: admission charges a device reading
+// once, at the MQTT door it came in by. In both deployment modes, with
+// admission on, N probe publishes that all reach the cloud store leave
+// the tenant's Admitted at exactly N and its BytesIn at exactly their
+// payload bytes: the fog uplink that carries them on is internal
+// traffic.
+func TestAdmissionChargedOnceAtTheDoor(t *testing.T) {
+	for _, mode := range []Mode{ModeFarmFog, ModeCloudOnly} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := config.Default()
+			cfg.Tenant.Enabled = true
+			p, err := New(Options{Pilot: PilotMATOPIBA, Mode: mode, Seed: 7, Config: cfg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(p.Close)
+
+			// Count what the probes publish, as the broker admitted it.
+			var mu sync.Mutex
+			var publishes, bytes, readings int
+			tap := p.Broker.Tap
+			p.Broker.Tap = func(clientID, topic string, payload []byte, at time.Time) {
+				if strings.Contains(clientID, "-probe-") {
+					values, err := agent.DecodeUL(string(payload))
+					mu.Lock()
+					publishes++
+					bytes += len(payload)
+					if err == nil {
+						readings += len(values)
+					}
+					mu.Unlock()
+				}
+				tap(clientID, topic, payload, at)
+			}
+
+			const rounds = 20
+			for i := 0; i < rounds; i++ {
+				if err := p.PumpOnce(t0.Add(time.Duration(i)*time.Hour), 5*time.Second); err != nil {
+					t.Fatal(err)
+				}
+			}
+			n := rounds * len(p.Probes)
+			if !p.WaitPipeline(uint64(n), 5*time.Second) {
+				t.Fatal("the pipeline did not process every publish")
+			}
+			if p.Fog != nil {
+				p.Fog.Flush()
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if publishes != n {
+				t.Fatalf("the broker admitted %d probe publishes, want %d", publishes, n)
+			}
+			if got := p.Metrics().Counter("cloud.ingest.readings").Value(); got != uint64(readings) {
+				t.Fatalf("cloud stored %d readings, want the %d published", got, readings)
+			}
+			st := tenantStatus(p.Admission, tenant.ID(PilotMATOPIBA.Name))
+			if st.Admitted != uint64(n) || st.BytesIn != uint64(bytes) {
+				t.Fatalf("tenant charged %d messages and %d bytes, want %d and %d: each publish once",
+					st.Admitted, st.BytesIn, n, bytes)
+			}
+		})
+	}
+}
+
+// TestAdmissionFogTenantWithinQuotaNeverPaced: on a simulated clock, a
+// farm-fog tenant publishing at 60 % of its msgs_per_sec is never paced.
+// The platform's broker runs its controller on the wall clock, so the
+// test stands in for the MQTT door: each publish is admitted on the
+// simulated controller (its PUBACK goes at once only if the wait is 0),
+// then crosses the whole farm-fog pipeline, whose fog uplink reads the
+// same controller. The debt stays 0 throughout.
+func TestAdmissionFogTenantWithinQuotaNeverPaced(t *testing.T) {
+	p := newPlatform(t, PilotMATOPIBA, ModeFarmFog, false)
 	sim := clock.NewSim(t0)
+	const quota = 10
 	p.Admission = tenant.NewAdmission(tenant.Config{
 		Enabled: true,
-		Limits:  tenant.Limits{Default: tenant.Quota{MsgsPerSec: 10}},
+		Limits:  tenant.Limits{Default: tenant.Quota{MsgsPerSec: quota}},
 		Burst:   time.Second,
 		Clock:   sim,
 	})
-	status := func() tenant.Status {
-		for _, st := range p.Admission.Tenants() {
-			return st
-		}
-		return tenant.Status{}
-	}
-	n := 0
-	batch := func() []model.Reading {
-		n++
-		return []model.Reading{{
-			Device: "fog-probe", Quantity: model.QSoilMoisture, Value: 0.3,
-			At: t0.Add(time.Duration(n) * time.Minute),
-		}}
-	}
-	stored := func() uint64 { return p.Metrics().Counter("cloud.ingest.readings").Value() }
-	checkCharged := func(want uint64) {
-		t.Helper()
-		if st := status(); st.Admitted != want || stored() != want {
-			t.Fatalf("charged %d and stored %d batches, want %d of each", st.Admitted, stored(), want)
-		}
-	}
+	tid := tenant.ID(PilotMATOPIBA.Name)
+	step := time.Second / (quota * 6 / 10) // one publish per step: 60 % of the quota
 
-	// The burst goes at once.
-	for i := 0; i < 10; i++ {
-		if err := p.cloudUplink(batch()); err != nil {
-			t.Fatalf("burst uplink %d: %v", i, err)
-		}
-	}
-	// Past it each uplink is charged and held until the clock refills
-	// the bucket; eleven take the debt past one second.
-	paced := make(chan error, 11)
-	for i := 1; i <= 11; i++ {
-		b := batch()
-		go func() { paced <- p.cloudUplink(b) }()
-		want := float64(i) / 10
-		for deadline := time.Now().Add(2 * time.Second); status().DebtSec < want-1e-9; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("paced uplink %d never charged", i)
-			}
-		}
-	}
-	if st := status(); st.Admitted != 21 || stored() != 10 {
-		t.Fatalf("charged %d and stored %d batches, want 21 charged and the 10 unpaced stored", st.Admitted, stored())
-	}
-
-	// Refused: the fog node's trip fails without a charge and the batch
-	// stays queued.
-	debt := status().DebtSec
-	if err := p.Fog.Ingest(batch()); err != nil {
-		t.Fatal(err)
-	}
-	if sent := p.Fog.Flush(); sent != 0 {
-		t.Fatalf("fog flushed %d batches past one second of debt", sent)
-	}
-	if st := status(); st.DebtSec != debt || st.Admitted != 21 {
-		t.Fatalf("refused uplink charged: debt %v → %v, admitted %d", debt, st.DebtSec, st.Admitted)
-	}
-
-	sim.Advance(2 * time.Second)
-	for i := 0; i < 11; i++ {
-		if err := <-paced; err != nil {
-			t.Fatalf("paced uplink: %v", err)
-		}
-	}
-	// The replay (the drain goroutine's, woken by the ingest, or this
-	// Flush) delivers the kept batch, charged once.
-	p.Fog.Flush()
-	checkCharged(22)
-
-	// Drain the refilled bucket, then hold a fog trip in its pace and
-	// close the platform: Close must not wait for the clock.
-	for i := 0; i < 8; i++ {
-		if err := p.cloudUplink(batch()); err != nil {
+	const publishes = 6 * quota // six seconds of simulated time
+	for i := 0; i < publishes; i++ {
+		sim.Advance(step)
+		u := p.Probes[i%len(p.Probes)]
+		readings, err := u.Probe.Sample(t0.Add(time.Duration(i) * time.Minute))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := p.Fog.Ingest(batch()); err != nil {
-		t.Fatal(err)
-	}
-	for deadline := time.Now().Add(2 * time.Second); status().DebtSec <= 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the fog trip was never paced")
+		if d := p.Admission.Admit(tid, 0); !d.Allowed() || d.Wait != 0 {
+			t.Fatalf("publish %d at 60 %% of the quota: %+v, want its PUBACK at once", i, d)
 		}
-	}
-	closed := make(chan struct{})
-	go func() {
-		p.Close()
-		close(closed)
-	}()
-	select {
-	case <-closed:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Platform.Close waited out a paced fog uplink")
-	}
-	checkCharged(31)
-}
-
-// TestAdmissionFogUplinkChargedOnlyWhenItCrosses: while the backhaul is
-// partitioned every fog trip is refused before admission, so the farm's
-// usage and debt stay where they were however often the fog node tries;
-// once healed, the queued batches cross and each is charged exactly once.
-func TestAdmissionFogUplinkChargedOnlyWhenItCrosses(t *testing.T) {
-	p := newPlatform(t, PilotIntercrop, ModeFarmFog, false)
-	p.Admission = tenant.NewAdmission(tenant.Config{
-		Enabled: true,
-		Limits:  tenant.Limits{Default: tenant.Quota{MsgsPerSec: 10}},
-		Burst:   time.Second,
-		Clock:   clock.NewSim(t0),
-	})
-	status := func() tenant.Status {
-		for _, st := range p.Admission.Tenants() {
-			return st
-		}
-		return tenant.Status{}
-	}
-	stored := func() uint64 { return p.Metrics().Counter("cloud.ingest.readings").Value() }
-	// One charged trip first, so the tenant has a usage row to compare.
-	reading := func(i int) []model.Reading {
-		return []model.Reading{{
-			Device: "fog-probe", Quantity: model.QSoilMoisture, Value: 0.3,
-			At: t0.Add(time.Duration(i) * time.Minute),
-		}}
-	}
-	if err := p.cloudUplink(reading(0)); err != nil {
-		t.Fatal(err)
-	}
-	before := status()
-	trips, _ := p.Backhaul.Trips()
-
-	p.Backhaul.SetPartitioned(true)
-	const rounds = 5
-	for i := 1; i <= rounds; i++ {
-		if err := p.Fog.Ingest(reading(i)); err != nil {
+		if err := u.Send(readings); err != nil {
 			t.Fatal(err)
 		}
-		if sent := p.Fog.Flush(); sent != 0 {
-			t.Fatalf("round %d: %d batches crossed a partitioned backhaul", i, sent)
+		if !p.WaitPipeline(uint64(i+1), 5*time.Second) {
+			t.Fatalf("publish %d never reached the fog node", i)
 		}
-	}
-	if st := status(); st.Admitted != before.Admitted || st.BytesIn != before.BytesIn || st.DebtSec != before.DebtSec {
-		t.Fatalf("partitioned trips charged: admitted %d → %d, bytes %d → %d, debt %v → %v",
-			before.Admitted, st.Admitted, before.BytesIn, st.BytesIn, before.DebtSec, st.DebtSec)
-	}
-	if now, _ := p.Backhaul.Trips(); now != trips {
-		t.Fatalf("partitioned trips counted as made: %d → %d", trips, now)
-	}
-
-	p.Backhaul.SetPartitioned(false)
-	p.Fog.Flush()
-	if stored() != 1+rounds {
-		t.Fatalf("stored %d readings after healing, want %d", stored(), 1+rounds)
-	}
-	now, _ := p.Backhaul.Trips()
-	st := status()
-	if st.Admitted-before.Admitted != now-trips {
-		t.Errorf("%d trips crossed after healing, %d charged", now-trips, st.Admitted-before.Admitted)
-	}
-	if got, want := st.BytesIn-before.BytesIn, uint64(rounds*approxReadingBytes); got != want {
-		t.Errorf("healed replay charged %d bytes, want %d: each batch once", got, want)
+		flushed := make(chan struct{})
+		go func() {
+			p.Fog.Flush()
+			close(flushed)
+		}()
+		select {
+		case <-flushed:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("publish %d: the fog uplink was held (paced) on the simulated clock", i)
+		}
+		if st := tenantStatus(p.Admission, tid); st.DebtSec != 0 || st.Admitted != uint64(i+1) {
+			t.Fatalf("publish %d: debt %v, admitted %d; want no debt, each publish charged once",
+				i, st.DebtSec, st.Admitted)
+		}
 	}
 }

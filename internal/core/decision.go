@@ -35,7 +35,9 @@ type DecisionEngine struct {
 	tawMM float64
 	rawMM float64
 
-	// canalCapacityM3 bounds daily supply for canal pilots; 0 = unlimited.
+	// areaHa is the field's area; canalCapacityM3 bounds daily supply
+	// over it for canal pilots (0 = unlimited).
+	areaHa          float64
 	canalCapacityM3 float64
 }
 
@@ -46,6 +48,7 @@ func NewDecisionEngine(pilot Pilot, grid model.FieldGrid, probeCells map[model.D
 		cfg:       irrigation.PlannerConfig{TriggerFrac: 0.9, RefillFrac: 0.1, MaxDepthMM: 20},
 		probeCell: probeCells,
 		tawMM:     pilot.Soil.TAWmm(pilot.Crop.RootDepthM),
+		areaHa:    grid.AreaHa(),
 	}
 	e.rawMM = pilot.Crop.DepletionFraction * e.tawMM
 	if pilot.Irrigation == IrrigationVRIPivot {
@@ -61,8 +64,7 @@ func NewDecisionEngine(pilot Pilot, grid model.FieldGrid, probeCells map[model.D
 	}
 	if pilot.Irrigation == IrrigationCanal {
 		// District allotment: enough for ~6 mm/day over the field.
-		areaHa := float64(pilot.GridRows*pilot.GridCols) * pilot.CellSizeM * pilot.CellSizeM / 10_000
-		e.canalCapacityM3 = irrigation.VolumeM3(6, areaHa)
+		e.canalCapacityM3 = irrigation.VolumeM3(6, e.areaHa)
 	}
 	return e, nil
 }
@@ -139,16 +141,16 @@ func (e *DecisionEngine) decideVRI(latest map[string]model.Reading, at time.Time
 		if counts[s] > 0 {
 			dep = sums[s] / float64(counts[s])
 		}
-		trigger := e.cfg.TriggerFrac
+		cfg := e.cfg
 		// Mobile-fog input: a sector the drone saw stress in irrigates
 		// earlier — NDVI covers every cell, probes only a sample.
 		if s < len(e.ndviStress) && e.ndviStress[s] > 0 {
-			trigger *= 0.8
+			cfg.TriggerFrac *= 0.8
 		}
-		if dep <= trigger*e.rawMM {
+		depth := cfg.Depth(dep, e.rawMM)
+		if depth <= 0 {
 			continue
 		}
-		depth := math.Min(dep-e.cfg.RefillFrac*e.rawMM, e.cfg.MaxDepthMM)
 		cmds = append(cmds, model.Command{
 			Target: model.DeviceID(fmt.Sprintf("%s-pivot-s%02d", e.pilot.Name, s)),
 			Name:   "setRate", Value: depth, Issuer: "svc-irrigation", At: at,
@@ -172,12 +174,10 @@ func (e *DecisionEngine) decideZone(latest map[string]model.Reading, at time.Tim
 	if n == 0 {
 		return nil
 	}
-	dep := sum / float64(n)
-	if dep <= e.cfg.TriggerFrac*e.rawMM {
+	depth := e.cfg.Depth(sum/float64(n), e.rawMM)
+	if depth <= 0 {
 		return nil
 	}
-	depth := math.Min(dep-e.cfg.RefillFrac*e.rawMM, e.cfg.MaxDepthMM)
-
 	if e.pilot.Irrigation == IrrigationDeficitDrip {
 		depth *= e.stageSupply()
 		if depth <= 0 {
@@ -185,10 +185,9 @@ func (e *DecisionEngine) decideZone(latest map[string]model.Reading, at time.Tim
 		}
 	}
 	if e.pilot.Irrigation == IrrigationCanal && e.canalCapacityM3 > 0 {
-		areaHa := e.fieldAreaHa()
-		vol := irrigation.VolumeM3(depth, areaHa)
+		vol := irrigation.VolumeM3(depth, e.areaHa)
 		if vol > e.canalCapacityM3 {
-			depth = e.canalCapacityM3 / (areaHa * 10)
+			depth = e.canalCapacityM3 / (e.areaHa * 10)
 		}
 	}
 	return []model.Command{{
@@ -200,19 +199,7 @@ func (e *DecisionEngine) decideZone(latest map[string]model.Reading, at time.Tim
 // stageSupply is the Guaspari RDI supply fraction per crop stage: full in
 // establishment, deficit from mid-season on.
 func (e *DecisionEngine) stageSupply() float64 {
-	fractions := [4]float64{1.0, 1.0, 0.6, 0.8}
-	d := e.seasonDay
-	for i := 0; i < 4; i++ {
-		if d < e.pilot.Crop.StageDays[i] {
-			return fractions[i]
-		}
-		d -= e.pilot.Crop.StageDays[i]
-	}
-	return fractions[3]
-}
-
-func (e *DecisionEngine) fieldAreaHa() float64 {
-	return float64(e.pilot.GridRows*e.pilot.GridCols) * e.pilot.CellSizeM * e.pilot.CellSizeM / 10_000
+	return [4]float64{1.0, 1.0, 0.6, 0.8}[irrigation.StageOf(e.pilot.Crop, e.seasonDay)]
 }
 
 // PrescriptionFromCommands converts a decision cycle's commands into the

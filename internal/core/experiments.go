@@ -172,7 +172,7 @@ func ExpVRIvsUniform(variability float64, seed int64) ([]StrategyRow, error) {
 		if err != nil {
 			return StrategyRow{}, err
 		}
-		gen, err := newPilotWeather(pilot, seed+1)
+		gen, err := newWeatherGen(pilot, seed+1)
 		if err != nil {
 			return StrategyRow{}, err
 		}
@@ -220,11 +220,6 @@ func ExpVRIvsUniform(variability float64, seed int64) ([]StrategyRow, error) {
 		return nil, err
 	}
 	return []StrategyRow{rowV, rowU}, nil
-}
-
-// newPilotWeather builds the pilot's weather generator (shared helper).
-func newPilotWeather(p Pilot, seed int64) (weatherGen, error) {
-	return newWeatherGen(p, seed)
 }
 
 // CanalRow is one EXP-P2 line.

@@ -84,20 +84,10 @@ var ErrPartitioned = errors.New("core: backhaul partitioned")
 
 // Do executes one round trip: it fails during partitions and otherwise
 // charges 2× latency before invoking f.
-func (b *Backhaul) Do(f func() error) error { return b.DoGated(nil, f) }
-
-// DoGated is Do with a gate in front of the trip: gate runs only once the
-// backhaul is up, and an error from it refuses the trip, which is then
-// neither made nor counted.
-func (b *Backhaul) DoGated(gate, f func() error) error {
+func (b *Backhaul) Do(f func() error) error {
 	if b.partitioned.Load() {
 		b.failures.Add(1)
 		return ErrPartitioned
-	}
-	if gate != nil {
-		if err := gate(); err != nil {
-			return err
-		}
 	}
 	if b.latency > 0 {
 		time.Sleep(2 * b.latency)
@@ -166,9 +156,9 @@ type Platform struct {
 	KeyRing *secchan.KeyRing
 	Anomaly *anomaly.Engine
 
-	// Admission is the per-tenant admission controller shared by every
-	// ingress (MQTT publish, HTTP API, fog sync, webhook egress). Always
-	// constructed; enforcement is gated on the tenant.enabled knob.
+	// Admission is the per-tenant admission controller the two doors share
+	// (MQTT publish, HTTP API). Always constructed; enforcement is gated
+	// on the tenant.enabled knob.
 	Admission *tenant.Admission
 
 	// Cloud plane.
@@ -201,7 +191,6 @@ type Platform struct {
 	reg       *metrics.Registry
 	cleanups  []func()
 	closed    bool
-	closing   chan struct{} // closed first thing in Close: cuts pacing short
 	mu        sync.Mutex
 	droneUnit *drone.Drone
 
@@ -238,7 +227,7 @@ func New(opts Options) (*Platform, error) {
 	}
 	cfg := opts.Config
 	p := &Platform{
-		Opts: opts, reg: opts.Metrics, closing: make(chan struct{}),
+		Opts: opts, reg: opts.Metrics,
 		notifyProcessed: opts.Metrics.Counter("platform.notify.processed"),
 	}
 
@@ -642,31 +631,13 @@ func (p *Platform) onContextNotification(n ngsi.Notification) {
 	}
 }
 
-// approxReadingBytes is the admission byte charge per fog-synced reading
-// (the rough wire footprint of one encoded sample).
-const approxReadingBytes = 24
-
 // cloudUplink is the fog node's northbound path: a backhaul round trip
-// into the cloud ingestor.
-//
-// Admission here is pure backpressure, charged only for a trip that
-// crosses: it runs once the backhaul is known to be up, so a partitioned
-// trip costs nothing. A refusal (uncharged, no trip counted) surfaces as
-// an error, which the fog node treats exactly like a partition: the batch
-// stays in its store-and-forward queue and replays later. A tenant in
-// debt is charged once and paced before the trip; Close cuts the pace
-// short, and the charged batch still goes.
+// into the cloud ingestor. It is internal traffic: the readings were
+// admitted (and charged) at the door they came in by, so the uplink is
+// neither charged nor paced again. A trip that fails (a partition) leaves
+// the batch in the fog node's store-and-forward queue for replay.
 func (p *Platform) cloudUplink(batch []model.Reading) error {
-	tid := tenant.ID(p.Opts.Pilot.Name)
-	admit := func() error {
-		d := p.Admission.Admit(tid, int64(len(batch))*approxReadingBytes)
-		if !d.Allowed() {
-			return fmt.Errorf("core: fog uplink throttled for tenant %s (retry in %v)", tid, d.Wait)
-		}
-		p.Admission.Pace(d, p.closing)
-		return nil
-	}
-	return p.Backhaul.DoGated(admit, func() error {
+	return p.Backhaul.Do(func() error {
 		return p.Ingestor.IngestReadings(batch)
 	})
 }
@@ -792,7 +763,6 @@ func (p *Platform) Close() {
 		return
 	}
 	p.closed = true
-	close(p.closing)
 	cleanups := p.cleanups
 	p.cleanups = nil
 	p.mu.Unlock()

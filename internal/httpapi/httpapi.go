@@ -389,9 +389,6 @@ func (s *Server) authorize(w http.ResponseWriter, r *http.Request, action, resou
 		if d.Wait > 0 && !s.cfg.Admission.Pace(d, r.Context().Done()) {
 			return identity.Principal{}, false
 		}
-		// Thread the tenant through the request context so downstream
-		// layers can attribute work without re-deriving the principal.
-		*r = *r.WithContext(tenant.WithID(r.Context(), prin.Tenant()))
 	}
 	return prin, true
 }

@@ -1,7 +1,6 @@
 package irrigation
 
 import (
-	"fmt"
 	"math"
 
 	"github.com/swamp-project/swamp/internal/soil"
@@ -22,38 +21,12 @@ func NewDripScheduler(cfg PlannerConfig) *DripScheduler {
 
 // Plan returns today's application depth (mm) for one zone.
 func (d *DripScheduler) Plan(b *soil.Balance) float64 {
-	raw := b.RAW()
-	dep := b.Depletion()
-	if dep <= d.Config.TriggerFrac*raw {
-		return 0
-	}
-	return math.Min(dep-d.Config.RefillFrac*raw, d.Config.MaxDepthMM)
+	return d.Config.Depth(b.Depletion(), b.RAW())
 }
 
-// DeficitScheduler implements regulated deficit irrigation (RDI) — the
-// Guaspari strategy: during selected crop stages, deliberately supply only
-// a fraction of the full refill so the vines experience controlled stress,
-// which concentrates berry flavour (higher quality index) while saving
-// water.
-type DeficitScheduler struct {
-	Inner *DripScheduler
-	// StageSupplyFrac scales the full-refill depth per FAO crop stage
-	// (initial, development, mid, late). 1 = full supply.
-	StageSupplyFrac [4]float64
-}
-
-// NewDeficitScheduler validates and builds an RDI scheduler.
-func NewDeficitScheduler(cfg PlannerConfig, stageSupply [4]float64) (*DeficitScheduler, error) {
-	for i, f := range stageSupply {
-		if f < 0 || f > 1 {
-			return nil, fmt.Errorf("irrigation: stage %d supply fraction %g outside [0,1]", i, f)
-		}
-	}
-	return &DeficitScheduler{Inner: NewDripScheduler(cfg), StageSupplyFrac: stageSupply}, nil
-}
-
-// stageOf returns the FAO stage index for a season day.
-func stageOf(crop soil.Crop, day int) int {
+// StageOf returns the FAO crop stage (0 initial, 1 development, 2 mid,
+// 3 late) a season day falls in; days past the season count as late.
+func StageOf(crop soil.Crop, day int) int {
 	d := day
 	for i := 0; i < 4; i++ {
 		if d < crop.StageDays[i] {
@@ -62,15 +35,6 @@ func stageOf(crop soil.Crop, day int) int {
 		d -= crop.StageDays[i]
 	}
 	return 3
-}
-
-// Plan returns today's (possibly deficit) application depth for the zone.
-func (r *DeficitScheduler) Plan(b *soil.Balance) float64 {
-	full := r.Inner.Plan(b)
-	if full == 0 {
-		return 0
-	}
-	return full * r.StageSupplyFrac[stageOf(b.Crop(), b.Day())]
 }
 
 // WineQualityIndex scores a finished Guaspari season: moderate stress in

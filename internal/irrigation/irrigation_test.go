@@ -245,31 +245,12 @@ func TestDripScheduler(t *testing.T) {
 	}
 }
 
-func TestDeficitScheduler(t *testing.T) {
-	if _, err := NewDeficitScheduler(PlannerConfig{}, [4]float64{1, 1, 2, 1}); err == nil {
-		t.Error("supply fraction >1 accepted")
-	}
-	rdi, err := NewDeficitScheduler(PlannerConfig{}, [4]float64{1, 1, 0.5, 0.8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := NewDripScheduler(PlannerConfig{})
-
-	// Put a vine zone into mid-season and deplete it.
-	bRDI, _ := soil.NewBalance(soil.CropWineGrape, soil.ProfileClayLoam, 0)
-	for bRDI.Day() < 90 { // into mid-season
-		bRDI.Step(5, 0, 8)
-	}
-	for i := 0; i < 30; i++ {
-		bRDI.Step(5, 0, 0)
-	}
-	fullDepth := full.Plan(bRDI)
-	rdiDepth := rdi.Plan(bRDI)
-	if fullDepth <= 0 {
-		t.Fatal("zone should need water")
-	}
-	if math.Abs(rdiDepth-0.5*fullDepth) > 1e-9 {
-		t.Errorf("mid-season RDI depth %g, want half of %g", rdiDepth, fullDepth)
+func TestStageOf(t *testing.T) {
+	crop := soil.CropWineGrape // stages of 30, 50, 60 and 40 days
+	for day, want := range map[int]int{0: 0, 29: 0, 30: 1, 79: 1, 80: 2, 139: 2, 140: 3, 179: 3, 500: 3} {
+		if got := StageOf(crop, day); got != want {
+			t.Errorf("StageOf(day %d) = %d, want %d", day, got, want)
+		}
 	}
 }
 

@@ -1,9 +1,10 @@
 // Package irrigation implements the actuation side of SWAMP: center-pivot
 // geometry with Variable Rate Irrigation (the MATOPIBA pilot's headline
-// mechanism), a uniform-rate baseline for comparison, threshold and
-// regulated-deficit drip scheduling (Intercrop, Guaspari), the pump energy
-// model behind the pilot's energy-saving goal, and the valve/actuator state
-// bank that southbound commands act on.
+// mechanism), a uniform-rate baseline for comparison, the one
+// threshold-refill rule all of them and the drip pilots (Intercrop,
+// Guaspari) share, the FAO stage walk regulated-deficit irrigation keys its
+// supply on, the pump energy model behind the pilot's energy-saving goal,
+// and the valve/actuator state bank that southbound commands act on.
 package irrigation
 
 import (
@@ -156,6 +157,17 @@ func (c *PlannerConfig) defaults() {
 	}
 }
 
+// Depth is the threshold-refill rule every planner applies to a zone's
+// root-zone depletion and readily available water (both mm): 0 while
+// depletion is at most TriggerFrac × raw, else the depth that brings it
+// back to RefillFrac × raw, capped at MaxDepthMM.
+func (c PlannerConfig) Depth(depletion, raw float64) float64 {
+	if depletion <= c.TriggerFrac*raw {
+		return 0
+	}
+	return math.Min(depletion-c.RefillFrac*raw, c.MaxDepthMM)
+}
+
 // VRIPlanner decides a per-sector prescription from the field's current
 // depletion state: each sector is triggered and sized independently.
 type VRIPlanner struct {
@@ -184,10 +196,7 @@ func (v *VRIPlanner) Plan(field *soil.Field) Prescription {
 		}
 		dep /= float64(len(cells))
 		raw /= float64(len(cells))
-		if dep > v.Config.TriggerFrac*raw {
-			depth := dep - v.Config.RefillFrac*raw
-			p[s] = math.Min(depth, v.Config.MaxDepthMM)
-		}
+		p[s] = v.Config.Depth(dep, raw)
 	}
 	return p
 }
@@ -232,10 +241,10 @@ func (u *UniformPlanner) Plan(field *soil.Field) Prescription {
 			worstDep, worstRAW = dep, raw
 		}
 	}
-	if worstRatio < 0 || worstDep <= u.Config.TriggerFrac*worstRAW {
+	if worstRatio < 0 {
 		return p
 	}
-	depth := math.Min(worstDep-u.Config.RefillFrac*worstRAW, u.Config.MaxDepthMM)
+	depth := u.Config.Depth(worstDep, worstRAW)
 	for s := range p {
 		p[s] = depth
 	}

@@ -146,11 +146,12 @@ func (p *rawPeer) publishQoS1(topic string, id uint16, payload string) error {
 // whole ladder on a simulated clock, next to a polite tenant on the same
 // broker: its burst is acked at once; past it each publish holds its
 // session's reader — charged, neither acked nor routed — until the clock
-// has refilled the bucket; past one second of debt a publish is refused
-// without PUBACK and uncharged; a sustained reject streak ends the
-// session, and a reconnect while still in debt is refused with CONNACK
-// 0x97. Once the clock moves, every paused publish is acked and routed.
-// The polite tenant's every publish is acked and delivered throughout.
+// has refilled the bucket; past one second of debt every publish is
+// refused without PUBACK and uncharged, however long the abuser keeps
+// on, and a reconnect while still in debt is refused with CONNACK 0x97.
+// Once the clock moves, every paused publish is acked and routed. The
+// polite tenant's every publish is acked and delivered throughout. A
+// tenant suspended by a reload loses its session at its first publish.
 func TestAdmissionLadderEnforcedByBroker(t *testing.T) {
 	ab := newAdmissionBroker(t, tenant.Quota{MsgsPerSec: 10})
 	routed := ab.collector()
@@ -187,39 +188,26 @@ func TestAdmissionLadderEnforcedByBroker(t *testing.T) {
 		}
 	}
 
-	// Reject, then disconnect: every further publish is refused without
-	// a PUBACK and leaves the debt where it was, until the reject streak
-	// ends the session.
+	// Reject: every further publish is refused without a PUBACK and
+	// leaves the debt where it was; the session stays up.
 	debt := ab.debt("abuser")
-	withheld, closed := 0, false
-	for id := uint16(11); id < 200 && !closed; id++ {
-		switch abuser.publish("t/abuser", id) {
-		case pubAcked:
-			t.Fatalf("publish %d acked past one second of debt", id)
-		case pubWithheld:
-			withheld++
-		case pubClosed:
-			closed = true
+	const refused = 40 // the polite tenant stays inside its burst meanwhile
+	for id := uint16(11); id < 11+refused; id++ {
+		if got := abuser.publish("t/abuser", id); got != pubWithheld {
+			t.Fatalf("publish %d past one second of debt: outcome %d, want withheld", id, got)
 		}
 		if id%16 == 0 {
 			politePublish()
 		}
 	}
-	if !closed {
-		t.Fatal("the abuser was never disconnected")
-	}
 	if got := ab.debt("abuser"); got != debt {
 		t.Fatalf("refused publishes were charged: debt %v → %v", debt, got)
 	}
-	throttled := counter(ab.Broker, "mqtt.publish.throttled")
-	disconnects := counter(ab.Broker, "mqtt.quota.disconnects")
-	if disconnects != 1 {
-		t.Fatalf("mqtt.quota.disconnects = %d, want 1", disconnects)
+	if got := counter(ab.Broker, "mqtt.publish.throttled"); got != refused {
+		t.Fatalf("mqtt.publish.throttled = %d, want %d", got, refused)
 	}
-	// The disconnecting publish counts as throttled too; every other
-	// throttled publish went without its PUBACK.
-	if withheld == 0 || int64(withheld) != throttled-disconnects {
-		t.Fatalf("withheld PUBACKs = %d, throttled = %d, disconnects = %d", withheld, throttled, disconnects)
+	if got := counter(ab.Broker, "mqtt.quota.disconnects"); got != 0 {
+		t.Fatalf("mqtt.quota.disconnects = %d, want 0", got)
 	}
 	// Reconnecting while still in debt is refused at the door.
 	if _, code := ab.dialCode("abuser-2", "abuser"); code != ConnRefusedQuota {
@@ -255,6 +243,23 @@ func TestAdmissionLadderEnforcedByBroker(t *testing.T) {
 			t.Fatalf("polite tenant degraded: %+v", st)
 		}
 	}
+
+	// Suspending the abuser (msgs_per_sec = 0) drops its session at its
+	// first publish, and refuses its CONNECT.
+	ab.adm.SetLimits(tenant.Limits{
+		Default:   tenant.Quota{MsgsPerSec: 10},
+		Overrides: map[tenant.ID]tenant.Quota{"abuser": {MsgsPerSec: 0}},
+	})
+	if got := abuser.publish("t/abuser", 1000); got != pubClosed {
+		t.Fatalf("suspended tenant's publish: outcome %d, want the session closed", got)
+	}
+	if got := counter(ab.Broker, "mqtt.quota.disconnects"); got != 1 {
+		t.Fatalf("mqtt.quota.disconnects = %d, want 1", got)
+	}
+	if _, code := ab.dialCode("abuser-4", "abuser"); code != ConnRefusedQuota {
+		t.Fatalf("suspended tenant's CONNECT answered 0x%02x, want 0x%02x", code, ConnRefusedQuota)
+	}
+	politePublish()
 }
 
 // TestAdmissionNoAckThenShed: an abuser offering QoS 1 at ten times its
@@ -348,8 +353,9 @@ func TestAdmissionNoAckThenShed(t *testing.T) {
 	if counter(ab.Broker, "mqtt.publish.throttled") == 0 {
 		t.Fatal("an abuser at 10× its quota was never refused")
 	}
-	t.Logf("offered %d, acked and routed %d, throttled %d, disconnects %d", offered, n,
-		counter(ab.Broker, "mqtt.publish.throttled"), counter(ab.Broker, "mqtt.quota.disconnects"))
+	if got := counter(ab.Broker, "mqtt.quota.disconnects"); got != 0 {
+		t.Fatalf("mqtt.quota.disconnects = %d, want 0: a tenant in debt is refused, never dropped", got)
+	}
 	for _, p := range peers {
 		p.conn.Close()
 	}

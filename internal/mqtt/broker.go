@@ -590,7 +590,7 @@ func (b *Broker) handlePacket(s *session, pkt *Packet) (stop bool) {
 }
 
 // handlePublish processes one inbound PUBLISH; it reports whether the
-// session should end (the disconnect rung of the tenant shed ladder).
+// session should end (its tenant is suspended, or the broker closed).
 func (b *Broker) handlePublish(s *session, pkt *Packet) (stop bool) {
 	if err := ValidateTopicName(pkt.Topic); err != nil {
 		b.cfg.Logf("mqtt broker: %s: %v", s.id, err)
@@ -619,16 +619,16 @@ func (b *Broker) handlePublish(s *session, pkt *Packet) (stop bool) {
 		b.cPubThrottled.Inc()
 		return false
 	case tenant.ActDisconnected:
-		// Last rung: the tenant kept hammering through a full reject
-		// window, so the session itself goes. The log line is sampled to
-		// one per second — a reconnect-hammering tenant must not be able
-		// to spam the operator log; mqtt.quota.disconnects counts every
+		// The tenant is suspended (msgs_per_sec = 0), so the session
+		// goes at its first publish. The log line is sampled to one per
+		// second — a reconnect-hammering tenant must not be able to spam
+		// the operator log; mqtt.quota.disconnects counts every
 		// occurrence.
 		b.cPubThrottled.Inc()
 		b.cQuotaDisc.Inc()
 		if now := b.clk.Now().UnixNano(); now-b.lastQuotaLog.Load() > int64(time.Second) {
 			b.lastQuotaLog.Store(now)
-			b.cfg.Logf("mqtt broker: %s (tenant %s): disconnected for sustained quota overrun", s.id, s.tenant)
+			b.cfg.Logf("mqtt broker: %s (tenant %s): disconnected, tenant suspended", s.id, s.tenant)
 		}
 		return true
 	}

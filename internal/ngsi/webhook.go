@@ -88,8 +88,8 @@ type WebhookConfig struct {
 	// Admission is the shared per-tenant admission controller. Subscribe,
 	// Restore and Unsubscribe hold each owned subscription's slot in it.
 	// While it is enabled, owned subscriptions' lanes cap their queue at
-	// the tenant's webhook share and delay deliveries while the tenant
-	// is in debt (WebhookDelay). nil changes nothing.
+	// the tenant's webhook share; deliveries are never paced, since what
+	// they carry was admitted at its door. nil changes nothing.
 	Admission *tenant.Admission
 }
 
@@ -524,11 +524,8 @@ func (n *httpNotifier) deliver(l *lane) bool {
 	n.add(l, l.head)
 	l.head = Notification{}
 	// The batch takes what is queued, up to a quarter of QueueLen, so the lanes
-	// put at most one QueueLen on the wire. While the tenant's webhooks are
-	// delayed it takes one, postponed (the first wait below) on this lane and
-	// before a pool slot is held, so no other tenant waits.
-	d := cfg.Admission.WebhookDelay(n.owner)
-	for more := d <= 0; more && len(l.items) < cap(l.queue)/webhookLanes; {
+	// put at most one QueueLen on the wire.
+	for more := true; more && len(l.items) < cap(l.queue)/webhookLanes; {
 		select {
 		case note := <-l.queue:
 			same := func(it laneItem) bool { return it.id == note.Entity.ID }
@@ -541,7 +538,7 @@ func (n *httpNotifier) deliver(l *lane) bool {
 			more = false
 		}
 	}
-	for wait, backoff := d, cfg.RetryBackoff; len(l.items) > 0; {
+	for wait, backoff := time.Duration(0), cfg.RetryBackoff; len(l.items) > 0; {
 		if wait > 0 {
 			select {
 			case <-n.stop:

@@ -14,22 +14,16 @@ import (
 
 // The shed ladder, in seconds of accumulated quota debt (DESIGN.md
 // §11.2): debt is the tenant's overdraft. A tenant within budget pays
-// nothing; a tenant in debt is paced, then refused, then disconnected.
+// nothing; a tenant in debt is paced, then refused.
 const (
 	// delayDebtSec is the pacing window: up to this much debt a message
 	// is charged and admitted, and its ingress waits until the bucket is
 	// back at zero (never longer than this); past it ingress is refused
 	// (HTTP 429 + Retry-After, MQTT withheld PUBACK), uncharged.
 	delayDebtSec = 1.0
-	// webhookDelayDebtSec: past this debt the tenant's webhook
-	// deliveries are deferred (WebhookDelay).
-	webhookDelayDebtSec = 0.5
 	// rejectCapSec caps accumulated debt, bounding the post-abuse
 	// recovery time.
 	rejectCapSec = 3.0
-
-	// maxWebhookDelay bounds the webhook deferral.
-	maxWebhookDelay = time.Second
 )
 
 // Ledger bounds: per-tenant states are created on first sight, so an
@@ -62,9 +56,9 @@ const (
 	// Retry-After, MQTT withholds the ack so QoS 1 clients back off and
 	// retry.
 	ActRejected
-	// ActDisconnected is the MQTT last resort: the tenant kept hammering
-	// through a sustained reject streak and its session should be
-	// dropped (CONNACK 0x97 on reconnect while pressure persists).
+	// ActDisconnected refuses the message of a suspended tenant
+	// (msgs_per_sec = 0), uncharged: its MQTT session is dropped, and
+	// CONNECT is refused with 0x97 while the suspension lasts.
 	ActDisconnected
 )
 
@@ -121,15 +115,17 @@ type Config struct {
 	MaxTenants int
 }
 
-// Admission is the per-tenant admission controller shared by the three
-// ingress points (MQTT publish, HTTP API, fog sync). All methods are safe
-// for concurrent use, and all are nil-safe: a nil *Admission admits
+// Admission is the per-tenant admission controller. It acts once per
+// message, at the two doors that authenticate a tenant: the MQTT
+// session reader and the HTTP API's authorize. What those doors admitted
+// travels on uncharged (the fog uplink, webhook egress). All methods are
+// safe for concurrent use, and all are nil-safe: a nil *Admission admits
 // everything, so wiring stays unconditional and the controller is the
 // single on/off switch.
 //
 // Isolation invariant: a tenant that stays within its quota is never
-// paced, delayed, rejected or disconnected — regardless of what any
-// other tenant does. Each tenant draws on its own budget only.
+// paced, rejected or disconnected — regardless of what any other tenant
+// does. Each tenant draws on its own budget only.
 type Admission struct {
 	clk     clock.Clock
 	enabled atomic.Bool
@@ -160,9 +156,6 @@ type state struct {
 	msgTokens  float64
 	byteTokens float64
 	last       time.Time
-	// rejectStreak counts consecutive rejected messages; crossing
-	// disconnectStreak(quota) escalates to ActDisconnected.
-	rejectStreak int
 
 	inflight atomic.Int64
 	subs     atomic.Int64
@@ -390,10 +383,6 @@ func (st *state) debtSecLocked() float64 {
 	return max(d, 0)
 }
 
-// disconnectStreak is the sustained-reject threshold past which an MQTT
-// tenant is disconnected: about a second of hammering at full quota rate.
-func disconnectStreak(q Quota) int { return max(q.MsgsPerSec, 32) }
-
 // Admit charges one message of the given payload size against the tenant
 // and walks the shed ladder. The None tenant (internal platform traffic)
 // is always admitted.
@@ -411,16 +400,17 @@ func (a *Admission) admit(st *state, bytes int64) Decision {
 	// MsgsPerSec 0 suspends the tenant outright (an operator kill
 	// switch); the other dimensions treat 0 as unenforced.
 	if st.quota.MsgsPerSec == 0 {
-		return st.refuseLocked(time.Second)
+		st.disconnects.Add(1)
+		return Decision{Action: ActDisconnected, Wait: time.Second}
 	}
 
 	// Reject rung: debt is already past the pacing window. Refused
 	// messages are not charged — debt is capped so recovery time is
 	// bounded by rejectCapSec.
 	if debt := st.debtSecLocked(); debt > delayDebtSec {
-		return st.refuseLocked(time.Duration(debt * float64(time.Second)))
+		st.throttled.Add(1)
+		return Decision{Action: ActRejected, Wait: time.Duration(debt * float64(time.Second))}
 	}
-	st.rejectStreak = 0
 
 	// Charge the buckets (they may go negative — that is the pace).
 	st.msgTokens--
@@ -432,19 +422,6 @@ func (a *Admission) admit(st *state, bytes int64) Decision {
 	st.bytesIn.Add(uint64(bytes))
 	wait := min(st.debtSecLocked(), delayDebtSec)
 	return Decision{Action: ActAllow, Wait: time.Duration(wait * float64(time.Second))}
-}
-
-// refuseLocked counts one refused message, escalating to
-// ActDisconnected once the reject streak passes disconnectStreak.
-// Callers hold st.mu.
-func (st *state) refuseLocked(retry time.Duration) Decision {
-	st.rejectStreak++
-	if st.rejectStreak > disconnectStreak(st.quota) {
-		st.disconnects.Add(1)
-		return Decision{Action: ActDisconnected, Wait: retry}
-	}
-	st.throttled.Add(1)
-	return Decision{Action: ActRejected, Wait: retry}
 }
 
 // Pace waits out an admitted message's Wait on the controller's clock.
@@ -483,8 +460,7 @@ func (a *Admission) ChargeBytes(id ID, n int64) {
 
 // AdmitConnect gates an MQTT CONNECT. It charges nothing: it only
 // refuses while the tenant is suspended or already deep enough in debt
-// that every publish would be rejected anyway — refusing at the door
-// beats accepting a session whose first packet disconnects it.
+// that its next publish would be refused anyway.
 func (a *Admission) AdmitConnect(id ID) bool {
 	if !a.Enabled() || id.IsNone() {
 		return true
@@ -594,28 +570,6 @@ func (a *Admission) ReleaseSubscription(id ID) {
 			return
 		}
 	}
-}
-
-// WebhookDelay defers a tenant's outbound notifications: 0 while its
-// debt is at most webhookDelayDebtSec, else a deferral proportional to
-// debt, capped at maxWebhookDelay. The webhook pool adds
-// this to a delivery's schedule the way a retry backoff would be.
-func (a *Admission) WebhookDelay(id ID) time.Duration {
-	if !a.Enabled() || id.IsNone() {
-		return 0
-	}
-	st := a.get(id)
-	a.lockRefilled(st)
-	debt := st.debtSecLocked()
-	st.mu.Unlock()
-	if debt <= webhookDelayDebtSec {
-		return 0
-	}
-	d := time.Duration((debt - webhookDelayDebtSec) * float64(time.Second))
-	if d > maxWebhookDelay {
-		d = maxWebhookDelay
-	}
-	return d
 }
 
 // WebhookQueueCap returns the tenant's share of a webhook queue of the

@@ -13,9 +13,9 @@ import (
 // unenforced. Defaults are applied by the caller (config layer), never
 // implied here.
 type Quota struct {
-	// MsgsPerSec is the sustained message budget across all three
-	// ingress points (MQTT publishes, HTTP mutations/queries counted as
-	// one message each, fog sync readings). 0 suspends the tenant.
+	// MsgsPerSec is the sustained message budget across both doors
+	// (MQTT publishes, HTTP mutations/queries counted as one message
+	// each). 0 suspends the tenant.
 	MsgsPerSec int `json:"msgs_per_sec"`
 	// BytesPerSec is the sustained payload-byte budget (0 = unenforced).
 	BytesPerSec int64 `json:"bytes_per_sec"`

@@ -1,8 +1,8 @@
 // Package tenant is the platform's multi-tenancy plane: one canonical
-// tenant identity (ID) resolved once at each ingress point (OAuth
-// principal, MQTT credentials, fog sync session) and threaded through the
-// request path, plus the admission controller that enforces per-tenant
-// quotas with a graduated load-shedding ladder (DESIGN.md §11).
+// tenant identity (ID) resolved once at each door that authenticates one
+// (OAuth principal, MQTT credentials), plus the admission controller
+// that enforces per-tenant quotas there by pacing, then refusing
+// (DESIGN.md §11).
 //
 // A tenant is the paper's unit of isolation — one farm/pilot sharing the
 // cloud and fog infrastructure with others. Before this package, tenant
@@ -13,7 +13,6 @@
 package tenant
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 )
@@ -52,29 +51,4 @@ func (id *ID) UnmarshalJSON(data []byte) error {
 	}
 	*id = ID(s)
 	return nil
-}
-
-// ctxKey is the private context key type for the threaded tenant ID.
-type ctxKey struct{}
-
-// WithID returns a context carrying the tenant identity. Each ingress
-// point (httpapi authorize, MQTT CONNECT, fog sync session) resolves the
-// tenant once and threads it here; downstream layers read it with
-// FromContext instead of re-deriving it from credentials.
-func WithID(ctx context.Context, id ID) context.Context {
-	if id.IsNone() {
-		return ctx
-	}
-	return context.WithValue(ctx, ctxKey{}, id)
-}
-
-// FromContext returns the tenant identity threaded by WithID, or None.
-func FromContext(ctx context.Context) ID {
-	if ctx == nil {
-		return None
-	}
-	if id, ok := ctx.Value(ctxKey{}).(ID); ok {
-		return id
-	}
-	return None
 }

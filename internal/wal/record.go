@@ -224,7 +224,10 @@ func (d *segDecoder) readRecord(r io.Reader) (Record, error) {
 	rec := Record{Type: Type(body[0]), Codec: Codec(body[1])}
 	p := body[2:]
 	nstr, n := binary.Uvarint(p)
-	if n <= 0 || nstr > uint64(len(body)) {
+	// Each string takes at least its one-byte reference: a count larger
+	// than the bytes behind it is corrupt, and must not size the
+	// allocation below.
+	if n <= 0 || nstr > uint64(len(p)-n) {
 		return Record{}, fmt.Errorf("%w: string count", errCorruptFrame)
 	}
 	p = p[n:]
