@@ -290,7 +290,6 @@ func run(loader *config.Loader, cfg *config.Config, logger *slog.Logger) error {
 
 	tick := time.NewTicker(cfg.Server.Interval)
 	defer tick.Stop()
-	pilot := opts.Pilot
 	day := 0
 	for {
 		select {
@@ -318,30 +317,18 @@ func run(loader *config.Loader, cfg *config.Config, logger *slog.Logger) error {
 			logger.Info("config reloaded", "applied", applied)
 		case at := <-tick.C:
 			// Each tick is one accelerated "day" of the pilot.
-			doy := (pilot.SeasonStartDOY+day-1)%365 + 1
-			wd := p.Weather.Next(doy)
-			p.Station.SetDay(wd)
-			p.Decision.SetSeasonDay(day % pilot.Crop.SeasonDays())
-			if err := p.PumpOnce(at, 5*time.Second); err != nil {
-				logger.Error("pump", "err", err)
-				continue
-			}
-			cmds, err := p.DecideOnce(at)
+			d, err := p.StepDay(day, at)
 			if err != nil {
-				logger.Error("decide", "err", err)
-			}
-			vec, _, err := p.Decision.PrescriptionFromCommands(cmds, p.Field.Grid.NumCells())
-			if err != nil {
-				logger.Error("prescription", "err", err)
+				logger.Error("day", "err", err)
 				continue
 			}
-			if _, err := p.Field.StepAll(4, wd.RainMM, vec); err != nil {
-				logger.Error("soil", "err", err)
-				continue
+			if d.DecideErr != nil {
+				logger.Error("decide", "err", d.DecideErr)
 			}
 			mean, min, max := p.Field.MoistureStats()
 			logger.Info("day",
-				"day", day, "entities", p.Context.EntityCount(), "commands", len(cmds),
+				"day", day, "et0_mm", d.ET0MM, "water_m3", d.WaterM3,
+				"commands", d.Commands, "entities", p.Context.EntityCount(),
 				"moisture", fmt.Sprintf("%.3f [%.3f..%.3f]", mean, min, max),
 				"sessions", p.Broker.SessionCount())
 			day++

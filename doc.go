@@ -69,11 +69,14 @@
 // reference topology, smoke-tested by scripts/cluster-drill.sh.
 //
 // With tenant.enabled, the admission plane (internal/tenant, DESIGN.md
-// §11) enforces per-tenant token-bucket quotas at every ingress — MQTT
-// publishes, HTTP API requests, fog sync — pacing a tenant in debt
-// before its work is done, then refusing it uncharged (HTTP 429 +
-// Retry-After, a withheld PUBACK), MQTT disconnect last. The ops
-// surface grows GET /admin/tenants and GET/PUT /admin/tenants/{id}/quota
+// §11) enforces per-tenant token-bucket quotas at the two doors traffic
+// comes in by — the MQTT broker's publish reader and the HTTP API's
+// authorize step — and nowhere else: a reading is charged once, where it
+// entered, and the fog uplink and webhook egress are internal. A tenant
+// in debt is paced before its work is done, then refused uncharged (HTTP
+// 429 + Retry-After, a withheld PUBACK); only a suspended tenant
+// (msgs_per_sec = 0) loses its MQTT session. The ops surface grows GET
+// /admin/tenants and GET/PUT /admin/tenants/{id}/quota
 // (validate-then-swap, like a reload), and /metrics exports the
 // capped-cardinality swamp_tenant_* family. Deprecation note: tenancy used to ride untyped `owner string`
 // fields; those are now tenant.ID throughout (ngsi.Subscription.Owner,

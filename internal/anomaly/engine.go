@@ -67,10 +67,6 @@ func NewEngine(cfg EngineConfig) *Engine {
 // Metrics returns the engine's registry.
 func (e *Engine) Metrics() *metrics.Registry { return e.reg }
 
-// Sequence exposes the sequence profiler for the platform to feed
-// decision-loop events into.
-func (e *Engine) Sequence() *SequenceProfiler { return e.seq }
-
 // Sybil exposes the Sybil detector (for Flagged lookups).
 func (e *Engine) Sybil() *SybilDetector { return e.sybil }
 

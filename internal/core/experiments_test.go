@@ -20,6 +20,13 @@ func TestExpDeploymentConfigs(t *testing.T) {
 			t.Errorf("%v: non-positive latencies %+v", r.Mode, r)
 		}
 	}
+	// A cloud-only reading reaches the store after a 2 × 2 ms backhaul
+	// round trip; a fog reading only has to reach the farm.
+	if cloud := byMode[ModeCloudOnly].SensorToStore; cloud < 4*time.Millisecond ||
+		cloud <= byMode[ModeFarmFog].SensorToStore {
+		t.Errorf("cloud-only sensor→store %v: want ≥ 4ms and above farm-fog's %v",
+			cloud, byMode[ModeFarmFog].SensorToStore)
+	}
 	// The architectural claim: fog decisions are faster than cloud ones
 	// (no backhaul round trips).
 	if byMode[ModeFarmFog].DecideLatency >= byMode[ModeCloudOnly].DecideLatency {

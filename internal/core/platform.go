@@ -64,14 +64,12 @@ func (m Mode) String() string {
 
 // Backhaul models the farm↔cloud Internet path: a latency plus a
 // partition switch. Both the fog sync and cloud-mode decision loops cross
-// it. Entirely lock-free: the partition flag and the trip/failure counters
-// are atomics and the latency is fixed at construction, so concurrent
-// round trips never serialize on backhaul state.
+// it. Entirely lock-free: the partition flag is an atomic and the latency
+// is fixed at construction, so concurrent round trips never serialize on
+// backhaul state.
 type Backhaul struct {
 	partitioned atomic.Bool
 	latency     time.Duration // immutable after NewBackhaul
-	trips       atomic.Uint64
-	failures    atomic.Uint64
 }
 
 // NewBackhaul builds a backhaul with one-way latency lat.
@@ -86,29 +84,17 @@ var ErrPartitioned = errors.New("core: backhaul partitioned")
 // charges 2× latency before invoking f.
 func (b *Backhaul) Do(f func() error) error {
 	if b.partitioned.Load() {
-		b.failures.Add(1)
 		return ErrPartitioned
 	}
 	if b.latency > 0 {
 		time.Sleep(2 * b.latency)
 	}
-	b.trips.Add(1)
 	return f()
 }
 
 // SetPartitioned cuts or heals the backhaul.
 func (b *Backhaul) SetPartitioned(p bool) {
 	b.partitioned.Store(p)
-}
-
-// Partitioned reports the current state.
-func (b *Backhaul) Partitioned() bool {
-	return b.partitioned.Load()
-}
-
-// Trips returns (successful round trips, failures).
-func (b *Backhaul) Trips() (uint64, uint64) {
-	return b.trips.Load(), b.failures.Load()
 }
 
 // Options configures a Platform: the scenario a simulation or test picks
@@ -184,7 +170,6 @@ type Platform struct {
 	Actuators *irrigation.ActuatorBank
 	Field     *soil.Field
 	Weather   *weather.Generator
-	Station   *sensor.WeatherStation
 	Probes    []*ProbeUnit
 	Decision  *DecisionEngine
 
@@ -506,8 +491,8 @@ func (p *Platform) DialDevice(clientID string) (*mqtt.Client, error) {
 	return c, nil
 }
 
-// provisionDevices creates the pilot's probes and weather station,
-// registers them with IDM, agent and (optionally) the key ring.
+// provisionDevices creates the pilot's probes and registers them with
+// IDM, agent and (optionally) the key ring.
 func (p *Platform) provisionDevices() error {
 	pilot := p.Opts.Pilot
 	n := p.Field.Grid.NumCells()
@@ -561,17 +546,6 @@ func (p *Platform) provisionDevices() error {
 		p.Probes = append(p.Probes, &ProbeUnit{Probe: probe, Prov: prov, Client: client, Send: send, Cell: cell})
 	}
 
-	// Weather station.
-	wsID := pilot.Name + "-ws"
-	wsDesc := model.Descriptor{
-		ID: model.DeviceID(wsID), Kind: model.KindWeatherStation, Owner: tenant.ID(pilot.Name),
-		APIKey: "swamp-" + pilot.Name,
-	}
-	ws, err := sensor.NewWeatherStation(wsDesc, p.Opts.Seed+99)
-	if err != nil {
-		return err
-	}
-	p.Station = ws
 	return nil
 }
 
@@ -589,17 +563,21 @@ func (p *Platform) probeCells() map[model.DeviceID]int {
 	return out
 }
 
-// onContextNotification feeds anomaly detection (always) and, in cloud-only
-// mode, persists through the backhaul (fog forwards otherwise). It only
-// reads n.Entity — a stored version shared with every other reader. On a
+// onContextNotification turns the numeric attributes the write changed
+// into readings: it feeds them to anomaly detection (always) and, in
+// cloud-only mode, persists them through the backhaul (fog forwards
+// otherwise). An attribute the write left alone was stored when it
+// changed, so it is not stored or scored again. It only reads n.Entity —
+// a stored version shared with every other reader. On a
 // cluster it runs on the entity's leader only: a follower's replicated
 // apply notifies too, and would ingest every reading once more.
 func (p *Platform) onContextNotification(n ngsi.Notification) {
 	if p.Node != nil && !p.Node.Leads(n.Entity.ID) {
 		return
 	}
-	readings := make([]model.Reading, 0, len(n.Entity.Attrs))
-	for name, attr := range n.Entity.Attrs {
+	readings := make([]model.Reading, 0, len(n.Changed))
+	for _, name := range n.Changed {
+		attr := n.Entity.Attrs[name]
 		v, ok := attr.Float()
 		if !ok {
 			continue

@@ -761,3 +761,42 @@ func TestCloseUnderPublishLoad(t *testing.T) {
 		t.Errorf("%d goroutines of the platform outlive Close", got-before)
 	}
 }
+
+// A write that changes one attribute stores and scores that attribute
+// only: the probe's other depth keeps the one point it was written with,
+// and its unchanged value is not fed to the anomaly engine again, so it
+// raises no stuck alert.
+func TestTelemetryStoresOnlyChangedAttrs(t *testing.T) {
+	p := newPlatform(t, PilotMATOPIBA, ModeCloudOnly, false)
+	if err := p.PumpOnce(t0, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	want := uint64(len(p.Probes))
+	if !p.WaitPipeline(want, 5*time.Second) {
+		t.Fatal("pump notifications never processed")
+	}
+	u := p.Probes[0]
+	for i := 1; i <= 12; i++ {
+		err := u.Send([]model.Reading{{
+			Device: u.Prov.Desc.ID, Quantity: model.QSoilMoisture, Depth: 0.2,
+			Value: 0.2 + float64(i)/1000, Unit: "m3/m3", At: t0.Add(time.Duration(i) * time.Minute),
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want++
+		if !p.WaitPipeline(want, 5*time.Second) {
+			t.Fatalf("write %d never notified", i)
+		}
+	}
+	dev := string(u.Prov.Desc.ID)
+	if n := p.Store.Len(timeseries.SeriesKey{Device: dev, Quantity: "soilMoisture_d20"}); n != 13 {
+		t.Errorf("d20 series holds %d points, want 13", n)
+	}
+	if n := p.Store.Len(timeseries.SeriesKey{Device: dev, Quantity: "soilMoisture_d50"}); n != 1 {
+		t.Errorf("untouched d50 series holds %d points, want 1", n)
+	}
+	if n := p.Anomaly.CountByKind()["stuck"]; n != 0 {
+		t.Errorf("%d stuck alerts on a series no write touched", n)
+	}
+}

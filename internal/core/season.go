@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -60,75 +61,31 @@ func (r *SeasonReport) String() string {
 type SeasonHooks struct {
 	// OnDay runs before day d (0-based) is simulated.
 	OnDay func(day int, p *Platform)
-	// PumpTimeout bounds the northbound wait per day (default 5s).
-	PumpTimeout time.Duration
 }
 
 // RunSeason simulates the pilot's full crop season through the real
-// platform pipeline: every day the weather advances, probes publish over
-// MQTT, the agent updates context, the mode-appropriate decision loop
-// issues commands, and the soil responds. It returns the season report.
+// platform pipeline, one StepDay per day, and returns the season report.
 func (p *Platform) RunSeason(hooks SeasonHooks) (*SeasonReport, error) {
-	if hooks.PumpTimeout <= 0 {
-		hooks.PumpTimeout = 5 * time.Second
-	}
 	pilot := p.Opts.Pilot
 	days := pilot.Crop.SeasonDays()
 	report := &SeasonReport{Pilot: pilot.Name, Mode: p.Opts.Mode.String(), Days: days}
 	at := time.Date(2026, 1, 1, 6, 0, 0, 0, time.UTC).AddDate(0, 0, pilot.SeasonStartDOY-1)
-	expectedNotifications := p.reg.Counter("platform.notify.processed").Value()
 
 	for day := 0; day < days; day++ {
 		if hooks.OnDay != nil {
 			hooks.OnDay(day, p)
 		}
-		p.Decision.SetSeasonDay(day)
-		doy := (pilot.SeasonStartDOY+day-1)%365 + 1
-		wd := p.Weather.Next(doy)
-		p.Station.SetDay(wd)
-
-		et0, err := soil.ET0PenmanMonteith(soil.ET0Input{
-			TminC: wd.TminC, TmaxC: wd.TmaxC, RHMeanPct: wd.RHMeanPct,
-			WindMS: wd.WindMS, SolarMJ: wd.SolarMJ,
-			LatitudeDeg: pilot.Climate.LatitudeDeg, AltitudeM: pilot.Climate.AltitudeM,
-			DOY: doy,
-		})
+		d, err := p.StepDay(day, at)
 		if err != nil {
-			return nil, fmt.Errorf("core: day %d: %w", day, err)
+			return nil, err
 		}
-
-		// Northbound: sensors → MQTT → agent → context (→ fog/cloud).
-		if err := p.PumpOnce(at, hooks.PumpTimeout); err != nil {
-			return nil, fmt.Errorf("core: day %d: %w", day, err)
-		}
-		// Wait for the async context→fog/cloud tail so every decision sees
-		// today's readings (deterministic seasons).
-		expectedNotifications += uint64(len(p.Probes))
-		if !p.WaitPipeline(expectedNotifications, hooks.PumpTimeout) {
-			return nil, fmt.Errorf("core: day %d: pipeline tail incomplete", day)
-		}
-
-		// Decision loop.
 		report.DecisionCycles++
-		cmds, err := p.DecideOnce(at)
-		if err != nil {
-			// Unavailable (e.g. cloud mode during a partition): the crop
-			// gets no water today. That is the availability experiment.
+		if d.DecideErr != nil {
 			report.DecisionFailures++
-			cmds = nil
 		}
-		report.CommandsIssued += len(cmds)
-
-		vec, volume, err := p.Decision.PrescriptionFromCommands(cmds, p.Field.Grid.NumCells())
-		if err != nil {
-			return nil, fmt.Errorf("core: day %d: %w", day, err)
-		}
-		report.WaterM3 += volume
-		report.EnergyKWh += pilot.Pump.EnergyKWh(volume)
-
-		if _, err := p.Field.StepAll(et0, wd.RainMM, vec); err != nil {
-			return nil, fmt.Errorf("core: day %d: %w", day, err)
-		}
+		report.CommandsIssued += d.Commands
+		report.WaterM3 += d.WaterM3
+		report.EnergyKWh += pilot.Pump.EnergyKWh(d.WaterM3)
 		at = at.Add(24 * time.Hour)
 	}
 
@@ -145,6 +102,88 @@ func (p *Platform) RunSeason(hooks SeasonHooks) (*SeasonReport, error) {
 	}
 	report.Alerts = p.Anomaly.CountByKind()
 	return report, nil
+}
+
+// FarmDay is what one StepDay did to the farm.
+type FarmDay struct {
+	// ET0MM is the day's Penman–Monteith reference evapotranspiration.
+	ET0MM float64
+	// Commands is how many commands the decision loop issued.
+	Commands int
+	// DecideErr is why the decision loop was unavailable (cloud-only
+	// mode during a partition); the crop got no water that day.
+	DecideErr error
+	// WaterM3 is the volume the day's prescription applied.
+	WaterM3 float64
+}
+
+// dayTimeout bounds each of a day's pipeline waits: the agent processing
+// the probes' publishes, then the platform callback their notifications.
+const dayTimeout = 5 * time.Second
+
+// StepDay advances the simulated farm one day through the whole platform
+// pipeline: the weather advances, every probe publishes over MQTT, the
+// agent updates context, and once the day's notifications have reached
+// the fog view (or the cloud store) the mode's decision loop issues
+// commands and the soil takes them up under the day's ET0. day counts
+// from the season start (it may run past the season's end); at stamps
+// the readings and decisions.
+func (p *Platform) StepDay(day int, at time.Time) (FarmDay, error) {
+	pilot := p.Opts.Pilot
+	p.Decision.SetSeasonDay(day % pilot.Crop.SeasonDays())
+	doy := (pilot.SeasonStartDOY+day-1)%365 + 1
+	wd := p.Weather.Next(doy)
+	et0, err := soil.ET0PenmanMonteith(soil.ET0Input{
+		TminC: wd.TminC, TmaxC: wd.TmaxC, RHMeanPct: wd.RHMeanPct,
+		WindMS: wd.WindMS, SolarMJ: wd.SolarMJ,
+		LatitudeDeg: pilot.Climate.LatitudeDeg, AltitudeM: pilot.Climate.AltitudeM,
+		DOY: doy,
+	})
+	if err != nil {
+		return FarmDay{}, fmt.Errorf("core: day %d: %w", day, err)
+	}
+
+	if err := p.pumpAndWait(at, dayTimeout); err != nil {
+		return FarmDay{}, fmt.Errorf("core: day %d: %w", day, err)
+	}
+
+	d := FarmDay{ET0MM: et0}
+	cmds, err := p.DecideOnce(at)
+	if err != nil {
+		d.DecideErr = err
+		cmds = nil
+	}
+	d.Commands = len(cmds)
+	vec, volume, err := p.Decision.PrescriptionFromCommands(cmds, p.Field.Grid.NumCells())
+	if err != nil {
+		return FarmDay{}, fmt.Errorf("core: day %d: %w", day, err)
+	}
+	d.WaterM3 = volume
+	if _, err := p.Field.StepAll(et0, wd.RainMM, vec); err != nil {
+		return FarmDay{}, fmt.Errorf("core: day %d: %w", day, err)
+	}
+	return d, nil
+}
+
+// pumpAndWait runs PumpOnce (sensors → MQTT → agent → context) and waits
+// for the async context → fog/cloud tail, so a decision that follows sees
+// the pumped readings. The platform callback processes one notification
+// per probe entity, on a cluster only those the node leads (see
+// onContextNotification).
+func (p *Platform) pumpAndWait(at time.Time, timeout time.Duration) error {
+	want := p.notifyProcessed.Value()
+	for _, u := range p.Probes {
+		if p.Node == nil || p.Node.Leads(u.Prov.EntityID) {
+			want++
+		}
+	}
+	if err := p.PumpOnce(at, timeout); err != nil {
+		return err
+	}
+	if !p.WaitPipeline(want, timeout) {
+		return errors.New("core: pipeline tail incomplete")
+	}
+	return nil
 }
 
 func meanQuality(f *soil.Field) float64 {

@@ -87,13 +87,6 @@ func (l *PivotLayout) IrrigatedCells() int {
 	return n
 }
 
-// IrrigatedAreaHa returns the circle area actually covered by cells, in
-// hectares.
-func (l *PivotLayout) IrrigatedAreaHa() float64 {
-	cellHa := l.Grid.CellSizeM * l.Grid.CellSizeM / 10_000
-	return float64(l.IrrigatedCells()) * cellHa
-}
-
 // Prescription is a per-sector application depth map (mm).
 type Prescription []float64
 

@@ -36,7 +36,10 @@ var ErrClosed = errors.New("ngsi: broker closed")
 type Notification struct {
 	SubscriptionID string
 	Entity         *Entity
-	At             time.Time
+	// Changed names the attributes the write set. It is shared by every
+	// notification of that write and must not be modified.
+	Changed []string
+	At      time.Time
 }
 
 // Handler consumes notifications. Handlers run on a shard's dispatch
@@ -714,7 +717,7 @@ func (b *Broker) notifyShardLocked(sh *shard, e *Entity, changed []string) {
 
 		// e is the version just published; it is delivered as is, or as a
 		// new entity around the filtered map — never edited.
-		note := Notification{SubscriptionID: s.ID, Entity: e.project(s.NotifyAttrs), At: now}
+		note := Notification{SubscriptionID: s.ID, Entity: e.project(s.NotifyAttrs), Changed: changed, At: now}
 		select {
 		case sh.queue <- queuedNotification{notifier: s.Notifier, note: note}:
 			b.cQueued.Inc()

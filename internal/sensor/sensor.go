@@ -1,32 +1,19 @@
-// Package sensor simulates the field devices of a SWAMP deployment: multi-
-// depth soil-moisture probes, weather stations, flow meters and pivot
-// position encoders. Each device samples a physical truth source (the soil
-// package's water balance, the weather generator), applies realistic
-// instrument noise, bias and battery drain, and hands readings to a
-// pluggable send function — the platform wires that to UltraLight-over-MQTT
-// (optionally through the secchan envelope).
+// Package sensor simulates the multi-depth soil-moisture probes of a SWAMP
+// deployment. A probe samples the soil package's water balance, applies
+// instrument noise and a calibration bias, and returns readings the
+// platform publishes as UltraLight over MQTT (optionally through the
+// secchan envelope).
 package sensor
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"time"
 
 	"github.com/swamp-project/swamp/internal/model"
 	"github.com/swamp-project/swamp/internal/soil"
-	"github.com/swamp-project/swamp/internal/weather"
 )
-
-// Source produces readings when sampled. Implementations are not required
-// to be concurrency-safe; a Runner samples its source from one goroutine.
-type Source interface {
-	// Sample returns the device's readings at time at.
-	Sample(at time.Time) ([]model.Reading, error)
-	// Descriptor identifies the device.
-	Descriptor() model.Descriptor
-}
 
 // SoilProbe samples the moisture of one cell of a soil.Field at one or more
 // depths, with Gaussian noise and a fixed calibration bias per depth.
@@ -60,11 +47,8 @@ func NewSoilProbe(desc model.Descriptor, field *soil.Field, cell int, noiseStd f
 	}, nil
 }
 
-// Descriptor implements Source.
-func (p *SoilProbe) Descriptor() model.Descriptor { return p.Desc }
-
-// Sample implements Source. Deeper measurements lag the root-zone mean
-// slightly (damped by depth), mimicking real profiles.
+// Sample returns the probe's readings at time at. Deeper measurements lag
+// the root-zone mean slightly (damped by depth), mimicking real profiles.
 func (p *SoilProbe) Sample(at time.Time) ([]model.Reading, error) {
 	truth := p.Field.Cells[p.Cell].Moisture()
 	depths := p.Desc.Depths
@@ -89,139 +73,6 @@ func (p *SoilProbe) Sample(at time.Time) ([]model.Reading, error) {
 		})
 	}
 	return out, nil
-}
-
-// WeatherStation reports air temperature (diurnal interpolation between the
-// day's Tmin/Tmax), humidity, wind, radiation and rainfall from a
-// weather.Day that the platform updates daily.
-type WeatherStation struct {
-	Desc model.Descriptor
-
-	mu  sync.Mutex
-	day weather.Day
-	rng *rand.Rand
-}
-
-// NewWeatherStation builds a station.
-func NewWeatherStation(desc model.Descriptor, seed int64) (*WeatherStation, error) {
-	if err := desc.Validate(); err != nil {
-		return nil, err
-	}
-	if desc.Kind != model.KindWeatherStation {
-		return nil, fmt.Errorf("sensor: %s is %v, not a weather station", desc.ID, desc.Kind)
-	}
-	return &WeatherStation{Desc: desc, rng: rand.New(rand.NewSource(seed))}, nil
-}
-
-// SetDay installs the current day's weather. Safe to call concurrently
-// with Sample.
-func (w *WeatherStation) SetDay(d weather.Day) {
-	w.mu.Lock()
-	w.day = d
-	w.mu.Unlock()
-}
-
-// Descriptor implements Source.
-func (w *WeatherStation) Descriptor() model.Descriptor { return w.Desc }
-
-// Sample implements Source.
-func (w *WeatherStation) Sample(at time.Time) ([]model.Reading, error) {
-	w.mu.Lock()
-	d := w.day
-	w.mu.Unlock()
-	if d.DOY == 0 {
-		return nil, fmt.Errorf("sensor: station %s: no weather installed", w.Desc.ID)
-	}
-	// Diurnal temperature: min at ~05h, max at ~15h.
-	hour := float64(at.Hour()) + float64(at.Minute())/60
-	phase := (hour - 15) / 24 * 2 * math.Pi
-	mid := (d.TmaxC + d.TminC) / 2
-	amp := (d.TmaxC - d.TminC) / 2
-	temp := mid + amp*math.Cos(phase) + w.rng.NormFloat64()*0.3
-
-	mk := func(q model.Quantity, v float64, unit string) model.Reading {
-		return model.Reading{Device: w.Desc.ID, Quantity: q, Value: v, Unit: unit,
-			Location: w.Desc.Location, At: at}
-	}
-	return []model.Reading{
-		mk(model.QAirTemp, temp, "C"),
-		mk(model.QHumidity, clamp(d.RHMeanPct+w.rng.NormFloat64()*3, 5, 100), "%"),
-		mk(model.QWindSpeed, math.Max(0, d.WindMS+w.rng.NormFloat64()*0.4), "m/s"),
-		mk(model.QSolarRad, math.Max(0, d.SolarMJ), "MJ/m2/day"),
-		mk(model.QRainfall, d.RainMM, "mm"),
-	}, nil
-}
-
-// FlowMeter reports the instantaneous flow of an irrigation line, reading
-// the truth from a provider installed by the actuator side.
-type FlowMeter struct {
-	Desc model.Descriptor
-	// Truth returns the current true flow (m³/h).
-	Truth    func() float64
-	NoiseStd float64
-	rng      *rand.Rand
-}
-
-// NewFlowMeter builds a flow meter.
-func NewFlowMeter(desc model.Descriptor, truth func() float64, noiseStd float64, seed int64) (*FlowMeter, error) {
-	if err := desc.Validate(); err != nil {
-		return nil, err
-	}
-	if desc.Kind != model.KindFlowMeter {
-		return nil, fmt.Errorf("sensor: %s is %v, not a flow meter", desc.ID, desc.Kind)
-	}
-	if truth == nil {
-		return nil, fmt.Errorf("sensor: flow meter %s: nil truth source", desc.ID)
-	}
-	return &FlowMeter{Desc: desc, Truth: truth, NoiseStd: noiseStd, rng: rand.New(rand.NewSource(seed))}, nil
-}
-
-// Descriptor implements Source.
-func (f *FlowMeter) Descriptor() model.Descriptor { return f.Desc }
-
-// Sample implements Source.
-func (f *FlowMeter) Sample(at time.Time) ([]model.Reading, error) {
-	v := f.Truth() + f.rng.NormFloat64()*f.NoiseStd
-	return []model.Reading{{
-		Device: f.Desc.ID, Quantity: model.QFlowRate, Value: math.Max(0, v),
-		Unit: "m3/h", Location: f.Desc.Location, At: at,
-	}}, nil
-}
-
-// PivotEncoder reports the angular position of a center pivot from a truth
-// provider (degrees).
-type PivotEncoder struct {
-	Desc  model.Descriptor
-	Truth func() float64
-}
-
-// NewPivotEncoder builds an encoder.
-func NewPivotEncoder(desc model.Descriptor, truth func() float64) (*PivotEncoder, error) {
-	if err := desc.Validate(); err != nil {
-		return nil, err
-	}
-	if desc.Kind != model.KindPivotEncoder {
-		return nil, fmt.Errorf("sensor: %s is %v, not a pivot encoder", desc.ID, desc.Kind)
-	}
-	if truth == nil {
-		return nil, fmt.Errorf("sensor: encoder %s: nil truth source", desc.ID)
-	}
-	return &PivotEncoder{Desc: desc, Truth: truth}, nil
-}
-
-// Descriptor implements Source.
-func (p *PivotEncoder) Descriptor() model.Descriptor { return p.Desc }
-
-// Sample implements Source.
-func (p *PivotEncoder) Sample(at time.Time) ([]model.Reading, error) {
-	angle := math.Mod(p.Truth(), 360)
-	if angle < 0 {
-		angle += 360
-	}
-	return []model.Reading{{
-		Device: p.Desc.ID, Quantity: model.QPivotAngle, Value: angle,
-		Unit: "deg", Location: p.Desc.Location, At: at,
-	}}, nil
 }
 
 func clamp(v, lo, hi float64) float64 { return math.Max(lo, math.Min(hi, v)) }

@@ -1,17 +1,13 @@
 package sensor
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"testing"
 	"time"
 
-	"github.com/swamp-project/swamp/internal/clock"
 	"github.com/swamp-project/swamp/internal/model"
 	"github.com/swamp-project/swamp/internal/soil"
-	"github.com/swamp-project/swamp/internal/weather"
 )
 
 func testField(t *testing.T) *soil.Field {
@@ -91,214 +87,6 @@ func TestSoilProbeValidation(t *testing.T) {
 	if _, err := NewSoilProbe(probeDesc("p"), f, 0, -1, 1); err == nil {
 		t.Error("negative noise accepted")
 	}
-}
-
-func TestWeatherStation(t *testing.T) {
-	desc := model.Descriptor{ID: "ws1", Kind: model.KindWeatherStation, Owner: "farm"}
-	ws, err := NewWeatherStation(desc, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// No day installed yet.
-	if _, err := ws.Sample(time.Now()); err == nil {
-		t.Error("sample before SetDay succeeded")
-	}
-	ws.SetDay(weather.Day{DOY: 100, TminC: 15, TmaxC: 31, RHMeanPct: 60, WindMS: 2, SolarMJ: 22, RainMM: 0})
-
-	at3pm := time.Date(2026, 6, 1, 15, 0, 0, 0, time.UTC)
-	at5am := time.Date(2026, 6, 1, 5, 0, 0, 0, time.UTC)
-	rs3, err := ws.Sample(at3pm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs5, _ := ws.Sample(at5am)
-	temp := func(rs []model.Reading) float64 {
-		for _, r := range rs {
-			if r.Quantity == model.QAirTemp {
-				return r.Value
-			}
-		}
-		t.Fatal("no temperature reading")
-		return 0
-	}
-	if temp(rs3) <= temp(rs5) {
-		t.Errorf("3pm temp %.1f should exceed 5am temp %.1f", temp(rs3), temp(rs5))
-	}
-	if len(rs3) != 5 {
-		t.Errorf("station reported %d quantities, want 5", len(rs3))
-	}
-	for _, r := range rs3 {
-		if err := r.Validate(); err != nil {
-			t.Errorf("invalid reading %v: %v", r.Quantity, err)
-		}
-	}
-}
-
-func TestFlowMeterAndPivotEncoder(t *testing.T) {
-	flow := 40.0
-	fmDesc := model.Descriptor{ID: "fm1", Kind: model.KindFlowMeter, Owner: "farm"}
-	fm, err := NewFlowMeter(fmDesc, func() float64 { return flow }, 0.5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := fm.Sample(time.Now())
-	if err != nil || len(rs) != 1 {
-		t.Fatalf("flow sample: %v %d", err, len(rs))
-	}
-	if math.Abs(rs[0].Value-40) > 3 {
-		t.Errorf("flow = %g", rs[0].Value)
-	}
-
-	angle := 370.0
-	peDesc := model.Descriptor{ID: "pe1", Kind: model.KindPivotEncoder, Owner: "farm"}
-	pe, err := NewPivotEncoder(peDesc, func() float64 { return angle })
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, _ = pe.Sample(time.Now())
-	if rs[0].Value != 10 {
-		t.Errorf("angle wrap: got %g, want 10", rs[0].Value)
-	}
-	if _, err := NewFlowMeter(fmDesc, nil, 0.1, 1); err == nil {
-		t.Error("nil truth accepted")
-	}
-}
-
-// collectSender stores batches for inspection.
-type collectSender struct {
-	mu      sync.Mutex
-	batches [][]model.Reading
-	fail    bool
-}
-
-func (c *collectSender) send(rs []model.Reading) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.fail {
-		return errors.New("link down")
-	}
-	cp := make([]model.Reading, len(rs))
-	copy(cp, rs)
-	c.batches = append(c.batches, cp)
-	return nil
-}
-
-func (c *collectSender) count() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.batches)
-}
-
-func TestRunnerSamplesOnSimClock(t *testing.T) {
-	f := testField(t)
-	p, _ := NewSoilProbe(probeDesc("p1"), f, 0, 0.005, 1)
-	sim := clock.NewSim(time.Date(2026, 6, 1, 0, 0, 0, 0, time.UTC))
-	var cs collectSender
-	r, err := NewRunner(p, cs.send, RunnerConfig{Interval: time.Minute, Clock: sim})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Start(); err == nil {
-		t.Error("double start accepted")
-	}
-	defer r.Stop()
-
-	waitArmed := func() {
-		deadline := time.Now().Add(time.Second)
-		for time.Now().Before(deadline) && sim.PendingWaiters() == 0 {
-			time.Sleep(time.Millisecond)
-		}
-	}
-	for i := 0; i < 5; i++ {
-		waitArmed()
-		sim.Advance(time.Minute)
-		deadline := time.Now().Add(time.Second)
-		for time.Now().Before(deadline) && cs.count() < i+1 {
-			time.Sleep(time.Millisecond)
-		}
-	}
-	if cs.count() != 5 {
-		t.Fatalf("batches = %d, want 5", cs.count())
-	}
-	if st := r.Stats(); st.Samples != 5 || st.SendErrs != 0 || st.Battery != 1 {
-		t.Errorf("stats = %+v", st)
-	}
-}
-
-func TestRunnerBatteryExhaustion(t *testing.T) {
-	f := testField(t)
-	p, _ := NewSoilProbe(probeDesc("p1"), f, 0, 0, 1)
-	var cs collectSender
-	r, err := NewRunner(p, cs.send, RunnerConfig{
-		Interval: time.Minute, Clock: clock.NewSim(time.Unix(0, 0)),
-		BatteryCapacity: 3, EnergyPerSample: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := r.SampleOnce(); err != nil {
-			t.Fatalf("cycle %d: %v", i, err)
-		}
-	}
-	if err := r.SampleOnce(); !errors.Is(err, ErrBatteryDead) {
-		t.Errorf("4th cycle: %v, want battery dead", err)
-	}
-	st := r.Stats()
-	if st.Samples != 3 || st.Battery != 0 {
-		t.Errorf("stats = %+v", st)
-	}
-	// Battery level must be included in batches.
-	found := false
-	for _, r := range cs.batches[0] {
-		if r.Quantity == model.QBattery {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("battery reading missing from batch")
-	}
-}
-
-func TestRunnerSendErrorCounted(t *testing.T) {
-	f := testField(t)
-	p, _ := NewSoilProbe(probeDesc("p1"), f, 0, 0, 1)
-	cs := collectSender{fail: true}
-	r, _ := NewRunner(p, cs.send, RunnerConfig{Interval: time.Minute, Clock: clock.NewSim(time.Unix(0, 0))})
-	if err := r.SampleOnce(); err == nil {
-		t.Error("send failure not propagated")
-	}
-	if st := r.Stats(); st.SendErrs != 1 || st.LastError == "" {
-		t.Errorf("stats = %+v", st)
-	}
-}
-
-func TestRunnerValidation(t *testing.T) {
-	f := testField(t)
-	p, _ := NewSoilProbe(probeDesc("p1"), f, 0, 0, 1)
-	var cs collectSender
-	if _, err := NewRunner(nil, cs.send, RunnerConfig{Interval: time.Second}); err == nil {
-		t.Error("nil source accepted")
-	}
-	if _, err := NewRunner(p, nil, RunnerConfig{Interval: time.Second}); err == nil {
-		t.Error("nil send accepted")
-	}
-	if _, err := NewRunner(p, cs.send, RunnerConfig{}); err == nil {
-		t.Error("zero interval accepted")
-	}
-}
-
-func TestRunnerStopIdempotent(t *testing.T) {
-	f := testField(t)
-	p, _ := NewSoilProbe(probeDesc("p1"), f, 0, 0, 1)
-	var cs collectSender
-	r, _ := NewRunner(p, cs.send, RunnerConfig{Interval: time.Minute, Clock: clock.NewSim(time.Unix(0, 0))})
-	r.Start()
-	r.Stop()
-	r.Stop() // must not panic or deadlock
 }
 
 func TestManyProbesOverField(t *testing.T) {

@@ -2,7 +2,6 @@ package tenant
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -129,17 +128,6 @@ func (l Limits) For(id ID) Quota {
 		return q
 	}
 	return l.Default
-}
-
-// TenantIDs returns the override'd tenant ids, sorted — the stable
-// iteration order the admin API and metrics export use.
-func (l Limits) TenantIDs() []ID {
-	ids := make([]ID, 0, len(l.Overrides))
-	for id := range l.Overrides {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 // clone returns a deep copy so an installed Limits can never alias a
