@@ -269,20 +269,21 @@ func (a *Agent) onMeasure(msg mqtt.Message) {
 		payload = pt
 	}
 
-	values, err := DecodeUL(string(payload))
+	var buf [8]ulMeasure // a probe sends a few measurements; more spill to the heap
+	ms, err := decodeUL(payload, buf[:0])
 	if err != nil {
 		a.reg.Counter("agent.north.baddecode").Inc()
 		return
 	}
 
-	attrs := make(map[string]ngsi.Attribute, len(values))
-	for code, v := range values {
-		name, ok := prov.attrName[code]
+	attrs := make(map[string]ngsi.Attribute, len(ms))
+	for _, m := range ms {
+		name, ok := prov.attrName[string(m.key)]
 		if !ok {
 			a.reg.Counter("agent.north.unknownattr").Inc()
 			continue
 		}
-		attrs[name] = ngsi.Attribute{Type: "Number", Value: v, Metadata: prov.meta}
+		attrs[name] = ngsi.Attribute{Type: "Number", Value: m.value, Metadata: prov.meta}
 	}
 	if len(attrs) == 0 {
 		return

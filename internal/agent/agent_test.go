@@ -65,7 +65,7 @@ func probeProvision() Provision {
 		AttrMap: map[string]AttrSpec{
 			"m1": {Quantity: model.QSoilMoisture, Depth: 0.2},
 			"m2": {Quantity: model.QSoilMoisture, Depth: 0.5},
-			"b":  {Quantity: model.QBattery},
+			"n":  {Quantity: model.QNDVI},
 		},
 	}
 }
@@ -105,7 +105,7 @@ func TestNorthboundFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev := dial(t, s.broker, "probe-1")
-	payload := EncodeUL(map[string]float64{"m1": 0.21, "m2": 0.27, "b": 0.93})
+	payload := EncodeUL(map[string]float64{"m1": 0.21, "m2": 0.27, "n": 0.63})
 	if err := dev.Publish(AttrsTopic("k1", "probe-1"), []byte(payload), 1, false); err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestNorthboundFlow(t *testing.T) {
 	if v, ok := e.Attrs["soilMoisture_d50"].Float(); !ok || v != 0.27 {
 		t.Errorf("d50 = %v", e.Attrs["soilMoisture_d50"].Value)
 	}
-	if e.Attrs["batteryLevel"].Metadata["owner"] != "farm1" {
+	if e.Attrs["ndvi"].Metadata["owner"] != "farm1" {
 		t.Error("owner metadata missing")
 	}
 }
@@ -251,7 +251,7 @@ func TestDeviceSender(t *testing.T) {
 	readings := []model.Reading{
 		{Device: "probe-1", Quantity: model.QSoilMoisture, Value: 0.25, Depth: 0.2, At: now},
 		{Device: "probe-1", Quantity: model.QSoilMoisture, Value: 0.29, Depth: 0.5, At: now},
-		{Device: "probe-1", Quantity: model.QAirTemp, Value: 22, At: now}, // not in dictionary
+		{Device: "probe-1", Quantity: model.QSoilMoisture, Value: 0.31, Depth: 0.8, At: now}, // not in dictionary
 	}
 	if err := send(readings); err != nil {
 		t.Fatal(err)
@@ -263,7 +263,7 @@ func TestDeviceSender(t *testing.T) {
 	if v, _ := e.Attrs["soilMoisture_d20"].Float(); v != 0.25 {
 		t.Errorf("d20 = %v", e.Attrs["soilMoisture_d20"].Value)
 	}
-	if _, found := e.Attrs["airTemperature"]; found {
+	if _, found := e.Attrs["soilMoisture_d80"]; found {
 		t.Error("undictionaried quantity leaked through")
 	}
 }
@@ -272,7 +272,7 @@ func TestNGSIAttrName(t *testing.T) {
 	if got := NGSIAttrName(AttrSpec{Quantity: model.QSoilMoisture, Depth: 0.2}); got != "soilMoisture_d20" {
 		t.Errorf("got %q", got)
 	}
-	if got := NGSIAttrName(AttrSpec{Quantity: model.QAirTemp}); got != "airTemperature" {
+	if got := NGSIAttrName(AttrSpec{Quantity: model.QNDVI}); got != "ndvi" {
 		t.Errorf("got %q", got)
 	}
 }

@@ -62,7 +62,7 @@ func TestAckedReadingsSurviveStalledContext(t *testing.T) {
 		done <- nil
 	}()
 
-	// Flush 1 (the gated stack's battery reading) is parked at the journal.
+	// Flush 1 (the gated stack's NDVI reading) is parked at the journal.
 	// The reading that brings the bound's worth of entities pending flushes
 	// inline, behind it: its handler — the gateway connection's reader —
 	// blocks there. It was acknowledged first; the next one is never read.

@@ -8,8 +8,10 @@
 package agent
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -35,34 +37,70 @@ func EncodeUL(values map[string]float64) string {
 	return b.String()
 }
 
-// DecodeUL parses an UltraLight 2.0 payload into a measurement map. Values
-// must be finite: strconv accepts "NaN" and "Inf", but no sensor measures
-// them and one NaN poisons every running baseline downstream.
-func DecodeUL(s string) (map[string]float64, error) {
-	if s == "" {
-		return nil, fmt.Errorf("agent: empty UL payload")
+// ulMeasure is one decoded UltraLight measurement. key aliases the
+// payload it was decoded from.
+type ulMeasure struct {
+	key   []byte
+	value float64
+}
+
+// decodeUL parses an UltraLight 2.0 payload, "k1|v1|k2|v2", appending its
+// measurements to out. It copies nothing: the keys alias p. Values must be
+// finite: strconv accepts "NaN" and "Inf", but no sensor measures them and
+// one NaN poisons every running baseline downstream. A key may appear once.
+func decodeUL(p []byte, out []ulMeasure) ([]ulMeasure, error) {
+	if len(p) == 0 {
+		return out, fmt.Errorf("agent: empty UL payload")
 	}
-	parts := strings.Split(s, "|")
-	if len(parts)%2 != 0 {
-		return nil, fmt.Errorf("agent: UL payload with %d fields (odd)", len(parts))
+	if n := bytes.Count(p, []byte{'|'}) + 1; n%2 != 0 {
+		return out, fmt.Errorf("agent: UL payload with %d fields (odd)", n)
 	}
-	out := make(map[string]float64, len(parts)/2)
-	for i := 0; i < len(parts); i += 2 {
-		key := parts[i]
-		if key == "" {
-			return nil, fmt.Errorf("agent: UL payload with empty key at field %d", i)
+	first := len(out)
+	for field, more := 0, true; more; field += 2 {
+		var key, val []byte
+		key, p, _ = cutField(p) // the field count is even: a value follows
+		val, p, more = cutField(p)
+		if len(key) == 0 {
+			return out, fmt.Errorf("agent: UL payload with empty key at field %d", field)
 		}
-		v, err := strconv.ParseFloat(parts[i+1], 64)
+		v, err := strconv.ParseFloat(string(val), 64)
 		if err != nil {
-			return nil, fmt.Errorf("agent: UL value for %q: %w", key, err)
+			return out, fmt.Errorf("agent: UL value for %q: %w", string(key), err)
 		}
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("agent: UL value for %q is not finite: %q", key, parts[i+1])
+			return out, fmt.Errorf("agent: UL value for %q is not finite: %q", string(key), string(val))
 		}
-		if _, dup := out[key]; dup {
-			return nil, fmt.Errorf("agent: UL payload repeats key %q", key)
+		out = append(out, ulMeasure{key: key, value: v})
+	}
+	got := out[first:]
+	slices.SortFunc(got, func(a, b ulMeasure) int { return bytes.Compare(a.key, b.key) })
+	for i := 1; i < len(got); i++ {
+		if bytes.Equal(got[i-1].key, got[i].key) {
+			return out, fmt.Errorf("agent: UL payload repeats key %q", string(got[i].key))
 		}
-		out[key] = v
+	}
+	return out, nil
+}
+
+// cutField splits p at its first '|'.
+func cutField(p []byte) (field, rest []byte, more bool) {
+	if i := bytes.IndexByte(p, '|'); i >= 0 {
+		return p[:i], p[i+1:], true
+	}
+	return p, nil, false
+}
+
+// DecodeUL parses an UltraLight 2.0 payload into a measurement map, as
+// decodeUL does.
+func DecodeUL(s string) (map[string]float64, error) {
+	var buf [8]ulMeasure
+	ms, err := decodeUL([]byte(s), buf[:0])
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]float64, len(ms))
+	for _, m := range ms {
+		out[string(m.key)] = m.value
 	}
 	return out, nil
 }

@@ -17,19 +17,19 @@ func TestEWMALearnsThenDetectsSpike(t *testing.T) {
 	// Learn a noisy baseline around 0.25.
 	for i := 0; i < 100; i++ {
 		v := 0.25 + rng.NormFloat64()*0.01
-		if a := d.Observe("s1", v, t0.Add(time.Duration(i)*time.Minute)); a != nil {
+		if a := d.Observe(Series{"s1", "m"}, v, t0.Add(time.Duration(i)*time.Minute)); a != nil {
 			t.Fatalf("false positive during normal operation at %d: %+v", i, a)
 		}
 	}
 	// A tampered value far off baseline must alert.
-	a := d.Observe("s1", 0.55, t0.Add(101*time.Minute))
+	a := d.Observe(Series{"s1", "m"}, 0.55, t0.Add(101*time.Minute))
 	if a == nil {
 		t.Fatal("spike not detected")
 	}
 	if a.Kind != "deviation" || a.Score < 4 {
 		t.Errorf("alert = %+v", a)
 	}
-	mean, sd, n := d.Baseline("s1")
+	mean, sd, n := d.Baseline(Series{"s1", "m"})
 	if n != 101 || mean < 0.2 || mean > 0.3 || sd <= 0 {
 		t.Errorf("baseline = %g ± %g over %d", mean, sd, n)
 	}
@@ -39,7 +39,7 @@ func TestEWMAWarmupSuppression(t *testing.T) {
 	d := NewEWMADetector(EWMAConfig{Warmup: 10})
 	// Wild values during warmup must not alert.
 	for i := 0; i < 10; i++ {
-		if a := d.Observe("s", float64(i*100), t0); a != nil {
+		if a := d.Observe(Series{"s", "m"}, float64(i*100), t0); a != nil {
 			t.Fatalf("alert during warmup: %+v", a)
 		}
 	}
@@ -48,11 +48,11 @@ func TestEWMAWarmupSuppression(t *testing.T) {
 func TestEWMAIndependentSeries(t *testing.T) {
 	d := NewEWMADetector(EWMAConfig{})
 	for i := 0; i < 50; i++ {
-		d.Observe("a", 1.0, t0)
-		d.Observe("b", 100.0, t0)
+		d.Observe(Series{"a", "m"}, 1.0, t0)
+		d.Observe(Series{"b", "m"}, 100.0, t0)
 	}
 	// b's level is normal for b, even though far from a's baseline.
-	if a := d.Observe("b", 100.0, t0); a != nil {
+	if a := d.Observe(Series{"b", "m"}, 100.0, t0); a != nil {
 		t.Errorf("cross-series contamination: %+v", a)
 	}
 }
@@ -110,7 +110,7 @@ func TestStuckDetector(t *testing.T) {
 	d := NewStuckDetector(StuckConfig{Window: 5})
 	var got *Alert
 	for i := 0; i < 10; i++ {
-		if a := d.Observe("s", 0.42, t0.Add(time.Duration(i)*time.Minute)); a != nil {
+		if a := d.Observe(Series{"s", "m"}, 0.42, t0.Add(time.Duration(i)*time.Minute)); a != nil {
 			if got != nil {
 				t.Fatal("stuck alerted twice for one episode")
 			}
@@ -121,10 +121,10 @@ func TestStuckDetector(t *testing.T) {
 		t.Fatalf("stuck not detected: %+v", got)
 	}
 	// Changing value resets the episode; a new freeze alerts again.
-	d.Observe("s", 0.43, t0)
+	d.Observe(Series{"s", "m"}, 0.43, t0)
 	count := 0
 	for i := 0; i < 10; i++ {
-		if a := d.Observe("s", 0.43, t0); a != nil {
+		if a := d.Observe(Series{"s", "m"}, 0.43, t0); a != nil {
 			count++
 		}
 	}
@@ -134,7 +134,7 @@ func TestStuckDetector(t *testing.T) {
 	// A healthy noisy series never alerts.
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 100; i++ {
-		if a := d.Observe("healthy", rng.Float64(), t0); a != nil {
+		if a := d.Observe(Series{"healthy", "m"}, rng.Float64(), t0); a != nil {
 			t.Fatalf("noisy series flagged stuck: %+v", a)
 		}
 	}

@@ -29,6 +29,16 @@ type Alert struct {
 // Sink consumes alerts. Sinks must be fast; heavy work belongs elsewhere.
 type Sink func(Alert)
 
+// Series names one device's quantity: the key of per-series detector
+// state. It is built from the strings a reading already holds, so keying
+// a map by it allocates nothing.
+type Series struct {
+	Device, Quantity string
+}
+
+// String renders the series as an alert names it: device/quantity.
+func (s Series) String() string { return s.Device + "/" + s.Quantity }
+
 // EWMAConfig tunes the per-series deviation detector.
 type EWMAConfig struct {
 	// Alpha is the EWMA smoothing factor (default 0.05).
@@ -59,7 +69,7 @@ type EWMADetector struct {
 	cfg EWMAConfig
 
 	mu     sync.Mutex
-	states map[string]*ewmaState
+	states map[Series]*ewmaState
 }
 
 type ewmaState struct {
@@ -70,13 +80,13 @@ type ewmaState struct {
 // NewEWMADetector builds a detector.
 func NewEWMADetector(cfg EWMAConfig) *EWMADetector {
 	cfg.defaults()
-	return &EWMADetector{cfg: cfg, states: make(map[string]*ewmaState)}
+	return &EWMADetector{cfg: cfg, states: make(map[Series]*ewmaState)}
 }
 
 // Observe feeds one sample; it returns a non-nil alert when the sample
 // deviates. The sample still updates the baseline (slowly, by alpha), so a
 // persistent attacker shifts the baseline only gradually.
-func (d *EWMADetector) Observe(series string, v float64, at time.Time) *Alert {
+func (d *EWMADetector) Observe(series Series, v float64, at time.Time) *Alert {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	st := d.states[series]
@@ -96,7 +106,7 @@ func (d *EWMADetector) Observe(series string, v float64, at time.Time) *Alert {
 		z := math.Abs(v-st.mean) / sd
 		if z > d.cfg.K {
 			alert = &Alert{
-				At: at, Kind: "deviation", Device: series, Score: z,
+				At: at, Kind: "deviation", Device: series.String(), Score: z,
 				Detail: fmt.Sprintf("value %.4g vs baseline %.4g±%.4g", v, st.mean, sd),
 			}
 		}
@@ -109,7 +119,7 @@ func (d *EWMADetector) Observe(series string, v float64, at time.Time) *Alert {
 }
 
 // Baseline returns the learned (mean, stddev, samples) for a series.
-func (d *EWMADetector) Baseline(series string) (mean, sd float64, n int) {
+func (d *EWMADetector) Baseline(series Series) (mean, sd float64, n int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	st := d.states[series]
@@ -151,7 +161,11 @@ type RateDetector struct {
 }
 
 type rateBucket struct {
-	times     []time.Time // ring of arrival times within window
+	// times holds the arrival times, in arrival order, from times[start]
+	// on within the window. Expired ones are compacted away once they are
+	// half the slice, so the array is reused rather than regrown.
+	times     []time.Time
+	start     int
 	lastAlert time.Time
 }
 
@@ -172,13 +186,15 @@ func (d *RateDetector) Observe(client string, at time.Time) *Alert {
 		d.buckets[client] = b
 	}
 	cutoff := at.Add(-d.cfg.Window)
-	// Drop expired arrivals (slice is in arrival order).
-	i := 0
-	for i < len(b.times) && b.times[i].Before(cutoff) {
-		i++
+	for b.start < len(b.times) && b.times[b.start].Before(cutoff) {
+		b.start++
 	}
-	b.times = append(b.times[i:], at)
-	rate := float64(len(b.times)) / d.cfg.Window.Seconds()
+	if b.start > len(b.times)/2 {
+		b.times = b.times[:copy(b.times, b.times[b.start:])]
+		b.start = 0
+	}
+	b.times = append(b.times, at)
+	rate := float64(len(b.times)-b.start) / d.cfg.Window.Seconds()
 	if rate > d.cfg.LimitPerSec && at.Sub(b.lastAlert) >= d.cfg.Cooldown {
 		b.lastAlert = at
 		return &Alert{
@@ -199,7 +215,7 @@ func (d *RateDetector) Rate(client string, now time.Time) float64 {
 	}
 	cutoff := now.Add(-d.cfg.Window)
 	n := 0
-	for _, t := range b.times {
+	for _, t := range b.times[b.start:] {
 		if !t.Before(cutoff) {
 			n++
 		}
@@ -232,7 +248,7 @@ type StuckDetector struct {
 	cfg StuckConfig
 
 	mu     sync.Mutex
-	states map[string]*stuckState
+	states map[Series]*stuckState
 }
 
 type stuckState struct {
@@ -244,11 +260,11 @@ type stuckState struct {
 // NewStuckDetector builds a detector.
 func NewStuckDetector(cfg StuckConfig) *StuckDetector {
 	cfg.defaults()
-	return &StuckDetector{cfg: cfg, states: make(map[string]*stuckState)}
+	return &StuckDetector{cfg: cfg, states: make(map[Series]*stuckState)}
 }
 
 // Observe feeds one sample; it alarms once per stuck episode.
-func (d *StuckDetector) Observe(series string, v float64, at time.Time) *Alert {
+func (d *StuckDetector) Observe(series Series, v float64, at time.Time) *Alert {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	st := d.states[series]
@@ -266,7 +282,7 @@ func (d *StuckDetector) Observe(series string, v float64, at time.Time) *Alert {
 	if st.repeats >= d.cfg.Window && !st.alerted {
 		st.alerted = true
 		return &Alert{
-			At: at, Kind: "stuck", Device: series, Score: float64(st.repeats),
+			At: at, Kind: "stuck", Device: series.String(), Score: float64(st.repeats),
 			Detail: fmt.Sprintf("value %.4g repeated %d times", v, st.repeats),
 		}
 	}

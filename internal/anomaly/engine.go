@@ -92,7 +92,7 @@ func (e *Engine) OnReading(r model.Reading) {
 		e.reg.Counter("anomaly.reading.invalid").Inc()
 		return
 	}
-	series := string(r.Device) + "/" + string(r.Quantity)
+	series := Series{Device: string(r.Device), Quantity: string(r.Quantity)}
 	if a := e.ewma.Observe(series, r.Value, r.At); a != nil {
 		e.emit(*a)
 	}

@@ -25,7 +25,7 @@ func TestSlowPoisonEvadesEWMAButNotConsistency(t *testing.T) {
 	// Warm up both detectors with honest traffic.
 	for k := 0; k < 100; k++ {
 		v := 0.25 + rng.NormFloat64()*0.01
-		if a := ewma.Observe("victim", v, at); a != nil {
+		if a := ewma.Observe(Series{"victim", "m"}, v, at); a != nil {
 			t.Fatalf("false positive during warmup: %+v", a)
 		}
 		for i := 0; i < 8; i++ {
@@ -42,7 +42,7 @@ func TestSlowPoisonEvadesEWMAButNotConsistency(t *testing.T) {
 	for k := 0; k < 400; k++ {
 		drift += 0.0005
 		v := 0.25 + drift + rng.NormFloat64()*0.01
-		if a := ewma.Observe("victim", v, at); a != nil && ewmaAlert == nil {
+		if a := ewma.Observe(Series{"victim", "m"}, v, at); a != nil && ewmaAlert == nil {
 			ewmaAlert = a
 		}
 		for i := 0; i < 8; i++ {
@@ -96,7 +96,7 @@ func TestNaNDoesNotBlindEWMA(t *testing.T) {
 	if got := eng.Metrics().Counter("anomaly.reading.invalid").Value(); got != 3 {
 		t.Errorf("anomaly.reading.invalid = %d, want 3", got)
 	}
-	if mean, _, _ := eng.EWMA().Baseline("victim/" + string(model.QSoilMoisture)); math.IsNaN(mean) || math.IsInf(mean, 0) {
+	if mean, _, _ := eng.EWMA().Baseline(Series{"victim", string(model.QSoilMoisture)}); math.IsNaN(mean) || math.IsInf(mean, 0) {
 		t.Errorf("baseline mean is %v after non-finite readings", mean)
 	}
 	for v := 50.0; v < 100; v++ {

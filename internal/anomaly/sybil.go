@@ -62,7 +62,7 @@ type SybilDetector struct {
 
 type sybilDevice struct {
 	firstSeen time.Time
-	values    []float64 // ring, newest last
+	values    []float64 // the last HistoryLen samples, newest last
 }
 
 // NewSybilDetector builds a detector.
@@ -80,10 +80,13 @@ func (d *SybilDetector) Observe(device string, v float64, at time.Time) {
 		dev = &sybilDevice{firstSeen: at}
 		d.devices[device] = dev
 	}
-	dev.values = append(dev.values, v)
-	if len(dev.values) > d.cfg.HistoryLen {
-		dev.values = dev.values[len(dev.values)-d.cfg.HistoryLen:]
+	if len(dev.values) < d.cfg.HistoryLen {
+		dev.values = append(dev.values, v)
+		return
 	}
+	// Full: shift in place, so the window's array is never regrown.
+	copy(dev.values, dev.values[1:])
+	dev.values[len(dev.values)-1] = v
 }
 
 // Scan clusters candidate devices and returns one alert per newly flagged

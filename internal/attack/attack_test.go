@@ -176,7 +176,7 @@ func TestTamperDetectedByEWMA(t *testing.T) {
 		mu.Lock()
 		defer mu.Unlock()
 		for _, r := range rs {
-			if a := det.Observe(string(r.Device), r.Value, r.At); a != nil {
+			if a := det.Observe(anomaly.Series{Device: string(r.Device), Quantity: string(r.Quantity)}, r.Value, r.At); a != nil {
 				alerts = append(alerts, *a)
 			}
 		}

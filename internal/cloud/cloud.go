@@ -95,11 +95,24 @@ func (i *Ingestor) noteAppendErr(err error) {
 // store-and-forward loop treat the batch as retryable — wedging its
 // queue head on a deterministically poisoned batch forever. Accepted
 // readings are counted exactly, even for mixed batches.
-func (i *Ingestor) IngestReadings(batch []model.Reading) error {
+//
+// The points are built in *scratch when it is non-nil: a caller that makes
+// one call at a time keeps the slice and passes it back each time, so a
+// batch costs no array. nil allocates one.
+func (i *Ingestor) IngestReadings(batch []model.Reading, scratch *[]timeseries.BatchPoint) error {
 	if len(batch) == 0 {
 		return nil
 	}
-	pts := make([]timeseries.BatchPoint, 0, len(batch))
+	var pts []timeseries.BatchPoint
+	if scratch != nil {
+		pts = (*scratch)[:0]
+		defer func() {
+			clear(pts)
+			*scratch = pts[:0]
+		}()
+	} else {
+		pts = make([]timeseries.BatchPoint, 0, len(batch))
+	}
 	invalid := 0
 	for _, r := range batch {
 		if err := r.Validate(); err != nil {

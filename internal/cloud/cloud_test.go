@@ -19,9 +19,9 @@ func TestIngestReadings(t *testing.T) {
 	batch := []model.Reading{
 		{Device: "p1", Quantity: model.QSoilMoisture, Value: 0.2, Depth: 0.2, At: t0},
 		{Device: "p1", Quantity: model.QSoilMoisture, Value: 0.3, Depth: 0.5, At: t0},
-		{Device: "ws", Quantity: model.QAirTemp, Value: 28, At: t0},
+		{Device: "d1", Quantity: model.QNDVI, Value: 0.7, At: t0},
 	}
-	if err := ing.IngestReadings(batch); err != nil {
+	if err := ing.IngestReadings(batch, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Depth separates series.
@@ -33,7 +33,7 @@ func TestIngestReadings(t *testing.T) {
 	}
 	// An all-invalid batch is not an error (it must not look like a
 	// transport failure to the fog retry loop) — it is skipped and counted.
-	if err := ing.IngestReadings([]model.Reading{{}}); err != nil {
+	if err := ing.IngestReadings([]model.Reading{{}}, nil); err != nil {
 		t.Errorf("all-invalid batch returned error: %v", err)
 	}
 	if ing.Metrics().Counter("cloud.ingest.invalid").Value() != 1 {
@@ -69,7 +69,7 @@ func TestIngestSkipsInvalidMidBatch(t *testing.T) {
 		{}, // invalid: must be skipped, not fail the batch
 		{Device: "p2", Quantity: model.QSoilMoisture, Value: 0.3, At: t0},
 	}
-	if err := ing.IngestReadings(batch); err != nil {
+	if err := ing.IngestReadings(batch, nil); err != nil {
 		t.Fatalf("mixed batch rejected: %v", err)
 	}
 	if got := store.Len(timeseries.SeriesKey{Device: "p1", Quantity: "soilMoisture"}); got != 1 {
@@ -95,9 +95,9 @@ func seedStore(t *testing.T) *timeseries.Store {
 			at := t0.Add(time.Duration(day*24+h) * time.Hour)
 			err := ing.IngestReadings([]model.Reading{
 				{Device: "farm1-p1", Quantity: model.QSoilMoisture, Value: 0.2 + float64(day)*0.01, At: at},
-				{Device: "farm1-ws", Quantity: model.QAirTemp, Value: 25, At: at},
+				{Device: "farm1-d1", Quantity: model.QNDVI, Value: 0.7, At: at},
 				{Device: "farm2-p9", Quantity: model.QSoilMoisture, Value: 0.4, At: at},
-			})
+			}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -169,7 +169,7 @@ func TestIngestAppendErrorsCountedByKind(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ing := NewIngestor(tc.w, nil)
 			ing.Logf = func(string, ...any) {}
-			err := ing.IngestReadings([]model.Reading{{Device: "p1", Quantity: model.QAirTemp, Value: 20, At: t0}})
+			err := ing.IngestReadings([]model.Reading{{Device: "p1", Quantity: model.QSoilMoisture, Value: 0.2, At: t0}}, nil)
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("IngestReadings = %v, want %v", err, tc.want)
 			}

@@ -182,6 +182,9 @@ type Platform struct {
 	// notifyProcessed is platform.notify.processed, resolved once: every
 	// context notification bumps it and WaitPipeline polls it.
 	notifyProcessed *metrics.Counter
+	// uplinkPts is cloudUplink's point scratch; the fog node makes one
+	// uplink call at a time.
+	uplinkPts []timeseries.BatchPoint
 }
 
 // ProbeUnit bundles one provisioned soil probe with its transport.
@@ -599,7 +602,7 @@ func (p *Platform) onContextNotification(n ngsi.Notification) {
 	defer p.notifyProcessed.Inc()
 	if p.Opts.Mode == ModeCloudOnly {
 		_ = p.Backhaul.Do(func() error {
-			return p.Ingestor.IngestReadings(readings)
+			return p.Ingestor.IngestReadings(readings, nil)
 		})
 	} else if p.Fog != nil {
 		// Fog ingests the decoded readings for local decisions and queues
@@ -616,7 +619,7 @@ func (p *Platform) onContextNotification(n ngsi.Notification) {
 // the batch in the fog node's store-and-forward queue for replay.
 func (p *Platform) cloudUplink(batch []model.Reading) error {
 	return p.Backhaul.Do(func() error {
-		return p.Ingestor.IngestReadings(batch)
+		return p.Ingestor.IngestReadings(batch, &p.uplinkPts)
 	})
 }
 

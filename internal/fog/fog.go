@@ -29,7 +29,9 @@ import (
 
 // UplinkFunc forwards one batch of readings to the cloud. It returns an
 // error while the backhaul is down — the node treats any error as
-// "partitioned, retry later".
+// "partitioned, retry later". The node makes one call at a time and reuses
+// the batch's array afterwards, so the function keeps nothing of it once
+// it returns.
 type UplinkFunc func([]model.Reading) error
 
 // DecisionFunc computes irrigation commands from the node's latest local
@@ -84,15 +86,23 @@ type Node struct {
 
 	// flushMu serializes flushers (the drain goroutine and Flush callers)
 	// so the queue has exactly one consumer at a time; the uplink call runs
-	// outside the state lock.
+	// outside the state lock. It guards the trip's scratch: head, the
+	// batches popped for it, and merged, their readings in one slice.
 	flushMu sync.Mutex
+	head    [][]model.Reading
+	merged  []model.Reading
 
 	mu       sync.Mutex
 	latest   map[seriesKey]model.Reading
-	queue    [][]model.Reading
+	queue    ring
 	inflight int // batches popped for the trip in progress
 	stats    Stats
 	online   bool
+
+	// Counters, resolved once so ingest and trips never touch the
+	// registry map.
+	cIngested, cInvalid, cDropped    *metrics.Counter
+	cTripOK, cTripFail, cTripBatches *metrics.Counter
 
 	wake      chan struct{} // Ingest → drainer: the queue is non-empty
 	stop      chan struct{}
@@ -126,6 +136,13 @@ func NewNode(cfg Config) (*Node, error) {
 		wake:   make(chan struct{}, 1),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
+
+		cIngested:    cfg.Metrics.Counter("fog.ingested"),
+		cInvalid:     cfg.Metrics.Counter("fog.ingest.invalid"),
+		cDropped:     cfg.Metrics.Counter("fog.queue.dropped"),
+		cTripOK:      cfg.Metrics.Counter("fog.uplink.ok"),
+		cTripFail:    cfg.Metrics.Counter("fog.uplink.fail"),
+		cTripBatches: cfg.Metrics.Counter("fog.uplink.batches"),
 	}
 	go n.drain()
 	return n, nil
@@ -192,40 +209,40 @@ func (k seriesKey) String() string {
 // skipped-and-counted (`fog.ingest.invalid`) rather than failing the batch —
 // one poisoned reading must not discard its valid batchmates, mirroring the
 // cloud ingestor's behaviour.
+//
+// Ingest takes ownership of batch: the node queues it as it is, with the
+// invalid readings compacted out in place, so the caller hands over a
+// slice it built for the call and never touches it again.
 func (n *Node) Ingest(batch []model.Reading) error {
-	if len(batch) == 0 {
-		return nil
-	}
-	cp := make([]model.Reading, 0, len(batch))
-	invalid := 0
+	valid := batch[:0]
 	for _, r := range batch {
-		if err := r.Validate(); err != nil {
-			invalid++
-			continue
+		if r.Validate() == nil {
+			valid = append(valid, r)
 		}
-		cp = append(cp, r)
 	}
-	if invalid > 0 {
-		n.reg.Counter("fog.ingest.invalid").Add(uint64(invalid))
+	if invalid := len(batch) - len(valid); invalid > 0 {
+		clear(batch[len(valid):])
+		n.cInvalid.Add(uint64(invalid))
 	}
-	if len(cp) == 0 {
+	if len(valid) == 0 {
 		return nil
 	}
 
 	n.mu.Lock()
-	for _, r := range cp {
+	for _, r := range valid {
 		key := keyOf(r)
 		if cur, ok := n.latest[key]; !ok || r.At.After(cur.At) {
 			n.latest[key] = r
 		}
 	}
-	n.stats.Ingested += uint64(len(cp))
-	n.queue = append(n.queue, cp)
-	if over := len(n.queue) - n.cfg.QueueCap; over > 0 {
-		n.dropOldestLocked(over)
+	n.stats.Ingested += uint64(len(valid))
+	if n.queue.len() >= n.cfg.QueueCap {
+		n.queue.popFront()
+		n.droppedLocked(1)
 	}
-	n.reg.Counter("fog.ingested").Add(uint64(len(cp)))
+	n.queue.pushBack(valid)
 	n.mu.Unlock()
+	n.cIngested.Add(uint64(len(valid)))
 
 	select {
 	case n.wake <- struct{}{}:
@@ -234,19 +251,10 @@ func (n *Node) Ingest(batch []model.Reading) error {
 	return nil
 }
 
-// advanceLocked moves the queue past its k oldest batches. The vacated slots
-// are cleared so the backing array does not pin batches that have left the
-// queue.
-func (n *Node) advanceLocked(k int) {
-	clear(n.queue[:k])
-	n.queue = n.queue[k:]
-}
-
-// dropOldestLocked sheds the k oldest queued batches (queue over capacity).
-func (n *Node) dropOldestLocked(k int) {
-	n.advanceLocked(k)
+// droppedLocked counts k batches shed from the queue over its capacity.
+func (n *Node) droppedLocked(k int) {
 	n.stats.Dropped += uint64(k)
-	n.reg.Counter("fog.queue.dropped").Add(uint64(k))
+	n.cDropped.Add(uint64(k))
 }
 
 // Flush drains the queue through the uplink until it empties or the uplink
@@ -261,56 +269,101 @@ func (n *Node) Flush() int {
 	sent := 0
 	for {
 		n.mu.Lock()
-		k := len(n.queue)
+		k := min(n.queue.len(), n.cfg.MaxBatchesPerTrip)
 		if k == 0 {
 			n.mu.Unlock()
 			return sent
 		}
-		if k > n.cfg.MaxBatchesPerTrip {
-			k = n.cfg.MaxBatchesPerTrip
-		}
 		// Pop the head now; flushMu makes us the only consumer. On uplink
 		// failure the head is pushed back, subject to the queue cap.
-		head := make([][]model.Reading, k)
-		copy(head, n.queue[:k])
-		n.advanceLocked(k)
+		for range k {
+			n.head = append(n.head, n.queue.popFront())
+		}
 		n.inflight = k
 		n.mu.Unlock()
 
-		payload := head[0]
+		payload := n.head[0]
 		if k > 1 {
-			total := 0
-			for _, b := range head {
-				total += len(b)
+			for _, b := range n.head {
+				n.merged = append(n.merged, b...)
 			}
-			merged := make([]model.Reading, 0, total)
-			for _, b := range head {
-				merged = append(merged, b...)
-			}
-			payload = merged
+			payload = n.merged
 		}
+		err := n.cfg.Uplink(payload)
+		clear(n.merged)
+		n.merged = n.merged[:0]
 
-		if err := n.cfg.Uplink(payload); err != nil {
-			n.mu.Lock()
-			n.online = false
-			n.inflight = 0
-			n.queue = append(head, n.queue...)
-			if over := len(n.queue) - n.cfg.QueueCap; over > 0 {
-				n.dropOldestLocked(over)
+		n.mu.Lock()
+		n.inflight = 0
+		n.online = err == nil
+		if err != nil {
+			// Newest first, so that at the cap the oldest are shed.
+			for i := k - 1; i >= 0; i-- {
+				if n.queue.len() >= n.cfg.QueueCap {
+					n.droppedLocked(i + 1)
+					break
+				}
+				n.queue.pushFront(n.head[i])
 			}
-			n.mu.Unlock()
-			n.reg.Counter("fog.uplink.fail").Inc()
+		} else {
+			n.stats.Forwarded += uint64(len(payload))
+		}
+		n.mu.Unlock()
+		clear(n.head)
+		n.head = n.head[:0]
+		if err != nil {
+			n.cTripFail.Inc()
 			return sent
 		}
-		n.mu.Lock()
-		n.online = true
-		n.inflight = 0
-		n.stats.Forwarded += uint64(len(payload))
-		n.mu.Unlock()
-		n.reg.Counter("fog.uplink.ok").Inc()
-		n.reg.Counter("fog.uplink.batches").Add(uint64(k))
+		n.cTripOK.Inc()
+		n.cTripBatches.Add(uint64(k))
 		sent += k
 	}
+}
+
+// ring is the store-and-forward queue: batches, oldest first, in a
+// circular array that doubles when full. Popped slots are cleared, so the
+// array pins no batch that has left the queue.
+type ring struct {
+	buf     [][]model.Reading
+	head, n int
+}
+
+func (q *ring) len() int { return q.n }
+
+// at returns the i-th oldest batch.
+func (q *ring) at(i int) []model.Reading { return q.buf[(q.head+i)%len(q.buf)] }
+
+func (q *ring) grow() {
+	if q.n < len(q.buf) {
+		return
+	}
+	buf := make([][]model.Reading, max(2*len(q.buf), 16))
+	for i := range q.n {
+		buf[i] = q.at(i)
+	}
+	q.buf, q.head = buf, 0
+}
+
+func (q *ring) pushBack(b []model.Reading) {
+	q.grow()
+	q.buf[(q.head+q.n)%len(q.buf)] = b
+	q.n++
+}
+
+func (q *ring) pushFront(b []model.Reading) {
+	q.grow()
+	q.head = (q.head + len(q.buf) - 1) % len(q.buf)
+	q.buf[q.head] = b
+	q.n++
+}
+
+func (q *ring) popFront() []model.Reading {
+	b := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head = (q.head + 1) % len(q.buf)
+	q.n--
+	return b
 }
 
 // Online reports the node's last-known backhaul state.
@@ -361,6 +414,6 @@ func (n *Node) Stats() Stats {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	st := n.stats
-	st.Buffered = len(n.queue) + n.inflight
+	st.Buffered = n.queue.len() + n.inflight
 	return st
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -29,7 +30,7 @@ func (u *fakeUplink) forward(b []model.Reading) error {
 	if u.down {
 		return errors.New("backhaul down")
 	}
-	u.batches = append(u.batches, b)
+	u.batches = append(u.batches, slices.Clone(b)) // the node reuses b
 	return nil
 }
 
@@ -565,11 +566,11 @@ func TestPartitionBacklogReleasedAfterFlush(t *testing.T) {
 	n.Flush()
 	released := make(chan struct{})
 	n.mu.Lock()
-	if len(n.queue) != queueCap {
+	if n.queue.len() != queueCap {
 		n.mu.Unlock()
-		t.Fatalf("queue holds %d batches, want %d", len(n.queue), queueCap)
+		t.Fatalf("queue holds %d batches, want %d", n.queue.len(), queueCap)
 	}
-	runtime.SetFinalizer(&n.queue[0][0], func(*model.Reading) { close(released) })
+	runtime.SetFinalizer(&n.queue.at(0)[0], func(*model.Reading) { close(released) })
 	n.mu.Unlock()
 
 	down.Store(false)
@@ -591,17 +592,32 @@ func TestPartitionBacklogReleasedAfterFlush(t *testing.T) {
 }
 
 // TestIngestAllocs guards the per-batch cost of the path the context
-// dispatchers run: one allocation (the node's own copy of the batch); the
-// latest-view key is a struct, not a formatted string.
+// dispatchers run: none. Ingest takes ownership of the batch it is handed,
+// so it queues that slice instead of a copy, and the queue is a ring that
+// does not regrow once it has held as many batches; the latest-view key is
+// a struct, not a formatted string. Each call gets a fresh batch, as the
+// ownership rule requires.
 func TestIngestAllocs(t *testing.T) {
 	u := &fakeUplink{}
 	n := newStoppedNode(t, Config{Uplink: u.forward})
-	deep := reading("p1", 0.31, t0)
-	deep.Depth = 0.5
-	batch := []model.Reading{reading("p1", 0.30, t0), deep}
-	n.Ingest(batch) // creates the two latest-view entries
-	allocs := testing.AllocsPerRun(200, func() { n.Ingest(batch) })
-	if allocs > 1 {
-		t.Errorf("Ingest of a two-reading batch allocates %.0f times, want at most 1", allocs)
+	const runs = 200
+	batches := make([][]model.Reading, 2*(runs+1))
+	for i := range batches {
+		deep := reading("p1", 0.31, t0)
+		deep.Depth = 0.5
+		batches[i] = []model.Reading{reading("p1", 0.30, t0), deep}
+	}
+	// Create the two latest-view entries and grow the ring to hold a run.
+	for _, b := range batches[:runs+1] {
+		n.Ingest(b)
+	}
+	n.Flush()
+	next := batches[runs+1:]
+	allocs := testing.AllocsPerRun(runs, func() {
+		n.Ingest(next[0])
+		next = next[1:]
+	})
+	if allocs != 0 {
+		t.Errorf("Ingest of a two-reading batch allocates %.2f times, want 0", allocs)
 	}
 }

@@ -79,7 +79,7 @@ func newFixtureWith(t *testing.T, tweak func(*Config)) *fixture {
 	if err := ing.IngestReadings([]model.Reading{
 		{Device: "farm1-p1", Quantity: model.QSoilMoisture, Value: 0.25, At: time.Now()},
 		{Device: "farm1-p1", Quantity: model.QSoilMoisture, Value: 0.27, At: time.Now()},
-	}); err != nil {
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 

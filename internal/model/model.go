@@ -26,9 +26,6 @@ type DeviceKind int
 const (
 	KindUnknown DeviceKind = iota
 	KindSoilProbe
-	KindWeatherStation
-	KindFlowMeter
-	KindPivotEncoder
 	KindDrone
 	KindValveActuator
 	KindPumpActuator
@@ -37,16 +34,13 @@ const (
 )
 
 var kindNames = map[DeviceKind]string{
-	KindUnknown:        "unknown",
-	KindSoilProbe:      "soil-probe",
-	KindWeatherStation: "weather-station",
-	KindFlowMeter:      "flow-meter",
-	KindPivotEncoder:   "pivot-encoder",
-	KindDrone:          "drone",
-	KindValveActuator:  "valve-actuator",
-	KindPumpActuator:   "pump-actuator",
-	KindGateActuator:   "gate-actuator",
-	KindFogNode:        "fog-node",
+	KindUnknown:       "unknown",
+	KindSoilProbe:     "soil-probe",
+	KindDrone:         "drone",
+	KindValveActuator: "valve-actuator",
+	KindPumpActuator:  "pump-actuator",
+	KindGateActuator:  "gate-actuator",
+	KindFogNode:       "fog-node",
 }
 
 // String implements fmt.Stringer.
@@ -68,27 +62,18 @@ func (k DeviceKind) IsActuator() bool {
 }
 
 // Quantity names a physical quantity carried by a reading. The set is open:
-// pilots may add their own, but the constants below cover everything the
-// built-in device simulators emit.
+// a pilot may add its own.
 type Quantity string
 
-// Quantities produced by the built-in device simulators.
+// Quantities the platform names.
 const (
 	QSoilMoisture  Quantity = "soilMoisture" // volumetric water content, m3/m3
 	QSoilTemp      Quantity = "soilTemperature"
-	QAirTemp       Quantity = "airTemperature" // Celsius
-	QHumidity      Quantity = "relativeHumidity"
-	QSolarRad      Quantity = "solarRadiation" // MJ/m2/day
-	QWindSpeed     Quantity = "windSpeed"      // m/s at 2m
-	QRainfall      Quantity = "rainfall"       // mm
-	QFlowRate      Quantity = "flowRate"       // m3/h
-	QPivotAngle    Quantity = "pivotAngle"     // degrees
-	QBattery       Quantity = "batteryLevel"   // fraction 0..1
-	QNDVI          Quantity = "ndvi"           // unitless -1..1
-	QValveState    Quantity = "valveState"     // 0 closed, 1 open
-	QAppliedDepth  Quantity = "appliedDepth"   // mm of irrigation applied
-	QEnergy        Quantity = "energyUsed"     // kWh
-	QWaterConsumed Quantity = "waterConsumed"  // m3
+	QNDVI          Quantity = "ndvi"          // unitless -1..1
+	QValveState    Quantity = "valveState"    // 0 closed, 1 open
+	QAppliedDepth  Quantity = "appliedDepth"  // mm of irrigation applied
+	QEnergy        Quantity = "energyUsed"    // kWh
+	QWaterConsumed Quantity = "waterConsumed" // m3
 )
 
 // Reading is a single timestamped measurement (or actuator state report)

@@ -16,9 +16,9 @@ func TestReadingValidate(t *testing.T) {
 	bad := []Reading{
 		{Quantity: QSoilMoisture, Value: 1, At: now},
 		{Device: "d", Value: 1, At: now},
-		{Device: "d", Quantity: QAirTemp, Value: math.NaN(), At: now},
-		{Device: "d", Quantity: QAirTemp, Value: math.Inf(1), At: now},
-		{Device: "d", Quantity: QAirTemp, Value: 1},
+		{Device: "d", Quantity: QSoilMoisture, Value: math.NaN(), At: now},
+		{Device: "d", Quantity: QSoilMoisture, Value: math.Inf(1), At: now},
+		{Device: "d", Quantity: QSoilMoisture, Value: 1},
 	}
 	for i, r := range bad {
 		if err := r.Validate(); err == nil {

@@ -170,6 +170,53 @@ func TestLocalOnlyRouteEncodesNoFrame(t *testing.T) {
 	}
 }
 
+// stepConn is a feedConn whose inbound bytes after the scripted ones arrive
+// one chunk per send on next.
+type stepConn struct {
+	*feedConn
+	next chan []byte
+}
+
+func (c *stepConn) Read(p []byte) (int, error) {
+	if len(c.in) == 0 {
+		select {
+		case c.in = <-c.next:
+		case <-c.closed:
+			return 0, io.EOF
+		}
+	}
+	return c.feedConn.Read(p)
+}
+
+// TestQoS1PubackAllocs: a QoS 1 PUBLISH read off a device's connection,
+// routed and answered with its PUBACK costs what decoding it costs (its
+// Packet, body and topic; see TestPublishDecodeAllocs) and nothing more —
+// the control queue holds the PUBACK by value.
+func TestQoS1PubackAllocs(t *testing.T) {
+	b := NewBroker(BrokerConfig{})
+	defer b.Close()
+	conn := &stepConn{feedConn: newFeedConn(t, &Packet{Type: CONNECT, ClientID: "probe-1"}), next: make(chan []byte)}
+	b.AttachConn(conn)
+	want := int64(len(encodeAll(t, &Packet{Type: CONNACK})))
+	waitFor(t, time.Second, func() bool { return conn.written.Load() == want })
+
+	pub := encodeAll(t, &Packet{Type: PUBLISH, Topic: "ul/k1/probe-1/attrs", Payload: []byte("m1|0.21|m2|0.27"), QoS: 1, PacketID: 7})
+	puback := int64(len(encodeAll(t, &Packet{Type: PUBACK, PacketID: 7})))
+	step := func() {
+		conn.next <- pub
+		want += puback
+		for conn.written.Load() < want {
+			runtime.Gosched()
+		}
+	}
+	for i := 0; i < 64; i++ {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(200, step); allocs > 3 {
+		t.Errorf("QoS 1 publish -> PUBACK allocates %.2f objects, want ≤ 3 (the decode's)", allocs)
+	}
+}
+
 // TestTrieMatchZeroAlloc pins the matcher itself: an index-walking trie
 // match into a pre-sized scratch slice splits no strings and allocates
 // nothing, even with wildcard and multi-level overlap.

@@ -329,8 +329,8 @@ type session struct {
 	// QoS 1 deliveries take the queue past its bound.
 	outq            []outMsg
 	outHead, outLen int
-	ctlq            []*Packet // control acks, drained ahead of outq
-	ctlAlt          []*Packet // writer's drained ctl slice, swapped back in
+	ctlq            []Packet  // control acks, drained ahead of outq
+	ctlAlt          []Packet  // writer's drained ctl slice, swapped back in
 	ctlRoom         sync.Cond // on mu: the writer took the control queue, or the session closed
 	nextID          uint16
 	lastSeen        time.Time
@@ -579,7 +579,7 @@ func (b *Broker) handlePacket(s *session, pkt *Packet) (stop bool) {
 	case UNSUBSCRIBE:
 		b.handleUnsubscribe(s, pkt)
 	case PINGREQ:
-		b.enqueueCtl(s, &Packet{Type: PINGRESP})
+		b.enqueueCtl(s, Packet{Type: PINGRESP})
 	case DISCONNECT:
 		return true
 	default:
@@ -634,7 +634,7 @@ func (b *Broker) handlePublish(s *session, pkt *Packet) (stop bool) {
 	}
 	b.cPubIn.Inc()
 	if pkt.QoS == 1 {
-		b.enqueueCtl(s, &Packet{Type: PUBACK, PacketID: pkt.PacketID})
+		b.enqueueCtl(s, Packet{Type: PUBACK, PacketID: pkt.PacketID})
 	}
 	if pkt.Retain {
 		b.storeRetained(pkt.Topic, pkt.Payload, pkt.QoS)
@@ -846,8 +846,9 @@ func (b *Broker) enqueueMsg(s *session, f *Frame, qos byte) {
 // keeps exactly one goroutine writing each connection. Only the session's
 // reader calls it, so a full control queue stops the reader — and with it
 // the socket — until the writer takes the queue or the session ends: no
-// response is ever dropped.
-func (b *Broker) enqueueCtl(s *session, pkt *Packet) {
+// response is ever dropped. The queue holds packets by value, so a PUBACK
+// costs no heap packet.
+func (b *Broker) enqueueCtl(s *session, pkt Packet) {
 	s.mu.Lock()
 	for !s.closedFl && len(s.ctlq) >= s.qcap {
 		s.ctlRoom.Wait()
@@ -940,9 +941,10 @@ func (b *Broker) drainQueue(s *session) bool {
 		if n > 0 {
 			b.gQueueDepth.Add(-float64(n))
 		}
-		for i, pkt := range ctl {
-			ctl[i] = nil
-			if wire, err := s.conn.bufferPacket(pkt); err != nil || !wrote(wire) {
+		for i := range ctl {
+			wire, err := s.conn.bufferPacket(&ctl[i])
+			ctl[i] = Packet{} // pin no SUBACK's granted list
+			if err != nil || !wrote(wire) {
 				releaseBatch(batch)
 				return false
 			}
@@ -1078,7 +1080,7 @@ func (b *Broker) handleSubscribe(s *session, pkt *Packet) {
 	// SUBACK rides the control queue, retained snapshots the data queue;
 	// the writer drains control first, so within any drain cycle the SUBACK
 	// precedes the retained deliveries it acknowledges.
-	b.enqueueCtl(s, &Packet{Type: SUBACK, PacketID: pkt.PacketID, GrantedQoS: granted})
+	b.enqueueCtl(s, Packet{Type: SUBACK, PacketID: pkt.PacketID, GrantedQoS: granted})
 	for _, r := range rets {
 		f := newPublishFrame(r.topic, r.msg.payload, r.qos, true)
 		b.enqueueMsg(s, f, r.qos)
@@ -1105,7 +1107,7 @@ func (b *Broker) handleUnsubscribe(s *session, pkt *Packet) {
 		b.subEpoch.Add(1)
 	}
 	b.subMu.Unlock()
-	b.enqueueCtl(s, &Packet{Type: UNSUBACK, PacketID: pkt.PacketID})
+	b.enqueueCtl(s, Packet{Type: UNSUBACK, PacketID: pkt.PacketID})
 }
 
 // dropSession removes s from the broker and closes its connection.

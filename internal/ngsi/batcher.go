@@ -54,8 +54,13 @@ type Batcher struct {
 
 	// flushMu serializes flushes end to end (swap + BatchUpdate). Without
 	// it, two concurrent flushers could apply their swapped-out batches in
-	// the wrong order and an older value would overwrite a newer one.
+	// the wrong order and an older value would overwrite a newer one. It
+	// also guards the flusher's scratch: spare, the emptied map the last
+	// flush shipped, which the next swaps in for pending, and order, the
+	// broker's apply order.
 	flushMu sync.Mutex
+	spare   map[string]BatchEntry
+	order   []batchKey
 
 	mu      sync.Mutex
 	pending map[string]BatchEntry
@@ -84,6 +89,7 @@ func NewBatcher(cfg BatcherConfig) (*Batcher, error) {
 	ba := &Batcher{
 		cfg:       cfg,
 		pending:   make(map[string]BatchEntry),
+		spare:     make(map[string]BatchEntry),
 		wake:      make(chan struct{}, 1),
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
@@ -163,24 +169,27 @@ func (ba *Batcher) Flush() int {
 		return 0
 	}
 	batch, updates := ba.pending, ba.updates
-	ba.pending = make(map[string]BatchEntry, len(batch))
+	ba.pending, ba.spare = ba.spare, nil
 	ba.updates = 0
 	ba.gPending.Set(0)
 	ba.mu.Unlock()
 
 	var err error
 	if l, ok := ba.cfg.Writer.(Local); ok {
-		err = l.batchUpdate(batch, true) // the stored versions keep the batch's maps
+		err = l.batchUpdate(batch, true, &ba.order) // the stored versions keep the batch's attribute maps
 	} else {
 		err = ba.cfg.Writer.BatchUpdate(batch)
 	}
+	entities := len(batch)
+	clear(batch) // a writer keeps nothing of the map itself
+	ba.spare = batch
 	ba.cFlush.Inc()
 	ba.cUpdates.Add(uint64(updates))
-	ba.cEntities.Add(uint64(len(batch)))
+	ba.cEntities.Add(uint64(entities))
 	if ba.cfg.OnFlush != nil {
-		ba.cfg.OnFlush(FlushStats{Entities: len(batch), Updates: updates, Err: err})
+		ba.cfg.OnFlush(FlushStats{Entities: entities, Updates: updates, Err: err})
 	}
-	return len(batch)
+	return entities
 }
 
 // Close stops the flusher and flushes the tail: every Add that returned nil

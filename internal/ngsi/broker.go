@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -145,6 +145,9 @@ type shard struct {
 	table
 	queue chan queuedNotification
 	depth *metrics.Gauge
+	// matched is notifyShardLocked's scratch, used under mu held for
+	// writing and cleared after each use.
+	matched []*subState
 }
 
 type queuedNotification struct {
@@ -403,12 +406,28 @@ type BatchEntry = struct {
 // ErrClosed — callers treat that as shutdown, not as a clean rejection.
 // The broker copies what it keeps of updates.
 func (b *Broker) BatchUpdate(updates map[string]BatchEntry) error {
-	return b.batchUpdate(updates, false)
+	return b.batchUpdate(updates, false, nil)
+}
+
+// batchKey places one entity of a batch: batchUpdate applies a batch in
+// (shard, id) order.
+type batchKey struct {
+	shard int
+	id    string
+}
+
+func compareBatchKeys(a, b batchKey) int {
+	if a.shard != b.shard {
+		return a.shard - b.shard
+	}
+	return strings.Compare(a.id, b.id)
 }
 
 // batchUpdate is BatchUpdate; with owned, the attribute values in updates
 // are the caller's to give away and the stored versions keep them uncopied.
-func (b *Broker) batchUpdate(updates map[string]BatchEntry, owned bool) error {
+// order, if non-nil, is scratch the caller owns for the batch's apply
+// order; nil allocates it.
+func (b *Broker) batchUpdate(updates map[string]BatchEntry, owned bool, order *[]batchKey) error {
 	if len(updates) == 0 {
 		return nil
 	}
@@ -423,18 +442,28 @@ func (b *Broker) batchUpdate(updates map[string]BatchEntry, owned bool) error {
 			return fmt.Errorf("ngsi: batch update %q: empty attribute update", id)
 		}
 	}
-	groups := make([][]string, len(b.shards))
-	for id := range updates {
-		si := b.shardIndex(id)
-		groups[si] = append(groups[si], id)
+	var keys []batchKey
+	if order != nil {
+		keys = (*order)[:0]
+		defer func() {
+			clear(keys)
+			*order = keys[:0]
+		}()
 	}
+	for id := range updates {
+		keys = append(keys, batchKey{shard: b.shardIndex(id), id: id})
+	}
+	// Shard by shard, ids sorted: a deterministic application order.
+	slices.SortFunc(keys, compareBatchKeys)
 	now := b.clk.Now()
 	var acks []JournalAck
-	for si, ids := range groups {
-		if len(ids) == 0 {
-			continue
+	for rest := keys; len(rest) > 0; {
+		si, n := rest[0].shard, 1
+		for n < len(rest) && rest[n].shard == si {
+			n++
 		}
-		sort.Strings(ids) // deterministic application order within a shard
+		run := rest[:n]
+		rest = rest[n:]
 		sh := b.shards[si]
 		sh.mu.Lock()
 		if b.closed.Load() { // re-check under the lock; see Close
@@ -443,11 +472,11 @@ func (b *Broker) batchUpdate(updates map[string]BatchEntry, owned bool) error {
 		}
 		var entries []MergeEntry
 		if b.journal != nil {
-			entries = make([]MergeEntry, 0, len(ids))
+			entries = make([]MergeEntry, 0, len(run))
 		}
-		for _, id := range ids {
-			u := updates[id]
-			entry := b.applyUpdateLocked(sh, id, u.Type, u.Attrs, owned, now)
+		for _, k := range run {
+			u := updates[k.id]
+			entry := b.applyUpdateLocked(sh, k.id, u.Type, u.Attrs, owned, now)
 			if entries != nil {
 				entries = append(entries, entry)
 			}
@@ -694,7 +723,7 @@ func (b *Broker) rebuildIndexLocked() {
 // attributes in changed were just written. The entity's shard lock must be
 // held; the subscription index is read lock-free.
 func (b *Broker) notifyShardLocked(sh *shard, e *Entity, changed []string) {
-	matched := b.index.Load().collect(e.ID, e.Type, nil)
+	matched := b.index.Load().collect(e.ID, e.Type, sh.matched[:0])
 	if len(matched) == 0 {
 		return
 	}
@@ -726,6 +755,8 @@ func (b *Broker) notifyShardLocked(sh *shard, e *Entity, changed []string) {
 			b.cDropped.Inc()
 		}
 	}
+	clear(matched) // pin no subscription that goes away
+	sh.matched = matched[:0]
 }
 
 func intersects(a, b []string) bool {

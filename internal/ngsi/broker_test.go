@@ -264,6 +264,33 @@ func TestUnsubscribe(t *testing.T) {
 	}
 }
 
+// TestNotifyScratchPinsNoSubscription: the shard's match scratch is
+// cleared after each write, so a subscription that goes away is not kept
+// reachable by the shard that last matched it.
+func TestNotifyScratchPinsNoSubscription(t *testing.T) {
+	b := NewBroker(BrokerConfig{Shards: 1})
+	defer b.Close()
+	for range 3 {
+		if _, err := b.Subscribe(Subscription{EntityIDPattern: "*", Notifier: Callback(func(Notification) {})}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.UpdateAttrs("e", "T", map[string]Attribute{"a": num(1)}); err != nil {
+		t.Fatal(err)
+	}
+	sh := b.shards[0]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if cap(sh.matched) < 3 {
+		t.Fatalf("scratch cap %d after a write matching 3 subscriptions, want ≥ 3", cap(sh.matched))
+	}
+	for i, st := range sh.matched[:cap(sh.matched)] {
+		if st != nil {
+			t.Errorf("scratch slot %d still holds subscription %s", i, st.sub.ID)
+		}
+	}
+}
+
 func TestSubscribeValidation(t *testing.T) {
 	b := NewBroker(BrokerConfig{})
 	defer b.Close()

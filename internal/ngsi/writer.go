@@ -11,6 +11,8 @@ import "github.com/swamp-project/swamp/internal/timeseries"
 // ErrDurability, ErrUnavailable) whichever node served them.
 type Writer interface {
 	UpdateAttrs(id, typ string, attrs map[string]Attribute) error
+	// BatchUpdate keeps nothing of the updates map once it returns: the
+	// batcher empties and reuses it.
 	BatchUpdate(updates map[string]BatchEntry) error
 	DeleteEntity(id string) error
 	// AppendBatch appends telemetry; a point the store would refuse

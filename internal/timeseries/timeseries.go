@@ -18,6 +18,7 @@ package timeseries
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -371,70 +372,79 @@ func (s *Store) AppendBatch(batch []BatchPoint) (accepted, rejected int, err err
 	if len(batch) == 0 {
 		return 0, 0, nil
 	}
-	groups := make([][]int, len(s.shards))
-	valid := 0
+	// order holds one key per valid point: its shard in the high half, its
+	// batch index in the low. Sorted, it lists the points shard by shard,
+	// in batch order within a shard. A fog trip's batch fits the stack.
+	var stack [128]uint64
+	order := stack[:0]
+	if len(batch) > len(stack) {
+		order = make([]uint64, 0, len(batch))
+	}
 	for i := range batch {
 		if ValidatePoint(batch[i].Key, batch[i].Point) != nil {
 			rejected++
 			continue
 		}
-		si := s.shardIndex(batch[i].Key)
-		groups[si] = append(groups[si], i)
-		valid++
+		order = append(order, uint64(s.shardIndex(batch[i].Key))<<32|uint64(i))
 	}
-	if valid == 0 {
+	if len(order) == 0 {
 		return 0, rejected, nil
 	}
-	var touched []int
-	for si := range groups {
-		if len(groups[si]) > 0 {
-			touched = append(touched, si)
-		}
-	}
+	slices.Sort(order)
 	// Lock every touched shard (ascending index, the same order
 	// DumpFrozen uses) and enqueue ONE record for the whole batch while
 	// holding them: log order matches apply order on every shard, the
 	// snapshot freeze still cleanly splits applied-and-logged from
 	// not-yet-applied, and the single record is what makes durability
 	// all-or-nothing across shards.
-	for _, si := range touched {
-		s.shards[si].mu.Lock()
+	for from := 0; from < len(order); from = shardRunEnd(order, from) {
+		s.shards[order[from]>>32].mu.Lock()
 	}
-	applied := make([]BatchPoint, 0, valid)
-	for _, si := range touched {
-		sh := s.shards[si]
-		for _, i := range groups[si] {
-			if s.journal != nil {
-				s.applyLocked(sh, batch[i].Key, batch[i].Point)
-			} else {
-				s.appendLocked(sh, batch[i].Key, batch[i].Point)
-			}
-			applied = append(applied, batch[i])
+	var applied []BatchPoint
+	if s.journal != nil {
+		applied = make([]BatchPoint, 0, len(order))
+	}
+	for _, k := range order {
+		sh, bp := s.shards[k>>32], batch[uint32(k)]
+		if s.journal != nil {
+			s.applyLocked(sh, bp.Key, bp.Point)
+			applied = append(applied, bp)
+		} else {
+			s.appendLocked(sh, bp.Key, bp.Point)
 		}
 	}
 	var ack JournalAck
 	if s.journal != nil {
 		ack = s.journal.PointsAppended(applied)
 	}
-	for _, si := range touched {
-		s.shards[si].mu.Unlock()
+	for from := 0; from < len(order); from = shardRunEnd(order, from) {
+		s.shards[order[from]>>32].mu.Unlock()
 	}
-	accepted = valid
+	accepted = len(order)
 	if ack != nil {
 		werr := ack.Wait()
-		pos := 0
-		for _, si := range touched {
-			n := len(groups[si])
+		for from, to := 0, 0; from < len(order); from = to {
+			to = shardRunEnd(order, from)
+			sh := s.shards[order[from]>>32]
 			if werr != nil {
-				accepted -= s.rollback(s.shards[si], applied[pos:pos+n])
+				accepted -= s.rollback(sh, applied[from:to])
 			} else {
-				s.enforceCapGroup(s.shards[si], applied[pos:pos+n])
+				s.enforceCapGroup(sh, applied[from:to])
 			}
-			pos += n
 		}
 		err = werr
 	}
 	return accepted, rejected, err
+}
+
+// shardRunEnd returns the end of the run of AppendBatch keys from order[from]
+// that share its shard.
+func shardRunEnd(order []uint64, from int) int {
+	to := from + 1
+	for to < len(order) && order[to]>>32 == order[from]>>32 {
+		to++
+	}
+	return to
 }
 
 // DumpFrozen write-locks every shard, calls prepare (the snapshot's WAL
