@@ -319,11 +319,15 @@ func BenchmarkAnomalyWindow(b *testing.B) {
 	for _, window := range []time.Duration{time.Second, 10 * time.Second, time.Minute} {
 		b.Run(fmt.Sprintf("window-%v", window), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				det := anomaly.NewRateDetector(anomaly.RateConfig{Window: window, LimitPerSec: 10})
+				detected := false
+				eng := anomaly.NewEngine(anomaly.EngineConfig{
+					Rate: anomaly.RateConfig{Window: window, LimitPerSec: 10},
+					Sink: func(a anomaly.Alert) { detected = detected || a.Kind == "dos" },
+				})
 				at := time.Date(2026, 6, 1, 0, 0, 0, 0, time.UTC)
 				detectAfter := -1
 				for m := 0; m < 50_000; m++ {
-					if a := det.Observe("flood", at); a != nil {
+					if eng.OnMessage("flood", "swamp/flood", nil, at); detected {
 						detectAfter = m + 1
 						break
 					}
@@ -399,6 +403,19 @@ func BenchmarkAnomalyOnReading(b *testing.B) {
 				})
 			}
 		})
+	}
+}
+
+// BenchmarkAnomalyOnMessage is the broker tap's cost per publish: one
+// client's rate window at the platform's settings, fed a 100 k/s flood.
+func BenchmarkAnomalyOnMessage(b *testing.B) {
+	eng := anomaly.NewEngine(anomaly.EngineConfig{Rate: anomaly.RateConfig{Window: 5 * time.Second, LimitPerSec: 50}})
+	at := time.Date(2026, 6, 1, 0, 0, 0, 0, time.UTC)
+	payload := []byte("m1|0.231|m2|0.275")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.OnMessage("gateway", "swamp/probe/attrs", payload, at.Add(time.Duration(i)*10*time.Microsecond))
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -22,9 +21,10 @@ type ConsistencyConfig struct {
 	// exploding the z-score; set MinSpread to the known sensor noise scale
 	// (e.g. 0.008 m³/m³ for soil probes) to bound false positives.
 	MinSpread float64
-	// Cooldown suppresses repeated alerts per device (default 1m).
-	Cooldown time.Duration
 }
+
+// consistencyCooldown suppresses repeated consistency alerts per device.
+const consistencyCooldown = time.Minute
 
 func (c *ConsistencyConfig) defaults() {
 	if c.MinPeers <= 0 {
@@ -33,105 +33,66 @@ func (c *ConsistencyConfig) defaults() {
 	if c.K <= 0 {
 		c.K = 5
 	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = time.Minute
-	}
-}
-
-// ConsistencyDetector cross-checks each sensor against the population of
-// sensors measuring the same quantity in the same deployment: a reading far
-// from the robust consensus (median ± K·MAD) is flagged. This catches the
-// §III value-tampering attack even when the attacker keeps the series
-// internally smooth (defeating the per-series EWMA baseline).
-//
-// Each quantity's population is kept in ascending order, so a value costs
-// O(log N) comparisons and one copy per slice edit instead of sorting the
-// fleet, and the statistics stay exact: the median is read by index and the
-// MAD by rank selection over the ordered values either side of it.
-type ConsistencyDetector struct {
-	cfg ConsistencyConfig
-
-	mu        sync.Mutex
-	latest    map[string]*population // by quantity
-	lastAlert map[string]time.Time
 }
 
 // population is the last value of every device reporting one quantity;
 // sorted holds exactly the values of byDev, ascending under less.
+//
+// Keeping the values in order makes a value cost O(log N) comparisons and
+// one copy per slice edit instead of a sort of the fleet, and the
+// statistics stay exact: the median is read by index and the MAD by rank
+// selection over the ordered values either side of it.
 type population struct {
 	byDev  map[string]float64
 	sorted []float64
 }
 
-// NewConsistencyDetector builds a detector.
-func NewConsistencyDetector(cfg ConsistencyConfig) *ConsistencyDetector {
-	cfg.defaults()
-	return &ConsistencyDetector{
-		cfg:       cfg,
-		latest:    make(map[string]*population),
-		lastAlert: make(map[string]time.Time),
-	}
-}
-
-// Observe feeds one (device, quantity, value) sample. A non-finite value is
-// ignored: NaN has no place in an ordered population.
-func (d *ConsistencyDetector) Observe(device, quantity string, v float64, at time.Time) *Alert {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return nil
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	pop := d.latest[quantity]
+// observeConsistency cross-checks one sample against the population of
+// sensors measuring the same quantity in the same deployment: a reading far
+// from the robust consensus (median ± K·MAD) is flagged. This catches the
+// §III value-tampering attack even when the attacker keeps the series
+// internally smooth (defeating the per-series EWMA baseline). dev is the
+// record of device id, the sample's source; e.mu must be held.
+func (e *Engine) observeConsistency(dev *device, id, quantity string, v float64, at time.Time) (Alert, bool) {
+	cfg := &e.consistency
+	pop := e.pops[quantity]
 	if pop == nil {
 		pop = &population{byDev: make(map[string]float64)}
-		d.latest[quantity] = pop
+		e.pops[quantity] = pop
 	}
 	// The peers are every other device: take this one's previous value out,
 	// read the consensus of what remains, then put the new value in.
-	if old, ok := pop.byDev[device]; ok {
+	if old, ok := pop.byDev[id]; ok {
 		pop.remove(old)
 	}
 	peers := len(pop.sorted)
 	var med, mad float64
-	if peers >= d.cfg.MinPeers {
+	if peers >= cfg.MinPeers {
 		med, mad = medianAndMAD(pop.sorted)
 	}
-	pop.byDev[device] = v
+	pop.byDev[id] = v
 	pop.insert(v)
-	if peers < d.cfg.MinPeers {
-		return nil
+	if peers < cfg.MinPeers {
+		return Alert{}, false
 	}
 	// 1.4826·MAD ≈ σ for normal data; floor it per config.
 	spread := 1.4826 * mad
-	if spread < d.cfg.MinSpread {
-		spread = d.cfg.MinSpread
+	if spread < cfg.MinSpread {
+		spread = cfg.MinSpread
 	}
 	if spread < 1e-9 {
 		spread = 1e-9
 	}
 	z := math.Abs(v-med) / spread
-	if z <= d.cfg.K {
-		return nil
+	if z <= cfg.K || at.Sub(dev.lastConsistency) < consistencyCooldown {
+		return Alert{}, false
 	}
-	if at.Sub(d.lastAlert[device]) < d.cfg.Cooldown {
-		return nil
-	}
-	d.lastAlert[device] = at
-	return &Alert{
-		At: at, Kind: "consistency", Device: device, Score: z,
+	dev.lastConsistency = at
+	return Alert{
+		At: at, Kind: "consistency", Device: id, Score: z,
 		Detail: fmt.Sprintf("%s=%.4g vs consensus %.4g (spread %.4g, %d peers)",
 			quantity, v, med, spread, peers),
-	}
-}
-
-// PeerCount returns how many devices currently report quantity.
-func (d *ConsistencyDetector) PeerCount(quantity string) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if pop := d.latest[quantity]; pop != nil {
-		return len(pop.byDev)
-	}
-	return 0
+	}, true
 }
 
 // less orders finite values ascending with -0 before +0, so that equal

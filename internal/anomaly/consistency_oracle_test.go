@@ -60,7 +60,7 @@ func (d *oracleDetector) Observe(device, quantity string, v float64, at time.Tim
 	if z <= d.cfg.K {
 		return nil
 	}
-	if at.Sub(d.lastAlert[device]) < d.cfg.Cooldown {
+	if at.Sub(d.lastAlert[device]) < consistencyCooldown {
 		return nil
 	}
 	d.lastAlert[device] = at
@@ -119,7 +119,28 @@ var awkward = []float64{
 	1, -1, 1e-9, 2e-9, 1e300, -1e300, 1e-300, 100,
 }
 
-// history drives a detector and its oracle through the same random history
+// consistencyProbe returns an engine built from cfg and a function that
+// feeds it one reading and returns the consistency alert it raised, if any.
+func consistencyProbe(cfg ConsistencyConfig) (*Engine, func(dev, quantity string, v float64, at time.Time) *Alert) {
+	var got *Alert
+	eng := NewEngine(EngineConfig{Consistency: cfg, Sink: func(a Alert) {
+		if a.Kind == "consistency" {
+			got = &a
+		}
+	}})
+	return eng, func(dev, quantity string, v float64, at time.Time) *Alert {
+		got = nil
+		feed(eng, dev, quantity, v, at)
+		return got
+	}
+}
+
+// cooldownSteps are the clock steps a history takes: with the one-minute
+// cooldown they let every alert through, one in three steps, or one a
+// minute.
+var cooldownSteps = []time.Duration{61 * time.Second, 20 * time.Second, time.Second}
+
+// history drives the engine and the oracle through the same random history
 // and fails on the first differing answer. It returns how many alerts fired.
 func history(t *testing.T, rng *rand.Rand, devices, quantities, steps int) int {
 	t.Helper()
@@ -127,19 +148,20 @@ func history(t *testing.T, rng *rand.Rand, devices, quantities, steps int) int {
 		MinPeers:  rng.Intn(7), // 0 means the default of 4
 		K:         []float64{0.5, 2, 5}[rng.Intn(3)],
 		MinSpread: []float64{0, 0.008}[rng.Intn(2)],
-		Cooldown:  []time.Duration{time.Nanosecond, 3 * time.Second, time.Minute}[rng.Intn(3)],
 	}
-	det, oracle := NewConsistencyDetector(cfg), newOracleDetector(cfg)
+	step := cooldownSteps[rng.Intn(3)]
+	eng, observe := consistencyProbe(cfg)
+	oracle := newOracleDetector(cfg)
 	names := make([]string, devices)
 	for i := range names {
 		names[i] = "d" + strconv.Itoa(i)
 	}
 	at := time.Date(2026, 6, 1, 0, 0, 0, 0, time.UTC)
 	alerts := 0
-	for step := 0; step < steps; step++ {
+	for i := 0; i < steps; i++ {
 		dev := names[rng.Intn(devices)]
-		if step < devices && rng.Intn(4) > 0 {
-			dev = names[step] // fill the fleet early, so large ones get judged at size
+		if i < devices && rng.Intn(4) > 0 {
+			dev = names[i] // fill the fleet early, so large ones get judged at size
 		}
 		q := "q" + strconv.Itoa(rng.Intn(quantities))
 		var v float64
@@ -151,18 +173,18 @@ func history(t *testing.T, rng *rand.Rand, devices, quantities, steps int) int {
 		default:
 			v = 0.25 + rng.NormFloat64()*0.01
 		}
-		at = at.Add(time.Second)
-		got, want := det.Observe(dev, q, v, at), oracle.Observe(dev, q, v, at)
+		at = at.Add(step)
+		got, want := observe(dev, q, v, at), oracle.Observe(dev, q, v, at)
 		if !sameAlert(got, want) {
-			t.Fatalf("step %d (%d devices, cfg %+v): Observe(%s, %s, %v)\n got %+v\nwant %+v",
-				step, devices, cfg, dev, q, v, got, want)
+			t.Fatalf("step %d (%d devices, cfg %+v, clock step %v): Observe(%s, %s, %v)\n got %+v\nwant %+v",
+				i, devices, cfg, step, dev, q, v, got, want)
 		}
 		if got != nil {
 			alerts++
 		}
 	}
 	for q, byDev := range oracle.latest {
-		if got := det.PeerCount(q); got != len(byDev) {
+		if got := len(eng.pops[q].byDev); got != len(byDev) {
 			t.Fatalf("PeerCount(%s) = %d, oracle holds %d", q, got, len(byDev))
 		}
 	}
@@ -208,9 +230,10 @@ func FuzzConsistencyMatchesOracle(f *testing.F) {
 			MinPeers:  int(c & 7),
 			K:         []float64{0.5, 2, 5, 5}[c>>3&3],
 			MinSpread: []float64{0, 0.008}[c>>5&1],
-			Cooldown:  []time.Duration{time.Nanosecond, time.Minute}[c>>6&1],
 		}
-		det, oracle := NewConsistencyDetector(cfg), newOracleDetector(cfg)
+		step := []time.Duration{61 * time.Second, time.Second}[c>>6&1]
+		_, observe := consistencyProbe(cfg)
+		oracle := newOracleDetector(cfg)
 		at := time.Date(2026, 6, 1, 0, 0, 0, 0, time.UTC)
 		for ops := data[1:]; len(ops) >= 3; ops = ops[3:] {
 			dev := "d" + strconv.Itoa(int(ops[0]))
@@ -219,8 +242,8 @@ func FuzzConsistencyMatchesOracle(f *testing.F) {
 			if ops[1]&0x80 != 0 {
 				v = awkward[int(ops[2])%len(awkward)]
 			}
-			at = at.Add(time.Second)
-			got, want := det.Observe(dev, q, v, at), oracle.Observe(dev, q, v, at)
+			at = at.Add(step)
+			got, want := observe(dev, q, v, at), oracle.Observe(dev, q, v, at)
 			if !sameAlert(got, want) {
 				t.Fatalf("Observe(%s, %s, %v) with %+v\n got %+v\nwant %+v", dev, q, v, cfg, got, want)
 			}
@@ -228,33 +251,35 @@ func FuzzConsistencyMatchesOracle(f *testing.F) {
 	})
 }
 
-// warmFleet returns a detector holding n devices' values and their names.
-func warmFleet(n int) (*ConsistencyDetector, []string) {
-	det := NewConsistencyDetector(ConsistencyConfig{MinSpread: 0.008})
+// warmFleet returns a probe whose engine holds n devices' values, and
+// their names.
+func warmFleet(n int) (func(dev, quantity string, v float64, at time.Time) *Alert, []string) {
+	_, observe := consistencyProbe(ConsistencyConfig{MinSpread: 0.008})
 	rng := rand.New(rand.NewSource(3))
 	names := make([]string, n)
 	at := time.Date(2026, 6, 1, 0, 0, 0, 0, time.UTC)
 	for i := range names {
 		names[i] = "p" + strconv.Itoa(i)
-		det.Observe(names[i], "m", 0.25+rng.NormFloat64()*0.01, at)
+		observe(names[i], "m", 0.25+rng.NormFloat64()*0.01, at)
 	}
-	return det, names
+	return observe, names
 }
 
-// TestConsistencyObserveDoesNotAllocate: with the fleet known, a value that
-// raises no alert costs no allocation.
+// TestConsistencyObserveDoesNotAllocate: with the fleet known, a reading
+// that raises no alert costs no allocation — the whole of OnReading, not
+// only its consistency check.
 func TestConsistencyObserveDoesNotAllocate(t *testing.T) {
-	det, names := warmFleet(1000)
+	observe, names := warmFleet(1000)
 	at := time.Date(2026, 6, 1, 0, 1, 0, 0, time.UTC)
 	i := 0
 	allocs := testing.AllocsPerRun(2000, func() {
-		if a := det.Observe(names[i%len(names)], "m", 0.25+float64(i%21-10)*0.001, at); a != nil {
+		if a := observe(names[i%len(names)], "m", 0.25+float64(i%21-10)*0.001, at); a != nil {
 			t.Fatalf("unexpected alert: %+v", a)
 		}
 		i++
 	})
 	if allocs != 0 {
-		t.Errorf("Observe allocated %v times per call on the no-alert path", allocs)
+		t.Errorf("OnReading allocated %v times per call on the no-alert path", allocs)
 	}
 }
 
@@ -284,11 +309,11 @@ func TestEngineConcurrentReadingsKeepOrder(t *testing.T) {
 	}
 	wg.Wait()
 	for _, q := range quantities {
-		pop := eng.consist.latest[string(q)]
+		pop := eng.pops[string(q)]
 		if pop == nil {
 			t.Fatalf("no population for %s", q)
 		}
-		if n := eng.consist.PeerCount(string(q)); n != len(pop.sorted) || n == 0 {
+		if n := len(pop.byDev); n != len(pop.sorted) || n == 0 {
 			t.Errorf("%s: PeerCount %d, ordered slice holds %d", q, n, len(pop.sorted))
 		}
 		if !sort.SliceIsSorted(pop.sorted, func(i, j int) bool { return less(pop.sorted[i], pop.sorted[j]) }) {
@@ -312,8 +337,8 @@ func TestEngineConcurrentReadingsKeepOrder(t *testing.T) {
 // Recent still returns the newest maxLog alerts oldest first.
 func TestRecentKeepsOrderAcrossWrap(t *testing.T) {
 	eng := NewEngine(EngineConfig{})
-	extra := eng.maxLog/2 + 3
-	for i := 0; i < eng.maxLog+extra; i++ {
+	extra := maxLog/2 + 3
+	for i := 0; i < maxLog+extra; i++ {
 		kind := "deviation"
 		if i%2 == 1 {
 			kind = "dos"
@@ -321,16 +346,17 @@ func TestRecentKeepsOrderAcrossWrap(t *testing.T) {
 		eng.emit(Alert{Kind: kind, Score: float64(i)})
 	}
 	recent := eng.Recent()
-	if len(recent) != eng.maxLog {
-		t.Fatalf("Recent holds %d alerts, want %d", len(recent), eng.maxLog)
+	if len(recent) != maxLog {
+		t.Fatalf("Recent holds %d alerts, want %d", len(recent), maxLog)
 	}
 	for i, a := range recent {
 		if want := float64(extra + i); a.Score != want {
 			t.Fatalf("Recent[%d].Score = %v, want %v (oldest first across the wrap)", i, a.Score, want)
 		}
 	}
+	// CountByKind counts every alert raised, not only those still logged.
 	byKind := eng.CountByKind()
-	if byKind["deviation"]+byKind["dos"] != eng.maxLog || byKind["dos"] != eng.maxLog/2 {
-		t.Errorf("CountByKind = %v over a log of %d", byKind, eng.maxLog)
+	if total := maxLog + extra; byKind["deviation"]+byKind["dos"] != total || byKind["dos"] != total/2 {
+		t.Errorf("CountByKind = %v after %d alerts", byKind, total)
 	}
 }

@@ -1,26 +1,25 @@
 // Package anomaly implements the SWAMP security-analytics layer the paper
 // calls its most relevant challenge (§III): building a behavioral baseline
 // of "what the application normally does" so that attacks — DoS floods,
-// tampered sensor values, stuck or fake devices, Sybil swarms, rogue
-// command sequences — can be separated from normal agricultural behaviour,
-// even though the platform only ever has a partial view of the environment.
+// tampered sensor values, stuck or fake devices, Sybil swarms — can be
+// separated from normal agricultural behaviour, even though the platform
+// only ever has a partial view of the environment.
 //
-// The package is transport-agnostic: the platform feeds it broker traffic
-// (Engine.OnMessage) and decoded readings (Engine.OnReading), and detectors
-// emit Alerts through a Sink.
+// The package is transport-agnostic: the platform feeds its one Engine
+// broker traffic (OnMessage) and decoded readings (OnReading), and the
+// engine emits Alerts through a Sink.
 package anomaly
 
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 )
 
 // Alert is one detection event.
 type Alert struct {
 	At     time.Time
-	Kind   string // "dos", "deviation", "stuck", "consistency", "sybil", "sequence"
+	Kind   string // "dos", "deviation", "stuck", "consistency", "sybil"
 	Device string
 	Score  float64 // detector-specific magnitude (z-score, rate ratio, …)
 	Detail string
@@ -29,114 +28,93 @@ type Alert struct {
 // Sink consumes alerts. Sinks must be fast; heavy work belongs elsewhere.
 type Sink func(Alert)
 
-// Series names one device's quantity: the key of per-series detector
+// series names one device's quantity: the key of per-series detector
 // state. It is built from the strings a reading already holds, so keying
 // a map by it allocates nothing.
-type Series struct {
-	Device, Quantity string
+type series struct {
+	device, quantity string
 }
 
 // String renders the series as an alert names it: device/quantity.
-func (s Series) String() string { return s.Device + "/" + s.Quantity }
+func (s series) String() string { return s.device + "/" + s.quantity }
 
-// EWMAConfig tunes the per-series deviation detector.
-type EWMAConfig struct {
-	// Alpha is the EWMA smoothing factor (default 0.05).
-	Alpha float64
-	// K is the z-score alarm threshold (default 4).
-	K float64
-	// Warmup is how many samples to learn before alarming (default 20).
-	Warmup int
-}
+// The per-series detectors' thresholds.
+const (
+	ewmaAlpha  = 0.05 // EWMA smoothing factor
+	ewmaK      = 4    // z-score alarm threshold
+	ewmaWarmup = 20   // samples learned before alarming
 
-func (c *EWMAConfig) defaults() {
-	if c.Alpha <= 0 || c.Alpha >= 1 {
-		c.Alpha = 0.05
-	}
-	if c.K <= 0 {
-		c.K = 4
-	}
-	if c.Warmup <= 0 {
-		c.Warmup = 20
-	}
-}
+	stuckRepeats = 12   // consecutive identical samples that trip the alarm
+	stuckEpsilon = 1e-9 // equality tolerance
+)
 
-// EWMADetector keeps an exponentially weighted mean/variance per series and
-// flags samples whose z-score exceeds K — the workhorse for detecting
-// tampered (biased or spiking) sensor values against each sensor's own
-// baseline.
-type EWMADetector struct {
-	cfg EWMAConfig
-
-	mu     sync.Mutex
-	states map[Series]*ewmaState
-}
-
-type ewmaState struct {
+// seriesState is what the engine learns of one series: an exponentially
+// weighted mean and variance, which flag samples whose z-score exceeds
+// ewmaK (a tampered, biased or spiking value against the sensor's own
+// baseline), and the current run of repeated values, which flags a series
+// stuck at one value (a failed or tampered-to-constant sensor that would
+// silently freeze irrigation decisions).
+type seriesState struct {
 	mean, variance float64
 	n              int
+
+	last    float64
+	repeats int
+	alerted bool // the current stuck run has alerted
 }
 
-// NewEWMADetector builds a detector.
-func NewEWMADetector(cfg EWMAConfig) *EWMADetector {
-	cfg.defaults()
-	return &EWMADetector{cfg: cfg, states: make(map[Series]*ewmaState)}
-}
-
-// Observe feeds one sample; it returns a non-nil alert when the sample
-// deviates. The sample still updates the baseline (slowly, by alpha), so a
-// persistent attacker shifts the baseline only gradually.
-func (d *EWMADetector) Observe(series Series, v float64, at time.Time) *Alert {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	st := d.states[series]
+// observeSeries feeds one sample to its series and appends any deviation
+// or stuck alert to dst. The sample still updates the baseline (slowly, by
+// alpha), so a persistent attacker shifts it only gradually. e.mu must be
+// held.
+func (e *Engine) observeSeries(dst []Alert, key series, v float64, at time.Time) []Alert {
+	st := e.series[key]
 	if st == nil {
-		st = &ewmaState{mean: v, variance: 0}
-		d.states[series] = st
-		st.n = 1
-		return nil
+		e.series[key] = &seriesState{mean: v, n: 1, last: v, repeats: 1}
+		return dst
 	}
 	st.n++
-	var alert *Alert
-	if st.n > d.cfg.Warmup {
+	if st.n > ewmaWarmup {
 		sd := math.Sqrt(st.variance)
 		if sd < 1e-9 {
 			sd = 1e-9
 		}
-		z := math.Abs(v-st.mean) / sd
-		if z > d.cfg.K {
-			alert = &Alert{
-				At: at, Kind: "deviation", Device: series.String(), Score: z,
+		if z := math.Abs(v-st.mean) / sd; z > ewmaK {
+			dst = append(dst, Alert{
+				At: at, Kind: "deviation", Device: key.String(), Score: z,
 				Detail: fmt.Sprintf("value %.4g vs baseline %.4g±%.4g", v, st.mean, sd),
-			}
+			})
 		}
 	}
 	diff := v - st.mean
-	incr := d.cfg.Alpha * diff
+	incr := ewmaAlpha * diff
 	st.mean += incr
-	st.variance = (1 - d.cfg.Alpha) * (st.variance + diff*incr)
-	return alert
-}
+	st.variance = (1 - ewmaAlpha) * (st.variance + diff*incr)
 
-// Baseline returns the learned (mean, stddev, samples) for a series.
-func (d *EWMADetector) Baseline(series Series) (mean, sd float64, n int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	st := d.states[series]
-	if st == nil {
-		return 0, 0, 0
+	if math.Abs(v-st.last) <= stuckEpsilon {
+		st.repeats++
+	} else {
+		st.last = v
+		st.repeats = 1
+		st.alerted = false
 	}
-	return st.mean, math.Sqrt(st.variance), st.n
+	if st.repeats >= stuckRepeats && !st.alerted {
+		st.alerted = true
+		dst = append(dst, Alert{
+			At: at, Kind: "stuck", Device: key.String(), Score: float64(st.repeats),
+			Detail: fmt.Sprintf("value %.4g repeated %d times", v, st.repeats),
+		})
+	}
+	return dst
 }
 
 // RateConfig tunes the DoS detector.
 type RateConfig struct {
-	// Window is the sliding measurement window (default 10s).
+	// Window is the sliding measurement window (default 10s). It is also
+	// the per-client quiet time between two alerts.
 	Window time.Duration
 	// LimitPerSec is the per-client alarm rate (default 10 msgs/s).
 	LimitPerSec float64
-	// Cooldown suppresses repeat alerts per client (default = Window).
-	Cooldown time.Duration
 }
 
 func (c *RateConfig) defaults() {
@@ -146,145 +124,54 @@ func (c *RateConfig) defaults() {
 	if c.LimitPerSec <= 0 {
 		c.LimitPerSec = 10
 	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = c.Window
-	}
 }
 
-// RateDetector counts per-client messages in a sliding window and alarms
-// when the rate exceeds the limit — the §III DoS-on-the-broker scenario.
-type RateDetector struct {
-	cfg RateConfig
+// rateBuckets is how many interval counters a client's window holds; a
+// power of two, so a negative interval index maps to a slot too.
+const rateBuckets = 16
 
-	mu      sync.Mutex
-	buckets map[string]*rateBucket
-}
-
-type rateBucket struct {
-	// times holds the arrival times, in arrival order, from times[start]
-	// on within the window. Expired ones are compacted away once they are
-	// half the slice, so the array is reused rather than regrown.
-	times     []time.Time
-	start     int
+// rateRing counts one client's arrivals over the rate window in
+// rateBuckets counters, each spanning one interval of Window/rateBuckets:
+// the arrivals of interval i sit in counts[i mod rateBuckets] while i is
+// one of the rateBuckets newest intervals. An arrival therefore counts for
+// at least Window − Window/rateBuckets and never past Window, and a
+// client's memory does not grow with its rate.
+type rateRing struct {
+	counts    [rateBuckets]int
+	head      int64 // the newest interval seen
+	total     int   // the sum of counts
 	lastAlert time.Time
 }
 
-// NewRateDetector builds a detector.
-func NewRateDetector(cfg RateConfig) *RateDetector {
-	cfg.defaults()
-	return &RateDetector{cfg: cfg, buckets: make(map[string]*rateBucket)}
-}
-
-// Observe records one message arrival for client and reports an alert when
-// the client's windowed rate is excessive.
-func (d *RateDetector) Observe(client string, at time.Time) *Alert {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	b := d.buckets[client]
-	if b == nil {
-		b = &rateBucket{}
-		d.buckets[client] = b
+// observeRate records one message arrival for client and reports an alert
+// when the client's windowed rate is excessive — the §III DoS-on-the-broker
+// scenario. e.rateMu must be held.
+func (e *Engine) observeRate(client string, at time.Time) (Alert, bool) {
+	i := at.UnixNano() / int64(e.interval)
+	r := e.clients[client]
+	if r == nil {
+		r = &rateRing{head: i}
+		e.clients[client] = r
 	}
-	cutoff := at.Add(-d.cfg.Window)
-	for b.start < len(b.times) && b.times[b.start].Before(cutoff) {
-		b.start++
-	}
-	if b.start > len(b.times)/2 {
-		b.times = b.times[:copy(b.times, b.times[b.start:])]
-		b.start = 0
-	}
-	b.times = append(b.times, at)
-	rate := float64(len(b.times)-b.start) / d.cfg.Window.Seconds()
-	if rate > d.cfg.LimitPerSec && at.Sub(b.lastAlert) >= d.cfg.Cooldown {
-		b.lastAlert = at
-		return &Alert{
-			At: at, Kind: "dos", Device: client, Score: rate / d.cfg.LimitPerSec,
-			Detail: fmt.Sprintf("%.1f msg/s over %v (limit %.1f)", rate, d.cfg.Window, d.cfg.LimitPerSec),
+	if i > r.head {
+		// Intervals head+1 … i start empty; rateBuckets of them clear all.
+		for j := r.head + 1; j <= i && j <= r.head+rateBuckets; j++ {
+			r.total -= r.counts[j&(rateBuckets-1)]
+			r.counts[j&(rateBuckets-1)] = 0
 		}
+		r.head = i
 	}
-	return nil
-}
-
-// Rate returns the client's current windowed rate, for dashboards.
-func (d *RateDetector) Rate(client string, now time.Time) float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	b := d.buckets[client]
-	if b == nil {
-		return 0
+	if r.head-i < rateBuckets { // an arrival older than the window counts for nothing
+		r.counts[i&(rateBuckets-1)]++
+		r.total++
 	}
-	cutoff := now.Add(-d.cfg.Window)
-	n := 0
-	for _, t := range b.times[b.start:] {
-		if !t.Before(cutoff) {
-			n++
-		}
+	rate := float64(r.total) / e.rate.Window.Seconds()
+	if rate <= e.rate.LimitPerSec || at.Sub(r.lastAlert) < e.rate.Window {
+		return Alert{}, false
 	}
-	return float64(n) / d.cfg.Window.Seconds()
-}
-
-// StuckConfig tunes the stuck-sensor detector.
-type StuckConfig struct {
-	// Window is how many consecutive identical samples trip the alarm
-	// (default 12).
-	Window int
-	// Epsilon is the equality tolerance (default 1e-9).
-	Epsilon float64
-}
-
-func (c *StuckConfig) defaults() {
-	if c.Window <= 0 {
-		c.Window = 12
-	}
-	if c.Epsilon <= 0 {
-		c.Epsilon = 1e-9
-	}
-}
-
-// StuckDetector flags series that repeat the same value — a failed or
-// tampered-to-constant sensor that would silently freeze irrigation
-// decisions.
-type StuckDetector struct {
-	cfg StuckConfig
-
-	mu     sync.Mutex
-	states map[Series]*stuckState
-}
-
-type stuckState struct {
-	last    float64
-	repeats int
-	alerted bool
-}
-
-// NewStuckDetector builds a detector.
-func NewStuckDetector(cfg StuckConfig) *StuckDetector {
-	cfg.defaults()
-	return &StuckDetector{cfg: cfg, states: make(map[Series]*stuckState)}
-}
-
-// Observe feeds one sample; it alarms once per stuck episode.
-func (d *StuckDetector) Observe(series Series, v float64, at time.Time) *Alert {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	st := d.states[series]
-	if st == nil {
-		d.states[series] = &stuckState{last: v, repeats: 1}
-		return nil
-	}
-	if math.Abs(v-st.last) <= d.cfg.Epsilon {
-		st.repeats++
-	} else {
-		st.last = v
-		st.repeats = 1
-		st.alerted = false
-	}
-	if st.repeats >= d.cfg.Window && !st.alerted {
-		st.alerted = true
-		return &Alert{
-			At: at, Kind: "stuck", Device: series.String(), Score: float64(st.repeats),
-			Detail: fmt.Sprintf("value %.4g repeated %d times", v, st.repeats),
-		}
-	}
-	return nil
+	r.lastAlert = at
+	return Alert{
+		At: at, Kind: "dos", Device: client, Score: rate / e.rate.LimitPerSec,
+		Detail: fmt.Sprintf("%.1f msg/s over %v (limit %.1f)", rate, e.rate.Window, e.rate.LimitPerSec),
+	}, true
 }

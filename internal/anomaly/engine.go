@@ -9,37 +9,52 @@ import (
 	"github.com/swamp-project/swamp/internal/model"
 )
 
-// EngineConfig assembles the detection stack.
+// EngineConfig assembles the detection stack. The per-series deviation
+// and stuck detectors take no configuration: their thresholds are the
+// constants in detectors.go.
 type EngineConfig struct {
-	EWMA        EWMAConfig
 	Rate        RateConfig
-	Stuck       StuckConfig
 	Consistency ConsistencyConfig
 	Sybil       SybilConfig
-	// Sink receives every alert; required.
+	// Sink receives every alert, after the engine has released its locks,
+	// so it may call back into the engine; nil discards alerts.
 	Sink Sink
 	// Metrics receives counters; nil allocates a private registry.
 	Metrics *metrics.Registry
 }
 
-// Engine fans platform telemetry into all detectors and funnels their
-// alerts into one sink with per-kind counters. It is the component a SWAMP
-// deployment attaches to its broker Tap and its context notifications.
+// maxLog is how many alerts Recent keeps.
+const maxLog = 4096
+
+// Engine is the package's one entry point: it runs every detector over
+// platform telemetry and funnels their alerts into one sink with per-kind
+// counters. A SWAMP deployment attaches it to its broker Tap (OnMessage)
+// and its context notifications (OnReading).
+//
+// A reading takes one lock, mu, which guards the per-series records, the
+// consistency populations, the per-device records and the alert log. The
+// broker tap takes only rateMu, so publishes are not serialised behind
+// readings; an alert it raises takes mu afterwards, to be logged.
 type Engine struct {
-	ewma    *EWMADetector
-	rate    *RateDetector
-	stuck   *StuckDetector
-	consist *ConsistencyDetector
-	sybil   *SybilDetector
-	seq     *SequenceProfiler
+	rate        RateConfig
+	interval    time.Duration // Window / rateBuckets, the span of one rate counter
+	consistency ConsistencyConfig
+	sybil       SybilConfig
 
-	sink Sink
-	reg  *metrics.Registry
+	sink    Sink
+	reg     *metrics.Registry
+	alerts  map[string]*metrics.Counter // anomaly.alerts.<kind>, by kind
+	invalid *metrics.Counter
 
-	mu     sync.Mutex
-	recent []Alert // the last maxLog alerts; a ring once full
-	head   int     // index of the oldest alert in recent
-	maxLog int
+	mu      sync.Mutex
+	series  map[series]*seriesState
+	pops    map[string]*population // by quantity
+	devices map[string]*device
+	recent  []Alert // the last maxLog alerts; a ring once full
+	head    int     // index of the oldest alert in recent
+
+	rateMu  sync.Mutex
+	clients map[string]*rateRing
 }
 
 // NewEngine builds the full stack.
@@ -50,16 +65,25 @@ func NewEngine(cfg EngineConfig) *Engine {
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
 	}
+	cfg.Rate.defaults()
+	cfg.Consistency.defaults()
+	cfg.Sybil.defaults()
 	e := &Engine{
-		ewma:    NewEWMADetector(cfg.EWMA),
-		rate:    NewRateDetector(cfg.Rate),
-		stuck:   NewStuckDetector(cfg.Stuck),
-		consist: NewConsistencyDetector(cfg.Consistency),
-		sybil:   NewSybilDetector(cfg.Sybil),
-		seq:     NewSequenceProfiler(),
-		sink:    cfg.Sink,
-		reg:     cfg.Metrics,
-		maxLog:  4096,
+		rate:        cfg.Rate,
+		interval:    max(cfg.Rate.Window/rateBuckets, 1),
+		consistency: cfg.Consistency,
+		sybil:       cfg.Sybil,
+		sink:        cfg.Sink,
+		reg:         cfg.Metrics,
+		alerts:      make(map[string]*metrics.Counter),
+		invalid:     cfg.Metrics.Counter("anomaly.reading.invalid"),
+		series:      make(map[series]*seriesState),
+		pops:        make(map[string]*population),
+		devices:     make(map[string]*device),
+		clients:     make(map[string]*rateRing),
+	}
+	for _, kind := range []string{"dos", "deviation", "stuck", "consistency", "sybil"} {
+		e.alerts[kind] = cfg.Metrics.Counter("anomaly.alerts." + kind)
 	}
 	return e
 }
@@ -67,20 +91,14 @@ func NewEngine(cfg EngineConfig) *Engine {
 // Metrics returns the engine's registry.
 func (e *Engine) Metrics() *metrics.Registry { return e.reg }
 
-// Sybil exposes the Sybil detector (for Flagged lookups).
-func (e *Engine) Sybil() *SybilDetector { return e.sybil }
-
-// Rate exposes the rate detector (for dashboard rates).
-func (e *Engine) Rate() *RateDetector { return e.rate }
-
-// EWMA exposes the deviation detector (for baseline inspection).
-func (e *Engine) EWMA() *EWMADetector { return e.ewma }
-
 // OnMessage is wired to the MQTT broker Tap: every publish counts toward
 // the client's rate.
 func (e *Engine) OnMessage(clientID, topic string, payload []byte, at time.Time) {
-	if a := e.rate.Observe(clientID, at); a != nil {
-		e.emit(*a)
+	e.rateMu.Lock()
+	a, ok := e.observeRate(clientID, at)
+	e.rateMu.Unlock()
+	if ok {
+		e.emit(a)
 	}
 }
 
@@ -89,50 +107,62 @@ func (e *Engine) OnMessage(clientID, topic string, payload []byte, at time.Time)
 // baseline into NaN for good, and no later sample could alarm against it.
 func (e *Engine) OnReading(r model.Reading) {
 	if math.IsNaN(r.Value) || math.IsInf(r.Value, 0) {
-		e.reg.Counter("anomaly.reading.invalid").Inc()
+		e.invalid.Inc()
 		return
 	}
-	series := Series{Device: string(r.Device), Quantity: string(r.Quantity)}
-	if a := e.ewma.Observe(series, r.Value, r.At); a != nil {
-		e.emit(*a)
-	}
-	if a := e.stuck.Observe(series, r.Value, r.At); a != nil {
-		e.emit(*a)
-	}
-	if a := e.consist.Observe(string(r.Device), string(r.Quantity), r.Value, r.At); a != nil {
-		e.emit(*a)
-	}
-	e.sybil.Observe(string(r.Device), r.Value, r.At)
-}
-
-// OnEvent feeds one decision-loop event to the sequence profiler.
-func (e *Engine) OnEvent(context, event string, at time.Time) {
-	if a := e.seq.Observe(context, event, at); a != nil {
-		e.emit(*a)
-	}
-}
-
-// ScanSybil runs a Sybil clustering pass; call periodically.
-func (e *Engine) ScanSybil(now time.Time) {
-	for _, a := range e.sybil.Scan(now) {
-		e.emit(a)
-	}
-}
-
-func (e *Engine) emit(a Alert) {
-	e.reg.Counter("anomaly.alerts." + a.Kind).Inc()
+	var buf [3]Alert
 	e.mu.Lock()
-	if len(e.recent) < e.maxLog {
-		e.recent = append(e.recent, a)
-	} else {
-		e.recent[e.head] = a
-		e.head = (e.head + 1) % e.maxLog
+	alerts := e.observeSeries(buf[:0], series{string(r.Device), string(r.Quantity)}, r.Value, r.At)
+	dev := e.devices[string(r.Device)]
+	if dev == nil {
+		dev = &device{firstSeen: r.At}
+		e.devices[string(r.Device)] = dev
 	}
+	if a, ok := e.observeConsistency(dev, string(r.Device), string(r.Quantity), r.Value, r.At); ok {
+		alerts = append(alerts, a)
+	}
+	dev.observe(r.Value)
+	e.logLocked(alerts)
 	e.mu.Unlock()
-	e.sink(a)
+	for _, a := range alerts {
+		e.sink(a)
+	}
 }
 
-// Recent returns a copy of recent alerts, oldest first.
+// ScanSybil runs a Sybil clustering pass over the devices' recent values;
+// the platform calls it once per farm day.
+func (e *Engine) ScanSybil(now time.Time) {
+	e.mu.Lock()
+	alerts := e.scanSybilLocked(now)
+	e.mu.Unlock()
+	e.emit(alerts...)
+}
+
+// emit logs alerts and hands them to the sink.
+func (e *Engine) emit(alerts ...Alert) {
+	e.mu.Lock()
+	e.logLocked(alerts)
+	e.mu.Unlock()
+	for _, a := range alerts {
+		e.sink(a)
+	}
+}
+
+// logLocked counts alerts by kind and appends them to the alert log; e.mu
+// must be held.
+func (e *Engine) logLocked(alerts []Alert) {
+	for _, a := range alerts {
+		e.alerts[a.Kind].Inc()
+		if len(e.recent) < maxLog {
+			e.recent = append(e.recent, a)
+		} else {
+			e.recent[e.head] = a
+			e.head = (e.head + 1) % maxLog
+		}
+	}
+}
+
+// Recent returns a copy of the last 4 096 alerts, oldest first.
 func (e *Engine) Recent() []Alert {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -141,13 +171,15 @@ func (e *Engine) Recent() []Alert {
 	return append(out, e.recent[:e.head]...)
 }
 
-// CountByKind summarises alert counts per kind.
+// CountByKind returns how many alerts of each kind the engine has raised,
+// read from its anomaly.alerts.<kind> counters; kinds never raised are
+// absent.
 func (e *Engine) CountByKind() map[string]int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	out := make(map[string]int)
-	for _, a := range e.recent {
-		out[a.Kind]++
+	for kind, c := range e.alerts {
+		if n := c.Value(); n > 0 {
+			out[kind] = int(n)
+		}
 	}
 	return out
 }

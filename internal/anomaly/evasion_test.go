@@ -17,41 +17,44 @@ import (
 // the sensor once it diverges from its honest peers. This is why the
 // engine runs both.
 func TestSlowPoisonEvadesEWMAButNotConsistency(t *testing.T) {
-	ewma := NewEWMADetector(EWMAConfig{})
-	consist := NewConsistencyDetector(ConsistencyConfig{MinPeers: 5, K: 5, MinSpread: 0.008})
+	var ewmaAlert, consistAlert *Alert
+	warm := true
+	eng := NewEngine(EngineConfig{
+		Consistency: ConsistencyConfig{MinPeers: 5, K: 5, MinSpread: 0.008},
+		Sink: func(a Alert) {
+			switch {
+			case a.Kind == "deviation" && a.Device == "victim/m" && ewmaAlert == nil:
+				if warm {
+					t.Fatalf("false positive during warmup: %+v", a)
+				}
+				ewmaAlert = &a
+			case a.Kind == "consistency" && a.Device == "victim" && consistAlert == nil && !warm:
+				consistAlert = &a
+			}
+		},
+	})
 	rng := rand.New(rand.NewSource(9))
 	at := time.Date(2026, 6, 1, 0, 0, 0, 0, time.UTC)
+	round := func(v float64) {
+		for i := 0; i < 8; i++ {
+			feed(eng, fmt.Sprintf("p%d", i), "m", 0.25+rng.NormFloat64()*0.01, at)
+		}
+		feed(eng, "victim", "m", v, at)
+		at = at.Add(time.Minute)
+	}
 
 	// Warm up both detectors with honest traffic.
 	for k := 0; k < 100; k++ {
-		v := 0.25 + rng.NormFloat64()*0.01
-		if a := ewma.Observe(Series{"victim", "m"}, v, at); a != nil {
-			t.Fatalf("false positive during warmup: %+v", a)
-		}
-		for i := 0; i < 8; i++ {
-			consist.Observe(fmt.Sprintf("p%d", i), "m", 0.25+rng.NormFloat64()*0.01, at)
-		}
-		consist.Observe("victim", "m", v, at)
-		at = at.Add(time.Minute)
+		round(0.25 + rng.NormFloat64()*0.01)
 	}
 
 	// Slow poison: +0.0005 per sample — far below the 4σ EWMA threshold at
 	// every individual step.
-	var ewmaAlert, consistAlert *Alert
+	warm = false
 	drift := 0.0
 	for k := 0; k < 400; k++ {
 		drift += 0.0005
-		v := 0.25 + drift + rng.NormFloat64()*0.01
-		if a := ewma.Observe(Series{"victim", "m"}, v, at); a != nil && ewmaAlert == nil {
-			ewmaAlert = a
-		}
-		for i := 0; i < 8; i++ {
-			consist.Observe(fmt.Sprintf("p%d", i), "m", 0.25+rng.NormFloat64()*0.01, at)
-		}
-		if a := consist.Observe("victim", "m", v, at); a != nil && consistAlert == nil {
-			consistAlert = a
-		}
-		at = at.Add(time.Minute)
+		round(0.25 + drift + rng.NormFloat64()*0.01)
 	}
 	if consistAlert == nil {
 		t.Error("consistency layer missed the slow poison entirely")
@@ -96,7 +99,7 @@ func TestNaNDoesNotBlindEWMA(t *testing.T) {
 	if got := eng.Metrics().Counter("anomaly.reading.invalid").Value(); got != 3 {
 		t.Errorf("anomaly.reading.invalid = %d, want 3", got)
 	}
-	if mean, _, _ := eng.EWMA().Baseline(Series{"victim", string(model.QSoilMoisture)}); math.IsNaN(mean) || math.IsInf(mean, 0) {
+	if mean := eng.series[series{"victim", string(model.QSoilMoisture)}].mean; math.IsNaN(mean) || math.IsInf(mean, 0) {
 		t.Errorf("baseline mean is %v after non-finite readings", mean)
 	}
 	for v := 50.0; v < 100; v++ {
@@ -104,27 +107,5 @@ func TestNaNDoesNotBlindEWMA(t *testing.T) {
 	}
 	if deviations < 2 {
 		t.Error("no deviation alert on 50–99 after a NaN: the series' tamper detector is blind")
-	}
-}
-
-// TestSequenceProfilerPerContext: contexts learn independent baselines.
-func TestSequenceProfilerPerContext(t *testing.T) {
-	p := NewSequenceProfiler()
-	for i := 0; i < 5; i++ {
-		p.Observe("zoneA", "plan", time.Now())
-		p.Observe("zoneA", "command", time.Now())
-		p.Observe("zoneB", "survey", time.Now())
-		p.Observe("zoneB", "report", time.Now())
-	}
-	p.Seal()
-	// zoneB's vocabulary is fine for zoneB...
-	if a := p.Observe("zoneB", "survey", time.Now()); a != nil {
-		t.Errorf("zoneB normal transition flagged: %+v", a)
-	}
-	// Transitions are global per (from,to) pair: "command" -> "survey" was
-	// never learned anywhere, so a cross-vocabulary jump alerts.
-	p.Observe("zoneA", "command", time.Now())
-	if a := p.Observe("zoneA", "report", time.Now()); a == nil {
-		t.Error("unlearned transition not flagged")
 	}
 }

@@ -4,101 +4,73 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"time"
 )
 
 // SybilConfig tunes the Sybil-swarm detector.
 type SybilConfig struct {
-	// YoungWindow: only devices first seen within this window of each
-	// other are clustered (Sybil identities appear together; default 5m).
-	YoungWindow time.Duration
-	// MinSamples per device before it participates in clustering
-	// (default 5).
-	MinSamples int
 	// SimilarityEps: two devices are "same-source" when the mean absolute
 	// difference of their aligned recent samples is below this (default
 	// 0.005 — tighter than genuine sensor noise allows).
 	SimilarityEps float64
-	// MinClusterSize: smallest cluster reported (default 3).
-	MinClusterSize int
-	// HistoryLen: samples retained per device (default 16).
-	HistoryLen int
+	// MinSamples per device before it participates in clustering
+	// (default 5).
+	MinSamples int
 }
 
 func (c *SybilConfig) defaults() {
-	if c.YoungWindow <= 0 {
-		c.YoungWindow = 5 * time.Minute
+	if c.SimilarityEps <= 0 {
+		c.SimilarityEps = 0.005
 	}
 	if c.MinSamples <= 0 {
 		c.MinSamples = 5
 	}
-	if c.SimilarityEps <= 0 {
-		c.SimilarityEps = 0.005
-	}
-	if c.MinClusterSize <= 0 {
-		c.MinClusterSize = 3
-	}
-	if c.HistoryLen <= 0 {
-		c.HistoryLen = 16
-	}
 }
 
-// SybilDetector hunts for groups of identities that (a) appeared around
+const (
+	// sybilYoungWindow: only devices first seen within this window of each
+	// other are clustered (Sybil identities appear together).
+	sybilYoungWindow = 5 * time.Minute
+	// sybilHistoryLen is how many samples a device keeps.
+	sybilHistoryLen = 16
+	// sybilMinCluster is the smallest cluster reported.
+	sybilMinCluster = 3
+)
+
+// device is what the engine keeps per device: its recent values for the
+// Sybil scan and when the consistency check last flagged it.
+type device struct {
+	firstSeen       time.Time
+	values          [sybilHistoryLen]float64 // values[:n], newest last
+	n               int
+	flagged         bool // a member of a reported Sybil cluster
+	lastConsistency time.Time
+}
+
+// observe appends one sample to the device's history, shifting out the
+// oldest once it is full.
+func (d *device) observe(v float64) {
+	if d.n < sybilHistoryLen {
+		d.values[d.n] = v
+		d.n++
+		return
+	}
+	copy(d.values[:], d.values[1:])
+	d.values[sybilHistoryLen-1] = v
+}
+
+// scanSybilLocked hunts for groups of identities that (a) appeared around
 // the same time and (b) report suspiciously identical value streams — the
 // signature of one attacker fabricating many virtual sensors or drones
 // (§III: "a drone or sensor node performing the Sybil attack could send
-// fake images and false measurements").
-//
-// Genuine co-located sensors agree on the signal but disagree in the noise;
-// Sybil replicas share both.
-type SybilDetector struct {
-	cfg SybilConfig
-
-	mu      sync.Mutex
-	devices map[string]*sybilDevice
-	flagged map[string]bool
-}
-
-type sybilDevice struct {
-	firstSeen time.Time
-	values    []float64 // the last HistoryLen samples, newest last
-}
-
-// NewSybilDetector builds a detector.
-func NewSybilDetector(cfg SybilConfig) *SybilDetector {
-	cfg.defaults()
-	return &SybilDetector{cfg: cfg, devices: make(map[string]*sybilDevice), flagged: make(map[string]bool)}
-}
-
-// Observe feeds one sample from a device.
-func (d *SybilDetector) Observe(device string, v float64, at time.Time) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	dev := d.devices[device]
-	if dev == nil {
-		dev = &sybilDevice{firstSeen: at}
-		d.devices[device] = dev
-	}
-	if len(dev.values) < d.cfg.HistoryLen {
-		dev.values = append(dev.values, v)
-		return
-	}
-	// Full: shift in place, so the window's array is never regrown.
-	copy(dev.values, dev.values[1:])
-	dev.values[len(dev.values)-1] = v
-}
-
-// Scan clusters candidate devices and returns one alert per newly flagged
-// Sybil group member. Call it periodically (the Engine does).
-func (d *SybilDetector) Scan(now time.Time) []Alert {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-
+// fake images and false measurements"). Genuine co-located sensors agree on
+// the signal but disagree in the noise; Sybil replicas share both. It
+// returns one alert per newly flagged member; e.mu must be held.
+func (e *Engine) scanSybilLocked(now time.Time) []Alert {
 	// Candidates: enough samples, not yet flagged.
-	ids := make([]string, 0, len(d.devices))
-	for id, dev := range d.devices {
-		if len(dev.values) >= d.cfg.MinSamples && !d.flagged[id] {
+	ids := make([]string, 0, len(e.devices))
+	for id, dev := range e.devices {
+		if dev.n >= e.sybil.MinSamples && !dev.flagged {
 			ids = append(ids, id)
 		}
 	}
@@ -118,15 +90,15 @@ func (d *SybilDetector) Scan(now time.Time) []Alert {
 	}
 	for i := 0; i < len(ids); i++ {
 		for j := i + 1; j < len(ids); j++ {
-			a, b := d.devices[ids[i]], d.devices[ids[j]]
+			a, b := e.devices[ids[i]], e.devices[ids[j]]
 			dt := a.firstSeen.Sub(b.firstSeen)
 			if dt < 0 {
 				dt = -dt
 			}
-			if dt > d.cfg.YoungWindow {
+			if dt > sybilYoungWindow {
 				continue
 			}
-			if similar(a.values, b.values, d.cfg.SimilarityEps) {
+			if similar(a.values[:a.n], b.values[:b.n], e.sybil.SimilarityEps) {
 				parent[find(ids[i])] = find(ids[j])
 			}
 		}
@@ -145,12 +117,12 @@ func (d *SybilDetector) Scan(now time.Time) []Alert {
 	sort.Strings(roots)
 	for _, root := range roots {
 		members := clusters[root]
-		if len(members) < d.cfg.MinClusterSize {
+		if len(members) < sybilMinCluster {
 			continue
 		}
 		sort.Strings(members)
 		for _, id := range members {
-			d.flagged[id] = true
+			e.devices[id].flagged = true
 			alerts = append(alerts, Alert{
 				At: now, Kind: "sybil", Device: id, Score: float64(len(members)),
 				Detail: fmt.Sprintf("cluster of %d near-identical young identities", len(members)),
@@ -158,13 +130,6 @@ func (d *SybilDetector) Scan(now time.Time) []Alert {
 		}
 	}
 	return alerts
-}
-
-// Flagged reports whether a device has been identified as a Sybil member.
-func (d *SybilDetector) Flagged(device string) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.flagged[device]
 }
 
 // similar reports whether two aligned sample tails agree within eps on

@@ -62,15 +62,20 @@ func TestDoSFlooderValidation(t *testing.T) {
 }
 
 func TestDoSFlooderTriggersRateDetector(t *testing.T) {
-	det := anomaly.NewRateDetector(anomaly.RateConfig{Window: time.Second, LimitPerSec: 20})
 	var alert *anomaly.Alert
 	var mu sync.Mutex
+	eng := anomaly.NewEngine(anomaly.EngineConfig{
+		Rate: anomaly.RateConfig{Window: time.Second, LimitPerSec: 20},
+		Sink: func(a anomaly.Alert) {
+			mu.Lock()
+			defer mu.Unlock()
+			if a.Kind == "dos" && alert == nil {
+				alert = &a
+			}
+		},
+	})
 	pub := func(topic string, payload []byte) error {
-		mu.Lock()
-		defer mu.Unlock()
-		if a := det.Observe("flooder", time.Now()); a != nil && alert == nil {
-			alert = a
-		}
+		eng.OnMessage("flooder", topic, payload, time.Now())
 		return nil
 	}
 	f := &DoSFlooder{Publish: pub, Topic: "t", RatePerSec: 2000}
@@ -169,16 +174,18 @@ func TestTamperValidation(t *testing.T) {
 }
 
 func TestTamperDetectedByEWMA(t *testing.T) {
-	det := anomaly.NewEWMADetector(anomaly.EWMAConfig{})
 	var alerts []anomaly.Alert
 	var mu sync.Mutex
-	honest := func(rs []model.Reading) error {
+	eng := anomaly.NewEngine(anomaly.EngineConfig{Sink: func(a anomaly.Alert) {
 		mu.Lock()
 		defer mu.Unlock()
+		if a.Kind == "deviation" {
+			alerts = append(alerts, a)
+		}
+	}})
+	honest := func(rs []model.Reading) error {
 		for _, r := range rs {
-			if a := det.Observe(anomaly.Series{Device: string(r.Device), Quantity: string(r.Quantity)}, r.Value, r.At); a != nil {
-				alerts = append(alerts, *a)
-			}
+			eng.OnReading(r)
 		}
 		return nil
 	}
@@ -235,10 +242,18 @@ func TestSybilSwarmRound(t *testing.T) {
 }
 
 func TestSybilSwarmCaughtByDetector(t *testing.T) {
-	det := anomaly.NewSybilDetector(anomaly.SybilConfig{MinSamples: 4, MinClusterSize: 4})
+	var alerts []anomaly.Alert
+	eng := anomaly.NewEngine(anomaly.EngineConfig{
+		Sybil: anomaly.SybilConfig{MinSamples: 4},
+		Sink: func(a anomaly.Alert) {
+			if a.Kind == "sybil" {
+				alerts = append(alerts, a)
+			}
+		},
+	})
 	pub := func(dev string, rs []model.Reading) error {
 		for _, r := range rs {
-			det.Observe(dev, r.Value, r.At)
+			eng.OnReading(r)
 		}
 		return nil
 	}
@@ -246,7 +261,7 @@ func TestSybilSwarmCaughtByDetector(t *testing.T) {
 	for k := 0; k < 6; k++ {
 		s.Round(time.Now())
 	}
-	alerts := det.Scan(time.Now())
+	eng.ScanSybil(time.Now())
 	if len(alerts) != 6 {
 		t.Fatalf("detected %d of 6 sybil identities", len(alerts))
 	}

@@ -408,13 +408,15 @@ type DoSRow struct {
 func ExpDoSDetection(rates []float64) []DoSRow {
 	var rows []DoSRow
 	for _, rate := range rates {
-		det := anomaly.NewRateDetector(anomaly.RateConfig{Window: 10 * time.Second, LimitPerSec: 10})
-		at := time.Date(2026, 6, 1, 0, 0, 0, 0, time.UTC)
 		row := DoSRow{AttackRate: rate}
+		eng := anomaly.NewEngine(anomaly.EngineConfig{
+			Rate: anomaly.RateConfig{Window: 10 * time.Second, LimitPerSec: 10},
+			Sink: func(a anomaly.Alert) { row.Detected = row.Detected || a.Kind == "dos" },
+		})
+		at := time.Date(2026, 6, 1, 0, 0, 0, 0, time.UTC)
 		interval := time.Duration(float64(time.Second) / rate)
 		for i := 0; i < 5000; i++ {
-			if a := det.Observe("attacker", at); a != nil {
-				row.Detected = true
+			if eng.OnMessage("attacker", "", nil, at); row.Detected {
 				row.DetectAfter = i + 1
 				break
 			}
@@ -502,13 +504,28 @@ func ExpSybilDetection(swarmSizes []int, jitters []float64) ([]SybilRow, error) 
 	var rows []SybilRow
 	for _, size := range swarmSizes {
 		for _, jitter := range jitters {
-			det := anomaly.NewSybilDetector(anomaly.SybilConfig{MinSamples: 6, MinClusterSize: 3})
+			row := SybilRow{SwarmSize: size, JitterStd: jitter}
+			eng := anomaly.NewEngine(anomaly.EngineConfig{
+				Sybil: anomaly.SybilConfig{MinSamples: 6},
+				Sink: func(a anomaly.Alert) {
+					switch {
+					case a.Kind != "sybil":
+					case strings.HasPrefix(a.Device, "sybil"):
+						row.DetectedCount++
+					default:
+						row.FalsePositives++
+					}
+				},
+			})
 			rng := rand.New(rand.NewSource(77))
 			at := time.Date(2026, 6, 1, 0, 0, 0, 0, time.UTC)
 			// Honest population.
 			for k := 0; k < 10; k++ {
 				for i := 0; i < 10; i++ {
-					det.Observe(fmt.Sprintf("honest-%d", i), 0.3+rng.NormFloat64()*0.02, at)
+					eng.OnReading(model.Reading{
+						Device: model.DeviceID(fmt.Sprintf("honest-%d", i)), Quantity: model.QNDVI,
+						Value: 0.3 + rng.NormFloat64()*0.02, At: at,
+					})
 				}
 				at = at.Add(time.Minute)
 			}
@@ -517,7 +534,7 @@ func ExpSybilDetection(swarmSizes []int, jitters []float64) ([]SybilRow, error) 
 				IDPrefix: "sybil", N: size, Value: 0.8, Quantity: model.QNDVI, JitterStd: jitter,
 				Publish: func(dev string, rs []model.Reading) error {
 					for _, r := range rs {
-						det.Observe(dev, r.Value, r.At)
+						eng.OnReading(r)
 					}
 					return nil
 				},
@@ -528,15 +545,7 @@ func ExpSybilDetection(swarmSizes []int, jitters []float64) ([]SybilRow, error) 
 				}
 				at = at.Add(time.Minute)
 			}
-			alerts := det.Scan(at)
-			row := SybilRow{SwarmSize: size, JitterStd: jitter}
-			for _, a := range alerts {
-				if strings.HasPrefix(a.Device, "sybil") {
-					row.DetectedCount++
-				} else {
-					row.FalsePositives++
-				}
-			}
+			eng.ScanSybil(at)
 			rows = append(rows, row)
 		}
 	}
@@ -558,32 +567,37 @@ func ExpPartialViewBaseline(probeCounts []int, seed int64) []PartialViewRow {
 	var rows []PartialViewRow
 	const fieldSensorsFull = 20
 	for _, n := range probeCounts {
-		det := anomaly.NewConsistencyDetector(anomaly.ConsistencyConfig{MinPeers: 4, K: 5, MinSpread: 0.008})
+		row := PartialViewRow{Probes: n, CoveragePct: 100 * float64(n) / fieldSensorsFull}
+		lying := false
+		eng := anomaly.NewEngine(anomaly.EngineConfig{
+			Consistency: anomaly.ConsistencyConfig{MinPeers: 4, K: 5, MinSpread: 0.008},
+			Sink: func(a anomaly.Alert) {
+				switch {
+				case a.Kind != "consistency":
+				case lying && a.Device == "victim":
+					row.TamperCaught = true
+				default:
+					row.FalsePositive = true
+				}
+			},
+		})
 		rng := rand.New(rand.NewSource(seed))
 		at := time.Date(2026, 6, 1, 0, 0, 0, 0, time.UTC)
-		row := PartialViewRow{Probes: n, CoveragePct: 100 * float64(n) / fieldSensorsFull}
-		// Honest warm-up (n probes + the future victim).
-		for k := 0; k < 30; k++ {
-			for i := 0; i < n; i++ {
-				if a := det.Observe(fmt.Sprintf("p%d", i), "soilMoisture", 0.25+rng.NormFloat64()*0.01, at); a != nil {
-					row.FalsePositive = true
-				}
-			}
-			if a := det.Observe("victim", "soilMoisture", 0.25+rng.NormFloat64()*0.01, at); a != nil {
-				row.FalsePositive = true
-			}
-			at = at.Add(time.Minute)
+		observe := func(dev string, v float64) {
+			eng.OnReading(model.Reading{Device: model.DeviceID(dev), Quantity: model.QSoilMoisture, Value: v, At: at})
 		}
-		// Victim starts lying by +0.15.
-		for k := 0; k < 30 && !row.TamperCaught; k++ {
+		// Honest warm-up (n probes + the future victim), then the victim
+		// starts lying by +0.15.
+		for k := 0; k < 60 && !row.TamperCaught; k++ {
+			lying = k >= 30
 			for i := 0; i < n; i++ {
-				if a := det.Observe(fmt.Sprintf("p%d", i), "soilMoisture", 0.25+rng.NormFloat64()*0.01, at); a != nil {
-					row.FalsePositive = true
-				}
+				observe(fmt.Sprintf("p%d", i), 0.25+rng.NormFloat64()*0.01)
 			}
-			if a := det.Observe("victim", "soilMoisture", 0.40+rng.NormFloat64()*0.01, at); a != nil {
-				row.TamperCaught = true
+			base := 0.25
+			if lying {
+				base = 0.40
 			}
+			observe("victim", base+rng.NormFloat64()*0.01)
 			at = at.Add(time.Minute)
 		}
 		rows = append(rows, row)

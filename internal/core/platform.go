@@ -426,7 +426,7 @@ func New(opts Options) (*Platform, error) {
 		p.Fog, err = fog.NewNode(fog.Config{
 			Uplink:   p.cloudUplink,
 			Decide:   p.Decision.Decide,
-			Commands: p.applyCommand,
+			Commands: p.Actuators.Apply,
 			Metrics:  p.reg,
 		})
 		if err != nil {
@@ -623,13 +623,6 @@ func (p *Platform) cloudUplink(batch []model.Reading) error {
 	})
 }
 
-// applyCommand journals a decision into the actuator bank and the anomaly
-// sequence profiler.
-func (p *Platform) applyCommand(c model.Command) error {
-	p.Anomaly.OnEvent("decision-loop", "command:"+c.Name, c.At)
-	return p.Actuators.Apply(c)
-}
-
 // PumpOnce drives one full northbound cycle: every probe samples and
 // publishes over MQTT, and the call blocks until the agent has processed
 // the batches (or the timeout expires).
@@ -672,7 +665,6 @@ func (p *Platform) WaitPipeline(n uint64, timeout time.Duration) bool {
 // backhaul twice (state fetch + command push) and therefore fails during
 // partitions; in fog modes it is local and always available.
 func (p *Platform) DecideOnce(at time.Time) ([]model.Command, error) {
-	p.Anomaly.OnEvent("decision-loop", "plan", at)
 	switch p.Opts.Mode {
 	case ModeCloudOnly:
 		var cmds []model.Command
@@ -685,7 +677,7 @@ func (p *Platform) DecideOnce(at time.Time) ([]model.Command, error) {
 			return nil, err
 		}
 		for _, c := range cmds {
-			if err := p.Backhaul.Do(func() error { return p.applyCommand(c) }); err != nil {
+			if err := p.Backhaul.Do(func() error { return p.Actuators.Apply(c) }); err != nil {
 				return cmds, err
 			}
 		}

@@ -124,8 +124,9 @@ const dayTimeout = 5 * time.Second
 // StepDay advances the simulated farm one day through the whole platform
 // pipeline: the weather advances, every probe publishes over MQTT, the
 // agent updates context, and once the day's notifications have reached
-// the fog view (or the cloud store) the mode's decision loop issues
-// commands and the soil takes them up under the day's ET0. day counts
+// the fog view (or the cloud store) the anomaly engine scans the devices
+// for Sybil swarms, the mode's decision loop issues commands and the soil
+// takes them up under the day's ET0. day counts
 // from the season start (it may run past the season's end); at stamps
 // the readings and decisions.
 func (p *Platform) StepDay(day int, at time.Time) (FarmDay, error) {
@@ -146,6 +147,7 @@ func (p *Platform) StepDay(day int, at time.Time) (FarmDay, error) {
 	if err := p.pumpAndWait(at, dayTimeout); err != nil {
 		return FarmDay{}, fmt.Errorf("core: day %d: %w", day, err)
 	}
+	p.Anomaly.ScanSybil(at)
 
 	d := FarmDay{ET0MM: et0}
 	cmds, err := p.DecideOnce(at)

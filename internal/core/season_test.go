@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/swamp-project/swamp/internal/attack"
+	"github.com/swamp-project/swamp/internal/model"
 )
 
 // Every pilot must complete a full season through the real pipeline with a
@@ -30,12 +31,46 @@ func TestRunSeasonAllPilots(t *testing.T) {
 			if rep.YieldIndex < 0.5 {
 				t.Errorf("yield %.3f collapsed despite irrigation", rep.YieldIndex)
 			}
+			// The daily Sybil scan finds no swarm among honest probes.
+			if n := rep.Alerts["sybil"]; n != 0 {
+				t.Errorf("a clean season raised %d sybil alerts", n)
+			}
 			// Water balance closes: in = out + Δstorage, and the report's
 			// mm totals must be internally consistent.
 			if rep.IrrigationMM+rep.RainMM < rep.ETcMM+rep.DeepPercMM-pilot.Soil.TAWmm(pilot.Crop.RootDepthM) {
 				t.Errorf("water balance implausible: %+v", rep)
 			}
 		})
+	}
+}
+
+// StepDay scans for Sybil swarms once the day's readings are in: a swarm
+// of six identical fabricated identities is flagged after one farm day.
+func TestStepDayScansForSybils(t *testing.T) {
+	p := newPlatform(t, PilotIntercrop, ModeFarmFog, false)
+	at := time.Date(2026, 6, 1, 6, 0, 0, 0, time.UTC)
+	swarm := &attack.SybilSwarm{
+		IDPrefix: "sybil", N: 6, Value: 0.8, Quantity: model.QNDVI,
+		Publish: func(_ string, rs []model.Reading) error {
+			for _, r := range rs {
+				p.Anomaly.OnReading(r)
+			}
+			return nil
+		},
+	}
+	for k := 0; k < 8; k++ {
+		if err := swarm.Round(at.Add(time.Duration(k-8) * time.Minute)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := p.Anomaly.CountByKind()["sybil"]; n != 0 {
+		t.Fatalf("%d sybil alerts before any scan", n)
+	}
+	if _, err := p.StepDay(0, at); err != nil {
+		t.Fatal(err)
+	}
+	if n := p.Anomaly.CountByKind()["sybil"]; n != 6 {
+		t.Errorf("one farm day flagged %d of the swarm's 6 identities", n)
 	}
 }
 
