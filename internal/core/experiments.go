@@ -42,7 +42,7 @@ type ModeRow struct {
 // publish until the platform has processed the cycle's notifications:
 // each reading is then where its mode decides from, the cloud store
 // (across the backhaul) in cloud-only mode and the fog view otherwise.
-// WaitPipeline polls each millisecond, so that time reads up to 1 ms high.
+// The wait polls each millisecond, so that time reads up to 1 ms high.
 func ExpDeploymentConfigs(pilot Pilot, cycles int, backhaul time.Duration) ([]ModeRow, error) {
 	var rows []ModeRow
 	for _, mode := range []Mode{ModeCloudOnly, ModeFarmFog, ModeMobileFog} {

@@ -40,11 +40,11 @@ func ExpMobileFogValue(probes int, seed int64) ([]MobileFogRow, error) {
 		}
 		surveys := 0
 		rep, err := p.RunSeason(SeasonHooks{
-			OnDay: func(day int, pl *Platform) {
+			OnDay: func(day int, at time.Time, pl *Platform) {
 				if !withDrone || day%7 != 0 {
 					return
 				}
-				if _, err := pl.SurveyOnce(time.Now()); err == nil {
+				if _, err := pl.SurveyOnce(at); err == nil {
 					surveys++
 				}
 			},

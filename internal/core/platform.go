@@ -182,6 +182,10 @@ type Platform struct {
 	// notifyProcessed is platform.notify.processed, resolved once: every
 	// context notification bumps it and WaitPipeline polls it.
 	notifyProcessed *metrics.Counter
+	// probeByEntity maps each probe's entity id to its unit, published
+	// once provisioning is done, so onContextNotification can count
+	// every probe's notifications apart from anyone else's.
+	probeByEntity atomic.Pointer[map[string]*ProbeUnit]
 	// uplinkPts is cloudUplink's point scratch; the fog node makes one
 	// uplink call at a time.
 	uplinkPts []timeseries.BatchPoint
@@ -194,6 +198,10 @@ type ProbeUnit struct {
 	Client *mqtt.Client
 	Send   func([]model.Reading) error
 	Cell   int
+
+	// notified counts the context notifications of the probe's entity
+	// that onContextNotification has processed; a farm day waits on it.
+	notified atomic.Uint64
 }
 
 // New wires a complete platform for the pilot. Close releases everything.
@@ -548,7 +556,11 @@ func (p *Platform) provisionDevices() error {
 		}
 		p.Probes = append(p.Probes, &ProbeUnit{Probe: probe, Prov: prov, Client: client, Send: send, Cell: cell})
 	}
-
+	byEntity := make(map[string]*ProbeUnit, len(p.Probes))
+	for _, u := range p.Probes {
+		byEntity[u.Prov.EntityID] = u
+	}
+	p.probeByEntity.Store(&byEntity)
 	return nil
 }
 
@@ -600,6 +612,11 @@ func (p *Platform) onContextNotification(n ngsi.Notification) {
 		readings = append(readings, r)
 	}
 	defer p.notifyProcessed.Inc()
+	if probes := p.probeByEntity.Load(); probes != nil {
+		if u := (*probes)[n.Entity.ID]; u != nil {
+			defer u.notified.Add(1)
+		}
+	}
 	if p.Opts.Mode == ModeCloudOnly {
 		_ = p.Backhaul.Do(func() error {
 			return p.Ingestor.IngestReadings(readings, nil)

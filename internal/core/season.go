@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -59,8 +58,9 @@ func (r *SeasonReport) String() string {
 
 // SeasonHooks lets experiments intervene in the daily loop.
 type SeasonHooks struct {
-	// OnDay runs before day d (0-based) is simulated.
-	OnDay func(day int, p *Platform)
+	// OnDay runs before day d (0-based) is simulated; at is the
+	// simulated time StepDay stamps that day's readings with.
+	OnDay func(day int, at time.Time, p *Platform)
 }
 
 // RunSeason simulates the pilot's full crop season through the real
@@ -73,7 +73,7 @@ func (p *Platform) RunSeason(hooks SeasonHooks) (*SeasonReport, error) {
 
 	for day := 0; day < days; day++ {
 		if hooks.OnDay != nil {
-			hooks.OnDay(day, p)
+			hooks.OnDay(day, at, p)
 		}
 		d, err := p.StepDay(day, at)
 		if err != nil {
@@ -171,19 +171,27 @@ func (p *Platform) StepDay(day int, at time.Time) (FarmDay, error) {
 // for the async context → fog/cloud tail, so a decision that follows sees
 // the pumped readings. The platform callback processes one notification
 // per probe entity, on a cluster only those the node leads (see
-// onContextNotification).
+// onContextNotification). The wait counts each probe's own notifications:
+// another entity's (a drone survey's, written just before) that lands
+// meanwhile cannot stand in for a probe's.
 func (p *Platform) pumpAndWait(at time.Time, timeout time.Duration) error {
-	want := p.notifyProcessed.Value()
-	for _, u := range p.Probes {
+	want := make([]uint64, len(p.Probes)) // 0: not led here, nothing to wait for
+	for i, u := range p.Probes {
 		if p.Node == nil || p.Node.Leads(u.Prov.EntityID) {
-			want++
+			want[i] = u.notified.Load() + 1
 		}
 	}
 	if err := p.PumpOnce(at, timeout); err != nil {
 		return err
 	}
-	if !p.WaitPipeline(want, timeout) {
-		return errors.New("core: pipeline tail incomplete")
+	deadline := time.Now().Add(timeout)
+	for i, u := range p.Probes {
+		for u.notified.Load() < want[i] {
+			if !time.Now().Before(deadline) {
+				return fmt.Errorf("core: pipeline tail incomplete: no notification of %s processed", u.Prov.EntityID)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 	return nil
 }

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/swamp-project/swamp/internal/attack"
 	"github.com/swamp-project/swamp/internal/model"
+	"github.com/swamp-project/swamp/internal/ngsi"
+	"github.com/swamp-project/swamp/internal/shardhash"
 )
 
 // Every pilot must complete a full season through the real pipeline with a
@@ -104,7 +107,7 @@ func TestRunSeasonCloudPartition(t *testing.T) {
 	// commands the actuators applied inside that window.
 	partition := func(applied *int) SeasonHooks {
 		var before int
-		return SeasonHooks{OnDay: func(day int, p *Platform) {
+		return SeasonHooks{OnDay: func(day int, _ time.Time, p *Platform) {
 			switch day {
 			case cut:
 				p.Backhaul.SetPartitioned(true)
@@ -150,9 +153,9 @@ func TestRunSeasonCloudPartition(t *testing.T) {
 // surface in the season report's alert summary.
 func TestRunSeasonWithTamperDetected(t *testing.T) {
 	p := newPlatform(t, PilotMATOPIBA, ModeFarmFog, false)
-	var tampered func(day int, pl *Platform)
+	var tampered func(day int, _ time.Time, pl *Platform)
 	installed := false
-	tampered = func(day int, pl *Platform) {
+	tampered = func(day int, _ time.Time, pl *Platform) {
 		if day == 60 && !installed {
 			installed = true
 			victim := pl.Probes[2]
@@ -179,11 +182,11 @@ func TestRunSeasonMobileFogSurveys(t *testing.T) {
 	p := newPlatform(t, PilotMATOPIBA, ModeMobileFog, false)
 	surveys := 0
 	rep, err := p.RunSeason(SeasonHooks{
-		OnDay: func(day int, pl *Platform) {
+		OnDay: func(day int, at time.Time, pl *Platform) {
 			if day%14 != 0 {
 				return
 			}
-			if _, err := pl.SurveyOnce(time.Now()); err != nil {
+			if _, err := pl.SurveyOnce(at); err != nil {
 				t.Errorf("survey day %d: %v", day, err)
 				return
 			}
@@ -201,5 +204,104 @@ func TestRunSeasonMobileFogSurveys(t *testing.T) {
 	}
 	if rep.DecisionFailures != 0 {
 		t.Errorf("failures = %d", rep.DecisionFailures)
+	}
+}
+
+// A farm day waits for its own probes' notifications. A drone survey
+// written just before the day is notified while the day waits; it must not
+// stand in for a probe's notification still pending, or the decision runs
+// without that probe's reading. Holding the survey's notification until
+// the day's wait has begun, and one probe's until the survey's is
+// processed, forces that order.
+func TestStepDayWaitsForEveryProbe(t *testing.T) {
+	pilot := PilotMATOPIBA
+	pilot.Probes = 3
+	p := newPlatform(t, pilot, ModeMobileFog, false)
+	ndvi := "urn:swamp:matopiba:ndvi"
+
+	// Hold a probe alone on its shard: a held dispatcher then delays no
+	// other probe's notification.
+	shard := func(id string) int { return shardhash.Index(p.Context.ShardCount(), id) }
+	var held *ProbeUnit
+	for _, u := range p.Probes {
+		alone := shard(u.Prov.EntityID) != shard(ndvi)
+		for _, o := range p.Probes {
+			alone = alone && (o == u || shard(o.Prov.EntityID) != shard(u.Prov.EntityID))
+		}
+		if alone {
+			held = u
+			break
+		}
+	}
+	if held == nil {
+		t.Fatal("no probe alone on its shard; change the probe count")
+	}
+
+	// An exact-id subscription is dispatched before the platform's
+	// wildcard one, so blocking it holds the platform's notification too.
+	surveyGate, probeGate := make(chan struct{}), make(chan struct{})
+	probeHeld := make(chan struct{}, 1)
+	hold := func(id string, gate chan struct{}, entered chan struct{}) {
+		_, err := p.Context.Subscribe(ngsi.Subscription{
+			ID: "hold-" + id, EntityIDPattern: id,
+			Notifier: ngsi.Callback(func(ngsi.Notification) {
+				if entered != nil {
+					entered <- struct{}{}
+				}
+				<-gate
+			}),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	hold(ndvi, surveyGate, nil)
+	hold(held.Prov.EntityID, probeGate, probeHeld)
+	var openSurvey, openProbe sync.Once
+	releaseSurvey := func() { openSurvey.Do(func() { close(surveyGate) }) }
+	releaseProbe := func() { openProbe.Do(func() { close(probeGate) }) }
+	t.Cleanup(func() { releaseSurvey(); releaseProbe() })
+
+	if _, err := p.SurveyOnce(t0); err != nil {
+		t.Fatal(err)
+	}
+	processed := p.notifyProcessed.Value()
+	done := make(chan error, 1)
+	go func() {
+		_, err := p.StepDay(0, t0)
+		done <- err
+	}()
+	select {
+	case <-probeHeld:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the held probe's notification never arrived")
+	}
+	releaseSurvey()
+	// The survey and every other probe are processed; only the held
+	// probe is pending.
+	want := processed + uint64(len(p.Probes))
+	for deadline := time.Now().Add(5 * time.Second); p.notifyProcessed.Value() < want; {
+		if time.Now().After(deadline) {
+			t.Fatalf("notifications processed = %d, want %d", p.notifyProcessed.Value(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("StepDay returned (err %v) before %s's notification was processed: "+
+			"its decision ran without that probe's reading", err, held.Prov.EntityID)
+	case <-time.After(100 * time.Millisecond):
+	}
+	releaseProbe()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	// The day is the platform's first: any probe reading in the fog view
+	// is that day's.
+	latest := p.Fog.Latest()
+	for _, u := range p.Probes {
+		if _, ok := latest[string(u.Prov.Desc.ID)+"/soilMoisture_d20"]; !ok {
+			t.Errorf("fog view lacks %s's reading after the day", u.Prov.Desc.ID)
+		}
 	}
 }
