@@ -98,7 +98,7 @@ func BenchmarkBrokerConcurrentUpsert(b *testing.B) {
 	for _, shards := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("indexed-shards-%d", shards), func(b *testing.B) {
 			b.SetParallelism(4)
-			benchConcurrentUpsert(b, ngsi.BrokerConfig{QueueLen: 1024, Shards: shards})
+			benchConcurrentUpsert(b, ngsi.BrokerConfig{Shards: shards})
 		})
 	}
 }
@@ -108,7 +108,7 @@ func BenchmarkBrokerConcurrentUpsert(b *testing.B) {
 // subscription — the common case for per-plot alarms.
 func BenchmarkBrokerNotifyFanout(b *testing.B) {
 	b.Run("indexed", func(b *testing.B) {
-		ctx := newBenchBroker(b, ngsi.BrokerConfig{QueueLen: 1024})
+		ctx := newBenchBroker(b, ngsi.BrokerConfig{})
 		attrs := map[string]ngsi.Attribute{
 			"soilMoisture_d20": {Type: "Number", Value: 0.21},
 		}
@@ -133,7 +133,7 @@ func BenchmarkBrokerBatchUpdate(b *testing.B) {
 		}
 	}
 	b.Run("individual", func(b *testing.B) {
-		ctx := newBenchBroker(b, ngsi.BrokerConfig{QueueLen: 1024})
+		ctx := newBenchBroker(b, ngsi.BrokerConfig{})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for j := 0; j < batchSize; j++ {
@@ -144,7 +144,7 @@ func BenchmarkBrokerBatchUpdate(b *testing.B) {
 		}
 	})
 	b.Run("batched", func(b *testing.B) {
-		ctx := newBenchBroker(b, ngsi.BrokerConfig{QueueLen: 1024})
+		ctx := newBenchBroker(b, ngsi.BrokerConfig{})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			batch := make(map[string]ngsi.BatchEntry, batchSize)
@@ -400,7 +400,7 @@ func BenchmarkHTTPFleetListing(b *testing.B) {
 // BenchmarkBatcherIngest measures the full coalescing path: Add →
 // wake-driven flush → BatchUpdate, configured as the agent does.
 func BenchmarkBatcherIngest(b *testing.B) {
-	ctx := newBenchBroker(b, ngsi.BrokerConfig{QueueLen: 1024})
+	ctx := newBenchBroker(b, ngsi.BrokerConfig{})
 	ba, err := ngsi.NewBatcher(ngsi.BatcherConfig{Writer: ngsi.Local{Broker: ctx}})
 	if err != nil {
 		b.Fatal(err)

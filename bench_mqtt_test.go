@@ -52,10 +52,7 @@ func dialPipe(b *testing.B, broker *mqtt.Broker, id string) *mqtt.Client {
 func benchMQTTFanout(b *testing.B, stalled bool) {
 	const stallDelay = 2 * time.Millisecond
 	reg := metrics.NewRegistry()
-	broker := mqtt.NewBroker(mqtt.BrokerConfig{
-		Metrics:         reg,
-		SessionQueueLen: 64,
-	})
+	broker := mqtt.NewBroker(mqtt.BrokerConfig{Metrics: reg})
 	defer broker.Close()
 
 	if stalled {

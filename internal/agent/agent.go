@@ -3,7 +3,7 @@ package agent
 import (
 	"errors"
 	"fmt"
-	"log"
+	"log/slog"
 	"sync"
 	"time"
 
@@ -80,13 +80,8 @@ type Config struct {
 	// secchan envelope (AAD = topic) and protects southbound commands the
 	// same way.
 	KeyRing *secchan.KeyRing
-	// Replay guards sealed traffic; defaults to a fresh guard when KeyRing
-	// is set.
-	Replay *secchan.ReplayGuard
 	// Metrics receives agent counters; nil allocates a private registry.
 	Metrics *metrics.Registry
-	// Logf receives diagnostics; nil means log.Printf.
-	Logf func(format string, args ...any)
 }
 
 // Agent is the IoT agent. Construct with New, then Start; call Stop to
@@ -101,6 +96,8 @@ type Agent struct {
 	cfg     Config
 	reg     *metrics.Registry
 	batcher *ngsi.Batcher
+	// replay guards sealed traffic; nil without a key ring.
+	replay *secchan.ReplayGuard
 
 	mu      sync.RWMutex
 	byID    map[model.DeviceID]*device
@@ -125,17 +122,14 @@ func New(cfg Config) (*Agent, error) {
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
 	}
-	if cfg.Logf == nil {
-		cfg.Logf = log.Printf
-	}
-	if cfg.KeyRing != nil && cfg.Replay == nil {
-		cfg.Replay = secchan.NewReplayGuard()
-	}
 	a := &Agent{
 		cfg:     cfg,
 		reg:     cfg.Metrics,
 		byID:    make(map[model.DeviceID]*device),
 		byTopic: make(map[string]*device),
+	}
+	if cfg.KeyRing != nil {
+		a.replay = secchan.NewReplayGuard()
 	}
 	okCtr := cfg.Metrics.Counter("agent.north.ok")
 	errCtr := cfg.Metrics.Counter("agent.north.ctxerr")
@@ -150,7 +144,7 @@ func New(cfg Config) (*Agent, error) {
 		OnFlush: func(fs ngsi.FlushStats) {
 			if fs.Err != nil {
 				errCtr.Add(uint64(fs.Updates))
-				cfg.Logf("agent: batched context update (%d entities): %v", fs.Entities, fs.Err)
+				slog.Error("agent: batched context update refused", "entities", fs.Entities, "err", fs.Err)
 				return
 			}
 			okCtr.Add(uint64(fs.Updates))
@@ -262,7 +256,7 @@ func (a *Agent) onMeasure(msg mqtt.Message) {
 			a.reg.Counter("agent.north.badseal").Inc()
 			return
 		}
-		if err := a.cfg.Replay.Check(sender, seq); err != nil {
+		if err := a.replay.Check(sender, seq); err != nil {
 			a.reg.Counter("agent.north.replay").Inc()
 			return
 		}
@@ -291,7 +285,7 @@ func (a *Agent) onMeasure(msg mqtt.Message) {
 	// agent.north.ok advances at flush time (see New); attrs is the batcher's.
 	if err := a.batcher.Add(prov.EntityID, prov.EntityType, attrs); err != nil {
 		a.reg.Counter("agent.north.ctxerr").Inc()
-		a.cfg.Logf("agent: batch context update for %s: %v", prov.Desc.ID, err)
+		slog.Error("agent: context update refused", "device", string(prov.Desc.ID), "err", err)
 	}
 }
 

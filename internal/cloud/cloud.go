@@ -10,7 +10,7 @@ package cloud
 
 import (
 	"errors"
-	"log"
+	"log/slog"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -25,9 +25,6 @@ import (
 type Ingestor struct {
 	dst ngsi.Writer
 	reg *metrics.Registry
-
-	// Logf receives diagnostics; nil means log.Printf.
-	Logf func(format string, args ...any)
 
 	// lastJournalLog throttles durability-failure logging (UnixNano of
 	// the last line): a latched WAL failure would otherwise turn every
@@ -59,14 +56,6 @@ func NewIngestor(dst ngsi.Writer, metricsReg *metrics.Registry) *Ingestor {
 // Metrics returns the ingestor's registry.
 func (i *Ingestor) Metrics() *metrics.Registry { return i.reg }
 
-func (i *Ingestor) logf(format string, args ...any) {
-	if i.Logf != nil {
-		i.Logf(format, args...)
-		return
-	}
-	log.Printf(format, args...)
-}
-
 // journalLogThrottle bounds how often ingest-path append failures are
 // logged.
 const journalLogThrottle = 10 * time.Second
@@ -83,7 +72,7 @@ func (i *Ingestor) noteAppendErr(err error) {
 	now := time.Now().UnixNano()
 	last := i.lastJournalLog.Load()
 	if now-last >= int64(journalLogThrottle) && i.lastJournalLog.CompareAndSwap(last, now) {
-		i.logf("cloud: reading batch not stored, left to the sender's retry: %v", err)
+		slog.Error("cloud: reading batch not stored, left to the sender's retry", "err", err)
 	}
 }
 

@@ -1,8 +1,11 @@
 package cloud
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"log/slog"
+	"strings"
 	"testing"
 	"time"
 
@@ -168,7 +171,6 @@ func TestIngestAppendErrorsCountedByKind(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ing := NewIngestor(tc.w, nil)
-			ing.Logf = func(string, ...any) {}
 			err := ing.IngestReadings([]model.Reading{{Device: "p1", Quantity: model.QSoilMoisture, Value: 0.2, At: t0}}, nil)
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("IngestReadings = %v, want %v", err, tc.want)
@@ -181,5 +183,29 @@ func TestIngestAppendErrorsCountedByKind(t *testing.T) {
 				t.Errorf("route_errors = %d, want %d", got, tc.route)
 			}
 		})
+	}
+}
+
+// TestRefusedBatchLogsError: a batch the journal refused is an operator
+// matter, so it logs at Error and survives a Warn threshold — once per
+// throttle window, however many batches the latched journal refuses.
+func TestRefusedBatchLogsError(t *testing.T) {
+	var out bytes.Buffer
+	prev := slog.Default()
+	slog.SetDefault(slog.New(slog.NewTextHandler(&out, &slog.HandlerOptions{Level: slog.LevelWarn})))
+	t.Cleanup(func() { slog.SetDefault(prev) })
+
+	latched := timeseries.New()
+	latched.SetJournal(failingJournal{})
+	ing := NewIngestor(ngsi.Local{Store: latched}, nil)
+	for i := 0; i < 3; i++ {
+		err := ing.IngestReadings([]model.Reading{{Device: "p1", Quantity: model.QSoilMoisture, Value: 0.2, At: t0}}, nil)
+		if !errors.Is(err, ngsi.ErrDurability) {
+			t.Fatalf("IngestReadings = %v, want ngsi.ErrDurability", err)
+		}
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != 1 || !strings.Contains(lines[0], "level=ERROR") || !strings.Contains(lines[0], "not stored") {
+		t.Errorf("log at Warn threshold after 3 refused batches:\n%s", out.String())
 	}
 }

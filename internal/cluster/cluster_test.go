@@ -104,7 +104,6 @@ func (tc *testCluster) addNode(id, dir string, o clusterOpts) *testMember {
 		AckTimeout: o.ackTimeout,
 		Dial:       func(peer string) (Conn, error) { return tc.dial(peer) },
 		Metrics:    tc.reg,
-		Logf:       func(format string, args ...any) { tc.t.Logf("[%s] "+format, append([]any{id}, args...)...) },
 	})
 	if err != nil {
 		tc.t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sort"
@@ -227,7 +228,7 @@ func (l *followLink) run() {
 			return
 		}
 		if err != nil {
-			l.n.cfg.Logf("cluster: %s ← %s session: %v", l.n.id, l.leader, err)
+			slog.Warn("cluster: replication session ended", "node", l.n.id, "leader", l.leader, "err", err)
 		}
 		if time.Since(start) > time.Second {
 			backoff = 50 * time.Millisecond // healthy run; reset
@@ -270,8 +271,8 @@ func (l *followLink) session() error {
 	if haveOff && subsetOf(l.parts, off.Parts) {
 		resume = wal.Pos{Seg: off.Seg, Rec: off.Rec}
 	} else if haveOff {
-		n.cfg.Logf("cluster: %s ← %s: sidecar offset covers %v but %v is wanted; re-bootstrapping",
-			n.id, l.leader, off.Parts, l.parts)
+		slog.Info("cluster: sidecar offset misses wanted partitions; re-bootstrapping",
+			"node", n.id, "leader", l.leader, "covered", off.Parts, "wanted", l.parts)
 	}
 	hello := helloMsg{Node: n.id, Resume: resume}
 	for _, p := range l.parts {

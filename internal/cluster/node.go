@@ -47,8 +47,6 @@ type NodeConfig struct {
 	// Metrics receives the swamp_cluster_* gauges and counters
 	// (optional).
 	Metrics *metrics.Registry
-	// Logf logs notable events (promotions, resyncs, fences); optional.
-	Logf func(format string, args ...any)
 }
 
 // Node is one cluster member: leader for the partitions the Map assigns
@@ -92,9 +90,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	}
 	if cfg.AckTimeout <= 0 {
 		cfg.AckTimeout = 5 * time.Second
-	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
 	}
 	n := &Node{
 		cfg:    cfg,

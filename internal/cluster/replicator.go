@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"sync"
 	"time"
 
@@ -198,14 +199,14 @@ func (r *replicator) startSession(c Conn, h helloMsg) *session {
 	if h.Resume.IsZero() || len(segs) == 0 || h.Resume.Seg < segs[0] {
 		mode = modeSnapshot
 		if n.cfg.Snapshot == nil {
-			n.cfg.Logf("cluster: %s needs a bootstrap but no snapshot hook is wired", h.Node)
+			slog.Error("cluster: follower needs a bootstrap but no snapshot hook is wired", "follower", h.Node)
 			return nil
 		}
 		oldest := uint64(0)
 		if len(segs) > 0 {
 			oldest = segs[0]
 		}
-		n.cfg.Logf("cluster: bootstrapping %s (resume %s, oldest segment %d)", h.Node, h.Resume, oldest)
+		slog.Info("cluster: bootstrapping follower", "follower", h.Node, "resume", h.Resume, "oldest_segment", oldest)
 	}
 
 	select {
@@ -305,7 +306,7 @@ func (r *replicator) fence(p int, epoch uint64) {
 	if r.n.cFences != nil {
 		r.n.cFences.Inc()
 	}
-	r.n.cfg.Logf("cluster: %s fenced on partition %d (epoch %d)", r.n.id, p, epoch)
+	slog.Warn("cluster: fenced", "node", r.n.id, "partition", p, "epoch", epoch)
 }
 
 // waitAcked blocks until minISR live sessions covering p have acked w,
@@ -414,7 +415,7 @@ func (s *session) pump(mode byte, resume wal.Pos) {
 func (s *session) streamSnapshot(buf *[]byte) (uint64, bool) {
 	n := s.r.n
 	if err := n.cfg.Snapshot(); err != nil {
-		n.cfg.Logf("cluster: bootstrap snapshot for %s failed: %v", s.follower, err)
+		slog.Error("cluster: bootstrap snapshot failed", "follower", s.follower, "err", err)
 		return 0, false
 	}
 	boundary, ok, err := n.cfg.WAL.SnapshotSeq()

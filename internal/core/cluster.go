@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"log/slog"
 	"maps"
 	"slices"
@@ -41,7 +40,6 @@ func (p *Platform) startCluster(c config.Cluster) error {
 		AckTimeout: c.AckTimeout,
 		Dial:       func(id string) (cluster.Conn, error) { return cluster.DialTCP(peers[id]) }, // the map's nodes are the peers
 		Metrics:    p.reg,
-		Logf:       func(format string, args ...any) { slog.Info(fmt.Sprintf(format, args...)) },
 	})
 	if err != nil {
 		return err

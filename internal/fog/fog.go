@@ -13,7 +13,7 @@
 // The node owns the uplink: Ingest only refreshes the local view and
 // enqueues — it never waits for the backhaul — while one drain goroutine
 // loops Flush, so each trip carries whatever accumulated during the previous
-// one (up to MaxBatchesPerTrip). Flush is also the exported synchronous
+// one (up to maxBatchesPerTrip). Flush is also the exported synchronous
 // barrier; Close does the final flush and stops the goroutine.
 package fog
 
@@ -41,9 +41,18 @@ type DecisionFunc func(latest map[string]model.Reading, at time.Time) []model.Co
 // CommandSink applies a command to a local actuator.
 type CommandSink func(model.Command) error
 
-// DefaultMaxBatchesPerTrip is the uplink coalescing bound when
-// Config.MaxBatchesPerTrip is zero.
-const DefaultMaxBatchesPerTrip = 32
+const (
+	// queueCap bounds the store-and-forward queue in batches. When full,
+	// the OLDEST batch is dropped — fresh state matters more for
+	// irrigation than stale history.
+	queueCap = 4096
+	// maxBatchesPerTrip coalesces up to this many queued batches into one
+	// uplink call. Every trip costs a full backhaul round trip, so shipping
+	// in bulk whatever queued up behind the previous trip — a few batches
+	// under load, thousands after a partition — cuts the trips by the same
+	// factor.
+	maxBatchesPerTrip = 32
+)
 
 // Config wires a Node.
 type Config struct {
@@ -54,16 +63,6 @@ type Config struct {
 	// Commands applies decisions to local actuators; required when Decide
 	// is set.
 	Commands CommandSink
-	// QueueCap bounds the store-and-forward queue in batches (default
-	// 4096). When full, the OLDEST batch is dropped — fresh state matters
-	// more for irrigation than stale history.
-	QueueCap int
-	// MaxBatchesPerTrip coalesces up to this many queued batches into one
-	// uplink call (default DefaultMaxBatchesPerTrip). Every trip costs a full
-	// backhaul round trip, so shipping in bulk whatever queued up behind
-	// the previous trip — a few batches under load, thousands after a
-	// partition — cuts the trips by the same factor.
-	MaxBatchesPerTrip int
 	// Metrics receives counters; nil allocates a private registry.
 	Metrics *metrics.Registry
 }
@@ -118,12 +117,6 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	if cfg.Decide != nil && cfg.Commands == nil {
 		return nil, errors.New("fog: decision loop needs a command sink")
-	}
-	if cfg.QueueCap <= 0 {
-		cfg.QueueCap = 4096
-	}
-	if cfg.MaxBatchesPerTrip <= 0 {
-		cfg.MaxBatchesPerTrip = DefaultMaxBatchesPerTrip
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
@@ -236,7 +229,7 @@ func (n *Node) Ingest(batch []model.Reading) error {
 		}
 	}
 	n.stats.Ingested += uint64(len(valid))
-	if n.queue.len() >= n.cfg.QueueCap {
+	if n.queue.len() >= queueCap {
 		n.queue.popFront()
 		n.droppedLocked(1)
 	}
@@ -258,7 +251,7 @@ func (n *Node) droppedLocked(k int) {
 }
 
 // Flush drains the queue through the uplink until it empties or the uplink
-// fails (partition), coalescing up to MaxBatchesPerTrip queued batches per
+// fails (partition), coalescing up to maxBatchesPerTrip queued batches per
 // uplink call. It is the synchronous barrier: it waits for the drain
 // goroutine's trip in progress, and when it returns while online every
 // batch ingested before the call has reached the uplink. It returns how
@@ -269,7 +262,7 @@ func (n *Node) Flush() int {
 	sent := 0
 	for {
 		n.mu.Lock()
-		k := min(n.queue.len(), n.cfg.MaxBatchesPerTrip)
+		k := min(n.queue.len(), maxBatchesPerTrip)
 		if k == 0 {
 			n.mu.Unlock()
 			return sent
@@ -299,7 +292,7 @@ func (n *Node) Flush() int {
 		if err != nil {
 			// Newest first, so that at the cap the oldest are shed.
 			for i := k - 1; i >= 0; i-- {
-				if n.queue.len() >= n.cfg.QueueCap {
+				if n.queue.len() >= queueCap {
 					n.droppedLocked(i + 1)
 					break
 				}

@@ -201,25 +201,26 @@ func TestPartitionBuffersThenSyncs(t *testing.T) {
 
 func TestQueueBoundDropsOldest(t *testing.T) {
 	u := &fakeUplink{}
-	n := newNode(t, Config{Uplink: u.forward, QueueCap: 5})
+	n := newNode(t, Config{Uplink: u.forward})
 	u.setDown(true)
-	for i := 0; i < 12; i++ {
+	const over = 7
+	for i := 0; i < queueCap+over; i++ {
 		n.Ingest([]model.Reading{reading("p1", float64(i), t0.Add(time.Duration(i)*time.Minute))})
 	}
 	n.Flush()
 	st := n.Stats()
-	if st.Buffered != 5 || st.Dropped != 7 {
+	if st.Buffered != queueCap || st.Dropped != over {
 		t.Errorf("stats = %+v", st)
 	}
 	u.setDown(false)
 	n.Flush()
-	// The 5 newest batches survived (coalesced into however many trips).
-	if got := u.received(); got != 5 {
-		t.Errorf("synced %d readings, want 5", got)
+	// The queueCap newest batches survived (coalesced into however many trips).
+	if got := u.received(); got != queueCap {
+		t.Errorf("synced %d readings, want %d", got, queueCap)
 	}
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	if u.batches[0][0].Value != 7 {
+	if u.batches[0][0].Value != over {
 		t.Errorf("synced batches start at %g", u.batches[0][0].Value)
 	}
 }
@@ -294,23 +295,24 @@ func TestDecisionsContinueOffline(t *testing.T) {
 	}
 }
 
-// TestFlushCoalescesBatches: with MaxBatchesPerTrip set, a backlog syncs
-// in bulk — far fewer backhaul round trips — while preserving order and
-// reading counts.
+// TestFlushCoalescesBatches: a backlog syncs in bulk, maxBatchesPerTrip
+// batches a trip — far fewer backhaul round trips — while preserving order
+// and reading counts.
 func TestFlushCoalescesBatches(t *testing.T) {
 	u := &fakeUplink{}
-	n := newStoppedNode(t, Config{Uplink: u.forward, MaxBatchesPerTrip: 4})
+	n := newStoppedNode(t, Config{Uplink: u.forward})
 	u.setDown(true)
-	for i := 0; i < 10; i++ {
+	const batches = 2*maxBatchesPerTrip + 2
+	for i := 0; i < batches; i++ {
 		n.Ingest([]model.Reading{reading("p1", float64(i), t0.Add(time.Duration(i)*time.Minute))})
 	}
 	u.setDown(false)
-	if sent := n.Flush(); sent != 10 {
-		t.Errorf("flush forwarded %d batches, want 10", sent)
+	if sent := n.Flush(); sent != batches {
+		t.Errorf("flush forwarded %d batches, want %d", sent, batches)
 	}
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	// 10 batches in trips of ≤4 → 3 uplink calls.
+	// Two full trips and the remainder → 3 uplink calls.
 	if len(u.batches) != 3 {
 		t.Fatalf("uplink trips = %d, want 3", len(u.batches))
 	}
@@ -325,10 +327,10 @@ func TestFlushCoalescesBatches(t *testing.T) {
 			last = r.Value
 		}
 	}
-	if total != 10 {
-		t.Errorf("cloud received %d readings, want 10", total)
+	if total != batches {
+		t.Errorf("cloud received %d readings, want %d", total, batches)
 	}
-	if st := n.Stats(); st.Forwarded != 10 || st.Buffered != 0 {
+	if st := n.Stats(); st.Forwarded != batches || st.Buffered != 0 {
 		t.Errorf("stats = %+v", st)
 	}
 }
@@ -337,18 +339,19 @@ func TestFlushCoalescesBatches(t *testing.T) {
 // batches back so nothing is lost once the backhaul heals.
 func TestFlushFailureRequeuesHead(t *testing.T) {
 	u := &fakeUplink{}
-	n := newNode(t, Config{Uplink: u.forward, MaxBatchesPerTrip: 4})
+	n := newNode(t, Config{Uplink: u.forward})
 	u.setDown(true)
-	for i := 0; i < 6; i++ {
+	const batches = maxBatchesPerTrip + 2 // more than one trip's worth
+	for i := 0; i < batches; i++ {
 		n.Ingest([]model.Reading{reading("p1", float64(i), t0.Add(time.Duration(i)*time.Minute))})
 	}
 	n.Flush() // fails: the popped head goes back on the queue
-	if st := n.Stats(); st.Buffered != 6 {
+	if st := n.Stats(); st.Buffered != batches {
 		t.Fatalf("buffered = %d", st.Buffered)
 	}
 	u.setDown(false)
 	n.Flush()
-	if u.received() != 6 {
+	if u.received() != batches {
 		t.Errorf("cloud received %d readings after heal", u.received())
 	}
 }
@@ -409,14 +412,24 @@ func TestIngestDoesNotWaitForUplink(t *testing.T) {
 // TestDrainUplinkFlapConservesReadings: eight ingesters race the drain
 // goroutine and an explicit flusher while the uplink flaps. Nothing may be
 // lost or duplicated, and — flushMu making one consumer at a time — each
-// device's readings reach the uplink in ingest order. Run under -race.
+// device's readings reach the uplink in ingest order. Within the bound
+// nothing drops; with the uplink down while more than the bound arrives,
+// the bound sheds. Run under -race.
 func TestDrainUplinkFlapConservesReadings(t *testing.T) {
-	for _, queueCap := range []int{0, 16} { // default (nothing drops) and a bound that sheds
-		t.Run(fmt.Sprintf("cap%d", queueCap), func(t *testing.T) {
-			const ingesters, perIngester = 8, 250
+	const ingesters = 8
+	for _, tc := range []struct {
+		name        string
+		perIngester int
+		down        bool // the uplink refuses every trip while the ingesters run
+	}{
+		{"within-bound", 250, false},
+		{"past-bound", queueCap/ingesters + 250, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			perIngester := tc.perIngester
 			var (
 				mu   sync.Mutex
-				down bool
+				down = tc.down
 				got  = make(map[model.DeviceID][]float64)
 			)
 			uplink := func(b []model.Reading) error {
@@ -430,7 +443,7 @@ func TestDrainUplinkFlapConservesReadings(t *testing.T) {
 				}
 				return nil
 			}
-			n := newNode(t, Config{Uplink: uplink, QueueCap: queueCap, MaxBatchesPerTrip: 4})
+			n := newNode(t, Config{Uplink: uplink})
 
 			stopFlap := make(chan struct{})
 			flapDone := make(chan struct{})
@@ -443,7 +456,7 @@ func TestDrainUplinkFlapConservesReadings(t *testing.T) {
 					default:
 					}
 					mu.Lock()
-					down = i%2 == 0
+					down = tc.down || i%2 == 0
 					mu.Unlock()
 					n.Flush()
 					runtime.Gosched()
@@ -469,15 +482,18 @@ func TestDrainUplinkFlapConservesReadings(t *testing.T) {
 			n.Flush()
 
 			st := n.Stats()
-			if st.Ingested != ingesters*perIngester {
+			if st.Ingested != uint64(ingesters*perIngester) {
 				t.Fatalf("ingested %d, want %d", st.Ingested, ingesters*perIngester)
 			}
 			// One reading per batch, so readings and batches count alike.
 			if st.Buffered != 0 || st.Forwarded+st.Dropped != st.Ingested {
 				t.Errorf("forwarded + buffered + dropped != ingested: %+v", st)
 			}
-			if queueCap == 0 && st.Dropped != 0 {
-				t.Errorf("dropped %d batches under the default bound", st.Dropped)
+			if !tc.down && st.Dropped != 0 {
+				t.Errorf("dropped %d batches within the bound", st.Dropped)
+			}
+			if tc.down && st.Dropped < st.Ingested-queueCap {
+				t.Errorf("dropped %d of %d batches past a bound of %d", st.Dropped, st.Ingested, queueCap)
 			}
 			mu.Lock()
 			defer mu.Unlock()
@@ -553,29 +569,29 @@ func TestDrainClosePartitionedKeepsBacklog(t *testing.T) {
 func TestPartitionBacklogReleasedAfterFlush(t *testing.T) {
 	var down atomic.Bool
 	down.Store(true)
-	const queueCap = 256
-	n := newNode(t, Config{QueueCap: queueCap, Uplink: func([]model.Reading) error {
+	const batches = 256
+	n := newNode(t, Config{Uplink: func([]model.Reading) error {
 		if down.Load() {
 			return errors.New("backhaul down")
 		}
 		return nil // discards the batch
 	}})
-	for i := 0; i < queueCap; i++ {
+	for i := 0; i < batches; i++ {
 		n.Ingest([]model.Reading{reading("p1", float64(i), t0.Add(time.Duration(i)*time.Minute))})
 	}
 	n.Flush()
 	released := make(chan struct{})
 	n.mu.Lock()
-	if n.queue.len() != queueCap {
+	if n.queue.len() != batches {
 		n.mu.Unlock()
-		t.Fatalf("queue holds %d batches, want %d", n.queue.len(), queueCap)
+		t.Fatalf("queue holds %d batches, want %d", n.queue.len(), batches)
 	}
 	runtime.SetFinalizer(&n.queue.at(0)[0], func(*model.Reading) { close(released) })
 	n.mu.Unlock()
 
 	down.Store(false)
 	n.Flush()
-	if st := n.Stats(); st.Buffered != 0 || st.Forwarded != queueCap {
+	if st := n.Stats(); st.Buffered != 0 || st.Forwarded != batches {
 		t.Fatalf("stats after heal = %+v", st)
 	}
 	deadline := time.After(5 * time.Second)

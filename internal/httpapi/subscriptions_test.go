@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/swamp-project/swamp/internal/clock"
 	"github.com/swamp-project/swamp/internal/ngsi"
 	"github.com/swamp-project/swamp/internal/tenant"
 )
@@ -210,6 +211,31 @@ func waitUntil(t *testing.T, d time.Duration, cond func() bool) {
 	t.Fatal("condition not met in time")
 }
 
+// instantBackoff returns a simulated clock that fires every webhook retry
+// backoff as soon as a delivery arms it, so retries run back to back.
+func instantBackoff(t *testing.T) *clock.Sim {
+	t.Helper()
+	sim := clock.NewSim(time.Unix(0, 0))
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(200 * time.Microsecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				if sim.PendingWaiters() > 0 {
+					sim.Advance(time.Hour)
+				}
+			}
+		}
+	}()
+	t.Cleanup(func() { close(stop); <-done })
+	return sim
+}
+
 // TestSubscriptionWebhookEndToEnd is the full northbound loop: create a
 // subscription over HTTP, update a matching entity over HTTP, receive
 // the NGSI notification on a test server — while a second subscription
@@ -222,12 +248,10 @@ func TestSubscriptionWebhookEndToEnd(t *testing.T) {
 	f := newFixtureWith(t, func(cfg *Config) {
 		broker = cfg.Context
 		pool = ngsi.NewWebhookPool(ngsi.WebhookConfig{
-			Metrics:          cfg.Metrics,
-			Timeout:          100 * time.Millisecond,
-			RetryBackoff:     time.Millisecond,
-			MaxRetries:       1,
-			FailureThreshold: 2,
-			OnStatus:         ngsi.StatusUpdater(broker),
+			Metrics:  cfg.Metrics,
+			Timeout:  100 * time.Millisecond,
+			Clock:    instantBackoff(t),
+			OnStatus: ngsi.StatusUpdater(broker),
 		})
 		cfg.Webhooks = pool
 	})

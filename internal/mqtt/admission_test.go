@@ -82,7 +82,6 @@ func newAdmissionBroker(t *testing.T, q tenant.Quota) *admissionBroker {
 	b := NewBroker(BrokerConfig{
 		Admission: adm,
 		Clock:     sim,
-		Logf:      t.Logf,
 		TenantFunc: func(_, username string) tenant.ID {
 			if rest, ok := strings.CutPrefix(username, "tenant:"); ok {
 				return tenant.ID(rest)

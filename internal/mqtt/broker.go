@@ -3,7 +3,7 @@ package mqtt
 import (
 	"errors"
 	"fmt"
-	"log"
+	"log/slog"
 	"net"
 	"runtime"
 	"sync"
@@ -40,23 +40,18 @@ type BrokerConfig struct {
 	// disabled) admits everything; when set, CONNECT, PUBLISH and
 	// SUBSCRIBE are charged against the session tenant's quotas.
 	Admission *tenant.Admission
-	// SessionQueueLen bounds each session's outbound queue in packets
-	// (default 256). A QoS 0 delivery that meets a full queue sheds the
-	// oldest queued QoS 0 delivery; QoS 1 deliveries queue while fewer than
-	// 4× this many await a PUBACK. Either way only that session degrades.
-	// It also bounds the control queue, past which the session's reader
-	// waits.
-	SessionQueueLen int
 	// Clock drives keepalive and Tap timestamps (nil → wall clock).
 	Clock clock.Clock
 	// Metrics receives broker counters; nil allocates a private registry.
 	Metrics *metrics.Registry
-	// Logf receives diagnostics; nil means log.Printf.
-	Logf func(format string, args ...any)
 }
 
-// DefaultSessionQueueLen is the per-session outbound queue bound.
-const DefaultSessionQueueLen = 256
+// sessionQueueLen bounds each session's outbound queue in packets. A QoS 0
+// delivery that meets a full queue sheds the oldest queued QoS 0 delivery;
+// QoS 1 deliveries queue while fewer than 4× this many await a PUBACK.
+// Either way only that session degrades. It also bounds the control
+// queue, past which the session's reader waits.
+const sessionQueueLen = 256
 
 // keepaliveTick is how often a session's keepalive watchdog looks at it.
 const keepaliveTick = time.Second
@@ -183,17 +178,11 @@ type retainedShard struct {
 
 // NewBroker constructs a broker ready to accept connections.
 func NewBroker(cfg BrokerConfig) *Broker {
-	if cfg.SessionQueueLen <= 0 {
-		cfg.SessionQueueLen = DefaultSessionQueueLen
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
-	}
-	if cfg.Logf == nil {
-		cfg.Logf = log.Printf
 	}
 	shards := make([]*retainedShard, DefaultRetainedShards)
 	for i := range shards {
@@ -317,16 +306,13 @@ type session struct {
 	// so close() can return exactly what was reserved.
 	tenantSubs atomic.Int64
 
-	// qcap is the session's queue bound (BrokerConfig.SessionQueueLen).
-	qcap int
-
 	mu sync.Mutex
 	// pending holds the packet ids of QoS 1 deliveries not yet PUBACKed,
 	// queued or on the wire, so no id is reused while in flight.
 	pending map[uint16]struct{}
 	// outq is the ring of queued deliveries in routing order, drained by
-	// the writer. It is allocated at qcap on first use and grows only when
-	// QoS 1 deliveries take the queue past its bound.
+	// the writer. It is allocated at sessionQueueLen on first use and
+	// grows only when QoS 1 deliveries take the queue past its bound.
 	outq            []outMsg
 	outHead, outLen int
 	ctlq            []Packet  // control acks, drained ahead of outq
@@ -355,7 +341,7 @@ type outMsg struct {
 // is full.
 func (s *session) pushLocked(m outMsg) {
 	if s.outLen == len(s.outq) {
-		q := make([]outMsg, max(s.qcap, 2*len(s.outq)))
+		q := make([]outMsg, max(sessionQueueLen, 2*len(s.outq)))
 		for i := range s.outLen {
 			q[i] = s.outq[(s.outHead+i)%len(s.outq)]
 		}
@@ -439,7 +425,7 @@ func (b *Broker) serveConn(t *stream) {
 		return
 	}
 	if first.Type != CONNECT {
-		b.cfg.Logf("mqtt broker: %v: first packet %v, want CONNECT", t.conn.RemoteAddr(), first.Type)
+		slog.Warn("mqtt broker: first packet is not CONNECT", "remote", t.conn.RemoteAddr().String(), "type", first.Type)
 		t.close()
 		return
 	}
@@ -475,7 +461,6 @@ func (b *Broker) serveConn(t *stream) {
 		tenant:   tid,
 		conn:     t,
 		broker:   b,
-		qcap:     b.cfg.SessionQueueLen,
 		pending:  make(map[uint16]struct{}),
 		lastSeen: b.clk.Now(),
 		keep:     time.Duration(first.KeepAliveSec) * time.Second,
@@ -583,7 +568,7 @@ func (b *Broker) handlePacket(s *session, pkt *Packet) (stop bool) {
 	case DISCONNECT:
 		return true
 	default:
-		b.cfg.Logf("mqtt broker: %s sent unexpected %v", s.id, pkt.Type)
+		slog.Warn("mqtt broker: unexpected packet", "client", s.id, "type", pkt.Type)
 		return true
 	}
 	return false
@@ -593,7 +578,7 @@ func (b *Broker) handlePacket(s *session, pkt *Packet) (stop bool) {
 // session should end (its tenant is suspended, or the broker closed).
 func (b *Broker) handlePublish(s *session, pkt *Packet) (stop bool) {
 	if err := ValidateTopicName(pkt.Topic); err != nil {
-		b.cfg.Logf("mqtt broker: %s: %v", s.id, err)
+		slog.Warn("mqtt broker: publish refused", "client", s.id, "err", err)
 		return false
 	}
 	if b.cfg.ACL != nil && !b.cfg.ACL(s.id, pkt.Topic, true) {
@@ -628,7 +613,7 @@ func (b *Broker) handlePublish(s *session, pkt *Packet) (stop bool) {
 		b.cQuotaDisc.Inc()
 		if now := b.clk.Now().UnixNano(); now-b.lastQuotaLog.Load() > int64(time.Second) {
 			b.lastQuotaLog.Store(now)
-			b.cfg.Logf("mqtt broker: %s (tenant %s): disconnected, tenant suspended", s.id, s.tenant)
+			slog.Warn("mqtt broker: disconnected, tenant suspended", "client", s.id, "tenant", string(s.tenant))
 		}
 		return true
 	}
@@ -799,11 +784,11 @@ func (b *Broker) enqueueMsg(s *session, f *Frame, qos byte) {
 		s.mu.Unlock()
 		return
 	}
-	full := s.outLen >= s.qcap
+	full := s.outLen >= sessionQueueLen
 	var pid uint16
 	var shed *Frame
 	switch {
-	case qos == 1 && len(s.pending) >= 4*s.qcap:
+	case qos == 1 && len(s.pending) >= 4*sessionQueueLen:
 		shed = f
 	case qos == 1:
 		pid = s.allocPacketIDLocked()
@@ -850,7 +835,7 @@ func (b *Broker) enqueueMsg(s *session, f *Frame, qos byte) {
 // costs no heap packet.
 func (b *Broker) enqueueCtl(s *session, pkt Packet) {
 	s.mu.Lock()
-	for !s.closedFl && len(s.ctlq) >= s.qcap {
+	for !s.closedFl && len(s.ctlq) >= sessionQueueLen {
 		s.ctlRoom.Wait()
 	}
 	if s.closedFl {
@@ -984,7 +969,7 @@ func (b *Broker) keepaliveWatchdog(s *session) {
 			expired := s.keep > 0 && now.Sub(s.lastSeen) > s.keep*3/2
 			s.mu.Unlock()
 			if expired {
-				b.cfg.Logf("mqtt broker: %s keepalive expired", s.id)
+				slog.Info("mqtt broker: keepalive expired", "client", s.id)
 				b.dropSession(s)
 				return
 			}

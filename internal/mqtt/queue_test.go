@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -152,7 +153,7 @@ func attachScriptedConnect(t *testing.T, b *Broker, connect *Packet, filter stri
 // healthy subscriber on the same topic still receives every message — the
 // stall overflows only the stalled session's queue.
 func TestStalledSubscriberIsolation(t *testing.T) {
-	b := NewBroker(BrokerConfig{SessionQueueLen: 8})
+	b := NewBroker(BrokerConfig{})
 	defer b.Close()
 
 	// The stalled subscriber takes QoS 0 deliveries (overflow drops);
@@ -163,10 +164,10 @@ func TestStalledSubscriberIsolation(t *testing.T) {
 
 	healthy := newTestPair(t, b, "healthy")
 	var mu sync.Mutex
-	seen := make(map[byte]bool)
+	seen := make(map[string]bool)
 	if _, err := healthy.Subscribe("iso/#", 1, func(m Message) {
 		mu.Lock()
-		seen[m.Payload[0]] = true
+		seen[string(m.Payload)] = true
 		mu.Unlock()
 	}); err != nil {
 		t.Fatal(err)
@@ -175,10 +176,11 @@ func TestStalledSubscriberIsolation(t *testing.T) {
 
 	// The publisher stays within the healthy session's QoS 1 inflight window
 	// (4× the queue bound): past it the broker sheds by design, which is that
-	// session's own overflow policy, not the isolation under test.
-	const n, window = 200, 16
+	// session's own overflow policy, not the isolation under test. The
+	// stalled session's queue overflows.
+	const n, window = 2 * sessionQueueLen, 16
 	for i := 0; i < n; i++ {
-		if err := pub.Publish("iso/x", []byte{byte(i)}, 1, false); err != nil {
+		if err := pub.Publish("iso/x", []byte(strconv.Itoa(i)), 1, false); err != nil {
 			t.Fatal(err)
 		}
 		waitFor(t, 5*time.Second, func() bool {
@@ -204,17 +206,16 @@ func TestStalledSubscriberIsolation(t *testing.T) {
 // queued QoS 0 packet, so the freshest state wins — and the drop count is
 // exported.
 func TestQueueOverflowDropsOldestQoS0(t *testing.T) {
-	const qlen = 4
-	b := NewBroker(BrokerConfig{SessionQueueLen: qlen})
+	b := NewBroker(BrokerConfig{})
 	defer b.Close()
 
 	st := attachScripted(t, b, "slow", "of/#", 0)
 	st.stalled.Store(true)
 
 	pub := newTestPair(t, b, "pub")
-	const n = 32
+	const n = 2 * sessionQueueLen
 	for i := 0; i < n; i++ {
-		if err := pub.Publish("of/x", []byte(fmt.Sprintf("m%02d", i)), 0, false); err != nil {
+		if err := pub.Publish("of/x", []byte(fmt.Sprintf("m%04d", i)), 0, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -226,7 +227,7 @@ func TestQueueOverflowDropsOldestQoS0(t *testing.T) {
 	// messages survived, and the newest one always did.
 	waitFor(t, 2*time.Second, func() bool {
 		pubs := st.publishes()
-		return len(pubs) > 0 && string(pubs[len(pubs)-1].Payload) == fmt.Sprintf("m%02d", n-1)
+		return len(pubs) > 0 && string(pubs[len(pubs)-1].Payload) == fmt.Sprintf("m%04d", n-1)
 	})
 	time.Sleep(50 * time.Millisecond)
 	if pubs := st.publishes(); len(pubs) >= n {
@@ -246,18 +247,18 @@ func TestQoS1OverflowArrivesInOrder(t *testing.T) {
 
 func qos1OverflowRun(t *testing.T) {
 	t.Helper()
-	b := NewBroker(BrokerConfig{SessionQueueLen: 2})
+	b := NewBroker(BrokerConfig{})
 	defer b.Close()
 
 	st := attachScripted(t, b, "slow", "ord/#", 1)
 	st.stalled.Store(true)
 
 	pub := newTestPair(t, b, "pub")
-	// Stay within the 4×queue inflight window (8 here): past it deliveries
-	// are shed, which TestQoS1InflightWindowBounded covers.
-	const n = 8
+	// Past the queue bound, and within the 4×queue inflight window: past it
+	// deliveries are shed, which TestQoS1InflightWindowBounded covers.
+	const n = 2 * sessionQueueLen
 	for i := 0; i < n; i++ {
-		if err := pub.Publish("ord/x", []byte(fmt.Sprintf("p%02d", i)), 1, false); err != nil {
+		if err := pub.Publish("ord/x", []byte(fmt.Sprintf("p%04d", i)), 1, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -269,7 +270,7 @@ func qos1OverflowRun(t *testing.T) {
 		t.Fatalf("%d deliveries, want %d", len(pubs), n)
 	}
 	for i, p := range pubs {
-		if want := fmt.Sprintf("p%02d", i); string(p.Payload) != want || p.Dup {
+		if want := fmt.Sprintf("p%04d", i); string(p.Payload) != want || p.Dup {
 			t.Fatalf("delivery %d is %q (dup=%v), want %q", i, p.Payload, p.Dup, want)
 		}
 	}
@@ -347,15 +348,14 @@ func advanceUntil(t *testing.T, sim *clock.Sim, cond func() bool) {
 // map without bound — past 4× the queue bound new QoS 1 deliveries are
 // shed and counted.
 func TestQoS1InflightWindowBounded(t *testing.T) {
-	const qlen = 4
-	b := NewBroker(BrokerConfig{SessionQueueLen: qlen})
+	b := NewBroker(BrokerConfig{})
 	defer b.Close()
 
 	st := attachScripted(t, b, "wedged", "win/#", 1)
 	st.stalled.Store(true)
 
 	pub := newTestPair(t, b, "pub")
-	const n = 64
+	const n = 4*sessionQueueLen + 64
 	for i := 0; i < n; i++ {
 		if err := pub.Publish("win/x", []byte{byte(i)}, 1, false); err != nil {
 			t.Fatal(err)
@@ -370,8 +370,8 @@ func TestQoS1InflightWindowBounded(t *testing.T) {
 	s.mu.Lock()
 	pending := len(s.pending)
 	s.mu.Unlock()
-	if pending > 4*qlen {
-		t.Errorf("pending window grew to %d, cap is %d", pending, 4*qlen)
+	if pending > 4*sessionQueueLen {
+		t.Errorf("pending window grew to %d, cap is %d", pending, 4*sessionQueueLen)
 	}
 	close(st.release)
 }
@@ -381,9 +381,7 @@ func TestQoS1InflightWindowBounded(t *testing.T) {
 // sessions while its own read loop generates SUBACKs with retained replays,
 // PINGRESPs and PUBACKs; at no point may two conn.Write calls overlap.
 func TestSingleWriterPerTransport(t *testing.T) {
-	// The queue bound exceeds everything the test routes, so no delivery
-	// is shed.
-	b := NewBroker(BrokerConfig{SessionQueueLen: 1024})
+	b := NewBroker(BrokerConfig{})
 	defer b.Close()
 
 	seed := newTestPair(t, b, "seed")

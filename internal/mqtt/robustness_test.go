@@ -36,7 +36,7 @@ func TestBrokerKeepaliveExpiry(t *testing.T) {
 // TestBrokerSurvivesGarbage: random byte blobs thrown at the broker as
 // "first packets" must be rejected without panicking or leaking sessions.
 func TestBrokerSurvivesGarbage(t *testing.T) {
-	b := NewBroker(BrokerConfig{Logf: func(string, ...any) {}})
+	b := NewBroker(BrokerConfig{})
 	defer b.Close()
 	f := func(blob []byte) bool {
 		client, server := net.Pipe()
@@ -57,7 +57,7 @@ func TestBrokerSurvivesGarbage(t *testing.T) {
 
 // TestBrokerRejectsNonConnectFirst: the first packet must be CONNECT.
 func TestBrokerRejectsNonConnectFirst(t *testing.T) {
-	b := NewBroker(BrokerConfig{Logf: func(string, ...any) {}})
+	b := NewBroker(BrokerConfig{})
 	defer b.Close()
 	p := attachRaw(t, b)
 	p.send(&Packet{Type: PUBLISH, Topic: "x", Payload: []byte("y")})

@@ -129,28 +129,52 @@ func TestWriterCoalescesPubacks(t *testing.T) {
 	}
 }
 
-// TestFullControlQueuePushesBack: a peer that pipelines twice the queue
-// bound of QoS 1 publishes while the writer is stalled gets every PUBACK,
-// in order, once it reads again — a full control queue stops the session's
-// reader instead of dropping acknowledgements.
+// TestFullControlQueuePushesBack: a peer that pipelines more QoS 1
+// publishes than the control queue holds while the writer is stalled gets
+// every PUBACK, in order, once it reads again — a full control queue stops
+// the session's reader instead of dropping acknowledgements.
 func TestFullControlQueuePushesBack(t *testing.T) {
-	const qlen = 4
-	b := NewBroker(BrokerConfig{SessionQueueLen: qlen})
+	b := NewBroker(BrokerConfig{})
 	defer b.Close()
 	p := attachCounted(t, b, "flood")
 
-	const n = 2 * qlen
-	burst := make([]*Packet, n)
-	for i := range burst {
-		burst[i] = &Packet{Type: PUBLISH, Topic: "t/flood", Payload: []byte{byte(i)}, QoS: 1, PacketID: uint16(i + 1)}
+	// Past what the writer can take before its flush blocks (the flush
+	// watermark's worth of PUBACKs and one swapped-out control queue), the
+	// burst still overfills the control queue.
+	const n = DefaultFlushWatermark/4 + 3*sessionQueueLen
+	var raw []byte
+	for i := 0; i < n; i++ {
+		var err error
+		pkt := &Packet{Type: PUBLISH, Topic: "t/flood", Payload: []byte{byte(i)}, QoS: 1, PacketID: uint16(i + 1)}
+		if raw, err = pkt.appendEncode(raw); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Nothing is read until the whole burst is in: the writer sits in its
-	// first write (the pipe has no buffer), so the control queue fills.
-	p.send(burst...)
+	// The burst is larger than the session reader's buffer: once the
+	// control queue is full the reader stops taking bytes, and the write
+	// waits for the test to read.
+	sent := make(chan error, 1)
+	go func() {
+		_, err := p.conn.Write(raw)
+		sent <- err
+	}()
+	// Nothing is read until the control queue is full: the writer sits in
+	// its first write (the pipe has no buffer), and the reader waits.
+	b.sessMu.RLock()
+	s := b.sessions["flood"]
+	b.sessMu.RUnlock()
+	waitFor(t, 2*time.Second, func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.ctlq) == sessionQueueLen
+	})
 	for i := 0; i < n; i++ {
 		if ack := p.read(); ack.Type != PUBACK || ack.PacketID != uint16(i+1) {
 			t.Fatalf("packet %d from the broker = %+v, want PUBACK %d", i, ack, i+1)
 		}
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
 	}
 	if in := counter(b, "mqtt.publish.in"); in != n {
 		t.Errorf("mqtt.publish.in = %d, want %d", in, n)

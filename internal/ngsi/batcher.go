@@ -20,15 +20,16 @@ type FlushStats struct {
 	Err error
 }
 
+// batcherMaxEntities is the back-pressure bound: the Add that brings this
+// many distinct entities pending flushes on its own goroutine, waiting out
+// the flush in progress, which bounds both memory and notification delay
+// under burst load.
+const batcherMaxEntities = 256
+
 // BatcherConfig configures a Batcher.
 type BatcherConfig struct {
 	// Writer receives the flushed batches (required).
 	Writer Writer
-	// MaxEntities is the back-pressure bound: the Add that brings this many
-	// distinct entities pending (default 256) flushes on its own goroutine,
-	// waiting out the flush in progress, which bounds both memory and
-	// notification delay under burst load.
-	MaxEntities int
 	// OnFlush, if non-nil, observes every flush (including failed ones).
 	// It runs on the flusher goroutine or inside Add/Close; keep it cheap.
 	OnFlush func(FlushStats)
@@ -80,9 +81,6 @@ func NewBatcher(cfg BatcherConfig) (*Batcher, error) {
 	if cfg.Writer == nil {
 		return nil, errors.New("ngsi: batcher requires a writer")
 	}
-	if cfg.MaxEntities <= 0 {
-		cfg.MaxEntities = 256
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
 	}
@@ -122,7 +120,7 @@ func (ba *Batcher) loop() {
 // the stored version uncopied — so the caller builds a map per call and never touches it, or a
 // Metadata map or tree Value in it, again (see Attribute; one immutable
 // Metadata map may serve every call). Add normally returns without touching
-// the writer, but the Add that brings MaxEntities distinct entities pending
+// the writer, but the Add that brings batcherMaxEntities distinct entities pending
 // flushes synchronously (running BatchUpdate, and OnFlush, on its goroutine).
 func (ba *Batcher) Add(id, typ string, attrs map[string]Attribute) error {
 	if err := validateEntityKey(id, typ); err != nil {
@@ -142,7 +140,7 @@ func (ba *Batcher) Add(id, typ string, attrs map[string]Attribute) error {
 		ba.pending[id] = BatchEntry{Type: typ, Attrs: attrs}
 	}
 	ba.updates++
-	full := len(ba.pending) >= ba.cfg.MaxEntities
+	full := len(ba.pending) >= batcherMaxEntities
 	ba.gPending.Set(float64(len(ba.pending)))
 	ba.cAdded.Inc()
 	ba.mu.Unlock()

@@ -240,29 +240,30 @@ func TestBatcherIdleAddNeedsNoWindow(t *testing.T) {
 	}
 }
 
-// TestBatcherMaxEntitiesFlushesEarly: the Add that brings MaxEntities
+// TestBatcherMaxEntitiesFlushesEarly: the Add that brings batcherMaxEntities
 // entities pending flushes on its own goroutine — when it returns,
 // everything added so far is in the broker, without a Flush call.
 func TestBatcherMaxEntitiesFlushesEarly(t *testing.T) {
-	b, j, ba := gatedBatcher(t, BatcherConfig{MaxEntities: 3})
-	ba.Add("e1", "T", map[string]Attribute{"a": num(1)})
-	ba.Add("e2", "T", map[string]Attribute{"a": num(2)})
+	b, j, ba := gatedBatcher(t, BatcherConfig{})
+	for i := 1; i < batcherMaxEntities; i++ {
+		ba.Add(fmt.Sprintf("e%d", i), "T", map[string]Attribute{"a": num(float64(i))})
+	}
 	if got := b.EntityCount(); got != 1 { // flush 1's e0, applied and awaiting its ack
-		t.Fatalf("entity count below MaxEntities = %d, want 1", got)
+		t.Fatalf("entity count below batcherMaxEntities = %d, want 1", got)
 	}
 	time.AfterFunc(10*time.Millisecond, j.open)
-	ba.Add("e3", "T", map[string]Attribute{"a": num(3)})
-	if got := b.EntityCount(); got != 4 {
-		t.Errorf("entity count after cap flush = %d, want 4", got)
+	ba.Add(fmt.Sprintf("e%d", batcherMaxEntities), "T", map[string]Attribute{"a": num(batcherMaxEntities)})
+	if got := b.EntityCount(); got != batcherMaxEntities+1 {
+		t.Errorf("entity count after cap flush = %d, want %d", got, batcherMaxEntities+1)
 	}
 }
 
 // TestBatcherBackpressureAtMaxEntities: while a flush waits for its commit,
-// the MaxEntities-th pending entity blocks its Add until that flush is
-// done, so pending never exceeds the bound.
+// the batcherMaxEntities-th pending entity blocks its Add until that flush
+// is done, so pending never exceeds the bound.
 func TestBatcherBackpressureAtMaxEntities(t *testing.T) {
-	const bound = 4
-	b, j, ba := gatedBatcher(t, BatcherConfig{MaxEntities: bound})
+	const bound = batcherMaxEntities
+	b, j, ba := gatedBatcher(t, BatcherConfig{})
 	pending := b.Metrics().Gauge("ngsi.batcher.pending")
 	returned := make(chan int, bound)
 	go func() {
@@ -280,7 +281,7 @@ func TestBatcherBackpressureAtMaxEntities(t *testing.T) {
 	}
 	select {
 	case <-returned:
-		t.Fatal("the MaxEntities-th Add returned while the flush in progress was parked")
+		t.Fatal("the batcherMaxEntities-th Add returned while the flush in progress was parked")
 	case <-time.After(50 * time.Millisecond):
 	}
 	if got := pending.Value(); got != bound {
@@ -328,31 +329,33 @@ func TestBatcherCloseFlushesTail(t *testing.T) {
 
 // TestBatcherAddRacingClose: every Add that returned nil is in the broker
 // when Close returns, and once one Add got ErrClosed all later ones do.
+// The adders write more distinct entities than batcherMaxEntities, so a
+// flush inside Add may race Close too.
 func TestBatcherAddRacingClose(t *testing.T) {
 	b := NewBroker(BrokerConfig{})
 	defer b.Close()
-	ba, err := NewBatcher(BatcherConfig{Writer: Local{Broker: b}, MaxEntities: 3})
+	ba, err := NewBatcher(BatcherConfig{Writer: Local{Broker: b}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(ba.Close) // the adders below only stop once the batcher is closed
-	const adders = 4
+	const adders, perAdder = 4, batcherMaxEntities / 2
 	var wg sync.WaitGroup
-	accepted := make([]float64, adders) // last value whose Add returned nil
+	accepted := make([][perAdder]float64, adders) // last value whose Add returned nil, per entity
 	for g := 0; g < adders; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			id := fmt.Sprintf("e%d", g)
 			refused := false
 			for i := 1; ; i++ {
+				id := fmt.Sprintf("e%d-%d", g, i%perAdder)
 				err := ba.Add(id, "T", map[string]Attribute{"a": num(float64(i))})
 				switch {
 				case err == nil && refused:
 					t.Errorf("%s: Add %d accepted after an earlier ErrClosed", id, i)
 					return
 				case err == nil:
-					accepted[g] = float64(i)
+					accepted[g][i%perAdder] = float64(i)
 				case errors.Is(err, ErrClosed):
 					if refused { // a few more to pin "later ones too", then stop
 						return
@@ -365,25 +368,28 @@ func TestBatcherAddRacingClose(t *testing.T) {
 			}
 		}(g)
 	}
-	waitFor(t, 2*time.Second, func() bool { return b.EntityCount() == adders })
+	waitFor(t, 2*time.Second, func() bool { return b.EntityCount() == adders*perAdder })
 	ba.Close()
 	wg.Wait()
-	for g, want := range accepted {
-		if got := floatAttr(t, b, fmt.Sprintf("e%d", g), "a"); got != want {
-			t.Errorf("e%d = %v in the broker after Close, last accepted Add was %v", g, got, want)
+	for g := range accepted {
+		for k, want := range accepted[g] {
+			if got := floatAttr(t, b, fmt.Sprintf("e%d-%d", g, k), "a"); got != want {
+				t.Errorf("e%d-%d = %v in the broker after Close, last accepted Add was %v", g, k, got, want)
+			}
 		}
 	}
 }
 
-// TestBatcherOrderUnderConcurrency: adders on disjoint entities, the
-// flusher goroutine, cap flushes inside Add and an explicit flusher all
-// swap batches out concurrently; flushMu keeps them applied in order, so
-// no subscriber ever sees a value go backwards.
+// TestBatcherOrderUnderConcurrency: adders on disjoint entities (more of
+// them than batcherMaxEntities), the flusher goroutine, cap flushes inside
+// Add and an explicit flusher all swap batches out concurrently; flushMu
+// keeps them applied in order, so no subscriber ever sees a value go
+// backwards.
 func TestBatcherOrderUnderConcurrency(t *testing.T) {
-	const adders, perAdder = 8, 500
+	const adders, perAdder, entities = 8, 512, batcherMaxEntities / 4 // entities per adder
 	b := NewBroker(BrokerConfig{})
 	defer b.Close()
-	ba, err := NewBatcher(BatcherConfig{Writer: Local{Broker: b}, MaxEntities: 4, Metrics: b.Metrics()})
+	ba, err := NewBatcher(BatcherConfig{Writer: Local{Broker: b}, Metrics: b.Metrics()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,23 +424,27 @@ func TestBatcherOrderUnderConcurrency(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < adders; g++ {
 		wg.Add(1)
-		go func(id string) {
+		go func(g int) {
 			defer wg.Done()
 			for i := 1; i <= perAdder; i++ {
+				id := fmt.Sprintf("e%d-%d", g, i%entities)
 				if err := ba.Add(id, "T", map[string]Attribute{"a": num(float64(i))}); err != nil {
 					t.Errorf("%s: Add %d: %v", id, i, err)
 					return
 				}
 			}
-		}(fmt.Sprintf("e%d", g))
+		}(g)
 	}
 	wg.Wait()
 	close(stopFlushing)
 	flusher.Wait()
 	ba.Flush()
 	for g := 0; g < adders; g++ {
-		if got := floatAttr(t, b, fmt.Sprintf("e%d", g), "a"); got != perAdder {
-			t.Errorf("e%d = %v, want the last Add's %d", g, got, perAdder)
+		for i := perAdder - entities + 1; i <= perAdder; i++ { // each entity's last Add
+			id := fmt.Sprintf("e%d-%d", g, i%entities)
+			if got := floatAttr(t, b, id, "a"); got != float64(i) {
+				t.Errorf("%s = %v, want the last Add's %d", id, got, i)
+			}
 		}
 	}
 	reg := b.Metrics()

@@ -86,8 +86,6 @@ type BrokerConfig struct {
 	Clock clock.Clock
 	// Metrics receives broker counters; nil allocates a private registry.
 	Metrics *metrics.Registry
-	// QueueLen bounds each shard's async notification queue (default 4096).
-	QueueLen int
 	// Shards is the number of hash-sharded entity stores, each with its own
 	// lock and dispatch worker (default 8). Upserts on entities in
 	// different shards never contend.
@@ -96,6 +94,11 @@ type BrokerConfig struct {
 
 // DefaultShards is the shard count used when BrokerConfig.Shards is zero.
 const DefaultShards = 8
+
+// notifyQueueLen bounds each shard's notification queue; a notification
+// past it is counted (ngsi.notify.dropped) and dropped, so a slow
+// subscriber never blocks a write.
+const notifyQueueLen = 4096
 
 // Broker is the context broker: a hash-sharded entity store with an
 // indexed subscription table. Construct with NewBroker; call Close to
@@ -163,9 +166,6 @@ func NewBroker(cfg BrokerConfig) *Broker {
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
 	}
-	if cfg.QueueLen <= 0 {
-		cfg.QueueLen = 4096
-	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = DefaultShards
 	}
@@ -191,7 +191,7 @@ func NewBroker(cfg BrokerConfig) *Broker {
 	for i := range b.shards {
 		sh := &shard{
 			table: newTable(),
-			queue: make(chan queuedNotification, cfg.QueueLen),
+			queue: make(chan queuedNotification, notifyQueueLen),
 			depth: cfg.Metrics.Gauge(fmt.Sprintf("ngsi.queue.depth.%d", i)),
 		}
 		b.shards[i] = sh

@@ -62,7 +62,7 @@ func TestVersionsAreImmutable(t *testing.T) {
 		ops     = 250
 		nIDs    = 48
 	)
-	b := NewBroker(BrokerConfig{Shards: 4, QueueLen: 1 << 15})
+	b := NewBroker(BrokerConfig{Shards: 4})
 	defer b.Close()
 	b.SetJournal(&flakyDeleteJournal{})
 	id := func(i int) string { return fmt.Sprintf("urn:imm:%02d", i) }

@@ -9,7 +9,7 @@ import (
 // TestNotificationQueueOverflow: a slow subscriber cannot block updates;
 // excess notifications are counted and dropped.
 func TestNotificationQueueOverflow(t *testing.T) {
-	b := NewBroker(BrokerConfig{QueueLen: 4})
+	b := NewBroker(BrokerConfig{})
 	defer b.Close()
 	block := make(chan struct{})
 	var delivered atomic.Int32
@@ -22,8 +22,9 @@ func TestNotificationQueueOverflow(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// Flood far past the queue size while the handler is blocked.
-	for i := 0; i < 50; i++ {
+	// Flood past the queue size while the handler is blocked.
+	const writes = notifyQueueLen + 50
+	for i := 0; i < writes; i++ {
 		if err := b.UpdateAttrs("e", "T", map[string]Attribute{"a": num(float64(i))}); err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +43,7 @@ func TestNotificationQueueOverflow(t *testing.T) {
 	// Updates themselves were never blocked.
 	if e, err := b.GetEntity("e"); err != nil {
 		t.Fatal(err)
-	} else if v, _ := e.Attrs["a"].Float(); v != 49 {
+	} else if v, _ := e.Attrs["a"].Float(); v != writes-1 {
 		t.Errorf("last write lost: %v", v)
 	}
 }

@@ -25,23 +25,25 @@ import (
 	"github.com/swamp-project/swamp/internal/tenant"
 )
 
-// Webhook defaults.
 const (
-	// DefaultWebhookWorkers bounds the pool's webhook connections in use.
-	DefaultWebhookWorkers = 8
-	// DefaultWebhookQueueLen is the per-subscription pending queue bound.
-	DefaultWebhookQueueLen = 64
-	// DefaultWebhookRetries is the number of redelivery attempts after a
-	// failed POST.
-	DefaultWebhookRetries = 2
-	// DefaultWebhookBackoff is the first retry delay; it doubles per
-	// attempt.
-	DefaultWebhookBackoff = 250 * time.Millisecond
-	// DefaultWebhookFailureThreshold is how many consecutive exhausted
-	// deliveries flip a subscription to SubFailed.
-	DefaultWebhookFailureThreshold = 3
 	// DefaultWebhookTimeout bounds a lane's dial and each of its rounds.
 	DefaultWebhookTimeout = 5 * time.Second
+
+	// webhookWorkers bounds the connections in use — lanes delivering a
+	// batch — across all subscriptions.
+	webhookWorkers = 8
+	// webhookQueueLen bounds each subscription's pending notifications,
+	// summed over its lanes. Overflow drops the newest notification for
+	// that subscription only.
+	webhookQueueLen = 64
+	// webhookRetries is the number of redelivery attempts per notification
+	// after its first failed one.
+	webhookRetries = 2
+	// webhookBackoff is the first retry delay; it doubles per attempt.
+	webhookBackoff = 250 * time.Millisecond
+	// webhookFailureThreshold is how many consecutive exhausted deliveries
+	// flip a subscription to SubFailed.
+	webhookFailureThreshold = 3
 
 	// webhookLanes is the number of delivery goroutines per subscription; a
 	// notification's lane is the hash of its entity id. Measured at 2 / 4 / 8
@@ -63,24 +65,6 @@ type WebhookConfig struct {
 	// Metrics receives the webhook counters; nil allocates a private
 	// registry.
 	Metrics *metrics.Registry
-	// Workers bounds the connections in use — lanes delivering a batch —
-	// across all subscriptions (default DefaultWebhookWorkers).
-	Workers int
-	// QueueLen bounds each subscription's pending notifications, summed
-	// over its lanes (default DefaultWebhookQueueLen). Overflow drops the
-	// newest notification for that subscription only.
-	QueueLen int
-	// MaxRetries is the number of redelivery attempts per notification
-	// after the first failure (default DefaultWebhookRetries; negative
-	// disables retries).
-	MaxRetries int
-	// RetryBackoff is the first retry delay, doubling per attempt
-	// (default DefaultWebhookBackoff).
-	RetryBackoff time.Duration
-	// FailureThreshold is the consecutive-exhausted-delivery count that
-	// flips a subscription to SubFailed (default
-	// DefaultWebhookFailureThreshold).
-	FailureThreshold int
 	// OnStatus, if set, is invoked when a subscription's endpoint
 	// crosses the failure threshold (healthy=false) or recovers
 	// (healthy=true). Wire it to Broker.SetSubscriptionStatus.
@@ -100,7 +84,7 @@ type WebhookConfig struct {
 // queue, while a shared semaphore bounds the connections in use.
 type WebhookPool struct {
 	cfg WebhookConfig
-	// sem is the delivery-concurrency semaphore, cfg.Workers slots.
+	// sem is the delivery-concurrency semaphore, webhookWorkers slots.
 	sem chan struct{}
 
 	mu        sync.Mutex
@@ -123,26 +107,9 @@ func NewWebhookPool(cfg WebhookConfig) *WebhookPool {
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = DefaultWebhookWorkers
-	}
-	if cfg.QueueLen <= 0 {
-		cfg.QueueLen = DefaultWebhookQueueLen
-	}
-	if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = DefaultWebhookRetries
-	} else if cfg.MaxRetries < 0 {
-		cfg.MaxRetries = 0
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = DefaultWebhookBackoff
-	}
-	if cfg.FailureThreshold <= 0 {
-		cfg.FailureThreshold = DefaultWebhookFailureThreshold
-	}
 	return &WebhookPool{
 		cfg:       cfg,
-		sem:       make(chan struct{}, cfg.Workers),
+		sem:       make(chan struct{}, webhookWorkers),
 		notifiers: make(map[string]*httpNotifier),
 		depth:     cfg.Metrics.Gauge("ngsi.webhook.depth"),
 		cSent:     cfg.Metrics.Counter("ngsi.webhook.sent"),
@@ -306,7 +273,7 @@ func (p *WebhookPool) notifier(subscriptionID, rawURL string, owner tenant.ID) (
 	p.notifiers[subscriptionID] = n
 	for i := range n.lanes {
 		l := &n.lanes[i]
-		l.queue = make(chan Notification, p.cfg.QueueLen) // each can hold the whole bound
+		l.queue = make(chan Notification, webhookQueueLen) // each can hold the whole bound
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
@@ -430,7 +397,7 @@ func (n *httpNotifier) Notify(note Notification) {
 	// The bound is subscription-wide: no lane drops below it. The tenant's
 	// webhook share lowers it for an owned subscription: an over-subscribed
 	// tenant's backlog saturates at its share, others keep their full queue.
-	bound := n.pool.cfg.QueueLen
+	bound := webhookQueueLen
 	if adm := n.pool.cfg.Admission; adm.Enabled() && !n.owner.IsNone() {
 		bound = adm.WebhookQueueCap(n.owner, bound)
 	}
@@ -440,7 +407,7 @@ func (n *httpNotifier) Notify(note Notification) {
 		return
 	}
 	queue := n.lanes[shardhash.Index(webhookLanes, note.Entity.ID)].queue
-	queue <- note // cannot block: len(queue) ≤ pending ≤ QueueLen = cap(queue)
+	queue <- note // cannot block: len(queue) ≤ pending ≤ webhookQueueLen = cap(queue)
 	n.pool.depth.Add(1)
 	n.pool.cfg.Admission.AddQueueDepth(n.owner, 1)
 	// Re-check after the enqueue: if shutdown ran (and drained)
@@ -519,13 +486,12 @@ func (n *httpNotifier) deliver(l *lane) bool {
 		case l.head = <-l.queue:
 		}
 	}
-	cfg := &n.pool.cfg
 	l.items, l.reqs = l.items[:0], l.reqs[:0]
 	n.add(l, l.head)
 	l.head = Notification{}
-	// The batch takes what is queued, up to a quarter of QueueLen, so the lanes
-	// put at most one QueueLen on the wire.
-	for more := true; more && len(l.items) < cap(l.queue)/webhookLanes; {
+	// The batch takes what is queued, up to a quarter of the bound, so the
+	// lanes put at most one bound's worth on the wire.
+	for more := true; more && len(l.items) < webhookQueueLen/webhookLanes; {
 		select {
 		case note := <-l.queue:
 			same := func(it laneItem) bool { return it.id == note.Entity.ID }
@@ -538,12 +504,12 @@ func (n *httpNotifier) deliver(l *lane) bool {
 			more = false
 		}
 	}
-	for wait, backoff := time.Duration(0), cfg.RetryBackoff; len(l.items) > 0; {
+	for wait, backoff := time.Duration(0), webhookBackoff; len(l.items) > 0; {
 		if wait > 0 {
 			select {
 			case <-n.stop:
 				return false
-			case <-cfg.Clock.After(wait):
+			case <-n.pool.cfg.Clock.After(wait):
 			}
 		}
 		select {
@@ -605,7 +571,7 @@ func (n *httpNotifier) round(l *lane) (failed bool) {
 	kept := 0 // l.items[:kept] go again
 	again := func(it laneItem, attempt bool) {
 		if attempt {
-			if it.fails++; it.fails > p.cfg.MaxRetries {
+			if it.fails++; it.fails > webhookRetries {
 				p.cFailed.Inc()
 				n.completed(false)
 				return
@@ -663,7 +629,7 @@ func (n *httpNotifier) completed(ok bool) {
 		flipped = n.failed
 	} else {
 		n.consecFail++
-		flipped = !n.failed && n.consecFail >= n.pool.cfg.FailureThreshold
+		flipped = !n.failed && n.consecFail >= webhookFailureThreshold
 	}
 	if flipped {
 		n.failed = !ok

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/swamp-project/swamp/internal/clock"
 	"github.com/swamp-project/swamp/internal/shardhash"
 	"github.com/swamp-project/swamp/internal/tenant"
 )
@@ -79,7 +80,7 @@ func gatedPool(t *testing.T, cfg WebhookConfig) *WebhookPool {
 // order they were queued, each exactly once.
 func TestLanePerEntityOrder(t *testing.T) {
 	ids := laneEntities(t)
-	const perEntity = 25
+	const perEntity = webhookQueueLen / webhookLanes // the subscription's whole bound
 	var mu sync.Mutex
 	got := make(map[string][]int)
 	var inHand, overlapped atomic.Int64
@@ -101,7 +102,7 @@ func TestLanePerEntityOrder(t *testing.T) {
 		w.WriteHeader(http.StatusNoContent)
 	}))
 	t.Cleanup(srv.Close)
-	pool := fastWebhookPool(t, nil, WebhookConfig{QueueLen: webhookLanes * perEntity})
+	pool := fastWebhookPool(t, nil, WebhookConfig{})
 	hn, err := pool.notifier("sub-order", srv.URL, tenant.None)
 	if err != nil {
 		t.Fatal(err)
@@ -137,13 +138,13 @@ func TestLanePerEntityOrder(t *testing.T) {
 	}
 }
 
-// TestLaneQueueBoundIsSubscriptionWide: QueueLen bounds what the
+// TestLaneQueueBoundIsSubscriptionWide: webhookQueueLen bounds what the
 // subscription holds, however the entity ids hash: nothing is dropped below
 // it, the newest is dropped at it, Depth reports the total, and the tenant's
 // webhook share applies to the total too.
 func TestLaneQueueBoundIsSubscriptionWide(t *testing.T) {
 	ids := laneEntities(t)
-	const bound = 8
+	const bound = webhookQueueLen
 	adm := tenant.NewAdmission(tenant.Config{Enabled: true, Limits: tenant.Limits{
 		Default:   tenant.Quota{MsgsPerSec: 1000},
 		Overrides: map[tenant.ID]tenant.Quota{"half": {MsgsPerSec: 1000, WebhookSharePct: 50}},
@@ -160,7 +161,7 @@ func TestLaneQueueBoundIsSubscriptionWide(t *testing.T) {
 		{"tenant share, spread", "half", true, bound / 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			pool := gatedPool(t, WebhookConfig{QueueLen: bound, Admission: adm})
+			pool := gatedPool(t, WebhookConfig{Admission: adm})
 			g := newGatedEndpoint(t) // after the pool: released before the pool closes
 			hn, err := pool.notifier("sub-bound", g.srv.URL, tc.owner)
 			if err != nil {
@@ -211,26 +212,33 @@ func TestLaneQueueBoundIsSubscriptionWide(t *testing.T) {
 	}
 }
 
-// TestLaneWorkersBoundOneSubscription: the pool's Workers bound holds for
-// the lanes of a single busy subscription.
-func TestLaneWorkersBoundOneSubscription(t *testing.T) {
+// TestLaneWorkersBoundAcrossSubscriptions: the pool's webhookWorkers bound
+// holds for the lanes of busy subscriptions together; every lane of one
+// subscription delivers at once below it.
+func TestLaneWorkersBoundAcrossSubscriptions(t *testing.T) {
 	ids := laneEntities(t)
-	pool := gatedPool(t, WebhookConfig{Workers: 2})
+	const subs = webhookWorkers/webhookLanes + 1 // one subscription's lanes more than the bound
+	pool := gatedPool(t, WebhookConfig{})
 	g := newGatedEndpoint(t) // after the pool: released before the pool closes
-	hn, err := pool.notifier("sub-workers", g.srv.URL, tenant.None)
-	if err != nil {
-		t.Fatal(err)
+	for s := 0; s < subs; s++ {
+		hn, err := pool.notifier(fmt.Sprintf("sub-workers-%d", s), g.srv.URL, tenant.None)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3*webhookLanes; i++ {
+			hn.Notify(seqNote(ids[i%webhookLanes], i))
+		}
 	}
-	for i := 0; i < 3*webhookLanes; i++ {
-		hn.Notify(seqNote(ids[i%webhookLanes], i))
-	}
-	// Two lanes hold a pool slot, their first notifications on the wire and
-	// out of Depth; the other two wait for one.
-	waitFor(t, 2*time.Second, func() bool { return pool.Depth() == 3*webhookLanes-2 && g.inHand.Load() == 2 })
+	// webhookWorkers lanes hold a pool slot, their first notifications on
+	// the wire and out of Depth; the other lanes wait for one.
+	const notified = subs * 3 * webhookLanes
+	waitFor(t, 2*time.Second, func() bool {
+		return pool.Depth() == notified-webhookWorkers && g.inHand.Load() == webhookWorkers
+	})
 	g.release()
-	waitFor(t, 5*time.Second, func() bool { return g.served.Load() == 3*webhookLanes })
-	if m := g.maxHand.Load(); m != 2 {
-		t.Errorf("%d POSTs in flight at once with Workers = 2", m)
+	waitFor(t, 5*time.Second, func() bool { return g.served.Load() == notified })
+	if m := g.maxHand.Load(); m != webhookWorkers {
+		t.Errorf("%d POSTs in flight at once with webhookWorkers = %d", m, webhookWorkers)
 	}
 }
 
@@ -252,7 +260,6 @@ func TestLaneFailureStateIsShared(t *testing.T) {
 	var mu sync.Mutex
 	var flips []bool
 	pool := fastWebhookPool(t, nil, WebhookConfig{
-		MaxRetries: 1, FailureThreshold: 3,
 		OnStatus: func(_ string, healthy bool) {
 			mu.Lock()
 			flips = append(flips, healthy)
@@ -284,8 +291,8 @@ func TestLaneFailureStateIsShared(t *testing.T) {
 	if status() != "[false]" {
 		t.Fatalf("status reports after 4 failures across lanes: %s, want [false]", status())
 	}
-	if got := pool.cRetries.Value(); got != 4 {
-		t.Errorf("retries = %d, want one per notification (4)", got)
+	if got := pool.cRetries.Value(); got != 4*webhookRetries {
+		t.Errorf("retries = %d, want %d per notification (%d)", got, webhookRetries, 4*webhookRetries)
 	}
 	// One success on any lane recovers, and restarts the run.
 	failing.Store(false)
@@ -324,7 +331,7 @@ func TestLaneEndlessBodyDoesNotPinDelivery(t *testing.T) {
 	t.Cleanup(endless.Close)
 	recv := newWebhookReceiver(t)
 	// A timeout far past the test's: only the drain limit ends a delivery.
-	pool := NewWebhookPool(WebhookConfig{Timeout: time.Hour, Workers: 2})
+	pool := NewWebhookPool(WebhookConfig{Timeout: time.Hour})
 	t.Cleanup(pool.Close)
 	bad, err := pool.notifier("sub-endless", endless.URL, tenant.None)
 	if err != nil {
@@ -357,7 +364,8 @@ func TestLaneGoroutinesStopOnRemoveAndClose(t *testing.T) {
 		w.WriteHeader(http.StatusInternalServerError)
 	}))
 	t.Cleanup(srv.Close)
-	pool := fastWebhookPool(t, nil, WebhookConfig{RetryBackoff: time.Hour})
+	// A clock nobody advances parks every retry in its backoff.
+	pool := fastWebhookPool(t, nil, WebhookConfig{Clock: clock.NewSim(time.Unix(0, 0))})
 	for _, sub := range []string{"s1", "s2"} {
 		hn, err := pool.notifier(sub, srv.URL, tenant.None)
 		if err != nil {

@@ -11,21 +11,22 @@ import (
 	"testing"
 	"time"
 
+	"github.com/swamp-project/swamp/internal/clock"
 	"github.com/swamp-project/swamp/internal/shardhash"
 	"github.com/swamp-project/swamp/internal/tenant"
 )
 
-// sameLaneEntities returns n entity ids that all hash to lane 0.
-func sameLaneEntities(t *testing.T, n int) []string {
+// sameLaneEntities returns n entity ids that all hash to lane.
+func sameLaneEntities(t *testing.T, lane, n int) []string {
 	t.Helper()
 	var ids []string
 	for i := 0; len(ids) < n && i < 100_000; i++ {
-		if id := fmt.Sprintf("urn:pipe:%d", i); shardhash.Index(webhookLanes, id) == 0 {
+		if id := fmt.Sprintf("urn:pipe:%d", i); shardhash.Index(webhookLanes, id) == lane {
 			ids = append(ids, id)
 		}
 	}
 	if len(ids) < n {
-		t.Fatalf("found %d entity ids on lane 0, want %d", len(ids), n)
+		t.Fatalf("found %d entity ids on lane %d, want %d", len(ids), lane, n)
 	}
 	return ids
 }
@@ -89,7 +90,7 @@ func always204(int, arrival, http.ResponseWriter) int { return http.StatusNoCont
 // come at once.
 func pipePool(t *testing.T) *WebhookPool {
 	t.Helper()
-	p := NewWebhookPool(WebhookConfig{Timeout: 30 * time.Second, RetryBackoff: time.Millisecond})
+	p := NewWebhookPool(WebhookConfig{Timeout: 30 * time.Second, Clock: instantBackoff(t)})
 	t.Cleanup(p.Close)
 	return p
 }
@@ -113,7 +114,7 @@ func queueBehindGate(t *testing.T, pool *WebhookPool, hn *httpNotifier, e *pipeE
 // TestPipelineBatchInFewWrites: what a lane holds when it wakes leaves in one
 // write, pipelined on the connection the first request opened.
 func TestPipelineBatchInFewWrites(t *testing.T) {
-	ids := sameLaneEntities(t, 32)
+	ids := sameLaneEntities(t, 0, 32)
 	e := newPipeEndpoint(t, always204)
 	pool := pipePool(t)
 	hn, err := pool.notifier("sub-pipe", e.srv.URL, tenant.None)
@@ -144,7 +145,7 @@ func TestPipelineBatchInFewWrites(t *testing.T) {
 // answer that closed the connection goes again, once each, in order, on a
 // new connection, and costs no retry.
 func TestPipelineConnectionCloseResendsUncounted(t *testing.T) {
-	ids := sameLaneEntities(t, 8)
+	ids := sameLaneEntities(t, 0, 8)
 	e := newPipeEndpoint(t, func(i int, _ arrival, w http.ResponseWriter) int {
 		if i == 2 { // the second request of the pipelined batch
 			w.Header().Set("Connection", "close")
@@ -186,7 +187,7 @@ func TestPipelineConnectionCloseResendsUncounted(t *testing.T) {
 // notification is retried before A's next two, while B's answer in the
 // same batch — behind an interim 103 — is read and counted sent.
 func TestPipelineErrorAnswerRetriesInOrder(t *testing.T) {
-	ids := sameLaneEntities(t, 3)
+	ids := sameLaneEntities(t, 0, 3)
 	a, b := ids[1], ids[2]
 	var refused atomic.Bool
 	e := newPipeEndpoint(t, func(_ int, got arrival, w http.ResponseWriter) int {
@@ -229,7 +230,7 @@ func TestPipelineErrorAnswerRetriesInOrder(t *testing.T) {
 // loses nothing and reorders no entity; what it left unanswered counts as
 // retries.
 func TestPipelineResetMidBatch(t *testing.T) {
-	ids := sameLaneEntities(t, 7)
+	ids := sameLaneEntities(t, 0, 7)
 	const seqs = 3
 	var reset atomic.Bool
 	e := newPipeEndpoint(t, func(i int, _ arrival, w http.ResponseWriter) int {
@@ -288,7 +289,7 @@ func TestPipelineResetMidBatch(t *testing.T) {
 // burst whole; a Close while the batch sits in a retry backoff drops it,
 // counted. Either way sent + failed + dropped equals what was notified.
 func TestPipelineCloseAccountsForEveryNotification(t *testing.T) {
-	ids := sameLaneEntities(t, 32)
+	ids := sameLaneEntities(t, 0, 32)
 	for _, drain := range []bool{true, false} {
 		t.Run(fmt.Sprintf("drain=%v", drain), func(t *testing.T) {
 			hold := make(chan struct{})
@@ -305,7 +306,8 @@ func TestPipelineCloseAccountsForEveryNotification(t *testing.T) {
 			})
 			unhold := sync.OnceFunc(func() { close(hold) })
 			t.Cleanup(unhold)
-			pool := NewWebhookPool(WebhookConfig{Timeout: 30 * time.Second, RetryBackoff: time.Hour})
+			// A clock nobody advances parks a failed batch in its backoff.
+			pool := NewWebhookPool(WebhookConfig{Timeout: 30 * time.Second, Clock: clock.NewSim(time.Unix(0, 0))})
 			t.Cleanup(pool.Close)
 			hn, err := pool.notifier("sub-burst", e.srv.URL, tenant.None)
 			if err != nil {
@@ -342,40 +344,86 @@ func TestPipelineCloseAccountsForEveryNotification(t *testing.T) {
 
 // TestPipelineSlowRoundHoldsSlotOneTimeout: a round against an endpoint that
 // answers slowly, each answer inside Timeout, holds its pool slot for one
-// Timeout, not one per answer, so another subscription waiting for the only
-// slot is delivered within about Timeout.
+// Timeout, not one per answer. While such rounds hold every pool slot,
+// another subscription waiting for one is delivered within about Timeout.
 func TestPipelineSlowRoundHoldsSlotOneTimeout(t *testing.T) {
-	const timeout = 500 * time.Millisecond
-	ids := sameLaneEntities(t, 32)
-	slow := newPipeEndpoint(t, func(i int, _ arrival, _ http.ResponseWriter) int {
-		if i > 0 {
+	const (
+		timeout = 500 * time.Millisecond
+		subs    = webhookWorkers / webhookLanes // their lanes take every slot
+		batch   = webhookQueueLen / webhookLanes
+	)
+	// The endpoint holds each connection's first request until release and
+	// answers every later one after timeout/2.
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	var mu sync.Mutex
+	perConn := make(map[string]int)
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		mu.Lock()
+		perConn[req.RemoteAddr]++
+		first := perConn[req.RemoteAddr] == 1
+		mu.Unlock()
+		if first {
+			<-gate
+		} else {
 			time.Sleep(timeout / 2)
 		}
-		return http.StatusNoContent
-	})
+		w.WriteHeader(http.StatusNoContent)
+	}))
+	t.Cleanup(slow.Close)
+	t.Cleanup(release) // runs before slow.Close, which waits for the handlers
+	conns := func(min int) int {
+		mu.Lock()
+		defer mu.Unlock()
+		n := 0
+		for _, k := range perConn {
+			if k >= min {
+				n++
+			}
+		}
+		return n
+	}
 	recv := newWebhookReceiver(t)
-	pool := NewWebhookPool(WebhookConfig{Timeout: timeout, Workers: 1, RetryBackoff: time.Hour})
+	// A clock nobody advances parks the unanswered requests' retries.
+	pool := NewWebhookPool(WebhookConfig{Timeout: timeout, Clock: clock.NewSim(time.Unix(0, 0))})
 	t.Cleanup(pool.Close)
-	hn, err := pool.notifier("sub-slow", slow.srv.URL, tenant.None)
-	if err != nil {
-		t.Fatal(err)
+	var lanes [webhookLanes][]string
+	for l := range lanes {
+		lanes[l] = sameLaneEntities(t, l, batch)
+	}
+	var slows []*httpNotifier
+	for s := 0; s < subs; s++ {
+		hn, err := pool.notifier(fmt.Sprintf("sub-slow-%d", s), slow.URL, tenant.None)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ids := range lanes {
+			hn.Notify(seqNote(ids[0], 0))
+		}
+		slows = append(slows, hn)
 	}
 	healthy, err := pool.notifier("sub-healthy", recv.srv.URL, tenant.None)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rest []Notification
-	for _, id := range ids[1:] {
-		rest = append(rest, seqNote(id, 0))
+	// Every lane's first request, alone on a fresh connection, holds a slot
+	// at the gate; a batch queues up behind each.
+	waitFor(t, 2*time.Second, func() bool { return conns(1) == webhookWorkers && pool.Depth() == 0 })
+	for _, hn := range slows {
+		for _, ids := range lanes {
+			for _, id := range ids[1:] {
+				hn.Notify(seqNote(id, 0))
+			}
+		}
 	}
-	queueBehindGate(t, pool, hn, slow, seqNote(ids[0], 0), rest)
-	// The pipelined round is on the wire, holding the only slot; answered
-	// one per timeout/2, it would take 31 of them.
-	waitFor(t, 2*time.Second, func() bool { return len(slow.arrivals()) > 1 })
-	healthy.Notify(seqNote(ids[0], 0))
+	release()
+	// Each lane's pipelined round is on the wire, all slots held; answered
+	// one per timeout/2, each would take batch-1 of them.
+	waitFor(t, 2*time.Second, func() bool { return conns(2) == webhookWorkers })
+	healthy.Notify(seqNote(lanes[0][0], 0))
 	waitFor(t, 4*timeout, func() bool { return recv.count() == 1 })
 	if r := pool.cRetries.Value(); r == 0 {
-		t.Error("the round's unanswered requests cost no retry")
+		t.Error("the rounds' unanswered requests cost no retry")
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/swamp-project/swamp/internal/clock"
 	"github.com/swamp-project/swamp/internal/tenant"
 )
 
@@ -74,12 +75,39 @@ func newStalledServer(t *testing.T, d time.Duration) *httptest.Server {
 	return srv
 }
 
+// instantBackoff returns a simulated clock that fires every retry backoff
+// as soon as a lane arms it, so retries run back to back at the shipped
+// backoff. A test that must see a delivery park in its backoff uses a
+// clock.Sim it never advances instead.
+func instantBackoff(t *testing.T) *clock.Sim {
+	t.Helper()
+	sim := clock.NewSim(time.Unix(0, 0))
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(200 * time.Microsecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				if sim.PendingWaiters() > 0 {
+					sim.Advance(time.Hour)
+				}
+			}
+		}
+	}()
+	t.Cleanup(func() { close(stop); <-done })
+	return sim
+}
+
 func fastWebhookPool(t *testing.T, b *Broker, extra WebhookConfig) *WebhookPool {
 	t.Helper()
 	cfg := extra
 	cfg.Timeout = 100 * time.Millisecond
-	if cfg.RetryBackoff == 0 {
-		cfg.RetryBackoff = time.Millisecond
+	if cfg.Clock == nil {
+		cfg.Clock = instantBackoff(t)
 	}
 	if cfg.OnStatus == nil && b != nil {
 		cfg.OnStatus = StatusUpdater(b)
@@ -131,9 +159,7 @@ func TestWebhookStalledEndpointIsolation(t *testing.T) {
 	defer b.Close()
 	recv := newWebhookReceiver(t)
 	stalled := newStalledServer(t, time.Second)
-	pool := fastWebhookPool(t, b, WebhookConfig{
-		MaxRetries: 1, FailureThreshold: 2, Workers: 4,
-	})
+	pool := fastWebhookPool(t, b, WebhookConfig{})
 
 	for id, url := range map[string]string{"sub-ok": recv.srv.URL, "sub-bad": stalled.URL} {
 		if _, err := pool.Subscribe(b, Subscription{ID: id, EntityIDPattern: "*", URL: url}); err != nil {
@@ -153,7 +179,7 @@ func TestWebhookStalledEndpointIsolation(t *testing.T) {
 	// The stalled subscription accumulates failures and flips to failed.
 	reg := pool.cfg.Metrics
 	waitFor(t, 10*time.Second, func() bool {
-		return reg.Counter("ngsi.webhook.failed").Value() >= 2
+		return reg.Counter("ngsi.webhook.failed").Value() >= webhookFailureThreshold
 	})
 	waitFor(t, 2*time.Second, func() bool {
 		view, err := b.Subscription("sub-bad")
@@ -170,8 +196,9 @@ func TestWebhookStalledEndpointIsolation(t *testing.T) {
 	}
 }
 
-// TestWebhookRecoveryFlipsStatusBack: after an endpoint recovers, the
-// next successful delivery returns the subscription to active.
+// TestWebhookRecoveryFlipsStatusBack: deliveries that exhaust their
+// retries flip the subscription to failed at the threshold; after the
+// endpoint recovers, the next successful delivery returns it to active.
 func TestWebhookRecoveryFlipsStatusBack(t *testing.T) {
 	b := NewBroker(BrokerConfig{})
 	defer b.Close()
@@ -185,17 +212,22 @@ func TestWebhookRecoveryFlipsStatusBack(t *testing.T) {
 		w.WriteHeader(http.StatusNoContent)
 	}))
 	t.Cleanup(srv.Close)
-	pool := fastWebhookPool(t, b, WebhookConfig{MaxRetries: -1, FailureThreshold: 1})
+	pool := fastWebhookPool(t, b, WebhookConfig{})
 	if _, err := pool.Subscribe(b, Subscription{ID: "sub-r", EntityIDPattern: "*", URL: srv.URL}); err != nil {
 		t.Fatal(err)
 	}
-	b.UpdateAttrs("e", "T", map[string]Attribute{"a": num(1)})
+	for i := 0; i < webhookFailureThreshold; i++ {
+		b.UpdateAttrs("e", "T", map[string]Attribute{"a": num(float64(i))})
+	}
 	waitFor(t, 2*time.Second, func() bool {
 		view, _ := b.Subscription("sub-r")
 		return view.Status == SubFailed
 	})
+	if r := pool.cfg.Metrics.Counter("ngsi.webhook.retries").Value(); r != webhookFailureThreshold*webhookRetries {
+		t.Errorf("retries = %d, want %d per exhausted delivery", r, webhookRetries)
+	}
 	failing.Store(false)
-	b.UpdateAttrs("e", "T", map[string]Attribute{"a": num(2)})
+	b.UpdateAttrs("e", "T", map[string]Attribute{"a": num(-1)})
 	waitFor(t, 2*time.Second, func() bool {
 		view, _ := b.Subscription("sub-r")
 		return view.Status == SubActive
@@ -206,12 +238,12 @@ func TestWebhookRecoveryFlipsStatusBack(t *testing.T) {
 // own bounded queue; the drop counter advances and Notify never blocks.
 func TestWebhookQueueOverflowDrops(t *testing.T) {
 	stalled := newStalledServer(t, time.Second)
-	pool := fastWebhookPool(t, nil, WebhookConfig{QueueLen: 2, Workers: 1})
+	pool := fastWebhookPool(t, nil, WebhookConfig{})
 	hn, err := pool.notifier("sub-of", stalled.URL, tenant.None)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 20; i++ {
+	for i := 0; i < 2*webhookQueueLen; i++ {
 		hn.Notify(Notification{SubscriptionID: "sub-of", Entity: &Entity{ID: "e", Type: "T"}})
 	}
 	if d := pool.cfg.Metrics.Counter("ngsi.webhook.dropped").Value(); d == 0 {
@@ -253,7 +285,7 @@ func TestConcurrentSubscribeQueryWebhook(t *testing.T) {
 	defer b.Close()
 	recv := newWebhookReceiver(t)
 	stalled := newStalledServer(t, 50*time.Millisecond)
-	pool := fastWebhookPool(t, b, WebhookConfig{MaxRetries: 0, FailureThreshold: 2, Workers: 4})
+	pool := fastWebhookPool(t, b, WebhookConfig{})
 
 	for i, url := range []string{recv.srv.URL, stalled.URL} {
 		id := fmt.Sprintf("sub-wh-%d", i)

@@ -54,10 +54,11 @@ func (t Token) HasScope(scope string) bool {
 	return false
 }
 
+// tokenTTL is the lifetime of an issued token.
+const tokenTTL = time.Hour
+
 // Config tunes the token server.
 type Config struct {
-	// TTL is the token lifetime (default 1h).
-	TTL time.Duration
 	// Clock drives expiry; nil means the wall clock.
 	Clock clock.Clock
 }
@@ -65,7 +66,6 @@ type Config struct {
 // Server issues and validates tokens against an identity store.
 type Server struct {
 	idm *identity.Store
-	ttl time.Duration
 	clk clock.Clock
 
 	tokens sync.Map // token value -> *tokenRecord
@@ -83,13 +83,10 @@ type tokenRecord struct {
 
 // NewServer constructs a token server over idm.
 func NewServer(idm *identity.Store, cfg Config) *Server {
-	if cfg.TTL <= 0 {
-		cfg.TTL = time.Hour
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
 	}
-	return &Server{idm: idm, ttl: cfg.TTL, clk: cfg.Clock, purgeDone: make(chan struct{})}
+	return &Server{idm: idm, clk: cfg.Clock, purgeDone: make(chan struct{})}
 }
 
 // GrantPassword implements the resource-owner-password grant: it
@@ -124,7 +121,7 @@ func (s *Server) issue(p identity.Principal, scopes []string) (Token, error) {
 		Principal: p,
 		Scopes:    append([]string(nil), scopes...),
 		IssuedAt:  now,
-		ExpiresAt: now.Add(s.ttl),
+		ExpiresAt: now.Add(tokenTTL),
 	}
 	s.tokens.Store(tok.Value, &tokenRecord{token: tok})
 	s.live.Add(1)

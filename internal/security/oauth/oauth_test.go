@@ -62,7 +62,7 @@ func TestClientCredentialsGrant(t *testing.T) {
 
 func TestTokenExpiry(t *testing.T) {
 	sim := clock.NewSim(time.Date(2026, 6, 1, 12, 0, 0, 0, time.UTC))
-	srv := NewServer(newIDM(t), Config{TTL: 10 * time.Minute, Clock: sim})
+	srv := NewServer(newIDM(t), Config{Clock: sim})
 	tok, err := srv.GrantPassword("alice", "pw")
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,11 @@ func TestTokenExpiry(t *testing.T) {
 	if _, err := srv.Introspect(tok.Value); err != nil {
 		t.Fatalf("fresh token rejected: %v", err)
 	}
-	sim.Advance(11 * time.Minute)
+	sim.Advance(tokenTTL - time.Minute)
+	if _, err := srv.Introspect(tok.Value); err != nil {
+		t.Fatalf("token rejected before its TTL: %v", err)
+	}
+	sim.Advance(2 * time.Minute)
 	if _, err := srv.Introspect(tok.Value); !errors.Is(err, ErrExpired) {
 		t.Errorf("expired token: %v", err)
 	}
@@ -110,11 +114,11 @@ func TestRevokePrincipal(t *testing.T) {
 
 func TestPurgeExpired(t *testing.T) {
 	sim := clock.NewSim(time.Unix(0, 0))
-	srv := NewServer(newIDM(t), Config{TTL: time.Minute, Clock: sim})
+	srv := NewServer(newIDM(t), Config{Clock: sim})
 	srv.GrantPassword("alice", "pw")
 	tok2, _ := srv.GrantPassword("alice", "pw")
 	srv.Revoke(tok2.Value)
-	sim.Advance(2 * time.Minute)
+	sim.Advance(tokenTTL + time.Minute)
 	srv.GrantPassword("alice", "pw") // fresh
 	if n := srv.PurgeExpired(); n != 2 {
 		t.Errorf("purged %d, want 2", n)

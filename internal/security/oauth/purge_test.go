@@ -22,7 +22,7 @@ func waitWaiters(t *testing.T, sim *clock.Sim, n int) {
 
 func TestPurgeLoopReclaimsOnSimClock(t *testing.T) {
 	sim := clock.NewSim(time.Date(2026, 8, 8, 0, 0, 0, 0, time.UTC))
-	s := NewServer(newIDM(t), Config{TTL: 10 * time.Minute, Clock: sim})
+	s := NewServer(newIDM(t), Config{Clock: sim})
 	defer s.Close()
 	s.StartPurge(30 * time.Second)
 	waitWaiters(t, sim, 1)
@@ -57,7 +57,7 @@ func TestPurgeLoopReclaimsOnSimClock(t *testing.T) {
 	}
 
 	// Past the TTL the remaining token is expired and reclaimed too.
-	sim.Advance(11 * time.Minute)
+	sim.Advance(tokenTTL + time.Minute)
 	waitWaiters(t, sim, 1)
 	if s.LiveTokens() != 0 {
 		t.Fatalf("live after expiry pass = %d, want 0", s.LiveTokens())
@@ -72,7 +72,7 @@ func TestPurgeLoopReclaimsOnSimClock(t *testing.T) {
 
 func TestPurgeLoopZeroIntervalIsNoop(t *testing.T) {
 	sim := clock.NewSim(time.Date(2026, 8, 8, 0, 0, 0, 0, time.UTC))
-	s := NewServer(newIDM(t), Config{TTL: time.Minute, Clock: sim})
+	s := NewServer(newIDM(t), Config{Clock: sim})
 	s.StartPurge(0)
 	if sim.PendingWaiters() != 0 {
 		t.Fatal("zero interval should not start a loop")

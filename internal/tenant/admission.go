@@ -40,8 +40,16 @@ const (
 	// idleSweepInterval paces the opportunistic idle sweep that runs as
 	// new states are created.
 	idleSweepInterval = time.Minute
-	// defaultMaxTenants bounds the ledger when Config.MaxTenants is 0.
-	defaultMaxTenants = 8192
+	// maxTenants bounds the number of live per-tenant ledger states. At
+	// the bound, creating a state for an unseen tenant first reclaims the
+	// longest-idle unused states. The bound is soft: states with live
+	// usage (inflight, subscription slots, queued webhooks) are never
+	// reclaimed, so a genuinely busy fleet exceeds the bound rather than
+	// losing enforcement state.
+	maxTenants = 8192
+	// topK caps per-tenant metric cardinality: the K busiest tenants get
+	// named swamp_tenant_* series, the rest aggregate into "_other".
+	topK = 8
 )
 
 // Action is an admission decision's disposition.
@@ -102,17 +110,6 @@ type Config struct {
 	// Burst is the token-bucket capacity expressed as a duration of
 	// sustained rate (capacity = rate × Burst). 0 → 2s.
 	Burst time.Duration
-	// TopK caps per-tenant metric cardinality: the K busiest tenants get
-	// named swamp_tenant_* series, the rest aggregate into "_other".
-	// 0 → 8.
-	TopK int
-	// MaxTenants bounds the number of live per-tenant ledger states
-	// (0 → 8192). At the bound, creating a state for an unseen tenant
-	// first reclaims the longest-idle unused states. The bound is soft:
-	// states with live usage (inflight, subscription slots, queued
-	// webhooks) are never reclaimed, so a genuinely busy fleet exceeds
-	// the bound rather than losing enforcement state.
-	MaxTenants int
 }
 
 // Admission is the per-tenant admission controller. It acts once per
@@ -130,14 +127,11 @@ type Admission struct {
 	clk     clock.Clock
 	enabled atomic.Bool
 
-	topK int // fixed at construction
-
-	mu         sync.RWMutex
-	limits     Limits
-	burst      time.Duration
-	maxTenants int
-	lastSweep  time.Time
-	tenants    map[ID]*state
+	mu        sync.RWMutex
+	limits    Limits
+	burst     time.Duration
+	lastSweep time.Time
+	tenants   map[ID]*state
 
 	// expMu guards exported, the metric labels published by the last
 	// Export round; labels that fall out of the set get their series
@@ -177,19 +171,11 @@ func NewAdmission(cfg Config) *Admission {
 	if cfg.Burst <= 0 {
 		cfg.Burst = 2 * time.Second
 	}
-	if cfg.TopK <= 0 {
-		cfg.TopK = 8
-	}
-	if cfg.MaxTenants <= 0 {
-		cfg.MaxTenants = defaultMaxTenants
-	}
 	a := &Admission{
-		clk:        cfg.Clock,
-		limits:     cfg.Limits.clone(),
-		burst:      cfg.Burst,
-		topK:       cfg.TopK,
-		maxTenants: cfg.MaxTenants,
-		tenants:    make(map[ID]*state),
+		clk:     cfg.Clock,
+		limits:  cfg.Limits.clone(),
+		burst:   cfg.Burst,
+		tenants: make(map[ID]*state),
 	}
 	a.enabled.Store(cfg.Enabled)
 	return a
@@ -284,7 +270,7 @@ func (a *Admission) get(id ID) *state {
 		a.lastSweep = now
 		a.evictLocked(now, idleEvictAfter)
 	}
-	if len(a.tenants) >= a.maxTenants {
+	if len(a.tenants) >= maxTenants {
 		a.evictLocked(now, 0)
 	}
 	q := a.limits.For(id)
@@ -329,7 +315,7 @@ func (a *Admission) evictLocked(now time.Time, minIdle time.Duration) {
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].last.Before(cands[j].last) })
 	for _, c := range cands {
-		if minIdle == 0 && len(a.tenants) < a.maxTenants {
+		if minIdle == 0 && len(a.tenants) < maxTenants {
 			return
 		}
 		delete(a.tenants, c.id)

@@ -2,6 +2,7 @@ package tenant
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -411,7 +412,7 @@ func TestWebhookShares(t *testing.T) {
 	}
 }
 
-// The ledger is bounded: at MaxTenants the longest-idle unused states
+// The ledger is bounded: at maxTenants the longest-idle unused states
 // are reclaimed to make room, fully idle states are swept past the idle
 // window, and states with live usage or explicit overrides are never
 // reclaimed — so an unbounded tenant-ID source cannot grow the map (or
@@ -424,8 +425,7 @@ func TestLedgerEviction(t *testing.T) {
 			Default:   Quota{MsgsPerSec: 100, Subscriptions: 4},
 			Overrides: map[ID]Quota{"pinned": {MsgsPerSec: 5}},
 		},
-		Clock:      sim,
-		MaxTenants: 4,
+		Clock: sim,
 	})
 	size := func() int {
 		a.mu.RLock()
@@ -439,18 +439,19 @@ func TestLedgerEviction(t *testing.T) {
 		return ok
 	}
 
-	for _, id := range []ID{"t1", "t2", "t3", "t4"} {
-		a.Admit(id, 1)
-		sim.Advance(time.Second) // distinct idle ages, oldest first
+	tid := func(i int) ID { return ID(fmt.Sprintf("t%d", i)) }
+	for i := 1; i <= maxTenants; i++ {
+		a.Admit(tid(i), 1)
+		sim.Advance(time.Millisecond) // distinct idle ages, oldest first
 	}
 	if err := a.ReserveSubscription("t1"); err != nil {
 		t.Fatal(err)
 	}
 	// At the bound: the next unseen tenant reclaims the longest-idle
 	// unused state (t2 — t1 is older but holds a subscription slot).
-	a.Admit("t5", 1)
-	if size() > 4 {
-		t.Fatalf("ledger grew past MaxTenants: %d states", size())
+	a.Admit(tid(maxTenants+1), 1)
+	if size() > maxTenants {
+		t.Fatalf("ledger grew past maxTenants: %d states", size())
 	}
 	if has("t2") || !has("t1") {
 		t.Fatalf("cap eviction picked wrong state: t1=%v t2=%v", has("t1"), has("t2"))
@@ -459,17 +460,20 @@ func TestLedgerEviction(t *testing.T) {
 	// keeping the busy tenant and the explicit override.
 	a.Admit("pinned", 1)
 	sim.Advance(idleEvictAfter + time.Minute)
-	a.Admit("t6", 1)
+	a.Admit(tid(maxTenants+2), 1)
 	if !has("t1") {
 		t.Fatal("idle sweep evicted a tenant holding a subscription slot")
 	}
 	if !has("pinned") {
 		t.Fatal("idle sweep evicted an explicit override")
 	}
-	for _, id := range []ID{"t3", "t4", "t5"} {
+	for _, id := range []ID{"t3", "t4", tid(maxTenants), tid(maxTenants + 1)} {
 		if has(id) {
 			t.Fatalf("idle state %s survived the sweep", id)
 		}
+	}
+	if n := size(); n != 3 { // t1, pinned and the tenant just seen
+		t.Fatalf("%d states survived the sweep, want 3", n)
 	}
 	// The evicted tenant is still enforced on its next sighting.
 	if d := a.Admit("t3", 1); !d.Allowed() {

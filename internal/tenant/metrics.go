@@ -17,7 +17,7 @@ var tenantSeries = []string{
 }
 
 // Export publishes the swamp_tenant_* family into reg, capping
-// cardinality: the TopK tenants by cumulative admitted messages get named
+// cardinality: the topK tenants by cumulative admitted messages get named
 // series (swamp_tenant_admitted_<id> etc.); every other tenant aggregates
 // into the "_other" pseudo-tenant, so a fleet of thousands of farms can
 // never blow up the scrape. Labels that fall out of the named set between
@@ -32,7 +32,6 @@ func (a *Admission) Export(reg *metrics.Registry) {
 	}
 	stats := a.Tenants()
 	reg.Gauge("tenant.active").Set(float64(len(stats)))
-	topK := a.topK
 
 	// Rank by cumulative admitted traffic; ties break by id so the named
 	// set is stable between scrapes.

@@ -1,6 +1,7 @@
 package tenant
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -18,10 +19,16 @@ func TestExportRetiresDisplacedSeries(t *testing.T) {
 		Enabled: true,
 		Limits:  Limits{Default: Quota{MsgsPerSec: 1000}},
 		Clock:   sim,
-		TopK:    1,
 	})
 	reg := metrics.NewRegistry()
 
+	// alpha ranks last of the top-K, behind topK-1 busier tenants; beta
+	// rides _other.
+	for i := 0; i < topK-1; i++ {
+		for j := 0; j < 15; j++ {
+			a.Admit(ID(fmt.Sprintf("busy%d", i)), 1)
+		}
+	}
 	for i := 0; i < 10; i++ {
 		a.Admit("alpha", 1)
 	}
@@ -49,7 +56,7 @@ func TestExportRetiresDisplacedSeries(t *testing.T) {
 		t.Fatalf("new top tenant has no named series:\n%s", snap)
 	}
 
-	// alpha idles out of the ledger entirely; with one tenant left the
+	// alpha idles out of the ledger entirely; with topK tenants left the
 	// _other aggregate must retire too.
 	a.mu.Lock()
 	delete(a.tenants, "alpha")

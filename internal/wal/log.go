@@ -173,8 +173,11 @@ func createSegment(dir string, idx uint64) (*os.File, error) {
 	return f, nil
 }
 
+// queueLen bounds the commit queue; an append past it blocks.
+const queueLen = 4096
+
 // openLog starts the committer on a fresh segment with index startSeg.
-func openLog(dir string, startSeg uint64, segmentBytes int64, queueLen int, reg *metrics.Registry) (*wlog, error) {
+func openLog(dir string, startSeg uint64, segmentBytes int64, reg *metrics.Registry) (*wlog, error) {
 	f, err := createSegment(dir, startSeg)
 	if err != nil {
 		return nil, err

@@ -34,15 +34,9 @@ import (
 	"github.com/swamp-project/swamp/internal/metrics"
 )
 
-// Defaults for the tunable knobs.
-const (
-	// DefaultSegmentBytes is the segment roll threshold when
-	// Config.SegmentBytes is zero.
-	DefaultSegmentBytes = 8 << 20
-	// DefaultQueueLen bounds the commit queue when Config.QueueLen is
-	// zero.
-	DefaultQueueLen = 4096
-)
+// DefaultSegmentBytes is the segment roll threshold when
+// Config.SegmentBytes is zero.
+const DefaultSegmentBytes = 8 << 20
 
 // Config configures a Manager.
 type Config struct {
@@ -52,9 +46,6 @@ type Config struct {
 	// SegmentBytes is the size past which the active segment rolls
 	// (default DefaultSegmentBytes).
 	SegmentBytes int64
-	// QueueLen bounds the commit queue (default DefaultQueueLen);
-	// appends past it block.
-	QueueLen int
 	// Metrics receives the wal.* counters; nil allocates a private
 	// registry.
 	Metrics *metrics.Registry
@@ -119,9 +110,6 @@ func Open(cfg Config) (*Manager, error) {
 	if cfg.SegmentBytes <= 0 {
 		cfg.SegmentBytes = DefaultSegmentBytes
 	}
-	if cfg.QueueLen <= 0 {
-		cfg.QueueLen = DefaultQueueLen
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
 	}
@@ -147,7 +135,7 @@ func Open(cfg Config) (*Manager, error) {
 			start = idx + 1
 		}
 	}
-	l, err := openLog(cfg.Dir, start, cfg.SegmentBytes, cfg.QueueLen, cfg.Metrics)
+	l, err := openLog(cfg.Dir, start, cfg.SegmentBytes, cfg.Metrics)
 	if err != nil {
 		return nil, err
 	}
